@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Local CI gate: build, test, format, lint — entirely offline.
 #
-# The workspace has no registry dependencies (rand/proptest/criterion
-# resolve to the vendored shims in vendor/), so every step below works
+# The workspace has no registry dependencies (rand/proptest resolve to
+# the vendored shims in vendor/), so every step below works
 # without network access. Run from the repository root: ./ci.sh
 
 set -euo pipefail
@@ -242,7 +242,7 @@ build_release
 "$JSON_CHECK" "$SMOKE_DIR/results/BENCH_fixpoint.json"
 
 echo "== bench trend gate (every results/BENCH_*.json export is valid) =="
-./target/release/trend --require 5
+./target/release/trend --require 6
 
 echo "== lane-differential gate (SoA engine bit-identical to scalar) =="
 cargo test -q --test lanes_differential
@@ -254,5 +254,12 @@ build_release
 (cd "$SMOKE_DIR" && SAFEGEN_QUICK=1 SAFEGEN_REPS=1 \
     "$OLDPWD/target/release/dispatch" > /dev/null)
 "$JSON_CHECK" "$SMOKE_DIR/results/BENCH_dispatch.json"
+
+echo "== ops bench smoke (op-level microbenchmarks + results JSON) =="
+build_release
+# Same scratch-dir rule: the committed BENCH_ops.json is a full run.
+(cd "$SMOKE_DIR" && SAFEGEN_QUICK=1 SAFEGEN_REPS=1 \
+    "$OLDPWD/target/release/ops" > /dev/null)
+"$JSON_CHECK" "$SMOKE_DIR/results/BENCH_ops.json"
 
 echo "ci.sh: all checks passed"

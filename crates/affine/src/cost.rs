@@ -15,8 +15,9 @@
 //! and the vectorized direct-mapped kernels use `1.75k` (add) and `4.25k`
 //! (mul) arithmetic intrinsics plus `1.25k` blends.
 //!
-//! These formulas parameterize the micro-benchmarks (`cargo bench`, group
-//! `aa_ops`), which check that measured runtimes scale accordingly.
+//! The `ops` bench binary (`safegen-bench`, group `aa_ops`) measures the
+//! same operations across k, so measured runtimes can be checked against
+//! how these counts scale.
 
 /// Flops of classic (sorted, unbounded) affine addition with `m` shared
 /// symbols.

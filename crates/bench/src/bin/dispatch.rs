@@ -4,7 +4,7 @@
 //! For each workload × configuration the binary times a single-threaded
 //! sweep over the same batch of input points twice — once through
 //! [`run_on`] one point at a time, once through
-//! [`run_lanes_on`] at lane widths {4, 8, 16, 32} — and reports
+//! [`run_lanes_on`] at lane widths {1, 4, 8, 16, 32, 64} — and reports
 //! points-per-second plus the speedup of each width over the scalar
 //! path. A bitwise spot check (first lane group vs scalar, per config)
 //! guards against measuring a divergent engine; the exhaustive check is
@@ -29,8 +29,9 @@ use std::hint::black_box;
 use std::time::Instant;
 
 /// Lane widths swept by the benchmark (the batch engine's auto widths,
-/// 16 and 4, are both in range; 64 is `MAX_LANES`).
-const WIDTHS: [usize; 5] = [4, 8, 16, 32, 64];
+/// 16 and 4, are both in range; 64 is `MAX_LANES`). Width 1 measures the
+/// lane engine's own overhead against the scalar loop.
+const WIDTHS: [usize; 6] = [1, 4, 8, 16, 32, 64];
 
 /// One workload × configuration row.
 struct Row {
@@ -222,8 +223,8 @@ fn main() {
         items, reps
     );
     println!(
-        "{:<8} {:<16} {:>12} {:>8} {:>8} {:>8} {:>8} {:>8}",
-        "bench", "config", "scalar", "x4", "x8", "x16", "x32", "x64"
+        "{:<8} {:<16} {:>12} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8}",
+        "bench", "config", "scalar", "x1", "x4", "x8", "x16", "x32", "x64"
     );
     for r in &rows {
         print!("{:<8} {:<16} {:>12.0}", r.bench, r.config, r.scalar_per_s);
@@ -254,19 +255,5 @@ fn main() {
             Json::Arr(rows.iter().map(Row::to_json).collect()),
         ),
     ]);
-    let dir = std::path::PathBuf::from("results");
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("dispatch: could not create {}: {e}", dir.display());
-        return;
-    }
-    let path = dir.join("BENCH_dispatch.json");
-    match std::fs::write(&path, format!("{doc}\n")) {
-        Ok(()) => eprintln!("dispatch: wrote {}", path.display()),
-        Err(e) => eprintln!("dispatch: could not write results: {e}"),
-    }
-    match safegen_telemetry::flush() {
-        Ok(Some(summary)) => eprintln!("dispatch: metrics written ({})", summary.display()),
-        Ok(None) => {}
-        Err(e) => eprintln!("dispatch: failed to write metrics: {e}"),
-    }
+    harness::export_json("dispatch", &doc);
 }

@@ -188,19 +188,5 @@ fn main() {
         ("base_seed", Json::from(harness::BASE_SEED)),
         ("measurements", Json::Arr(rows)),
     ]);
-    let path = std::path::Path::new("results").join("BENCH_fixpoint.json");
-    if let Err(e) = std::fs::create_dir_all("results") {
-        eprintln!("fixpoint: could not create results/: {e}");
-        std::process::exit(1);
-    }
-    match std::fs::write(&path, format!("{doc}\n")) {
-        Ok(()) => eprintln!("fixpoint: wrote {}", path.display()),
-        Err(e) => {
-            eprintln!("fixpoint: could not write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-    }
-    if let Err(e) = safegen_telemetry::flush() {
-        eprintln!("fixpoint: failed to write metrics: {e}");
-    }
+    harness::export_json("fixpoint", &doc);
 }

@@ -30,7 +30,6 @@ use safegen_api::{ArgValue, BuildOptions, Engine, EvalRequest, RunConfig};
 use safegen_bench::harness;
 use safegen_bench::workloads::{Workload, WorkloadKind};
 use safegen_telemetry::json::Json;
-use std::path::PathBuf;
 use std::time::Instant;
 
 fn percentile(xs: &[f64], p: f64) -> f64 {
@@ -319,19 +318,5 @@ fn main() {
         ),
         ("amortization", Json::from(amortization)),
     ]);
-    let dir = PathBuf::from("results");
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("serve: could not create results/: {e}");
-        return;
-    }
-    let path = dir.join("BENCH_serve.json");
-    match std::fs::write(&path, format!("{doc}\n")) {
-        Ok(()) => eprintln!("serve: wrote {}", path.display()),
-        Err(e) => eprintln!("serve: could not write results: {e}"),
-    }
-    match safegen_telemetry::flush() {
-        Ok(Some(summary)) => eprintln!("serve: metrics written ({})", summary.display()),
-        Ok(None) => {}
-        Err(e) => eprintln!("serve: failed to write metrics: {e}"),
-    }
+    harness::export_json("serve", &doc);
 }

@@ -50,7 +50,8 @@ impl StatRange {
         }
     }
 
-    fn to_json(self) -> Json {
+    /// The range as a `{min, median, max}` JSON object.
+    pub fn to_json(self) -> Json {
         Json::obj(vec![
             ("min", Json::from(self.min)),
             ("median", Json::from(self.median)),
@@ -342,27 +343,32 @@ pub fn print_json(binary: &str, rows: &[Measurement]) {
     println!("{}", rows_to_json(binary, rows));
 }
 
-/// Writes the measurements to `results/BENCH_<binary>.json` (creating
-/// `results/` when needed) and returns the path.
+/// Writes `doc` to `results/BENCH_<binary>.json` (creating `results/`
+/// when needed) and returns the path.
 ///
 /// # Errors
 ///
 /// Returns the I/O error message on failure.
-pub fn write_json(binary: &str, rows: &[Measurement]) -> Result<PathBuf, String> {
+pub fn write_json(binary: &str, doc: &Json) -> Result<PathBuf, String> {
     let dir = PathBuf::from("results");
     std::fs::create_dir_all(&dir).map_err(|e| format!("{}: {e}", dir.display()))?;
     let path = dir.join(format!("BENCH_{binary}.json"));
-    std::fs::write(&path, format!("{}\n", rows_to_json(binary, rows)))
-        .map_err(|e| format!("{}: {e}", path.display()))?;
+    std::fs::write(&path, format!("{doc}\n")).map_err(|e| format!("{}: {e}", path.display()))?;
     Ok(path)
 }
 
-/// The standard ending of every figure binary: writes
-/// `results/BENCH_<binary>.json` and flushes the telemetry sink (the
-/// JSONL event log, when `SAFEGEN_METRICS_OUT` is set). Failures are
-/// reported on stderr, never fatal — the tables already went to stdout.
+/// The standard ending of every figure binary: writes the measurements
+/// to `results/BENCH_<binary>.json` through [`export_json`].
 pub fn export(binary: &str, rows: &[Measurement]) {
-    match write_json(binary, rows) {
+    export_json(binary, &rows_to_json(binary, rows));
+}
+
+/// Writes `doc` to `results/BENCH_<binary>.json` and flushes the
+/// telemetry sink (the JSONL event log, when `SAFEGEN_METRICS_OUT` is
+/// set). Failures are reported on stderr, never fatal — the tables
+/// already went to stdout.
+pub fn export_json(binary: &str, doc: &Json) {
+    match write_json(binary, doc) {
         Ok(path) => eprintln!("{binary}: wrote {}", path.display()),
         Err(e) => eprintln!("{binary}: could not write results: {e}"),
     }

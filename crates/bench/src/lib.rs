@@ -11,7 +11,7 @@
 //! | `cargo run --release -p safegen-bench --bin fig8`   | Fig. 8 (accuracy-vs-slowdown Pareto per benchmark) |
 //! | `cargo run --release -p safegen-bench --bin fig9`   | Fig. 9 (comparison with Yalaa, Ceres, IGen) |
 //! | `cargo run --release -p safegen-bench --bin fig10`  | Fig. 10 (accuracy vs matrix size for sor/luf) |
-//! | `cargo bench -p safegen-bench` | Sec. V arithmetic-cost microbenchmarks + workload benches |
+//! | `cargo run --release -p safegen-bench --bin ops`    | Sec. V arithmetic cost (ns per affine op, baselines, max-reuse solvers) |
 //!
 //! Set `SAFEGEN_REPS` (default 30, the paper's repetition count) and
 //! `SAFEGEN_QUICK=1` (smaller sweeps) to trade fidelity for time.
@@ -25,7 +25,7 @@ pub mod harness;
 pub mod workloads;
 
 pub use harness::{
-    export, measure, measure_native, print_csv, print_json, print_table, write_json, Measurement,
-    StatRange,
+    export, export_json, measure, measure_native, print_csv, print_json, print_table, write_json,
+    Measurement, StatRange,
 };
 pub use workloads::{Workload, WorkloadKind};

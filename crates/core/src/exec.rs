@@ -6,7 +6,7 @@
 //! configuration — the apples-to-apples setup of the paper's evaluation.
 
 use crate::domain::Domain;
-use crate::program::{ArrId, CmpOp, Instr, ParamBinding, Program};
+use crate::program::{CmpOp, Instr, ParamBinding, Program};
 use std::fmt;
 
 /// An argument passed to [`exec`].
@@ -193,12 +193,11 @@ pub(crate) fn exec_traced<D: Domain>(
     Ok((result, trace))
 }
 
-pub(crate) fn exec_inner<D: Domain, T: ExecTracer>(
-    prog: &Program,
-    args: &[ArgValue],
-    cx: &D::Ctx,
-    tracer: &mut T,
-) -> Result<RunResult<D>, ExecError> {
+/// Checks `args` against the parameters of `prog` in declaration order:
+/// count, kind, and the length of every sized array. This is the only
+/// argument check of every interpreter (scalar, lanes, fixpoint), so they
+/// all report the same error for the same bad call.
+pub(crate) fn validate_args(prog: &Program, args: &[ArgValue]) -> Result<(), ExecError> {
     if args.len() != prog.params.len() {
         return Err(err(format!(
             "{} arguments provided, {} expected",
@@ -206,6 +205,107 @@ pub(crate) fn exec_inner<D: Domain, T: ExecTracer>(
             prog.params.len()
         )));
     }
+    for ((name, binding), arg) in prog.params.iter().zip(args) {
+        match (binding, arg) {
+            (ParamBinding::Float(_), ArgValue::Float(_))
+            | (ParamBinding::Int(_), ArgValue::Int(_)) => {}
+            (ParamBinding::Array(a), ArgValue::Array(xs)) => {
+                let decl = &prog.arrays[*a as usize];
+                if decl.len != 0 && decl.len != xs.len() {
+                    return Err(err(format!(
+                        "array `{name}` expects {} elements, got {}",
+                        decl.len,
+                        xs.len()
+                    )));
+                }
+            }
+            (b, a) => {
+                return Err(err(format!("argument `{name}`: expected {b:?}, got {a:?}")));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// One parameter bound to its argument: the target register or array
+/// index with the argument's payload.
+pub(crate) enum Bind<'a> {
+    /// Float register and input value.
+    Float(usize, f64),
+    /// Integer register and value.
+    Int(usize, i64),
+    /// Array index and input values.
+    Array(usize, &'a [f64]),
+}
+
+/// Pairs one parameter with its argument. The arguments must have passed
+/// [`validate_args`]; binding itself checks nothing.
+#[inline]
+pub(crate) fn bind<'a>(param: &ParamBinding, arg: &'a ArgValue) -> Bind<'a> {
+    match (param, arg) {
+        (ParamBinding::Float(r), ArgValue::Float(x)) => Bind::Float(*r as usize, *x),
+        (ParamBinding::Int(r), ArgValue::Int(v)) => Bind::Int(*r as usize, *v),
+        (ParamBinding::Array(a), ArgValue::Array(xs)) => Bind::Array(*a as usize, xs),
+        _ => unreachable!("arguments are checked by validate_args"),
+    }
+}
+
+/// The array out-parameters of a run in parameter order, `(name,
+/// values)`; `values(a)` yields the final contents of array `a`.
+pub(crate) fn array_outs<D>(
+    prog: &Program,
+    mut values: impl FnMut(usize) -> Vec<D>,
+) -> Vec<(String, Vec<D>)> {
+    prog.params
+        .iter()
+        .filter_map(|(name, binding)| match binding {
+            ParamBinding::Array(a) => Some((name.clone(), values(*a as usize))),
+            _ => None,
+        })
+        .collect()
+}
+
+/// The sound float-comparison decision of every interpreter: `Some` when
+/// the enclosures decide `x op y` for every value they contain, `None`
+/// when they overlap (the unstable-test case).
+#[inline(always)]
+pub(crate) fn cmp_f_sound<D: Domain>(op: CmpOp, x: &D, y: &D) -> Option<bool> {
+    match op {
+        CmpOp::Lt => x.try_lt(y),
+        CmpOp::Gt => y.try_lt(x),
+        CmpOp::Le => y.try_lt(x).map(|b| !b),
+        CmpOp::Ge => x.try_lt(y).map(|b| !b),
+        CmpOp::Eq | CmpOp::Ne => {
+            let (xlo, xhi) = x.range();
+            let (ylo, yhi) = y.range();
+            if xhi < ylo || yhi < xlo {
+                Some(op == CmpOp::Ne)
+            } else if xlo == xhi && ylo == yhi && xlo == ylo {
+                Some(op == CmpOp::Eq)
+            } else {
+                None
+            }
+        }
+    }
+}
+
+/// [`cmp_f_sound`], with an undecided comparison following the central
+/// values and counted in `undecided` (DESIGN.md §4.5).
+#[inline(always)]
+pub(crate) fn cmp_f<D: Domain>(op: CmpOp, x: &D, y: &D, undecided: &mut u64) -> bool {
+    cmp_f_sound(op, x, y).unwrap_or_else(|| {
+        *undecided += 1;
+        op.eval(x.center(), y.center())
+    })
+}
+
+pub(crate) fn exec_inner<D: Domain, T: ExecTracer>(
+    prog: &Program,
+    args: &[ArgValue],
+    cx: &D::Ctx,
+    tracer: &mut T,
+) -> Result<RunResult<D>, ExecError> {
+    validate_args(prog, args)?;
     let zero = D::constant(0.0, cx);
     let mut fregs: Vec<D> = vec![zero; prog.n_fregs.max(1)];
     let mut iregs: Vec<i64> = vec![0; prog.n_iregs.max(1)];
@@ -220,33 +320,16 @@ pub(crate) fn exec_inner<D: Domain, T: ExecTracer>(
     let (fusions_at_entry, condensations_at_entry) = D::fusion_counters(cx);
 
     // Bind parameters.
-    for (index, ((name, binding), arg)) in prog.params.iter().zip(args).enumerate() {
+    for (index, ((_, param), arg)) in prog.params.iter().zip(args).enumerate() {
         let syms_before = if T::ACTIVE {
             D::symbols_allocated(cx)
         } else {
             0
         };
-        match (binding, arg) {
-            (ParamBinding::Float(r), ArgValue::Float(x)) => {
-                fregs[*r as usize] = D::from_input(*x, cx);
-            }
-            (ParamBinding::Int(r), ArgValue::Int(v)) => {
-                iregs[*r as usize] = *v;
-            }
-            (ParamBinding::Array(a), ArgValue::Array(xs)) => {
-                let decl = &prog.arrays[*a as usize];
-                if decl.len != 0 && decl.len != xs.len() {
-                    return Err(err(format!(
-                        "array `{name}` expects {} elements, got {}",
-                        decl.len,
-                        xs.len()
-                    )));
-                }
-                arrays[*a as usize] = xs.iter().map(|&x| D::from_input(x, cx)).collect();
-            }
-            (b, a) => {
-                return Err(err(format!("argument `{name}`: expected {b:?}, got {a:?}")));
-            }
+        match bind(param, arg) {
+            Bind::Float(r, x) => fregs[r] = D::from_input(x, cx),
+            Bind::Int(r, v) => iregs[r] = v,
+            Bind::Array(a, xs) => arrays[a] = xs.iter().map(|&x| D::from_input(x, cx)).collect(),
         }
         if T::ACTIVE {
             let syms_after = D::symbols_allocated(cx);
@@ -382,31 +465,7 @@ pub(crate) fn exec_inner<D: Domain, T: ExecTracer>(
             }
             Instr::CmpF(op, d, a, b) => {
                 let (x, y) = (&fregs[*a as usize], &fregs[*b as usize]);
-                let res = match op {
-                    CmpOp::Lt => x.try_lt(y),
-                    CmpOp::Gt => y.try_lt(x),
-                    CmpOp::Le => y.try_lt(x).map(|b| !b),
-                    CmpOp::Ge => x.try_lt(y).map(|b| !b),
-                    CmpOp::Eq | CmpOp::Ne => {
-                        let (xlo, xhi) = x.range();
-                        let (ylo, yhi) = y.range();
-                        if xhi < ylo || yhi < xlo {
-                            Some(*op == CmpOp::Ne)
-                        } else if xlo == xhi && ylo == yhi && xlo == ylo {
-                            Some(*op == CmpOp::Eq)
-                        } else {
-                            None
-                        }
-                    }
-                };
-                let decided = match res {
-                    Some(v) => v,
-                    None => {
-                        stats.undecided_branches += 1;
-                        op.eval(x.center(), y.center())
-                    }
-                };
-                iregs[*d as usize] = i64::from(decided);
+                iregs[*d as usize] = i64::from(cmp_f(*op, x, y, &mut stats.undecided_branches));
             }
             Instr::Jump(t) => {
                 pc = *t;
@@ -449,18 +508,9 @@ pub(crate) fn exec_inner<D: Domain, T: ExecTracer>(
     stats.fusions = fusions_at_exit - fusions_at_entry;
     stats.condensations = condensations_at_exit - condensations_at_entry;
 
-    let arrays_out: Vec<(String, Vec<D>)> = prog
-        .params
-        .iter()
-        .filter_map(|(name, b)| match b {
-            ParamBinding::Array(a) => Some((name.clone(), arrays[*a as usize].clone())),
-            _ => None,
-        })
-        .collect();
-    let _ = ArrId::default();
     Ok(RunResult {
         ret,
-        arrays: arrays_out,
+        arrays: array_outs(prog, |a| std::mem::take(&mut arrays[a])),
         stats,
     })
 }
@@ -669,6 +719,60 @@ mod tests {
         assert!(e.message.contains("expected"));
         let e = exec::<UnsoundF64>(&p, &[1i64.into()], &()).unwrap_err();
         assert!(e.message.contains('x'));
+    }
+
+    #[test]
+    fn cmp_f_sound_decides_only_separated_enclosures() {
+        let iv = |lo: f64, hi: f64| IntervalF64::new(lo, hi);
+        // Per case: x, y, then the decision for Lt, Le, Gt, Ge, Eq, Ne.
+        let cases = [
+            (
+                "disjoint",
+                iv(0.0, 1.0),
+                iv(2.0, 3.0),
+                [
+                    Some(true),
+                    Some(true),
+                    Some(false),
+                    Some(false),
+                    Some(false),
+                    Some(true),
+                ],
+            ),
+            (
+                "touching",
+                iv(0.0, 1.0),
+                iv(1.0, 2.0),
+                [None, Some(true), Some(false), None, None, None],
+            ),
+            (
+                "identical point",
+                iv(1.0, 1.0),
+                iv(1.0, 1.0),
+                [
+                    Some(false),
+                    Some(true),
+                    Some(false),
+                    Some(true),
+                    Some(true),
+                    Some(false),
+                ],
+            ),
+            ("overlapping", iv(0.0, 2.0), iv(1.0, 3.0), [None; 6]),
+        ];
+        let ops = [
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Gt,
+            CmpOp::Ge,
+            CmpOp::Eq,
+            CmpOp::Ne,
+        ];
+        for (what, x, y, want) in cases {
+            for (op, want) in ops.into_iter().zip(want) {
+                assert_eq!(cmp_f_sound(op, &x, &y), want, "{what}: {op:?}");
+            }
+        }
     }
 
     #[test]

@@ -44,8 +44,11 @@
 //! concrete execution of the whole program — never an unsound answer.
 
 use crate::domain::Domain;
-use crate::exec::{err, exec_inner, ArgValue, ExecError, NoTrace, RunResult, RunStats, FUEL};
-use crate::program::{CmpOp, Instr, ParamBinding, Program};
+use crate::exec::{
+    array_outs, bind, cmp_f_sound, err, exec_inner, validate_args, ArgValue, Bind, ExecError,
+    NoTrace, RunResult, RunStats, FUEL,
+};
+use crate::program::{CmpOp, Instr, Program};
 use safegen_ir::loops::{loop_regions, LoopRegion, LoopTable};
 
 /// How the VM treats loops whose trip count is not statically exhausted.
@@ -610,24 +613,7 @@ impl<D: Domain> Engine<'_, D> {
             }
             Instr::CmpF(op, d, a, b) => {
                 let (x, y) = (&m.fregs[*a as usize], &m.fregs[*b as usize]);
-                let res = match op {
-                    CmpOp::Lt => x.try_lt(y),
-                    CmpOp::Gt => y.try_lt(x),
-                    CmpOp::Le => y.try_lt(x).map(|v| !v),
-                    CmpOp::Ge => x.try_lt(y).map(|v| !v),
-                    CmpOp::Eq | CmpOp::Ne => {
-                        let (xlo, xhi) = x.range();
-                        let (ylo, yhi) = y.range();
-                        if xhi < ylo || yhi < xlo {
-                            Some(*op == CmpOp::Ne)
-                        } else if xlo == xhi && ylo == yhi && xlo == ylo {
-                            Some(*op == CmpOp::Eq)
-                        } else {
-                            None
-                        }
-                    }
-                };
-                m.iregs[*d as usize] = match res {
+                m.iregs[*d as usize] = match cmp_f_sound(*op, x, y) {
                     Some(v) => AbsInt::Known(i64::from(v)),
                     None => AbsInt::CmpPend {
                         center: op.eval(x.center(), y.center()),
@@ -695,13 +681,7 @@ impl<D: Domain> Engine<'_, D> {
     fn run_program(&mut self, args: &[ArgValue]) -> Result<RunResult<D>, FpAbort> {
         let prog = self.prog;
         let cx = self.cx;
-        if args.len() != prog.params.len() {
-            return Err(FpAbort::Fail(err(format!(
-                "{} arguments provided, {} expected",
-                args.len(),
-                prog.params.len()
-            ))));
-        }
+        validate_args(prog, args).map_err(FpAbort::Fail)?;
         let zero = D::constant(0.0, cx);
         let mut m = MState {
             fregs: vec![zero; prog.n_fregs.max(1)],
@@ -716,29 +696,12 @@ impl<D: Domain> Engine<'_, D> {
             pending_capacity: false,
         };
         let (fusions_at_entry, condensations_at_entry) = D::fusion_counters(cx);
-        for ((name, binding), arg) in prog.params.iter().zip(args) {
-            match (binding, arg) {
-                (ParamBinding::Float(r), ArgValue::Float(x)) => {
-                    m.fregs[*r as usize] = D::from_input(*x, cx);
-                }
-                (ParamBinding::Int(r), ArgValue::Int(v)) => {
-                    m.iregs[*r as usize] = AbsInt::Known(*v);
-                }
-                (ParamBinding::Array(a), ArgValue::Array(xs)) => {
-                    let decl = &prog.arrays[*a as usize];
-                    if decl.len != 0 && decl.len != xs.len() {
-                        return Err(FpAbort::Fail(err(format!(
-                            "array `{name}` expects {} elements, got {}",
-                            decl.len,
-                            xs.len()
-                        ))));
-                    }
-                    m.arrays[*a as usize] = xs.iter().map(|&x| D::from_input(x, cx)).collect();
-                }
-                (b, a) => {
-                    return Err(FpAbort::Fail(err(format!(
-                        "argument `{name}`: expected {b:?}, got {a:?}"
-                    ))));
+        for ((_, param), arg) in prog.params.iter().zip(args) {
+            match bind(param, arg) {
+                Bind::Float(r, x) => m.fregs[r] = D::from_input(x, cx),
+                Bind::Int(r, v) => m.iregs[r] = AbsInt::Known(v),
+                Bind::Array(a, xs) => {
+                    m.arrays[a] = xs.iter().map(|&x| D::from_input(x, cx)).collect();
                 }
             }
         }
@@ -785,17 +748,9 @@ impl<D: Domain> Engine<'_, D> {
         let (fusions_at_exit, condensations_at_exit) = D::fusion_counters(cx);
         self.stats.fusions = fusions_at_exit - fusions_at_entry;
         self.stats.condensations = condensations_at_exit - condensations_at_entry;
-        let arrays_out: Vec<(String, Vec<D>)> = prog
-            .params
-            .iter()
-            .filter_map(|(name, b)| match b {
-                ParamBinding::Array(a) => Some((name.clone(), m.arrays[*a as usize].clone())),
-                _ => None,
-            })
-            .collect();
         Ok(RunResult {
             ret,
-            arrays: arrays_out,
+            arrays: array_outs(prog, |a| std::mem::take(&mut m.arrays[a])),
             stats: self.stats,
         })
     }

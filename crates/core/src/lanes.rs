@@ -39,8 +39,11 @@
 //!   by definition.
 
 use crate::domain::{Domain, FpBinOp, FpUnOp};
-use crate::exec::{exec_inner, ArgValue, ExecError, NoTrace, RunResult, RunStats, FUEL};
-use crate::program::{CmpOp, FixedProgram, OpCode, ParamBinding, Program};
+use crate::exec::{
+    array_outs, bind, cmp_f, err, exec_inner, validate_args, ArgValue, Bind, ExecError, NoTrace,
+    RunResult, RunStats, FUEL,
+};
+use crate::program::{FixedProgram, OpCode, Program};
 use safegen_telemetry::metrics::metrics;
 
 /// Per-dispatch metric tallies. The interpreter accumulates these in
@@ -73,12 +76,6 @@ impl LaneTally {
 
 /// Maximum lane count per [`exec_lanes`] call (lane masks are `u64`).
 pub const MAX_LANES: usize = 64;
-
-fn err(message: impl Into<String>) -> ExecError {
-    ExecError {
-        message: message.into(),
-    }
-}
 
 /// Iterates the set bit positions of a lane mask, lowest first.
 #[derive(Clone, Copy)]
@@ -316,29 +313,6 @@ fn un_kernel_cols<D: Domain>(
     }
 }
 
-/// The scalar interpreter's sound float-comparison decision: `Some` when
-/// the enclosures decide it, `None` when they overlap.
-#[inline(always)]
-fn cmp_f_sound<D: Domain>(op: CmpOp, x: &D, y: &D) -> Option<bool> {
-    match op {
-        CmpOp::Lt => x.try_lt(y),
-        CmpOp::Gt => y.try_lt(x),
-        CmpOp::Le => y.try_lt(x).map(|b| !b),
-        CmpOp::Ge => x.try_lt(y).map(|b| !b),
-        CmpOp::Eq | CmpOp::Ne => {
-            let (xlo, xhi) = x.range();
-            let (ylo, yhi) = y.range();
-            if xhi < ylo || yhi < xlo {
-                Some(op == CmpOp::Ne)
-            } else if xlo == xhi && ylo == yhi && xlo == ylo {
-                Some(op == CmpOp::Eq)
-            } else {
-                None
-            }
-        }
-    }
-}
-
 /// Executes `prog` on up to [`MAX_LANES`] input sets at once under
 /// domain `D`, one result per lane, each bit-identical to what
 /// [`crate::exec::exec`] returns for that lane's inputs and context.
@@ -369,32 +343,24 @@ pub fn exec_lanes<D: Domain>(
     let mut arr_len: Vec<usize> = prog.arrays.iter().map(|a| a.len).collect();
     let mut ragged = false;
     for (l, args) in inputs.iter().enumerate() {
-        errs[l] = validate_args(prog, args);
+        errs[l] = validate_args(prog, args).err();
     }
     // Unsized (pointer) arrays take their length from the bound argument;
     // all surviving lanes must agree or the columns would be ragged.
-    for (j, decl) in prog.arrays.iter().enumerate() {
-        if decl.len != 0 {
-            continue;
-        }
-        let mut seen: Option<usize> = None;
-        for (l, args) in inputs.iter().enumerate() {
-            if errs[l].is_some() {
-                continue;
-            }
-            for ((_, binding), arg) in prog.params.iter().zip(args) {
-                if let (ParamBinding::Array(a), ArgValue::Array(xs)) = (binding, arg) {
-                    if *a as usize == j {
-                        match seen {
-                            None => seen = Some(xs.len()),
-                            Some(n) if n != xs.len() => ragged = true,
-                            Some(_) => {}
-                        }
+    let mut seen = vec![false; prog.arrays.len()];
+    for (args, _) in inputs.iter().zip(&errs).filter(|(_, e)| e.is_none()) {
+        for ((_, param), arg) in prog.params.iter().zip(args) {
+            if let Bind::Array(j, xs) = bind(param, arg) {
+                if prog.arrays[j].len == 0 {
+                    if !seen[j] {
+                        seen[j] = true;
+                        arr_len[j] = xs.len();
+                    } else if arr_len[j] != xs.len() {
+                        ragged = true;
                     }
                 }
             }
         }
-        arr_len[j] = seen.unwrap_or(0);
     }
     if ragged {
         let m = metrics();
@@ -442,31 +408,14 @@ pub fn exec_lanes<D: Domain>(
 
     // Bind parameters on the surviving lanes, parameter-major so each
     // lane's context sees the scalar binding order.
-    for (p, (_, binding)) in prog.params.iter().enumerate() {
-        match binding {
-            ParamBinding::Float(r) => {
-                let base = *r as usize * w;
-                for l in MaskIter(init_mask) {
-                    if let ArgValue::Float(x) = &inputs[l][p] {
-                        fregs[base + l] = D::from_input(*x, &cxs[l]);
-                    }
-                }
-            }
-            ParamBinding::Int(r) => {
-                let base = *r as usize * w;
-                for l in MaskIter(init_mask) {
-                    if let ArgValue::Int(v) = &inputs[l][p] {
-                        iregs[base + l] = *v;
-                    }
-                }
-            }
-            ParamBinding::Array(a) => {
-                let col = &mut arrays[*a as usize];
-                for l in MaskIter(init_mask) {
-                    if let ArgValue::Array(xs) = &inputs[l][p] {
-                        for (e, &x) in xs.iter().enumerate() {
-                            col[e * w + l] = D::from_input(x, &cxs[l]);
-                        }
+    for (p, (_, param)) in prog.params.iter().enumerate() {
+        for l in MaskIter(init_mask) {
+            match bind(param, &inputs[l][p]) {
+                Bind::Float(r, x) => fregs[r * w + l] = D::from_input(x, &cxs[l]),
+                Bind::Int(r, v) => iregs[r * w + l] = v,
+                Bind::Array(a, xs) => {
+                    for (e, &x) in xs.iter().enumerate() {
+                        arrays[a][e * w + l] = D::from_input(x, &cxs[l]);
                     }
                 }
             }
@@ -698,14 +647,7 @@ pub fn exec_lanes<D: Domain>(
                     let (db, ab, bb) = ($d * w, $a * w, $b * w);
                     for_lanes(g.mask, full, w, |l| {
                         let (x, y) = (&fregs[ab + l], &fregs[bb + l]);
-                        let decided = match cmp_f_sound($op, x, y) {
-                            Some(v) => v,
-                            None => {
-                                undecided[l] += 1;
-                                $op.eval(x.center(), y.center())
-                            }
-                        };
-                        iregs[db + l] = i64::from(decided);
+                        iregs[db + l] = i64::from(cmp_f($op, x, y, &mut undecided[l]));
                     });
                 }};
             }
@@ -971,59 +913,17 @@ pub fn exec_lanes<D: Domain>(
                 condensations: c1 - counters0[l].1,
                 ..RunStats::default()
             };
-            let arrays_out: Vec<(String, Vec<D>)> = prog
-                .params
-                .iter()
-                .filter_map(|(name, binding)| match binding {
-                    ParamBinding::Array(a) => {
-                        let j = *a as usize;
-                        let vals: Vec<D> = (0..arr_len[j])
-                            .map(|e| arrays[j][e * w + l].clone())
-                            .collect();
-                        Some((name.clone(), vals))
-                    }
-                    _ => None,
-                })
-                .collect();
             Ok(RunResult {
                 ret: fin.ret,
-                arrays: arrays_out,
+                arrays: array_outs(prog, |j| {
+                    (0..arr_len[j])
+                        .map(|e| arrays[j][e * w + l].clone())
+                        .collect()
+                }),
                 stats,
             })
         })
         .collect()
-}
-
-/// The scalar binder's argument checks, without its context mutations:
-/// returns the exact error the scalar path would produce, or `None`.
-fn validate_args(prog: &Program, args: &[ArgValue]) -> Option<ExecError> {
-    if args.len() != prog.params.len() {
-        return Some(err(format!(
-            "{} arguments provided, {} expected",
-            args.len(),
-            prog.params.len()
-        )));
-    }
-    for ((name, binding), arg) in prog.params.iter().zip(args) {
-        match (binding, arg) {
-            (ParamBinding::Float(_), ArgValue::Float(_)) => {}
-            (ParamBinding::Int(_), ArgValue::Int(_)) => {}
-            (ParamBinding::Array(a), ArgValue::Array(xs)) => {
-                let decl = &prog.arrays[*a as usize];
-                if decl.len != 0 && decl.len != xs.len() {
-                    return Some(err(format!(
-                        "array `{name}` expects {} elements, got {}",
-                        decl.len,
-                        xs.len()
-                    )));
-                }
-            }
-            (b, a) => {
-                return Some(err(format!("argument `{name}`: expected {b:?}, got {a:?}")));
-            }
-        }
-    }
-    None
 }
 
 #[cfg(test)]

@@ -58,8 +58,6 @@ pub use cfg::{
 };
 pub use dag::{build_dag, build_dag_from_cfg, Dag, Node, NodeId, NodeKind};
 pub use fold::fold_constants;
-pub use loops::{
-    dominators, loop_regions, natural_loops, DomTree, LoopRegion, LoopTable, NaturalLoop,
-};
+pub use loops::{loop_regions, LoopRegion, LoopTable};
 pub use passes::{pass_by_name, Pass, PassManager};
 pub use tac::{to_tac, to_tac_with_sema};

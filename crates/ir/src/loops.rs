@@ -1,191 +1,14 @@
-//! Loop analysis: dominators and natural loops on the [`Cfg`], and the
-//! flat-bytecode loop regions the fixpoint VM iterates over.
+//! Loop analysis: the flat-bytecode loop regions the fixpoint VM
+//! iterates over.
 //!
-//! Two views of the same loops:
-//!
-//! * **CFG view** — [`dominators`] / [`natural_loops`] compute the classic
-//!   natural-loop forest (back edge `tail → header` where `header`
-//!   dominates `tail`; body = everything that reaches `tail` without
-//!   passing through `header`). This is the analysis-facing view.
-//! * **Bytecode view** — [`loop_regions`] recovers the contiguous
-//!   `[header_pc, back_jump_pc]` intervals from backward jumps in an
-//!   emitted [`Program`](crate::bytecode::Program). Because the front end
-//!   only produces structured `while`/`for` loops, regions are properly
-//!   nested intervals; [`loop_regions`] verifies this and reports any
-//!   irreducible shape instead of guessing. This is the view the VM's
-//!   fixpoint engine executes.
+//! [`loop_regions`] recovers the contiguous `[header_pc, back_jump_pc]`
+//! intervals from backward jumps in an emitted
+//! [`Program`](crate::bytecode::Program). Because the front end only
+//! produces structured `while`/`for` loops, regions are properly nested
+//! intervals; [`loop_regions`] verifies this and reports any irreducible
+//! shape instead of guessing.
 
 use crate::bytecode::Instr;
-use crate::cfg::{BlockId, Cfg};
-
-/// Immediate-dominator tree for a [`Cfg`], from the iterative
-/// Cooper–Harvey–Kennedy algorithm over a reverse-postorder numbering.
-#[derive(Clone, Debug)]
-pub struct DomTree {
-    /// `idom[b]` is the immediate dominator of block `b`; the entry block
-    /// is its own idom, and unreachable blocks have `None`.
-    pub idom: Vec<Option<BlockId>>,
-}
-
-impl DomTree {
-    /// True when `a` dominates `b` (reflexively).
-    pub fn dominates(&self, a: BlockId, b: BlockId) -> bool {
-        let mut cur = b;
-        loop {
-            if cur == a {
-                return true;
-            }
-            match self.idom[cur] {
-                Some(parent) if parent != cur => cur = parent,
-                _ => return false,
-            }
-        }
-    }
-}
-
-/// Reverse-postorder of the reachable blocks, entry first.
-fn reverse_postorder(cfg: &Cfg) -> Vec<BlockId> {
-    let n = cfg.blocks.len();
-    let mut state = vec![0u8; n]; // 0 unvisited, 1 on stack, 2 done
-    let mut post = Vec::with_capacity(n);
-    // Iterative DFS with an explicit stack of (block, next-successor-index).
-    let mut stack: Vec<(BlockId, usize)> = vec![(0, 0)];
-    state[0] = 1;
-    while let Some(&mut (b, ref mut i)) = stack.last_mut() {
-        let succs = cfg.blocks[b].term.successors();
-        if *i < succs.len() {
-            let s = succs[*i];
-            *i += 1;
-            if state[s] == 0 {
-                state[s] = 1;
-                stack.push((s, 0));
-            }
-        } else {
-            state[b] = 2;
-            post.push(b);
-            stack.pop();
-        }
-    }
-    post.reverse();
-    post
-}
-
-/// Computes the immediate-dominator tree of `cfg` (blocks unreachable from
-/// the entry get no dominator).
-pub fn dominators(cfg: &Cfg) -> DomTree {
-    let n = cfg.blocks.len();
-    let rpo = reverse_postorder(cfg);
-    let mut rpo_num = vec![usize::MAX; n];
-    for (i, &b) in rpo.iter().enumerate() {
-        rpo_num[b] = i;
-    }
-    let mut preds: Vec<Vec<BlockId>> = vec![Vec::new(); n];
-    for (b, block) in cfg.blocks.iter().enumerate() {
-        if rpo_num[b] == usize::MAX {
-            continue;
-        }
-        for s in block.term.successors() {
-            preds[s].push(b);
-        }
-    }
-    let mut idom: Vec<Option<BlockId>> = vec![None; n];
-    idom[0] = Some(0);
-    let intersect =
-        |idom: &[Option<BlockId>], rpo_num: &[usize], mut a: BlockId, mut b: BlockId| {
-            while a != b {
-                while rpo_num[a] > rpo_num[b] {
-                    a = idom[a].expect("processed block has idom");
-                }
-                while rpo_num[b] > rpo_num[a] {
-                    b = idom[b].expect("processed block has idom");
-                }
-            }
-            a
-        };
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for &b in rpo.iter().skip(1) {
-            let mut new_idom: Option<BlockId> = None;
-            for &p in &preds[b] {
-                if idom[p].is_none() {
-                    continue;
-                }
-                new_idom = Some(match new_idom {
-                    None => p,
-                    Some(cur) => intersect(&idom, &rpo_num, cur, p),
-                });
-            }
-            if new_idom.is_some() && idom[b] != new_idom {
-                idom[b] = new_idom;
-                changed = true;
-            }
-        }
-    }
-    DomTree { idom }
-}
-
-/// One natural loop on the CFG.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct NaturalLoop {
-    /// The loop header (dominates every block in `body`).
-    pub header: BlockId,
-    /// Blocks ending in a back edge to `header`.
-    pub latches: Vec<BlockId>,
-    /// All blocks of the loop, sorted ascending; always contains `header`.
-    pub body: Vec<BlockId>,
-}
-
-/// Finds every natural loop of `cfg`: back edges are edges `t → h` where
-/// `h` dominates `t`; the body of the loop with header `h` is the union
-/// over its back edges of everything reaching `t` backwards without
-/// passing through `h`. Loops sharing a header are merged (one entry per
-/// header), and the result is sorted by header.
-pub fn natural_loops(cfg: &Cfg) -> Vec<NaturalLoop> {
-    let doms = dominators(cfg);
-    let mut by_header: Vec<(BlockId, Vec<BlockId>)> = Vec::new();
-    for (b, block) in cfg.blocks.iter().enumerate() {
-        if doms.idom[b].is_none() {
-            continue;
-        }
-        for s in block.term.successors() {
-            if doms.dominates(s, b) {
-                match by_header.iter_mut().find(|(h, _)| *h == s) {
-                    Some((_, latches)) => latches.push(b),
-                    None => by_header.push((s, vec![b])),
-                }
-            }
-        }
-    }
-    by_header.sort_by_key(|(h, _)| *h);
-    let mut preds: Vec<Vec<BlockId>> = vec![Vec::new(); cfg.blocks.len()];
-    for (b, block) in cfg.blocks.iter().enumerate() {
-        for s in block.term.successors() {
-            preds[s].push(b);
-        }
-    }
-    by_header
-        .into_iter()
-        .map(|(header, latches)| {
-            let mut in_body = vec![false; cfg.blocks.len()];
-            in_body[header] = true;
-            let mut stack: Vec<BlockId> = latches.clone();
-            while let Some(b) = stack.pop() {
-                if in_body[b] {
-                    continue;
-                }
-                in_body[b] = true;
-                stack.extend(preds[b].iter().copied());
-            }
-            let body: Vec<BlockId> = (0..cfg.blocks.len()).filter(|&b| in_body[b]).collect();
-            NaturalLoop {
-                header,
-                latches,
-                body,
-            }
-        })
-        .collect()
-}
 
 /// A contiguous loop region in flat bytecode: every pc in
 /// `header..=back_jump` belongs to the loop, and `code[back_jump]` is a
@@ -281,6 +104,7 @@ mod tests {
     use super::*;
     use crate::bytecode::emit_program;
     use crate::cfg::lower_function;
+    use crate::cfg::Cfg;
     use crate::tac::to_tac_with_sema;
 
     fn cfg_of(src: &str) -> Cfg {
@@ -302,24 +126,6 @@ mod tests {
         let prog = emit_program(&cfg);
         let table = loop_regions(&prog.code).unwrap();
         assert!(!table.has_loops());
-        assert!(natural_loops(&cfg).is_empty());
-    }
-
-    #[test]
-    fn while_loop_found_on_cfg() {
-        let cfg = cfg_of(WHILE_SRC);
-        let loops = natural_loops(&cfg);
-        assert_eq!(loops.len(), 1, "one natural loop expected: {loops:?}");
-        let l = &loops[0];
-        assert!(l.body.contains(&l.header));
-        for &latch in &l.latches {
-            assert!(l.body.contains(&latch));
-        }
-        // The header dominates every body block.
-        let doms = dominators(&cfg);
-        for &b in &l.body {
-            assert!(doms.dominates(l.header, b));
-        }
     }
 
     #[test]
@@ -347,31 +153,11 @@ mod tests {
                 return x;
             }",
         );
-        let loops = natural_loops(&cfg);
-        assert_eq!(loops.len(), 2, "loops: {loops:?}");
         let prog = emit_program(&cfg);
         let table = loop_regions(&prog.code).unwrap();
         assert_eq!(table.regions.len(), 2, "regions: {:?}", table.regions);
         let outer = table.regions[0];
         let inner = table.regions[1];
         assert!(outer.encloses(&inner), "{outer:?} should enclose {inner:?}");
-    }
-
-    #[test]
-    fn dominators_of_diamond() {
-        let cfg = cfg_of(
-            "double f(double x) {
-                double y = 0.0;
-                if (x > 0.0) { y = x; } else { y = 0.0 - x; }
-                return y;
-            }",
-        );
-        let doms = dominators(&cfg);
-        // Entry dominates everything reachable.
-        for b in 0..cfg.blocks.len() {
-            if doms.idom[b].is_some() {
-                assert!(doms.dominates(0, b));
-            }
-        }
     }
 }

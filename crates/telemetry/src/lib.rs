@@ -10,8 +10,8 @@
 //! [`init_from_env`] (or [`init`] in tests) and guarded by a mutex. Every
 //! hook first checks a relaxed [`AtomicBool`]; when telemetry is disabled
 //! — the default — each hook is **one atomic load and nothing else**, so
-//! instrumented code paths cost nothing measurable (verified against the
-//! `aa_ops` benchmark). The hooks sit at phase granularity (compile
+//! instrumented code paths cost nothing measurable (pinned by
+//! `tests/overhead.rs`). The hooks sit at phase granularity (compile
 //! phases, one VM run, one measurement), never inside per-operation hot
 //! loops.
 //!

@@ -62,8 +62,8 @@ fn metric_primitives_cost_nanoseconds_not_microseconds() {
 
 #[test]
 fn instrumented_work_is_within_noise_of_baseline() {
-    // Ratio bound, mirroring PR 3's aa_ops ratios-~1.0 check, at the
-    // granularity the codebase actually instruments: the lane engine
+    // Ratio bound at the granularity the codebase actually
+    // instruments: the lane engine
     // accumulates counts in locals and flushes to the registry once per
     // *dispatch* (a full program over up to 64 lanes), and the daemon
     // touches histograms once per *request* — never per arithmetic op.
