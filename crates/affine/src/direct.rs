@@ -12,15 +12,33 @@
 //! The per-slot bodies are factored out ([`linear_slot`], [`mul_slot`]) so
 //! the vectorized kernels in [`crate::vector`] share them for their scalar
 //! fallback lanes, guaranteeing identical semantics.
+//!
+//! The kernels work in place: the second operand's slots arrive in the
+//! result's own arrays and every slot is rewritten with the result. Slot `s`
+//! of the result depends on slot `s` of the operands alone, so reading a
+//! slot before writing it is all the aliasing discipline needed.
 
 use crate::center::{CenterValue, ErrAcc};
 use crate::config::{AaContext, Protect};
 use crate::fusion::resolve_conflict;
 use crate::symbol::{SymbolId, Term, NO_SYMBOL};
-use safegen_fpcore::round::add_with_err;
+use safegen_fpcore::round::{add_with_err, mul_with_err};
 
-/// Processes one slot of a linear merge `a ± b`, writing the surviving term
-/// into `out` and fusing conflict losers into `noise`.
+/// The empty slot.
+const EMPTY: (SymbolId, f64) = (NO_SYMBOL, 0.0);
+
+/// A slot holding `coeff` on `id`, or the empty slot when `coeff` is zero.
+#[inline]
+pub(crate) fn occupied(id: SymbolId, coeff: f64) -> (SymbolId, f64) {
+    if coeff != 0.0 {
+        (id, coeff)
+    } else {
+        EMPTY
+    }
+}
+
+/// One slot of a linear merge `a ± b`: the surviving `(id, coeff)`, with
+/// conflict losers fused into `noise`.
 #[allow(clippy::too_many_arguments)]
 #[inline]
 pub(crate) fn linear_slot(
@@ -32,26 +50,15 @@ pub(crate) fn linear_slot(
     ctx: &AaContext,
     protect: Protect<'_>,
     noise: &mut ErrAcc,
-    out_id: &mut SymbolId,
-    out_coeff: &mut f64,
-) {
+) -> (SymbolId, f64) {
     match (ia != NO_SYMBOL, ib != NO_SYMBOL) {
-        (false, false) => {}
-        (true, false) => {
-            *out_id = ia;
-            *out_coeff = ca;
-        }
-        (false, true) => {
-            *out_id = ib;
-            *out_coeff = sign_b * cb;
-        }
+        (false, false) => EMPTY,
+        (true, false) => (ia, ca),
+        (false, true) => (ib, sign_b * cb),
         (true, true) if ia == ib => {
             let (c, e) = add_with_err(ca, sign_b * cb);
             noise.add(e);
-            if c != 0.0 {
-                *out_id = ia;
-                *out_coeff = c;
-            }
+            occupied(ia, c)
         }
         (true, true) => {
             // Conflict: distinct symbols share the slot.
@@ -63,15 +70,14 @@ pub(crate) fn linear_slot(
             } else {
                 (right, left)
             };
-            *out_id = kept.id;
-            *out_coeff = kept.coeff;
             noise.add_abs(fused.coeff);
+            (kept.id, kept.coeff)
         }
     }
 }
 
-/// Processes one slot of a multiplication merge: coefficient
-/// `a₀·bᵢ + b₀·aᵢ` (paper eq. 5), conflicts resolved as in [`linear_slot`].
+/// One slot of a multiplication merge: coefficient `a₀·bᵢ + b₀·aᵢ`
+/// (paper eq. 5), conflicts resolved as in [`linear_slot`].
 #[allow(clippy::too_many_arguments)]
 #[inline]
 pub(crate) fn mul_slot<C: CenterValue>(
@@ -84,26 +90,18 @@ pub(crate) fn mul_slot<C: CenterValue>(
     ctx: &AaContext,
     protect: Protect<'_>,
     noise: &mut ErrAcc,
-    out_id: &mut SymbolId,
-    out_coeff: &mut f64,
-) {
+) -> (SymbolId, f64) {
     match (ia != NO_SYMBOL, ib != NO_SYMBOL) {
-        (false, false) => {}
+        (false, false) => EMPTY,
         (true, false) => {
             let (c, e) = b0.scale_coeff(ca);
             noise.add(e);
-            if c != 0.0 {
-                *out_id = ia;
-                *out_coeff = c;
-            }
+            occupied(ia, c)
         }
         (false, true) => {
             let (c, e) = a0.scale_coeff(cb);
             noise.add(e);
-            if c != 0.0 {
-                *out_id = ib;
-                *out_coeff = c;
-            }
+            occupied(ib, c)
         }
         (true, true) if ia == ib => {
             let (p1, e1) = b0.scale_coeff(ca);
@@ -112,10 +110,7 @@ pub(crate) fn mul_slot<C: CenterValue>(
             noise.add(e1);
             noise.add(e2);
             noise.add(e3);
-            if c != 0.0 {
-                *out_id = ia;
-                *out_coeff = c;
-            }
+            occupied(ia, c)
         }
         (true, true) => {
             let (sa, ea) = b0.scale_coeff(ca);
@@ -130,33 +125,28 @@ pub(crate) fn mul_slot<C: CenterValue>(
             } else {
                 (right, left)
             };
-            if kept.coeff != 0.0 {
-                *out_id = kept.id;
-                *out_coeff = kept.coeff;
-            }
             noise.add_abs(fused.coeff);
+            occupied(kept.id, kept.coeff)
         }
     }
 }
 
-/// Slot-wise merge for a linear operation `a ± b` under direct mapping.
+/// Slot-wise merge for a linear operation `a ± b` under direct mapping;
+/// `b_ids`/`b_coeffs` hold `b` on entry and the result on return.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn merge_linear_direct(
     a_ids: &[SymbolId],
     a_coeffs: &[f64],
-    b_ids: &[SymbolId],
-    b_coeffs: &[f64],
+    b_ids: &mut [SymbolId],
+    b_coeffs: &mut [f64],
     sign_b: f64,
     ctx: &AaContext,
     protect: Protect<'_>,
     noise: &mut ErrAcc,
-) -> (Box<[SymbolId]>, Box<[f64]>) {
+) {
     debug_assert_eq!(a_ids.len(), b_ids.len());
-    let k = a_ids.len();
-    let mut ids = vec![NO_SYMBOL; k].into_boxed_slice();
-    let mut coeffs = vec![0.0f64; k].into_boxed_slice();
-    for s in 0..k {
-        linear_slot(
+    for s in 0..a_ids.len() {
+        (b_ids[s], b_coeffs[s]) = linear_slot(
             a_ids[s],
             a_coeffs[s],
             b_ids[s],
@@ -165,32 +155,27 @@ pub(crate) fn merge_linear_direct(
             ctx,
             protect,
             noise,
-            &mut ids[s],
-            &mut coeffs[s],
         );
     }
-    (ids, coeffs)
 }
 
-/// Slot-wise merge for multiplication under direct mapping.
+/// Slot-wise merge for multiplication under direct mapping; `b_ids` /
+/// `b_coeffs` hold `b` on entry and the result on return.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn merge_mul_direct<C: CenterValue>(
     a0: C,
     b0: C,
     a_ids: &[SymbolId],
     a_coeffs: &[f64],
-    b_ids: &[SymbolId],
-    b_coeffs: &[f64],
+    b_ids: &mut [SymbolId],
+    b_coeffs: &mut [f64],
     ctx: &AaContext,
     protect: Protect<'_>,
     noise: &mut ErrAcc,
-) -> (Box<[SymbolId]>, Box<[f64]>) {
+) {
     debug_assert_eq!(a_ids.len(), b_ids.len());
-    let k = a_ids.len();
-    let mut ids = vec![NO_SYMBOL; k].into_boxed_slice();
-    let mut coeffs = vec![0.0f64; k].into_boxed_slice();
-    for s in 0..k {
-        mul_slot(
+    for s in 0..a_ids.len() {
+        (b_ids[s], b_coeffs[s]) = mul_slot(
             a0,
             b0,
             a_ids[s],
@@ -200,33 +185,27 @@ pub(crate) fn merge_mul_direct<C: CenterValue>(
             ctx,
             protect,
             noise,
-            &mut ids[s],
-            &mut coeffs[s],
         );
     }
-    (ids, coeffs)
 }
 
-/// Scales every occupied slot by `alpha` (derived operations `α·â + ζ`).
+/// Scales every occupied slot in place by `alpha` (derived operations
+/// `α·â + ζ`).
 pub(crate) fn scale_direct(
-    ids: &[SymbolId],
-    coeffs: &[f64],
+    ids: &mut [SymbolId],
+    coeffs: &mut [f64],
     alpha: f64,
     noise: &mut ErrAcc,
-) -> (Box<[SymbolId]>, Box<[f64]>) {
-    let mut out_ids = vec![NO_SYMBOL; ids.len()].into_boxed_slice();
-    let mut out_coeffs = vec![0.0f64; ids.len()].into_boxed_slice();
-    for s in 0..ids.len() {
-        if ids[s] != NO_SYMBOL {
-            let (c, e) = safegen_fpcore::round::mul_with_err(coeffs[s], alpha);
+) {
+    for (id, c) in ids.iter_mut().zip(coeffs.iter_mut()) {
+        (*id, *c) = if *id != NO_SYMBOL {
+            let (v, e) = mul_with_err(*c, alpha);
             noise.add(e);
-            if c != 0.0 {
-                out_ids[s] = ids[s];
-                out_coeffs[s] = c;
-            }
-        }
+            occupied(*id, v)
+        } else {
+            EMPTY
+        };
     }
-    (out_ids, out_coeffs)
 }
 
 #[cfg(test)]
@@ -236,6 +215,50 @@ mod tests {
 
     fn ctx(k: usize, fusion: Fusion) -> AaContext {
         AaContext::new(AaConfig::new(k).with_fusion(fusion).with_vectorized(false))
+    }
+
+    /// Runs the linear merge of `a` and `b` and returns the result slots.
+    #[allow(clippy::too_many_arguments)]
+    fn merge_linear(
+        ai: &[SymbolId],
+        ac: &[f64],
+        bi: &[SymbolId],
+        bc: &[f64],
+        sign_b: f64,
+        ctx: &AaContext,
+        protect: Protect<'_>,
+        noise: &mut ErrAcc,
+    ) -> (Vec<SymbolId>, Vec<f64>) {
+        let (mut ids, mut coeffs) = (bi.to_vec(), bc.to_vec());
+        merge_linear_direct(ai, ac, &mut ids, &mut coeffs, sign_b, ctx, protect, noise);
+        (ids, coeffs)
+    }
+
+    /// Runs the multiplication merge of `a` and `b` and returns its slots.
+    #[allow(clippy::too_many_arguments)]
+    fn merge_mul(
+        a0: f64,
+        b0: f64,
+        ai: &[SymbolId],
+        ac: &[f64],
+        bi: &[SymbolId],
+        bc: &[f64],
+        ctx: &AaContext,
+        noise: &mut ErrAcc,
+    ) -> (Vec<SymbolId>, Vec<f64>) {
+        let (mut ids, mut coeffs) = (bi.to_vec(), bc.to_vec());
+        merge_mul_direct(
+            a0,
+            b0,
+            ai,
+            ac,
+            &mut ids,
+            &mut coeffs,
+            ctx,
+            Protect::None,
+            noise,
+        );
+        (ids, coeffs)
     }
 
     fn slots(k: usize, pairs: &[(u64, f64)]) -> (Vec<SymbolId>, Vec<f64>) {
@@ -256,8 +279,7 @@ mod tests {
         let (ai, ac) = slots(4, &[(1, 1.0), (2, 2.0)]);
         let (bi, bc) = slots(4, &[(1, 0.5), (3, 3.0)]);
         let mut noise = ErrAcc::default();
-        let (ids, coeffs) =
-            merge_linear_direct(&ai, &ac, &bi, &bc, 1.0, &c, Protect::None, &mut noise);
+        let (ids, coeffs) = merge_linear(&ai, &ac, &bi, &bc, 1.0, &c, Protect::None, &mut noise);
         assert_eq!(ids[1], 1);
         assert_eq!(coeffs[1], 1.5);
         assert_eq!(ids[2], 2);
@@ -275,8 +297,7 @@ mod tests {
         let (ai, ac) = slots(4, &[(1, 10.0)]);
         let (bi, bc) = slots(4, &[(5, 0.5)]);
         let mut noise = ErrAcc::default();
-        let (ids, coeffs) =
-            merge_linear_direct(&ai, &ac, &bi, &bc, 1.0, &c, Protect::None, &mut noise);
+        let (ids, coeffs) = merge_linear(&ai, &ac, &bi, &bc, 1.0, &c, Protect::None, &mut noise);
         assert_eq!(ids[1], 1); // SP keeps the larger magnitude
         assert_eq!(coeffs[1], 10.0);
         assert_eq!(noise.value(), 0.5); // loser magnitude preserved soundly
@@ -288,8 +309,7 @@ mod tests {
         let (ai, ac) = slots(4, &[(1, 10.0)]);
         let (bi, bc) = slots(4, &[(5, 0.5)]);
         let mut noise = ErrAcc::default();
-        let (ids, coeffs) =
-            merge_linear_direct(&ai, &ac, &bi, &bc, 1.0, &c, Protect::None, &mut noise);
+        let (ids, coeffs) = merge_linear(&ai, &ac, &bi, &bc, 1.0, &c, Protect::None, &mut noise);
         assert_eq!(ids[1], 5); // OP fuses the oldest
         assert_eq!(coeffs[1], 0.5);
         assert_eq!(noise.value(), 10.0);
@@ -301,7 +321,7 @@ mod tests {
         let (ai, ac) = slots(4, &[(1, 1.0)]);
         let (bi, bc) = slots(4, &[(1, 1.0)]);
         let mut noise = ErrAcc::default();
-        let (ids, _) = merge_linear_direct(&ai, &ac, &bi, &bc, -1.0, &c, Protect::None, &mut noise);
+        let (ids, _) = merge_linear(&ai, &ac, &bi, &bc, -1.0, &c, Protect::None, &mut noise);
         // full cancellation drops the slot
         assert_eq!(ids[1], NO_SYMBOL);
     }
@@ -312,17 +332,7 @@ mod tests {
         let (ai, ac) = slots(4, &[(1, 1.0)]);
         let (bi, bc) = slots(4, &[(1, 2.0)]);
         let mut noise = ErrAcc::default();
-        let (ids, coeffs) = merge_mul_direct(
-            2.0f64,
-            3.0f64,
-            &ai,
-            &ac,
-            &bi,
-            &bc,
-            &c,
-            Protect::None,
-            &mut noise,
-        );
+        let (ids, coeffs) = merge_mul(2.0, 3.0, &ai, &ac, &bi, &bc, &c, &mut noise);
         // a0·b1 + b0·a1 = 2·2 + 3·1 = 7
         assert_eq!(ids[1], 1);
         assert_eq!(coeffs[1], 7.0);
@@ -335,17 +345,7 @@ mod tests {
         let (bi, bc) = slots(4, &[(5, 1.0)]);
         let mut noise = ErrAcc::default();
         // a0 = 10, b0 = 2: candidates are b0·a1 = 2 (id 1), a0·b5 = 10 (id 5).
-        let (ids, coeffs) = merge_mul_direct(
-            10.0f64,
-            2.0f64,
-            &ai,
-            &ac,
-            &bi,
-            &bc,
-            &c,
-            Protect::None,
-            &mut noise,
-        );
+        let (ids, coeffs) = merge_mul(10.0, 2.0, &ai, &ac, &bi, &bc, &c, &mut noise);
         assert_eq!(ids[1], 5); // SP keeps the 10
         assert_eq!(coeffs[1], 10.0);
         assert_eq!(noise.value(), 2.0);
@@ -358,17 +358,16 @@ mod tests {
         let (ai, ac) = slots(4, &[(1, 0.001)]);
         let (bi, bc) = slots(4, &[(5, 100.0)]);
         let mut noise = ErrAcc::default();
-        let (ids, _) =
-            merge_linear_direct(&ai, &ac, &bi, &bc, 1.0, &c, Protect::Ids(&prot), &mut noise);
+        let (ids, _) = merge_linear(&ai, &ac, &bi, &bc, 1.0, &c, Protect::Ids(&prot), &mut noise);
         assert_eq!(ids[1], 1, "protected symbol must keep its slot");
         assert_eq!(noise.value(), 100.0);
     }
 
     #[test]
     fn scale_direct_applies_alpha() {
-        let (ai, ac) = slots(4, &[(1, 2.0), (2, -4.0)]);
+        let (mut ids, mut coeffs) = slots(4, &[(1, 2.0), (2, -4.0)]);
         let mut noise = ErrAcc::default();
-        let (ids, coeffs) = scale_direct(&ai, &ac, 0.5, &mut noise);
+        scale_direct(&mut ids, &mut coeffs, 0.5, &mut noise);
         assert_eq!(ids[1], 1);
         assert_eq!(coeffs[1], 1.0);
         assert_eq!(coeffs[2], -2.0);

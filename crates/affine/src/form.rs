@@ -23,7 +23,7 @@ use std::fmt;
 /// let (lo, hi) = y.range();
 /// assert!(lo <= 0.25 && 0.25 <= hi);
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Affine<C> {
     pub(crate) center: C,
     pub(crate) repr: Repr,
@@ -42,7 +42,7 @@ pub type AffineDd = Affine<Dd>;
 pub type AffineF32 = Affine<f32>;
 
 /// Symbol storage, matching [`Placement`].
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub(crate) enum Repr {
     /// Terms sorted by symbol id, ascending. No sentinel entries.
     Sorted(Vec<Term>),
@@ -63,6 +63,19 @@ impl Repr {
                 ids: vec![NO_SYMBOL; ctx.k()].into_boxed_slice(),
                 coeffs: vec![0.0; ctx.k()].into_boxed_slice(),
             },
+        }
+    }
+
+    /// Empties the storage for `ctx`'s placement, keeping the buffers when
+    /// they already have its shape.
+    pub(crate) fn reset(&mut self, ctx: &AaContext) {
+        match (ctx.config().placement, &mut *self) {
+            (Placement::Sorted, Repr::Sorted(terms)) => terms.clear(),
+            (Placement::DirectMapped, Repr::Direct { ids, coeffs }) if ids.len() == ctx.k() => {
+                ids.fill(NO_SYMBOL);
+                coeffs.fill(0.0);
+            }
+            (_, repr) => *repr = Repr::empty(ctx),
         }
     }
 
@@ -95,22 +108,95 @@ impl Repr {
     }
 }
 
+impl Clone for Repr {
+    fn clone(&self) -> Repr {
+        match self {
+            Repr::Sorted(terms) => Repr::Sorted(terms.clone()),
+            Repr::Direct { ids, coeffs } => Repr::Direct {
+                ids: ids.clone(),
+                coeffs: coeffs.clone(),
+            },
+        }
+    }
+
+    /// Copies into the existing buffers when they have the source's shape.
+    fn clone_from(&mut self, source: &Repr) {
+        match (self, source) {
+            (Repr::Sorted(terms), Repr::Sorted(src)) => terms.clone_from(src),
+            (
+                Repr::Direct { ids, coeffs },
+                Repr::Direct {
+                    ids: src_ids,
+                    coeffs: src_coeffs,
+                },
+            ) if ids.len() == src_ids.len() => {
+                ids.copy_from_slice(src_ids);
+                coeffs.copy_from_slice(src_coeffs);
+            }
+            (repr, src) => *repr = src.clone(),
+        }
+    }
+}
+
+impl<C: Copy> Clone for Affine<C> {
+    fn clone(&self) -> Affine<C> {
+        Affine {
+            center: self.center,
+            repr: self.repr.clone(),
+            acc_noise: self.acc_noise,
+        }
+    }
+
+    /// Reuses `self`'s symbol storage: no allocation when it already has
+    /// the source's placement and slot count.
+    fn clone_from(&mut self, source: &Affine<C>) {
+        self.center = source.center;
+        self.repr.clone_from(&source.repr);
+        self.acc_noise = source.acc_noise;
+    }
+}
+
 impl<C: CenterValue> Affine<C> {
     // -- constructors -------------------------------------------------------
+    //
+    // Like the operations, each constructor has one implementation: its
+    // `*_into` form, which overwrites an existing form and reuses its
+    // storage. The by-value constructor runs it on a fresh form.
+
+    /// Runs the `*_into` form `write` on a fresh form. The fresh form owns
+    /// no storage yet; `write` gives it the context's placement.
+    pub(crate) fn build(write: impl FnOnce(&mut Affine<C>)) -> Affine<C> {
+        let mut out = Affine {
+            center: C::from_f64(0.0).0,
+            repr: Repr::Sorted(Vec::new()),
+            acc_noise: 0.0,
+        };
+        write(&mut out);
+        out
+    }
+
+    /// Overwrites `self` with `center`, no inherited symbols, dedicated
+    /// noise `acc_noise` and, when `fresh` is `Some(m)`, one newly
+    /// allocated symbol of magnitude `m`.
+    pub(crate) fn reset(&mut self, center: C, fresh: Option<f64>, acc_noise: f64, ctx: &AaContext) {
+        self.center = center;
+        self.acc_noise = acc_noise;
+        self.repr.reset(ctx);
+        if let Some(mag) = fresh {
+            self.repr.push_fresh(ctx.fresh_symbol(), mag, ctx.k());
+        }
+    }
 
     /// A form holding exactly the `f64` value `x` (no uncertainty beyond
     /// the conversion to precision `C`, which for `f32` adds a symbol).
     pub fn exact(x: f64, ctx: &AaContext) -> Affine<C> {
+        Affine::build(|out| Affine::exact_into(x, ctx, out))
+    }
+
+    /// [`Affine::exact`], written into `out`.
+    pub(crate) fn exact_into(x: f64, ctx: &AaContext, out: &mut Affine<C>) {
         let (center, conv_err) = C::from_f64(x);
-        let mut repr = Repr::empty(ctx);
-        if conv_err > 0.0 {
-            repr.push_fresh(ctx.fresh_symbol(), conv_err, ctx.k());
-        }
-        Affine {
-            center,
-            repr,
-            acc_noise: 0.0,
-        }
+        out.reset(center, (conv_err > 0.0).then_some(conv_err), 0.0, ctx);
     }
 
     /// A form for a source-program constant, following the paper's
@@ -118,17 +204,16 @@ impl<C: CenterValue> Affine<C> {
     /// uncertainty; any other constant is assumed accurate to within
     /// `1 ulp(x)` and gets a fresh error symbol of that magnitude.
     pub fn constant(x: f64, ctx: &AaContext) -> Affine<C> {
+        Affine::build(|out| Affine::constant_into(x, ctx, out))
+    }
+
+    /// [`Affine::constant`], written into `out`.
+    pub fn constant_into(x: f64, ctx: &AaContext, out: &mut Affine<C>) {
         if x.fract() == 0.0 && x.abs() < 2f64.powi(53) {
-            return Affine::exact(x, ctx);
-        }
-        let (center, conv_err) = C::from_f64(x);
-        let mut repr = Repr::empty(ctx);
-        let mag = add_ru(metrics::ulp(x), conv_err);
-        repr.push_fresh(ctx.fresh_symbol(), mag, ctx.k());
-        Affine {
-            center,
-            repr,
-            acc_noise: 0.0,
+            Affine::exact_into(x, ctx, out);
+        } else {
+            // An inexact constant follows the input model.
+            Affine::from_input_into(x, ctx, out);
         }
     }
 
@@ -136,15 +221,13 @@ impl<C: CenterValue> Affine<C> {
     /// magnitude `1 ulp(x)` — the input model of the paper's evaluation
     /// (Sec. VII, experimental setup).
     pub fn from_input(x: f64, ctx: &AaContext) -> Affine<C> {
+        Affine::build(|out| Affine::from_input_into(x, ctx, out))
+    }
+
+    /// [`Affine::from_input`], written into `out`.
+    pub fn from_input_into(x: f64, ctx: &AaContext, out: &mut Affine<C>) {
         let (center, conv_err) = C::from_f64(x);
-        let mut repr = Repr::empty(ctx);
-        let mag = add_ru(metrics::ulp(x), conv_err);
-        repr.push_fresh(ctx.fresh_symbol(), mag, ctx.k());
-        Affine {
-            center,
-            repr,
-            acc_noise: 0.0,
-        }
+        out.reset(center, Some(add_ru(metrics::ulp(x), conv_err)), 0.0, ctx);
     }
 
     /// A form enclosing the interval `[lo, hi]` with a single fresh symbol.
@@ -153,17 +236,20 @@ impl<C: CenterValue> Affine<C> {
     ///
     /// Panics if `lo > hi`.
     pub fn from_interval(lo: f64, hi: f64, ctx: &AaContext) -> Affine<C> {
+        Affine::build(|out| Affine::from_interval_into(lo, hi, ctx, out))
+    }
+
+    /// [`Affine::from_interval`], written into `out`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lo > hi`.
+    pub(crate) fn from_interval_into(lo: f64, hi: f64, ctx: &AaContext, out: &mut Affine<C>) {
         assert!(lo <= hi, "invalid interval [{lo}, {hi}]");
         let mid = 0.5 * lo + 0.5 * hi;
         let (center, conv_err) = C::from_f64(mid);
         let rad = sub_ru(hi, mid).max(sub_ru(mid, lo));
-        let mut repr = Repr::empty(ctx);
-        repr.push_fresh(ctx.fresh_symbol(), add_ru(rad, conv_err), ctx.k());
-        Affine {
-            center,
-            repr,
-            acc_noise: 0.0,
-        }
+        out.reset(center, Some(add_ru(rad, conv_err)), 0.0, ctx);
     }
 
     /// A form enclosing `[lo, hi]` that tolerates non-finite and inverted
@@ -177,19 +263,19 @@ impl<C: CenterValue> Affine<C> {
     /// be finite), so `[1, +∞)` soundly over-approximates to the entire
     /// form; interval domains keep the one-sided bound.
     pub fn from_range_outward(lo: f64, hi: f64, ctx: &AaContext) -> Affine<C> {
-        if lo.is_nan() || hi.is_nan() || lo > hi {
-            return Affine::entire(ctx);
+        Affine::build(|out| Affine::from_range_outward_into(lo, hi, ctx, out))
+    }
+
+    /// [`Affine::from_range_outward`], written into `out`.
+    pub(crate) fn from_range_outward_into(lo: f64, hi: f64, ctx: &AaContext, out: &mut Affine<C>) {
+        if lo.is_nan() || hi.is_nan() || lo > hi || !(0.5 * lo + 0.5 * hi).is_finite() {
+            return Affine::entire_into(ctx, out);
         }
-        let mid = 0.5 * lo + 0.5 * hi;
-        if !mid.is_finite() {
-            return Affine::entire(ctx);
-        }
-        let form = Affine::from_interval(lo, hi, ctx);
-        let (rlo, rhi) = form.range();
+        Affine::from_interval_into(lo, hi, ctx, out);
+        let (rlo, rhi) = out.range();
         if rlo.is_nan() || rhi.is_nan() {
-            return Affine::entire(ctx);
+            Affine::entire_into(ctx, out);
         }
-        form
     }
 
     /// The least-upper-bound hull of two forms, as a fresh condensed form.
@@ -229,20 +315,12 @@ impl<C: CenterValue> Affine<C> {
     /// The "anything" form: infinite radius, certifies nothing. Produced by
     /// division through zero and overflow.
     pub fn entire(ctx: &AaContext) -> Affine<C> {
-        let (center, _) = C::from_f64(0.0);
-        Affine {
-            center,
-            repr: Repr::empty(ctx),
-            acc_noise: f64::INFINITY,
-        }
+        Affine::build(|out| Affine::entire_into(ctx, out))
     }
 
-    pub(crate) fn from_parts(center: C, repr: Repr, acc_noise: f64) -> Affine<C> {
-        Affine {
-            center,
-            repr,
-            acc_noise,
-        }
+    /// [`Affine::entire`], written into `out`.
+    pub(crate) fn entire_into(ctx: &AaContext, out: &mut Affine<C>) {
+        out.reset(C::from_f64(0.0).0, None, f64::INFINITY, ctx);
     }
 
     // -- accessors ----------------------------------------------------------
@@ -307,20 +385,47 @@ impl<C: CenterValue> Affine<C> {
     /// symbols — a net accuracy loss. Capping at the protection capacity
     /// keeps the prioritization hint useful.
     pub fn protect_ids(&self, limit: usize) -> Vec<SymbolId> {
-        let mut terms = self.terms();
-        if terms.len() > limit {
-            let pivot = limit.saturating_sub(1).min(terms.len() - 1);
-            terms.select_nth_unstable_by(pivot, |a, b| {
-                b.coeff
-                    .abs()
-                    .partial_cmp(&a.coeff.abs())
+        let mut ids = Vec::new();
+        self.protect_ids_into(limit, &mut ids);
+        ids
+    }
+
+    /// [`Affine::protect_ids`], written into `out`. `out` is also the
+    /// selection's workspace: it holds `[id, coefficient bits]` pairs, in
+    /// [`Affine::terms`] order, until the largest magnitudes are picked.
+    pub fn protect_ids_into(&self, limit: usize, out: &mut Vec<SymbolId>) {
+        out.clear();
+        match &self.repr {
+            Repr::Sorted(terms) => {
+                for t in terms {
+                    out.extend([t.id, t.coeff.to_bits()]);
+                }
+            }
+            Repr::Direct { ids, coeffs } => {
+                for (&id, &c) in ids.iter().zip(coeffs.iter()) {
+                    if id != NO_SYMBOL {
+                        out.extend([id, c.to_bits()]);
+                    }
+                }
+            }
+        }
+        let (pairs, _) = out.as_chunks_mut::<2>();
+        let n = pairs.len();
+        if n > limit {
+            let magnitude = |pair: &[u64; 2]| f64::from_bits(pair[1]).abs();
+            let pivot = limit.saturating_sub(1).min(n - 1);
+            pairs.select_nth_unstable_by(pivot, |a, b| {
+                magnitude(b)
+                    .partial_cmp(&magnitude(a))
                     .unwrap_or(std::cmp::Ordering::Equal)
             });
-            terms.truncate(limit);
         }
-        let mut ids: Vec<SymbolId> = terms.into_iter().map(|t| t.id).collect();
-        ids.sort_unstable();
-        ids
+        let keep = n.min(limit);
+        for i in 0..keep {
+            out[i] = out[2 * i];
+        }
+        out.truncate(keep);
+        out.sort_unstable();
     }
 
     /// The radius `r(â) = Σ|aᵢ|` (plus dedicated noise), accumulated with
@@ -523,6 +628,52 @@ mod tests {
         let s = x.add(&y, &ctx, crate::Protect::None);
         let ids = s.symbol_ids();
         assert!(ids.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    #[test]
+    fn protect_ids_into_selects_like_a_term_selection() {
+        // The selection runs on `[id, bits]` pairs; it must keep exactly
+        // the ids a selection over the `Term`s keeps, ties included.
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut out = Vec::new();
+        for round in 0..300 {
+            let n = (next() % 20) as usize;
+            // Few distinct magnitudes, so ties at the cut are common.
+            let terms: Vec<Term> = (0..n as u64)
+                .map(|id| {
+                    let mag = [0.5, 1.0, 2.0][(next() % 3) as usize];
+                    Term::new(id, if next() % 2 == 0 { mag } else { -mag })
+                })
+                .collect();
+            let form = AffineF64 {
+                center: 1.0,
+                repr: Repr::Sorted(terms.clone()),
+                acc_noise: 0.0,
+            };
+            for limit in [0, 1, 2, 3, 5, 8, 25] {
+                let mut want = terms.clone();
+                if want.len() > limit {
+                    let pivot = limit.saturating_sub(1).min(want.len() - 1);
+                    want.select_nth_unstable_by(pivot, |a, b| {
+                        b.coeff
+                            .abs()
+                            .partial_cmp(&a.coeff.abs())
+                            .unwrap_or(std::cmp::Ordering::Equal)
+                    });
+                    want.truncate(limit);
+                }
+                let mut want: Vec<SymbolId> = want.into_iter().map(|t| t.id).collect();
+                want.sort_unstable();
+                form.protect_ids_into(limit, &mut out);
+                assert_eq!(out, want, "round {round}, limit {limit}");
+            }
+        }
     }
 
     #[test]

@@ -15,9 +15,15 @@
 //! 4. *finalize*: fuse down to the symbol budget per the fusion policy and
 //!    materialize the noise as a fresh error symbol (or fold it into the
 //!    dedicated noise term under [`NoisePolicy::Dedicated`]).
+//!
+//! Each operation has one implementation, its `*_into` form, which writes
+//! the result into an existing form and reuses that form's storage: a
+//! binary operation first copies its right operand into the output, and
+//! the kernel then merges the left operand into it in place. The by-value
+//! methods run the `*_into` form on a fresh form.
 
 use crate::center::{CenterValue, ErrAcc};
-use crate::config::{AaContext, NoisePolicy, Placement, Protect};
+use crate::config::{AaContext, NoisePolicy, Protect};
 use crate::direct::{merge_linear_direct, merge_mul_direct, scale_direct};
 use crate::form::{Affine, Repr};
 use crate::fusion::select_victims;
@@ -43,35 +49,52 @@ fn mul_mag(a: f64, b: f64) -> f64 {
 impl<C: CenterValue> Affine<C> {
     /// Affine addition `â + b̂` (paper eq. 3–4).
     pub fn add(&self, rhs: &Affine<C>, ctx: &AaContext, protect: Protect<'_>) -> Affine<C> {
-        self.linear_op(rhs, 1.0, ctx, protect)
+        Affine::build(|out| self.add_into(rhs, ctx, protect, out))
+    }
+
+    /// [`Affine::add`], written into `out`.
+    pub fn add_into(
+        &self,
+        rhs: &Affine<C>,
+        ctx: &AaContext,
+        protect: Protect<'_>,
+        out: &mut Affine<C>,
+    ) {
+        out.clone_from(rhs);
+        self.linear_onto(1.0, ctx, protect, out);
     }
 
     /// Affine subtraction `â − b̂` — where shared symbols cancel.
     pub fn sub(&self, rhs: &Affine<C>, ctx: &AaContext, protect: Protect<'_>) -> Affine<C> {
-        self.linear_op(rhs, -1.0, ctx, protect)
+        Affine::build(|out| self.sub_into(rhs, ctx, protect, out))
     }
 
-    fn linear_op(
+    /// [`Affine::sub`], written into `out`.
+    pub fn sub_into(
         &self,
         rhs: &Affine<C>,
-        sign_b: f64,
         ctx: &AaContext,
         protect: Protect<'_>,
-    ) -> Affine<C> {
+        out: &mut Affine<C>,
+    ) {
+        out.clone_from(rhs);
+        self.linear_onto(-1.0, ctx, protect, out);
+    }
+
+    /// `out ← self ± out`: the linear kernel, the right operand arriving in
+    /// `out`.
+    fn linear_onto(&self, sign_b: f64, ctx: &AaContext, protect: Protect<'_>, out: &mut Affine<C>) {
         let mut noise = ErrAcc::default();
         let (center, ce) = if sign_b > 0.0 {
-            C::add_err(self.center, rhs.center)
+            C::add_err(self.center, out.center)
         } else {
-            C::sub_err(self.center, rhs.center)
+            C::sub_err(self.center, out.center)
         };
         noise.add(ce);
-        let acc = add_ru(self.acc_noise, rhs.acc_noise);
+        let acc = add_ru(self.acc_noise, out.acc_noise);
 
-        match (&self.repr, &rhs.repr) {
-            (Repr::Sorted(a), Repr::Sorted(b)) => {
-                let terms = merge_linear(a, b, sign_b, &mut noise);
-                finalize_sorted(center, terms, noise.value(), acc, ctx, protect)
-            }
+        match (&self.repr, &mut out.repr) {
+            (Repr::Sorted(a), Repr::Sorted(b)) => merge_linear(a, b, sign_b, &mut noise),
             (
                 Repr::Direct {
                     ids: ai,
@@ -82,39 +105,55 @@ impl<C: CenterValue> Affine<C> {
                     coeffs: bc,
                 },
             ) => {
-                let (ids, coeffs) = if ctx.config().vectorized {
-                    vector::merge_linear_vec(ai, ac, bi, bc, sign_b, ctx, protect, &mut noise)
+                if ctx.config().vectorized {
+                    vector::merge_linear_vec(ai, ac, bi, bc, sign_b, ctx, protect, &mut noise);
                 } else {
-                    merge_linear_direct(ai, ac, bi, bc, sign_b, ctx, protect, &mut noise)
-                };
-                finalize_direct(center, ids, coeffs, noise.value(), acc, ctx)
+                    merge_linear_direct(ai, ac, bi, bc, sign_b, ctx, protect, &mut noise);
+                }
             }
             _ => panic!("mixed placements: operands must come from one context"),
         }
+        out.finalize(center, noise.value(), acc, ctx, protect);
     }
 
     /// Affine multiplication `â · b̂` (paper eq. 5): the affine part keeps
     /// linear correlations, the quadratic remainder `r(â)·r(b̂)` joins the
     /// fresh symbol.
     pub fn mul(&self, rhs: &Affine<C>, ctx: &AaContext, protect: Protect<'_>) -> Affine<C> {
+        Affine::build(|out| self.mul_into(rhs, ctx, protect, out))
+    }
+
+    /// [`Affine::mul`], written into `out`.
+    pub fn mul_into(
+        &self,
+        rhs: &Affine<C>,
+        ctx: &AaContext,
+        protect: Protect<'_>,
+        out: &mut Affine<C>,
+    ) {
+        out.clone_from(rhs);
+        self.mul_onto(ctx, protect, out);
+    }
+
+    /// `out ← self · out`: the multiplication kernel, the right operand
+    /// arriving in `out`.
+    fn mul_onto(&self, ctx: &AaContext, protect: Protect<'_>, out: &mut Affine<C>) {
+        let (a0, b0) = (self.center, out.center);
         let mut noise = ErrAcc::default();
-        let (center, ce) = C::mul_err(self.center, rhs.center);
+        let (center, ce) = C::mul_err(a0, b0);
         noise.add(ce);
         // Quadratic over-approximation: covers all εᵢ·εⱼ products,
         // including the dedicated-noise contributions (radius includes
         // them).
-        noise.add(mul_mag(self.radius(), rhs.radius()));
+        noise.add(mul_mag(self.radius(), out.radius()));
         // Linear contributions of each operand's dedicated noise.
         let acc = add_ru(
-            mul_mag(rhs.center.abs_f64(), self.acc_noise),
-            mul_mag(self.center.abs_f64(), rhs.acc_noise),
+            mul_mag(b0.abs_f64(), self.acc_noise),
+            mul_mag(a0.abs_f64(), out.acc_noise),
         );
 
-        match (&self.repr, &rhs.repr) {
-            (Repr::Sorted(a), Repr::Sorted(b)) => {
-                let terms = merge_mul(self.center, rhs.center, a, b, &mut noise);
-                finalize_sorted(center, terms, noise.value(), acc, ctx, protect)
-            }
+        match (&self.repr, &mut out.repr) {
+            (Repr::Sorted(a), Repr::Sorted(b)) => merge_mul(a0, b0, a, b, &mut noise),
             (
                 Repr::Direct {
                     ids: ai,
@@ -125,54 +164,49 @@ impl<C: CenterValue> Affine<C> {
                     coeffs: bc,
                 },
             ) => {
-                let (ids, coeffs) = if ctx.config().vectorized {
-                    vector::merge_mul_vec(
-                        self.center,
-                        rhs.center,
-                        ai,
-                        ac,
-                        bi,
-                        bc,
-                        ctx,
-                        protect,
-                        &mut noise,
-                    )
+                if ctx.config().vectorized {
+                    vector::merge_mul_vec(a0, b0, ai, ac, bi, bc, ctx, protect, &mut noise);
                 } else {
-                    merge_mul_direct(
-                        self.center,
-                        rhs.center,
-                        ai,
-                        ac,
-                        bi,
-                        bc,
-                        ctx,
-                        protect,
-                        &mut noise,
-                    )
-                };
-                finalize_direct(center, ids, coeffs, noise.value(), acc, ctx)
+                    merge_mul_direct(a0, b0, ai, ac, bi, bc, ctx, protect, &mut noise);
+                }
             }
             _ => panic!("mixed placements: operands must come from one context"),
         }
+        out.finalize(center, noise.value(), acc, ctx, protect);
     }
 
     /// Affine division `â / b̂ = â · (1/b̂)`, using a sound min-range
     /// linear approximation of the reciprocal. A divisor whose range
     /// contains zero yields the [`Affine::entire`] form.
     pub fn div(&self, rhs: &Affine<C>, ctx: &AaContext, protect: Protect<'_>) -> Affine<C> {
-        let r = rhs.recip(ctx, protect);
-        self.mul(&r, ctx, protect)
+        Affine::build(|out| self.div_into(rhs, ctx, protect, out))
+    }
+
+    /// [`Affine::div`], written into `out`. The reciprocal is built in
+    /// `out` itself and the multiplication then consumes it in place, so
+    /// no temporary form exists.
+    pub fn div_into(
+        &self,
+        rhs: &Affine<C>,
+        ctx: &AaContext,
+        protect: Protect<'_>,
+        out: &mut Affine<C>,
+    ) {
+        rhs.recip_into(ctx, protect, out);
+        self.mul_onto(ctx, protect, out);
     }
 
     /// Sound reciprocal `1 / b̂` via min-range linear approximation
     /// `α·b̂ + ζ ± δ`.
     pub fn recip(&self, ctx: &AaContext, protect: Protect<'_>) -> Affine<C> {
+        Affine::build(|out| self.recip_into(ctx, protect, out))
+    }
+
+    /// [`Affine::recip`], written into `out`.
+    pub fn recip_into(&self, ctx: &AaContext, protect: Protect<'_>, out: &mut Affine<C>) {
         let (lo, hi) = self.range();
-        if lo <= 0.0 && hi >= 0.0 {
-            return Affine::entire(ctx);
-        }
-        if !lo.is_finite() || !hi.is_finite() {
-            return Affine::entire(ctx);
+        if (lo <= 0.0 && hi >= 0.0) || !lo.is_finite() || !hi.is_finite() {
+            return Affine::entire_into(ctx, out);
         }
         // Work on the positive side; mirror for negative ranges.
         let negate = hi < 0.0;
@@ -181,12 +215,13 @@ impl<C: CenterValue> Affine<C> {
         // Min-range approximation of f(x) = 1/x on [l, u] (0 < l ≤ u):
         // slope α = f'(u) = −1/u² makes d(x) = 1/x − αx monotone
         // decreasing on [l, u], so its extremes are at the endpoints.
-        // All quantities are computed with directed rounding.
-        let alpha = -div_rd(1.0, mul_ru(u, u)); // any value near −1/u² is valid
-                                                // d(l) and d(u), outward-rounded. d is only *approximately*
-                                                // monotone once α is a rounded value, so take min/max of sound
-                                                // endpoint enclosures plus the (tiny) interior correction at the
-                                                // critical point x* = 1/√(−α), which lies within ~1 ulp of u.
+        // All quantities are computed with directed rounding; any value
+        // near −1/u² is a valid slope.
+        let alpha = -div_rd(1.0, mul_ru(u, u));
+        // d(l) and d(u), outward-rounded. d is only *approximately*
+        // monotone once α is a rounded value, so take min/max of sound
+        // endpoint enclosures plus the (tiny) interior correction at the
+        // critical point x* = 1/√(−α), which lies within ~1 ulp of u.
         let (dl_lo, dl_hi) = d_recip_bounds(l, alpha);
         let (du_lo, du_hi) = d_recip_bounds(u, alpha);
         // Interior critical value: d(x*) = 2√(−α) ≥ d(u); include it.
@@ -198,32 +233,35 @@ impl<C: CenterValue> Affine<C> {
         // delta covers |d(x) − ζ| with margin: widen by one rounding step.
         let delta = add_ru(delta, safegen_fpcore::metrics::ulp(dmax));
 
-        let (alpha, zeta) = if negate {
-            (alpha, -zeta)
-        } else {
-            (alpha, zeta)
-        };
-        self.linear_approx(alpha, zeta, delta, ctx, protect)
+        let zeta = if negate { -zeta } else { zeta };
+        self.linear_approx_into(alpha, zeta, delta, ctx, protect, out);
     }
 
     /// Sound square root via min-range linear approximation. Ranges that
     /// dip below zero yield the poisoned [`Affine::entire`] form (the value
     /// may be NaN, per the paper's convention).
     pub fn sqrt(&self, ctx: &AaContext, protect: Protect<'_>) -> Affine<C> {
+        Affine::build(|out| self.sqrt_into(ctx, protect, out))
+    }
+
+    /// [`Affine::sqrt`], written into `out`.
+    pub fn sqrt_into(&self, ctx: &AaContext, protect: Protect<'_>, out: &mut Affine<C>) {
         let (lo, hi) = self.range();
         if lo < 0.0 || !hi.is_finite() {
-            return Affine::entire(ctx);
+            return Affine::entire_into(ctx, out);
         }
         if self.radius() == 0.0 {
-            // Point form: direct centered square root.
+            // Point form: direct centered square root, its rounding error
+            // the only symbol.
             let mut noise = ErrAcc::default();
             let (c, e) = C::sqrt_err(self.center);
             noise.add(e);
-            return finalize_scaled(self, c, None, noise, ctx, protect);
+            let noise = noise.value();
+            return out.reset(c, (noise > 0.0).then_some(noise), 0.0, ctx);
         }
         if lo == 0.0 {
             // Degenerate slope at 0: fall back to the interval enclosure.
-            return Affine::from_interval(0.0, sqrt_ru(hi), ctx);
+            return Affine::from_interval_into(0.0, sqrt_ru(hi), ctx, out);
         }
         // Min-range: slope α = f'(u) = 1/(2√u); d(x) = √x − αx is
         // increasing on [l, u], extremes at the endpoints (checked with an
@@ -238,21 +276,22 @@ impl<C: CenterValue> Affine<C> {
         let zeta = 0.5 * (dmin + dmax);
         let delta = add_ru(sub_ru(dmax, zeta), sub_ru(zeta, dmin)).max(0.0) * 0.5;
         let delta = add_ru(delta, safegen_fpcore::metrics::ulp(dmax.max(1e-300)));
-        self.linear_approx(alpha, zeta, delta, ctx, protect)
+        self.linear_approx_into(alpha, zeta, delta, ctx, protect, out);
     }
 
     /// Negation (exact: flips the center and every coefficient).
     pub fn neg(&self) -> Affine<C> {
-        let repr = match &self.repr {
-            Repr::Sorted(terms) => {
-                Repr::Sorted(terms.iter().map(|t| Term::new(t.id, -t.coeff)).collect())
-            }
-            Repr::Direct { ids, coeffs } => Repr::Direct {
-                ids: ids.clone(),
-                coeffs: coeffs.iter().map(|c| -c).collect(),
-            },
-        };
-        Affine::from_parts(self.center.neg(), repr, self.acc_noise)
+        Affine::build(|out| self.neg_into(out))
+    }
+
+    /// [`Affine::neg`], written into `out`.
+    pub fn neg_into(&self, out: &mut Affine<C>) {
+        out.clone_from(self);
+        out.center = self.center.neg();
+        match &mut out.repr {
+            Repr::Sorted(terms) => terms.iter_mut().for_each(|t| t.coeff = -t.coeff),
+            Repr::Direct { coeffs, .. } => coeffs.iter_mut().for_each(|c| *c = -*c),
+        }
     }
 
     /// `α·â + ζ ± δ` — the shared backbone of [`Affine::recip`] and
@@ -266,6 +305,19 @@ impl<C: CenterValue> Affine<C> {
         ctx: &AaContext,
         protect: Protect<'_>,
     ) -> Affine<C> {
+        Affine::build(|out| self.linear_approx_into(alpha, zeta, delta, ctx, protect, out))
+    }
+
+    /// [`Affine::linear_approx`], written into `out`.
+    pub(crate) fn linear_approx_into(
+        &self,
+        alpha: f64,
+        zeta: f64,
+        delta: f64,
+        ctx: &AaContext,
+        protect: Protect<'_>,
+        out: &mut Affine<C>,
+    ) {
         let mut noise = ErrAcc::default();
         let (scaled, e1) = self.center.scale_coeff(alpha);
         // Center arithmetic stays in C: c = RN_C(scaled + ζ).
@@ -279,16 +331,12 @@ impl<C: CenterValue> Affine<C> {
         noise.add(delta);
         noise.add(mul_mag(self.acc_noise, alpha.abs()));
 
-        match &self.repr {
-            Repr::Sorted(terms) => {
-                let terms = scale_terms(terms, alpha, &mut noise);
-                finalize_sorted(center, terms, noise.value(), 0.0, ctx, protect)
-            }
-            Repr::Direct { ids, coeffs } => {
-                let (ids, coeffs) = scale_direct(ids, coeffs, alpha, &mut noise);
-                finalize_direct(center, ids, coeffs, noise.value(), 0.0, ctx)
-            }
+        out.repr.clone_from(&self.repr);
+        match &mut out.repr {
+            Repr::Sorted(terms) => scale_terms(terms, alpha, &mut noise),
+            Repr::Direct { ids, coeffs } => scale_direct(ids, coeffs, alpha, &mut noise),
         }
+        out.finalize(center, noise.value(), 0.0, ctx, protect);
     }
 
     /// Three-way comparison when the ranges are disjoint; `None` when they
@@ -323,16 +371,57 @@ impl<C: CenterValue> Affine<C> {
     /// hull otherwise. Non-finite ranges (NaN or ±∞ endpoints, routine for
     /// widened loop-carried state) collapse to [`Affine::entire`].
     pub fn abs(&self, ctx: &AaContext) -> Affine<C> {
+        Affine::build(|out| self.abs_into(ctx, out))
+    }
+
+    /// [`Affine::abs`], written into `out`.
+    pub fn abs_into(&self, ctx: &AaContext, out: &mut Affine<C>) {
         let (lo, hi) = self.range();
         if lo.is_nan() || hi.is_nan() {
-            return Affine::entire(ctx);
-        }
-        if lo >= 0.0 {
-            self.clone()
+            Affine::entire_into(ctx, out);
+        } else if lo >= 0.0 {
+            out.clone_from(self);
         } else if hi <= 0.0 {
-            self.neg()
+            self.neg_into(out);
         } else {
-            Affine::from_range_outward(0.0, hi.max(-lo), ctx)
+            Affine::from_range_outward_into(0.0, hi.max(-lo), ctx, out);
+        }
+    }
+
+    /// Sound `fmin(â, b̂)`: the operand that is soundly the smaller, else
+    /// the hull of both ranges (correlations are lost only then).
+    pub fn min(&self, rhs: &Affine<C>, ctx: &AaContext) -> Affine<C> {
+        Affine::build(|out| self.min_into(rhs, ctx, out))
+    }
+
+    /// [`Affine::min`], written into `out`.
+    pub fn min_into(&self, rhs: &Affine<C>, ctx: &AaContext, out: &mut Affine<C>) {
+        match self.try_cmp(rhs) {
+            Some(Ordering::Less | Ordering::Equal) => out.clone_from(self),
+            Some(Ordering::Greater) => out.clone_from(rhs),
+            None => {
+                let (alo, ahi) = sanitize_range(self.range());
+                let (blo, bhi) = sanitize_range(rhs.range());
+                Affine::from_range_outward_into(alo.min(blo), ahi.min(bhi), ctx, out);
+            }
+        }
+    }
+
+    /// Sound `fmax(â, b̂)`, the mirror of [`Affine::min`].
+    pub fn max(&self, rhs: &Affine<C>, ctx: &AaContext) -> Affine<C> {
+        Affine::build(|out| self.max_into(rhs, ctx, out))
+    }
+
+    /// [`Affine::max`], written into `out`.
+    pub fn max_into(&self, rhs: &Affine<C>, ctx: &AaContext, out: &mut Affine<C>) {
+        match self.try_cmp(rhs) {
+            Some(Ordering::Greater | Ordering::Equal) => out.clone_from(self),
+            Some(Ordering::Less) => out.clone_from(rhs),
+            None => {
+                let (alo, ahi) = sanitize_range(self.range());
+                let (blo, bhi) = sanitize_range(rhs.range());
+                Affine::from_range_outward_into(alo.max(blo), ahi.max(bhi), ctx, out);
+            }
         }
     }
 
@@ -373,6 +462,75 @@ impl<C: CenterValue> Affine<C> {
     pub fn clip(&self, lo_bound: f64, hi_bound: f64, ctx: &AaContext) -> Affine<C> {
         self.max_scalar(lo_bound, ctx).min_scalar(hi_bound, ctx)
     }
+
+    /// Completes an operation whose merged terms are already in `self`:
+    /// sets the center and folds the round-off `noise` in (paper Sec.
+    /// V-B). Sorted terms are fused down to the budget first; direct-mapped
+    /// slots are within budget by construction, and the fresh symbol claims
+    /// its slot, absorbing any occupant.
+    fn finalize(
+        &mut self,
+        center: C,
+        noise: f64,
+        acc_noise: f64,
+        ctx: &AaContext,
+        protect: Protect<'_>,
+    ) {
+        self.center = center;
+        let k = ctx.k();
+        match (&mut self.repr, ctx.config().noise) {
+            (Repr::Sorted(terms), NoisePolicy::Dedicated) => {
+                // No fresh symbols: noise joins the dedicated term; the
+                // budget still applies to the inherited symbols.
+                let mut acc = add_ru(acc_noise, noise);
+                if terms.len() > k {
+                    let excess = terms.len() - k;
+                    acc = fuse_selected(terms, excess, acc, ctx, protect);
+                }
+                self.acc_noise = acc;
+            }
+            (Repr::Sorted(terms), NoisePolicy::Fresh) => {
+                let mut noise = noise;
+                if terms.len() + usize::from(noise > 0.0) > k {
+                    // Keep k−1, fuse the rest into the fresh symbol.
+                    let keep = k.saturating_sub(1);
+                    let excess = terms.len() - keep;
+                    noise = fuse_selected(terms, excess, noise, ctx, protect);
+                }
+                if noise > 0.0 {
+                    let id = ctx.fresh_symbol();
+                    debug_assert!(terms.last().is_none_or(|t| t.id < id));
+                    terms.push(Term::new(id, noise));
+                }
+                self.acc_noise = acc_noise;
+            }
+            (Repr::Direct { .. }, NoisePolicy::Dedicated) => {
+                self.acc_noise = add_ru(acc_noise, noise);
+            }
+            (Repr::Direct { ids, .. }, NoisePolicy::Fresh) => {
+                self.acc_noise = acc_noise;
+                if noise > 0.0 {
+                    let id = ctx.fresh_symbol();
+                    if ids[(id % ids.len() as u64) as usize] != NO_SYMBOL {
+                        ctx.note_condensation();
+                    }
+                    self.repr.push_fresh(id, noise, k);
+                }
+            }
+        }
+    }
+}
+
+/// Replaces NaN range endpoints with ±∞: a NaN bound means the value is
+/// unknown, and hull computations built on `f64::min`/`max` would silently
+/// drop it (those primitives return the non-NaN operand).
+#[inline]
+fn sanitize_range((lo, hi): (f64, f64)) -> (f64, f64) {
+    if lo.is_nan() || hi.is_nan() {
+        (f64::NEG_INFINITY, f64::INFINITY)
+    } else {
+        (lo, hi)
+    }
 }
 
 /// Outward bounds of `d(x) = 1/x − αx` at a point.
@@ -391,65 +549,6 @@ fn d_sqrt_bounds(x: f64, alpha: f64) -> (f64, f64) {
     let ax_lo = safegen_fpcore::round::mul_rd(alpha, x);
     let ax_hi = mul_ru(alpha, x);
     (sub_rd(s_lo, ax_hi), sub_ru(s_hi, ax_lo))
-}
-
-/// Point-operation finalization used by `sqrt` on radius-0 forms.
-fn finalize_scaled<C: CenterValue>(
-    src: &Affine<C>,
-    center: C,
-    _terms: Option<()>,
-    noise: ErrAcc,
-    ctx: &AaContext,
-    protect: Protect<'_>,
-) -> Affine<C> {
-    let _ = (src, protect);
-    let mut repr = Repr::empty(ctx);
-    if noise.value() > 0.0 {
-        repr.push_fresh(ctx.fresh_symbol(), noise.value(), ctx.k());
-    }
-    Affine::from_parts(center, repr, 0.0)
-}
-
-/// Fuses a sorted term list down to the budget and attaches the fresh
-/// round-off symbol (paper Sec. V-B).
-pub(crate) fn finalize_sorted<C: CenterValue>(
-    center: C,
-    mut terms: Vec<Term>,
-    noise: f64,
-    acc_noise: f64,
-    ctx: &AaContext,
-    protect: Protect<'_>,
-) -> Affine<C> {
-    let k = ctx.k();
-    debug_assert_eq!(ctx.config().placement, Placement::Sorted);
-
-    match ctx.config().noise {
-        NoisePolicy::Dedicated => {
-            // No fresh symbols: noise joins the dedicated term; the budget
-            // still applies to the inherited symbols.
-            let mut acc = add_ru(acc_noise, noise);
-            if terms.len() > k {
-                let excess = terms.len() - k;
-                acc = fuse_selected(&mut terms, excess, acc, ctx, protect);
-            }
-            Affine::from_parts(center, Repr::Sorted(terms), acc)
-        }
-        NoisePolicy::Fresh => {
-            let mut noise = noise;
-            if terms.len() + usize::from(noise > 0.0) > k {
-                // Keep k−1, fuse the rest into the fresh symbol.
-                let keep = k.saturating_sub(1);
-                let excess = terms.len() - keep;
-                noise = fuse_selected(&mut terms, excess, noise, ctx, protect);
-            }
-            if noise > 0.0 {
-                let id = ctx.fresh_symbol();
-                debug_assert!(terms.last().is_none_or(|t| t.id < id));
-                terms.push(Term::new(id, noise));
-            }
-            Affine::from_parts(center, Repr::Sorted(terms), acc_noise)
-        }
-    }
 }
 
 /// Removes policy-selected victims from `terms` and returns `noise`
@@ -471,44 +570,10 @@ fn fuse_selected(
     noise
 }
 
-/// Direct-mapped finalization: the slot arrays are already within budget;
-/// the fresh symbol claims its slot, absorbing any occupant.
-pub(crate) fn finalize_direct<C: CenterValue>(
-    center: C,
-    ids: Box<[u64]>,
-    coeffs: Box<[f64]>,
-    noise: f64,
-    acc_noise: f64,
-    ctx: &AaContext,
-) -> Affine<C> {
-    let mut repr = Repr::Direct { ids, coeffs };
-    match ctx.config().noise {
-        NoisePolicy::Dedicated => Affine::from_parts(center, repr, add_ru(acc_noise, noise)),
-        NoisePolicy::Fresh => {
-            if noise > 0.0 {
-                let id = ctx.fresh_symbol();
-                if let Repr::Direct { ids, .. } = &repr {
-                    let slot = (id % ids.len() as u64) as usize;
-                    if ids[slot] != NO_SYMBOL {
-                        ctx.note_condensation();
-                    }
-                }
-                repr.push_fresh(id, noise, ctx.k());
-            }
-            Affine::from_parts(center, repr, acc_noise)
-        }
-    }
-}
-
-/// Suppresses an unused-import warning path for `NO_SYMBOL` in release
-/// builds where the debug assertions compile out.
-#[allow(dead_code)]
-const _: u64 = NO_SYMBOL;
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{AaConfig, Fusion};
+    use crate::config::{AaConfig, Fusion, Placement};
     use safegen_fpcore::Dd;
 
     fn ctx(k: usize, placement: Placement) -> AaContext {

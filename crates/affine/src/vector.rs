@@ -21,30 +21,42 @@
 
 use crate::center::{CenterValue, ErrAcc};
 use crate::config::{AaContext, Protect};
-use crate::direct::{linear_slot, mul_slot};
+use crate::direct::{linear_slot, mul_slot, occupied};
 use crate::symbol::{SymbolId, NO_SYMBOL};
 use safegen_fpcore::eft::two_sum;
 
 /// Lane width of the blocked kernels.
 pub const LANES: usize = 4;
 
-/// Vectorized linear merge `a ± b`. Semantically identical to the
-/// scalar direct-mapped kernel.
+/// Vectorized linear merge `a ± b`, `b_ids`/`b_coeffs` holding `b` on
+/// entry and the result on return. Semantically identical to the scalar
+/// direct-mapped kernel.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn merge_linear_vec(
     a_ids: &[SymbolId],
     a_coeffs: &[f64],
-    b_ids: &[SymbolId],
-    b_coeffs: &[f64],
+    b_ids: &mut [SymbolId],
+    b_coeffs: &mut [f64],
     sign_b: f64,
     ctx: &AaContext,
     protect: Protect<'_>,
     noise: &mut ErrAcc,
-) -> (Box<[SymbolId]>, Box<[f64]>) {
+) {
     debug_assert_eq!(a_ids.len(), b_ids.len());
     let k = a_ids.len();
-    let mut ids = vec![NO_SYMBOL; k].into_boxed_slice();
-    let mut coeffs = vec![0.0f64; k].into_boxed_slice();
+    // One slot through the scalar kernel.
+    let slot = |s: usize, b_ids: &mut [SymbolId], b_coeffs: &mut [f64], noise: &mut ErrAcc| {
+        (b_ids[s], b_coeffs[s]) = linear_slot(
+            a_ids[s],
+            a_coeffs[s],
+            b_ids[s],
+            b_coeffs[s],
+            sign_b,
+            ctx,
+            protect,
+            noise,
+        );
+    };
 
     let mut s = 0;
     while s + LANES <= k {
@@ -65,48 +77,23 @@ pub(crate) fn merge_linear_vec(
             }
             for l in 0..LANES {
                 noise.add_abs(es[l]);
-                if cs[l] != 0.0 {
-                    ids[s + l] = a_ids[s + l];
-                    coeffs[s + l] = cs[l];
-                }
+                (b_ids[s + l], b_coeffs[s + l]) = occupied(a_ids[s + l], cs[l]);
             }
         } else {
             for l in 0..LANES {
-                linear_slot(
-                    a_ids[s + l],
-                    a_coeffs[s + l],
-                    b_ids[s + l],
-                    b_coeffs[s + l],
-                    sign_b,
-                    ctx,
-                    protect,
-                    noise,
-                    &mut ids[s + l],
-                    &mut coeffs[s + l],
-                );
+                slot(s + l, b_ids, b_coeffs, noise);
             }
         }
         s += LANES;
     }
     while s < k {
-        linear_slot(
-            a_ids[s],
-            a_coeffs[s],
-            b_ids[s],
-            b_coeffs[s],
-            sign_b,
-            ctx,
-            protect,
-            noise,
-            &mut ids[s],
-            &mut coeffs[s],
-        );
+        slot(s, b_ids, b_coeffs, noise);
         s += 1;
     }
-    (ids, coeffs)
 }
 
-/// Vectorized multiplication merge. The fast path is specialized for an
+/// Vectorized multiplication merge, `b_ids`/`b_coeffs` holding `b` on
+/// entry and the result on return. The fast path is specialized for an
 /// `f64` central value (where the `a₀·bᵢ + b₀·aᵢ` products vectorize); the
 /// generic path delegates to the scalar slot kernel.
 #[allow(clippy::too_many_arguments)]
@@ -115,21 +102,33 @@ pub(crate) fn merge_mul_vec<C: CenterValue>(
     b0: C,
     a_ids: &[SymbolId],
     a_coeffs: &[f64],
-    b_ids: &[SymbolId],
-    b_coeffs: &[f64],
+    b_ids: &mut [SymbolId],
+    b_coeffs: &mut [f64],
     ctx: &AaContext,
     protect: Protect<'_>,
     noise: &mut ErrAcc,
-) -> (Box<[SymbolId]>, Box<[f64]>) {
+) {
     debug_assert_eq!(a_ids.len(), b_ids.len());
     let k = a_ids.len();
-    let mut ids = vec![NO_SYMBOL; k].into_boxed_slice();
-    let mut coeffs = vec![0.0f64; k].into_boxed_slice();
     let (a0f, b0f) = (a0.to_f64(), b0.to_f64());
     // The blocked fast path computes the products at f64 precision; it is
     // only bit-identical to the scalar kernel when the center itself is
     // f64-exact, so restrict it to that case.
     let f64_center = C::MANTISSA_BITS == 53;
+    // One slot through the scalar kernel.
+    let slot = |s: usize, b_ids: &mut [SymbolId], b_coeffs: &mut [f64], noise: &mut ErrAcc| {
+        (b_ids[s], b_coeffs[s]) = mul_slot(
+            a0,
+            b0,
+            a_ids[s],
+            a_coeffs[s],
+            b_ids[s],
+            b_coeffs[s],
+            ctx,
+            protect,
+            noise,
+        );
+    };
 
     let mut s = 0;
     while s + LANES <= k {
@@ -168,69 +167,27 @@ pub(crate) fn merge_mul_vec<C: CenterValue>(
                 let uflow = (p1s[l] == 0.0 && b0f != 0.0) || (p2s[l] == 0.0 && a0f != 0.0);
                 let tiny = near(cs[l]) || near(p1s[l]) || near(p2s[l]) || uflow;
                 if tiny {
-                    let mut oid = NO_SYMBOL;
-                    let mut oc = 0.0;
-                    mul_slot(
-                        a0,
-                        b0,
-                        a_ids[s + l],
-                        a_coeffs[s + l],
-                        b_ids[s + l],
-                        b_coeffs[s + l],
-                        ctx,
-                        protect,
-                        noise,
-                        &mut oid,
-                        &mut oc,
-                    );
-                    ids[s + l] = oid;
-                    coeffs[s + l] = oc;
+                    // Lane `l` of `b` is still unwritten: the scalar kernel
+                    // reads the operand, not a partial result.
+                    slot(s + l, b_ids, b_coeffs, noise);
                 } else {
                     noise.add_abs(e1s[l]);
                     noise.add_abs(e2s[l]);
                     noise.add_abs(e3s[l]);
-                    if cs[l] != 0.0 {
-                        ids[s + l] = a_ids[s + l];
-                        coeffs[s + l] = cs[l];
-                    }
+                    (b_ids[s + l], b_coeffs[s + l]) = occupied(a_ids[s + l], cs[l]);
                 }
             }
         } else {
             for l in 0..LANES {
-                mul_slot(
-                    a0,
-                    b0,
-                    a_ids[s + l],
-                    a_coeffs[s + l],
-                    b_ids[s + l],
-                    b_coeffs[s + l],
-                    ctx,
-                    protect,
-                    noise,
-                    &mut ids[s + l],
-                    &mut coeffs[s + l],
-                );
+                slot(s + l, b_ids, b_coeffs, noise);
             }
         }
         s += LANES;
     }
     while s < k {
-        mul_slot(
-            a0,
-            b0,
-            a_ids[s],
-            a_coeffs[s],
-            b_ids[s],
-            b_coeffs[s],
-            ctx,
-            protect,
-            noise,
-            &mut ids[s],
-            &mut coeffs[s],
-        );
+        slot(s, b_ids, b_coeffs, noise);
         s += 1;
     }
-    (ids, coeffs)
 }
 
 #[cfg(test)]

@@ -61,6 +61,7 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Instant;
 
 /// Serve-loop options.
@@ -149,7 +150,7 @@ pub fn serve(program: Program, opts: &ServeOptions) -> Result<(), String> {
     let listener = UnixListener::bind(&opts.socket)
         .map_err(|e| format!("bind {}: {e}", opts.socket.display()))?;
     let stop = Arc::new(AtomicBool::new(false));
-    let mut workers = Vec::new();
+    let mut workers = ConnThreads::default();
     for conn in listener.incoming() {
         if stop.load(Ordering::SeqCst) {
             break;
@@ -166,18 +167,41 @@ pub fn serve(program: Program, opts: &ServeOptions) -> Result<(), String> {
         let program = program.clone();
         let stop = Arc::clone(&stop);
         let conn_opts = opts.clone();
-        workers.push(std::thread::spawn(move || {
-            serve_connection(stream, &program, &stop, &conn_opts);
-        }));
+        workers.spawn(move || serve_connection(stream, &program, &stop, &conn_opts));
     }
-    for w in workers {
-        let _ = w.join();
-    }
+    workers.join_all();
     let _ = std::fs::remove_file(&opts.socket);
     // Clean shutdown: push any still-buffered telemetry to the sink so
     // the final requests' events are never lost.
     let _ = telemetry::flush();
     Ok(())
+}
+
+/// The daemon's connection threads. Each spawn first joins the threads
+/// that have finished, so the set holds the live connections plus those
+/// that ended since the last accept — not a handle (and an unreleased
+/// thread stack) for every connection ever served.
+#[derive(Default)]
+struct ConnThreads(Vec<JoinHandle<()>>);
+
+impl ConnThreads {
+    fn spawn(&mut self, f: impl FnOnce() + Send + 'static) {
+        let mut i = 0;
+        while i < self.0.len() {
+            if self.0[i].is_finished() {
+                let _ = self.0.swap_remove(i).join();
+            } else {
+                i += 1;
+            }
+        }
+        self.0.push(std::thread::spawn(f));
+    }
+
+    fn join_all(self) {
+        for w in self.0 {
+            let _ = w.join();
+        }
+    }
 }
 
 /// Increments the in-flight gauge for its lifetime (drop-safe).
@@ -507,6 +531,29 @@ pub fn wait_ready(socket: &Path, timeout_ms: u64) -> Result<(), String> {
 mod tests {
     use super::*;
     use crate::{BuildOptions, Engine, EvalRequest, RunConfig};
+
+    #[test]
+    fn finished_connection_threads_are_joined_at_the_next_accept() {
+        // 50 sequential connections, each over before the next arrives:
+        // the set never holds more than the one live connection.
+        let mut threads = ConnThreads::default();
+        for _ in 0..50 {
+            threads.spawn(|| {});
+            assert_eq!(threads.0.len(), 1, "finished threads were retained");
+            while !threads.0[0].is_finished() {
+                std::thread::yield_now();
+            }
+        }
+        // A live connection is kept across accepts.
+        let (tx, rx) = std::sync::mpsc::channel::<()>();
+        threads.spawn(move || {
+            let _ = rx.recv();
+        });
+        threads.spawn(|| {});
+        assert_eq!(threads.0.len(), 2);
+        drop(tx);
+        threads.join_all();
+    }
 
     fn test_program() -> Program {
         let mut opts = BuildOptions::new("serve-test.c");

@@ -107,6 +107,42 @@ pub trait Domain: Sized + Clone {
     /// `fmax`.
     fn max(&self, rhs: &Self, cx: &Self::Ctx) -> Self;
 
+    /// Writes `op(a, b)` into `out`, reusing `out`'s storage where the
+    /// domain keeps any (the interpreters' destination-passing form of the
+    /// binary operations). `protect` is ignored by `Min`/`Max`, like the
+    /// by-value methods. The result is bit-identical to the by-value
+    /// method, whatever `out` held before.
+    fn bin_into(op: FpBinOp, a: &Self, b: &Self, cx: &Self::Ctx, protect: &[u64], out: &mut Self) {
+        *out = match op {
+            FpBinOp::Add => a.add(b, cx, protect),
+            FpBinOp::Sub => a.sub(b, cx, protect),
+            FpBinOp::Mul => a.mul(b, cx, protect),
+            FpBinOp::Div => a.div(b, cx, protect),
+            FpBinOp::Min => a.min(b, cx),
+            FpBinOp::Max => a.max(b, cx),
+        };
+    }
+
+    /// Unary counterpart of [`Domain::bin_into`]; `protect` is used by
+    /// `Sqrt` only.
+    fn un_into(op: FpUnOp, a: &Self, cx: &Self::Ctx, protect: &[u64], out: &mut Self) {
+        *out = match op {
+            FpUnOp::Sqrt => a.sqrt(cx, protect),
+            FpUnOp::Abs => a.abs(cx),
+            FpUnOp::Neg => a.neg(cx),
+        };
+    }
+
+    /// [`Domain::constant`], written into `out` like [`Domain::bin_into`].
+    fn constant_into(x: f64, cx: &Self::Ctx, out: &mut Self) {
+        *out = Self::constant(x, cx);
+    }
+
+    /// [`Domain::from_input`], written into `out` like [`Domain::bin_into`].
+    fn from_input_into(x: f64, cx: &Self::Ctx, out: &mut Self) {
+        *out = Self::from_input(x, cx);
+    }
+
     /// Sound enclosing range (degenerate for the unsound domain).
     fn range(&self) -> (f64, f64);
     /// Central/representative value, for undecided branches.
@@ -141,6 +177,12 @@ pub trait Domain: Sized + Clone {
     /// operand's symbols and lose accuracy).
     fn protect_ids(&self, _cx: &Self::Ctx) -> Vec<u64> {
         self.symbol_ids()
+    }
+
+    /// [`Domain::protect_ids`], written into `out` (reusing its buffer
+    /// where the domain can).
+    fn protect_ids_into(&self, cx: &Self::Ctx, out: &mut Vec<u64>) {
+        *out = self.protect_ids(cx);
     }
 
     /// Lowers the symbol budget for the next operation (variable-capacity
@@ -593,29 +635,41 @@ impl<C: CenterValue> Domain for Affine<C> {
     fn abs(&self, cx: &AaContext) -> Self {
         Affine::abs(self, cx)
     }
+    #[inline]
     fn min(&self, rhs: &Self, cx: &AaContext) -> Self {
-        match self.try_cmp(rhs) {
-            Some(std::cmp::Ordering::Less) | Some(std::cmp::Ordering::Equal) => self.clone(),
-            Some(std::cmp::Ordering::Greater) => rhs.clone(),
-            None => {
-                // NaN range endpoints mean "unknown" — treat as ±∞ so the
-                // hull can't come out unsoundly finite (f64::min ignores NaN).
-                let (alo, ahi) = sanitize_range(Domain::range(self));
-                let (blo, bhi) = sanitize_range(Domain::range(rhs));
-                Affine::from_range_outward(alo.min(blo), ahi.min(bhi), cx)
-            }
+        Affine::min(self, rhs, cx)
+    }
+    #[inline]
+    fn max(&self, rhs: &Self, cx: &AaContext) -> Self {
+        Affine::max(self, rhs, cx)
+    }
+    #[inline]
+    fn bin_into(op: FpBinOp, a: &Self, b: &Self, cx: &AaContext, protect: &[u64], out: &mut Self) {
+        let p = prot(protect);
+        match op {
+            FpBinOp::Add => a.add_into(b, cx, p, out),
+            FpBinOp::Sub => a.sub_into(b, cx, p, out),
+            FpBinOp::Mul => a.mul_into(b, cx, p, out),
+            FpBinOp::Div => a.div_into(b, cx, p, out),
+            FpBinOp::Min => a.min_into(b, cx, out),
+            FpBinOp::Max => a.max_into(b, cx, out),
         }
     }
-    fn max(&self, rhs: &Self, cx: &AaContext) -> Self {
-        match self.try_cmp(rhs) {
-            Some(std::cmp::Ordering::Greater) | Some(std::cmp::Ordering::Equal) => self.clone(),
-            Some(std::cmp::Ordering::Less) => rhs.clone(),
-            None => {
-                let (alo, ahi) = sanitize_range(Domain::range(self));
-                let (blo, bhi) = sanitize_range(Domain::range(rhs));
-                Affine::from_range_outward(alo.max(blo), ahi.max(bhi), cx)
-            }
+    #[inline]
+    fn un_into(op: FpUnOp, a: &Self, cx: &AaContext, protect: &[u64], out: &mut Self) {
+        match op {
+            FpUnOp::Sqrt => a.sqrt_into(cx, prot(protect), out),
+            FpUnOp::Abs => a.abs_into(cx, out),
+            FpUnOp::Neg => a.neg_into(out),
         }
+    }
+    #[inline]
+    fn constant_into(x: f64, cx: &AaContext, out: &mut Self) {
+        Affine::constant_into(x, cx, out);
+    }
+    #[inline]
+    fn from_input_into(x: f64, cx: &AaContext, out: &mut Self) {
+        Affine::from_input_into(x, cx, out);
     }
     #[inline]
     fn range(&self) -> (f64, f64) {
@@ -631,10 +685,11 @@ impl<C: CenterValue> Domain for Affine<C> {
     }
     #[inline]
     fn protect_ids(&self, cx: &AaContext) -> Vec<u64> {
-        // Protect at most half the budget: the strongest correlations of
-        // the prioritized variable survive while fusion keeps enough
-        // freedom to drop genuinely small terms.
-        Affine::protect_ids(self, (cx.config().k / 2).max(1))
+        Affine::protect_ids(self, protect_limit(cx))
+    }
+    #[inline]
+    fn protect_ids_into(&self, cx: &AaContext, out: &mut Vec<u64>) {
+        Affine::protect_ids_into(self, protect_limit(cx), out);
     }
     #[inline]
     fn set_capacity(cx: &AaContext, k: usize) {
@@ -662,16 +717,12 @@ impl<C: CenterValue> Domain for Affine<C> {
     }
 }
 
-/// Replaces NaN range endpoints with ±∞: a NaN bound means the value is
-/// unknown, and hull computations built on `f64::min`/`max` would silently
-/// drop it (those primitives return the non-NaN operand).
+/// How many ids a prioritized variable protects: at most half the budget,
+/// so the strongest correlations of the prioritized variable survive
+/// while fusion keeps enough freedom to drop genuinely small terms.
 #[inline]
-fn sanitize_range((lo, hi): (f64, f64)) -> (f64, f64) {
-    if lo.is_nan() || hi.is_nan() {
-        (f64::NEG_INFINITY, f64::INFINITY)
-    } else {
-        (lo, hi)
-    }
+fn protect_limit(cx: &AaContext) -> usize {
+    (cx.config().k / 2).max(1)
 }
 
 #[inline]

@@ -5,7 +5,7 @@
 //! enclosures, or sound affine enclosures under every SafeGen
 //! configuration — the apples-to-apples setup of the paper's evaluation.
 
-use crate::domain::Domain;
+use crate::domain::{Domain, FpBinOp, FpUnOp};
 use crate::program::{CmpOp, Instr, ParamBinding, Program};
 use std::fmt;
 
@@ -307,6 +307,10 @@ pub(crate) fn exec_inner<D: Domain, T: ExecTracer>(
 ) -> Result<RunResult<D>, ExecError> {
     validate_args(prog, args)?;
     let zero = D::constant(0.0, cx);
+    // Every FP result is computed into `spare` and swapped into its
+    // destination register, so the destination may alias an operand and
+    // the old value's storage becomes the next result's.
+    let mut spare = zero.clone();
     let mut fregs: Vec<D> = vec![zero; prog.n_fregs.max(1)];
     let mut iregs: Vec<i64> = vec![0; prog.n_iregs.max(1)];
     let mut arrays: Vec<Vec<D>> = prog
@@ -327,9 +331,16 @@ pub(crate) fn exec_inner<D: Domain, T: ExecTracer>(
             0
         };
         match bind(param, arg) {
-            Bind::Float(r, x) => fregs[r] = D::from_input(x, cx),
+            Bind::Float(r, x) => D::from_input_into(x, cx, &mut fregs[r]),
             Bind::Int(r, v) => iregs[r] = v,
-            Bind::Array(a, xs) => arrays[a] = xs.iter().map(|&x| D::from_input(x, cx)).collect(),
+            Bind::Array(a, xs) => {
+                // An unsized (pointer) array takes its length from the
+                // argument.
+                arrays[a].resize_with(xs.len(), || spare.clone());
+                for (v, &x) in arrays[a].iter_mut().zip(xs) {
+                    D::from_input_into(x, cx, v);
+                }
+            }
         }
         if T::ACTIVE {
             let syms_after = D::symbols_allocated(cx);
@@ -346,14 +357,19 @@ pub(crate) fn exec_inner<D: Domain, T: ExecTracer>(
     let mut pending_capacity = false;
     let mut ret: Option<D> = None;
 
-    macro_rules! prot {
-        () => {{
-            if pending_protect {
+    // `$op` applied through `$into` to source registers `$src` into
+    // register `$d`. With `consume`, the op takes the pending protect set;
+    // without, it runs unprotected and leaves the set pending.
+    macro_rules! fp_op {
+        ($into:ident, $op:expr, $d:expr, [$($src:expr),+], $consume:literal) => {{
+            let p: &[u64] = if $consume && pending_protect { &protect } else { &[] };
+            D::$into($op, $(&fregs[*$src as usize],)+ cx, p, &mut spare);
+            std::mem::swap(&mut fregs[*$d as usize], &mut spare);
+            if $consume && pending_protect {
                 pending_protect = false;
-                std::mem::take(&mut protect)
-            } else {
-                Vec::new()
+                protect.clear();
             }
+            stats.fp_ops += 1;
         }};
     }
 
@@ -369,55 +385,22 @@ pub(crate) fn exec_inner<D: Domain, T: ExecTracer>(
             0
         };
         match &prog.code[pc] {
-            Instr::Add(d, a, b) => {
-                let p = prot!();
-                fregs[*d as usize] = fregs[*a as usize].add(&fregs[*b as usize], cx, &p);
-                stats.fp_ops += 1;
-            }
-            Instr::Sub(d, a, b) => {
-                let p = prot!();
-                fregs[*d as usize] = fregs[*a as usize].sub(&fregs[*b as usize], cx, &p);
-                stats.fp_ops += 1;
-            }
-            Instr::Mul(d, a, b) => {
-                let p = prot!();
-                fregs[*d as usize] = fregs[*a as usize].mul(&fregs[*b as usize], cx, &p);
-                stats.fp_ops += 1;
-            }
-            Instr::Div(d, a, b) => {
-                let p = prot!();
-                fregs[*d as usize] = fregs[*a as usize].div(&fregs[*b as usize], cx, &p);
-                stats.fp_ops += 1;
-            }
-            Instr::Sqrt(d, a) => {
-                let p = prot!();
-                fregs[*d as usize] = fregs[*a as usize].sqrt(cx, &p);
-                stats.fp_ops += 1;
-            }
-            Instr::Abs(d, a) => {
-                fregs[*d as usize] = fregs[*a as usize].abs(cx);
-                stats.fp_ops += 1;
-            }
-            Instr::Neg(d, a) => {
-                fregs[*d as usize] = fregs[*a as usize].neg(cx);
-                stats.fp_ops += 1;
-            }
-            Instr::Min(d, a, b) => {
-                fregs[*d as usize] = fregs[*a as usize].min(&fregs[*b as usize], cx);
-                stats.fp_ops += 1;
-            }
-            Instr::Max(d, a, b) => {
-                fregs[*d as usize] = fregs[*a as usize].max(&fregs[*b as usize], cx);
-                stats.fp_ops += 1;
-            }
-            Instr::ConstF(d, c) => {
-                fregs[*d as usize] = D::constant(*c, cx);
-            }
+            Instr::Add(d, a, b) => fp_op!(bin_into, FpBinOp::Add, d, [a, b], true),
+            Instr::Sub(d, a, b) => fp_op!(bin_into, FpBinOp::Sub, d, [a, b], true),
+            Instr::Mul(d, a, b) => fp_op!(bin_into, FpBinOp::Mul, d, [a, b], true),
+            Instr::Div(d, a, b) => fp_op!(bin_into, FpBinOp::Div, d, [a, b], true),
+            Instr::Sqrt(d, a) => fp_op!(un_into, FpUnOp::Sqrt, d, [a], true),
+            Instr::Abs(d, a) => fp_op!(un_into, FpUnOp::Abs, d, [a], false),
+            Instr::Neg(d, a) => fp_op!(un_into, FpUnOp::Neg, d, [a], false),
+            Instr::Min(d, a, b) => fp_op!(bin_into, FpBinOp::Min, d, [a, b], false),
+            Instr::Max(d, a, b) => fp_op!(bin_into, FpBinOp::Max, d, [a, b], false),
+            Instr::ConstF(d, c) => D::constant_into(*c, cx, &mut fregs[*d as usize]),
             Instr::MovF(d, s) => {
-                fregs[*d as usize] = fregs[*s as usize].clone();
+                spare.clone_from(&fregs[*s as usize]);
+                std::mem::swap(&mut fregs[*d as usize], &mut spare);
             }
             Instr::CastIF(d, s) => {
-                fregs[*d as usize] = D::constant(iregs[*s as usize] as f64, cx);
+                D::constant_into(iregs[*s as usize] as f64, cx, &mut fregs[*d as usize]);
             }
             Instr::LoadArr(d, arr, idx) => {
                 let i = iregs[*idx as usize];
@@ -431,7 +414,7 @@ pub(crate) fn exec_inner<D: Domain, T: ExecTracer>(
                             a.len()
                         ))
                     })?;
-                fregs[*d as usize] = v.clone();
+                fregs[*d as usize].clone_from(v);
             }
             Instr::StoreArr(arr, idx, s) => {
                 let i = iregs[*idx as usize];
@@ -443,7 +426,7 @@ pub(crate) fn exec_inner<D: Domain, T: ExecTracer>(
                     .ok_or_else(|| {
                         err(format!("index {i} out of bounds for `{name}` (len {len})"))
                     })?;
-                *slot = fregs[*s as usize].clone();
+                slot.clone_from(&fregs[*s as usize]);
             }
             Instr::ConstI(d, c) => iregs[*d as usize] = *c,
             Instr::AddI(d, a, b) => iregs[*d as usize] = iregs[*a as usize] + iregs[*b as usize],
@@ -478,7 +461,7 @@ pub(crate) fn exec_inner<D: Domain, T: ExecTracer>(
                 }
             }
             Instr::Protect(r) => {
-                protect = fregs[*r as usize].protect_ids(cx);
+                fregs[*r as usize].protect_ids_into(cx, &mut protect);
                 pending_protect = true;
             }
             Instr::SetCapacity(k) => {

@@ -138,178 +138,148 @@ fn for_lanes(mask: u64, full: u64, w: usize, mut f: impl FnMut(usize)) {
     }
 }
 
-/// Applies a binary operation column-wise: `regs[d][l] = f(regs[a][l],
-/// regs[b][l], l)` for every lane in `mask`. When the mask is full the
-/// columns are split into disjoint slices so the lane loop is a plain
-/// contiguous zip (bounds checks elided, auto-vectorizable for `Copy`
-/// domains); aliased destinations take the in-place variants.
+/// Applies a binary operation column-wise: for every lane in `mask`,
+/// `f(regs[a][l], regs[b][l], spare[l], l)` writes the lane's result into
+/// the spare column (`w` values), which then swaps places with
+/// `regs[d]`. That makes every aliasing of `d` with `a` or `b` safe, and
+/// the swapped-out old values lend their storage to the next result. A
+/// full mask runs a plain contiguous zip (bounds checks elided).
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn bin_cols<D: Clone>(
+fn bin_cols<D>(
     regs: &mut [D],
+    spare: &mut [D],
     w: usize,
     d: usize,
     a: usize,
     b: usize,
     mask: u64,
     full: u64,
-    mut f: impl FnMut(&D, &D, usize) -> D,
+    mut f: impl FnMut(&D, &D, &mut D, usize),
 ) {
     let (ds, as_, bs) = (d * w, a * w, b * w);
     if mask == full {
-        if d != a && d != b && a != b {
-            let [dc, ac, bc] = regs
-                .get_disjoint_mut([ds..ds + w, as_..as_ + w, bs..bs + w])
-                .expect("distinct register columns are disjoint");
-            for (l, (x, (ya, yb))) in dc.iter_mut().zip(ac.iter().zip(bc.iter())).enumerate() {
-                *x = f(ya, yb, l);
-            }
-        } else if d != a && d != b {
-            // a == b: square-style op.
-            let [dc, ac] = regs
-                .get_disjoint_mut([ds..ds + w, as_..as_ + w])
-                .expect("distinct register columns are disjoint");
-            for (l, (x, y)) in dc.iter_mut().zip(ac.iter()).enumerate() {
-                *x = f(y, y, l);
-            }
-        } else if d == a && d != b {
-            let [dc, bc] = regs
-                .get_disjoint_mut([ds..ds + w, bs..bs + w])
-                .expect("distinct register columns are disjoint");
-            for (l, (x, y)) in dc.iter_mut().zip(bc.iter()).enumerate() {
-                let v = f(x, y, l);
-                *x = v;
-            }
-        } else if d == b && d != a {
-            let [dc, ac] = regs
-                .get_disjoint_mut([ds..ds + w, as_..as_ + w])
-                .expect("distinct register columns are disjoint");
-            for (l, (x, y)) in dc.iter_mut().zip(ac.iter()).enumerate() {
-                let v = f(y, x, l);
-                *x = v;
-            }
-        } else {
-            // d == a == b
-            for (l, x) in regs[ds..ds + w].iter_mut().enumerate() {
-                let v = f(x, x, l);
-                *x = v;
-            }
+        let (ac, bc) = (&regs[as_..as_ + w], &regs[bs..bs + w]);
+        for (l, (o, (x, y))) in spare.iter_mut().zip(ac.iter().zip(bc)).enumerate() {
+            f(x, y, o, l);
         }
+        regs[ds..ds + w].swap_with_slice(spare);
     } else {
         for l in MaskIter(mask) {
-            let v = f(&regs[as_ + l], &regs[bs + l], l);
-            regs[ds + l] = v;
+            f(&regs[as_ + l], &regs[bs + l], &mut spare[l], l);
+            std::mem::swap(&mut regs[ds + l], &mut spare[l]);
         }
     }
 }
 
 /// Unary column-wise counterpart of [`bin_cols`].
 #[inline(always)]
-fn un_cols<D: Clone>(
+#[allow(clippy::too_many_arguments)]
+fn un_cols<D>(
     regs: &mut [D],
+    spare: &mut [D],
     w: usize,
     d: usize,
     a: usize,
     mask: u64,
     full: u64,
-    mut f: impl FnMut(&D, usize) -> D,
+    mut f: impl FnMut(&D, &mut D, usize),
 ) {
     let (ds, as_) = (d * w, a * w);
     if mask == full {
-        if d != a {
-            let [dc, ac] = regs
-                .get_disjoint_mut([ds..ds + w, as_..as_ + w])
-                .expect("distinct register columns are disjoint");
-            for (l, (x, y)) in dc.iter_mut().zip(ac.iter()).enumerate() {
-                *x = f(y, l);
-            }
-        } else {
-            for (l, x) in regs[ds..ds + w].iter_mut().enumerate() {
-                let v = f(x, l);
-                *x = v;
-            }
+        for (l, (o, x)) in spare.iter_mut().zip(&regs[as_..as_ + w]).enumerate() {
+            f(x, o, l);
         }
+        regs[ds..ds + w].swap_with_slice(spare);
     } else {
         for l in MaskIter(mask) {
-            let v = f(&regs[as_ + l], l);
-            regs[ds + l] = v;
+            f(&regs[as_ + l], &mut spare[l], l);
+            std::mem::swap(&mut regs[ds + l], &mut spare[l]);
         }
     }
 }
 
+/// Integer column operation `regs[d][l] = f(regs[a][l], regs[b][l])` for
+/// every lane in `mask`. `i64` is `Copy`, so each lane reads its operands
+/// before overwriting its destination, whatever aliases what.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn int_cols(
+    regs: &mut [i64],
+    w: usize,
+    d: usize,
+    a: usize,
+    b: usize,
+    mask: u64,
+    full: u64,
+    f: impl Fn(i64, i64) -> i64,
+) {
+    let (ds, as_, bs) = (d * w, a * w, b * w);
+    for_lanes(mask, full, w, |l| regs[ds + l] = f(regs[as_ + l], regs[bs + l]));
+}
+
 /// Offers a full-width binary operation to [`Domain::bin_kernel`],
-/// writing straight into the destination column. Distinct columns are
-/// split with `get_disjoint_mut`; when the destination aliases a source
-/// the aliased column is snapshotted into `scratch` first so the kernel
-/// still sees non-overlapping slices. Returns `false` (nothing written)
-/// when the domain has no kernel for `op`.
+/// writing straight into the destination column when it is distinct from
+/// both sources (split with `get_disjoint_mut`), else into the spare
+/// column, which then swaps places with the destination — as in
+/// [`bin_cols`]. Returns `false` (destination untouched) when the domain
+/// has no kernel for `op`.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn bin_kernel_cols<D: Domain>(
     regs: &mut [D],
+    spare: &mut [D],
     w: usize,
     op: FpBinOp,
     d: usize,
     a: usize,
     b: usize,
-    scratch: &mut Vec<D>,
     cxs: &[D::Ctx],
 ) -> bool {
     let (ds, as_, bs) = (d * w, a * w, b * w);
-    if d != a && d != b {
-        if a != b {
-            let [dc, ac, bc] = regs
-                .get_disjoint_mut([ds..ds + w, as_..as_ + w, bs..bs + w])
-                .expect("distinct register columns are disjoint");
-            D::bin_kernel(op, ac, bc, dc, cxs)
-        } else {
-            let [dc, ac] = regs
-                .get_disjoint_mut([ds..ds + w, as_..as_ + w])
-                .expect("distinct register columns are disjoint");
-            D::bin_kernel(op, ac, ac, dc, cxs)
+    if d == a || d == b {
+        let done = D::bin_kernel(op, &regs[as_..as_ + w], &regs[bs..bs + w], spare, cxs);
+        if done {
+            regs[ds..ds + w].swap_with_slice(spare);
         }
+        done
+    } else if a != b {
+        let [dc, ac, bc] = regs
+            .get_disjoint_mut([ds..ds + w, as_..as_ + w, bs..bs + w])
+            .expect("distinct register columns are disjoint");
+        D::bin_kernel(op, ac, bc, dc, cxs)
     } else {
-        // The destination aliases a source: snapshot the destination
-        // column so the kernel reads frozen inputs while overwriting it.
-        scratch.clear();
-        scratch.extend_from_slice(&regs[ds..ds + w]);
-        if d == a && d == b {
-            D::bin_kernel(op, scratch, scratch, &mut regs[ds..ds + w], cxs)
-        } else if d == a {
-            let [dc, bc] = regs
-                .get_disjoint_mut([ds..ds + w, bs..bs + w])
-                .expect("distinct register columns are disjoint");
-            D::bin_kernel(op, scratch, bc, dc, cxs)
-        } else {
-            let [dc, ac] = regs
-                .get_disjoint_mut([ds..ds + w, as_..as_ + w])
-                .expect("distinct register columns are disjoint");
-            D::bin_kernel(op, ac, scratch, dc, cxs)
-        }
+        let [dc, ac] = regs
+            .get_disjoint_mut([ds..ds + w, as_..as_ + w])
+            .expect("distinct register columns are disjoint");
+        D::bin_kernel(op, ac, ac, dc, cxs)
     }
 }
 
 /// Unary counterpart of [`bin_kernel_cols`] for [`Domain::un_kernel`].
 #[inline(always)]
+#[allow(clippy::too_many_arguments)]
 fn un_kernel_cols<D: Domain>(
     regs: &mut [D],
+    spare: &mut [D],
     w: usize,
     op: FpUnOp,
     d: usize,
     a: usize,
-    scratch: &mut Vec<D>,
     cxs: &[D::Ctx],
 ) -> bool {
     let (ds, as_) = (d * w, a * w);
-    if d != a {
+    if d == a {
+        let done = D::un_kernel(op, &regs[as_..as_ + w], spare, cxs);
+        if done {
+            regs[ds..ds + w].swap_with_slice(spare);
+        }
+        done
+    } else {
         let [dc, ac] = regs
             .get_disjoint_mut([ds..ds + w, as_..as_ + w])
             .expect("distinct register columns are disjoint");
         D::un_kernel(op, ac, dc, cxs)
-    } else {
-        scratch.clear();
-        scratch.extend_from_slice(&regs[ds..ds + w]);
-        D::un_kernel(op, scratch, &mut regs[ds..ds + w], cxs)
     }
 }
 
@@ -392,6 +362,8 @@ pub fn exec_lanes<D: Domain>(
         fregs.extend(zeros.iter().cloned());
     }
     let mut iregs: Vec<i64> = vec![0; ni * w];
+    // The spare column FP results are computed into (see `bin_cols`).
+    let mut fspare: Vec<D> = zeros.clone();
     let mut arrays: Vec<Vec<D>> = Vec::with_capacity(prog.arrays.len());
     for &len in &arr_len {
         let col_zeros: Vec<D> = cxs.iter().map(|cx| D::constant(0.0, cx)).collect();
@@ -411,11 +383,11 @@ pub fn exec_lanes<D: Domain>(
     for (p, (_, param)) in prog.params.iter().enumerate() {
         for l in MaskIter(init_mask) {
             match bind(param, &inputs[l][p]) {
-                Bind::Float(r, x) => fregs[r * w + l] = D::from_input(x, &cxs[l]),
+                Bind::Float(r, x) => D::from_input_into(x, &cxs[l], &mut fregs[r * w + l]),
                 Bind::Int(r, v) => iregs[r * w + l] = v,
                 Bind::Array(a, xs) => {
                     for (e, &x) in xs.iter().enumerate() {
-                        arrays[a][e * w + l] = D::from_input(x, &cxs[l]);
+                        D::from_input_into(x, &cxs[l], &mut arrays[a][e * w + l]);
                     }
                 }
             }
@@ -441,7 +413,6 @@ pub fn exec_lanes<D: Domain>(
     let mut protect: Vec<Vec<u64>> = vec![Vec::new(); w];
     let mut acc_instrs: Vec<u64> = vec![0; w];
     let mut acc_fp: Vec<u64> = vec![0; w];
-    let mut scratch: Vec<D> = Vec::with_capacity(w);
     let mut done: Vec<Option<LaneDone<D>>> = Vec::new();
     done.resize_with(w, || None);
     let n_ops = fixed.ops.len();
@@ -558,37 +529,74 @@ pub fn exec_lanes<D: Domain>(
             // Protect-free full-width groups first offer the whole
             // column to the domain's SIMD kernel ([`Domain::bin_kernel`]).
             macro_rules! fp_bin {
-                ($method:ident, $op:expr, $d:expr, $a:expr, $b:expr) => {{
+                ($op:expr, $d:expr, $a:expr, $b:expr) => {{
                     if g.pending_protect {
                         g.pending_protect = false;
                         tally.scalar_dispatches += 1;
-                        bin_cols(&mut fregs, w, $d, $a, $b, g.mask, full, |x, y, l| {
-                            let p = std::mem::take(&mut protect[l]);
-                            x.$method(y, &cxs[l], &p)
-                        });
-                    } else if g.mask == full
-                        && bin_kernel_cols(&mut fregs, w, $op, $d, $a, $b, &mut scratch, cxs)
+                        bin_cols(
+                            &mut fregs,
+                            &mut fspare,
+                            w,
+                            $d,
+                            $a,
+                            $b,
+                            g.mask,
+                            full,
+                            |x, y, o, l| {
+                                D::bin_into($op, x, y, &cxs[l], &protect[l], o);
+                                protect[l].clear();
+                            },
+                        );
+                        g.fp_ops += 1;
+                    } else {
+                        fp_unprotected!($op, $d, $a, $b);
+                    }
+                }};
+            }
+            // The same without consuming a pending protect set (min/max
+            // never take one).
+            macro_rules! fp_unprotected {
+                ($op:expr, $d:expr, $a:expr, $b:expr) => {{
+                    if g.mask == full
+                        && bin_kernel_cols(&mut fregs, &mut fspare, w, $op, $d, $a, $b, cxs)
                     {
                         tally.kernel_dispatches += 1;
                     } else {
                         tally.scalar_dispatches += 1;
-                        bin_cols(&mut fregs, w, $d, $a, $b, g.mask, full, |x, y, l| {
-                            x.$method(y, &cxs[l], &[])
-                        });
+                        bin_cols(
+                            &mut fregs,
+                            &mut fspare,
+                            w,
+                            $d,
+                            $a,
+                            $b,
+                            g.mask,
+                            full,
+                            |x, y, o, l| D::bin_into($op, x, y, &cxs[l], &[], o),
+                        );
                     }
                     g.fp_ops += 1;
                 }};
             }
             // Unary counterpart for the kernel-eligible ops.
             macro_rules! fp_un_kernel {
-                ($op:expr, $d:expr, $a:expr, $fallback:expr) => {{
+                ($op:expr, $d:expr, $a:expr) => {{
                     if g.mask == full
-                        && un_kernel_cols(&mut fregs, w, $op, $d, $a, &mut scratch, cxs)
+                        && un_kernel_cols(&mut fregs, &mut fspare, w, $op, $d, $a, cxs)
                     {
                         tally.kernel_dispatches += 1;
                     } else {
                         tally.scalar_dispatches += 1;
-                        un_cols(&mut fregs, w, $d, $a, g.mask, full, $fallback);
+                        un_cols(
+                            &mut fregs,
+                            &mut fspare,
+                            w,
+                            $d,
+                            $a,
+                            g.mask,
+                            full,
+                            |x, o, l| D::un_into($op, x, &cxs[l], &[], o),
+                        );
                     }
                     g.fp_ops += 1;
                 }};
@@ -652,59 +660,44 @@ pub fn exec_lanes<D: Domain>(
                 }};
             }
 
-            // Min/max: kernel-eligible, never protected.
-            macro_rules! fp_minmax {
-                ($method:ident, $op:expr, $d:expr, $a:expr, $b:expr) => {{
-                    if g.mask == full
-                        && bin_kernel_cols(&mut fregs, w, $op, $d, $a, $b, &mut scratch, cxs)
-                    {
-                        tally.kernel_dispatches += 1;
-                    } else {
-                        tally.scalar_dispatches += 1;
-                        bin_cols(&mut fregs, w, $d, $a, $b, g.mask, full, |x, y, l| {
-                            x.$method(y, &cxs[l])
-                        });
-                    }
-                    g.fp_ops += 1;
-                }};
-            }
-
             let (d, a, b) = (ins.dst as usize, ins.a as usize, ins.b as usize);
             match ins.op {
-                OpCode::Add => fp_bin!(add, FpBinOp::Add, d, a, b),
-                OpCode::Sub => fp_bin!(sub, FpBinOp::Sub, d, a, b),
-                OpCode::Mul => fp_bin!(mul, FpBinOp::Mul, d, a, b),
-                OpCode::Div => fp_bin!(div, FpBinOp::Div, d, a, b),
+                OpCode::Add => fp_bin!(FpBinOp::Add, d, a, b),
+                OpCode::Sub => fp_bin!(FpBinOp::Sub, d, a, b),
+                OpCode::Mul => fp_bin!(FpBinOp::Mul, d, a, b),
+                OpCode::Div => fp_bin!(FpBinOp::Div, d, a, b),
                 OpCode::Sqrt => {
                     if g.pending_protect {
                         g.pending_protect = false;
-                        un_cols(&mut fregs, w, d, a, g.mask, full, |x, l| {
-                            let p = std::mem::take(&mut protect[l]);
-                            x.sqrt(&cxs[l], &p)
+                        un_cols(&mut fregs, &mut fspare, w, d, a, g.mask, full, |x, o, l| {
+                            D::un_into(FpUnOp::Sqrt, x, &cxs[l], &protect[l], o);
+                            protect[l].clear();
                         });
                         g.fp_ops += 1;
                     } else {
-                        fp_un_kernel!(FpUnOp::Sqrt, d, a, |x, l| x.sqrt(&cxs[l], &[]));
+                        fp_un_kernel!(FpUnOp::Sqrt, d, a);
                     }
                 }
-                OpCode::Abs => fp_un_kernel!(FpUnOp::Abs, d, a, |x, l| x.abs(&cxs[l])),
-                OpCode::Neg => fp_un_kernel!(FpUnOp::Neg, d, a, |x, l| x.neg(&cxs[l])),
-                OpCode::Min => fp_minmax!(min, FpBinOp::Min, d, a, b),
-                OpCode::Max => fp_minmax!(max, FpBinOp::Max, d, a, b),
+                OpCode::Abs => fp_un_kernel!(FpUnOp::Abs, d, a),
+                OpCode::Neg => fp_un_kernel!(FpUnOp::Neg, d, a),
+                OpCode::Min => fp_unprotected!(FpBinOp::Min, d, a, b),
+                OpCode::Max => fp_unprotected!(FpBinOp::Max, d, a, b),
                 OpCode::ConstF => {
                     let c = fixed.fpool[ins.imm as usize];
                     let base = d * w;
                     for_lanes(g.mask, full, w, |l| {
-                        fregs[base + l] = D::constant(c, &cxs[l]);
+                        D::constant_into(c, &cxs[l], &mut fregs[base + l]);
                     });
                 }
                 OpCode::MovF => {
-                    un_cols(&mut fregs, w, d, a, g.mask, full, |x, _| x.clone());
+                    un_cols(&mut fregs, &mut fspare, w, d, a, g.mask, full, |x, o, _| {
+                        o.clone_from(x)
+                    });
                 }
                 OpCode::CastIF => {
                     let (db, ab) = (d * w, a * w);
                     for_lanes(g.mask, full, w, |l| {
-                        fregs[db + l] = D::constant(iregs[ab + l] as f64, &cxs[l]);
+                        D::constant_into(iregs[ab + l] as f64, &cxs[l], &mut fregs[db + l]);
                     });
                 }
                 OpCode::LoadArr => {
@@ -726,7 +719,7 @@ pub fn exec_lanes<D: Domain>(
                                 )));
                                 bad |= 1 << l;
                             }
-                            Ok(iu) => fregs[db + l] = col[iu * w + l].clone(),
+                            Ok(iu) => fregs[db + l].clone_from(&col[iu * w + l]),
                         }
                     }
                     g.mask &= !bad;
@@ -750,7 +743,7 @@ pub fn exec_lanes<D: Domain>(
                                 )));
                                 bad |= 1 << l;
                             }
-                            Ok(iu) => col[iu * w + l] = fregs[sb + l].clone(),
+                            Ok(iu) => col[iu * w + l].clone_from(&fregs[sb + l]),
                         }
                     }
                     g.mask &= !bad;
@@ -762,9 +755,9 @@ pub fn exec_lanes<D: Domain>(
                         iregs[base + l] = c;
                     });
                 }
-                OpCode::AddI => bin_cols(&mut iregs, w, d, a, b, g.mask, full, |x, y, _| x + y),
-                OpCode::SubI => bin_cols(&mut iregs, w, d, a, b, g.mask, full, |x, y, _| x - y),
-                OpCode::MulI => bin_cols(&mut iregs, w, d, a, b, g.mask, full, |x, y, _| x * y),
+                OpCode::AddI => int_cols(&mut iregs, w, d, a, b, g.mask, full, |x, y| x + y),
+                OpCode::SubI => int_cols(&mut iregs, w, d, a, b, g.mask, full, |x, y| x - y),
+                OpCode::MulI => int_cols(&mut iregs, w, d, a, b, g.mask, full, |x, y| x * y),
                 OpCode::DivI => {
                     let (db, ab, bb) = (d * w, a * w, b * w);
                     let mut bad = 0u64;
@@ -780,7 +773,7 @@ pub fn exec_lanes<D: Domain>(
                     g.mask &= !bad;
                 }
                 OpCode::MovI => {
-                    un_cols(&mut iregs, w, d, a, g.mask, full, |x, _| *x);
+                    int_cols(&mut iregs, w, d, a, a, g.mask, full, |x, _| x);
                 }
                 OpCode::CastFI => {
                     let (db, ab) = (d * w, a * w);
@@ -790,8 +783,8 @@ pub fn exec_lanes<D: Domain>(
                 }
                 OpCode::CmpI => {
                     let op = ins.cmp_op();
-                    bin_cols(&mut iregs, w, d, a, b, g.mask, full, |x, y, _| {
-                        i64::from(op.eval(*x, *y))
+                    int_cols(&mut iregs, w, d, a, b, g.mask, full, |x, y| {
+                        i64::from(op.eval(x, y))
                     });
                 }
                 OpCode::CmpF => cmp_f_cols!(ins.cmp_op(), d, a, b),
@@ -810,7 +803,7 @@ pub fn exec_lanes<D: Domain>(
                 OpCode::Protect => {
                     let base = a * w;
                     for l in MaskIter(g.mask) {
-                        protect[l] = fregs[base + l].protect_ids(&cxs[l]);
+                        fregs[base + l].protect_ids_into(&cxs[l], &mut protect[l]);
                     }
                     g.pending_protect = true;
                 }
@@ -847,32 +840,32 @@ pub fn exec_lanes<D: Domain>(
                 // and capacity checks between the halves).
                 OpCode::MulThenAdd | OpCode::MulThenSub => {
                     tally.superinstr_hits += 1;
-                    fp_bin!(mul, FpBinOp::Mul, d, a, b);
+                    fp_bin!(FpBinOp::Mul, d, a, b);
                     cap_check!(fp_before);
                     fuel_check!();
                     let before2 = g.fp_ops;
                     let (d2, c) = (ins.d2() as usize, ins.c() as usize);
                     let (x, y) = if ins.aux == 0 { (d, c) } else { (c, d) };
                     if ins.op == OpCode::MulThenAdd {
-                        fp_bin!(add, FpBinOp::Add, d2, x, y);
+                        fp_bin!(FpBinOp::Add, d2, x, y);
                     } else {
-                        fp_bin!(sub, FpBinOp::Sub, d2, x, y);
+                        fp_bin!(FpBinOp::Sub, d2, x, y);
                     }
                     cap_check!(before2);
                 }
                 OpCode::MulIThenAddI => {
                     tally.superinstr_hits += 1;
-                    bin_cols(&mut iregs, w, d, a, b, g.mask, full, |x, y, _| x * y);
+                    int_cols(&mut iregs, w, d, a, b, g.mask, full, |x, y| x * y);
                     fuel_check!();
                     let (d2, c) = (ins.d2() as usize, ins.c() as usize);
                     let (x, y) = if ins.aux == 0 { (d, c) } else { (c, d) };
-                    bin_cols(&mut iregs, w, d2, x, y, g.mask, full, |x, y, _| x + y);
+                    int_cols(&mut iregs, w, d2, x, y, g.mask, full, |x, y| x + y);
                 }
                 OpCode::CmpIJump => {
                     tally.superinstr_hits += 1;
                     let op = ins.cmp_op();
-                    bin_cols(&mut iregs, w, d, a, b, g.mask, full, |x, y, _| {
-                        i64::from(op.eval(*x, *y))
+                    int_cols(&mut iregs, w, d, a, b, g.mask, full, |x, y| {
+                        i64::from(op.eval(x, y))
                     });
                     fuel_check!();
                     branch_if_zero!(d * w, ins.imm as usize);
@@ -896,6 +889,19 @@ pub fn exec_lanes<D: Domain>(
     tally.flush(w);
 
     // --- Materialize per-lane results. ---
+    // Deal the lane-interleaved columns of the array out-parameters to
+    // their lanes, moving every element (local arrays are dropped in
+    // place): `lane_arrays[l]` is lane `l`'s out-parameters in order.
+    let out_cols = array_outs(prog, |j| std::mem::take(&mut arrays[j]));
+    let mut lane_arrays: Vec<Vec<(String, Vec<D>)>> = vec![Vec::new(); w];
+    for (name, col) in out_cols {
+        for la in &mut lane_arrays {
+            la.push((name.clone(), Vec::with_capacity(col.len() / w)));
+        }
+        for (i, v) in col.into_iter().enumerate() {
+            lane_arrays[i % w].last_mut().expect("pushed above").1.push(v);
+        }
+    }
     (0..w)
         .map(|l| {
             if let Some(e) = errs[l].take() {
@@ -915,11 +921,7 @@ pub fn exec_lanes<D: Domain>(
             };
             Ok(RunResult {
                 ret: fin.ret,
-                arrays: array_outs(prog, |j| {
-                    (0..arr_len[j])
-                        .map(|e| arrays[j][e * w + l].clone())
-                        .collect()
-                }),
+                arrays: std::mem::take(&mut lane_arrays[l]),
                 stats,
             })
         })
@@ -932,7 +934,7 @@ mod tests {
     use crate::domain::UnsoundF64;
     use crate::exec::exec;
     use crate::program::{compile_program, encode};
-    use safegen_affine::{AaConfig, AaContext, AffineF64};
+    use safegen_affine::{AaConfig, AaContext, Affine, AffineF64};
     use safegen_cfront::{analyze, parse};
 
     fn compile(src: &str) -> Program {
@@ -1136,6 +1138,102 @@ mod tests {
             let got = got.unwrap();
             assert_eq!(got.stats, want.stats, "lane {l}");
             assert!(got.ret.is_none());
+        }
+    }
+
+    /// Every aliasing of an FP result register with its operands —
+    /// `x = x∘x`, `x = x∘y`, `x = y∘x`, in place over one register — must
+    /// give the scalar and the lane interpreter the same bits as the
+    /// by-value operations on fresh values.
+    #[test]
+    fn aliased_destinations_match_by_value_ops() {
+        use crate::program::{Instr, ParamBinding};
+        use safegen_affine::{CenterValue, Dd, Protect};
+        let code = vec![
+            Instr::Mul(0, 0, 0),
+            Instr::Add(0, 0, 1),
+            Instr::Sub(0, 1, 0),
+            Instr::Div(0, 0, 1),
+            Instr::Div(0, 1, 0),
+            Instr::Mul(0, 0, 1),
+            Instr::Sub(0, 0, 0),
+            Instr::Add(0, 1, 0),
+            Instr::Sqrt(0, 0),
+            Instr::Neg(0, 0),
+            Instr::Max(0, 0, 1),
+            Instr::Abs(0, 0),
+            Instr::Min(0, 1, 0),
+            Instr::MovF(1, 0),
+            Instr::Mul(0, 0, 1),
+            Instr::Ret(Some(0)),
+        ];
+        let p = Program {
+            name: "alias".into(),
+            spans: vec![Default::default(); code.len()],
+            code,
+            n_fregs: 2,
+            n_iregs: 1,
+            arrays: Vec::new(),
+            params: vec![
+                ("x".into(), ParamBinding::Float(0)),
+                ("y".into(), ParamBinding::Float(1)),
+            ],
+        };
+        // The same sequence through the by-value methods.
+        fn by_value<C: CenterValue>(x0: f64, y0: f64, cx: &AaContext) -> Affine<C> {
+            let n = Protect::None;
+            let mut x = Affine::<C>::from_input(x0, cx);
+            let mut y = Affine::<C>::from_input(y0, cx);
+            x = x.mul(&x, cx, n);
+            x = x.add(&y, cx, n);
+            x = y.sub(&x, cx, n);
+            x = x.div(&y, cx, n);
+            x = y.div(&x, cx, n);
+            x = x.mul(&y, cx, n);
+            x = x.sub(&x, cx, n);
+            x = y.add(&x, cx, n);
+            x = x.sqrt(cx, n);
+            x = x.neg();
+            x = x.max(&y, cx);
+            x = x.abs(cx);
+            x = y.min(&x, cx);
+            y = x.clone();
+            x.mul(&y, cx, n)
+        }
+        fn check<C: CenterValue>(p: &Program, config: AaConfig)
+        where
+            Affine<C>: Domain<Ctx = AaContext>,
+        {
+            let fixed = encode(p).unwrap();
+            let inputs: Vec<Vec<ArgValue>> = (0..4)
+                .map(|l| vec![(0.3 + 0.1 * l as f64).into(), (1.7 - 0.2 * l as f64).into()])
+                .collect();
+            let cxs: Vec<AaContext> = (0..4).map(|_| AaContext::new(config)).collect();
+            let lanes = exec_lanes::<Affine<C>>(p, &fixed, &inputs, &cxs);
+            for (l, lane) in lanes.into_iter().enumerate() {
+                let [ArgValue::Float(x0), ArgValue::Float(y0)] = inputs[l][..] else {
+                    unreachable!()
+                };
+                let want = by_value::<C>(x0, y0, &AaContext::new(config));
+                let scalar = exec::<Affine<C>>(p, &inputs[l], &AaContext::new(config)).unwrap();
+                for (what, got) in [("scalar", scalar), ("lanes", lane.unwrap())] {
+                    let got = got.ret.unwrap();
+                    let bits = |v: &Affine<C>| {
+                        let terms: Vec<(u64, u64)> = v
+                            .terms()
+                            .iter()
+                            .map(|t| (t.id, t.coeff.to_bits()))
+                            .collect();
+                        (format!("{:?}", v.center()), v.acc_noise().to_bits(), terms)
+                    };
+                    assert_eq!(bits(&got), bits(&want), "{what} lane {l} {config:?}");
+                }
+            }
+        }
+        for (k, m) in [(4, "dsnv"), (4, "dsnn"), (8, "ssnn"), (2, "sonn")] {
+            let (config, _) = AaConfig::parse_mnemonic(k, m).unwrap();
+            check::<f64>(&p, config);
+            check::<Dd>(&p, config);
         }
     }
 
