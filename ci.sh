@@ -23,6 +23,9 @@ build_release() {
 echo "== cargo build --release =="
 cargo build --release --workspace
 
+echo "== benchmark package builds (its own workspace, against the library API) =="
+cargo build --release --offline --manifest-path crates/bench/src/bin/perf/Cargo.toml
+
 echo "== cargo test =="
 cargo test -q --workspace
 

@@ -278,40 +278,6 @@ impl<C: CenterValue> Affine<C> {
         }
     }
 
-    /// The least-upper-bound hull of two forms, as a fresh condensed form.
-    ///
-    /// All symbol correlation is deliberately dropped: the result is a
-    /// single-symbol form over the union of the two ranges (noise-term
-    /// condensation). Keeping correlated terms across a control-flow join
-    /// would be unsound for loop-carried variables — `x = 1.0 - x` flips
-    /// the sign of every coefficient each trip, so the "shared" symbols of
-    /// successive iterations do not co-vary.
-    pub fn join(&self, other: &Affine<C>, ctx: &AaContext) -> Affine<C> {
-        let (alo, ahi) = self.range();
-        let (blo, bhi) = other.range();
-        if alo.is_nan() || ahi.is_nan() || blo.is_nan() || bhi.is_nan() {
-            return Affine::entire(ctx);
-        }
-        Affine::from_range_outward(alo.min(blo), ahi.max(bhi), ctx)
-    }
-
-    /// The standard widening operator on the range hulls: any endpoint of
-    /// `next` that escapes `self`'s range jumps straight to ±∞, so an
-    /// ascending chain of widenings stabilizes after at most two steps.
-    /// Like [`Affine::join`] the result is condensed to a single fresh
-    /// symbol; the practical consequence of a widened endpoint is
-    /// [`Affine::entire`] (see [`Affine::from_range_outward`]).
-    pub fn widen(&self, next: &Affine<C>, ctx: &AaContext) -> Affine<C> {
-        let (slo, shi) = self.range();
-        let (nlo, nhi) = next.range();
-        if slo.is_nan() || shi.is_nan() || nlo.is_nan() || nhi.is_nan() {
-            return Affine::entire(ctx);
-        }
-        let lo = if nlo < slo { f64::NEG_INFINITY } else { slo };
-        let hi = if nhi > shi { f64::INFINITY } else { shi };
-        Affine::from_range_outward(lo, hi, ctx)
-    }
-
     /// The "anything" form: infinite radius, certifies nothing. Produced by
     /// division through zero and overflow.
     pub fn entire(ctx: &AaContext) -> Affine<C> {
@@ -468,13 +434,6 @@ impl<C: CenterValue> Affine<C> {
                 .zip(coeffs.iter())
                 .any(|(&id, &c)| id != NO_SYMBOL && c.is_nan()),
         }
-    }
-
-    /// `err(â)` — paper eq. 11, the base-2 log of the number of `f64`
-    /// values inside the range.
-    pub fn err_bits(&self) -> f64 {
-        let (lo, hi) = self.range();
-        metrics::err_bits(lo, hi)
     }
 
     /// `acc(â) = 53 − err(â)` — certified bits on the `f64` grid
@@ -743,32 +702,5 @@ mod tests {
         let x = AffineF64::from_range_outward(f64::MAX.next_down(), f64::MAX, &ctx);
         let (rlo, rhi) = x.range();
         assert!(rlo <= f64::MAX.next_down() && f64::MAX <= rhi);
-    }
-
-    #[test]
-    fn join_and_widen_dominate_ranges_and_drop_correlation() {
-        let ctx = ctx_sorted(8);
-        let a = AffineF64::from_interval(-1.0, 2.0, &ctx);
-        let b = AffineF64::from_interval(1.5, 3.0, &ctx);
-        let j = a.join(&b, &ctx);
-        let (jlo, jhi) = j.range();
-        assert!(jlo <= -1.0 && 3.0 <= jhi, "join [{jlo}, {jhi}]");
-        // The join is condensed to a single fresh symbol: keeping the
-        // inputs' symbols across a loop join would be unsound — the
-        // `x = 1.0 - x` flip makes successive trips anti-correlated.
-        assert!(j.n_symbols() <= 1, "join not condensed: {}", j.n_symbols());
-
-        // widen ⊒ join on the ranges, and an ascending chain stabilizes
-        // after at most two applications per endpoint.
-        let w = a.widen(&b, &ctx);
-        let (wlo, whi) = w.range();
-        assert!(wlo <= jlo && jhi <= whi);
-        let w2 = w.widen(&AffineF64::from_interval(-5.0, 100.0, &ctx), &ctx);
-        let w3 = w2.widen(&AffineF64::from_interval(-1e300, 1e300, &ctx), &ctx);
-        let (lo3, hi3) = w3.range();
-        assert_eq!((lo3, hi3), (f64::NEG_INFINITY, f64::INFINITY));
-        let w4 = w3.widen(&AffineF64::from_interval(-1e308, 1e308, &ctx), &ctx);
-        let (lo4, hi4) = w4.range();
-        assert_eq!((lo4, hi4), (lo3, hi3), "widening chain did not stabilize");
     }
 }

@@ -1,5 +1,5 @@
-//! Affine operations: add, sub, mul, div, sqrt, negation, comparisons, and
-//! the range-clipping helpers the benchmarks need.
+//! Affine operations: add, sub, mul, div, sqrt, negation, abs, min/max and
+//! comparisons.
 //!
 //! Every operation follows the same shape:
 //!
@@ -294,21 +294,10 @@ impl<C: CenterValue> Affine<C> {
         }
     }
 
-    /// `α·â + ζ ± δ` — the shared backbone of [`Affine::recip`] and
-    /// [`Affine::sqrt`]: scales the affine part (keeping correlations),
-    /// shifts the center, and adds `δ` to the fresh-symbol noise.
-    pub fn linear_approx(
-        &self,
-        alpha: f64,
-        zeta: f64,
-        delta: f64,
-        ctx: &AaContext,
-        protect: Protect<'_>,
-    ) -> Affine<C> {
-        Affine::build(|out| self.linear_approx_into(alpha, zeta, delta, ctx, protect, out))
-    }
-
-    /// [`Affine::linear_approx`], written into `out`.
+    /// `α·â + ζ ± δ`, written into `out` — the shared backbone of
+    /// [`Affine::recip`] and [`Affine::sqrt`]: scales the affine part
+    /// (keeping correlations), shifts the center, and adds `δ` to the
+    /// fresh-symbol noise.
     pub(crate) fn linear_approx_into(
         &self,
         alpha: f64,
@@ -356,15 +345,6 @@ impl<C: CenterValue> Affine<C> {
         } else {
             None
         }
-    }
-
-    /// Comparison by central value — the documented fallback for branches
-    /// whose sound comparison is undecided (pivoting in `luf`; sound for
-    /// branch *selection*, see DESIGN.md §4.5).
-    pub fn cmp_center(&self, rhs: &Affine<C>) -> Ordering {
-        self.center_f64()
-            .partial_cmp(&rhs.center_f64())
-            .unwrap_or(Ordering::Equal)
     }
 
     /// Sound absolute value: exact when the sign is determined, interval
@@ -423,44 +403,6 @@ impl<C: CenterValue> Affine<C> {
                 Affine::from_range_outward_into(alo.max(blo), ahi.max(bhi), ctx, out);
             }
         }
-    }
-
-    /// Sound `max(â, lo_bound)` where the bound is an exact scalar — the
-    /// projection primitive of the fast-gradient-method benchmark. When the
-    /// comparison is undecided the result is the interval hull (correlations
-    /// to `â` are lost only in that case).
-    pub fn max_scalar(&self, bound: f64, ctx: &AaContext) -> Affine<C> {
-        let (lo, hi) = self.range();
-        if lo.is_nan() || hi.is_nan() {
-            return Affine::entire(ctx);
-        }
-        if lo >= bound {
-            self.clone()
-        } else if hi <= bound {
-            Affine::exact(bound, ctx)
-        } else {
-            Affine::from_range_outward(bound, hi, ctx)
-        }
-    }
-
-    /// Sound `min(â, hi_bound)` with an exact scalar bound.
-    pub fn min_scalar(&self, bound: f64, ctx: &AaContext) -> Affine<C> {
-        let (lo, hi) = self.range();
-        if lo.is_nan() || hi.is_nan() {
-            return Affine::entire(ctx);
-        }
-        if hi <= bound {
-            self.clone()
-        } else if lo >= bound {
-            Affine::exact(bound, ctx)
-        } else {
-            Affine::from_range_outward(lo, bound, ctx)
-        }
-    }
-
-    /// Sound clamp into `[lo_bound, hi_bound]`.
-    pub fn clip(&self, lo_bound: f64, hi_bound: f64, ctx: &AaContext) -> Affine<C> {
-        self.max_scalar(lo_bound, ctx).min_scalar(hi_bound, ctx)
     }
 
     /// Completes an operation whose merged terms are already in `self`:
@@ -775,36 +717,6 @@ mod tests {
         assert_eq!(b.try_cmp(&a), Some(Ordering::Greater));
         let o = Affine::<f64>::from_interval(0.5, 2.5, &c);
         assert_eq!(a.try_cmp(&o), None);
-        assert_eq!(a.cmp_center(&b), Ordering::Less);
-    }
-
-    #[test]
-    fn clip_preserves_inside_form() {
-        let c = ctx(8, Placement::Sorted);
-        let a = Affine::<f64>::from_interval(0.2, 0.4, &c);
-        let clipped = a.clip(0.0, 1.0, &c);
-        // Entirely inside: the very same symbols survive (correlations kept).
-        assert_eq!(clipped.symbol_ids(), a.symbol_ids());
-    }
-
-    #[test]
-    fn clip_saturates() {
-        let c = ctx(8, Placement::Sorted);
-        let a = Affine::<f64>::from_interval(2.0, 3.0, &c);
-        let clipped = a.clip(0.0, 1.0, &c);
-        assert_eq!(clipped.range(), (1.0, 1.0));
-        let b = Affine::<f64>::from_interval(-3.0, -2.0, &c);
-        assert_eq!(b.clip(0.0, 1.0, &c).range(), (0.0, 0.0));
-    }
-
-    #[test]
-    fn clip_partial_overlap_hulls() {
-        let c = ctx(8, Placement::Sorted);
-        let a = Affine::<f64>::from_interval(-0.5, 0.5, &c);
-        let clipped = a.clip(0.0, 1.0, &c);
-        let (lo, hi) = clipped.range();
-        assert!(lo <= 0.0 && hi >= 0.5);
-        assert!(hi <= 0.5 + 1e-12);
     }
 
     #[test]

@@ -67,14 +67,15 @@ pub enum FpUnOp {
 
 /// One numeric evaluation domain.
 ///
-/// `protect` carries the symbol ids a `#pragma safegen prioritize(v)`
-/// shields for this operation; domains without symbol fusion ignore it.
+/// Every operation writes its result into a value the caller owns
+/// (destination-passing, like the paper's C kernels), so a domain that
+/// keeps heap storage can reuse it. `protect` carries the symbol ids a
+/// `#pragma safegen prioritize(v)` shields for this operation; domains
+/// without symbol fusion ignore it.
 pub trait Domain: Sized + Clone {
     /// Shared evaluation state (symbol allocators etc.).
     type Ctx;
 
-    /// An input value `x ± 1 ulp(x)` (the evaluation input model).
-    fn from_input(x: f64, cx: &Self::Ctx) -> Self;
     /// A source constant (exact if integral, else `± 1 ulp`).
     fn constant(x: f64, cx: &Self::Ctx) -> Self;
     /// A sound enclosure of the raw hull `[lo, hi]` (±∞ endpoints and NaN
@@ -88,60 +89,23 @@ pub trait Domain: Sized + Clone {
         None
     }
 
-    /// Addition.
-    fn add(&self, rhs: &Self, cx: &Self::Ctx, protect: &[u64]) -> Self;
-    /// Subtraction.
-    fn sub(&self, rhs: &Self, cx: &Self::Ctx, protect: &[u64]) -> Self;
-    /// Multiplication.
-    fn mul(&self, rhs: &Self, cx: &Self::Ctx, protect: &[u64]) -> Self;
-    /// Division.
-    fn div(&self, rhs: &Self, cx: &Self::Ctx, protect: &[u64]) -> Self;
-    /// Square root.
-    fn sqrt(&self, cx: &Self::Ctx, protect: &[u64]) -> Self;
-    /// Negation.
-    fn neg(&self, cx: &Self::Ctx) -> Self;
-    /// Absolute value.
-    fn abs(&self, cx: &Self::Ctx) -> Self;
-    /// `fmin`.
-    fn min(&self, rhs: &Self, cx: &Self::Ctx) -> Self;
-    /// `fmax`.
-    fn max(&self, rhs: &Self, cx: &Self::Ctx) -> Self;
-
     /// Writes `op(a, b)` into `out`, reusing `out`'s storage where the
-    /// domain keeps any (the interpreters' destination-passing form of the
-    /// binary operations). `protect` is ignored by `Min`/`Max`, like the
-    /// by-value methods. The result is bit-identical to the by-value
-    /// method, whatever `out` held before.
-    fn bin_into(op: FpBinOp, a: &Self, b: &Self, cx: &Self::Ctx, protect: &[u64], out: &mut Self) {
-        *out = match op {
-            FpBinOp::Add => a.add(b, cx, protect),
-            FpBinOp::Sub => a.sub(b, cx, protect),
-            FpBinOp::Mul => a.mul(b, cx, protect),
-            FpBinOp::Div => a.div(b, cx, protect),
-            FpBinOp::Min => a.min(b, cx),
-            FpBinOp::Max => a.max(b, cx),
-        };
-    }
+    /// domain keeps any. `protect` is ignored by `Min`/`Max`. The result
+    /// does not depend on what `out` held before.
+    fn bin_into(op: FpBinOp, a: &Self, b: &Self, cx: &Self::Ctx, protect: &[u64], out: &mut Self);
 
     /// Unary counterpart of [`Domain::bin_into`]; `protect` is used by
     /// `Sqrt` only.
-    fn un_into(op: FpUnOp, a: &Self, cx: &Self::Ctx, protect: &[u64], out: &mut Self) {
-        *out = match op {
-            FpUnOp::Sqrt => a.sqrt(cx, protect),
-            FpUnOp::Abs => a.abs(cx),
-            FpUnOp::Neg => a.neg(cx),
-        };
-    }
+    fn un_into(op: FpUnOp, a: &Self, cx: &Self::Ctx, protect: &[u64], out: &mut Self);
 
     /// [`Domain::constant`], written into `out` like [`Domain::bin_into`].
     fn constant_into(x: f64, cx: &Self::Ctx, out: &mut Self) {
         *out = Self::constant(x, cx);
     }
 
-    /// [`Domain::from_input`], written into `out` like [`Domain::bin_into`].
-    fn from_input_into(x: f64, cx: &Self::Ctx, out: &mut Self) {
-        *out = Self::from_input(x, cx);
-    }
+    /// An input value `x ± 1 ulp(x)` (the evaluation input model),
+    /// written into `out` like [`Domain::bin_into`].
+    fn from_input_into(x: f64, cx: &Self::Ctx, out: &mut Self);
 
     /// Sound enclosing range (degenerate for the unsound domain).
     fn range(&self) -> (f64, f64);
@@ -165,24 +129,13 @@ pub trait Domain: Sized + Clone {
             None
         }
     }
-    /// The error-symbol ids of this value (for pragma protection);
-    /// empty for symbol-free domains.
-    fn symbol_ids(&self) -> Vec<u64> {
-        Vec::new()
-    }
-
-    /// The ids a `#pragma safegen prioritize` should actually protect —
-    /// like [`Domain::symbol_ids`] but capped so the protection cannot pin
-    /// the entire budget (which would force fusion onto the other
-    /// operand's symbols and lose accuracy).
-    fn protect_ids(&self, _cx: &Self::Ctx) -> Vec<u64> {
-        self.symbol_ids()
-    }
-
-    /// [`Domain::protect_ids`], written into `out` (reusing its buffer
-    /// where the domain can).
-    fn protect_ids_into(&self, cx: &Self::Ctx, out: &mut Vec<u64>) {
-        *out = self.protect_ids(cx);
+    /// The ids a `#pragma safegen prioritize` on this value protects,
+    /// written into `out` (reusing its buffer). The set is capped so the
+    /// protection cannot pin the entire budget (which would force fusion
+    /// onto the other operand's symbols and lose accuracy); empty for
+    /// symbol-free domains.
+    fn protect_ids_into(&self, _cx: &Self::Ctx, out: &mut Vec<u64>) {
+        out.clear();
     }
 
     /// Lowers the symbol budget for the next operation (variable-capacity
@@ -262,48 +215,31 @@ impl Domain for UnsoundF64 {
     type Ctx = ();
 
     #[inline]
-    fn from_input(x: f64, _: &()) -> Self {
-        UnsoundF64(x)
-    }
-    #[inline]
     fn constant(x: f64, _: &()) -> Self {
         UnsoundF64(x)
     }
     #[inline]
-    fn add(&self, rhs: &Self, _: &(), _: &[u64]) -> Self {
-        UnsoundF64(self.0 + rhs.0)
+    fn from_input_into(x: f64, _: &(), out: &mut Self) {
+        *out = UnsoundF64(x);
     }
     #[inline]
-    fn sub(&self, rhs: &Self, _: &(), _: &[u64]) -> Self {
-        UnsoundF64(self.0 - rhs.0)
+    fn bin_into(op: FpBinOp, a: &Self, b: &Self, _: &(), _: &[u64], out: &mut Self) {
+        *out = UnsoundF64(match op {
+            FpBinOp::Add => a.0 + b.0,
+            FpBinOp::Sub => a.0 - b.0,
+            FpBinOp::Mul => a.0 * b.0,
+            FpBinOp::Div => a.0 / b.0,
+            FpBinOp::Min => a.0.min(b.0),
+            FpBinOp::Max => a.0.max(b.0),
+        });
     }
     #[inline]
-    fn mul(&self, rhs: &Self, _: &(), _: &[u64]) -> Self {
-        UnsoundF64(self.0 * rhs.0)
-    }
-    #[inline]
-    fn div(&self, rhs: &Self, _: &(), _: &[u64]) -> Self {
-        UnsoundF64(self.0 / rhs.0)
-    }
-    #[inline]
-    fn sqrt(&self, _: &(), _: &[u64]) -> Self {
-        UnsoundF64(self.0.sqrt())
-    }
-    #[inline]
-    fn neg(&self, _: &()) -> Self {
-        UnsoundF64(-self.0)
-    }
-    #[inline]
-    fn abs(&self, _: &()) -> Self {
-        UnsoundF64(self.0.abs())
-    }
-    #[inline]
-    fn min(&self, rhs: &Self, _: &()) -> Self {
-        UnsoundF64(self.0.min(rhs.0))
-    }
-    #[inline]
-    fn max(&self, rhs: &Self, _: &()) -> Self {
-        UnsoundF64(self.0.max(rhs.0))
+    fn un_into(op: FpUnOp, a: &Self, _: &(), _: &[u64], out: &mut Self) {
+        *out = UnsoundF64(match op {
+            FpUnOp::Sqrt => a.0.sqrt(),
+            FpUnOp::Abs => a.0.abs(),
+            FpUnOp::Neg => -a.0,
+        });
     }
     #[inline]
     fn range(&self) -> (f64, f64) {
@@ -384,12 +320,12 @@ impl Domain for UnsoundF64 {
 impl Domain for IntervalF64 {
     type Ctx = ();
 
-    fn from_input(x: f64, _: &()) -> Self {
+    fn from_input_into(x: f64, _: &(), out: &mut Self) {
         let u = metrics::ulp(x);
-        IntervalF64::new(
+        *out = IntervalF64::new(
             safegen_fpcore::round::sub_rd(x, u),
             safegen_fpcore::round::add_ru(x, u),
-        )
+        );
     }
     fn constant(x: f64, _: &()) -> Self {
         if x.fract() == 0.0 && x.abs() < 2f64.powi(53) {
@@ -406,40 +342,23 @@ impl Domain for IntervalF64 {
         })
     }
     #[inline]
-    fn add(&self, rhs: &Self, _: &(), _: &[u64]) -> Self {
-        *self + *rhs
+    fn bin_into(op: FpBinOp, a: &Self, b: &Self, _: &(), _: &[u64], out: &mut Self) {
+        *out = match op {
+            FpBinOp::Add => *a + *b,
+            FpBinOp::Sub => *a - *b,
+            FpBinOp::Mul => *a * *b,
+            FpBinOp::Div => *a / *b,
+            FpBinOp::Min => IntervalF64::min(*a, *b),
+            FpBinOp::Max => IntervalF64::max(*a, *b),
+        };
     }
     #[inline]
-    fn sub(&self, rhs: &Self, _: &(), _: &[u64]) -> Self {
-        *self - *rhs
-    }
-    #[inline]
-    fn mul(&self, rhs: &Self, _: &(), _: &[u64]) -> Self {
-        *self * *rhs
-    }
-    #[inline]
-    fn div(&self, rhs: &Self, _: &(), _: &[u64]) -> Self {
-        *self / *rhs
-    }
-    #[inline]
-    fn sqrt(&self, _: &(), _: &[u64]) -> Self {
-        IntervalF64::sqrt(*self)
-    }
-    #[inline]
-    fn neg(&self, _: &()) -> Self {
-        -*self
-    }
-    #[inline]
-    fn abs(&self, _: &()) -> Self {
-        IntervalF64::abs(*self)
-    }
-    #[inline]
-    fn min(&self, rhs: &Self, _: &()) -> Self {
-        IntervalF64::min(*self, *rhs)
-    }
-    #[inline]
-    fn max(&self, rhs: &Self, _: &()) -> Self {
-        IntervalF64::max(*self, *rhs)
+    fn un_into(op: FpUnOp, a: &Self, _: &(), _: &[u64], out: &mut Self) {
+        *out = match op {
+            FpUnOp::Sqrt => IntervalF64::sqrt(*a),
+            FpUnOp::Abs => IntervalF64::abs(*a),
+            FpUnOp::Neg => -*a,
+        };
     }
     #[inline]
     fn range(&self) -> (f64, f64) {
@@ -475,12 +394,12 @@ impl Domain for IntervalF64 {
 impl Domain for IntervalDd {
     type Ctx = ();
 
-    fn from_input(x: f64, _: &()) -> Self {
+    fn from_input_into(x: f64, _: &(), out: &mut Self) {
         let u = metrics::ulp(x);
-        IntervalDd::new(
+        *out = IntervalDd::new(
             Dd::from(x).add_rd(Dd::from(-u)),
             Dd::from(x).add_ru(Dd::from(u)),
-        )
+        );
     }
     fn constant(x: f64, _: &()) -> Self {
         if x.fract() == 0.0 && x.abs() < 2f64.powi(53) {
@@ -497,58 +416,31 @@ impl Domain for IntervalDd {
         })
     }
     #[inline]
-    fn add(&self, rhs: &Self, _: &(), _: &[u64]) -> Self {
-        *self + *rhs
-    }
-    #[inline]
-    fn sub(&self, rhs: &Self, _: &(), _: &[u64]) -> Self {
-        *self - *rhs
-    }
-    #[inline]
-    fn mul(&self, rhs: &Self, _: &(), _: &[u64]) -> Self {
-        *self * *rhs
-    }
-    #[inline]
-    fn div(&self, rhs: &Self, _: &(), _: &[u64]) -> Self {
-        *self / *rhs
-    }
-    #[inline]
-    fn sqrt(&self, _: &(), _: &[u64]) -> Self {
-        IntervalDd::sqrt(*self)
-    }
-    #[inline]
-    fn neg(&self, _: &()) -> Self {
-        -*self
-    }
-    #[inline]
-    fn abs(&self, _: &()) -> Self {
-        IntervalDd::abs(*self)
-    }
-    fn min(&self, rhs: &Self, _: &()) -> Self {
-        let lo = if self.lo() < rhs.lo() {
-            self.lo()
-        } else {
-            rhs.lo()
+    fn bin_into(op: FpBinOp, a: &Self, b: &Self, _: &(), _: &[u64], out: &mut Self) {
+        *out = match op {
+            FpBinOp::Add => *a + *b,
+            FpBinOp::Sub => *a - *b,
+            FpBinOp::Mul => *a * *b,
+            FpBinOp::Div => *a / *b,
+            FpBinOp::Min => {
+                let lo = if a.lo() < b.lo() { a.lo() } else { b.lo() };
+                let hi = if a.hi() < b.hi() { a.hi() } else { b.hi() };
+                IntervalDd::new(lo, hi)
+            }
+            FpBinOp::Max => {
+                let lo = if a.lo() > b.lo() { a.lo() } else { b.lo() };
+                let hi = if a.hi() > b.hi() { a.hi() } else { b.hi() };
+                IntervalDd::new(lo, hi)
+            }
         };
-        let hi = if self.hi() < rhs.hi() {
-            self.hi()
-        } else {
-            rhs.hi()
-        };
-        IntervalDd::new(lo, hi)
     }
-    fn max(&self, rhs: &Self, _: &()) -> Self {
-        let lo = if self.lo() > rhs.lo() {
-            self.lo()
-        } else {
-            rhs.lo()
+    #[inline]
+    fn un_into(op: FpUnOp, a: &Self, _: &(), _: &[u64], out: &mut Self) {
+        *out = match op {
+            FpUnOp::Sqrt => IntervalDd::sqrt(*a),
+            FpUnOp::Abs => IntervalDd::abs(*a),
+            FpUnOp::Neg => -*a,
         };
-        let hi = if self.hi() > rhs.hi() {
-            self.hi()
-        } else {
-            rhs.hi()
-        };
-        IntervalDd::new(lo, hi)
     }
     fn range(&self) -> (f64, f64) {
         // Outward-rounded f64 projection.
@@ -575,7 +467,8 @@ impl Domain for IntervalDd {
             FpBinOp::Sub => cols::sub_cols_dd(a, b, out),
             FpBinOp::Mul => cols::mul_cols_dd(a, b, out),
             FpBinOp::Div => cols::div_cols_dd(a, b, out),
-            // min/max of IntervalDd is hand-rolled above, not a column op.
+            // min/max of IntervalDd is hand-rolled in `bin_into`, not a
+            // column op.
             FpBinOp::Min | FpBinOp::Max => return false,
         }
         true
@@ -598,50 +491,11 @@ impl Domain for IntervalDd {
 impl<C: CenterValue> Domain for Affine<C> {
     type Ctx = AaContext;
 
-    fn from_input(x: f64, cx: &AaContext) -> Self {
-        Affine::from_input(x, cx)
-    }
     fn constant(x: f64, cx: &AaContext) -> Self {
         Affine::constant(x, cx)
     }
     fn from_range(lo: f64, hi: f64, cx: &AaContext) -> Option<Self> {
         Some(Affine::from_range_outward(lo, hi, cx))
-    }
-    #[inline]
-    fn add(&self, rhs: &Self, cx: &AaContext, protect: &[u64]) -> Self {
-        Affine::add(self, rhs, cx, prot(protect))
-    }
-    #[inline]
-    fn sub(&self, rhs: &Self, cx: &AaContext, protect: &[u64]) -> Self {
-        Affine::sub(self, rhs, cx, prot(protect))
-    }
-    #[inline]
-    fn mul(&self, rhs: &Self, cx: &AaContext, protect: &[u64]) -> Self {
-        Affine::mul(self, rhs, cx, prot(protect))
-    }
-    #[inline]
-    fn div(&self, rhs: &Self, cx: &AaContext, protect: &[u64]) -> Self {
-        Affine::div(self, rhs, cx, prot(protect))
-    }
-    #[inline]
-    fn sqrt(&self, cx: &AaContext, protect: &[u64]) -> Self {
-        Affine::sqrt(self, cx, prot(protect))
-    }
-    #[inline]
-    fn neg(&self, _: &AaContext) -> Self {
-        Affine::neg(self)
-    }
-    #[inline]
-    fn abs(&self, cx: &AaContext) -> Self {
-        Affine::abs(self, cx)
-    }
-    #[inline]
-    fn min(&self, rhs: &Self, cx: &AaContext) -> Self {
-        Affine::min(self, rhs, cx)
-    }
-    #[inline]
-    fn max(&self, rhs: &Self, cx: &AaContext) -> Self {
-        Affine::max(self, rhs, cx)
     }
     #[inline]
     fn bin_into(op: FpBinOp, a: &Self, b: &Self, cx: &AaContext, protect: &[u64], out: &mut Self) {
@@ -678,14 +532,6 @@ impl<C: CenterValue> Domain for Affine<C> {
     #[inline]
     fn center(&self) -> f64 {
         self.center_f64()
-    }
-    #[inline]
-    fn symbol_ids(&self) -> Vec<u64> {
-        Affine::symbol_ids(self)
-    }
-    #[inline]
-    fn protect_ids(&self, cx: &AaContext) -> Vec<u64> {
-        Affine::protect_ids(self, protect_limit(cx))
     }
     #[inline]
     fn protect_ids_into(&self, cx: &AaContext, out: &mut Vec<u64>) {
@@ -741,77 +587,79 @@ fn prot(ids: &[u64]) -> Protect<'_> {
 impl Domain for YalaaAff0 {
     type Ctx = BaselineCtx;
 
-    fn from_input(x: f64, cx: &BaselineCtx) -> Self {
-        YalaaAff0::from_input(x, cx)
-    }
     fn constant(x: f64, cx: &BaselineCtx) -> Self {
         YalaaAff0::constant(x, cx)
+    }
+    fn from_input_into(x: f64, cx: &BaselineCtx, out: &mut Self) {
+        *out = YalaaAff0::from_input(x, cx);
     }
     fn from_range(lo: f64, hi: f64, cx: &BaselineCtx) -> Option<Self> {
         Some(interval_to_aff0(lo, hi, cx))
     }
-    fn add(&self, rhs: &Self, cx: &BaselineCtx, _: &[u64]) -> Self {
-        YalaaAff0::add(self, rhs, cx)
+    fn bin_into(op: FpBinOp, a: &Self, b: &Self, cx: &BaselineCtx, _: &[u64], out: &mut Self) {
+        *out = match op {
+            FpBinOp::Add => YalaaAff0::add(a, b, cx),
+            FpBinOp::Sub => YalaaAff0::sub(a, b, cx),
+            FpBinOp::Mul => YalaaAff0::mul(a, b, cx),
+            FpBinOp::Div => {
+                // Interval-based reciprocal (Yalaa supports division
+                // through its ChebyshevFP approximation; an interval
+                // fallback is sound and the benchmarks barely divide).
+                let (lo, hi) = YalaaAff0::range(b);
+                if lo <= 0.0 && hi >= 0.0 {
+                    interval_to_aff0(f64::NEG_INFINITY, f64::INFINITY, cx)
+                } else {
+                    let q = IntervalF64::new(a.range().0, a.range().1) / IntervalF64::new(lo, hi);
+                    interval_to_aff0(q.lo(), q.hi(), cx)
+                }
+            }
+            FpBinOp::Min => {
+                let (alo, ahi) = YalaaAff0::range(a);
+                let (blo, bhi) = YalaaAff0::range(b);
+                if ahi <= blo {
+                    a.clone()
+                } else if bhi <= alo {
+                    b.clone()
+                } else {
+                    interval_to_aff0(alo.min(blo), ahi.min(bhi), cx)
+                }
+            }
+            FpBinOp::Max => {
+                let (alo, ahi) = YalaaAff0::range(a);
+                let (blo, bhi) = YalaaAff0::range(b);
+                if alo >= bhi {
+                    a.clone()
+                } else if blo >= ahi {
+                    b.clone()
+                } else {
+                    interval_to_aff0(alo.max(blo), ahi.max(bhi), cx)
+                }
+            }
+        };
     }
-    fn sub(&self, rhs: &Self, cx: &BaselineCtx, _: &[u64]) -> Self {
-        YalaaAff0::sub(self, rhs, cx)
-    }
-    fn mul(&self, rhs: &Self, cx: &BaselineCtx, _: &[u64]) -> Self {
-        YalaaAff0::mul(self, rhs, cx)
-    }
-    fn div(&self, rhs: &Self, cx: &BaselineCtx, _: &[u64]) -> Self {
-        // Interval-based reciprocal (Yalaa supports division through its
-        // ChebyshevFP approximation; an interval fallback is sound and
-        // the benchmarks barely divide).
-        let (lo, hi) = YalaaAff0::range(rhs);
-        if lo <= 0.0 && hi >= 0.0 {
-            return interval_to_aff0(f64::NEG_INFINITY, f64::INFINITY, cx);
-        }
-        let q = IntervalF64::new(self.range().0, self.range().1) / IntervalF64::new(lo, hi);
-        interval_to_aff0(q.lo(), q.hi(), cx)
-    }
-    fn sqrt(&self, cx: &BaselineCtx, _: &[u64]) -> Self {
-        let (lo, hi) = YalaaAff0::range(self);
-        if lo < 0.0 {
-            return interval_to_aff0(f64::NEG_INFINITY, f64::INFINITY, cx);
-        }
-        let r = IntervalF64::new(lo, hi).sqrt();
-        interval_to_aff0(r.lo(), r.hi(), cx)
-    }
-    fn neg(&self, _: &BaselineCtx) -> Self {
-        YalaaAff0::neg(self)
-    }
-    fn abs(&self, cx: &BaselineCtx) -> Self {
-        let (lo, hi) = YalaaAff0::range(self);
-        if lo >= 0.0 {
-            self.clone()
-        } else if hi <= 0.0 {
-            YalaaAff0::neg(self)
-        } else {
-            interval_to_aff0(0.0, hi.max(-lo), cx)
-        }
-    }
-    fn min(&self, rhs: &Self, cx: &BaselineCtx) -> Self {
-        let (alo, ahi) = YalaaAff0::range(self);
-        let (blo, bhi) = YalaaAff0::range(rhs);
-        if ahi <= blo {
-            self.clone()
-        } else if bhi <= alo {
-            rhs.clone()
-        } else {
-            interval_to_aff0(alo.min(blo), ahi.min(bhi), cx)
-        }
-    }
-    fn max(&self, rhs: &Self, cx: &BaselineCtx) -> Self {
-        let (alo, ahi) = YalaaAff0::range(self);
-        let (blo, bhi) = YalaaAff0::range(rhs);
-        if alo >= bhi {
-            self.clone()
-        } else if blo >= ahi {
-            rhs.clone()
-        } else {
-            interval_to_aff0(alo.max(blo), ahi.max(bhi), cx)
-        }
+    fn un_into(op: FpUnOp, a: &Self, cx: &BaselineCtx, _: &[u64], out: &mut Self) {
+        *out = match op {
+            FpUnOp::Sqrt => {
+                let (lo, hi) = YalaaAff0::range(a);
+                if lo < 0.0 {
+                    interval_to_aff0(f64::NEG_INFINITY, f64::INFINITY, cx)
+                } else {
+                    let r = IntervalF64::new(lo, hi).sqrt();
+                    interval_to_aff0(r.lo(), r.hi(), cx)
+                }
+            }
+            FpUnOp::Neg => YalaaAff0::neg(a),
+            FpUnOp::Abs => {
+                let (lo, hi) = YalaaAff0::range(a);
+                if lo >= 0.0 {
+                    a.clone()
+                } else if hi <= 0.0 {
+                    YalaaAff0::neg(a)
+                } else {
+                    interval_to_aff0(0.0, hi.max(-lo), cx)
+                }
+            }
+        };
     }
     fn range(&self) -> (f64, f64) {
         YalaaAff0::range(self)
@@ -845,84 +693,82 @@ fn interval_to_aff0(lo: f64, hi: f64, cx: &BaselineCtx) -> YalaaAff0 {
 impl Domain for YalaaAff1 {
     type Ctx = BaselineCtx;
 
-    fn from_input(x: f64, cx: &BaselineCtx) -> Self {
-        YalaaAff1::from_input(x, cx)
-    }
     fn constant(x: f64, cx: &BaselineCtx) -> Self {
         YalaaAff1::constant(x, cx)
+    }
+    fn from_input_into(x: f64, cx: &BaselineCtx, out: &mut Self) {
+        *out = YalaaAff1::from_input(x, cx);
     }
     fn from_range(lo: f64, hi: f64, cx: &BaselineCtx) -> Option<Self> {
         let (m, r) = mid_rad(lo, hi);
         Some(YalaaAff1::with_noise(m, r, cx))
     }
-    fn add(&self, rhs: &Self, _: &BaselineCtx, _: &[u64]) -> Self {
-        YalaaAff1::add(self, rhs)
-    }
-    fn sub(&self, rhs: &Self, _: &BaselineCtx, _: &[u64]) -> Self {
-        YalaaAff1::sub(self, rhs)
-    }
-    fn mul(&self, rhs: &Self, _: &BaselineCtx, _: &[u64]) -> Self {
-        YalaaAff1::mul(self, rhs)
-    }
-    fn div(&self, rhs: &Self, cx: &BaselineCtx, _: &[u64]) -> Self {
-        let (lo, hi) = YalaaAff1::range(rhs);
-        if lo <= 0.0 && hi >= 0.0 {
-            return YalaaAff1::with_noise(f64::NAN, f64::INFINITY, cx);
-        }
-        let q = IntervalF64::new(self.range().0, self.range().1) / IntervalF64::new(lo, hi);
-        let (m, r) = mid_rad(q.lo(), q.hi());
-        YalaaAff1::with_noise(m, r, cx)
-    }
-    fn sqrt(&self, cx: &BaselineCtx, _: &[u64]) -> Self {
-        let (lo, hi) = YalaaAff1::range(self);
-        if lo < 0.0 {
-            return YalaaAff1::with_noise(f64::NAN, f64::INFINITY, cx);
-        }
-        let rr = IntervalF64::new(lo, hi).sqrt();
-        let (m, r) = mid_rad(rr.lo(), rr.hi());
-        YalaaAff1::with_noise(m, r, cx)
-    }
-    fn neg(&self, _: &BaselineCtx) -> Self {
-        YalaaAff1::neg(self)
-    }
-    fn abs(&self, cx: &BaselineCtx) -> Self {
-        let (lo, hi) = YalaaAff1::range(self);
-        if lo >= 0.0 {
-            self.clone()
-        } else if hi <= 0.0 {
-            YalaaAff1::neg(self)
-        } else {
-            {
-                let (m, r) = mid_rad(0.0, hi.max(-lo));
-                YalaaAff1::with_noise(m, r, cx)
+    fn bin_into(op: FpBinOp, a: &Self, b: &Self, cx: &BaselineCtx, _: &[u64], out: &mut Self) {
+        *out = match op {
+            FpBinOp::Add => YalaaAff1::add(a, b),
+            FpBinOp::Sub => YalaaAff1::sub(a, b),
+            FpBinOp::Mul => YalaaAff1::mul(a, b),
+            FpBinOp::Div => {
+                let (lo, hi) = YalaaAff1::range(b);
+                if lo <= 0.0 && hi >= 0.0 {
+                    YalaaAff1::with_noise(f64::NAN, f64::INFINITY, cx)
+                } else {
+                    let q = IntervalF64::new(a.range().0, a.range().1) / IntervalF64::new(lo, hi);
+                    let (m, r) = mid_rad(q.lo(), q.hi());
+                    YalaaAff1::with_noise(m, r, cx)
+                }
             }
-        }
+            FpBinOp::Min => {
+                let (alo, ahi) = YalaaAff1::range(a);
+                let (blo, bhi) = YalaaAff1::range(b);
+                if ahi <= blo {
+                    a.clone()
+                } else if bhi <= alo {
+                    b.clone()
+                } else {
+                    let (m, r) = mid_rad(alo.min(blo), ahi.min(bhi));
+                    YalaaAff1::with_noise(m, r, cx)
+                }
+            }
+            FpBinOp::Max => {
+                let (alo, ahi) = YalaaAff1::range(a);
+                let (blo, bhi) = YalaaAff1::range(b);
+                if alo >= bhi {
+                    a.clone()
+                } else if blo >= ahi {
+                    b.clone()
+                } else {
+                    let (m, r) = mid_rad(alo.max(blo), ahi.max(bhi));
+                    YalaaAff1::with_noise(m, r, cx)
+                }
+            }
+        };
     }
-    fn min(&self, rhs: &Self, cx: &BaselineCtx) -> Self {
-        let (alo, ahi) = YalaaAff1::range(self);
-        let (blo, bhi) = YalaaAff1::range(rhs);
-        if ahi <= blo {
-            self.clone()
-        } else if bhi <= alo {
-            rhs.clone()
-        } else {
-            let (lo, hi) = (alo.min(blo), ahi.min(bhi));
-            let (m, r) = mid_rad(lo, hi);
-            YalaaAff1::with_noise(m, r, cx)
-        }
-    }
-    fn max(&self, rhs: &Self, cx: &BaselineCtx) -> Self {
-        let (alo, ahi) = YalaaAff1::range(self);
-        let (blo, bhi) = YalaaAff1::range(rhs);
-        if alo >= bhi {
-            self.clone()
-        } else if blo >= ahi {
-            rhs.clone()
-        } else {
-            let (lo, hi) = (alo.max(blo), ahi.max(bhi));
-            let (m, r) = mid_rad(lo, hi);
-            YalaaAff1::with_noise(m, r, cx)
-        }
+    fn un_into(op: FpUnOp, a: &Self, cx: &BaselineCtx, _: &[u64], out: &mut Self) {
+        *out = match op {
+            FpUnOp::Sqrt => {
+                let (lo, hi) = YalaaAff1::range(a);
+                if lo < 0.0 {
+                    YalaaAff1::with_noise(f64::NAN, f64::INFINITY, cx)
+                } else {
+                    let rr = IntervalF64::new(lo, hi).sqrt();
+                    let (m, r) = mid_rad(rr.lo(), rr.hi());
+                    YalaaAff1::with_noise(m, r, cx)
+                }
+            }
+            FpUnOp::Neg => YalaaAff1::neg(a),
+            FpUnOp::Abs => {
+                let (lo, hi) = YalaaAff1::range(a);
+                if lo >= 0.0 {
+                    a.clone()
+                } else if hi <= 0.0 {
+                    YalaaAff1::neg(a)
+                } else {
+                    let (m, r) = mid_rad(0.0, hi.max(-lo));
+                    YalaaAff1::with_noise(m, r, cx)
+                }
+            }
+        };
     }
     fn range(&self) -> (f64, f64) {
         YalaaAff1::range(self)
@@ -945,84 +791,82 @@ pub struct CeresCtx {
 impl Domain for CeresAffine {
     type Ctx = CeresCtx;
 
-    fn from_input(x: f64, cx: &CeresCtx) -> Self {
-        CeresAffine::from_input(x, cx.k, &cx.ctx)
-    }
     fn constant(x: f64, cx: &CeresCtx) -> Self {
         CeresAffine::constant(x, cx.k, &cx.ctx)
+    }
+    fn from_input_into(x: f64, cx: &CeresCtx, out: &mut Self) {
+        *out = CeresAffine::from_input(x, cx.k, &cx.ctx);
     }
     fn from_range(lo: f64, hi: f64, cx: &CeresCtx) -> Option<Self> {
         let (m, r) = mid_rad(lo, hi);
         Some(CeresAffine::with_symbol(m, r, cx.k, &cx.ctx))
     }
-    fn add(&self, rhs: &Self, cx: &CeresCtx, _: &[u64]) -> Self {
-        CeresAffine::add(self, rhs, &cx.ctx)
-    }
-    fn sub(&self, rhs: &Self, cx: &CeresCtx, _: &[u64]) -> Self {
-        CeresAffine::sub(self, rhs, &cx.ctx)
-    }
-    fn mul(&self, rhs: &Self, cx: &CeresCtx, _: &[u64]) -> Self {
-        CeresAffine::mul(self, rhs, &cx.ctx)
-    }
-    fn div(&self, rhs: &Self, cx: &CeresCtx, _: &[u64]) -> Self {
-        let (lo, hi) = CeresAffine::range(rhs);
-        if lo <= 0.0 && hi >= 0.0 {
-            return CeresAffine::with_symbol(f64::NAN, f64::INFINITY, cx.k, &cx.ctx);
-        }
-        let q = IntervalF64::new(self.range().0, self.range().1) / IntervalF64::new(lo, hi);
-        let (m, r) = mid_rad(q.lo(), q.hi());
-        CeresAffine::with_symbol(m, r, cx.k, &cx.ctx)
-    }
-    fn sqrt(&self, cx: &CeresCtx, _: &[u64]) -> Self {
-        let (lo, hi) = CeresAffine::range(self);
-        if lo < 0.0 {
-            return CeresAffine::with_symbol(f64::NAN, f64::INFINITY, cx.k, &cx.ctx);
-        }
-        let rr = IntervalF64::new(lo, hi).sqrt();
-        let (m, r) = mid_rad(rr.lo(), rr.hi());
-        CeresAffine::with_symbol(m, r, cx.k, &cx.ctx)
-    }
-    fn neg(&self, _: &CeresCtx) -> Self {
-        CeresAffine::neg(self)
-    }
-    fn abs(&self, cx: &CeresCtx) -> Self {
-        let (lo, hi) = CeresAffine::range(self);
-        if lo >= 0.0 {
-            self.clone()
-        } else if hi <= 0.0 {
-            CeresAffine::neg(self)
-        } else {
-            {
-                let (m, r) = mid_rad(0.0, hi.max(-lo));
-                CeresAffine::with_symbol(m, r, cx.k, &cx.ctx)
+    fn bin_into(op: FpBinOp, a: &Self, b: &Self, cx: &CeresCtx, _: &[u64], out: &mut Self) {
+        *out = match op {
+            FpBinOp::Add => CeresAffine::add(a, b, &cx.ctx),
+            FpBinOp::Sub => CeresAffine::sub(a, b, &cx.ctx),
+            FpBinOp::Mul => CeresAffine::mul(a, b, &cx.ctx),
+            FpBinOp::Div => {
+                let (lo, hi) = CeresAffine::range(b);
+                if lo <= 0.0 && hi >= 0.0 {
+                    CeresAffine::with_symbol(f64::NAN, f64::INFINITY, cx.k, &cx.ctx)
+                } else {
+                    let q = IntervalF64::new(a.range().0, a.range().1) / IntervalF64::new(lo, hi);
+                    let (m, r) = mid_rad(q.lo(), q.hi());
+                    CeresAffine::with_symbol(m, r, cx.k, &cx.ctx)
+                }
             }
-        }
+            FpBinOp::Min => {
+                let (alo, ahi) = CeresAffine::range(a);
+                let (blo, bhi) = CeresAffine::range(b);
+                if ahi <= blo {
+                    a.clone()
+                } else if bhi <= alo {
+                    b.clone()
+                } else {
+                    let (m, r) = mid_rad(alo.min(blo), ahi.min(bhi));
+                    CeresAffine::with_symbol(m, r, cx.k, &cx.ctx)
+                }
+            }
+            FpBinOp::Max => {
+                let (alo, ahi) = CeresAffine::range(a);
+                let (blo, bhi) = CeresAffine::range(b);
+                if alo >= bhi {
+                    a.clone()
+                } else if blo >= ahi {
+                    b.clone()
+                } else {
+                    let (m, r) = mid_rad(alo.max(blo), ahi.max(bhi));
+                    CeresAffine::with_symbol(m, r, cx.k, &cx.ctx)
+                }
+            }
+        };
     }
-    fn min(&self, rhs: &Self, cx: &CeresCtx) -> Self {
-        let (alo, ahi) = CeresAffine::range(self);
-        let (blo, bhi) = CeresAffine::range(rhs);
-        if ahi <= blo {
-            self.clone()
-        } else if bhi <= alo {
-            rhs.clone()
-        } else {
-            let (lo, hi) = (alo.min(blo), ahi.min(bhi));
-            let (m, r) = mid_rad(lo, hi);
-            CeresAffine::with_symbol(m, r, cx.k, &cx.ctx)
-        }
-    }
-    fn max(&self, rhs: &Self, cx: &CeresCtx) -> Self {
-        let (alo, ahi) = CeresAffine::range(self);
-        let (blo, bhi) = CeresAffine::range(rhs);
-        if alo >= bhi {
-            self.clone()
-        } else if blo >= ahi {
-            rhs.clone()
-        } else {
-            let (lo, hi) = (alo.max(blo), ahi.max(bhi));
-            let (m, r) = mid_rad(lo, hi);
-            CeresAffine::with_symbol(m, r, cx.k, &cx.ctx)
-        }
+    fn un_into(op: FpUnOp, a: &Self, cx: &CeresCtx, _: &[u64], out: &mut Self) {
+        *out = match op {
+            FpUnOp::Sqrt => {
+                let (lo, hi) = CeresAffine::range(a);
+                if lo < 0.0 {
+                    CeresAffine::with_symbol(f64::NAN, f64::INFINITY, cx.k, &cx.ctx)
+                } else {
+                    let rr = IntervalF64::new(lo, hi).sqrt();
+                    let (m, r) = mid_rad(rr.lo(), rr.hi());
+                    CeresAffine::with_symbol(m, r, cx.k, &cx.ctx)
+                }
+            }
+            FpUnOp::Neg => CeresAffine::neg(a),
+            FpUnOp::Abs => {
+                let (lo, hi) = CeresAffine::range(a);
+                if lo >= 0.0 {
+                    a.clone()
+                } else if hi <= 0.0 {
+                    CeresAffine::neg(a)
+                } else {
+                    let (m, r) = mid_rad(0.0, hi.max(-lo));
+                    CeresAffine::with_symbol(m, r, cx.k, &cx.ctx)
+                }
+            }
+        };
     }
     fn range(&self) -> (f64, f64) {
         CeresAffine::range(self)
@@ -1038,12 +882,24 @@ mod tests {
     use super::*;
     use safegen_affine::AaConfig;
 
+    fn input<D: Domain>(x: f64, cx: &D::Ctx) -> D {
+        let mut out = D::constant(0.0, cx);
+        D::from_input_into(x, cx, &mut out);
+        out
+    }
+
+    fn bin<D: Domain>(op: FpBinOp, a: &D, b: &D, cx: &D::Ctx, protect: &[u64]) -> D {
+        let mut out = a.clone();
+        D::bin_into(op, a, b, cx, protect, &mut out);
+        out
+    }
+
     #[test]
     fn unsound_matches_native() {
         let cx = ();
-        let a = UnsoundF64::from_input(0.1, &cx);
-        let b = UnsoundF64::from_input(0.2, &cx);
-        let s = Domain::add(&a, &b, &cx, &[]);
+        let a: UnsoundF64 = input(0.1, &cx);
+        let b: UnsoundF64 = input(0.2, &cx);
+        let s = bin(FpBinOp::Add, &a, &b, &cx, &[]);
         assert_eq!(s.0, 0.1 + 0.2);
         assert_eq!(s.acc_bits(), 53.0); // degenerate (and unsound!) claim
         assert_eq!(s.try_lt(&a), Some(false));
@@ -1052,9 +908,9 @@ mod tests {
     #[test]
     fn interval_domain_sound() {
         let cx = ();
-        let a = <IntervalF64 as Domain>::from_input(0.1, &cx);
-        let b = <IntervalF64 as Domain>::from_input(0.2, &cx);
-        let s = Domain::add(&a, &b, &cx, &[]);
+        let a: IntervalF64 = input(0.1, &cx);
+        let b: IntervalF64 = input(0.2, &cx);
+        let s = bin(FpBinOp::Add, &a, &b, &cx, &[]);
         let (lo, hi) = Domain::range(&s);
         assert!(lo <= 0.1 + 0.2 && 0.1 + 0.2 <= hi);
     }
@@ -1062,21 +918,29 @@ mod tests {
     #[test]
     fn affine_domain_protection_plumbed() {
         let cx = AaContext::new(AaConfig::new(4));
-        let a = <Affine<f64> as Domain>::from_input(1.0, &cx);
-        let ids = Domain::symbol_ids(&a);
+        let a: Affine<f64> = input(1.0, &cx);
+        let mut ids = vec![u64::MAX; 3];
+        Domain::protect_ids_into(&a, &cx, &mut ids);
         assert_eq!(ids.len(), 1);
-        let b = <Affine<f64> as Domain>::from_input(2.0, &cx);
-        let s = Domain::mul(&a, &b, &cx, &ids);
+        let b: Affine<f64> = input(2.0, &cx);
+        let s = bin(FpBinOp::Mul, &a, &b, &cx, &ids);
         let (lo, hi) = Domain::range(&s);
         assert!(lo <= 2.0 && 2.0 <= hi);
     }
 
     #[test]
+    fn symbol_free_domains_protect_nothing() {
+        let mut ids = vec![7, 8];
+        Domain::protect_ids_into(&IntervalF64::point(1.0), &(), &mut ids);
+        assert!(ids.is_empty());
+    }
+
+    #[test]
     fn dd_interval_domain_range_outward() {
         let cx = ();
-        let a = <IntervalDd as Domain>::from_input(0.1, &cx);
-        let b = <IntervalDd as Domain>::from_input(0.3, &cx);
-        let q = Domain::div(&a, &b, &cx, &[]);
+        let a: IntervalDd = input(0.1, &cx);
+        let b: IntervalDd = input(0.3, &cx);
+        let q = bin(FpBinOp::Div, &a, &b, &cx, &[]);
         let (lo, hi) = Domain::range(&q);
         assert!(lo <= 1.0 / 3.0 && 1.0 / 3.0 <= hi);
         assert!(lo < hi);
@@ -1085,9 +949,9 @@ mod tests {
     #[test]
     fn baseline_domains_sound_on_basics() {
         let cx = BaselineCtx::new();
-        let a = <YalaaAff0 as Domain>::from_input(0.5, &cx);
-        let b = <YalaaAff0 as Domain>::from_input(0.25, &cx);
-        let p = Domain::mul(&a, &b, &cx, &[]);
+        let a: YalaaAff0 = input(0.5, &cx);
+        let b: YalaaAff0 = input(0.25, &cx);
+        let p = bin(FpBinOp::Mul, &a, &b, &cx, &[]);
         let (lo, hi) = Domain::range(&p);
         assert!(lo <= 0.125 && 0.125 <= hi);
 
@@ -1095,8 +959,8 @@ mod tests {
             ctx: BaselineCtx::new(),
             k: 8,
         };
-        let a = <CeresAffine as Domain>::from_input(0.5, &ccx);
-        let s = Domain::sub(&a, &a, &ccx, &[]);
+        let a: CeresAffine = input(0.5, &ccx);
+        let s = bin(FpBinOp::Sub, &a, &a, &ccx, &[]);
         let (lo, hi) = Domain::range(&s);
         assert!(lo <= 0.0 && 0.0 <= hi);
         assert!(hi - lo < 1e-15);
@@ -1105,9 +969,9 @@ mod tests {
     #[test]
     fn yalaa1_division_falls_back_to_interval() {
         let cx = BaselineCtx::new();
-        let a = <YalaaAff1 as Domain>::from_input(1.0, &cx);
-        let b = <YalaaAff1 as Domain>::from_input(4.0, &cx);
-        let q = Domain::div(&a, &b, &cx, &[]);
+        let a: YalaaAff1 = input(1.0, &cx);
+        let b: YalaaAff1 = input(4.0, &cx);
+        let q = bin(FpBinOp::Div, &a, &b, &cx, &[]);
         let (lo, hi) = Domain::range(&q);
         assert!(lo <= 0.25 && 0.25 <= hi);
     }
@@ -1117,9 +981,9 @@ mod tests {
         let cx = AaContext::new(AaConfig::new(8));
         let a = Affine::<f64>::from_interval(0.0, 1.0, &cx);
         let b = Affine::<f64>::from_interval(2.0, 3.0, &cx);
-        let m = Domain::min(&a, &b, &cx);
+        let m = bin(FpBinOp::Min, &a, &b, &cx, &[]);
         assert_eq!(Domain::range(&m), Domain::range(&a));
-        let mx = Domain::max(&a, &b, &cx);
+        let mx = bin(FpBinOp::Max, &a, &b, &cx, &[]);
         assert_eq!(Domain::range(&mx), Domain::range(&b));
     }
 }

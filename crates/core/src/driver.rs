@@ -118,76 +118,48 @@ fn default_loop_mode() -> LoopMode {
 }
 
 impl RunConfig {
-    /// The original unsound program.
-    pub fn unsound() -> RunConfig {
+    /// The configuration every named constructor starts from: uniform
+    /// budget, loop mode from `SAFEGEN_LOOP_MODE`, standard unroll budget.
+    fn base(kind: DomainKind, aa: AaConfig, prioritized: bool) -> RunConfig {
         RunConfig {
-            kind: DomainKind::Unsound,
-            aa: AaConfig::new(1),
-            prioritized: false,
+            kind,
+            aa,
+            prioritized,
             capacity_low: None,
             loop_mode: default_loop_mode(),
             unroll_budget: None,
         }
+    }
+
+    /// The original unsound program.
+    pub fn unsound() -> RunConfig {
+        RunConfig::base(DomainKind::Unsound, AaConfig::new(1), false)
     }
 
     /// IGen-style interval arithmetic in `f64`.
     pub fn interval_f64() -> RunConfig {
-        RunConfig {
-            kind: DomainKind::IntervalF64,
-            aa: AaConfig::new(1),
-            prioritized: false,
-            capacity_low: None,
-            loop_mode: default_loop_mode(),
-            unroll_budget: None,
-        }
+        RunConfig::base(DomainKind::IntervalF64, AaConfig::new(1), false)
     }
 
     /// IGen-style interval arithmetic in double-double.
     pub fn interval_dd() -> RunConfig {
-        RunConfig {
-            kind: DomainKind::IntervalDd,
-            aa: AaConfig::new(1),
-            prioritized: false,
-            capacity_low: None,
-            loop_mode: default_loop_mode(),
-            unroll_budget: None,
-        }
+        RunConfig::base(DomainKind::IntervalDd, AaConfig::new(1), false)
     }
 
     /// `f64a-dspv`: the paper's flagship configuration at budget `k`.
     pub fn affine_f64(k: usize) -> RunConfig {
-        RunConfig {
-            kind: DomainKind::AffineF64,
-            aa: AaConfig::new(k),
-            prioritized: true,
-            capacity_low: None,
-            loop_mode: default_loop_mode(),
-            unroll_budget: None,
-        }
+        RunConfig::base(DomainKind::AffineF64, AaConfig::new(k), true)
     }
 
     /// `f32a-dspv`: single-precision centers (`f64` coefficients).
     pub fn affine_f32(k: usize) -> RunConfig {
-        RunConfig {
-            kind: DomainKind::AffineF32,
-            aa: AaConfig::new(k),
-            prioritized: true,
-            capacity_low: None,
-            loop_mode: default_loop_mode(),
-            unroll_budget: None,
-        }
+        RunConfig::base(DomainKind::AffineF32, AaConfig::new(k), true)
     }
 
     /// `dda-dspn`: double-double centers.
     pub fn affine_dd(k: usize) -> RunConfig {
-        RunConfig {
-            kind: DomainKind::AffineDd,
-            aa: AaConfig::new(k).with_vectorized(false),
-            prioritized: true,
-            capacity_low: None,
-            loop_mode: default_loop_mode(),
-            unroll_budget: None,
-        }
+        let aa = AaConfig::new(k).with_vectorized(false);
+        RunConfig::base(DomainKind::AffineDd, aa, true)
     }
 
     /// An affine configuration from the paper's mnemonic, e.g.
@@ -198,50 +170,22 @@ impl RunConfig {
     /// Returns a message for malformed mnemonics.
     pub fn mnemonic(k: usize, m: &str) -> Result<RunConfig, String> {
         let (aa, prioritized) = AaConfig::parse_mnemonic(k, m)?;
-        Ok(RunConfig {
-            kind: DomainKind::AffineF64,
-            aa,
-            prioritized,
-            capacity_low: None,
-            loop_mode: default_loop_mode(),
-            unroll_budget: None,
-        })
+        Ok(RunConfig::base(DomainKind::AffineF64, aa, prioritized))
     }
 
     /// Yalaa `aff0` (full AA) baseline.
     pub fn yalaa_aff0() -> RunConfig {
-        RunConfig {
-            kind: DomainKind::YalaaAff0,
-            aa: AaConfig::new(1),
-            prioritized: false,
-            capacity_low: None,
-            loop_mode: default_loop_mode(),
-            unroll_budget: None,
-        }
+        RunConfig::base(DomainKind::YalaaAff0, AaConfig::new(1), false)
     }
 
     /// Yalaa `aff1` baseline.
     pub fn yalaa_aff1() -> RunConfig {
-        RunConfig {
-            kind: DomainKind::YalaaAff1,
-            aa: AaConfig::new(1),
-            prioritized: false,
-            capacity_low: None,
-            loop_mode: default_loop_mode(),
-            unroll_budget: None,
-        }
+        RunConfig::base(DomainKind::YalaaAff1, AaConfig::new(1), false)
     }
 
     /// Ceres baseline at budget `k`.
     pub fn ceres(k: usize) -> RunConfig {
-        RunConfig {
-            kind: DomainKind::Ceres,
-            aa: AaConfig::new(k),
-            prioritized: false,
-            capacity_low: None,
-            loop_mode: default_loop_mode(),
-            unroll_budget: None,
-        }
+        RunConfig::base(DomainKind::Ceres, AaConfig::new(k), false)
     }
 
     /// Parses the CLI's `--config` vocabulary (`unsound`, `ia`, `ia-dd`,

@@ -250,6 +250,20 @@ pub(crate) fn bind<'a>(param: &ParamBinding, arg: &'a ArgValue) -> Bind<'a> {
     }
 }
 
+/// Checks index `i` into array `name` of length `len`: the one bounds
+/// check of every interpreter (scalar, lanes, fixpoint), so they all
+/// report the same error for the same bad access.
+#[inline]
+pub(crate) fn array_index(i: i64, len: usize, name: &str) -> Result<usize, ExecError> {
+    match usize::try_from(i) {
+        Ok(iu) if iu < len => Ok(iu),
+        Ok(_) => Err(err(format!(
+            "index {i} out of bounds for `{name}` (len {len})"
+        ))),
+        Err(_) => Err(err("negative array index")),
+    }
+}
+
 /// The array out-parameters of a run in parameter order, `(name,
 /// values)`; `values(a)` yields the final contents of array `a`.
 pub(crate) fn array_outs<D>(
@@ -403,30 +417,22 @@ pub(crate) fn exec_inner<D: Domain, T: ExecTracer>(
                 D::constant_into(iregs[*s as usize] as f64, cx, &mut fregs[*d as usize]);
             }
             Instr::LoadArr(d, arr, idx) => {
-                let i = iregs[*idx as usize];
                 let a = &arrays[*arr as usize];
-                let v = a
-                    .get(usize::try_from(i).map_err(|_| err("negative array index"))?)
-                    .ok_or_else(|| {
-                        err(format!(
-                            "index {i} out of bounds for `{}` (len {})",
-                            prog.arrays[*arr as usize].name,
-                            a.len()
-                        ))
-                    })?;
-                fregs[*d as usize].clone_from(v);
+                let i = array_index(
+                    iregs[*idx as usize],
+                    a.len(),
+                    &prog.arrays[*arr as usize].name,
+                )?;
+                fregs[*d as usize].clone_from(&a[i]);
             }
             Instr::StoreArr(arr, idx, s) => {
-                let i = iregs[*idx as usize];
-                let name = &prog.arrays[*arr as usize].name;
                 let a = &mut arrays[*arr as usize];
-                let len = a.len();
-                let slot = a
-                    .get_mut(usize::try_from(i).map_err(|_| err("negative array index"))?)
-                    .ok_or_else(|| {
-                        err(format!("index {i} out of bounds for `{name}` (len {len})"))
-                    })?;
-                slot.clone_from(&fregs[*s as usize]);
+                let i = array_index(
+                    iregs[*idx as usize],
+                    a.len(),
+                    &prog.arrays[*arr as usize].name,
+                )?;
+                a[i].clone_from(&fregs[*s as usize]);
             }
             Instr::ConstI(d, c) => iregs[*d as usize] = *c,
             Instr::AddI(d, a, b) => iregs[*d as usize] = iregs[*a as usize] + iregs[*b as usize],

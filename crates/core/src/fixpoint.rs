@@ -43,10 +43,10 @@
 //! loop body, several distinct exit targets) bails out to one plain
 //! concrete execution of the whole program — never an unsound answer.
 
-use crate::domain::Domain;
+use crate::domain::{Domain, FpBinOp, FpUnOp};
 use crate::exec::{
-    array_outs, bind, cmp_f_sound, err, exec_inner, validate_args, ArgValue, Bind, ExecError,
-    NoTrace, RunResult, RunStats, FUEL,
+    array_index, array_outs, bind, cmp_f_sound, err, exec_inner, validate_args, ArgValue, Bind,
+    ExecError, NoTrace, RunResult, RunStats, FUEL,
 };
 use crate::program::{CmpOp, Instr, Program};
 use safegen_ir::loops::{loop_regions, LoopRegion, LoopTable};
@@ -414,6 +414,7 @@ pub(crate) fn exec_fixpoint<D: Domain>(
         table: &table,
         cfg,
         stats: RunStats::default(),
+        spare: D::constant(0.0, cx),
     };
     match engine.run_program(args) {
         Ok(result) => {
@@ -437,6 +438,8 @@ struct Engine<'p, D: Domain> {
     table: &'p LoopTable,
     cfg: &'p FixpointConfig,
     stats: RunStats,
+    /// Every FP result is computed here, then swapped into its register.
+    spare: D,
 }
 
 impl<D: Domain> Engine<'_, D> {
@@ -470,101 +473,64 @@ impl<D: Domain> Engine<'_, D> {
         self.stats.instrs += 1;
         let fp_ops_before = self.stats.fp_ops;
 
-        macro_rules! prot {
-            () => {{
-                if m.pending_protect {
+        // `$op` applied through `$into` to source registers `$src` into
+        // register `$d`, exactly like `exec_inner`'s `fp_op!`: the result
+        // is computed into the spare value and swapped in. With `consume`,
+        // the op takes the pending protect set.
+        macro_rules! fp_op {
+            ($into:ident, $op:expr, $d:expr, [$($src:expr),+], $consume:literal) => {{
+                let p: &[u64] = if $consume && m.pending_protect { &m.protect } else { &[] };
+                D::$into($op, $(&m.fregs[*$src as usize],)+ cx, p, &mut self.spare);
+                std::mem::swap(&mut m.fregs[*$d as usize], &mut self.spare);
+                if $consume && m.pending_protect {
                     m.pending_protect = false;
-                    std::mem::take(&mut m.protect)
-                } else {
-                    Vec::new()
+                    m.protect.clear();
                 }
+                self.stats.fp_ops += 1;
             }};
         }
+        // An index out of bounds in an abstract pass may be an artifact of
+        // the widened invariant; only a concrete run can tell.
+        let index = |i: i64, len: usize, name: &str| {
+            array_index(i, len, name).map_err(|e| {
+                if in_pass {
+                    FpAbort::NeedConcrete("abstract index out of bounds")
+                } else {
+                    FpAbort::Fail(e)
+                }
+            })
+        };
 
         let mut flow = Flow::Next;
         match &prog.code[pc] {
-            Instr::Add(d, a, b) => {
-                let p = prot!();
-                m.fregs[*d as usize] = m.fregs[*a as usize].add(&m.fregs[*b as usize], cx, &p);
-                self.stats.fp_ops += 1;
-            }
-            Instr::Sub(d, a, b) => {
-                let p = prot!();
-                m.fregs[*d as usize] = m.fregs[*a as usize].sub(&m.fregs[*b as usize], cx, &p);
-                self.stats.fp_ops += 1;
-            }
-            Instr::Mul(d, a, b) => {
-                let p = prot!();
-                m.fregs[*d as usize] = m.fregs[*a as usize].mul(&m.fregs[*b as usize], cx, &p);
-                self.stats.fp_ops += 1;
-            }
-            Instr::Div(d, a, b) => {
-                let p = prot!();
-                m.fregs[*d as usize] = m.fregs[*a as usize].div(&m.fregs[*b as usize], cx, &p);
-                self.stats.fp_ops += 1;
-            }
-            Instr::Sqrt(d, a) => {
-                let p = prot!();
-                m.fregs[*d as usize] = m.fregs[*a as usize].sqrt(cx, &p);
-                self.stats.fp_ops += 1;
-            }
-            Instr::Abs(d, a) => {
-                m.fregs[*d as usize] = m.fregs[*a as usize].abs(cx);
-                self.stats.fp_ops += 1;
-            }
-            Instr::Neg(d, a) => {
-                m.fregs[*d as usize] = m.fregs[*a as usize].neg(cx);
-                self.stats.fp_ops += 1;
-            }
-            Instr::Min(d, a, b) => {
-                m.fregs[*d as usize] = m.fregs[*a as usize].min(&m.fregs[*b as usize], cx);
-                self.stats.fp_ops += 1;
-            }
-            Instr::Max(d, a, b) => {
-                m.fregs[*d as usize] = m.fregs[*a as usize].max(&m.fregs[*b as usize], cx);
-                self.stats.fp_ops += 1;
-            }
-            Instr::ConstF(d, c) => {
-                m.fregs[*d as usize] = D::constant(*c, cx);
-            }
+            Instr::Add(d, a, b) => fp_op!(bin_into, FpBinOp::Add, d, [a, b], true),
+            Instr::Sub(d, a, b) => fp_op!(bin_into, FpBinOp::Sub, d, [a, b], true),
+            Instr::Mul(d, a, b) => fp_op!(bin_into, FpBinOp::Mul, d, [a, b], true),
+            Instr::Div(d, a, b) => fp_op!(bin_into, FpBinOp::Div, d, [a, b], true),
+            Instr::Sqrt(d, a) => fp_op!(un_into, FpUnOp::Sqrt, d, [a], true),
+            Instr::Abs(d, a) => fp_op!(un_into, FpUnOp::Abs, d, [a], false),
+            Instr::Neg(d, a) => fp_op!(un_into, FpUnOp::Neg, d, [a], false),
+            Instr::Min(d, a, b) => fp_op!(bin_into, FpBinOp::Min, d, [a, b], false),
+            Instr::Max(d, a, b) => fp_op!(bin_into, FpBinOp::Max, d, [a, b], false),
+            Instr::ConstF(d, c) => D::constant_into(*c, cx, &mut m.fregs[*d as usize]),
             Instr::MovF(d, s) => {
                 m.fregs[*d as usize] = m.fregs[*s as usize].clone();
             }
             Instr::CastIF(d, s) => {
                 let v = self.need_i64(m, *s)?;
-                m.fregs[*d as usize] = D::constant(v as f64, cx);
+                D::constant_into(v as f64, cx, &mut m.fregs[*d as usize]);
             }
             Instr::LoadArr(d, arr, idx) => {
                 let i = self.need_i64(m, *idx)?;
                 let a = &m.arrays[*arr as usize];
-                let Some(v) = usize::try_from(i).ok().and_then(|i| a.get(i)) else {
-                    return if in_pass {
-                        Err(FpAbort::NeedConcrete("abstract index out of bounds"))
-                    } else {
-                        Err(FpAbort::Fail(err(format!(
-                            "index {i} out of bounds for `{}` (len {})",
-                            prog.arrays[*arr as usize].name,
-                            a.len()
-                        ))))
-                    };
-                };
-                m.fregs[*d as usize] = v.clone();
+                let i = index(i, a.len(), &prog.arrays[*arr as usize].name)?;
+                m.fregs[*d as usize].clone_from(&a[i]);
             }
             Instr::StoreArr(arr, idx, s) => {
                 let i = self.need_i64(m, *idx)?;
-                let name = &prog.arrays[*arr as usize].name;
                 let a = &mut m.arrays[*arr as usize];
-                let len = a.len();
-                let Some(slot) = usize::try_from(i).ok().and_then(|i| a.get_mut(i)) else {
-                    return if in_pass {
-                        Err(FpAbort::NeedConcrete("abstract index out of bounds"))
-                    } else {
-                        Err(FpAbort::Fail(err(format!(
-                            "index {i} out of bounds for `{name}` (len {len})"
-                        ))))
-                    };
-                };
-                *slot = m.fregs[*s as usize].clone();
+                let i = index(i, a.len(), &prog.arrays[*arr as usize].name)?;
+                a[i].clone_from(&m.fregs[*s as usize]);
             }
             Instr::ConstI(d, c) => m.iregs[*d as usize] = AbsInt::Known(*c),
             Instr::AddI(d, a, b) => self.int_bin(m, *d, *a, *b, |x, y| x + y)?,
@@ -638,7 +604,7 @@ impl<D: Domain> Engine<'_, D> {
                 }
             },
             Instr::Protect(r) => {
-                m.protect = m.fregs[*r as usize].protect_ids(cx);
+                m.fregs[*r as usize].protect_ids_into(cx, &mut m.protect);
                 m.pending_protect = true;
             }
             Instr::SetCapacity(k) => {
@@ -698,10 +664,15 @@ impl<D: Domain> Engine<'_, D> {
         let (fusions_at_entry, condensations_at_entry) = D::fusion_counters(cx);
         for ((_, param), arg) in prog.params.iter().zip(args) {
             match bind(param, arg) {
-                Bind::Float(r, x) => m.fregs[r] = D::from_input(x, cx),
+                Bind::Float(r, x) => D::from_input_into(x, cx, &mut m.fregs[r]),
                 Bind::Int(r, v) => m.iregs[r] = AbsInt::Known(v),
                 Bind::Array(a, xs) => {
-                    m.arrays[a] = xs.iter().map(|&x| D::from_input(x, cx)).collect();
+                    // An unsized (pointer) array takes its length from the
+                    // argument.
+                    m.arrays[a].resize_with(xs.len(), || self.spare.clone());
+                    for (v, &x) in m.arrays[a].iter_mut().zip(xs) {
+                        D::from_input_into(x, cx, v);
+                    }
                 }
             }
         }
@@ -1355,6 +1326,129 @@ mod tests {
         assert!(ladder_lo(0.3) <= 0.3);
         assert_eq!(ladder_lo(0.3), 0.25);
         assert_eq!(ladder_hi(-0.3), -0.25);
+    }
+
+    /// A grid of exactly-representable edge magnitudes: zero, the
+    /// smallest subnormal, the subnormal/normal boundary, ordinary
+    /// values, and the overflow frontier. Every value is a dyadic
+    /// rational, so containment is checked *exactly* through
+    /// `safegen_rational` rather than in rounded `f64`.
+    fn edge_grid() -> Vec<f64> {
+        let mags = [
+            0.0,
+            f64::from_bits(1),             // min subnormal
+            f64::MIN_POSITIVE.next_down(), // max subnormal
+            f64::MIN_POSITIVE,
+            1.0,
+            1.0f64.next_up(),
+            f64::MAX.next_down(),
+            f64::MAX,
+        ];
+        let mut grid: Vec<f64> = mags.into_iter().flat_map(|m| [m, -m]).collect();
+        grid.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        grid.dedup_by(|a, b| a.to_bits() == b.to_bits());
+        grid
+    }
+
+    #[test]
+    fn widen_hull_dominates_join_across_the_edge_grid() {
+        use safegen_rational::Rational;
+        let cfg = FixpointConfig::default();
+        let grid = edge_grid();
+        let exact: Vec<Rational> = grid
+            .iter()
+            .map(|&g| Rational::from_f64(g).unwrap())
+            .collect();
+        let hulls: Vec<(f64, f64)> = grid
+            .iter()
+            .enumerate()
+            .flat_map(|(i, &lo)| grid[i..].iter().map(move |&hi| (lo, hi)))
+            .collect();
+        // One round from each phase of the schedule: plain join, ladder,
+        // and the jump to ±∞.
+        let join_round = cfg.widen_delay;
+        let ladder_round = cfg.widen_delay + 1;
+        let infinity_round = cfg.widen_delay + cfg.threshold_rounds + 1;
+        for &cur in &hulls {
+            for &next in &hulls {
+                let joined = (cur.0.min(next.0), cur.1.max(next.1));
+                let widen = |round| {
+                    let mut w = cur;
+                    widen_hull(&mut w, next, round, &cfg);
+                    w
+                };
+                let (plain, laddered, infinite) = (
+                    widen(join_round),
+                    widen(ladder_round),
+                    widen(infinity_round),
+                );
+                assert_eq!(plain, joined, "{cur:?} ⊔ {next:?}");
+                for (g, r) in grid.iter().zip(&exact) {
+                    if r.in_range(joined.0, joined.1) {
+                        for (w, phase) in [(laddered, "ladder"), (infinite, "infinity")] {
+                            assert!(
+                                r.in_range(w.0, w.1),
+                                "{phase} round lost {g:e} from {cur:?} ∇ {next:?}: {w:?}"
+                            );
+                        }
+                    }
+                }
+                // The ladder is never wider than the jump to ±∞.
+                assert!(infinite.0 <= laddered.0 && laddered.1 <= infinite.1);
+            }
+        }
+    }
+
+    #[test]
+    fn widen_hull_chains_stabilize() {
+        // Against sequences that grow every round, the schedule must reach
+        // a hull no next state escapes within `threshold_rounds + 2`
+        // widening rounds: each ladder round at least doubles a growing
+        // magnitude, and the round after the ladder jumps to ±∞.
+        let cfg = FixpointConfig::default();
+        type Hull = (f64, f64);
+        let creeps: [fn(Hull) -> Hull; 2] = [
+            |(lo, hi)| (lo * 1.5 - 0.1, hi * 1.5 + 0.1),
+            |(lo, hi)| (lo.next_down(), hi.next_up()),
+        ];
+        for creep in creeps {
+            let mut inv = (-0.5, 0.5);
+            let mut stable_at = None;
+            for round in 1..=cfg.max_iters {
+                let before = inv;
+                let next = creep(inv);
+                let widened = widen_hull(&mut inv, next, round, &cfg);
+                assert_eq!(widened == 1, round > cfg.widen_delay && inv != before);
+                if inv == before {
+                    stable_at = Some(round);
+                    break;
+                }
+            }
+            let stable_at = stable_at.expect("widening chain never stabilized");
+            assert!(
+                stable_at - cfg.widen_delay <= cfg.threshold_rounds + 2,
+                "stable only at round {stable_at}"
+            );
+            assert_eq!(inv, (f64::NEG_INFINITY, f64::INFINITY));
+        }
+    }
+
+    #[test]
+    fn negative_index_reports_like_exec_under_fixpoint_mode() {
+        let p = compile(
+            "double f(double a[2], int n) {
+                int i = 0;
+                while (i < n) { a[0] = a[0] * 0.5; i = i + 1; }
+                a[i - 3] = 1.0;
+                return a[0];
+            }",
+        );
+        let args = [vec![1.0, 2.0].into(), 2i64.into()];
+        let fx = exec_fixpoint::<IntervalF64>(&p, &args, &(), LoopMode::Fixpoint, &fix_cfg(16));
+        let plain = crate::exec::<IntervalF64>(&p, &args, &());
+        let (fx, plain) = (fx.unwrap_err(), plain.unwrap_err());
+        assert_eq!(fx.message, plain.message);
+        assert_eq!(fx.message, "negative array index");
     }
 
     #[test]

@@ -40,8 +40,8 @@
 
 use crate::domain::{Domain, FpBinOp, FpUnOp};
 use crate::exec::{
-    array_outs, bind, cmp_f, err, exec_inner, validate_args, ArgValue, Bind, ExecError, NoTrace,
-    RunResult, RunStats, FUEL,
+    array_index, array_outs, bind, cmp_f, err, exec_inner, validate_args, ArgValue, Bind,
+    ExecError, NoTrace, RunResult, RunStats, FUEL,
 };
 use crate::program::{FixedProgram, OpCode, Program};
 use safegen_telemetry::metrics::metrics;
@@ -215,7 +215,9 @@ fn int_cols(
     f: impl Fn(i64, i64) -> i64,
 ) {
     let (ds, as_, bs) = (d * w, a * w, b * w);
-    for_lanes(mask, full, w, |l| regs[ds + l] = f(regs[as_ + l], regs[bs + l]));
+    for_lanes(mask, full, w, |l| {
+        regs[ds + l] = f(regs[as_ + l], regs[bs + l])
+    });
 }
 
 /// Offers a full-width binary operation to [`Domain::bin_kernel`],
@@ -703,47 +705,31 @@ pub fn exec_lanes<D: Domain>(
                 OpCode::LoadArr => {
                     let (db, ib) = (d * w, b * w);
                     let col = &arrays[a];
-                    let len = arr_len[a];
-                    let name = &prog.arrays[a].name;
+                    let (len, name) = (arr_len[a], &prog.arrays[a].name);
                     let mut bad = 0u64;
                     for l in MaskIter(g.mask) {
-                        let i = iregs[ib + l];
-                        match usize::try_from(i) {
-                            Err(_) => {
-                                errs[l] = Some(err("negative array index"));
+                        match array_index(iregs[ib + l], len, name) {
+                            Ok(i) => fregs[db + l].clone_from(&col[i * w + l]),
+                            Err(e) => {
+                                errs[l] = Some(e);
                                 bad |= 1 << l;
                             }
-                            Ok(iu) if iu >= len => {
-                                errs[l] = Some(err(format!(
-                                    "index {i} out of bounds for `{name}` (len {len})"
-                                )));
-                                bad |= 1 << l;
-                            }
-                            Ok(iu) => fregs[db + l].clone_from(&col[iu * w + l]),
                         }
                     }
                     g.mask &= !bad;
                 }
                 OpCode::StoreArr => {
                     let (ib, sb) = (a * w, b * w);
-                    let len = arr_len[d];
-                    let name = &prog.arrays[d].name;
+                    let (len, name) = (arr_len[d], &prog.arrays[d].name);
                     let col = &mut arrays[d];
                     let mut bad = 0u64;
                     for l in MaskIter(g.mask) {
-                        let i = iregs[ib + l];
-                        match usize::try_from(i) {
-                            Err(_) => {
-                                errs[l] = Some(err("negative array index"));
+                        match array_index(iregs[ib + l], len, name) {
+                            Ok(i) => col[i * w + l].clone_from(&fregs[sb + l]),
+                            Err(e) => {
+                                errs[l] = Some(e);
                                 bad |= 1 << l;
                             }
-                            Ok(iu) if iu >= len => {
-                                errs[l] = Some(err(format!(
-                                    "index {i} out of bounds for `{name}` (len {len})"
-                                )));
-                                bad |= 1 << l;
-                            }
-                            Ok(iu) => col[iu * w + l].clone_from(&fregs[sb + l]),
                         }
                     }
                     g.mask &= !bad;
@@ -899,7 +885,11 @@ pub fn exec_lanes<D: Domain>(
             la.push((name.clone(), Vec::with_capacity(col.len() / w)));
         }
         for (i, v) in col.into_iter().enumerate() {
-            lane_arrays[i % w].last_mut().expect("pushed above").1.push(v);
+            lane_arrays[i % w]
+                .last_mut()
+                .expect("pushed above")
+                .1
+                .push(v);
         }
     }
     (0..w)

@@ -101,85 +101,6 @@ impl IntervalDd {
         self.lo.is_nan() || self.hi.is_nan()
     }
 
-    /// Least upper bound (convex hull) — the dd counterpart of
-    /// [`crate::IntervalF64::join`]. Endpoint selection is exact.
-    #[inline]
-    pub fn join(self, other: IntervalDd) -> IntervalDd {
-        let lo = if other.lo < self.lo {
-            other.lo
-        } else {
-            self.lo
-        };
-        let hi = if other.hi > self.hi {
-            other.hi
-        } else {
-            self.hi
-        };
-        IntervalDd { lo, hi }
-    }
-
-    /// Intersection, or `None` when the intervals are disjoint. NaN
-    /// operands yield `None`.
-    #[inline]
-    pub fn meet(self, other: IntervalDd) -> Option<IntervalDd> {
-        let lo = if other.lo > self.lo {
-            other.lo
-        } else {
-            self.lo
-        };
-        let hi = if other.hi < self.hi {
-            other.hi
-        } else {
-            self.hi
-        };
-        (lo <= hi).then_some(IntervalDd { lo, hi })
-    }
-
-    /// Standard widening: any endpoint that grew from `self` to `next`
-    /// jumps to ±∞, so ascending chains stabilize in at most two
-    /// applications. The result encloses `self.join(next)`; NaN operands
-    /// widen to [`IntervalDd::entire`].
-    #[inline]
-    pub fn widen(self, next: IntervalDd) -> IntervalDd {
-        if self.is_nan() || next.is_nan() {
-            return IntervalDd::entire();
-        }
-        IntervalDd {
-            lo: if next.lo < self.lo {
-                Dd::from(f64::NEG_INFINITY)
-            } else {
-                self.lo
-            },
-            hi: if next.hi > self.hi {
-                Dd::from(f64::INFINITY)
-            } else {
-                self.hi
-            },
-        }
-    }
-
-    /// Standard narrowing: each infinite endpoint of `self` is replaced
-    /// by the corresponding endpoint of the re-verified candidate
-    /// `cand`; finite endpoints are kept.
-    #[inline]
-    pub fn narrow(self, cand: IntervalDd) -> IntervalDd {
-        let lo = if self.lo.hi() == f64::NEG_INFINITY {
-            cand.lo
-        } else {
-            self.lo
-        };
-        let hi = if self.hi.hi() == f64::INFINITY {
-            cand.hi
-        } else {
-            self.hi
-        };
-        if lo <= hi || lo.partial_cmp(&hi).is_none() {
-            IntervalDd { lo, hi }
-        } else {
-            self
-        }
-    }
-
     /// Sound square root (lower endpoint clamped at zero).
     pub fn sqrt(self) -> IntervalDd {
         if self.hi < Dd::ZERO {
@@ -449,48 +370,5 @@ mod tests {
         let a = IntervalDd::new(Dd::from(-3.0), Dd::from(2.0)).abs();
         assert_eq!(a.lo(), Dd::ZERO);
         assert_eq!(a.hi(), Dd::from(3.0));
-    }
-
-    #[test]
-    fn widen_dominates_join_and_chains_stabilize() {
-        // Soundness: the widened interval encloses the join, including
-        // when the growth sits entirely in the dd tail (below one f64
-        // ulp) — exactly the creep plain f64 widening cannot see.
-        let a = IntervalDd::new(Dd::ZERO, Dd::ONE);
-        let tail_grow = IntervalDd::new(Dd::ZERO, Dd::ONE + Dd::from(1e-40));
-        let j = a.join(tail_grow);
-        let w = a.widen(tail_grow);
-        assert!(w.lo <= j.lo && j.hi <= w.hi);
-        assert_eq!(w.hi.hi(), f64::INFINITY, "tail-only growth must widen");
-
-        // Termination: each endpoint moves at most once, so any chain is
-        // stable after two applications.
-        let mut inv = IntervalDd::new(Dd::from(-1.0), Dd::ONE);
-        let mut grow = Dd::ONE;
-        for step in 0..8 {
-            let next = IntervalDd::new(Dd::ZERO - grow, grow + grow);
-            let widened = inv.widen(next);
-            if step >= 2 {
-                assert_eq!(
-                    (widened.lo.hi(), widened.hi.hi()),
-                    (inv.lo.hi(), inv.hi.hi()),
-                    "dd widening chain did not stabilize"
-                );
-            }
-            inv = widened;
-            grow = grow * Dd::from(10.0);
-        }
-    }
-
-    #[test]
-    fn narrow_recovers_infinite_endpoints_only() {
-        let widened = IntervalDd::entire();
-        let cand = IntervalDd::new(Dd::from(-2.0), Dd::from(5.0));
-        let n = widened.narrow(cand);
-        assert_eq!((n.lo.hi(), n.hi.hi()), (-2.0, 5.0));
-        // A finite endpoint is pinned even against a tighter candidate.
-        let half = IntervalDd::new(Dd::from(-1.0), Dd::from(f64::INFINITY));
-        let n = half.narrow(IntervalDd::new(Dd::ZERO, Dd::from(3.0)));
-        assert_eq!((n.lo.hi(), n.hi.hi()), (-1.0, 3.0));
     }
 }

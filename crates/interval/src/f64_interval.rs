@@ -110,113 +110,6 @@ impl IntervalF64 {
         self.lo.is_nan() || self.hi.is_nan()
     }
 
-    /// Convex hull of two intervals.
-    #[inline]
-    pub fn hull(self, other: IntervalF64) -> IntervalF64 {
-        IntervalF64 {
-            lo: self.lo.min(other.lo),
-            hi: self.hi.max(other.hi),
-        }
-    }
-
-    /// Least upper bound in the interval lattice — an alias for
-    /// [`IntervalF64::hull`], under the name the fixpoint engine uses.
-    /// Endpoint selection is exact: no rounding is involved, so joining
-    /// intervals with subnormal or near-overflow endpoints loses nothing.
-    #[inline]
-    pub fn join(self, other: IntervalF64) -> IntervalF64 {
-        self.hull(other)
-    }
-
-    /// Intersection, or `None` when the intervals are disjoint (the
-    /// empty interval is not representable). NaN operands yield `None`.
-    #[inline]
-    pub fn meet(self, other: IntervalF64) -> Option<IntervalF64> {
-        let lo = self.lo.max(other.lo);
-        let hi = self.hi.min(other.hi);
-        (lo <= hi).then_some(IntervalF64 { lo, hi })
-    }
-
-    /// Standard interval widening: `self` is the previous invariant
-    /// candidate, `next` the newly observed states. Any endpoint that
-    /// grew jumps straight to ±∞, so an ascending chain stabilizes after
-    /// at most two applications (each endpoint widens at most once).
-    /// The result always encloses `self.join(next)`. NaN endpoints
-    /// widen to [`IntervalF64::ENTIRE`].
-    #[inline]
-    pub fn widen(self, next: IntervalF64) -> IntervalF64 {
-        if self.is_nan() || next.is_nan() {
-            return IntervalF64::ENTIRE;
-        }
-        IntervalF64 {
-            lo: if next.lo < self.lo {
-                f64::NEG_INFINITY
-            } else {
-                self.lo
-            },
-            hi: if next.hi > self.hi {
-                f64::INFINITY
-            } else {
-                self.hi
-            },
-        }
-    }
-
-    /// Threshold widening: like [`IntervalF64::widen`] but a growing
-    /// endpoint first snaps outward to the nearest rung of `thresholds`
-    /// (an ascending ladder of positive magnitudes, applied symmetrically
-    /// with sign), and only jumps to ±∞ beyond the last rung. The
-    /// fixpoint engine uses a power-of-two ladder so slowly-creeping
-    /// accumulators stabilize at a finite bound narrowing can recover
-    /// from, instead of being widened into an unrecoverable infinity.
-    pub fn widen_threshold(self, next: IntervalF64, thresholds: &[f64]) -> IntervalF64 {
-        if self.is_nan() || next.is_nan() {
-            return IntervalF64::ENTIRE;
-        }
-        let snap_up = |x: f64| {
-            thresholds
-                .iter()
-                .copied()
-                .find(|&t| t >= x)
-                .unwrap_or(f64::INFINITY)
-        };
-        IntervalF64 {
-            lo: if next.lo < self.lo {
-                -snap_up(-next.lo)
-            } else {
-                self.lo
-            },
-            hi: if next.hi > self.hi {
-                snap_up(next.hi)
-            } else {
-                self.hi
-            },
-        }
-    }
-
-    /// Standard interval narrowing: recovers precision after widening by
-    /// replacing each infinite endpoint of `self` with the corresponding
-    /// endpoint of the (re-verified) candidate `cand`. Finite endpoints
-    /// are kept, so narrowing never oscillates.
-    #[inline]
-    pub fn narrow(self, cand: IntervalF64) -> IntervalF64 {
-        let lo = if self.lo == f64::NEG_INFINITY {
-            cand.lo
-        } else {
-            self.lo
-        };
-        let hi = if self.hi == f64::INFINITY {
-            cand.hi
-        } else {
-            self.hi
-        };
-        if lo <= hi || lo.partial_cmp(&hi).is_none() {
-            IntervalF64 { lo, hi }
-        } else {
-            self
-        }
-    }
-
     /// Sound square root: the lower endpoint is clamped at zero when the
     /// interval dips (by rounding) slightly below zero; a truly negative
     /// interval yields NaN endpoints.
@@ -503,15 +396,6 @@ mod tests {
     }
 
     #[test]
-    fn hull_and_encloses() {
-        let a = IntervalF64::new(0.0, 1.0);
-        let b = IntervalF64::new(2.0, 3.0);
-        let h = a.hull(b);
-        assert!(h.encloses(a) && h.encloses(b));
-        assert_eq!(h, IntervalF64::new(0.0, 3.0));
-    }
-
-    #[test]
     fn accuracy_metrics() {
         assert_eq!(IntervalF64::point(1.0).acc_bits(), 53.0);
         assert_eq!(IntervalF64::ENTIRE.acc_bits(), f64::NEG_INFINITY);
@@ -537,160 +421,5 @@ mod tests {
             assert!(x.width() >= last_width);
             last_width = x.width();
         }
-    }
-
-    /// A grid of exactly-representable edge magnitudes: zero, the
-    /// smallest subnormal, the subnormal/normal boundary, ordinary
-    /// values, and the overflow frontier. Every value is a dyadic
-    /// rational, so containment claims below are checked *exactly*
-    /// through `safegen_rational` rather than in rounded `f64`.
-    fn edge_grid() -> Vec<f64> {
-        let mags = [
-            0.0,
-            f64::from_bits(1),             // min subnormal
-            f64::MIN_POSITIVE.next_down(), // max subnormal
-            f64::MIN_POSITIVE,
-            1.0,
-            1.0f64.next_up(),
-            f64::MAX.next_down(),
-            f64::MAX,
-        ];
-        let mut grid: Vec<f64> = mags.into_iter().flat_map(|m| [m, -m]).collect();
-        grid.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        grid.dedup_by(|a, b| a.to_bits() == b.to_bits());
-        grid
-    }
-
-    #[test]
-    fn widen_dominates_join_across_the_edge_grid() {
-        use safegen_rational::Rational;
-        let grid = edge_grid();
-        let ladder = [1.0, 2.0, 1e100, f64::MAX];
-        for (i, &alo) in grid.iter().enumerate() {
-            for &ahi in &grid[i..] {
-                for (j, &blo) in grid.iter().enumerate() {
-                    for &bhi in &grid[j..] {
-                        let a = IntervalF64::new(alo, ahi);
-                        let b = IntervalF64::new(blo, bhi);
-                        let joined = a.join(b);
-                        let widened = a.widen(b);
-                        let threshed = a.widen_threshold(b, &ladder);
-                        // widen ⊒ join, exactly: every grid rational in
-                        // the join is in both widenings.
-                        for &g in &grid {
-                            let r = Rational::from_f64(g).unwrap();
-                            if r.in_range(joined.lo, joined.hi) {
-                                assert!(
-                                    r.in_range(widened.lo, widened.hi),
-                                    "widen lost {g:e} from [{alo:e},{ahi:e}] ∇ [{blo:e},{bhi:e}]"
-                                );
-                                assert!(
-                                    r.in_range(threshed.lo, threshed.hi),
-                                    "widen_threshold lost {g:e}"
-                                );
-                            }
-                        }
-                        // And the threshold result is never wider than
-                        // the straight-to-infinity widening.
-                        assert!(widened.lo <= threshed.lo && threshed.hi <= widened.hi);
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn widening_chains_stabilize() {
-        // Plain widening: each endpoint moves at most once, so any
-        // ascending chain is stable after 2 applications.
-        let mut inv = IntervalF64::new(0.0, 1.0);
-        let mut grow = 1.0;
-        for step in 0..10 {
-            let next = IntervalF64::new(-grow, grow * 2.0);
-            let w = inv.widen(next);
-            if step >= 2 {
-                assert_eq!(w, inv, "plain widening chain did not stabilize");
-            }
-            inv = w;
-            grow *= 10.0;
-        }
-        assert_eq!(inv, IntervalF64::ENTIRE);
-
-        // Threshold widening with a K-rung ladder: each endpoint climbs
-        // the ladder monotonically, so the chain is stable within K+1
-        // applications even against an adversarial creeping sequence.
-        let ladder = [1.0, 2.0, 4.0, 8.0, 16.0];
-        let k = ladder.len();
-        let mut inv = IntervalF64::new(0.0, 0.5);
-        let mut prev = inv;
-        let mut stable_at = None;
-        for step in 0..(k + 4) {
-            let creep = IntervalF64::new(0.0, inv.hi * 1.5 + 0.1);
-            inv = inv.widen_threshold(creep, &ladder);
-            if inv == prev && stable_at.is_none() {
-                stable_at = Some(step);
-            }
-            prev = inv;
-        }
-        assert!(
-            stable_at.is_some_and(|s| s <= k + 1),
-            "threshold chain not stable within K+1: {stable_at:?}"
-        );
-    }
-
-    #[test]
-    fn widen_threshold_snaps_outward_at_subnormal_and_overflow_edges() {
-        use safegen_rational::Rational;
-        // A rung below the value must be skipped; a growing endpoint at
-        // the overflow frontier must land on the MAX rung or ∞, never on
-        // a rung *below* the observed state (that would be unsound).
-        let ladder = [f64::MIN_POSITIVE, 1.0, f64::MAX];
-        let cases = [
-            f64::from_bits(1),
-            f64::MIN_POSITIVE.next_down(),
-            f64::MIN_POSITIVE.next_up(),
-            1.5,
-            f64::MAX.next_down(),
-            f64::MAX,
-        ];
-        for hi in cases {
-            let w = IntervalF64::new(0.0, 0.0).widen_threshold(IntervalF64::new(0.0, hi), &ladder);
-            let exact = Rational::from_f64(hi).unwrap();
-            assert!(
-                exact.in_range(w.lo, w.hi),
-                "snapped below the observed state: {hi:e} not in [{}, {}]",
-                w.lo,
-                w.hi
-            );
-            let lo_case =
-                IntervalF64::new(0.0, 0.0).widen_threshold(IntervalF64::new(-hi, 0.0), &ladder);
-            assert!(
-                exact.neg().in_range(lo_case.lo, lo_case.hi),
-                "low endpoint snapped inward at {:e}",
-                -hi
-            );
-        }
-        // Beyond the last rung the only sound landing spot is infinity.
-        let past = IntervalF64::new(0.0, 0.0)
-            .widen_threshold(IntervalF64::new(0.0, f64::MAX), &[1.0, 2.0]);
-        assert_eq!(past.hi, f64::INFINITY);
-    }
-
-    #[test]
-    fn narrow_recovers_infinite_endpoints_only_and_never_inverts() {
-        let widened = IntervalF64::new(f64::NEG_INFINITY, f64::INFINITY);
-        let cand = IntervalF64::new(-3.0, 7.0);
-        assert_eq!(widened.narrow(cand), cand);
-
-        // Finite endpoints are pinned: narrowing cannot tighten them even
-        // when the candidate is smaller (that is what keeps narrowing
-        // from oscillating against a non-monotone transfer function).
-        let half = IntervalF64::new(-1.0, f64::INFINITY);
-        let narrowed = half.narrow(IntervalF64::new(0.0, 5.0));
-        assert_eq!(narrowed, IntervalF64::new(-1.0, 5.0));
-
-        // A candidate that would invert the interval is rejected whole.
-        let weird = half.narrow(IntervalF64::new(-10.0, -5.0));
-        assert_eq!(weird, half);
     }
 }
