@@ -26,6 +26,9 @@ cargo build --release --workspace
 echo "== benchmark package builds (its own workspace, against the library API) =="
 cargo build --release --offline --manifest-path crates/bench/src/bin/perf/Cargo.toml
 
+echo "== benchmark package tests (its workloads fail here, not in a benchmark run) =="
+cargo test --release --offline --manifest-path crates/bench/src/bin/perf/Cargo.toml
+
 echo "== cargo test =="
 cargo test -q --workspace
 

@@ -331,34 +331,18 @@ impl<C: CenterValue> Affine<C> {
         }
     }
 
-    /// The symbol identifiers, sorted ascending — the shape [`crate::Protect::Ids`]
-    /// expects.
-    pub fn symbol_ids(&self) -> Vec<SymbolId> {
-        let mut ids: Vec<SymbolId> = match &self.repr {
-            Repr::Sorted(terms) => terms.iter().map(|t| t.id).collect(),
-            Repr::Direct { ids, .. } => ids.iter().copied().filter(|&i| i != NO_SYMBOL).collect(),
-        };
-        ids.sort_unstable();
-        ids
-    }
-
-    /// The symbol ids worth protecting during one operation: at most
-    /// `limit` ids, preferring the largest magnitudes (sorted ascending for
-    /// [`crate::Protect::Ids`]).
+    /// Writes into `out` the symbol ids worth protecting during one
+    /// operation: at most `limit` ids, preferring the largest magnitudes
+    /// (sorted ascending for [`crate::Protect::Ids`]).
     ///
     /// Protecting *every* symbol of a full variable would pin the whole
     /// budget and force fusion onto the other operand's (possibly larger)
     /// symbols — a net accuracy loss. Capping at the protection capacity
     /// keeps the prioritization hint useful.
-    pub fn protect_ids(&self, limit: usize) -> Vec<SymbolId> {
-        let mut ids = Vec::new();
-        self.protect_ids_into(limit, &mut ids);
-        ids
-    }
-
-    /// [`Affine::protect_ids`], written into `out`. `out` is also the
-    /// selection's workspace: it holds `[id, coefficient bits]` pairs, in
-    /// [`Affine::terms`] order, until the largest magnitudes are picked.
+    ///
+    /// `out` is also the selection's workspace: it holds `[id,
+    /// coefficient bits]` pairs, in [`Affine::terms`] order, until the
+    /// largest magnitudes are picked.
     pub fn protect_ids_into(&self, limit: usize, out: &mut Vec<SymbolId>) {
         out.clear();
         match &self.repr {
@@ -580,12 +564,13 @@ mod tests {
     }
 
     #[test]
-    fn symbol_ids_sorted() {
+    fn protect_ids_into_sorts_ascending() {
         let ctx = ctx_direct(8);
         let x = AffineF64::from_input(1.0, &ctx);
         let y = AffineF64::from_input(2.0, &ctx);
         let s = x.add(&y, &ctx, crate::Protect::None);
-        let ids = s.symbol_ids();
+        let mut ids = Vec::new();
+        s.protect_ids_into(usize::MAX, &mut ids);
         assert!(ids.windows(2).all(|w| w[0] < w[1]));
     }
 

@@ -806,7 +806,8 @@ mod tests {
                     .with_vectorized(false),
             );
             let z = Affine::<f64>::from_interval(0.9, 1.1, &c); // oldest symbol
-            let zids = z.symbol_ids();
+            let mut zids = Vec::new();
+            z.protect_ids_into(usize::MAX, &mut zids);
             let prot = if protect_input {
                 Protect::Ids(&zids)
             } else {
@@ -884,14 +885,17 @@ mod tests {
         let big = Affine::<f64>::from_interval(0.0, 2.0, &c); // large symbol
         let small = Affine::<f64>::from_input(1.0, &c); // ulp symbol
         let v = big.add(&small, &c, Protect::None);
-        let all = v.symbol_ids();
+        let mut all: Vec<_> = v.terms().iter().map(|t| t.id).collect();
+        all.sort_unstable();
         assert!(all.len() >= 2);
-        let capped = v.protect_ids(1);
+        let mut capped = Vec::new();
+        v.protect_ids_into(1, &mut capped);
         assert_eq!(capped.len(), 1);
         // The surviving id is the big symbol's.
-        assert_eq!(capped[0], big.symbol_ids()[0]);
+        assert_eq!(capped[0], big.terms()[0].id);
         // A generous limit returns everything, sorted.
-        let loose = v.protect_ids(100);
+        let mut loose = Vec::new();
+        v.protect_ids_into(100, &mut loose);
         assert_eq!(loose, all);
     }
 

@@ -93,11 +93,10 @@ fn lock_step<C: CenterValue>(config: AaConfig, seed: u64) {
         let (i, j) = (rng.below(a.len()), rng.below(a.len()));
         let op = rng.below(12);
         // Protect the left operand's strongest symbols on some ops.
-        let ids = if rng.below(3) == 0 {
-            a[i].protect_ids(config.k / 2 + 1)
-        } else {
-            Vec::new()
-        };
+        let mut ids = Vec::new();
+        if rng.below(3) == 0 {
+            a[i].protect_ids_into(config.k / 2 + 1, &mut ids);
+        }
         let p = if ids.is_empty() {
             Protect::None
         } else {

@@ -293,7 +293,8 @@ proptest! {
         let mut refs: Vec<Dd> = inputs.iter().map(|&x| Dd::from(x)).collect();
         for op in &ops {
             let n = vals.len();
-            let ids = vals[0].symbol_ids();
+            let mut ids = Vec::new();
+            vals[0].protect_ids_into(usize::MAX, &mut ids);
             let prot = Protect::Ids(&ids);
             let (v, r) = match *op {
                 Op::Add(a, b) => (vals[a % n].add(&vals[b % n], &ctx, prot), refs[a % n] + refs[b % n]),

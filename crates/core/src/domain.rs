@@ -8,7 +8,7 @@
 //! runs the *same* compiled program.
 
 use safegen_affine::baselines::{BaselineCtx, CeresAffine, YalaaAff0, YalaaAff1};
-use safegen_affine::{AaContext, Affine, CenterValue, Protect};
+use safegen_affine::{AaConfig, AaContext, Affine, CenterValue, Protect};
 use safegen_fpcore::metrics;
 use safegen_interval::{Dd, IntervalDd, IntervalF64};
 
@@ -75,6 +75,10 @@ pub enum FpUnOp {
 pub trait Domain: Sized + Clone {
     /// Shared evaluation state (symbol allocators etc.).
     type Ctx;
+
+    /// A fresh context for one run. Only the affine domains read `aa`
+    /// (Ceres takes its symbol budget `k`).
+    fn context(aa: &AaConfig) -> Self::Ctx;
 
     /// A source constant (exact if integral, else `± 1 ulp`).
     fn constant(x: f64, cx: &Self::Ctx) -> Self;
@@ -214,6 +218,8 @@ pub struct UnsoundF64(pub f64);
 impl Domain for UnsoundF64 {
     type Ctx = ();
 
+    fn context(_: &AaConfig) {}
+
     #[inline]
     fn constant(x: f64, _: &()) -> Self {
         UnsoundF64(x)
@@ -320,6 +326,8 @@ impl Domain for UnsoundF64 {
 impl Domain for IntervalF64 {
     type Ctx = ();
 
+    fn context(_: &AaConfig) {}
+
     fn from_input_into(x: f64, _: &(), out: &mut Self) {
         let u = metrics::ulp(x);
         *out = IntervalF64::new(
@@ -393,6 +401,8 @@ impl Domain for IntervalF64 {
 
 impl Domain for IntervalDd {
     type Ctx = ();
+
+    fn context(_: &AaConfig) {}
 
     fn from_input_into(x: f64, _: &(), out: &mut Self) {
         let u = metrics::ulp(x);
@@ -491,6 +501,10 @@ impl Domain for IntervalDd {
 impl<C: CenterValue> Domain for Affine<C> {
     type Ctx = AaContext;
 
+    fn context(aa: &AaConfig) -> AaContext {
+        AaContext::new(*aa)
+    }
+
     fn constant(x: f64, cx: &AaContext) -> Self {
         Affine::constant(x, cx)
     }
@@ -586,6 +600,10 @@ fn prot(ids: &[u64]) -> Protect<'_> {
 
 impl Domain for YalaaAff0 {
     type Ctx = BaselineCtx;
+
+    fn context(_: &AaConfig) -> BaselineCtx {
+        BaselineCtx::new()
+    }
 
     fn constant(x: f64, cx: &BaselineCtx) -> Self {
         YalaaAff0::constant(x, cx)
@@ -693,6 +711,10 @@ fn interval_to_aff0(lo: f64, hi: f64, cx: &BaselineCtx) -> YalaaAff0 {
 impl Domain for YalaaAff1 {
     type Ctx = BaselineCtx;
 
+    fn context(_: &AaConfig) -> BaselineCtx {
+        BaselineCtx::new()
+    }
+
     fn constant(x: f64, cx: &BaselineCtx) -> Self {
         YalaaAff1::constant(x, cx)
     }
@@ -790,6 +812,13 @@ pub struct CeresCtx {
 
 impl Domain for CeresAffine {
     type Ctx = CeresCtx;
+
+    fn context(aa: &AaConfig) -> CeresCtx {
+        CeresCtx {
+            ctx: BaselineCtx::new(),
+            k: aa.k,
+        }
+    }
 
     fn constant(x: f64, cx: &CeresCtx) -> Self {
         CeresAffine::constant(x, cx.k, &cx.ctx)

@@ -1,11 +1,11 @@
 //! The compiler driver: the end-to-end SafeGen pipeline.
 
-use crate::domain::{CeresCtx, Domain, DomainKind, UnsoundF64};
+use crate::domain::{Domain, DomainKind, UnsoundF64};
 use crate::exec::{ArgValue, RunStats};
 use crate::fixpoint::{exec_fixpoint, FixpointConfig, LoopMode};
 use crate::program::{compile_program_with, Program};
-use safegen_affine::baselines::{BaselineCtx, CeresAffine, YalaaAff0, YalaaAff1};
-use safegen_affine::{AaConfig, AaContext, AffineDd, AffineF32, AffineF64};
+use safegen_affine::baselines::{CeresAffine, YalaaAff0, YalaaAff1};
+use safegen_affine::{AaConfig, AffineDd, AffineF32, AffineF64};
 use safegen_artifact::VariantKind;
 use safegen_cfront::{ParseError, Sema, Unit};
 use safegen_interval::{IntervalDd, IntervalF64};
@@ -640,64 +640,65 @@ fn to_report<D: Domain>(r: crate::exec::RunResult<D>) -> RunReport {
     }
 }
 
+/// Evaluates `$body` with `$D` naming the domain type `$kind` selects —
+/// the one place a [`DomainKind`] maps to its [`Domain`].
+macro_rules! with_domain {
+    ($kind:expr, $D:ident => $body:expr) => {
+        match $kind {
+            DomainKind::Unsound => {
+                type $D = UnsoundF64;
+                $body
+            }
+            DomainKind::IntervalF64 => {
+                type $D = IntervalF64;
+                $body
+            }
+            DomainKind::IntervalDd => {
+                type $D = IntervalDd;
+                $body
+            }
+            DomainKind::AffineF64 => {
+                type $D = AffineF64;
+                $body
+            }
+            DomainKind::AffineDd => {
+                type $D = AffineDd;
+                $body
+            }
+            DomainKind::AffineF32 => {
+                type $D = AffineF32;
+                $body
+            }
+            DomainKind::YalaaAff0 => {
+                type $D = YalaaAff0;
+                $body
+            }
+            DomainKind::YalaaAff1 => {
+                type $D = YalaaAff1;
+                $body
+            }
+            DomainKind::Ceres => {
+                type $D = CeresAffine;
+                $body
+            }
+        }
+    };
+}
+
 /// Runs an already-compiled program under a configuration.
 ///
 /// # Errors
 ///
 /// Returns the VM error message on execution failure.
 pub fn run_on(prog: &Program, args: &[ArgValue], config: &RunConfig) -> Result<RunReport, String> {
-    let e = |e: crate::exec::ExecError| e.message;
     let mode = config.loop_mode;
     let fcfg = FixpointConfig::for_mode(mode, config.unroll_budget);
-    telemetry::span("vm.exec", || match config.kind {
-        DomainKind::Unsound => exec_fixpoint::<UnsoundF64>(prog, args, &(), mode, &fcfg)
-            .map(to_report)
-            .map_err(e),
-        DomainKind::IntervalF64 => exec_fixpoint::<IntervalF64>(prog, args, &(), mode, &fcfg)
-            .map(to_report)
-            .map_err(e),
-        DomainKind::IntervalDd => exec_fixpoint::<IntervalDd>(prog, args, &(), mode, &fcfg)
-            .map(to_report)
-            .map_err(e),
-        DomainKind::AffineF64 => {
-            let cx = AaContext::new(config.aa);
-            exec_fixpoint::<AffineF64>(prog, args, &cx, mode, &fcfg)
+    telemetry::span("vm.exec", || {
+        with_domain!(config.kind, D => {
+            exec_fixpoint::<D>(prog, args, &D::context(&config.aa), mode, &fcfg)
                 .map(to_report)
-                .map_err(e)
-        }
-        DomainKind::AffineDd => {
-            let cx = AaContext::new(config.aa);
-            exec_fixpoint::<AffineDd>(prog, args, &cx, mode, &fcfg)
-                .map(to_report)
-                .map_err(e)
-        }
-        DomainKind::AffineF32 => {
-            let cx = AaContext::new(config.aa);
-            exec_fixpoint::<AffineF32>(prog, args, &cx, mode, &fcfg)
-                .map(to_report)
-                .map_err(e)
-        }
-        DomainKind::YalaaAff0 => {
-            let cx = BaselineCtx::new();
-            exec_fixpoint::<YalaaAff0>(prog, args, &cx, mode, &fcfg)
-                .map(to_report)
-                .map_err(e)
-        }
-        DomainKind::YalaaAff1 => {
-            let cx = BaselineCtx::new();
-            exec_fixpoint::<YalaaAff1>(prog, args, &cx, mode, &fcfg)
-                .map(to_report)
-                .map_err(e)
-        }
-        DomainKind::Ceres => {
-            let cx = CeresCtx {
-                ctx: BaselineCtx::new(),
-                k: config.aa.k,
-            };
-            exec_fixpoint::<CeresAffine>(prog, args, &cx, mode, &fcfg)
-                .map(to_report)
-                .map_err(e)
-        }
+                .map_err(|e| e.message)
+        })
     })
 }
 
@@ -749,44 +750,11 @@ pub fn run_lanes_on(
         }
     }
 
-    let w = inputs.len();
-    telemetry::span("vm.exec_lanes", || match config.kind {
-        DomainKind::Unsound => collect(exec_lanes::<UnsoundF64>(prog, fixed, inputs, &vec![(); w])),
-        DomainKind::IntervalF64 => {
-            collect(exec_lanes::<IntervalF64>(prog, fixed, inputs, &vec![(); w]))
-        }
-        DomainKind::IntervalDd => {
-            collect(exec_lanes::<IntervalDd>(prog, fixed, inputs, &vec![(); w]))
-        }
-        DomainKind::AffineF64 => {
-            let cxs: Vec<AaContext> = (0..w).map(|_| AaContext::new(config.aa)).collect();
-            collect(exec_lanes::<AffineF64>(prog, fixed, inputs, &cxs))
-        }
-        DomainKind::AffineDd => {
-            let cxs: Vec<AaContext> = (0..w).map(|_| AaContext::new(config.aa)).collect();
-            collect(exec_lanes::<AffineDd>(prog, fixed, inputs, &cxs))
-        }
-        DomainKind::AffineF32 => {
-            let cxs: Vec<AaContext> = (0..w).map(|_| AaContext::new(config.aa)).collect();
-            collect(exec_lanes::<AffineF32>(prog, fixed, inputs, &cxs))
-        }
-        DomainKind::YalaaAff0 => {
-            let cxs: Vec<BaselineCtx> = (0..w).map(|_| BaselineCtx::new()).collect();
-            collect(exec_lanes::<YalaaAff0>(prog, fixed, inputs, &cxs))
-        }
-        DomainKind::YalaaAff1 => {
-            let cxs: Vec<BaselineCtx> = (0..w).map(|_| BaselineCtx::new()).collect();
-            collect(exec_lanes::<YalaaAff1>(prog, fixed, inputs, &cxs))
-        }
-        DomainKind::Ceres => {
-            let cxs: Vec<CeresCtx> = (0..w)
-                .map(|_| CeresCtx {
-                    ctx: BaselineCtx::new(),
-                    k: config.aa.k,
-                })
-                .collect();
-            collect(exec_lanes::<CeresAffine>(prog, fixed, inputs, &cxs))
-        }
+    telemetry::span("vm.exec_lanes", || {
+        with_domain!(config.kind, D => {
+            let cxs: Vec<_> = inputs.iter().map(|_| D::context(&config.aa)).collect();
+            collect(exec_lanes::<D>(prog, fixed, inputs, &cxs))
+        })
     })
 }
 

@@ -313,91 +313,197 @@ pub(crate) fn cmp_f<D: Domain>(op: CmpOp, x: &D, y: &D, undecided: &mut u64) -> 
     })
 }
 
-pub(crate) fn exec_inner<D: Domain, T: ExecTracer>(
-    prog: &Program,
-    args: &[ArgValue],
-    cx: &D::Ctx,
-    tracer: &mut T,
-) -> Result<RunResult<D>, ExecError> {
-    validate_args(prog, args)?;
-    let zero = D::constant(0.0, cx);
-    // Every FP result is computed into `spare` and swapped into its
-    // destination register, so the destination may alias an operand and
-    // the old value's storage becomes the next result's.
-    let mut spare = zero.clone();
-    let mut fregs: Vec<D> = vec![zero; prog.n_fregs.max(1)];
-    let mut iregs: Vec<i64> = vec![0; prog.n_iregs.max(1)];
-    let mut arrays: Vec<Vec<D>> = prog
-        .arrays
-        .iter()
-        .map(|a| vec![D::constant(0.0, cx); a.len])
-        .collect();
+/// The value type of the integer registers. Concrete runs use `i64`,
+/// whose reads never fail and whose float comparisons decide at once
+/// (center-decided when the enclosures overlap); the fixpoint engine
+/// uses its abstract integer, whose reads fail on a widened value and
+/// whose undecided comparisons stay pending until something reads them.
+pub(crate) trait IntReg: Copy {
+    /// Why a step failed; every runtime error converts into it.
+    type Abort: From<ExecError>;
+    /// A known value.
+    fn known(v: i64) -> Self;
+    /// The register as a concrete integer. A read that decides a pending
+    /// comparison counts it in `undecided`.
+    fn read(&mut self, undecided: &mut u64) -> Result<i64, Self::Abort>;
+    /// `f` of registers `a` and `b`.
+    fn bin(
+        regs: &mut [Self],
+        a: u32,
+        b: u32,
+        f: impl Fn(i64, i64) -> i64,
+        undecided: &mut u64,
+    ) -> Result<Self, Self::Abort>;
+    /// The result of `x op y`, read from float registers `a` and `b`.
+    fn cmp_f<D: Domain>(op: CmpOp, x: &D, y: &D, a: u32, b: u32, undecided: &mut u64) -> Self;
+    /// The value, when it decides a branch; `None` leaves the split to
+    /// the caller.
+    fn decided(self) -> Option<i64>;
+}
 
-    // Counter snapshots: run stats report per-run deltas even when the
-    // caller reuses one context across runs.
-    let (fusions_at_entry, condensations_at_entry) = D::fusion_counters(cx);
+impl IntReg for i64 {
+    type Abort = ExecError;
 
-    // Bind parameters.
-    for (index, ((_, param), arg)) in prog.params.iter().zip(args).enumerate() {
-        let syms_before = if T::ACTIVE {
-            D::symbols_allocated(cx)
-        } else {
-            0
+    #[inline(always)]
+    fn known(v: i64) -> i64 {
+        v
+    }
+
+    #[inline(always)]
+    fn read(&mut self, _: &mut u64) -> Result<i64, ExecError> {
+        Ok(*self)
+    }
+
+    #[inline(always)]
+    fn bin(
+        regs: &mut [i64],
+        a: u32,
+        b: u32,
+        f: impl Fn(i64, i64) -> i64,
+        _: &mut u64,
+    ) -> Result<i64, ExecError> {
+        Ok(f(regs[a as usize], regs[b as usize]))
+    }
+
+    #[inline(always)]
+    fn cmp_f<D: Domain>(op: CmpOp, x: &D, y: &D, _: u32, _: u32, undecided: &mut u64) -> i64 {
+        i64::from(cmp_f(op, x, y, undecided))
+    }
+
+    #[inline(always)]
+    fn decided(self) -> Option<i64> {
+        Some(self)
+    }
+}
+
+/// Control flow after one [`Machine::step`].
+pub(crate) enum Flow<D> {
+    /// Continue at `pc + 1`.
+    Next,
+    /// Continue at this pc.
+    Goto(usize),
+    /// The function returned this value.
+    Ret(Option<D>),
+    /// A `JumpIfZero` whose condition register does not decide it.
+    Branch { reg: u32, target: usize },
+}
+
+/// The state a run mutates: registers, arrays and the pending pragmas.
+/// The scalar VM and the fixpoint engine share it and its [`Machine::step`];
+/// they differ only in the integer-register type `I`.
+#[derive(Clone)]
+pub(crate) struct Machine<D, I> {
+    pub fregs: Vec<D>,
+    pub iregs: Vec<I>,
+    pub arrays: Vec<Vec<D>>,
+    /// The ids the next consuming FP op protects, while `pending_protect`.
+    pub protect: Vec<u64>,
+    pub pending_protect: bool,
+    pub pending_capacity: bool,
+    /// Every FP result is computed into `spare` and swapped into its
+    /// destination register, so the destination may alias an operand and
+    /// the old value's storage becomes the next result's.
+    spare: D,
+    /// The context's fusion counters before binding: run stats report
+    /// per-run deltas even when the caller reuses one context.
+    counters_at_entry: (u64, u64),
+}
+
+impl<D: Domain, I: IntReg> Machine<D, I> {
+    /// A fresh machine with `args` bound to the parameters of `prog`.
+    /// `tracer` sees the symbols each parameter allocates.
+    pub(crate) fn bind<T: ExecTracer>(
+        prog: &Program,
+        args: &[ArgValue],
+        cx: &D::Ctx,
+        tracer: &mut T,
+    ) -> Result<Self, ExecError> {
+        validate_args(prog, args)?;
+        let zero = D::constant(0.0, cx);
+        let mut m = Machine {
+            spare: zero.clone(),
+            fregs: vec![zero; prog.n_fregs.max(1)],
+            iregs: vec![I::known(0); prog.n_iregs.max(1)],
+            arrays: prog
+                .arrays
+                .iter()
+                .map(|a| vec![D::constant(0.0, cx); a.len])
+                .collect(),
+            protect: Vec::new(),
+            pending_protect: false,
+            pending_capacity: false,
+            counters_at_entry: D::fusion_counters(cx),
         };
-        match bind(param, arg) {
-            Bind::Float(r, x) => D::from_input_into(x, cx, &mut fregs[r]),
-            Bind::Int(r, v) => iregs[r] = v,
-            Bind::Array(a, xs) => {
-                // An unsized (pointer) array takes its length from the
-                // argument.
-                arrays[a].resize_with(xs.len(), || spare.clone());
-                for (v, &x) in arrays[a].iter_mut().zip(xs) {
-                    D::from_input_into(x, cx, v);
+        for (index, ((_, param), arg)) in prog.params.iter().zip(args).enumerate() {
+            let syms_before = if T::ACTIVE {
+                D::symbols_allocated(cx)
+            } else {
+                0
+            };
+            match bind(param, arg) {
+                Bind::Float(r, x) => D::from_input_into(x, cx, &mut m.fregs[r]),
+                Bind::Int(r, v) => m.iregs[r] = I::known(v),
+                Bind::Array(a, xs) => {
+                    // An unsized (pointer) array takes its length from the
+                    // argument.
+                    m.arrays[a].resize_with(xs.len(), || m.spare.clone());
+                    for (v, &x) in m.arrays[a].iter_mut().zip(xs) {
+                        D::from_input_into(x, cx, v);
+                    }
+                }
+            }
+            if T::ACTIVE {
+                let syms_after = D::symbols_allocated(cx);
+                if syms_after > syms_before {
+                    tracer.record(TraceSite::Param(index), syms_before, syms_after);
                 }
             }
         }
-        if T::ACTIVE {
-            let syms_after = D::symbols_allocated(cx);
-            if syms_after > syms_before {
-                tracer.record(TraceSite::Param(index), syms_before, syms_after);
-            }
-        }
+        Ok(m)
     }
 
-    let mut stats = RunStats::default();
-    let mut pc = 0usize;
-    let mut protect: Vec<u64> = Vec::new();
-    let mut pending_protect = false;
-    let mut pending_capacity = false;
-    let mut ret: Option<D> = None;
-
-    // `$op` applied through `$into` to source registers `$src` into
-    // register `$d`. With `consume`, the op takes the pending protect set;
-    // without, it runs unprotected and leaves the set pending.
-    macro_rules! fp_op {
-        ($into:ident, $op:expr, $d:expr, [$($src:expr),+], $consume:literal) => {{
-            let p: &[u64] = if $consume && pending_protect { &protect } else { &[] };
-            D::$into($op, $(&fregs[*$src as usize],)+ cx, p, &mut spare);
-            std::mem::swap(&mut fregs[*$d as usize], &mut spare);
-            if $consume && pending_protect {
-                pending_protect = false;
-                protect.clear();
-            }
-            stats.fp_ops += 1;
-        }};
-    }
-
-    while pc < prog.code.len() {
+    /// Executes the instruction at `pc` — the one definition of what an
+    /// [`Instr`] does. Counts it in `stats.instrs`, its domain operation
+    /// in `stats.fp_ops`, and a center-decided comparison in
+    /// `stats.undecided_branches`.
+    ///
+    /// `in_pass` marks a fixpoint pass over a widened invariant, where
+    /// casting a non-point float to an integer fails instead of
+    /// truncating the center (that would fabricate an integer).
+    #[inline(always)]
+    pub(crate) fn step(
+        &mut self,
+        prog: &Program,
+        cx: &D::Ctx,
+        pc: usize,
+        stats: &mut RunStats,
+        in_pass: bool,
+    ) -> Result<Flow<D>, I::Abort> {
         stats.instrs += 1;
-        if stats.instrs > FUEL {
-            return Err(err("instruction budget exhausted (infinite loop?)"));
-        }
         let fp_ops_before = stats.fp_ops;
-        let syms_before = if T::ACTIVE {
-            D::symbols_allocated(cx)
-        } else {
-            0
-        };
+        let undecided = &mut stats.undecided_branches;
+
+        // `$op` applied through `$into` to source registers `$src` into
+        // register `$d`. With `consume`, the op takes the pending protect
+        // set; without, it runs unprotected and leaves the set pending.
+        macro_rules! fp_op {
+            ($into:ident, $op:expr, $d:expr, [$($src:expr),+], $consume:literal) => {{
+                let p: &[u64] = if $consume && self.pending_protect {
+                    &self.protect
+                } else {
+                    &[]
+                };
+                D::$into($op, $(&self.fregs[*$src as usize],)+ cx, p, &mut self.spare);
+                std::mem::swap(&mut self.fregs[*$d as usize], &mut self.spare);
+                if $consume && self.pending_protect {
+                    self.pending_protect = false;
+                    self.protect.clear();
+                }
+                stats.fp_ops += 1;
+            }};
+        }
+
+        let mut flow = Flow::Next;
         match &prog.code[pc] {
             Instr::Add(d, a, b) => fp_op!(bin_into, FpBinOp::Add, d, [a, b], true),
             Instr::Sub(d, a, b) => fp_op!(bin_into, FpBinOp::Sub, d, [a, b], true),
@@ -408,100 +514,148 @@ pub(crate) fn exec_inner<D: Domain, T: ExecTracer>(
             Instr::Neg(d, a) => fp_op!(un_into, FpUnOp::Neg, d, [a], false),
             Instr::Min(d, a, b) => fp_op!(bin_into, FpBinOp::Min, d, [a, b], false),
             Instr::Max(d, a, b) => fp_op!(bin_into, FpBinOp::Max, d, [a, b], false),
-            Instr::ConstF(d, c) => D::constant_into(*c, cx, &mut fregs[*d as usize]),
+            Instr::ConstF(d, c) => D::constant_into(*c, cx, &mut self.fregs[*d as usize]),
             Instr::MovF(d, s) => {
-                spare.clone_from(&fregs[*s as usize]);
-                std::mem::swap(&mut fregs[*d as usize], &mut spare);
+                self.spare.clone_from(&self.fregs[*s as usize]);
+                std::mem::swap(&mut self.fregs[*d as usize], &mut self.spare);
             }
             Instr::CastIF(d, s) => {
-                D::constant_into(iregs[*s as usize] as f64, cx, &mut fregs[*d as usize]);
+                let v = self.iregs[*s as usize].read(undecided)?;
+                D::constant_into(v as f64, cx, &mut self.fregs[*d as usize]);
             }
             Instr::LoadArr(d, arr, idx) => {
-                let a = &arrays[*arr as usize];
-                let i = array_index(
-                    iregs[*idx as usize],
-                    a.len(),
-                    &prog.arrays[*arr as usize].name,
-                )?;
-                fregs[*d as usize].clone_from(&a[i]);
+                let i = self.iregs[*idx as usize].read(undecided)?;
+                let a = &self.arrays[*arr as usize];
+                let i = array_index(i, a.len(), &prog.arrays[*arr as usize].name)?;
+                self.fregs[*d as usize].clone_from(&a[i]);
             }
             Instr::StoreArr(arr, idx, s) => {
-                let a = &mut arrays[*arr as usize];
-                let i = array_index(
-                    iregs[*idx as usize],
-                    a.len(),
-                    &prog.arrays[*arr as usize].name,
-                )?;
-                a[i].clone_from(&fregs[*s as usize]);
+                let i = self.iregs[*idx as usize].read(undecided)?;
+                let a = &mut self.arrays[*arr as usize];
+                let i = array_index(i, a.len(), &prog.arrays[*arr as usize].name)?;
+                a[i].clone_from(&self.fregs[*s as usize]);
             }
-            Instr::ConstI(d, c) => iregs[*d as usize] = *c,
-            Instr::AddI(d, a, b) => iregs[*d as usize] = iregs[*a as usize] + iregs[*b as usize],
-            Instr::SubI(d, a, b) => iregs[*d as usize] = iregs[*a as usize] - iregs[*b as usize],
-            Instr::MulI(d, a, b) => iregs[*d as usize] = iregs[*a as usize] * iregs[*b as usize],
+            Instr::ConstI(d, c) => self.iregs[*d as usize] = I::known(*c),
+            Instr::AddI(d, a, b) => {
+                self.iregs[*d as usize] = I::bin(&mut self.iregs, *a, *b, |x, y| x + y, undecided)?;
+            }
+            Instr::SubI(d, a, b) => {
+                self.iregs[*d as usize] = I::bin(&mut self.iregs, *a, *b, |x, y| x - y, undecided)?;
+            }
+            Instr::MulI(d, a, b) => {
+                self.iregs[*d as usize] = I::bin(&mut self.iregs, *a, *b, |x, y| x * y, undecided)?;
+            }
             Instr::DivI(d, a, b) => {
-                let bv = iregs[*b as usize];
-                if bv == 0 {
-                    return Err(err("integer division by zero"));
+                if self.iregs[*b as usize].read(undecided)? == 0 {
+                    return Err(err("integer division by zero").into());
                 }
-                iregs[*d as usize] = iregs[*a as usize] / bv;
+                self.iregs[*d as usize] = I::bin(&mut self.iregs, *a, *b, |x, y| x / y, undecided)?;
             }
-            Instr::MovI(d, s) => iregs[*d as usize] = iregs[*s as usize],
+            Instr::MovI(d, s) => self.iregs[*d as usize] = self.iregs[*s as usize],
             Instr::CastFI(d, s) => {
-                iregs[*d as usize] = fregs[*s as usize].center() as i64;
+                let x = &self.fregs[*s as usize];
+                if in_pass {
+                    let (lo, hi) = x.range();
+                    if !(lo == hi && lo.is_finite()) {
+                        return Err(err("cast of a widened float").into());
+                    }
+                }
+                self.iregs[*d as usize] = I::known(x.center() as i64);
             }
             Instr::CmpI(op, d, a, b) => {
-                iregs[*d as usize] = i64::from(op.eval(iregs[*a as usize], iregs[*b as usize]));
+                let f = |x, y| i64::from(op.eval(x, y));
+                self.iregs[*d as usize] = I::bin(&mut self.iregs, *a, *b, f, undecided)?;
             }
             Instr::CmpF(op, d, a, b) => {
-                let (x, y) = (&fregs[*a as usize], &fregs[*b as usize]);
-                iregs[*d as usize] = i64::from(cmp_f(*op, x, y, &mut stats.undecided_branches));
+                let (x, y) = (&self.fregs[*a as usize], &self.fregs[*b as usize]);
+                self.iregs[*d as usize] = I::cmp_f(*op, x, y, *a, *b, undecided);
             }
-            Instr::Jump(t) => {
-                pc = *t;
-                continue;
-            }
-            Instr::JumpIfZero(c, t) => {
-                if iregs[*c as usize] == 0 {
-                    pc = *t;
-                    continue;
+            Instr::Jump(t) => flow = Flow::Goto(*t),
+            Instr::JumpIfZero(c, t) => match self.iregs[*c as usize].decided() {
+                Some(0) => flow = Flow::Goto(*t),
+                Some(_) => {}
+                None => {
+                    flow = Flow::Branch {
+                        reg: *c,
+                        target: *t,
+                    }
                 }
-            }
+            },
             Instr::Protect(r) => {
-                fregs[*r as usize].protect_ids_into(cx, &mut protect);
-                pending_protect = true;
+                self.fregs[*r as usize].protect_ids_into(cx, &mut self.protect);
+                self.pending_protect = true;
             }
             Instr::SetCapacity(k) => {
                 D::set_capacity(cx, *k as usize);
-                pending_capacity = true;
+                self.pending_capacity = true;
             }
-            Instr::Ret(r) => {
-                ret = r.map(|r| fregs[r as usize].clone());
-                break;
-            }
+            Instr::Ret(r) => flow = Flow::Ret(r.map(|r| self.fregs[r as usize].clone())),
         }
         // A capacity pragma covers exactly its (single-FP-op) statement.
-        if pending_capacity && stats.fp_ops > fp_ops_before {
+        if self.pending_capacity && stats.fp_ops > fp_ops_before {
             D::reset_capacity(cx);
-            pending_capacity = false;
+            self.pending_capacity = false;
         }
+        Ok(flow)
+    }
+
+    /// The result of a run that ended with `ret`; `stats` gains the
+    /// run's fusion and condensation counts.
+    pub(crate) fn finish(
+        mut self,
+        prog: &Program,
+        cx: &D::Ctx,
+        ret: Option<D>,
+        mut stats: RunStats,
+    ) -> RunResult<D> {
+        let (fusions, condensations) = D::fusion_counters(cx);
+        stats.fusions = fusions - self.counters_at_entry.0;
+        stats.condensations = condensations - self.counters_at_entry.1;
+        RunResult {
+            ret,
+            arrays: array_outs(prog, |a| std::mem::take(&mut self.arrays[a])),
+            stats,
+        }
+    }
+}
+
+pub(crate) fn exec_inner<D: Domain, T: ExecTracer>(
+    prog: &Program,
+    args: &[ArgValue],
+    cx: &D::Ctx,
+    tracer: &mut T,
+) -> Result<RunResult<D>, ExecError> {
+    let mut m = Machine::<D, i64>::bind(prog, args, cx, tracer)?;
+    let mut stats = RunStats::default();
+    let mut pc = 0usize;
+    let mut ret: Option<D> = None;
+    while pc < prog.code.len() {
+        if stats.instrs >= FUEL {
+            return Err(err("instruction budget exhausted (infinite loop?)"));
+        }
+        let syms_before = if T::ACTIVE {
+            D::symbols_allocated(cx)
+        } else {
+            0
+        };
+        let flow = m.step(prog, cx, pc, &mut stats, false)?;
         if T::ACTIVE {
             let syms_after = D::symbols_allocated(cx);
             if syms_after > syms_before {
                 tracer.record(TraceSite::Instr(pc), syms_before, syms_after);
             }
         }
-        pc += 1;
+        match flow {
+            Flow::Next => pc += 1,
+            Flow::Goto(t) => pc = t,
+            Flow::Ret(r) => {
+                ret = r;
+                break;
+            }
+            Flow::Branch { .. } => unreachable!("concrete integers decide every branch"),
+        }
     }
-
-    let (fusions_at_exit, condensations_at_exit) = D::fusion_counters(cx);
-    stats.fusions = fusions_at_exit - fusions_at_entry;
-    stats.condensations = condensations_at_exit - condensations_at_entry;
-
-    Ok(RunResult {
-        ret,
-        arrays: array_outs(prog, |a| std::mem::take(&mut arrays[a])),
-        stats,
-    })
+    Ok(m.finish(prog, cx, ret, stats))
 }
 
 #[cfg(test)]

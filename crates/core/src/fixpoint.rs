@@ -43,10 +43,10 @@
 //! loop body, several distinct exit targets) bails out to one plain
 //! concrete execution of the whole program — never an unsound answer.
 
-use crate::domain::{Domain, FpBinOp, FpUnOp};
+use crate::domain::Domain;
 use crate::exec::{
-    array_index, array_outs, bind, cmp_f_sound, err, exec_inner, validate_args, ArgValue, Bind,
-    ExecError, NoTrace, RunResult, RunStats, FUEL,
+    cmp_f_sound, err, exec_inner, ArgValue, ExecError, Flow, IntReg, Machine, NoTrace, RunResult,
+    RunStats, FUEL,
 };
 use crate::program::{CmpOp, Instr, Program};
 use safegen_ir::loops::{loop_regions, LoopRegion, LoopTable};
@@ -165,29 +165,68 @@ enum AbsInt {
     Top,
 }
 
-/// Abstract machine state: domain values in float registers and arrays,
-/// abstract integers, plus the pragma bookkeeping of the plain VM.
-struct MState<D> {
-    fregs: Vec<D>,
-    iregs: Vec<AbsInt>,
-    arrays: Vec<Vec<D>>,
-    protect: Vec<u64>,
-    pending_protect: bool,
-    pending_capacity: bool,
-}
+impl IntReg for AbsInt {
+    type Abort = FpAbort;
 
-impl<D: Clone> Clone for MState<D> {
-    fn clone(&self) -> Self {
-        MState {
-            fregs: self.fregs.clone(),
-            iregs: self.iregs.clone(),
-            arrays: self.arrays.clone(),
-            protect: self.protect.clone(),
-            pending_protect: self.pending_protect,
-            pending_capacity: self.pending_capacity,
+    fn known(v: i64) -> AbsInt {
+        AbsInt::Known(v)
+    }
+
+    /// `CmpPend` takes the center decision (counted undecided, then
+    /// pinned so repeated reads agree); `Top` aborts to concrete
+    /// execution.
+    fn read(&mut self, undecided: &mut u64) -> Result<i64, FpAbort> {
+        match *self {
+            AbsInt::Known(v) => Ok(v),
+            AbsInt::CmpPend { center, .. } => {
+                *undecided += 1;
+                let v = i64::from(center);
+                *self = AbsInt::Known(v);
+                Ok(v)
+            }
+            AbsInt::Top => Err(FpAbort::NeedConcrete("widened integer consumed")),
+        }
+    }
+
+    /// `Top` if either operand is `Top`, without reading the other.
+    fn bin(
+        regs: &mut [AbsInt],
+        a: u32,
+        b: u32,
+        f: impl Fn(i64, i64) -> i64,
+        undecided: &mut u64,
+    ) -> Result<AbsInt, FpAbort> {
+        if matches!(regs[a as usize], AbsInt::Top) || matches!(regs[b as usize], AbsInt::Top) {
+            return Ok(AbsInt::Top);
+        }
+        let av = regs[a as usize].read(undecided)?;
+        let bv = regs[b as usize].read(undecided)?;
+        Ok(AbsInt::Known(f(av, bv)))
+    }
+
+    /// An overlapping comparison stays pending (uncounted) until read.
+    fn cmp_f<D: Domain>(op: CmpOp, x: &D, y: &D, a: u32, b: u32, _: &mut u64) -> AbsInt {
+        match cmp_f_sound(op, x, y) {
+            Some(v) => AbsInt::Known(i64::from(v)),
+            None => AbsInt::CmpPend {
+                center: op.eval(x.center(), y.center()),
+                op,
+                a,
+                b,
+            },
+        }
+    }
+
+    fn decided(self) -> Option<i64> {
+        match self {
+            AbsInt::Known(v) => Some(v),
+            _ => None,
         }
     }
 }
+
+/// The abstract machine state: domain values with abstract integers.
+type AbsMachine<D> = Machine<D, AbsInt>;
 
 /// Why the abstract engine gave up. `NeedConcrete` triggers one plain
 /// concrete execution of the whole program; `Fail` is a genuine runtime
@@ -197,17 +236,10 @@ enum FpAbort {
     Fail(ExecError),
 }
 
-/// Control-flow outcome of one [`Engine::step`].
-enum Flow<D> {
-    Next,
-    Goto(usize),
-    Ret(Option<D>),
-    /// A `JumpIfZero` whose condition is not `Known` — the caller's
-    /// policy (top level vs. loop pass) decides how to split.
-    Branch {
-        reg: u32,
-        target: usize,
-    },
+impl From<ExecError> for FpAbort {
+    fn from(e: ExecError) -> FpAbort {
+        FpAbort::Fail(e)
+    }
 }
 
 /// Outcome of a whole solved loop, from the caller's perspective.
@@ -229,13 +261,13 @@ enum AttemptOut<D> {
 /// Outcome of one abstract body pass (phase B).
 enum PassOut<D> {
     /// Reached the back edge; state at the bottom of the body.
-    Back(MState<D>),
+    Back(AbsMachine<D>),
     /// The body path was decidedly or provably not taken again (no new
     /// back-edge state — the invariant is inductive as-is).
     Exited,
     /// A *decided* exit: every state in the invariant leaves the loop
     /// here. The state is the precise continuation.
-    ExitedAt { pc: usize, state: MState<D> },
+    ExitedAt { pc: usize, state: AbsMachine<D> },
 }
 
 /// The interval hull invariant over the loop's written components.
@@ -414,7 +446,6 @@ pub(crate) fn exec_fixpoint<D: Domain>(
         table: &table,
         cfg,
         stats: RunStats::default(),
-        spare: D::constant(0.0, cx),
     };
     match engine.run_program(args) {
         Ok(result) => {
@@ -438,8 +469,6 @@ struct Engine<'p, D: Domain> {
     table: &'p LoopTable,
     cfg: &'p FixpointConfig,
     stats: RunStats,
-    /// Every FP result is computed here, then swapped into its register.
-    spare: D,
 }
 
 impl<D: Domain> Engine<'_, D> {
@@ -448,235 +477,12 @@ impl<D: Domain> Engine<'_, D> {
             .ok_or(FpAbort::NeedConcrete("domain cannot materialize ranges"))
     }
 
-    /// Collapse an abstract integer to a concrete one. `CmpPend` takes
-    /// the center decision (counted undecided, then pinned so repeated
-    /// reads agree); `Top` aborts to concrete execution.
-    fn need_i64(&mut self, m: &mut MState<D>, reg: u32) -> Result<i64, FpAbort> {
-        match m.iregs[reg as usize] {
-            AbsInt::Known(v) => Ok(v),
-            AbsInt::CmpPend { center, .. } => {
-                self.stats.undecided_branches += 1;
-                let v = i64::from(center);
-                m.iregs[reg as usize] = AbsInt::Known(v);
-                Ok(v)
-            }
-            AbsInt::Top => Err(FpAbort::NeedConcrete("widened integer consumed")),
-        }
-    }
-
-    /// One instruction. `in_pass` selects the abstract-pass policy for
-    /// the few operations whose concrete semantics would silently guess
-    /// (center-of-hull casts, possibly-spurious runtime errors).
-    fn step(&mut self, m: &mut MState<D>, pc: usize, in_pass: bool) -> Result<Flow<D>, FpAbort> {
-        let prog = self.prog;
-        let cx = self.cx;
-        self.stats.instrs += 1;
-        let fp_ops_before = self.stats.fp_ops;
-
-        // `$op` applied through `$into` to source registers `$src` into
-        // register `$d`, exactly like `exec_inner`'s `fp_op!`: the result
-        // is computed into the spare value and swapped in. With `consume`,
-        // the op takes the pending protect set.
-        macro_rules! fp_op {
-            ($into:ident, $op:expr, $d:expr, [$($src:expr),+], $consume:literal) => {{
-                let p: &[u64] = if $consume && m.pending_protect { &m.protect } else { &[] };
-                D::$into($op, $(&m.fregs[*$src as usize],)+ cx, p, &mut self.spare);
-                std::mem::swap(&mut m.fregs[*$d as usize], &mut self.spare);
-                if $consume && m.pending_protect {
-                    m.pending_protect = false;
-                    m.protect.clear();
-                }
-                self.stats.fp_ops += 1;
-            }};
-        }
-        // An index out of bounds in an abstract pass may be an artifact of
-        // the widened invariant; only a concrete run can tell.
-        let index = |i: i64, len: usize, name: &str| {
-            array_index(i, len, name).map_err(|e| {
-                if in_pass {
-                    FpAbort::NeedConcrete("abstract index out of bounds")
-                } else {
-                    FpAbort::Fail(e)
-                }
-            })
-        };
-
-        let mut flow = Flow::Next;
-        match &prog.code[pc] {
-            Instr::Add(d, a, b) => fp_op!(bin_into, FpBinOp::Add, d, [a, b], true),
-            Instr::Sub(d, a, b) => fp_op!(bin_into, FpBinOp::Sub, d, [a, b], true),
-            Instr::Mul(d, a, b) => fp_op!(bin_into, FpBinOp::Mul, d, [a, b], true),
-            Instr::Div(d, a, b) => fp_op!(bin_into, FpBinOp::Div, d, [a, b], true),
-            Instr::Sqrt(d, a) => fp_op!(un_into, FpUnOp::Sqrt, d, [a], true),
-            Instr::Abs(d, a) => fp_op!(un_into, FpUnOp::Abs, d, [a], false),
-            Instr::Neg(d, a) => fp_op!(un_into, FpUnOp::Neg, d, [a], false),
-            Instr::Min(d, a, b) => fp_op!(bin_into, FpBinOp::Min, d, [a, b], false),
-            Instr::Max(d, a, b) => fp_op!(bin_into, FpBinOp::Max, d, [a, b], false),
-            Instr::ConstF(d, c) => D::constant_into(*c, cx, &mut m.fregs[*d as usize]),
-            Instr::MovF(d, s) => {
-                m.fregs[*d as usize] = m.fregs[*s as usize].clone();
-            }
-            Instr::CastIF(d, s) => {
-                let v = self.need_i64(m, *s)?;
-                D::constant_into(v as f64, cx, &mut m.fregs[*d as usize]);
-            }
-            Instr::LoadArr(d, arr, idx) => {
-                let i = self.need_i64(m, *idx)?;
-                let a = &m.arrays[*arr as usize];
-                let i = index(i, a.len(), &prog.arrays[*arr as usize].name)?;
-                m.fregs[*d as usize].clone_from(&a[i]);
-            }
-            Instr::StoreArr(arr, idx, s) => {
-                let i = self.need_i64(m, *idx)?;
-                let a = &mut m.arrays[*arr as usize];
-                let i = index(i, a.len(), &prog.arrays[*arr as usize].name)?;
-                a[i].clone_from(&m.fregs[*s as usize]);
-            }
-            Instr::ConstI(d, c) => m.iregs[*d as usize] = AbsInt::Known(*c),
-            Instr::AddI(d, a, b) => self.int_bin(m, *d, *a, *b, |x, y| x + y)?,
-            Instr::SubI(d, a, b) => self.int_bin(m, *d, *a, *b, |x, y| x - y)?,
-            Instr::MulI(d, a, b) => self.int_bin(m, *d, *a, *b, |x, y| x * y)?,
-            Instr::DivI(d, a, b) => {
-                if matches!(m.iregs[*b as usize], AbsInt::Top) {
-                    return Err(FpAbort::NeedConcrete("widened divisor"));
-                }
-                let bv = self.need_i64(m, *b)?;
-                if bv == 0 {
-                    return if in_pass {
-                        Err(FpAbort::NeedConcrete("abstract division by zero"))
-                    } else {
-                        Err(FpAbort::Fail(err("integer division by zero")))
-                    };
-                }
-                if matches!(m.iregs[*a as usize], AbsInt::Top) {
-                    m.iregs[*d as usize] = AbsInt::Top;
-                } else {
-                    let av = self.need_i64(m, *a)?;
-                    m.iregs[*d as usize] = AbsInt::Known(av / bv);
-                }
-            }
-            Instr::MovI(d, s) => m.iregs[*d as usize] = m.iregs[*s as usize],
-            Instr::CastFI(d, s) => {
-                let (lo, hi) = m.fregs[*s as usize].range();
-                if in_pass && !(lo == hi && lo.is_finite()) {
-                    // The plain VM truncates the center value; doing that
-                    // to a widened hull would silently fabricate an
-                    // integer. Only exact points are allowed in a pass.
-                    return Err(FpAbort::NeedConcrete("cast of widened float"));
-                }
-                m.iregs[*d as usize] = AbsInt::Known(m.fregs[*s as usize].center() as i64);
-            }
-            Instr::CmpI(op, d, a, b) => {
-                let top_a = matches!(m.iregs[*a as usize], AbsInt::Top);
-                let top_b = matches!(m.iregs[*b as usize], AbsInt::Top);
-                if top_a || top_b {
-                    m.iregs[*d as usize] = AbsInt::Top;
-                } else {
-                    let av = self.need_i64(m, *a)?;
-                    let bv = self.need_i64(m, *b)?;
-                    m.iregs[*d as usize] = AbsInt::Known(i64::from(op.eval(av, bv)));
-                }
-            }
-            Instr::CmpF(op, d, a, b) => {
-                let (x, y) = (&m.fregs[*a as usize], &m.fregs[*b as usize]);
-                m.iregs[*d as usize] = match cmp_f_sound(*op, x, y) {
-                    Some(v) => AbsInt::Known(i64::from(v)),
-                    None => AbsInt::CmpPend {
-                        center: op.eval(x.center(), y.center()),
-                        op: *op,
-                        a: *a,
-                        b: *b,
-                    },
-                };
-            }
-            Instr::Jump(t) => flow = Flow::Goto(*t),
-            Instr::JumpIfZero(c, t) => match m.iregs[*c as usize] {
-                AbsInt::Known(v) => {
-                    if v == 0 {
-                        flow = Flow::Goto(*t);
-                    }
-                }
-                _ => {
-                    flow = Flow::Branch {
-                        reg: *c,
-                        target: *t,
-                    }
-                }
-            },
-            Instr::Protect(r) => {
-                m.fregs[*r as usize].protect_ids_into(cx, &mut m.protect);
-                m.pending_protect = true;
-            }
-            Instr::SetCapacity(k) => {
-                D::set_capacity(cx, *k as usize);
-                m.pending_capacity = true;
-            }
-            Instr::Ret(r) => flow = Flow::Ret(r.map(|r| m.fregs[r as usize].clone())),
-        }
-        // A capacity pragma covers exactly its (single-FP-op) statement.
-        if m.pending_capacity && self.stats.fp_ops > fp_ops_before {
-            D::reset_capacity(cx);
-            m.pending_capacity = false;
-        }
-        Ok(flow)
-    }
-
-    fn int_bin(
-        &mut self,
-        m: &mut MState<D>,
-        d: u32,
-        a: u32,
-        b: u32,
-        f: impl Fn(i64, i64) -> i64,
-    ) -> Result<(), FpAbort> {
-        let top = matches!(m.iregs[a as usize], AbsInt::Top)
-            || matches!(m.iregs[b as usize], AbsInt::Top);
-        m.iregs[d as usize] = if top {
-            AbsInt::Top
-        } else {
-            let av = self.need_i64(m, a)?;
-            let bv = self.need_i64(m, b)?;
-            AbsInt::Known(f(av, bv))
-        };
-        Ok(())
-    }
-
     /// Whole-program driver: binds parameters like the plain VM, then
     /// interprets top to bottom, handing every loop header to
     /// [`Engine::solve`].
     fn run_program(&mut self, args: &[ArgValue]) -> Result<RunResult<D>, FpAbort> {
-        let prog = self.prog;
-        let cx = self.cx;
-        validate_args(prog, args).map_err(FpAbort::Fail)?;
-        let zero = D::constant(0.0, cx);
-        let mut m = MState {
-            fregs: vec![zero; prog.n_fregs.max(1)],
-            iregs: vec![AbsInt::Known(0); prog.n_iregs.max(1)],
-            arrays: prog
-                .arrays
-                .iter()
-                .map(|a| vec![D::constant(0.0, cx); a.len])
-                .collect(),
-            protect: Vec::new(),
-            pending_protect: false,
-            pending_capacity: false,
-        };
-        let (fusions_at_entry, condensations_at_entry) = D::fusion_counters(cx);
-        for ((_, param), arg) in prog.params.iter().zip(args) {
-            match bind(param, arg) {
-                Bind::Float(r, x) => D::from_input_into(x, cx, &mut m.fregs[r]),
-                Bind::Int(r, v) => m.iregs[r] = AbsInt::Known(v),
-                Bind::Array(a, xs) => {
-                    // An unsized (pointer) array takes its length from the
-                    // argument.
-                    m.arrays[a].resize_with(xs.len(), || self.spare.clone());
-                    for (v, &x) in m.arrays[a].iter_mut().zip(xs) {
-                        D::from_input_into(x, cx, v);
-                    }
-                }
-            }
-        }
-
+        let (prog, cx) = (self.prog, self.cx);
+        let mut m = AbsMachine::<D>::bind(prog, args, cx, &mut NoTrace)?;
         let mut pc = 0usize;
         let mut ret: Option<D> = None;
         while pc < prog.code.len() {
@@ -697,7 +503,7 @@ impl<D: Domain> Engine<'_, D> {
                     "instruction budget exhausted (infinite loop?)",
                 )));
             }
-            match self.step(&mut m, pc, false)? {
+            match m.step(prog, cx, pc, &mut self.stats, false)? {
                 Flow::Next => pc += 1,
                 Flow::Goto(t) => pc = t,
                 Flow::Ret(r) => {
@@ -707,7 +513,8 @@ impl<D: Domain> Engine<'_, D> {
                 Flow::Branch { reg, target } => {
                     // An undecided branch outside any loop: the plain VM's
                     // center decision, counted undecided.
-                    if self.need_i64(&mut m, reg)? == 0 {
+                    let undecided = &mut self.stats.undecided_branches;
+                    if m.iregs[reg as usize].read(undecided)? == 0 {
                         pc = target;
                     } else {
                         pc += 1;
@@ -715,22 +522,18 @@ impl<D: Domain> Engine<'_, D> {
                 }
             }
         }
-
-        let (fusions_at_exit, condensations_at_exit) = D::fusion_counters(cx);
-        self.stats.fusions = fusions_at_exit - fusions_at_entry;
-        self.stats.condensations = condensations_at_exit - condensations_at_entry;
-        Ok(RunResult {
-            ret,
-            arrays: array_outs(prog, |a| std::mem::take(&mut m.arrays[a])),
-            stats: self.stats,
-        })
+        Ok(m.finish(prog, cx, ret, self.stats))
     }
 
     /// Phase A: run the loop concretely for up to `attempt_budget`
     /// back-edge traversals. Any abstract obstacle (a data-dependent
     /// guard, a widened integer) aborts — the caller restores the entry
     /// state and falls through to the abstract solver.
-    fn attempt(&mut self, m: &mut MState<D>, region: LoopRegion) -> Result<AttemptOut<D>, FpAbort> {
+    fn attempt(
+        &mut self,
+        m: &mut AbsMachine<D>,
+        region: LoopRegion,
+    ) -> Result<AttemptOut<D>, FpAbort> {
         let mut pc = region.header;
         let mut traversals: u64 = 0;
         loop {
@@ -742,7 +545,7 @@ impl<D: Domain> Engine<'_, D> {
                     "instruction budget exhausted (infinite loop?)",
                 )));
             }
-            match self.step(m, pc, false) {
+            match m.step(self.prog, self.cx, pc, &mut self.stats, false) {
                 Ok(Flow::Next) => pc += 1,
                 Ok(Flow::Goto(t)) => {
                     if t == region.header {
@@ -764,7 +567,7 @@ impl<D: Domain> Engine<'_, D> {
     /// Solves one loop: attempt, iterate-and-widen, narrow, collect (the
     /// pipeline of the module docs). On success the machine state holds
     /// the loop's exit state and the returned pc continues after it.
-    fn solve(&mut self, m: &mut MState<D>, region: LoopRegion) -> Result<LoopOut<D>, FpAbort> {
+    fn solve(&mut self, m: &mut AbsMachine<D>, region: LoopRegion) -> Result<LoopOut<D>, FpAbort> {
         let stats_at_entry = self.stats;
         let snapshot = m.clone();
         match self.attempt(m, region)? {
@@ -844,7 +647,7 @@ impl<D: Domain> Engine<'_, D> {
         // Collect: one pass over the final invariant accumulating the
         // exit states (invariant refined by the negated guard).
         let start = self.materialize(&snapshot, &inv, &written)?;
-        let mut acc: Option<(usize, MState<D>)> = None;
+        let mut acc: Option<(usize, AbsMachine<D>)> = None;
         match self.pass(start, region, Some(&mut acc))? {
             PassOut::ExitedAt { pc, state } => self.join_exit_into(&mut acc, pc, state)?,
             PassOut::Back(_) | PassOut::Exited => {}
@@ -877,9 +680,9 @@ impl<D: Domain> Engine<'_, D> {
     /// infeasible is dropped. Inner loops are solved recursively.
     fn pass(
         &mut self,
-        mut m: MState<D>,
+        mut m: AbsMachine<D>,
         region: LoopRegion,
-        mut collect: Option<&mut Option<(usize, MState<D>)>>,
+        mut collect: Option<&mut Option<(usize, AbsMachine<D>)>>,
     ) -> Result<PassOut<D>, FpAbort> {
         let mut pc = region.header;
         let mut fuel = self.cfg.pass_fuel;
@@ -903,7 +706,13 @@ impl<D: Domain> Engine<'_, D> {
             fuel = fuel
                 .checked_sub(1)
                 .ok_or(FpAbort::NeedConcrete("abstract pass fuel exhausted"))?;
-            match self.step(&mut m, pc, true)? {
+            // Inside a pass every failure may be an artifact of the widened
+            // invariant (an index out of bounds, a zero divisor); only a
+            // concrete run can tell.
+            let flow = m
+                .step(self.prog, self.cx, pc, &mut self.stats, true)
+                .map_err(|_| FpAbort::NeedConcrete("abstract step failed"))?;
+            match flow {
                 Flow::Next => pc += 1,
                 Flow::Goto(t) => {
                     if t == region.header {
@@ -926,7 +735,8 @@ impl<D: Domain> Engine<'_, D> {
                     if !jump_exits && !fall_exits {
                         // Undecided branch fully inside the body: the
                         // plain VM's center decision, counted undecided.
-                        if self.need_i64(&mut m, reg)? == 0 {
+                        let undecided = &mut self.stats.undecided_branches;
+                        if m.iregs[reg as usize].read(undecided)? == 0 {
                             pc = target;
                         } else {
                             pc += 1;
@@ -995,7 +805,7 @@ impl<D: Domain> Engine<'_, D> {
     /// refined path is infeasible (empty meet).
     fn refine_guard(
         &mut self,
-        m: &mut MState<D>,
+        m: &mut AbsMachine<D>,
         op: CmpOp,
         a: u32,
         b: u32,
@@ -1052,9 +862,9 @@ impl<D: Domain> Engine<'_, D> {
     /// anything else bails to concrete execution.
     fn join_exit_into(
         &mut self,
-        acc: &mut Option<(usize, MState<D>)>,
+        acc: &mut Option<(usize, AbsMachine<D>)>,
         pc: usize,
-        state: MState<D>,
+        state: AbsMachine<D>,
     ) -> Result<(), FpAbort> {
         match acc {
             None => {
@@ -1075,7 +885,7 @@ impl<D: Domain> Engine<'_, D> {
     /// from the union hull via [`Domain::from_range`] — keeping one
     /// path's correlated affine form at a join would misrepresent the
     /// other path's executions.
-    fn join_states(&self, a: &MState<D>, b: &MState<D>) -> Result<MState<D>, FpAbort> {
+    fn join_states(&self, a: &AbsMachine<D>, b: &AbsMachine<D>) -> Result<AbsMachine<D>, FpAbort> {
         let mut out = a.clone();
         for (i, slot) in out.fregs.iter_mut().enumerate() {
             let (alo, ahi) = hull_of(&a.fregs[i]);
@@ -1103,7 +913,7 @@ impl<D: Domain> Engine<'_, D> {
 
     /// Reads the invariant's hulls out of a machine state (the written
     /// components only).
-    fn hulls_of(&self, m: &MState<D>, w: &Written) -> Inv {
+    fn hulls_of(&self, m: &AbsMachine<D>, w: &Written) -> Inv {
         Inv {
             f: w.fregs
                 .iter()
@@ -1128,10 +938,10 @@ impl<D: Domain> Engine<'_, D> {
     /// (unwritten registers keep their correlated entry forms).
     fn materialize(
         &self,
-        snapshot: &MState<D>,
+        snapshot: &AbsMachine<D>,
         inv: &Inv,
         w: &Written,
-    ) -> Result<MState<D>, FpAbort> {
+    ) -> Result<AbsMachine<D>, FpAbort> {
         let mut m = snapshot.clone();
         m.protect = Vec::new();
         m.pending_protect = false;

@@ -5,11 +5,12 @@
 //! instruction dispatch applies its operation across all live lanes
 //! before the next dispatch. This amortizes the interpreter's per-
 //! instruction overhead (decode, branch, bookkeeping) over the whole
-//! lane group — the win is largest for the cheap domains (unsound
-//! `f64`, the IGen intervals), where dispatch dominates the actual
-//! arithmetic; the affine domains still profit because each lane's O(k)
-//! kernel (including `safegen-affine::vector`'s 4-wide blocked SIMD
-//! path) runs back to back on hot caches.
+//! lane group — the win is for the cheap domains (unsound `f64`, the
+//! IGen intervals), where dispatch dominates the actual arithmetic. The
+//! affine domains have no column kernel and gain little: each lane's
+//! O(k) kernel dwarfs the dispatch it saves (`results/BENCH_dispatch.json`
+//! has f64a-dspv k=8 at 0.84–1.12× of scalar at width 4 and at most
+//! 1.27× at any width).
 //!
 //! ## Bit-identical to the scalar interpreter
 //!

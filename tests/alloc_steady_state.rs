@@ -8,7 +8,7 @@
 use safegen::domain::{Domain, FpBinOp, FpUnOp};
 use safegen_affine::{AaConfig, AaContext, Affine, CenterValue, Dd, Protect};
 use safegen_api::diag::{encode, run_lanes_on, run_on, Compiler};
-use safegen_api::{ArgValue, RunConfig};
+use safegen_api::{ArgValue, LoopMode, RunConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -75,11 +75,10 @@ where
         a = a.add(&x, &cx, Protect::None);
         b = b.mul(&x, &cx, Protect::None).add(&b, &cx, Protect::None);
     }
-    let protect = if prioritized {
-        a.protect_ids(k / 2)
-    } else {
-        Vec::new()
-    };
+    let mut protect = Vec::new();
+    if prioritized {
+        a.protect_ids_into(k / 2, &mut protect);
+    }
     let neg_a = a.neg();
     let mut out = <Affine<C> as Domain>::constant(0.0, &cx);
     let at = |what: &str| format!("{what} under {mnemonic} k={k} ({})", C::NAME);
@@ -181,4 +180,41 @@ fn affine_registers_reuse_their_storage() {
         }
     }
     interpreted_loops_allocate_per_run_only();
+}
+
+/// A loop that swaps two registers each trip, so its body keeps a `MovF`
+/// through copy propagation.
+const SWAP_KERNEL: &str = "double swap(double x, double y, int n) {
+    for (int i = 0; i < n; i++) {
+        double t = x;
+        x = y;
+        y = t * 0.5 + 0.25;
+    }
+    return x + y;
+}";
+
+/// The fixpoint engine's concrete attempt (`LoopMode::Auto` runs every
+/// loop within its attempt budget concretely) allocates per run only.
+#[test]
+fn fixpoint_attempt_allocates_per_run_only() {
+    let config = RunConfig::affine_f64(8).with_loop_mode(LoopMode::Auto);
+    let compiled = Compiler::new().compile(SWAP_KERNEL).unwrap();
+    let prog = compiled.program_for("swap", &config);
+    let listing = format!("{prog}");
+    assert!(listing.contains("MovF"), "kernel lost its MovF:\n{listing}");
+
+    let run = |n: i64| {
+        let args = [ArgValue::Float(0.3), ArgValue::Float(0.9), ArgValue::Int(n)];
+        allocs(|| {
+            let r = run_on(&prog, &args, &config).unwrap();
+            assert_eq!(r.stats.fixpoint_loops, 0, "the attempt must run the loop");
+        })
+    };
+    run(1);
+    let n = 25;
+    assert_eq!(
+        run(n),
+        run(4 * n),
+        "the fixpoint attempt allocates per trip"
+    );
 }
