@@ -86,7 +86,7 @@ check_rejects "misspelled flag" "$SAFEGEN" profile "$SMOKE_DIR/kernel.c" poly --
 echo "== differential fuzz smoke (incl. pass-differential; must be clean) =="
 build_release
 SAFEGEN_METRICS_OUT="$SMOKE_DIR/fuzz" \
-    "$SAFEGEN" fuzz --iters 200 --seed 0xC60 --out "$SMOKE_DIR/fuzzout" \
+    "$SAFEGEN" fuzz --iters 2000 --seed 0xC60 --out "$SMOKE_DIR/fuzzout" \
     | grep -q " 0 counterexamples"
 "$JSON_CHECK" "$SMOKE_DIR/fuzz.jsonl" "$SMOKE_DIR/fuzz.summary.json"
 
@@ -238,7 +238,7 @@ grep -qi "capability mismatch" "$SMOKE_DIR/forged.txt"
 
 echo "== loop fuzz smoke (unbounded-loop generation; must be clean) =="
 build_release
-"$SAFEGEN" fuzz --iters 200 --seed 0xC60 --loops \
+"$SAFEGEN" fuzz --iters 2000 --seed 0xC60 --loops \
     --out "$SMOKE_DIR/loopfuzz" | grep -q " 0 counterexamples"
 
 echo "== fixpoint bench smoke (loop solve vs. unroll + results JSON) =="

@@ -1,6 +1,7 @@
 //! Runtime configuration: placement and fusion policies, symbol allocation.
 
 use crate::symbol::SymbolId;
+use crate::vector::Avx2;
 use std::cell::Cell;
 
 /// How the error symbols of an affine form are stored (paper Sec. V-A).
@@ -59,8 +60,9 @@ pub struct AaConfig {
     pub fusion: Fusion,
     /// Round-off handling.
     pub noise: NoisePolicy,
-    /// Use the block-vectorized kernels (direct-mapped placement only;
-    /// results are bit-identical to the scalar kernels).
+    /// Use the AVX2 merge body when the CPU has AVX2 and FMA
+    /// (direct-mapped placement only; results are bit-identical to the
+    /// scalar body).
     pub vectorized: bool,
 }
 
@@ -198,6 +200,8 @@ pub struct AaContext {
     /// Event counters (see [`AaCounters`]); bumped only on the fusion
     /// paths, never per operation, so they cost nothing on the fast path.
     counters: Cell<AaCounters>,
+    /// See [`AaContext::avx2`].
+    avx2: Option<Avx2>,
 }
 
 /// Counters of symbol-losing events in one [`AaContext`].
@@ -237,6 +241,11 @@ impl AaContext {
             rng: Cell::new(0x9E37_79B9_7F4A_7C15),
             op_k: Cell::new(config.k),
             counters: Cell::new(AaCounters::default()),
+            avx2: if config.vectorized && config.fusion != Fusion::Random {
+                Avx2::detect()
+            } else {
+                None
+            },
         }
     }
 
@@ -291,6 +300,15 @@ impl AaContext {
         self.next_id.get()
     }
 
+    /// The AVX2 token when this context's direct-mapped merges take the
+    /// AVX2 body: a vectorized configuration, a fusion policy without
+    /// random draws (those stay in slot order on the scalar body), and a
+    /// CPU with AVX2 and FMA. Detected once, when the context is made.
+    #[inline]
+    pub(crate) fn avx2(&self) -> Option<Avx2> {
+        self.avx2
+    }
+
     /// Snapshot of the fusion/condensation counters.
     #[inline]
     pub fn counters(&self) -> AaCounters {
@@ -307,11 +325,12 @@ impl AaContext {
         self.counters.set(c);
     }
 
-    /// Records one slot-conflict condensation (direct-mapped placement).
+    /// Records `n` slot-conflict condensations (direct-mapped placement);
+    /// a merge counts its conflicts and records them once.
     #[inline]
-    pub(crate) fn note_condensation(&self) {
+    pub(crate) fn note_condensations(&self, n: u64) {
         let mut c = self.counters.get();
-        c.condensations += 1;
+        c.condensations += n;
         self.counters.set(c);
     }
 

@@ -2,7 +2,8 @@
 
 use crate::center::CenterValue;
 use crate::config::{AaContext, Placement};
-use crate::symbol::{SymbolId, Term, NO_SYMBOL};
+use crate::direct::abs_sum;
+use crate::symbol::{slot_of, SymbolId, Term, NO_SYMBOL};
 use safegen_fpcore::metrics;
 use safegen_fpcore::round::{add_ru, sub_ru};
 use safegen_fpcore::Dd;
@@ -80,29 +81,31 @@ impl Repr {
     }
 
     /// Inserts a fresh symbol; for sorted placement the id must exceed all
-    /// existing ids.
-    pub(crate) fn push_fresh(&mut self, id: SymbolId, coeff: f64, k: usize) {
+    /// existing ids. Returns whether it absorbed a direct-mapped slot's
+    /// occupant (a condensation).
+    pub(crate) fn push_fresh(&mut self, id: SymbolId, coeff: f64, k: usize) -> bool {
         if coeff == 0.0 {
-            return;
+            return false;
         }
         match self {
             Repr::Sorted(terms) => {
                 debug_assert!(terms.last().is_none_or(|t| t.id < id));
                 debug_assert!(terms.len() < k || k == usize::MAX);
                 terms.push(Term::new(id, coeff));
+                false
             }
             Repr::Direct { ids, coeffs } => {
-                let slot = (id % ids.len() as u64) as usize;
-                if ids[slot] == NO_SYMBOL {
-                    ids[slot] = id;
-                    coeffs[slot] = coeff;
-                } else {
+                let slot = slot_of(id, ids.len());
+                let absorbs = ids[slot] != NO_SYMBOL;
+                if absorbs {
                     // The fresh symbol absorbs the occupant (eq. 6); both
                     // magnitudes merge under the fresh id.
-                    let merged = add_ru(coeffs[slot].abs(), coeff.abs());
-                    ids[slot] = id;
-                    coeffs[slot] = merged;
+                    coeffs[slot] = add_ru(coeffs[slot].abs(), coeff.abs());
+                } else {
+                    coeffs[slot] = coeff;
                 }
+                ids[slot] = id;
+                absorbs
             }
         }
     }
@@ -378,8 +381,9 @@ impl<C: CenterValue> Affine<C> {
         out.sort_unstable();
     }
 
-    /// The radius `r(â) = Σ|aᵢ|` (plus dedicated noise), accumulated with
-    /// upward rounding (paper eq. 2).
+    /// The radius `r(â) = Σ|aᵢ|` (plus dedicated noise), a sound upper
+    /// bound (paper eq. 2): upward-rounded for sorted terms, one bounded
+    /// round-to-nearest sum for direct-mapped slots.
     pub fn radius(&self) -> f64 {
         let mut r = self.acc_noise;
         match &self.repr {
@@ -389,11 +393,7 @@ impl<C: CenterValue> Affine<C> {
                 }
             }
             Repr::Direct { ids, coeffs } => {
-                for (&id, &c) in ids.iter().zip(coeffs.iter()) {
-                    if id != NO_SYMBOL {
-                        r = add_ru(r, c.abs());
-                    }
-                }
+                r = add_ru(r, abs_sum(ids, coeffs));
             }
         }
         r

@@ -132,32 +132,6 @@ fn top_up_with_protected(
     victims
 }
 
-/// Resolves a direct-mapped slot conflict: two distinct symbols competing
-/// for one slot. Returns `true` if the *first* (left) symbol keeps the
-/// slot. The loser is fused into the operation's fresh symbol.
-pub(crate) fn resolve_conflict(
-    left: Term,
-    right: Term,
-    policy: Fusion,
-    ctx: &AaContext,
-    protect: Protect<'_>,
-) -> bool {
-    ctx.note_condensation();
-    let lp = protect.contains(left.id);
-    let rp = protect.contains(right.id);
-    if lp != rp {
-        return lp;
-    }
-    match policy {
-        // SP and MP keep the larger magnitude (fusing the smaller loses
-        // least potential cancellation).
-        Fusion::Smallest | Fusion::MeanThreshold => left.coeff.abs() >= right.coeff.abs(),
-        // OP fuses the older symbol: keep the newer (larger id).
-        Fusion::Oldest => left.id > right.id,
-        Fusion::Random => ctx.rand() & 1 == 0,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -237,58 +211,6 @@ mod tests {
         let protected = [0u64, 1, 2];
         let v = select_victims(&ts, 2, Fusion::Oldest, &ctx(), Protect::Ids(&protected));
         assert_eq!(v.len(), 2); // must still free the slots
-    }
-
-    #[test]
-    fn conflict_resolution_policies() {
-        let c = ctx();
-        let old_small = Term::new(1, 0.1);
-        let new_big = Term::new(9, 5.0);
-        // SP keeps the bigger magnitude.
-        assert!(!resolve_conflict(
-            old_small,
-            new_big,
-            Fusion::Smallest,
-            &c,
-            Protect::None
-        ));
-        // OP keeps the newer id.
-        assert!(!resolve_conflict(
-            old_small,
-            new_big,
-            Fusion::Oldest,
-            &c,
-            Protect::None
-        ));
-        assert!(resolve_conflict(
-            new_big,
-            old_small,
-            Fusion::Oldest,
-            &c,
-            Protect::None
-        ));
-    }
-
-    #[test]
-    fn conflict_protected_wins() {
-        let c = ctx();
-        let prot = [1u64];
-        let protected_term = Term::new(1, 0.001);
-        let other = Term::new(9, 100.0);
-        assert!(resolve_conflict(
-            protected_term,
-            other,
-            Fusion::Smallest,
-            &c,
-            Protect::Ids(&prot)
-        ));
-        assert!(!resolve_conflict(
-            other,
-            protected_term,
-            Fusion::Smallest,
-            &c,
-            Protect::Ids(&prot)
-        ));
     }
 
     #[test]

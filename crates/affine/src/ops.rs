@@ -6,9 +6,10 @@
 //! 1. combine the central values with [`CenterValue`], recovering the
 //!    rounding error;
 //! 2. merge the symbol terms with the placement-specific kernel
-//!    ([`crate::sorted`] / [`crate::direct`] / [`crate::vector`]), which
-//!    accumulates coefficient rounding errors (and, for direct-mapped
-//!    placement, slot-conflict fusions) into the *noise* accumulator;
+//!    ([`crate::sorted`] / [`crate::direct`], whose AVX2 body lives in
+//!    [`crate::vector`]), which accumulates coefficient rounding errors
+//!    (and, for direct-mapped placement, slot-conflict fusions) into the
+//!    *noise* accumulator;
 //! 3. add operation-specific over-approximation terms (the quadratic
 //!    `r(â)·r(b̂)` of multiplication, the `δ` of the min-range
 //!    approximations);
@@ -24,12 +25,11 @@
 
 use crate::center::{CenterValue, ErrAcc};
 use crate::config::{AaContext, NoisePolicy, Protect};
-use crate::direct::{merge_linear_direct, merge_mul_direct, scale_direct};
+use crate::direct::{self, scale_direct, Slots};
 use crate::form::{Affine, Repr};
 use crate::fusion::select_victims;
 use crate::sorted::{merge_linear, merge_mul, scale_terms};
-use crate::symbol::{Term, NO_SYMBOL};
-use crate::vector;
+use crate::symbol::Term;
 use safegen_fpcore::round::{add_ru, div_rd, div_ru, mul_ru, sqrt_rd, sqrt_ru, sub_rd, sub_ru};
 use std::cmp::Ordering;
 
@@ -105,11 +105,13 @@ impl<C: CenterValue> Affine<C> {
                     coeffs: bc,
                 },
             ) => {
-                if ctx.config().vectorized {
-                    vector::merge_linear_vec(ai, ac, bi, bc, sign_b, ctx, protect, &mut noise);
-                } else {
-                    merge_linear_direct(ai, ac, bi, bc, sign_b, ctx, protect, &mut noise);
-                }
+                let mut x = Slots {
+                    a_ids: ai,
+                    a_coeffs: ac,
+                    b_ids: bi,
+                    b_coeffs: bc,
+                };
+                noise.add(direct::merge_linear(&mut x, sign_b, ctx, protect));
             }
             _ => panic!("mixed placements: operands must come from one context"),
         }
@@ -164,11 +166,13 @@ impl<C: CenterValue> Affine<C> {
                     coeffs: bc,
                 },
             ) => {
-                if ctx.config().vectorized {
-                    vector::merge_mul_vec(a0, b0, ai, ac, bi, bc, ctx, protect, &mut noise);
-                } else {
-                    merge_mul_direct(a0, b0, ai, ac, bi, bc, ctx, protect, &mut noise);
-                }
+                let mut x = Slots {
+                    a_ids: ai,
+                    a_coeffs: ac,
+                    b_ids: bi,
+                    b_coeffs: bc,
+                };
+                noise.add(direct::merge_mul(a0, b0, &mut x, ctx, protect));
             }
             _ => panic!("mixed placements: operands must come from one context"),
         }
@@ -449,14 +453,10 @@ impl<C: CenterValue> Affine<C> {
             (Repr::Direct { .. }, NoisePolicy::Dedicated) => {
                 self.acc_noise = add_ru(acc_noise, noise);
             }
-            (Repr::Direct { ids, .. }, NoisePolicy::Fresh) => {
+            (Repr::Direct { .. }, NoisePolicy::Fresh) => {
                 self.acc_noise = acc_noise;
-                if noise > 0.0 {
-                    let id = ctx.fresh_symbol();
-                    if ids[(id % ids.len() as u64) as usize] != NO_SYMBOL {
-                        ctx.note_condensation();
-                    }
-                    self.repr.push_fresh(id, noise, k);
+                if noise > 0.0 && self.repr.push_fresh(ctx.fresh_symbol(), noise, k) {
+                    ctx.note_condensations(1);
                 }
             }
         }

@@ -10,6 +10,17 @@ pub type SymbolId = u64;
 /// Sentinel id marking an empty slot in the direct-mapped representation.
 pub const NO_SYMBOL: SymbolId = u64::MAX;
 
+/// The direct-mapped slot of symbol `id` among `k` slots, `id mod k`
+/// (a mask when `k` is a power of two).
+#[inline]
+pub(crate) fn slot_of(id: SymbolId, k: usize) -> usize {
+    if k.is_power_of_two() {
+        id as usize & (k - 1)
+    } else {
+        (id % k as u64) as usize
+    }
+}
+
 /// One term `aᵢ·εᵢ` of an affine form: the symbol identifier and the
 /// deviation magnitude (coefficient), always stored in `f64`.
 #[derive(Clone, Copy, Debug, PartialEq)]

@@ -4,7 +4,11 @@
 //!
 //! * `aa_ops` — affine addition and multiplication under sorted (`ss`),
 //!   direct-mapped (`ds`) and vectorized direct-mapped (`dsv`) placement,
-//!   across the symbol-budget sweep k ∈ {8, 16, 32, 48};
+//!   across the symbol-budget sweep k ∈ {8, 16, 32, 48}. Each op is the
+//!   one the VM runs, `add_into` / `mul_into` on a warm output register,
+//!   timed twice: on operands sharing every symbol (`add_dsv`), and on
+//!   operands whose symbols conflict in every direct-mapped slot
+//!   (`add_dsv_conflict`; paper-k8 sees conflicts in most slots);
 //! * `baseline_ops` — the Ceres and yalaa-aff0 reimplementations against
 //!   SafeGen's `dsv` multiplication at k = 16 (the library-overhead gap
 //!   of Fig. 9);
@@ -96,6 +100,20 @@ fn operands(ctx: &AaContext) -> (AffineF64, AffineF64) {
     )
 }
 
+/// Two affine operands with all k slots populated by *different* symbols
+/// (two independent chains), so every direct-mapped slot conflicts.
+fn conflicting_operands(ctx: &AaContext) -> (AffineF64, AffineF64) {
+    let chain = |x: f64| {
+        let mut a = AffineF64::from_input(x, ctx);
+        for _ in 0..(2 * ctx.k() + 4) {
+            let c = AffineF64::from_input(x, ctx);
+            a = a.mul(&c, ctx, Protect::None);
+        }
+        a.mul(&AffineF64::exact(1e-3, ctx), ctx, Protect::None)
+    };
+    (chain(0.7), chain(1.3))
+}
+
 /// A reuse-dense synthetic kernel: chained reconvergences of `x * z`.
 fn reuse_kernel() -> String {
     let mut src = String::from("double f(double x, double z) {\n    double acc = 0.0;\n");
@@ -134,16 +152,22 @@ fn main() {
             ("ds", AaConfig::new(k).with_vectorized(false)),
             ("dsv", AaConfig::new(k).with_vectorized(true)),
         ] {
-            let ctx = AaContext::new(cfg);
-            let (a, b) = operands(&ctx);
-            let add = time_op(samples, target, || {
-                a.add(black_box(&b), &ctx, Protect::None)
-            });
-            push("aa_ops", format!("add_{tag}"), Some(k), add);
-            let mul = time_op(samples, target, || {
-                a.mul(black_box(&b), &ctx, Protect::None)
-            });
-            push("aa_ops", format!("mul_{tag}"), Some(k), mul);
+            for (suffix, make) in [
+                ("", operands as fn(&AaContext) -> (AffineF64, AffineF64)),
+                ("_conflict", conflicting_operands),
+            ] {
+                let ctx = AaContext::new(cfg);
+                let (a, b) = make(&ctx);
+                let mut out = a.clone();
+                let add = time_op(samples, target, || {
+                    a.add_into(black_box(&b), &ctx, Protect::None, &mut out)
+                });
+                push("aa_ops", format!("add_{tag}{suffix}"), Some(k), add);
+                let mul = time_op(samples, target, || {
+                    a.mul_into(black_box(&b), &ctx, Protect::None, &mut out)
+                });
+                push("aa_ops", format!("mul_{tag}{suffix}"), Some(k), mul);
+            }
         }
     }
 

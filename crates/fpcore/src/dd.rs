@@ -151,9 +151,9 @@ impl Dd {
 
     /// Double-double square root (Karp–Markstein style).
     ///
-    /// Returns NaN for negative input.
+    /// Returns NaN for negative or NaN input.
     pub fn sqrt(self) -> Dd {
-        if self.hi < 0.0 {
+        if self.hi < 0.0 || self.hi.is_nan() {
             return Dd {
                 hi: f64::NAN,
                 lo: f64::NAN,
@@ -161,6 +161,11 @@ impl Dd {
         }
         if self.hi == 0.0 {
             return Dd::ZERO;
+        }
+        if self.hi == f64::INFINITY {
+            // √+∞ = +∞; the rescaling below would leave ∞ unchanged and
+            // recurse forever.
+            return Dd::from(f64::INFINITY);
         }
         if self.hi < DEEP_GUARD {
             // Deep-subnormal radicands make the Karp–Markstein residual
@@ -353,7 +358,9 @@ impl Div for Dd {
     #[inline]
     fn div(self, rhs: Dd) -> Dd {
         let q1 = self.hi / rhs.hi;
-        if !q1.is_finite() {
+        if !q1.is_finite() || rhs.hi.is_infinite() {
+            // NaN, ±∞, or a finite dividend over ±∞, where `q1` is the
+            // IEEE signed zero (rescaling ∞ would recurse forever).
             return Dd { hi: q1, lo: 0.0 };
         }
         // Operands outside (2^-900, 2^900) break the refinement steps:
@@ -495,6 +502,48 @@ mod tests {
     fn division_by_zero_gives_infinity() {
         let q = Dd::ONE / Dd::ZERO;
         assert!(q.hi().is_infinite());
+    }
+
+    #[test]
+    fn division_by_infinity_gives_signed_zero() {
+        for (x, inf, neg) in [
+            (1757.68, f64::INFINITY, false),
+            (1757.68, f64::NEG_INFINITY, true),
+            (-1.0, f64::INFINITY, true),
+            (0.0, f64::INFINITY, false),
+            (f64::MAX, f64::INFINITY, false),
+        ] {
+            let q = Dd::from(x) / Dd::from(inf);
+            assert_eq!(q.hi(), 0.0, "{x} / {inf}");
+            assert_eq!(q.hi().is_sign_negative(), neg, "{x} / {inf}");
+            assert_eq!(q.lo(), 0.0);
+        }
+    }
+
+    #[test]
+    fn infinity_over_finite_is_infinite() {
+        let q = Dd::from(f64::INFINITY) / Dd::from(3.0);
+        assert_eq!(q.hi(), f64::INFINITY);
+        let q = Dd::from(f64::INFINITY) / Dd::from(-3.0);
+        assert_eq!(q.hi(), f64::NEG_INFINITY);
+        assert!((Dd::from(f64::INFINITY) / Dd::from(f64::INFINITY))
+            .hi()
+            .is_nan());
+    }
+
+    #[test]
+    fn sqrt_of_infinity_is_infinity() {
+        assert_eq!(Dd::from(f64::INFINITY).sqrt().hi(), f64::INFINITY);
+        assert_eq!(Dd::from(f64::INFINITY).sqrt_ru().hi(), f64::INFINITY);
+        assert!(Dd::from(f64::NEG_INFINITY).sqrt().hi().is_nan());
+    }
+
+    #[test]
+    fn nan_operands_stay_nan() {
+        let nan = Dd::from(f64::NAN);
+        assert!((nan / Dd::from(2.0)).hi().is_nan());
+        assert!((Dd::from(2.0) / nan).hi().is_nan());
+        assert!(nan.sqrt().hi().is_nan());
     }
 
     #[test]

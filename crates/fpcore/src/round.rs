@@ -224,6 +224,36 @@ pub fn sqrt_rd(a: f64) -> f64 {
     }
 }
 
+/// Sound upper bound on the exact sum of `m` non-negative terms whose
+/// round-to-nearest sum, in any association order, is `s`.
+///
+/// Returns `RU(s · (1 + (m−1)·2⁻⁵²))`, and `s` itself when `m ≤ 1`.
+/// Callers count only the non-zero terms in `m`; zeros may be added
+/// anywhere, since adding zero is exact.
+///
+/// Soundness (the standard model, `u = 2⁻⁵³`): each addition whose
+/// operands are both non-zero returns `(x + y)(1 + δ)` with `|δ| ≤ u`, so
+/// for non-negative operands it loses at most a factor `1/(1 − u)`. A term
+/// passes through at most `m − 1` such additions, so the exact sum is at
+/// most `s·(1 − u)^−(m−1) ≤ s·(1 + 2(m−1)u)` (valid while `(m−1)u ≤ 1/2`).
+/// A sum whose result is subnormal is exact, so underflow adds no term;
+/// overflow yields `+∞`, itself an upper bound. The final product is
+/// rounded upward; `1 + (m−1)·2⁻⁵²` is exact for `m < 2⁵²`.
+///
+/// ```
+/// use safegen_fpcore::round::sum_bound;
+/// let s = (0.1 + 0.2) + 0.3;
+/// assert!(sum_bound(s, 3) > s);
+/// assert_eq!(sum_bound(0.7, 1), 0.7);
+/// ```
+#[inline]
+pub fn sum_bound(s: f64, m: u64) -> f64 {
+    if m <= 1 {
+        return s;
+    }
+    mul_ru(s, 1.0 + (m - 1) as f64 * f64::EPSILON)
+}
+
 /// Round-to-nearest sum together with the *magnitude of its exact rounding
 /// error* — the quantity accumulated into fresh affine error symbols.
 ///
@@ -482,6 +512,17 @@ mod tests {
         let exactp = a as f64 * b as f64;
         assert!((mul_rd_f32(a, b) as f64) <= exactp);
         assert!(exactp <= mul_ru_f32(a, b) as f64);
+    }
+
+    #[test]
+    fn sum_bound_cases() {
+        assert_eq!(sum_bound(0.0, 0), 0.0);
+        assert_eq!(sum_bound(0.3, 1), 0.3);
+        assert_eq!(sum_bound(5e-324, 1), 5e-324);
+        assert!(sum_bound(1.0, 2) > 1.0);
+        assert_eq!(sum_bound(f64::INFINITY, 5), f64::INFINITY);
+        assert_eq!(sum_bound(f64::MAX, 3), f64::INFINITY);
+        assert!(sum_bound(f64::NAN, 4).is_nan());
     }
 
     #[test]

@@ -20,7 +20,7 @@
 
 use safegen_fpcore::dd::{DD_ADD_REL, DD_DIV_REL, DD_MUL_REL, DD_SQRT_REL};
 use safegen_fpcore::round::{
-    add_rd, add_ru, div_rd, div_ru, mul_rd, mul_ru, sqrt_rd, sqrt_ru, sub_rd, sub_ru,
+    add_rd, add_ru, div_rd, div_ru, mul_rd, mul_ru, sqrt_rd, sqrt_ru, sub_rd, sub_ru, sum_bound,
 };
 use safegen_fpcore::Dd;
 use safegen_rational::Rational;
@@ -326,5 +326,92 @@ fn dd_directed_sqrt_brackets_via_squares() {
                 "dd sqrt_ru({x:?}) = {hi:?} below the exact root"
             );
         }
+    }
+}
+
+/// xorshift64* stream for the seeded sum tests below.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 >> 12;
+        self.0 ^= self.0 << 25;
+        self.0 ^= self.0 >> 27;
+        self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+}
+
+/// A non-negative summand: zeros, subnormals, ordinary magnitudes,
+/// near-overflow values and (rarely) `+∞`.
+fn sum_term(rng: &mut Rng) -> f64 {
+    let mantissa = 1.0 + (rng.next() >> 11) as f64 / (1u64 << 53) as f64;
+    match rng.below(16) {
+        0..=2 => 0.0,
+        3 | 4 => f64::from_bits(1 + rng.next() % (1 << 52)),
+        5 => f64::MIN_POSITIVE * mantissa,
+        6 | 7 => f64::MAX / mantissa / (1 + rng.below(4)) as f64,
+        8 if rng.below(4) == 0 => f64::INFINITY,
+        _ => mantissa * 2f64.powi(rng.below(120) as i32 - 60),
+    }
+}
+
+#[test]
+fn sum_bound_covers_exact_sums_in_any_association_order() {
+    let mut rng = Rng(0x5EED_0F5A_1100);
+    for case in 0..4000 {
+        let n = 1 + rng.below(24);
+        let terms: Vec<f64> = (0..n).map(|_| sum_term(&mut rng)).collect();
+        let m = terms.iter().filter(|&&t| t != 0.0).count() as u64;
+        // A random association tree: repeatedly add two random partial
+        // sums with round-to-nearest.
+        let mut pool = terms.clone();
+        while pool.len() > 1 {
+            let i = rng.below(pool.len());
+            let a = pool.swap_remove(i);
+            let j = rng.below(pool.len());
+            pool[j] += a;
+        }
+        let s = pool[0];
+        let bound = sum_bound(s, m);
+        if m <= 1 {
+            let only = terms.iter().copied().fold(0.0, f64::max);
+            assert_eq!(bound.to_bits(), only.to_bits(), "case {case}: {terms:?}");
+            continue;
+        }
+        if terms.contains(&f64::INFINITY) {
+            assert_eq!(bound, f64::INFINITY, "case {case}");
+            continue;
+        }
+        assert!(bound >= s, "case {case}");
+        if bound.is_finite() {
+            let exact = terms
+                .iter()
+                .fold(Rational::zero(), |acc, &t| acc.add(&rat(t)));
+            assert!(
+                exact.cmp_val(&rat(bound)) != Ordering::Greater,
+                "case {case}: exact sum of {terms:?} exceeds sum_bound({s}, {m}) = {bound}"
+            );
+        }
+    }
+}
+
+#[test]
+fn sum_bound_covers_the_worst_case_rounding_chain() {
+    // 1 + n·t with t just below half an ulp of 1: every addition rounds
+    // back down to 1, so the computed sum loses almost n·2⁻⁵³.
+    let t = 2f64.powi(-53) * (1.0 - 2f64.powi(-20));
+    for n in [1u64, 2, 7, 64, 1000] {
+        let s = (0..n).fold(1.0, |acc, _| acc + t);
+        assert_eq!(s, 1.0);
+        let exact = rat(1.0).add(&rat(t).mul(&Rational::from_i64(n as i64)));
+        let bound = sum_bound(s, n + 1);
+        assert!(
+            exact.cmp_val(&rat(bound)) != Ordering::Greater,
+            "n = {n}: bound {bound} below the exact sum"
+        );
     }
 }

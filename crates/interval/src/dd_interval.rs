@@ -366,6 +366,17 @@ mod tests {
     }
 
     #[test]
+    fn div_by_unbounded_interval() {
+        // 1/[1, ∞] = (0, 1]: finite endpoints, no runaway rescaling.
+        let q = IntervalDd::point(Dd::ONE) / IntervalDd::new(Dd::ONE, Dd::from(f64::INFINITY));
+        assert!(q.lo() <= Dd::ZERO && q.hi() >= Dd::ONE, "{q}");
+        assert!(q.hi().is_finite());
+        let q = IntervalDd::new(Dd::from(-2.0), Dd::from(3.0))
+            / IntervalDd::new(Dd::ONE, Dd::from(f64::INFINITY));
+        assert!(q.lo() <= Dd::from(-2.0) && q.hi() >= Dd::from(3.0), "{q}");
+    }
+
+    #[test]
     fn abs_cases() {
         let a = IntervalDd::new(Dd::from(-3.0), Dd::from(2.0)).abs();
         assert_eq!(a.lo(), Dd::ZERO);
