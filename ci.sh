@@ -32,6 +32,13 @@ cargo test --release --offline --manifest-path crates/bench/src/bin/perf/Cargo.t
 echo "== cargo test =="
 cargo test -q --workspace
 
+echo "== optimized kernel tests (the AVX2 body and the FMA region as shipped) =="
+# The direct-mapped op body runs inside a function compiled for AVX2 and
+# FMA, and the AVX2 slot body is explicit intrinsics: both only take their
+# shipped form in optimized builds, so their bit-identity tests run there
+# too.
+cargo test -q --release -p safegen-fpcore -p safegen-affine
+
 echo "== cargo fmt --check =="
 cargo fmt --check
 

@@ -80,6 +80,39 @@ impl Repr {
         }
     }
 
+    /// Gives a direct-mapped result `k` slots, keeping the buffers when
+    /// they already have that shape. Their contents are stale: the merge
+    /// writes every slot.
+    pub(crate) fn ensure_direct(&mut self, k: usize) {
+        if !matches!(self, Repr::Direct { ids, .. } if ids.len() == k) {
+            *self = Repr::Direct {
+                ids: vec![NO_SYMBOL; k].into_boxed_slice(),
+                coeffs: vec![0.0; k].into_boxed_slice(),
+            };
+        }
+    }
+
+    /// The slots of a direct-mapped form.
+    ///
+    /// # Panics
+    ///
+    /// Panics on sorted storage: the operands of one operation must come
+    /// from one context.
+    pub(crate) fn slots(&self) -> (&[SymbolId], &[f64]) {
+        match self {
+            Repr::Direct { ids, coeffs } => (ids, coeffs),
+            Repr::Sorted(_) => panic!("mixed placements: operands must come from one context"),
+        }
+    }
+
+    /// [`Repr::slots`], writable.
+    pub(crate) fn slots_mut(&mut self) -> (&mut [SymbolId], &mut [f64]) {
+        match self {
+            Repr::Direct { ids, coeffs } => (ids, coeffs),
+            Repr::Sorted(_) => panic!("mixed placements: operands must come from one context"),
+        }
+    }
+
     /// Inserts a fresh symbol; for sorted placement the id must exceed all
     /// existing ids. Returns whether it absorbed a direct-mapped slot's
     /// occupant (a condensation).

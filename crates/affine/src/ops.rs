@@ -9,7 +9,7 @@
 //!    ([`crate::sorted`] / [`crate::direct`], whose AVX2 body lives in
 //!    [`crate::vector`]), which accumulates coefficient rounding errors
 //!    (and, for direct-mapped placement, slot-conflict fusions) into the
-//!    *noise* accumulator;
+//!    *noise*;
 //! 3. add operation-specific over-approximation terms (the quadratic
 //!    `r(â)·r(b̂)` of multiplication, the `δ` of the min-range
 //!    approximations);
@@ -17,11 +17,19 @@
 //!    materialize the noise as a fresh error symbol (or fold it into the
 //!    dedicated noise term under [`NoisePolicy::Dedicated`]).
 //!
+//! A direct-mapped `+`, `−`, `·` and `÷` does steps 2 and 3 in one pass:
+//! the kernel reads both operands, writes every slot of the output, sums
+//! the operand radii for the quadratic term as it goes, and returns one
+//! bound over the center error, the quadratic term and the slot round-off.
+//! When the context holds the AVX2 token, the whole operation, center and
+//! `finalize` included, runs in one function compiled with AVX2 and FMA.
+//!
 //! Each operation has one implementation, its `*_into` form, which writes
-//! the result into an existing form and reuses that form's storage: a
-//! binary operation first copies its right operand into the output, and
-//! the kernel then merges the left operand into it in place. The by-value
-//! methods run the `*_into` form on a fresh form.
+//! the result into an existing form and reuses that form's storage. A
+//! direct-mapped binary operation reads its operands where they are; a
+//! sorted one first copies its right operand into the output and merges
+//! the left operand into it in place. The by-value methods run the
+//! `*_into` form on a fresh form.
 
 use crate::center::{CenterValue, ErrAcc};
 use crate::config::{AaContext, NoisePolicy, Protect};
@@ -38,12 +46,20 @@ use std::cmp::Ordering;
 /// term — every realization of the noise is a real number), where plain
 /// IEEE multiplication would produce a NaN and poison the range.
 #[inline]
-fn mul_mag(a: f64, b: f64) -> f64 {
+pub(crate) fn mul_mag(a: f64, b: f64) -> f64 {
     if a == 0.0 || b == 0.0 {
         0.0
     } else {
         mul_ru(a, b)
     }
+}
+
+/// A direct-mapped binary operation (see [`Affine::direct_into`]).
+#[derive(Clone, Copy)]
+enum DirectOp {
+    /// `a ± b`, the sign applying to `b`.
+    Linear(f64),
+    Mul,
 }
 
 impl<C: CenterValue> Affine<C> {
@@ -60,8 +76,7 @@ impl<C: CenterValue> Affine<C> {
         protect: Protect<'_>,
         out: &mut Affine<C>,
     ) {
-        out.clone_from(rhs);
-        self.linear_onto(1.0, ctx, protect, out);
+        self.linear_into(1.0, rhs, ctx, protect, out);
     }
 
     /// Affine subtraction `â − b̂` — where shared symbols cancel.
@@ -77,13 +92,22 @@ impl<C: CenterValue> Affine<C> {
         protect: Protect<'_>,
         out: &mut Affine<C>,
     ) {
-        out.clone_from(rhs);
-        self.linear_onto(-1.0, ctx, protect, out);
+        self.linear_into(-1.0, rhs, ctx, protect, out);
     }
 
-    /// `out ← self ± out`: the linear kernel, the right operand arriving in
-    /// `out`.
-    fn linear_onto(&self, sign_b: f64, ctx: &AaContext, protect: Protect<'_>, out: &mut Affine<C>) {
+    /// `out ← self ± rhs`.
+    fn linear_into(
+        &self,
+        sign_b: f64,
+        rhs: &Affine<C>,
+        ctx: &AaContext,
+        protect: Protect<'_>,
+        out: &mut Affine<C>,
+    ) {
+        if let Repr::Direct { .. } = self.repr {
+            return self.direct_into(DirectOp::Linear(sign_b), Some(rhs), ctx, protect, out);
+        }
+        out.clone_from(rhs);
         let mut noise = ErrAcc::default();
         let (center, ce) = if sign_b > 0.0 {
             C::add_err(self.center, out.center)
@@ -92,29 +116,10 @@ impl<C: CenterValue> Affine<C> {
         };
         noise.add(ce);
         let acc = add_ru(self.acc_noise, out.acc_noise);
-
-        match (&self.repr, &mut out.repr) {
-            (Repr::Sorted(a), Repr::Sorted(b)) => merge_linear(a, b, sign_b, &mut noise),
-            (
-                Repr::Direct {
-                    ids: ai,
-                    coeffs: ac,
-                },
-                Repr::Direct {
-                    ids: bi,
-                    coeffs: bc,
-                },
-            ) => {
-                let mut x = Slots {
-                    a_ids: ai,
-                    a_coeffs: ac,
-                    b_ids: bi,
-                    b_coeffs: bc,
-                };
-                noise.add(direct::merge_linear(&mut x, sign_b, ctx, protect));
-            }
-            _ => panic!("mixed placements: operands must come from one context"),
-        }
+        let (Repr::Sorted(a), Repr::Sorted(b)) = (&self.repr, &mut out.repr) else {
+            panic!("mixed placements: operands must come from one context");
+        };
+        merge_linear(a, b, sign_b, &mut noise);
         out.finalize(center, noise.value(), acc, ctx, protect);
     }
 
@@ -133,13 +138,18 @@ impl<C: CenterValue> Affine<C> {
         protect: Protect<'_>,
         out: &mut Affine<C>,
     ) {
+        if let Repr::Direct { .. } = self.repr {
+            return self.direct_into(DirectOp::Mul, Some(rhs), ctx, protect, out);
+        }
         out.clone_from(rhs);
         self.mul_onto(ctx, protect, out);
     }
 
-    /// `out ← self · out`: the multiplication kernel, the right operand
-    /// arriving in `out`.
+    /// `out ← self · out`: the right operand arrives in `out`.
     fn mul_onto(&self, ctx: &AaContext, protect: Protect<'_>, out: &mut Affine<C>) {
+        if let Repr::Direct { .. } = self.repr {
+            return self.direct_into(DirectOp::Mul, None, ctx, protect, out);
+        }
         let (a0, b0) = (self.center, out.center);
         let mut noise = ErrAcc::default();
         let (center, ce) = C::mul_err(a0, b0);
@@ -153,30 +163,30 @@ impl<C: CenterValue> Affine<C> {
             mul_mag(b0.abs_f64(), self.acc_noise),
             mul_mag(a0.abs_f64(), out.acc_noise),
         );
-
-        match (&self.repr, &mut out.repr) {
-            (Repr::Sorted(a), Repr::Sorted(b)) => merge_mul(a0, b0, a, b, &mut noise),
-            (
-                Repr::Direct {
-                    ids: ai,
-                    coeffs: ac,
-                },
-                Repr::Direct {
-                    ids: bi,
-                    coeffs: bc,
-                },
-            ) => {
-                let mut x = Slots {
-                    a_ids: ai,
-                    a_coeffs: ac,
-                    b_ids: bi,
-                    b_coeffs: bc,
-                };
-                noise.add(direct::merge_mul(a0, b0, &mut x, ctx, protect));
-            }
-            _ => panic!("mixed placements: operands must come from one context"),
-        }
+        let (Repr::Sorted(a), Repr::Sorted(b)) = (&self.repr, &mut out.repr) else {
+            panic!("mixed placements: operands must come from one context");
+        };
+        merge_mul(a0, b0, a, b, &mut noise);
         out.finalize(center, noise.value(), acc, ctx, protect);
+    }
+
+    /// `out ← self ∘ rhs` for direct-mapped forms, `rhs = None` meaning
+    /// `out`'s own contents (in-out mode). When the context holds the AVX2
+    /// token the whole operation runs inside [`direct_in_fma_region`].
+    fn direct_into(
+        &self,
+        op: DirectOp,
+        rhs: Option<&Affine<C>>,
+        ctx: &AaContext,
+        protect: Protect<'_>,
+        out: &mut Affine<C>,
+    ) {
+        match ctx.avx2() {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: the token proves the CPU has AVX2 and FMA.
+            Some(_) => unsafe { direct_in_fma_region(op, self, rhs, ctx, protect, out) },
+            _ => direct_body(op, self, rhs, ctx, protect, out),
+        }
     }
 
     /// Affine division `â / b̂ = â · (1/b̂)`, using a sound min-range
@@ -187,8 +197,8 @@ impl<C: CenterValue> Affine<C> {
     }
 
     /// [`Affine::div`], written into `out`. The reciprocal is built in
-    /// `out` itself and the multiplication then consumes it in place, so
-    /// no temporary form exists.
+    /// `out` itself and the multiplication then reads it from there (the
+    /// direct-mapped kernels' in-out mode), so no temporary form exists.
     pub fn div_into(
         &self,
         rhs: &Affine<C>,
@@ -461,6 +471,82 @@ impl<C: CenterValue> Affine<C> {
             }
         }
     }
+}
+
+/// One direct-mapped operation `out ← a ∘ b`, `b = None` meaning `out`'s
+/// own contents: the center and its rounding error, one merge pass that
+/// writes every slot of `out` and yields one bound on the whole noise, and
+/// `finalize`. `out` gets storage of `k` slots when it lacks it; its stale
+/// contents are never read, except as `b` in in-out mode.
+///
+/// Inlined into both of its callers, [`Affine::direct_into`] and
+/// [`direct_in_fma_region`]: one body, compiled twice.
+#[inline(always)]
+fn direct_body<C: CenterValue>(
+    op: DirectOp,
+    a: &Affine<C>,
+    b: Option<&Affine<C>>,
+    ctx: &AaContext,
+    protect: Protect<'_>,
+    out: &mut Affine<C>,
+) {
+    let (a_ids, a_coeffs) = a.repr.slots();
+    let (b0, b_acc, b_slots) = match b {
+        Some(b) => {
+            out.repr.ensure_direct(a_ids.len());
+            (b.center, b.acc_noise, Some(b.repr.slots()))
+        }
+        None => (out.center, out.acc_noise, None),
+    };
+    let (out_ids, out_coeffs) = out.repr.slots_mut();
+    let mut x = Slots {
+        a_ids,
+        a_coeffs,
+        b: b_slots,
+        out_ids,
+        out_coeffs,
+    };
+    let a0 = a.center;
+    let (center, noise, acc) = match op {
+        DirectOp::Linear(sign_b) => {
+            let (center, ce) = if sign_b > 0.0 {
+                C::add_err(a0, b0)
+            } else {
+                C::sub_err(a0, b0)
+            };
+            let noise = direct::linear(&mut x, sign_b, ce, ctx, protect);
+            (center, noise, add_ru(a.acc_noise, b_acc))
+        }
+        DirectOp::Mul => {
+            let (center, ce) = C::mul_err(a0, b0);
+            let noise = direct::mul(a0, b0, (a.acc_noise, b_acc), &mut x, ce, ctx, protect);
+            // Linear contributions of each operand's dedicated noise.
+            let acc = add_ru(
+                mul_mag(b0.abs_f64(), a.acc_noise),
+                mul_mag(a0.abs_f64(), b_acc),
+            );
+            (center, noise, acc)
+        }
+    };
+    out.finalize(center, noise, acc, ctx, protect);
+}
+
+/// [`direct_body`] compiled for AVX2 and FMA: the region in which a
+/// direct-mapped operation runs when the context holds the AVX2 token.
+/// FMA is exact either way, so it gives the bits the plain body gives; in
+/// here the center's and the bounds' `mul_add`s (`two_prod`, `mul_ru`,
+/// `sum_bound`) compile to `vfmadd` instead of calls.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+fn direct_in_fma_region<C: CenterValue>(
+    op: DirectOp,
+    a: &Affine<C>,
+    b: Option<&Affine<C>>,
+    ctx: &AaContext,
+    protect: Protect<'_>,
+    out: &mut Affine<C>,
+) {
+    direct_body(op, a, b, ctx, protect, out);
 }
 
 /// Replaces NaN range endpoints with ±∞: a NaN bound means the value is

@@ -20,7 +20,13 @@
 //!   for OP);
 //! * round-off: each lane's error terms go into that lane's partial with
 //!   round-to-nearest adds, exactly as the scalar body pushes slot `s`
-//!   into partial `s mod 4`.
+//!   into partial `s mod 4`; a multiplication sums the operand magnitudes
+//!   `|aₛ|`, `|bₛ|` into two more sets of partials while it has them
+//!   loaded.
+//!
+//! Each block reads `a` and `b` and writes the result to `out`; in in-out
+//! mode `b`'s loads and `out`'s stores go through one pointer, and a block
+//! loads its four slots before it stores them.
 //!
 //! Every operation is the one the scalar body performs, in the same
 //! order, so the two bodies give the same bits (pinned by the tests
@@ -33,7 +39,7 @@
 //! `safegen-interval::cols`.
 
 use crate::config::AaContext;
-use crate::direct::{RoundOff, Rule, Slots};
+use crate::direct::{Rule, Slots, Sums};
 
 /// Lane width of the vector body (and the number of round-off partials).
 pub const LANES: usize = 4;
@@ -62,7 +68,8 @@ thread_local! {
 }
 
 /// Linear merge `a ± b` of slots `start..end` (one chunk) with the AVX2
-/// body; returns the number of conflicts.
+/// body, adding its round-off to `sums.round`; returns the number of
+/// conflicts.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn linear(
     _: Avx2,
@@ -72,20 +79,20 @@ pub(crate) fn linear(
     sign_b: f64,
     rule: Rule,
     ctx: &AaContext,
-    acc: &mut RoundOff,
+    sums: &mut Sums,
 ) -> u64 {
     #[cfg(target_arch = "x86_64")]
     // SAFETY: the token proves the CPU has AVX2 and FMA.
     unsafe {
-        avx2::linear(x, start, end, sign_b, rule, ctx, acc)
+        avx2::linear(x, start, end, sign_b, rule, ctx, sums)
     }
     #[cfg(not(target_arch = "x86_64"))]
     unreachable!()
 }
 
 /// Multiplication merge of slots `start..end` (one chunk) with the AVX2
-/// body, for centers `a0`, `b0` that are exact `f64`s; returns the number
-/// of conflicts.
+/// body, for centers `a0`, `b0` that are exact `f64`s, adding to all three
+/// sums of `sums`; returns the number of conflicts.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn mul(
     _: Avx2,
@@ -96,12 +103,12 @@ pub(crate) fn mul(
     b0: f64,
     rule: Rule,
     ctx: &AaContext,
-    acc: &mut RoundOff,
+    sums: &mut Sums,
 ) -> u64 {
     #[cfg(target_arch = "x86_64")]
     // SAFETY: the token proves the CPU has AVX2 and FMA.
     unsafe {
-        avx2::mul(x, start, end, a0, b0, rule, ctx, acc)
+        avx2::mul(x, start, end, a0, b0, rule, ctx, sums)
     }
     #[cfg(not(target_arch = "x86_64"))]
     unreachable!()
@@ -111,17 +118,64 @@ pub(crate) fn mul(
 mod avx2 {
     use super::LANES;
     use crate::config::{AaContext, Fusion};
-    use crate::direct::{linear_slot_ref, mul_slot_ref, RoundOff, Rule, Slots};
+    use crate::direct::{linear_slot_ref, mul_slot_ref, RoundOff, Rule, Slots, Sums};
     use std::arch::x86_64::*;
 
     /// `2^-960`, the bound below which `mul_with_err` stops trusting the
     /// FMA residual (`fpcore::round::EFT_GUARD`).
     const EFT_GUARD: f64 = f64::from_bits(0x03F0_0000_0000_0000);
 
+    /// The arrays of one merge as raw pointers, taken once per kernel
+    /// call: in in-out mode `b` and `out` are one array, read and written
+    /// through pointers derived from one borrow.
+    struct Ptrs {
+        a_ids: *const u64,
+        a_coeffs: *const f64,
+        b_ids: *const u64,
+        b_coeffs: *const f64,
+        out_ids: *mut u64,
+        out_coeffs: *mut f64,
+    }
+
+    impl Ptrs {
+        /// The pointers of `x`, which must hold slots `..end` in every
+        /// array (panics otherwise): the condition every load and store
+        /// of a block relies on.
+        fn of(x: &mut Slots<'_>, end: usize) -> Ptrs {
+            let k = x.a_ids.len();
+            let b_ok =
+                x.b.is_none_or(|(ids, coeffs)| ids.len() == k && coeffs.len() == k);
+            assert!(
+                end <= k
+                    && b_ok
+                    && x.a_coeffs.len() == k
+                    && x.out_ids.len() == k
+                    && x.out_coeffs.len() == k,
+                "slot arrays out of shape"
+            );
+            let (out_ids, out_coeffs) = (x.out_ids.as_mut_ptr(), x.out_coeffs.as_mut_ptr());
+            let (b_ids, b_coeffs) = match x.b {
+                Some((ids, coeffs)) => (ids.as_ptr(), coeffs.as_ptr()),
+                None => (out_ids.cast_const(), out_coeffs.cast_const()),
+            };
+            Ptrs {
+                a_ids: x.a_ids.as_ptr(),
+                a_coeffs: x.a_coeffs.as_ptr(),
+                b_ids,
+                b_coeffs,
+                out_ids,
+                out_coeffs,
+            }
+        }
+    }
+
     /// The four lanes of one block.
     struct Block {
         ia: __m256i,
         ib: __m256i,
+        /// The coefficients of `a` and `b`.
+        ca: __m256d,
+        cb: __m256d,
         a_has: __m256d,
         b_has: __m256d,
         /// Both sides hold the same symbol (and are occupied).
@@ -129,30 +183,22 @@ mod avx2 {
         conflict: __m256d,
     }
 
-    /// Panics unless slots `..end` exist in all four arrays: the
-    /// condition every load and store of a block relies on.
-    fn check_bounds(x: &Slots<'_>, end: usize) {
-        let k = x.a_ids.len();
-        assert!(
-            end <= k && x.a_coeffs.len() == k && x.b_ids.len() == k && x.b_coeffs.len() == k,
-            "slot arrays out of shape"
-        );
-    }
-
-    /// The ids of slots `s .. s + 4` and their slot cases.
+    /// Slots `s .. s + 4` of both operands and their slot cases.
     ///
     /// # Safety
     ///
-    /// Slots `s .. s + 4` must exist in `x`'s arrays.
+    /// Slots `s .. s + 4` must exist in `p`'s arrays.
     #[target_feature(enable = "avx2,fma")]
     #[inline]
-    unsafe fn load(x: &Slots<'_>, s: usize) -> Block {
+    unsafe fn load(p: &Ptrs, s: usize) -> Block {
         let none = _mm256_set1_epi64x(-1);
         // SAFETY: slots `s .. s + 4` exist (the caller's condition).
-        let (ia, ib) = unsafe {
+        let (ia, ib, ca, cb) = unsafe {
             (
-                _mm256_loadu_si256(x.a_ids.as_ptr().add(s).cast()),
-                _mm256_loadu_si256(x.b_ids.as_ptr().add(s).cast()),
+                _mm256_loadu_si256(p.a_ids.add(s).cast()),
+                _mm256_loadu_si256(p.b_ids.add(s).cast()),
+                _mm256_loadu_pd(p.a_coeffs.add(s)),
+                _mm256_loadu_pd(p.b_coeffs.add(s)),
             )
         };
         let all = _mm256_castsi256_pd(none);
@@ -163,6 +209,8 @@ mod avx2 {
         Block {
             ia,
             ib,
+            ca,
+            cb,
             a_has,
             b_has,
             eq,
@@ -170,37 +218,20 @@ mod avx2 {
         }
     }
 
-    /// The coefficients of slots `s .. s + 4` of `a` and of `b`.
+    /// Writes `(id, coeff)` to the lanes of `out`'s slots `s .. s + 4` in
+    /// `keep`, the empty slot to the others.
     ///
     /// # Safety
     ///
-    /// Slots `s .. s + 4` must exist in `x`'s arrays.
+    /// Slots `s .. s + 4` must exist in `p`'s arrays.
     #[target_feature(enable = "avx2,fma")]
     #[inline]
-    unsafe fn coeffs(x: &Slots<'_>, s: usize) -> (__m256d, __m256d) {
-        // SAFETY: slots `s .. s + 4` exist (the caller's condition).
-        unsafe {
-            (
-                _mm256_loadu_pd(x.a_coeffs.as_ptr().add(s)),
-                _mm256_loadu_pd(x.b_coeffs.as_ptr().add(s)),
-            )
-        }
-    }
-
-    /// Writes `(id, coeff)` to the lanes of slots `s .. s + 4` in `keep`,
-    /// the empty slot to the others.
-    ///
-    /// # Safety
-    ///
-    /// Slots `s .. s + 4` must exist in `x`'s arrays.
-    #[target_feature(enable = "avx2,fma")]
-    #[inline]
-    unsafe fn store(x: &mut Slots<'_>, s: usize, id: __m256i, c: __m256d, keep: __m256d) {
+    unsafe fn store(p: &Ptrs, s: usize, id: __m256i, c: __m256d, keep: __m256d) {
         let id = _mm256_blendv_epi8(_mm256_set1_epi64x(-1), id, _mm256_castpd_si256(keep));
         // SAFETY: slots `s .. s + 4` exist (the caller's condition).
         unsafe {
-            _mm256_storeu_si256(x.b_ids.as_mut_ptr().add(s).cast(), id);
-            _mm256_storeu_pd(x.b_coeffs.as_mut_ptr().add(s), _mm256_and_pd(c, keep));
+            _mm256_storeu_si256(p.out_ids.add(s).cast(), id);
+            _mm256_storeu_pd(p.out_coeffs.add(s), _mm256_and_pd(c, keep));
         }
     }
 
@@ -345,13 +376,44 @@ mod avx2 {
         ))
     }
 
-    /// Adds the error terms `t` to the lane partials and counts the
-    /// non-zero ones in `terms`.
-    #[target_feature(enable = "avx2,fma")]
-    #[inline]
-    fn push(part: &mut __m256d, terms: &mut __m256i, t: __m256d) {
-        *part = _mm256_add_pd(*part, t);
-        count(terms, _mm256_cmp_pd::<_CMP_NEQ_UQ>(t, _mm256_setzero_pd()));
+    /// One [`RoundOff`] held in registers for a kernel call: the lane
+    /// partials and the lane counts of non-zero terms.
+    struct Acc {
+        part: __m256d,
+        terms: __m256i,
+    }
+
+    impl Acc {
+        /// The partials of `acc`, with no terms counted yet.
+        #[target_feature(enable = "avx2,fma")]
+        #[inline]
+        fn of(acc: &RoundOff) -> Acc {
+            Acc {
+                // SAFETY: `acc.lanes` is a 32-byte array.
+                part: unsafe { _mm256_loadu_pd(acc.lanes.as_ptr()) },
+                terms: _mm256_setzero_si256(),
+            }
+        }
+
+        /// Adds the non-negative terms `t`, one per lane.
+        #[target_feature(enable = "avx2,fma")]
+        #[inline]
+        fn push(&mut self, t: __m256d) {
+            self.part = _mm256_add_pd(self.part, t);
+            count(
+                &mut self.terms,
+                _mm256_cmp_pd::<_CMP_NEQ_UQ>(t, _mm256_setzero_pd()),
+            );
+        }
+
+        /// Stores the partials back in `acc` and adds the counted terms.
+        #[target_feature(enable = "avx2,fma")]
+        #[inline]
+        fn finish(self, acc: &mut RoundOff) {
+            // SAFETY: `acc.lanes` is a 32-byte array.
+            unsafe { _mm256_storeu_pd(acc.lanes.as_mut_ptr(), self.part) };
+            acc.terms += total(self.terms);
+        }
     }
 
     /// Adds one to the lanes of `n` where `mask` is set (all ones is −1).
@@ -371,23 +433,6 @@ mod avx2 {
         lanes.iter().sum()
     }
 
-    /// The partials of `acc` as one vector.
-    #[target_feature(enable = "avx2,fma")]
-    #[inline]
-    fn partials(acc: &RoundOff) -> __m256d {
-        // SAFETY: `acc.lanes` is a 32-byte array.
-        unsafe { _mm256_loadu_pd(acc.lanes.as_ptr()) }
-    }
-
-    /// Stores the partials `part` and `terms` more non-zero terms in `acc`.
-    #[target_feature(enable = "avx2,fma")]
-    #[inline]
-    fn finish(acc: &mut RoundOff, part: __m256d, terms: __m256i) {
-        // SAFETY: `acc.lanes` is a 32-byte array.
-        unsafe { _mm256_storeu_pd(acc.lanes.as_mut_ptr(), part) };
-        acc.terms += total(terms);
-    }
-
     #[target_feature(enable = "avx2,fma")]
     pub(super) fn linear(
         x: &mut Slots<'_>,
@@ -396,18 +441,18 @@ mod avx2 {
         sign_b: f64,
         rule: Rule,
         ctx: &AaContext,
-        acc: &mut RoundOff,
+        sums: &mut Sums,
     ) -> u64 {
-        check_bounds(x, end);
-        let mut part = partials(acc);
-        let (mut terms, mut conflicts) = (_mm256_setzero_si256(), _mm256_setzero_si256());
+        let p = Ptrs::of(x, end);
+        let mut round = Acc::of(&sums.round);
+        let mut conflicts = _mm256_setzero_si256();
         let mut s = start;
         while s + LANES <= end {
             #[cfg(test)]
             super::AVX2_BLOCKS.with(|n| n.set(n.get() + 1));
-            // SAFETY: s + 4 ≤ end ≤ the slot count (`check_bounds`).
-            let (v, (ca, cb)) = unsafe { (load(x, s), coeffs(x, s)) };
-            let cb = _mm256_mul_pd(cb, _mm256_set1_pd(sign_b));
+            // SAFETY: s + 4 ≤ end ≤ the slot count (`Ptrs::of`).
+            let v = unsafe { load(&p, s) };
+            let (ca, cb) = (v.ca, _mm256_mul_pd(v.cb, _mm256_set1_pd(sign_b)));
             let (sum, e) = add_with_err(ca, cb);
             let take_a = takes_a(&v, keeps_left(rule, s - rule.base, &v, ca, cb));
             let c = _mm256_blendv_pd(_mm256_blendv_pd(cb, ca, take_a), sum, v.eq);
@@ -416,16 +461,16 @@ mod avx2 {
                 _mm256_and_pd(v.eq, _mm256_cmp_pd::<_CMP_EQ_OQ>(sum, _mm256_setzero_pd()));
             let keep = _mm256_andnot_pd(cancelled, _mm256_or_pd(v.a_has, v.b_has));
             // SAFETY: as for the loads.
-            unsafe { store(x, s, pick_id(&v, take_a), c, keep) };
+            unsafe { store(&p, s, pick_id(&v, take_a), c, keep) };
             let loser = _mm256_blendv_pd(ca, cb, take_a);
-            push(&mut part, &mut terms, last_term(&v, e, loser));
+            round.push(last_term(&v, e, loser));
             count(&mut conflicts, v.conflict);
             s += LANES;
         }
-        finish(acc, part, terms);
+        round.finish(&mut sums.round);
         let mut conflicts = total(conflicts);
         for s in s..end {
-            conflicts += u64::from(linear_slot_ref(x, s, sign_b, rule, ctx, acc));
+            conflicts += u64::from(linear_slot_ref(x, s, sign_b, rule, ctx, &mut sums.round));
         }
         conflicts
     }
@@ -440,21 +485,24 @@ mod avx2 {
         b0: f64,
         rule: Rule,
         ctx: &AaContext,
-        acc: &mut RoundOff,
+        sums: &mut Sums,
     ) -> u64 {
-        check_bounds(x, end);
+        let p = Ptrs::of(x, end);
         let (a0v, b0v) = (_mm256_set1_pd(a0), _mm256_set1_pd(b0));
-        let mut part = partials(acc);
-        let (mut terms, mut conflicts) = (_mm256_setzero_si256(), _mm256_setzero_si256());
+        let mut round = Acc::of(&sums.round);
+        let (mut mag_a, mut mag_b) = (Acc::of(&sums.mag_a), Acc::of(&sums.mag_b));
+        let mut conflicts = _mm256_setzero_si256();
         let mut s = start;
         while s + LANES <= end {
             #[cfg(test)]
             super::AVX2_BLOCKS.with(|n| n.set(n.get() + 1));
-            // SAFETY: s + 4 ≤ end ≤ the slot count (`check_bounds`).
-            let (v, (ca, cb)) = unsafe { (load(x, s), coeffs(x, s)) };
+            // SAFETY: s + 4 ≤ end ≤ the slot count (`Ptrs::of`).
+            let v = unsafe { load(&p, s) };
+            mag_a.push(_mm256_and_pd(abs(v.ca), v.a_has));
+            mag_b.push(_mm256_and_pd(abs(v.cb), v.b_has));
             // p1 = b0·aₛ, p2 = a0·bₛ, each only where its side is present.
-            let (p1, e1) = mul_with_err(b0v, ca);
-            let (p2, e2) = mul_with_err(a0v, cb);
+            let (p1, e1) = mul_with_err(b0v, v.ca);
+            let (p2, e2) = mul_with_err(a0v, v.cb);
             let (p1, e1) = (_mm256_and_pd(p1, v.a_has), _mm256_and_pd(e1, v.a_has));
             let (p2, e2) = (_mm256_and_pd(p2, v.b_has), _mm256_and_pd(e2, v.b_has));
             let (sum, e3) = add_with_err(p1, p2);
@@ -463,18 +511,20 @@ mod avx2 {
             // A zero result (including every empty lane) empties the slot.
             let keep = _mm256_cmp_pd::<_CMP_NEQ_UQ>(c, _mm256_setzero_pd());
             // SAFETY: as for the loads.
-            unsafe { store(x, s, pick_id(&v, take_a), c, keep) };
+            unsafe { store(&p, s, pick_id(&v, take_a), c, keep) };
             let loser = _mm256_blendv_pd(p1, p2, take_a);
-            push(&mut part, &mut terms, e1);
-            push(&mut part, &mut terms, e2);
-            push(&mut part, &mut terms, last_term(&v, e3, loser));
+            round.push(e1);
+            round.push(e2);
+            round.push(last_term(&v, e3, loser));
             count(&mut conflicts, v.conflict);
             s += LANES;
         }
-        finish(acc, part, terms);
+        round.finish(&mut sums.round);
+        mag_a.finish(&mut sums.mag_a);
+        mag_b.finish(&mut sums.mag_b);
         let mut conflicts = total(conflicts);
         for s in s..end {
-            conflicts += u64::from(mul_slot_ref(x, s, a0, b0, rule, ctx, acc));
+            conflicts += u64::from(mul_slot_ref(x, s, a0, b0, rule, ctx, sums));
         }
         conflicts
     }
@@ -483,8 +533,9 @@ mod avx2 {
 #[cfg(test)]
 mod tests {
     use super::AVX2_BLOCKS;
+    use super::LANES;
     use crate::config::{AaConfig, AaContext, Fusion, Protect};
-    use crate::direct::{merge_linear, merge_mul, Slots};
+    use crate::direct::{self, Slots, Sums};
     use crate::form::AffineF64;
     use crate::symbol::{SymbolId, NO_SYMBOL};
 
@@ -647,33 +698,86 @@ mod tests {
         x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan())
     }
 
-    /// Runs one merge on the AVX2 body (`vectorized`, when the CPU has it)
-    /// or the scalar body, and returns the result slots, the round-off
-    /// bound and the condensations it recorded.
-    fn run(
-        vectorized: bool,
+    /// A dedicated noise or center error: zero, ordinary, `∞` or NaN.
+    fn extra(rng: &mut Rng) -> f64 {
+        match rng.below(8) {
+            0..=2 => 0.0,
+            3 => f64::INFINITY,
+            4 => f64::NAN,
+            _ => coeff(rng).abs(),
+        }
+    }
+
+    /// One merge's inputs besides the slots.
+    #[derive(Clone, Copy, Debug)]
+    struct Case {
         fusion: Fusion,
+        /// The centers of a multiplication; `None` for a subtraction.
         mul: Option<(f64, f64)>,
-        a: &State,
-        b: &State,
-        protect: Protect<'_>,
-    ) -> (Vec<SymbolId>, Vec<f64>, f64, u64) {
+        ce: f64,
+        acc: (f64, f64),
+        /// `b` is the output's own contents (division's mode).
+        in_out: bool,
+    }
+
+    /// What one merge produced: result slots, the operation's noise bound,
+    /// the merge's sums and the condensations it recorded.
+    struct Outcome {
+        ids: Vec<SymbolId>,
+        coeffs: Vec<f64>,
+        noise: f64,
+        sums: Sums,
+        condensations: u64,
+    }
+
+    /// Runs `case` on the AVX2 body (`vectorized`, when the CPU has it)
+    /// or the scalar body. Three-operand runs write into stale output
+    /// slots. The noise comes from `direct::{mul, linear}`, the sums from
+    /// a second run of the merge alone.
+    fn run(vectorized: bool, case: Case, a: &State, b: &State, protect: Protect<'_>) -> Outcome {
         let cfg = AaConfig::new(a.0.len())
-            .with_fusion(fusion)
+            .with_fusion(case.fusion)
             .with_vectorized(vectorized);
-        let ctx = AaContext::new(cfg);
-        let (mut ids, mut coeffs) = b.clone();
-        let mut x = Slots {
-            a_ids: &a.0,
-            a_coeffs: &a.1,
-            b_ids: &mut ids,
-            b_coeffs: &mut coeffs,
+        let once = |sums: Option<&mut Sums>| {
+            let ctx = AaContext::new(cfg);
+            let (mut ids, mut coeffs) = if case.in_out {
+                b.clone()
+            } else {
+                (vec![0x5EED; a.0.len()], vec![f64::NAN; a.0.len()])
+            };
+            let mut x = Slots {
+                a_ids: &a.0,
+                a_coeffs: &a.1,
+                b: (!case.in_out).then_some((&b.0[..], &b.1[..])),
+                out_ids: &mut ids,
+                out_coeffs: &mut coeffs,
+            };
+            let noise = match (case.mul, sums) {
+                (Some((a0, b0)), None) => {
+                    direct::mul(a0, b0, case.acc, &mut x, case.ce, &ctx, protect)
+                }
+                (None, None) => direct::linear(&mut x, -1.0, case.ce, &ctx, protect),
+                (Some((a0, b0)), Some(sums)) => {
+                    direct::merge_mul(a0, b0, &mut x, &ctx, protect, sums);
+                    0.0
+                }
+                (None, Some(sums)) => {
+                    direct::merge_linear(&mut x, -1.0, &ctx, protect, sums);
+                    0.0
+                }
+            };
+            (ids, coeffs, noise, ctx.counters().condensations)
         };
-        let noise = match mul {
-            Some((a0, b0)) => merge_mul(a0, b0, &mut x, &ctx, protect),
-            None => merge_linear(&mut x, -1.0, &ctx, protect),
-        };
-        (ids, coeffs, noise, ctx.counters().condensations)
+        let mut sums = Sums::default();
+        once(Some(&mut sums));
+        let (ids, coeffs, noise, condensations) = once(None);
+        Outcome {
+            ids,
+            coeffs,
+            noise,
+            sums,
+            condensations,
+        }
     }
 
     #[test]
@@ -694,26 +798,50 @@ mod tests {
                     } else {
                         Protect::None
                     };
-                    let mul = (round % 3 != 0).then(|| (center(&mut rng), center(&mut rng)));
-                    let want = run(false, fusion, mul, &a, &b, protect);
-                    let got = run(true, fusion, mul, &a, &b, protect);
-                    let what = format!("k={k} {fusion:?} round={round} mul={mul:?}");
-                    assert_eq!(got.0, want.0, "ids, {what}");
+                    let case = Case {
+                        fusion,
+                        mul: (round % 3 != 0).then(|| (center(&mut rng), center(&mut rng))),
+                        ce: extra(&mut rng),
+                        acc: (extra(&mut rng), extra(&mut rng)),
+                        in_out: round % 4 == 1,
+                    };
+                    let want = run(false, case, &a, &b, protect);
+                    let got = run(true, case, &a, &b, protect);
+                    let what = format!("k={k} round={round} {case:?}");
+                    assert_eq!(got.ids, want.ids, "ids, {what}");
                     for s in 0..k {
                         assert!(
-                            same_bits(got.1[s], want.1[s]),
+                            same_bits(got.coeffs[s], want.coeffs[s]),
                             "coeff {s}, {what}: {} vs {}",
-                            got.1[s],
-                            want.1[s]
+                            got.coeffs[s],
+                            want.coeffs[s]
                         );
                     }
                     assert!(
-                        same_bits(got.2, want.2),
+                        same_bits(got.noise, want.noise),
                         "noise, {what}: {} vs {}",
-                        got.2,
-                        want.2
+                        got.noise,
+                        want.noise
                     );
-                    assert_eq!(got.3, want.3, "condensations, {what}");
+                    for (name, g, w) in [
+                        ("round-off", got.sums.round, want.sums.round),
+                        ("|a|", got.sums.mag_a, want.sums.mag_a),
+                        ("|b|", got.sums.mag_b, want.sums.mag_b),
+                    ] {
+                        assert_eq!(g.terms, w.terms, "{name} terms, {what}");
+                        for l in 0..LANES {
+                            assert!(
+                                same_bits(g.lanes[l], w.lanes[l]),
+                                "{name} lane {l}, {what}: {} vs {}",
+                                g.lanes[l],
+                                w.lanes[l]
+                            );
+                        }
+                    }
+                    assert_eq!(
+                        got.condensations, want.condensations,
+                        "condensations, {what}"
+                    );
                 }
             }
         }

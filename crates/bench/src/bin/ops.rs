@@ -83,21 +83,39 @@ fn time_op<R>(samples: usize, target: Duration, mut f: impl FnMut() -> R) -> (u6
 }
 
 /// Two affine operands with all k symbol slots populated and shared —
-/// the steady state inside a numerical loop.
+/// the steady state inside a numerical loop: `a ← a·b`, `b ← b + a`.
 fn operands(ctx: &AaContext) -> (AffineF64, AffineF64) {
     let mut a = AffineF64::from_input(0.7, ctx);
     let mut b = AffineF64::from_input(1.3, ctx);
-    for _ in 0..(2 * ctx.k() + 4) {
+    // Two fresh symbols a round fill all k slots.
+    for _ in 0..(ctx.k() + 4) {
         let t = a.mul(&b, ctx, Protect::None);
         b = b.add(&a, ctx, Protect::None);
-        a = t;
+        // `a·b` grows doubly exponentially and would overflow to ±∞/NaN
+        // within the warm-up: scale both back by a power of two, which is
+        // exact and adds no symbol.
+        a = unit(&t, ctx);
+        b = unit(&b, ctx);
     }
-    // Normalize magnitudes so the timing loop cannot overflow.
-    let scale = AffineF64::exact(1e-3, ctx);
-    (
-        a.mul(&scale, ctx, Protect::None),
-        b.mul(&scale, ctx, Protect::None),
-    )
+    (a, b)
+}
+
+/// `x` scaled by the power of two that brings its center into `[1, 2)`.
+fn unit(x: &AffineF64, ctx: &AaContext) -> AffineF64 {
+    let scale = 2f64.powi(-(x.center_f64().abs().log2().floor() as i32));
+    x.mul(&AffineF64::exact(scale, ctx), ctx, Protect::None)
+}
+
+/// Panics unless both operands of a timed row have finite ranges: a
+/// poisoned operand would time the ±∞/NaN paths instead of the op.
+fn assert_finite(row: &str, k: usize, operands: [&AffineF64; 2]) {
+    for x in operands {
+        let (lo, hi) = x.range();
+        assert!(
+            lo.is_finite() && hi.is_finite(),
+            "{row} at k = {k}: operand range ({lo}, {hi}) is not finite"
+        );
+    }
 }
 
 /// Two affine operands with all k slots populated by *different* symbols
@@ -158,6 +176,7 @@ fn main() {
             ] {
                 let ctx = AaContext::new(cfg);
                 let (a, b) = make(&ctx);
+                assert_finite(&format!("{tag}{suffix}"), k, [&a, &b]);
                 let mut out = a.clone();
                 let add = time_op(samples, target, || {
                     a.add_into(black_box(&b), &ctx, Protect::None, &mut out)
@@ -193,6 +212,7 @@ fn main() {
     push("baseline_ops", "yalaa_aff0_mul_64syms".into(), None, yalaa);
     let ctx = AaContext::new(AaConfig::new(k));
     let (a, b) = operands(&ctx);
+    assert_finite("safegen_dsv_mul", k, [&a, &b]);
     let dsv = time_op(samples, target, || {
         a.mul(black_box(&b), &ctx, Protect::None)
     });
