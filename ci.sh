@@ -23,6 +23,80 @@ build_release() {
 echo "== cargo build --release =="
 cargo build --release --workspace
 
+echo "== FMA region call audit (direct-mapped ops call no libm fma and no inlined helper) =="
+# Each direct-mapped add/sub/mul/div runs in one function compiled for
+# AVX2 and FMA (safegen_affine::ops::direct_in_fma_region, one instance
+# per center type). It may call the AVX2 slot kernels, the scalar tail
+# bodies and cold allocation and panic paths, nothing else: a libm `fma`
+# call or a call to one of the helpers below means the straight-line op
+# came apart. Calls through the GOT (`call *slot(%rip)`, or a register
+# loaded from a slot) are resolved with the dynamic relocations.
+audit_fma_region() {
+    local bin="$1" dir
+    dir="$(mktemp -d)"
+    nm -C "$bin" | awk '{ a = $1; sub(/^0+/, "", a); $1 = $2 = ""; sub(/^ +/, ""); print a "\t" $0 }' \
+        > "$dir/syms"
+    objdump -R "$bin" | awk '$2 ~ /^R_X86_64_/ {
+        a = $1; sub(/^0+/, "", a); t = $3
+        if ($2 == "R_X86_64_RELATIVE") { sub(/^\*ABS\*\+0x0*/, "", t); print a "\taddr\t" t }
+        else { sub(/@.*/, "", t); print a "\tname\t" t }
+    }' > "$dir/got"
+    objdump -d --no-show-raw-insn "$bin" | awk '
+        /^[0-9a-f]+ <.*>:$/ { inreg = ($2 ~ /direct_in_fma_region/); if (inreg) n++; next }
+        inreg && /\tmov +-?0x[0-9a-f]+\(%rip\),%r[a-z0-9]+ +#/ {
+            match($0, /%r[a-z0-9]+ +#/); r = substr($0, RSTART, RLENGTH); sub(/ +#/, "", r)
+            match($0, /# [0-9a-f]+/); loaded[r] = substr($0, RSTART + 2, RLENGTH - 2)
+        }
+        inreg && /\tcall / {
+            if ($0 ~ /call +\*%r/) {
+                match($0, /%r[a-z0-9]+/); r = substr($0, RSTART, RLENGTH)
+                print n "\tgot\t" ((r in loaded) ? loaded[r] : "?" r)
+            } else if ($0 ~ /call +\*/) {
+                match($0, /# [0-9a-f]+/); print n "\tgot\t" substr($0, RSTART + 2, RLENGTH - 2)
+            } else {
+                match($0, /call +[0-9a-f]+/); a = substr($0, RSTART, RLENGTH); sub(/call +/, "", a)
+                print n "\taddr\t" a
+            }
+        }' > "$dir/calls"
+    local status=0
+    awk -F'\t' -v syms="$dir/syms" -v got="$dir/got" '
+        BEGIN {
+            while ((getline l < syms) > 0) { split(l, f, "\t"); if (!(f[1] in name)) name[f[1]] = f[2] }
+            while ((getline l < got) > 0) { split(l, f, "\t"); kind[f[1]] = f[2]; val[f[1]] = f[3] }
+        }
+        function sym(a) { sub(/^0+/, "", a); return (a in name) ? name[a] : "unresolved 0x" a }
+        {
+            if ($2 == "addr") t = sym($3)
+            else { s = $3; sub(/^0+/, "", s); t = !(s in kind) ? "unresolved GOT 0x" s : kind[s] == "addr" ? sym(val[s]) : val[s] }
+            calls[$1 "\t" t]++; instances[$1] = 1
+        }
+        END {
+            bad = 0
+            for (c in calls) {
+                split(c, f, "\t"); t = f[2]
+                flag = (t ~ /^fmaf?(@|$)/ || t ~ /^unresolved/ ||
+                    t ~ /Repr::(slots|slots_mut|ensure_direct|push_fresh)$/ ||
+                    t ~ /::finalize(_direct)?$/ || t ~ /Ptrs::of$/ || t ~ /RoundOff::/ ||
+                    t ~ /direct::(protect_masks|occupant|place_fresh|quadratic|merge_linear|merge_mul|run_chunks)($|::)/)
+                printf "   instance %s: %3d x %s%s\n", f[1], calls[c], t, flag ? "   <-- must not be called here" : ""
+                bad += flag
+            }
+            n = length(instances)
+            if (n == 0) { print "   no direct_in_fma_region instance found"; exit 1 }
+            exit (bad > 0)
+        }' "$dir/calls" | sort || status=$?
+    rm -rf "$dir"
+    return "$status"
+}
+if [ "$(uname -m)" = x86_64 ]; then
+    for tool in nm objdump; do
+        command -v "$tool" > /dev/null || { echo "the FMA region audit requires $tool"; exit 1; }
+    done
+    audit_fma_region ./target/release/safegen
+else
+    echo "   (not x86_64: the FMA region is not built)"
+fi
+
 echo "== benchmark package builds (its own workspace, against the library API) =="
 cargo build --release --offline --manifest-path crates/bench/src/bin/perf/Cargo.toml
 

@@ -17,13 +17,19 @@
 //! body for the random fusion policy, which draws from the context once
 //! per conflict in slot order.
 //!
-//! One pass over the slots is the whole operation. Round-off does not go
-//! through per-term directed rounding: the center error, slot `s`'s error
-//! terms and (multiplication) the quadratic term go into lane partial
-//! `s mod 4` with round-to-nearest adds ([`RoundOff`]), and the operation
-//! takes one sound upper bound of their sum ([`sum_bound`]). A
-//! multiplication sums the operand magnitudes `|aₛ|`, `|bₛ|` in the same
-//! pass, so the radii of its quadratic term need no pass of their own.
+//! One pass over the slots is the whole operation, and one directed
+//! rounding step its whole noise. Round-off does not go through per-term
+//! directed rounding: the center error and slot `s`'s error terms go into
+//! lane partial `s mod 4` with round-to-nearest adds ([`RoundOff`]). A
+//! multiplication sums the operand magnitudes `|aₛ|`, `|bₛ|` the same way
+//! in the same pass, so the radii of its quadratic term need no pass of
+//! their own, and takes their product to nearest ([`quadratic`]). Under
+//! [`NoisePolicy::Fresh`] the occupant of the slot the operation's fresh
+//! symbol claims joins the round-off partials too ([`occupant`]): the
+//! fresh symbol absorbs it (paper eq. 6). The operation then takes one
+//! sound upper bound of the whole sum ([`sum_bound`]), whose term count
+//! covers every round-to-nearest step on the way (DESIGN.md §4
+//! decision 7), and [`place_fresh`] writes it without another rounding.
 //!
 //! The kernels take three operands: they read `a` and `b` and write every
 //! slot of the result into `out`, so the output's stale contents never
@@ -33,8 +39,7 @@
 //! aliasing discipline that mode needs.
 
 use crate::center::{CenterValue, ErrAcc};
-use crate::config::{AaContext, Fusion, Protect};
-use crate::ops::mul_mag;
+use crate::config::{AaContext, Fusion, NoisePolicy, Protect};
 use crate::symbol::{slot_of, SymbolId, NO_SYMBOL};
 use crate::vector::{self, Avx2, LANES};
 use safegen_fpcore::round::{add_with_err, mul_with_err, sum_bound};
@@ -65,17 +70,26 @@ pub(crate) struct RoundOff {
 
 impl RoundOff {
     /// Adds the non-negative term `e` of slot `s`.
-    #[inline]
+    #[inline(always)]
     pub(crate) fn push(&mut self, s: usize, e: f64) {
         self.lanes[s % LANES] += e;
         self.terms += u64::from(e != 0.0);
     }
 
-    /// Sound upper bound on the exact sum of every pushed term.
-    #[inline]
-    pub(crate) fn bound(&self) -> f64 {
+    /// The round-to-nearest sum `(p0 + p1) + (p2 + p3)` of the partials.
+    /// It is at least the exact sum of the pushed terms times
+    /// `(1 − 2⁻⁵³)^(terms − 1)`: a zero term adds exactly, so at most
+    /// `terms − 1` roundings lie on any term's way to the sum.
+    #[inline(always)]
+    pub(crate) fn sum(&self) -> f64 {
         let [p0, p1, p2, p3] = self.lanes;
-        sum_bound((p0 + p1) + (p2 + p3), self.terms)
+        (p0 + p1) + (p2 + p3)
+    }
+
+    /// Sound upper bound on the exact sum of every pushed term.
+    #[inline(always)]
+    pub(crate) fn bound(&self) -> f64 {
+        sum_bound(self.sum(), self.terms)
     }
 }
 
@@ -213,6 +227,7 @@ impl Body {
 /// `base..base + 64`) of `a` (`b`) holds a protected symbol. A symbol can
 /// only sit in slot `id mod k`, so one pass over the protect set finds
 /// them all.
+#[inline(always)]
 fn protect_masks(x: &Slots<'_>, base: usize, protect: Protect<'_>) -> (u64, u64) {
     let Protect::Ids(set) = protect else {
         return (0, 0);
@@ -271,11 +286,17 @@ pub(crate) fn merge_linear(
         ctx,
         protect,
         sums,
+        #[inline(always)]
         |x, start, end, rule, sums| match body {
             Body::Avx2(t) => vector::linear(t, x, start, end, sign_b, rule, ctx, sums),
-            Body::Scalar => (start..end)
-                .map(|s| u64::from(linear_slot_ref(x, s, sign_b, rule, ctx, &mut sums.round)))
-                .sum(),
+            Body::Scalar => {
+                let mut conflicts = 0;
+                for s in start..end {
+                    conflicts +=
+                        u64::from(linear_slot_ref(x, s, sign_b, rule, ctx, &mut sums.round));
+                }
+                conflicts
+            }
         },
     );
 }
@@ -300,20 +321,75 @@ pub(crate) fn merge_mul<C: CenterValue>(
         ctx,
         protect,
         sums,
+        #[inline(always)]
         |x, start, end, rule, sums| match body {
             Body::Avx2(t) => {
                 vector::mul(t, x, start, end, a0.to_f64(), b0.to_f64(), rule, ctx, sums)
             }
-            Body::Scalar => (start..end)
-                .map(|s| u64::from(mul_slot_ref(x, s, a0, b0, rule, ctx, sums)))
-                .sum(),
+            Body::Scalar => {
+                let mut conflicts = 0;
+                for s in start..end {
+                    conflicts += u64::from(mul_slot_ref(x, s, a0, b0, rule, ctx, sums));
+                }
+                conflicts
+            }
         },
     );
 }
 
+/// The magnitude `|c|` of the occupant of the result slot that the
+/// operation's fresh symbol claims, under [`NoisePolicy::Fresh`], with
+/// that slot; `None` when the policy makes no fresh symbol or the slot is
+/// empty. The fresh symbol absorbs the occupant (paper eq. 6), so its
+/// magnitude joins the operation's noise before the bound.
+#[inline(always)]
+pub(crate) fn occupant(ids: &[SymbolId], coeffs: &[f64], ctx: &AaContext) -> Option<(usize, f64)> {
+    if ctx.config().noise != NoisePolicy::Fresh {
+        return None;
+    }
+    let s = slot_of(ctx.symbols_allocated(), ids.len());
+    (ids[s] != NO_SYMBOL).then(|| (s, coeffs[s].abs()))
+}
+
+/// Writes the fresh symbol `id` with magnitude `noise` into its slot and
+/// returns whether that replaced an occupant (a condensation). `noise`
+/// must already cover the occupant's magnitude ([`occupant`]).
+#[inline(always)]
+pub(crate) fn place_fresh(
+    ids: &mut [SymbolId],
+    coeffs: &mut [f64],
+    id: SymbolId,
+    noise: f64,
+) -> bool {
+    let s = slot_of(id, ids.len());
+    let absorbs = ids[s] != NO_SYMBOL;
+    (ids[s], coeffs[s]) = (id, noise);
+    absorbs
+}
+
+/// The quadratic term `q̂` of a multiplication from the round-to-nearest
+/// operand magnitude sums `ŝ_a`, `ŝ_b`: zero when either is (a zero
+/// radius annihilates even an infinite one, `0·∞ = 0`: every realization
+/// of a noise symbol is a real number), else `RN(ŝ_a·ŝ_b)`, stepped up
+/// one ulp below `2⁻¹⁰²²`, where the product's rounding error is absolute
+/// rather than relative. So `ŝ_a·ŝ_b ≤ q̂ / (1 − 2⁻⁵³)`.
+#[inline(always)]
+fn quadratic(sa: f64, sb: f64) -> f64 {
+    if sa == 0.0 || sb == 0.0 {
+        return 0.0;
+    }
+    let q = sa * sb;
+    if q < f64::MIN_POSITIVE {
+        q.next_up()
+    } else {
+        q
+    }
+}
+
 /// The symbol part of `a ± b`, written to `out`, and the one bound on the
-/// operation's noise: the center error `ce` (lane 0, first) and the slot
-/// round-off.
+/// operation's noise: the center error `ce` (lane 0, first), the slot
+/// round-off and, when any of these is non-zero, the absorbed occupant
+/// ([`occupant`]).
 #[inline(always)]
 pub(crate) fn linear(
     x: &mut Slots<'_>,
@@ -325,16 +401,27 @@ pub(crate) fn linear(
     let mut sums = Sums::default();
     sums.round.push(0, ce);
     merge_linear(x, sign_b, ctx, protect, &mut sums);
+    if sums.round.terms > 0 {
+        if let Some((s, c)) = occupant(x.out_ids, x.out_coeffs, ctx) {
+            sums.round.push(s, c);
+        }
+    }
     sums.round.bound()
 }
 
 /// The symbol part of `a · b`, written to `out`, and the one bound on the
-/// operation's noise: the center error `ce` (lane 0, first), the slot
-/// round-off, and last (lane 0) the quadratic term `q = RU(r_a·r_b)`,
-/// which covers every `εᵢ·εⱼ` product. Each radius is the bound on its
-/// operand's magnitude sum, whose first term (lane 0) is the dedicated
-/// noise `acc_a` / `acc_b`; `q` is zero when either radius is
-/// ([`mul_mag`]).
+/// operation's noise. With `ŝ_r` the round-to-nearest sum of the `m_r`
+/// round-off terms (the center error `ce` in lane 0 first, the slot
+/// round-off, the absorbed occupant last) and `q̂` the [`quadratic`] term
+/// of the operand magnitude sums `ŝ_a`, `ŝ_b` (`m_a`, `m_b` terms, the
+/// dedicated noise `acc_a` / `acc_b` first), the noise is
+/// `sum_bound(RN(ŝ_r + q̂), E + 1)` with
+/// `E = max(m_r − 1, m_a + m_b − 1) + [ŝ_r ≠ 0 ∧ q̂ ≠ 0]`, the quadratic
+/// counting only when `q̂ ≠ 0`. It is sound: the exact round-off is at
+/// most `ŝ_r·(1 − u)^−(m_r − 1)`, the exact `(acc_a + Σ|aₛ|)·(acc_b +
+/// Σ|bₛ|)`, which covers every `εᵢ·εⱼ` product, at most
+/// `q̂·(1 − u)^−(m_a + m_b − 1)`, and the final add costs one more factor
+/// (`u = 2⁻⁵³`). The occupant joins when `m_r > 0` or `q̂ > 0`.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn mul<C: CenterValue>(
@@ -351,9 +438,19 @@ pub(crate) fn mul<C: CenterValue>(
     sums.mag_a.push(0, acc_a);
     sums.mag_b.push(0, acc_b);
     merge_mul(a0, b0, x, ctx, protect, &mut sums);
-    sums.round
-        .push(0, mul_mag(sums.mag_a.bound(), sums.mag_b.bound()));
-    sums.round.bound()
+    let q = quadratic(sums.mag_a.sum(), sums.mag_b.sum());
+    let round = &mut sums.round;
+    if round.terms > 0 || q > 0.0 {
+        if let Some((s, c)) = occupant(x.out_ids, x.out_coeffs, ctx) {
+            round.push(s, c);
+        }
+    }
+    let r = round.sum();
+    let mut e = round.terms.saturating_sub(1);
+    if q != 0.0 {
+        e = e.max(sums.mag_a.terms + sums.mag_b.terms - 1) + u64::from(r != 0.0);
+    }
+    sum_bound(r + q, e + 1)
 }
 
 /// Slot `s` of `a ± b` (reference body). The shared-symbol case pushes the
@@ -516,19 +613,37 @@ mod tests {
         (out.0, out.1, noise)
     }
 
-    /// Runs `a · b` into a stale output and returns the result slots and
-    /// the noise bound (quadratic term included).
-    fn run_mul(
-        a0: f64,
-        b0: f64,
-        a: &State,
-        b: &State,
+    /// Runs `a · b` (`Some((a0, b0))`) or `a − b` with center error `ce`
+    /// into a stale output, or in in-out mode into `b`'s own slots, and
+    /// returns the result slots and the noise.
+    fn run_op(
+        centers: Option<(f64, f64)>,
+        acc: (f64, f64),
+        ce: f64,
+        (a, b): (&State, &State),
+        in_out: bool,
         ctx: &AaContext,
-    ) -> (Vec<SymbolId>, Vec<f64>, f64) {
-        let mut out = stale(a.0.len());
-        let mut x = slots(a, b, &mut out);
-        let noise = mul(a0, b0, (0.0, 0.0), &mut x, 0.0, ctx, Protect::None);
-        (out.0, out.1, noise)
+    ) -> (State, f64) {
+        let mut out = if in_out { b.clone() } else { stale(a.0.len()) };
+        let (out_ids, out_coeffs) = (&mut out.0, &mut out.1);
+        let mut x = Slots {
+            a_ids: &a.0,
+            a_coeffs: &a.1,
+            b: (!in_out).then_some((&b.0[..], &b.1[..])),
+            out_ids,
+            out_coeffs,
+        };
+        let noise = match centers {
+            Some((a0, b0)) => mul(a0, b0, acc, &mut x, ce, ctx, Protect::None),
+            None => linear(&mut x, -1.0, ce, ctx, Protect::None),
+        };
+        (out, noise)
+    }
+
+    /// `a · b` into a stale output, without dedicated noise or center
+    /// error.
+    fn run_mul(a0: f64, b0: f64, a: &State, b: &State, ctx: &AaContext) -> (State, f64) {
+        run_op(Some((a0, b0)), (0.0, 0.0), 0.0, (a, b), false, ctx)
     }
 
     fn state(k: usize, pairs: &[(u64, f64)]) -> State {
@@ -598,7 +713,7 @@ mod tests {
         let c = ctx(4, Fusion::Smallest);
         let a = state(4, &[(1, 1.0)]);
         let b = state(4, &[(1, 2.0)]);
-        let (ids, coeffs, _) = run_mul(2.0, 3.0, &a, &b, &c);
+        let ((ids, coeffs), _) = run_mul(2.0, 3.0, &a, &b, &c);
         // a0·b1 + b0·a1 = 2·2 + 3·1 = 7
         assert_eq!(ids[1], 1);
         assert_eq!(coeffs[1], 7.0);
@@ -610,13 +725,15 @@ mod tests {
         let a = state(4, &[(1, 1.0)]);
         let b = state(4, &[(5, 1.0)]);
         // a0 = 10, b0 = 2: candidates are b0·a1 = 2 (id 1), a0·b5 = 10 (id 5).
-        let (ids, coeffs, noise) = run_mul(10.0, 2.0, &a, &b, &c);
+        let ((ids, coeffs), noise) = run_mul(10.0, 2.0, &a, &b, &c);
         assert_eq!(ids[1], 5); // SP keeps the 10
         assert_eq!(coeffs[1], 10.0);
         // The noise covers the fused loser 2 and the quadratic term
-        // r(a)·r(b) = 1·1 with one bound: the multiplication sums both
-        // into its lane partials, so the bound inflates their sum.
-        assert_eq!(noise, sum_bound(3.0, 2));
+        // q̂ = RN(1·1) with one bound over RN(2 + q̂), whose term count
+        // E + 1 = 3 covers q̂'s product and the final add (one rounding
+        // each). The count grew by one when q̂ stopped being rounded
+        // upward on its own.
+        assert_eq!(noise, sum_bound(3.0, 3));
     }
 
     #[test]
@@ -638,18 +755,10 @@ mod tests {
         let c = ctx(6, Fusion::Smallest);
         let a = state(6, &[(1, 1.5), (2, -2.0), (9, 0.25), (4, 3.0)]);
         let b = state(6, &[(7, 0.5), (2, 4.0), (3, -1.0)]);
-        let (want_ids, want_coeffs, want) = run_mul(3.0, -0.5, &a, &b, &c);
-        let (mut ids, mut coeffs) = b.clone();
-        let mut x = Slots {
-            a_ids: &a.0,
-            a_coeffs: &a.1,
-            b: None,
-            out_ids: &mut ids,
-            out_coeffs: &mut coeffs,
-        };
-        let got = mul(3.0, -0.5, (0.0, 0.0), &mut x, 0.0, &c, Protect::None);
-        assert_eq!((ids, coeffs), (want_ids, want_coeffs));
-        assert_eq!(got.to_bits(), want.to_bits());
+        let (want, want_noise) = run_mul(3.0, -0.5, &a, &b, &c);
+        let (got, noise) = run_op(Some((3.0, -0.5)), (0.0, 0.0), 0.0, (&a, &b), true, &c);
+        assert_eq!(got, want);
+        assert_eq!(noise.to_bits(), want_noise.to_bits());
     }
 
     #[test]
@@ -800,61 +909,88 @@ mod tests {
         x.1.iter().fold(rat(acc), |m, &c| m.add(&rat(c).abs()))
     }
 
+    /// `|c|` of the slot the next fresh symbol claims, which the noise
+    /// must cover when the fresh symbol will take it (noise > 0 under
+    /// the fresh-symbol policy); zero otherwise.
+    fn absorbed(out: &State, noise: f64, ctx: &AaContext) -> Rational {
+        let s = slot_of(ctx.symbols_allocated(), out.0.len());
+        let fresh = ctx.config().noise == NoisePolicy::Fresh && noise > 0.0;
+        if fresh && out.0[s] != NO_SYMBOL {
+            rat(out.1[s]).abs()
+        } else {
+            Rational::zero()
+        }
+    }
+
+    /// The exact error a multiplication's noise must cover, the absorbed
+    /// occupant aside: `|a0·b0 − c0|`, every coefficient's error, and
+    /// `(acc_a + Σ|aₛ|)·(acc_b + Σ|bₛ|)`.
+    fn exact_mul_error(
+        (a0, b0, c0): (f64, f64, f64),
+        (acc_a, acc_b): (f64, f64),
+        (a, b, out): (&State, &State, &State),
+    ) -> Rational {
+        rat(a0)
+            .mul(&rat(b0))
+            .sub(&rat(c0))
+            .abs()
+            .add(&exact_slot_error(
+                a,
+                b,
+                out,
+                |x| rat(b0).mul(&rat(x)),
+                |x| rat(a0).mul(&rat(x)),
+            ))
+            .add(&magnitude(acc_a, a).mul(&magnitude(acc_b, b)))
+    }
+
     #[test]
-    fn op_bound_covers_exact_center_slot_and_quadratic_error() {
+    fn op_bound_covers_exact_error_and_absorbed_occupant() {
         let mut rng = Rng(0x0AC1_E5EE_D000_0017);
-        for case in 0..600 {
-            let k = [1, 3, 4, 8, 9][case % 5];
+        for case in 0..900 {
+            let k = [1, 3, 4, 8, 9, 40][case % 6];
             let fusion = [Fusion::Smallest, Fusion::Oldest][case % 2];
-            let vectorized = case % 3 != 0;
+            let noise_policy = if case % 7 == 0 {
+                NoisePolicy::Dedicated
+            } else {
+                NoisePolicy::Fresh
+            };
             let c = AaContext::new(
                 AaConfig::new(k)
                     .with_fusion(fusion)
-                    .with_vectorized(vectorized),
+                    .with_noise(noise_policy)
+                    .with_vectorized(case % 3 != 0),
             );
+            // The next fresh symbol's slot, and so the occupant, varies.
+            for _ in 0..rng.below(2 * k as u64) {
+                c.fresh_symbol();
+            }
             let (a, b) = random_states(&mut rng, k);
             let (a0, b0) = (rng.value(), rng.value());
+            let in_out = case % 4 == 1;
 
-            // a · b: ce, the slot errors and (acc_a + Σ|aₛ|)·(acc_b + Σ|bₛ|).
-            let (acc_a, acc_b) = (rng.acc(), rng.acc());
+            // a · b: ce, the slot errors, (acc_a + Σ|aₛ|)·(acc_b + Σ|bₛ|)
+            // and the occupant the fresh symbol absorbs.
+            let acc = (rng.acc(), rng.acc());
             let (c0, ce) = mul_with_err(a0, b0);
-            let mut out = stale(k);
-            let noise = mul(
-                a0,
-                b0,
-                (acc_a, acc_b),
-                &mut slots(&a, &b, &mut out),
-                ce,
-                &c,
-                Protect::None,
-            );
-            let exact = rat(a0)
-                .mul(&rat(b0))
-                .sub(&rat(c0))
-                .abs()
-                .add(&exact_slot_error(
-                    &a,
-                    &b,
-                    &out,
-                    |x| rat(b0).mul(&rat(x)),
-                    |x| rat(a0).mul(&rat(x)),
-                ))
-                .add(&magnitude(acc_a, &a).mul(&magnitude(acc_b, &b)));
+            let (out, noise) = run_op(Some((a0, b0)), acc, ce, (&a, &b), in_out, &c);
+            let exact =
+                exact_mul_error((a0, b0, c0), acc, (&a, &b, &out)).add(&absorbed(&out, noise, &c));
             assert_ne!(
                 exact.cmp_val(&rat(noise)),
                 Ordering::Greater,
                 "mul case {case}: noise {noise} below the exact error"
             );
 
-            // a − b: ce and the slot errors.
+            // a − b: ce, the slot errors and the absorbed occupant.
             let (c0, ce) = add_with_err(a0, -b0);
-            let mut out = stale(k);
-            let noise = linear(&mut slots(&a, &b, &mut out), -1.0, ce, &c, Protect::None);
+            let (out, noise) = run_op(None, (0.0, 0.0), ce, (&a, &b), in_out, &c);
             let exact = rat(a0)
                 .sub(&rat(b0))
                 .sub(&rat(c0))
                 .abs()
-                .add(&exact_slot_error(&a, &b, &out, rat, |x| rat(-x)));
+                .add(&exact_slot_error(&a, &b, &out, rat, |x| rat(-x)))
+                .add(&absorbed(&out, noise, &c));
             assert_ne!(
                 exact.cmp_val(&rat(noise)),
                 Ordering::Greater,
@@ -864,66 +1000,59 @@ mod tests {
     }
 
     #[test]
-    fn quadratic_term_of_an_empty_operand_is_zero_even_against_infinity() {
-        let c = ctx(4, Fusion::Smallest);
-        let a = state(4, &[(1, 0.5), (6, 2.0)]);
-        let empty = state(4, &[]);
-        let mut out = stale(4);
-        // r(a) = ∞ (dedicated noise) and r(b) = 0: 0·∞ = 0, so the noise
-        // is the center error alone.
-        let noise = mul(
-            3.0,
-            0.25,
-            (f64::INFINITY, 0.0),
-            &mut slots(&a, &empty, &mut out),
-            0.125,
-            &c,
-            Protect::None,
-        );
-        assert_eq!(noise, 0.125);
-        // With b's dedicated noise non-zero, the quadratic term is ∞.
-        let noise = mul(
-            3.0,
-            0.25,
-            (f64::INFINITY, 1.0),
-            &mut slots(&a, &empty, &mut out),
-            0.125,
-            &c,
-            Protect::None,
-        );
-        assert_eq!(noise, f64::INFINITY);
-        // Two empty operands without dedicated noise: only ce remains.
-        let noise = mul(
-            3.0,
-            0.25,
-            (0.0, 0.0),
-            &mut slots(&empty, &empty, &mut out),
-            0.125,
-            &c,
-            Protect::None,
-        );
-        assert_eq!(noise, 0.125);
-        assert_eq!(out, empty, "an empty product leaves only empty slots");
-        // A NaN radius poisons the noise unless the other radius is zero.
-        let noise = mul(
-            3.0,
-            0.25,
-            (f64::NAN, 0.0),
-            &mut slots(&a, &empty, &mut out),
-            0.0,
-            &c,
-            Protect::None,
-        );
-        assert_eq!(noise, 0.0);
-        let noise = mul(
-            3.0,
-            0.25,
-            (f64::NAN, 0.0),
-            &mut slots(&a, &a, &mut out),
-            0.0,
-            &c,
-            Protect::None,
-        );
-        assert!(noise.is_nan());
+    fn one_bound_mul_edge_cases_on_both_bodies() {
+        let tiny = 1.5 * 2f64.powi(-530);
+        for vectorized in [false, true] {
+            for in_out in [false, true] {
+                let c = AaContext::new(AaConfig::new(4).with_vectorized(vectorized));
+                let what = format!("vectorized {vectorized}, in-out {in_out}");
+                let empty = state(4, &[]);
+                let run = |a: &State, b: &State, acc: (f64, f64), ce: f64| {
+                    run_op(Some((3.0, 0.25)), acc, ce, (a, b), in_out, &c)
+                };
+
+                // ŝ_a·ŝ_b = 2.25·2⁻¹⁰⁶⁰ is subnormal: the product's
+                // absolute rounding error needs the one-ulp step.
+                let a = state(4, &[(1, tiny)]);
+                let b = state(4, &[(1, tiny)]);
+                let (out, noise) = run(&a, &b, (0.0, 0.0), 0.0);
+                let exact = exact_mul_error((3.0, 0.25, 0.75), (0.0, 0.0), (&a, &b, &out));
+                assert!(noise > 0.0, "{what}");
+                assert_ne!(exact.cmp_val(&rat(noise)), Ordering::Greater, "{what}");
+                // A product below the smallest subnormal rounds to zero and
+                // steps up to it.
+                let a = state(4, &[(1, 2f64.powi(-540))]);
+                let (out, noise) = run(&a, &a, (0.0, 0.0), 0.0);
+                let exact = exact_mul_error((3.0, 0.25, 0.75), (0.0, 0.0), (&a, &a, &out));
+                assert!(noise > 0.0, "{what}");
+                assert_ne!(exact.cmp_val(&rat(noise)), Ordering::Greater, "{what}");
+
+                // 0·∞ = 0: an empty operand without dedicated noise
+                // annihilates the other's infinite radius.
+                let a = state(4, &[(1, 0.5), (6, 2.0)]);
+                let (_, noise) = run(&a, &empty, (f64::INFINITY, 0.0), 0.125);
+                assert_eq!(noise, 0.125, "{what}");
+                let (_, noise) = run(&a, &empty, (f64::INFINITY, 1.0), 0.125);
+                assert_eq!(noise, f64::INFINITY, "{what}");
+                // Empty operands: only the center error remains.
+                let (out, noise) = run(&empty, &empty, (0.0, 0.0), 0.125);
+                assert_eq!(noise, 0.125, "{what}");
+                assert_eq!(out, empty, "{what}");
+                // A NaN radius poisons the noise unless the other is zero.
+                let (_, noise) = run(&a, &empty, (f64::NAN, 0.0), 0.0);
+                assert_eq!(noise, 0.0, "{what}");
+                let (_, noise) = run(&a, &a, (f64::NAN, 0.0), 0.0);
+                assert!(noise.is_nan(), "{what}");
+
+                // The fresh symbol's slot (0 here) holds 0.25·0.5: the
+                // noise covers it, and only when the op has an error.
+                let a = state(4, &[(4, 0.5)]);
+                let (out, noise) = run(&a, &empty, (0.0, 0.0), 0.125);
+                assert_eq!(out.0[0], 4, "{what}");
+                assert_eq!(noise, sum_bound(0.125 + 0.125, 2), "{what}");
+                let (out, noise) = run(&a, &empty, (0.0, 0.0), 0.0);
+                assert_eq!((out.0[0], noise), (4, 0.0), "{what}");
+            }
+        }
     }
 }

@@ -2,8 +2,8 @@
 
 use crate::center::CenterValue;
 use crate::config::{AaContext, Placement};
-use crate::direct::abs_sum;
-use crate::symbol::{slot_of, SymbolId, Term, NO_SYMBOL};
+use crate::direct::{abs_sum, place_fresh};
+use crate::symbol::{SymbolId, Term, NO_SYMBOL};
 use safegen_fpcore::metrics;
 use safegen_fpcore::round::{add_ru, sub_ru};
 use safegen_fpcore::Dd;
@@ -83,13 +83,21 @@ impl Repr {
     /// Gives a direct-mapped result `k` slots, keeping the buffers when
     /// they already have that shape. Their contents are stale: the merge
     /// writes every slot.
+    #[inline(always)]
     pub(crate) fn ensure_direct(&mut self, k: usize) {
         if !matches!(self, Repr::Direct { ids, .. } if ids.len() == k) {
-            *self = Repr::Direct {
-                ids: vec![NO_SYMBOL; k].into_boxed_slice(),
-                coeffs: vec![0.0; k].into_boxed_slice(),
-            };
+            self.make_direct(k);
         }
+    }
+
+    /// [`Repr::ensure_direct`]'s allocation, out of the operation's line.
+    #[cold]
+    #[inline(never)]
+    fn make_direct(&mut self, k: usize) {
+        *self = Repr::Direct {
+            ids: vec![NO_SYMBOL; k].into_boxed_slice(),
+            coeffs: vec![0.0; k].into_boxed_slice(),
+        };
     }
 
     /// The slots of a direct-mapped form.
@@ -98,50 +106,46 @@ impl Repr {
     ///
     /// Panics on sorted storage: the operands of one operation must come
     /// from one context.
+    #[inline(always)]
     pub(crate) fn slots(&self) -> (&[SymbolId], &[f64]) {
         match self {
             Repr::Direct { ids, coeffs } => (ids, coeffs),
-            Repr::Sorted(_) => panic!("mixed placements: operands must come from one context"),
+            Repr::Sorted(_) => mixed_placements(),
         }
     }
 
     /// [`Repr::slots`], writable.
+    #[inline(always)]
     pub(crate) fn slots_mut(&mut self) -> (&mut [SymbolId], &mut [f64]) {
         match self {
             Repr::Direct { ids, coeffs } => (ids, coeffs),
-            Repr::Sorted(_) => panic!("mixed placements: operands must come from one context"),
+            Repr::Sorted(_) => mixed_placements(),
         }
     }
 
-    /// Inserts a fresh symbol; for sorted placement the id must exceed all
-    /// existing ids. Returns whether it absorbed a direct-mapped slot's
-    /// occupant (a condensation).
-    pub(crate) fn push_fresh(&mut self, id: SymbolId, coeff: f64, k: usize) -> bool {
+    /// Inserts a fresh symbol into a form that [`Repr::reset`] emptied.
+    fn push_fresh(&mut self, id: SymbolId, coeff: f64, k: usize) {
         if coeff == 0.0 {
-            return false;
+            return;
         }
         match self {
             Repr::Sorted(terms) => {
                 debug_assert!(terms.last().is_none_or(|t| t.id < id));
                 debug_assert!(terms.len() < k || k == usize::MAX);
                 terms.push(Term::new(id, coeff));
-                false
             }
             Repr::Direct { ids, coeffs } => {
-                let slot = slot_of(id, ids.len());
-                let absorbs = ids[slot] != NO_SYMBOL;
-                if absorbs {
-                    // The fresh symbol absorbs the occupant (eq. 6); both
-                    // magnitudes merge under the fresh id.
-                    coeffs[slot] = add_ru(coeffs[slot].abs(), coeff.abs());
-                } else {
-                    coeffs[slot] = coeff;
-                }
-                ids[slot] = id;
-                absorbs
+                place_fresh(ids, coeffs, id, coeff);
             }
         }
     }
+}
+
+/// The panic of an operation on forms of two placements.
+#[cold]
+#[inline(never)]
+fn mixed_placements() -> ! {
+    panic!("mixed placements: operands must come from one context")
 }
 
 impl Clone for Repr {
@@ -577,22 +581,6 @@ mod tests {
                 assert_eq!(coeffs.len(), 4);
             }
             _ => panic!("expected direct repr"),
-        }
-    }
-
-    #[test]
-    fn direct_fresh_symbol_conflict_merges() {
-        let ctx = ctx_direct(2);
-        let mut repr = Repr::empty(&ctx);
-        // ids 0 and 2 both map to slot 0 with k = 2.
-        repr.push_fresh(0, 1.0, 2);
-        repr.push_fresh(2, 0.5, 2);
-        match &repr {
-            Repr::Direct { ids, coeffs } => {
-                assert_eq!(ids[0], 2); // fresh id wins the slot
-                assert_eq!(coeffs[0], 1.5); // magnitudes merged soundly
-            }
-            _ => unreachable!(),
         }
     }
 

@@ -17,12 +17,16 @@
 //!    materialize the noise as a fresh error symbol (or fold it into the
 //!    dedicated noise term under [`NoisePolicy::Dedicated`]).
 //!
-//! A direct-mapped `+`, `−`, `·` and `÷` does steps 2 and 3 in one pass:
-//! the kernel reads both operands, writes every slot of the output, sums
-//! the operand radii for the quadratic term as it goes, and returns one
-//! bound over the center error, the quadratic term and the slot round-off.
-//! When the context holds the AVX2 token, the whole operation, center and
-//! `finalize` included, runs in one function compiled with AVX2 and FMA.
+//! A direct-mapped `+`, `−`, `·` and `÷` does steps 2 to 4 in one pass
+//! and one directed-rounding step: the kernel reads both operands, writes
+//! every slot of the output, sums the operand radii for the quadratic term
+//! as it goes, and returns one bound over the center error, the slot
+//! round-off, the quadratic term and the occupant that the fresh symbol
+//! absorbs; the fresh symbol then takes its slot with that bound as its
+//! magnitude. When the context holds the AVX2 token, the whole operation
+//! runs in one straight-line function compiled with AVX2 and FMA
+//! ([`direct_in_fma_region`]) that calls only the AVX2 slot kernels, the
+//! scalar tail bodies and cold allocation and panic paths.
 //!
 //! Each operation has one implementation, its `*_into` form, which writes
 //! the result into an existing form and reuses that form's storage. A
@@ -33,7 +37,7 @@
 
 use crate::center::{CenterValue, ErrAcc};
 use crate::config::{AaContext, NoisePolicy, Protect};
-use crate::direct::{self, scale_direct, Slots};
+use crate::direct::{self, place_fresh, scale_direct, Slots};
 use crate::form::{Affine, Repr};
 use crate::fusion::select_victims;
 use crate::sorted::{merge_linear, merge_mul, scale_terms};
@@ -337,7 +341,14 @@ impl<C: CenterValue> Affine<C> {
         out.repr.clone_from(&self.repr);
         match &mut out.repr {
             Repr::Sorted(terms) => scale_terms(terms, alpha, &mut noise),
-            Repr::Direct { ids, coeffs } => scale_direct(ids, coeffs, alpha, &mut noise),
+            Repr::Direct { ids, coeffs } => {
+                scale_direct(ids, coeffs, alpha, &mut noise);
+                if noise.value() > 0.0 {
+                    if let Some((_, c)) = direct::occupant(ids, coeffs, ctx) {
+                        noise.add(c);
+                    }
+                }
+            }
         }
         out.finalize(center, noise.value(), 0.0, ctx, protect);
     }
@@ -422,8 +433,7 @@ impl<C: CenterValue> Affine<C> {
     /// Completes an operation whose merged terms are already in `self`:
     /// sets the center and folds the round-off `noise` in (paper Sec.
     /// V-B). Sorted terms are fused down to the budget first; direct-mapped
-    /// slots are within budget by construction, and the fresh symbol claims
-    /// its slot, absorbing any occupant.
+    /// slots are within budget by construction ([`Affine::finalize_direct`]).
     fn finalize(
         &mut self,
         center: C,
@@ -460,14 +470,27 @@ impl<C: CenterValue> Affine<C> {
                 }
                 self.acc_noise = acc_noise;
             }
-            (Repr::Direct { .. }, NoisePolicy::Dedicated) => {
-                self.acc_noise = add_ru(acc_noise, noise);
-            }
-            (Repr::Direct { .. }, NoisePolicy::Fresh) => {
-                self.acc_noise = acc_noise;
-                if noise > 0.0 && self.repr.push_fresh(ctx.fresh_symbol(), noise, k) {
-                    ctx.note_condensations(1);
-                }
+            (Repr::Direct { .. }, _) => self.finalize_direct(center, noise, acc_noise, ctx),
+        }
+    }
+
+    /// [`Affine::finalize`] of a direct-mapped form: the fresh symbol
+    /// claims its slot with magnitude `noise`, which must already cover
+    /// the slot's occupant ([`direct::occupant`]), or under
+    /// [`NoisePolicy::Dedicated`] the noise joins the dedicated term.
+    /// NaN noise makes no symbol.
+    #[inline(always)]
+    fn finalize_direct(&mut self, center: C, noise: f64, acc_noise: f64, ctx: &AaContext) {
+        self.center = center;
+        if ctx.config().noise == NoisePolicy::Dedicated {
+            self.acc_noise = add_ru(acc_noise, noise);
+            return;
+        }
+        self.acc_noise = acc_noise;
+        if noise > 0.0 {
+            let (ids, coeffs) = self.repr.slots_mut();
+            if place_fresh(ids, coeffs, ctx.fresh_symbol(), noise) {
+                ctx.note_condensations(1);
             }
         }
     }
@@ -475,12 +498,14 @@ impl<C: CenterValue> Affine<C> {
 
 /// One direct-mapped operation `out ← a ∘ b`, `b = None` meaning `out`'s
 /// own contents: the center and its rounding error, one merge pass that
-/// writes every slot of `out` and yields one bound on the whole noise, and
-/// `finalize`. `out` gets storage of `k` slots when it lacks it; its stale
-/// contents are never read, except as `b` in in-out mode.
+/// writes every slot of `out` and yields one bound on the whole noise
+/// (the absorbed slot occupant included), and the fresh symbol. `out`
+/// gets storage of `k` slots when it lacks it; its stale contents are
+/// never read, except as `b` in in-out mode.
 ///
 /// Inlined into both of its callers, [`Affine::direct_into`] and
-/// [`direct_in_fma_region`]: one body, compiled twice.
+/// [`direct_in_fma_region`]: one body, compiled twice. Its helpers are
+/// `#[inline(always)]` too, so each copy is one straight-line function.
 #[inline(always)]
 fn direct_body<C: CenterValue>(
     op: DirectOp,
@@ -528,14 +553,16 @@ fn direct_body<C: CenterValue>(
             (center, noise, acc)
         }
     };
-    out.finalize(center, noise, acc, ctx, protect);
+    out.finalize_direct(center, noise, acc, ctx);
 }
 
 /// [`direct_body`] compiled for AVX2 and FMA: the region in which a
 /// direct-mapped operation runs when the context holds the AVX2 token.
 /// FMA is exact either way, so it gives the bits the plain body gives; in
-/// here the center's and the bounds' `mul_add`s (`two_prod`, `mul_ru`,
-/// `sum_bound`) compile to `vfmadd` instead of calls.
+/// here the center's and the bound's `mul_add`s (`two_prod`, `mul_ru`,
+/// `sum_bound`) compile to `vfmadd` instead of calls. `ci.sh` checks the
+/// compiled region: no libm `fma` call and no call to a helper that
+/// should have been inlined.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 fn direct_in_fma_region<C: CenterValue>(
@@ -602,6 +629,8 @@ fn fuse_selected(
 mod tests {
     use super::*;
     use crate::config::{AaConfig, Fusion, Placement};
+    use crate::form::AffineF64;
+    use safegen_fpcore::round::sum_bound;
     use safegen_fpcore::Dd;
 
     fn ctx(k: usize, placement: Placement) -> AaContext {
@@ -614,6 +643,52 @@ mod tests {
 
     fn both_placements(k: usize) -> [AaContext; 2] {
         [ctx(k, Placement::Sorted), ctx(k, Placement::DirectMapped)]
+    }
+
+    /// `1 + 2⁻⁶⁰` with k = 2 slots: `x` (symbol 0, `ulp(1) = 2⁻⁵²`) sits
+    /// in slot 0, which the operation's fresh symbol 2 claims; symbol 1
+    /// only moves the id counter on. Returns the result and the context.
+    fn add_onto_occupied_slot(noise: NoisePolicy, vectorized: bool) -> (AffineF64, AaContext) {
+        let c = AaContext::new(
+            AaConfig::new(2)
+                .with_placement(Placement::DirectMapped)
+                .with_noise(noise)
+                .with_vectorized(vectorized),
+        );
+        let x = AffineF64::from_input(1.0, &c);
+        AffineF64::from_input(2.0, &c);
+        let y = AffineF64::exact(2f64.powi(-60), &c);
+        (x.add(&y, &c, Protect::None), c)
+    }
+
+    #[test]
+    fn fresh_symbol_absorbs_its_slot_occupant_in_the_one_bound() {
+        for vectorized in [false, true] {
+            let (z, c) = add_onto_occupied_slot(NoisePolicy::Fresh, vectorized);
+            let (ids, coeffs) = z.repr.slots();
+            assert_eq!(ids[0], 2, "the fresh symbol takes slot 0");
+            // One bound over the center error 2⁻⁶⁰ and the occupant 2⁻⁵².
+            let want = sum_bound(2f64.powi(-52) + 2f64.powi(-60), 2);
+            assert_eq!(coeffs[0], want);
+            assert_eq!(z.acc_noise, 0.0);
+            assert_eq!(c.counters().condensations, 1);
+        }
+    }
+
+    #[test]
+    fn dedicated_noise_absorbs_nothing() {
+        for vectorized in [false, true] {
+            let (z, c) = add_onto_occupied_slot(NoisePolicy::Dedicated, vectorized);
+            let (ids, coeffs) = z.repr.slots();
+            assert_eq!((ids[0], coeffs[0]), (0, 2f64.powi(-52)), "occupant kept");
+            assert_eq!(
+                z.acc_noise,
+                2f64.powi(-60),
+                "noise joins the dedicated term"
+            );
+            assert_eq!(c.symbols_allocated(), 2, "no fresh symbol");
+            assert_eq!(c.counters().condensations, 0);
+        }
     }
 
     #[test]

@@ -70,6 +70,7 @@ thread_local! {
 /// Linear merge `a ± b` of slots `start..end` (one chunk) with the AVX2
 /// body, adding its round-off to `sums.round`; returns the number of
 /// conflicts.
+#[inline(always)]
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn linear(
     _: Avx2,
@@ -93,6 +94,7 @@ pub(crate) fn linear(
 /// Multiplication merge of slots `start..end` (one chunk) with the AVX2
 /// body, for centers `a0`, `b0` that are exact `f64`s, adding to all three
 /// sums of `sums`; returns the number of conflicts.
+#[inline(always)]
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn mul(
     _: Avx2,
@@ -141,6 +143,7 @@ mod avx2 {
         /// The pointers of `x`, which must hold slots `..end` in every
         /// array (panics otherwise): the condition every load and store
         /// of a block relies on.
+        #[inline(always)]
         fn of(x: &mut Slots<'_>, end: usize) -> Ptrs {
             let k = x.a_ids.len();
             let b_ok =

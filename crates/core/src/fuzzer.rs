@@ -11,7 +11,8 @@
 //!    when that run took an undecided branch (the VM then follows
 //!    centers, a documented approximation whose path may differ from the
 //!    real one) and when the oracle declines (sqrt, exact division by
-//!    zero, representation growth) — skips are counted, never passed.
+//!    zero, representation growth) — skips are counted, never passed
+//!    ([`UndecidedSkips`], [`CheckReport::oracle_skip`]).
 //! 2. **Serial ≡ batch** — the batch engine must reproduce the serial
 //!    VM's range bit-for-bit on the same input.
 //! 3. **AA-dd ⊆ AA-f64** — the higher-precision-center configuration
@@ -92,6 +93,45 @@ pub struct CheckReport {
     pub exact_checks: u64,
     /// Why the rational oracle declined, if it did.
     pub oracle_skip: Option<String>,
+    /// Exact-oracle checks dropped because their run took an undecided
+    /// branch.
+    pub undecided_skips: UndecidedSkips,
+}
+
+/// Exact-oracle checks dropped because their run took an undecided
+/// branch (the VM followed the centers there, so its path may differ from
+/// the real one), one count per check.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct UndecidedSkips {
+    /// Step 1, exact enclosure: one per sound configuration.
+    pub exact_enclosure: u64,
+    /// Step 5, the unoptimized program's exact enclosure: one per sound
+    /// configuration.
+    pub pass_differential: u64,
+    /// Step 6, loop enclosure: one per fixpoint configuration.
+    pub loop_enclosure: u64,
+}
+
+impl UndecidedSkips {
+    /// The counts under their check names.
+    pub fn by_check(&self) -> [(&'static str, u64); 3] {
+        [
+            ("exact-enclosure", self.exact_enclosure),
+            ("pass-differential", self.pass_differential),
+            ("loop-enclosure", self.loop_enclosure),
+        ]
+    }
+
+    /// Every dropped check.
+    pub fn total(&self) -> u64 {
+        self.by_check().iter().map(|&(_, n)| n).sum()
+    }
+
+    fn add(&mut self, other: &UndecidedSkips) {
+        self.exact_enclosure += other.exact_enclosure;
+        self.pass_differential += other.pass_differential;
+        self.loop_enclosure += other.loop_enclosure;
+    }
 }
 
 impl CheckReport {
@@ -201,7 +241,9 @@ pub fn check_source(src: &str, func: &str, inputs: &[f64], opts: &CheckOpts) -> 
                     .anomalies
                     .push(format!("{}: NaN range endpoint", config.label()));
             } else if let Some(x) = &exact {
-                if r.stats.undecided_branches == 0 {
+                if r.stats.undecided_branches > 0 {
+                    report.undecided_skips.exact_enclosure += 1;
+                } else {
                     report.exact_checks += 1;
                     if !x.in_range(lo, hi) {
                         report.fail(
@@ -328,7 +370,11 @@ pub fn check_source(src: &str, func: &str, inputs: &[f64], opts: &CheckOpts) -> 
                 continue; // optimized-side errors are already reported
             };
             let Some((lo, hi)) = r.ret else { continue };
-            if lo.is_nan() || hi.is_nan() || r.stats.undecided_branches != 0 {
+            if lo.is_nan() || hi.is_nan() {
+                continue;
+            }
+            if r.stats.undecided_branches > 0 {
+                report.undecided_skips.pass_differential += 1;
                 continue;
             }
             report.exact_checks += 1;
@@ -359,7 +405,7 @@ pub fn check_source(src: &str, func: &str, inputs: &[f64], opts: &CheckOpts) -> 
 /// exact oracle and asserts each exact value lies inside the fixpoint
 /// enclosure computed with the trip parameter at `2^40`. Runs with an
 /// undecided branch (the fixpoint engine decided a non-loop comparison by
-/// its center) are skipped, mirroring the step-1 policy.
+/// its center) are skipped and counted, mirroring the step-1 policy.
 fn loop_enclosure_check(
     compiled: &crate::Compiled,
     func: &str,
@@ -413,6 +459,7 @@ fn loop_enclosure_check(
             }
         };
         if r.stats.undecided_branches > 0 {
+            report.undecided_skips.loop_enclosure += 1;
             continue;
         }
         let Some((lo, hi)) = r.ret else { continue };
@@ -576,6 +623,8 @@ pub struct FuzzSummary {
     pub exact_checks: u64,
     /// Function points where the rational oracle declined.
     pub oracle_skips: u64,
+    /// Exact-oracle checks dropped for an undecided branch, by check.
+    pub undecided_skips: UndecidedSkips,
     /// Soft anomalies (NaN endpoints etc.).
     pub anomalies: u64,
     /// Minimized counterexamples (empty on a clean run).
@@ -585,13 +634,20 @@ pub struct FuzzSummary {
 impl FuzzSummary {
     /// One-line human summary.
     pub fn render(&self) -> String {
+        let by_check = self
+            .undecided_skips
+            .by_check()
+            .map(|(check, n)| format!("{check} {n}"));
         format!(
             "fuzz: {} iters, {} function points, {} exact checks, \
-             {} oracle skips, {} anomalies, {} counterexamples",
+             {} oracle skips, {} undecided skips ({}), {} anomalies, \
+             {} counterexamples",
             self.iters,
             self.functions_checked,
             self.exact_checks,
             self.oracle_skips,
+            self.undecided_skips.total(),
+            by_check.join(", "),
             self.anomalies,
             self.counterexamples.len()
         )
@@ -638,6 +694,7 @@ pub fn run_fuzz(opts: &FuzzOpts) -> Result<FuzzSummary, String> {
             if report.oracle_skip.is_some() {
                 summary.oracle_skips += 1;
             }
+            summary.undecided_skips.add(&report.undecided_skips);
             if report.passed() {
                 continue;
             }
@@ -677,6 +734,15 @@ pub fn run_fuzz(opts: &FuzzOpts) -> Result<FuzzSummary, String> {
                 ),
                 ("exact_checks", Json::from(summary.exact_checks as usize)),
                 ("oracle_skips", Json::from(summary.oracle_skips as usize)),
+                (
+                    "undecided_skips",
+                    Json::obj(Vec::from(
+                        summary
+                            .undecided_skips
+                            .by_check()
+                            .map(|(check, n)| (check, Json::from(n))),
+                    )),
+                ),
                 ("anomalies", Json::from(summary.anomalies as usize)),
                 ("counterexamples", Json::from(summary.counterexamples.len())),
             ],
@@ -751,6 +817,37 @@ mod tests {
         let report = check_source(src, "f", &[1.5], &CheckOpts::default());
         assert!(report.passed(), "{:?}", report.failures);
         assert!(report.exact_checks >= 1);
+    }
+
+    #[test]
+    fn undecided_runs_count_their_dropped_checks() {
+        // At x = 0.5 every sound input range straddles the comparison, so
+        // each run follows the center there and its oracle check drops.
+        let src = "double f(double x, int n) {\n\
+                   double acc = x;\n\
+                   int t = 0;\n\
+                   while (t < n) { acc = acc * 0.5; t = t + 1; }\n\
+                   if (x < 0.5) { return acc * 2.0; }\n\
+                   return acc * 4.0; }";
+        let report = check_source(src, "f", &[0.5, 2.0], &CheckOpts::default());
+        assert!(report.passed(), "{:?}", report.failures);
+        // Four sound configurations in steps 1 and 5, two fixpoint ones
+        // in step 6: every exact check dropped, and counted.
+        assert_eq!(
+            report.undecided_skips,
+            UndecidedSkips {
+                exact_enclosure: 4,
+                pass_differential: 4,
+                loop_enclosure: 2,
+            },
+            "{report:?}"
+        );
+        assert_eq!(report.exact_checks, 0, "{report:?}");
+        // Away from the threshold every run decides and nothing drops.
+        let report = check_source(src, "f", &[0.25, 2.0], &CheckOpts::default());
+        assert!(report.passed(), "{:?}", report.failures);
+        assert_eq!(report.undecided_skips, UndecidedSkips::default());
+        assert!(report.exact_checks > 0, "{report:?}");
     }
 
     #[test]

@@ -76,6 +76,7 @@ pub use exec::{exec, ArgValue, RunResult, RunStats, TraceSite};
 pub use fixpoint::LoopMode;
 pub use fuzzer::{
     check_source, parse_corpus_header, run_fuzz, CheckOpts, CheckReport, FuzzOpts, FuzzSummary,
+    UndecidedSkips,
 };
 pub use lanes::{exec_lanes, MAX_LANES};
 pub use oracle::{eval_exact, EvalLimits, OracleError};
