@@ -182,6 +182,13 @@ SAFEGEN_PASSES=none "$SAFEGEN" run "$SMOKE_DIR/kernel.c" \
 SAFEGEN_PASSES=default "$SAFEGEN" run "$SMOKE_DIR/kernel.c" \
     --fn poly --config unsound --arg 0.3 > "$SMOKE_DIR/run_opt.txt"
 diff "$SMOKE_DIR/run_unopt.txt" "$SMOKE_DIR/run_opt.txt"
+# The stencil corpus program adds arrays and nested loops, whose index
+# arithmetic CSE shares across blocks and hoists out of the loops.
+for p in none default; do
+    SAFEGEN_PASSES=$p "$SAFEGEN" run tests/corpus/stencil_index.c \
+        --fn stencil --config unsound --arg 0.1 --arg 0.7 > "$SMOKE_DIR/stencil_$p.txt"
+done
+diff "$SMOKE_DIR/stencil_none.txt" "$SMOKE_DIR/stencil_default.txt"
 
 echo "== docs gate (rustdoc warning-free + doc-tests) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet

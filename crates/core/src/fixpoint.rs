@@ -437,7 +437,11 @@ pub(crate) fn exec_fixpoint<D: Domain>(
         Ok(t) => t,
         Err(_) => return exec_inner(prog, args, cx, &mut NoTrace),
     };
-    if !table.has_loops() || D::from_range(0.0, 1.0, cx).is_none() {
+    // A domain that cannot materialize ranges (Unsound) is found at its
+    // first loop hull and falls back below. Probing it here would draw a
+    // noise symbol from the run's context and shift every later symbol
+    // id, so the attempt would no longer match a plain run bit for bit.
+    if !table.has_loops() {
         return exec_inner(prog, args, cx, &mut NoTrace);
     }
     let mut engine = Engine {

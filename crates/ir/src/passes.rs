@@ -10,6 +10,12 @@
 //!   for both occurrences *correlates* their noise symbols — which is
 //!   exactly the max-reuse insight of the paper: correlation never
 //!   widens an enclosure, it only lets later cancellation tighten it.
+//!   Float keys are block-local; integer keys see through `MovI` copies,
+//!   reach single-predecessor blocks and loop headers, and CSE then
+//!   hoists loop-invariant integer code to loop preheaders. Every rule
+//!   only turns an instruction into a move or moves it to a block that
+//!   runs no more often, so no input executes more instructions than the
+//!   unoptimized program.
 //! * **Copy propagation** forwards `MovF`/`MovI` sources; moves allocate
 //!   no symbols, so forwarding the source register is the identity on
 //!   every domain.
@@ -25,7 +31,9 @@
 //! [`crate::cfg::pinned_seeded`]) are never merged or removed, so the
 //! pragma applies to the same operation before and after optimization.
 
-use crate::cfg::{pinned_seeded, ArrId, Cfg, CmpOp, FReg, IReg, Inst, Terminator};
+use crate::cfg::{
+    pinned_seeded, ArrId, Block, BlockId, Cfg, CmpOp, FReg, IReg, Inst, ParamBinding, Terminator,
+};
 use std::collections::{HashMap, HashSet};
 
 /// A named rewrite of a [`Cfg`].
@@ -392,11 +400,14 @@ fn map_defs(ins: &mut Inst, mf: &impl Fn(FReg) -> FReg, mi: &impl Fn(IReg) -> IR
 
 /// Value-number key for CSE. Float keys are order-sensitive (FP ops do
 /// not commute bit-for-bit); the int `add`/`mul` keys are canonicalized
-/// since integer arithmetic is exact.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+/// since integer arithmetic is exact. Keys are fixed-size values, so
+/// building, comparing and carrying them across blocks never allocates.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Key {
-    /// FP op: opcode tag + operand registers in source order.
-    F(u8, Vec<FReg>),
+    /// Binary FP op: opcode tag + operand registers in source order.
+    F2(u8, FReg, FReg),
+    /// Unary FP op: opcode tag + operand register.
+    F1(u8, FReg),
     /// Float constant, by bit pattern.
     FConst(u64),
     /// Int → float cast.
@@ -412,17 +423,41 @@ enum Key {
     FCmp(CmpOp, FReg, FReg),
 }
 
+impl Key {
+    /// True for keys over the integer file alone: the only ones CSE
+    /// carries across block boundaries.
+    fn is_int(&self) -> bool {
+        matches!(self, Key::I(..) | Key::IConst(_) | Key::ICmp(..))
+    }
+
+    fn reads_f(&self, r: FReg) -> bool {
+        match *self {
+            Key::F2(_, a, b) | Key::FCmp(_, a, b) => a == r || b == r,
+            Key::F1(_, a) => a == r,
+            _ => false,
+        }
+    }
+
+    fn reads_i(&self, r: IReg) -> bool {
+        match *self {
+            Key::FCast(s) | Key::FLoad(_, s) => s == r,
+            Key::I(_, a, b) | Key::ICmp(_, a, b) => a == r || b == r,
+            _ => false,
+        }
+    }
+}
+
 fn key_of(ins: &Inst) -> Option<Key> {
     Some(match *ins {
-        Inst::Add(_, a, b) => Key::F(0, vec![a, b]),
-        Inst::Sub(_, a, b) => Key::F(1, vec![a, b]),
-        Inst::Mul(_, a, b) => Key::F(2, vec![a, b]),
-        Inst::Div(_, a, b) => Key::F(3, vec![a, b]),
-        Inst::Min(_, a, b) => Key::F(4, vec![a, b]),
-        Inst::Max(_, a, b) => Key::F(5, vec![a, b]),
-        Inst::Sqrt(_, a) => Key::F(6, vec![a]),
-        Inst::Abs(_, a) => Key::F(7, vec![a]),
-        Inst::Neg(_, a) => Key::F(8, vec![a]),
+        Inst::Add(_, a, b) => Key::F2(0, a, b),
+        Inst::Sub(_, a, b) => Key::F2(1, a, b),
+        Inst::Mul(_, a, b) => Key::F2(2, a, b),
+        Inst::Div(_, a, b) => Key::F2(3, a, b),
+        Inst::Min(_, a, b) => Key::F2(4, a, b),
+        Inst::Max(_, a, b) => Key::F2(5, a, b),
+        Inst::Sqrt(_, a) => Key::F1(6, a),
+        Inst::Abs(_, a) => Key::F1(7, a),
+        Inst::Neg(_, a) => Key::F1(8, a),
         Inst::ConstF(_, c) => Key::FConst(c.to_bits()),
         Inst::CastIF(_, s) => Key::FCast(s),
         Inst::LoadArr(_, arr, idx) => Key::FLoad(arr, idx),
@@ -437,24 +472,348 @@ fn key_of(ins: &Inst) -> Option<Key> {
     })
 }
 
-fn key_reads_f(k: &Key, r: FReg) -> bool {
-    match k {
-        Key::F(_, ops) => ops.contains(&r),
-        Key::FCmp(_, a, b) => *a == r || *b == r,
+/// True for the instructions that read and write only the integer file;
+/// CSE reads their operands through the copies in force.
+fn is_int_op(ins: &Inst) -> bool {
+    matches!(
+        ins,
+        Inst::AddI(..)
+            | Inst::SubI(..)
+            | Inst::MulI(..)
+            | Inst::DivI(..)
+            | Inst::CmpI(..)
+            | Inst::MovI(..)
+    )
+}
+
+/// The values CSE knows at one program point.
+#[derive(Clone, Default)]
+struct Avail {
+    /// Keys producing a float, each with the register holding it.
+    f: Vec<(Key, FReg)>,
+    /// Keys producing an int, each with the register holding it.
+    i: Vec<(Key, IReg)>,
+    /// Int copies in force, `(dst, src)`: `i[dst] == i[src]`, and `src`
+    /// is never itself the `dst` of a copy.
+    copies: Vec<(IReg, IReg)>,
+}
+
+impl Avail {
+    /// The register `r` copies, or `r` itself.
+    fn root(&self, r: IReg) -> IReg {
+        self.copies.iter().find(|c| c.0 == r).map_or(r, |c| c.1)
+    }
+
+    /// Forgets everything a new value in `f[d]` invalidates.
+    fn kill_f(&mut self, d: FReg) {
+        self.f.retain(|(k, v)| *v != d && !k.reads_f(d));
+        self.i.retain(|(k, _)| !k.reads_f(d));
+    }
+
+    /// Forgets everything a new value in `i[d]` invalidates.
+    fn kill_i(&mut self, d: IReg) {
+        self.i.retain(|(k, v)| *v != d && !k.reads_i(d));
+        self.f.retain(|(k, _)| !k.reads_i(d));
+        self.copies.retain(|&(dst, src)| dst != d && src != d);
+    }
+
+    /// The integer facts alone, restricted to registers `keep` accepts:
+    /// what may flow into another block.
+    fn carried(&self, keep: impl Fn(IReg) -> bool) -> Avail {
+        let regs_kept = |k: &Key, v: IReg| match *k {
+            Key::I(_, a, b) | Key::ICmp(_, a, b) => keep(a) && keep(b) && keep(v),
+            _ => keep(v),
+        };
+        Avail {
+            f: Vec::new(),
+            i: self
+                .i
+                .iter()
+                .filter(|(k, v)| k.is_int() && regs_kept(k, *v))
+                .copied()
+                .collect(),
+            copies: self
+                .copies
+                .iter()
+                .filter(|&&(d, s)| keep(d) && keep(s))
+                .copied()
+                .collect(),
+        }
+    }
+
+    /// The value of `r` when the facts prove it constant.
+    fn constant(&self, r: IReg) -> Option<i64> {
+        let r = self.root(r);
+        self.i.iter().find_map(|(k, v)| match *k {
+            Key::IConst(c) if *v == r => Some(c),
+            _ => None,
+        })
+    }
+}
+
+/// The register a table holds `k` in.
+fn lookup(tab: &[(Key, u32)], k: &Key) -> Option<u32> {
+    tab.iter().find(|e| e.0 == *k).map(|e| e.1)
+}
+
+/// Value-numbers one block from the facts `avail` holds at its entry,
+/// leaving in `avail` the facts at its exit. Returns true if anything
+/// was rewritten.
+fn number_block(block: &mut Block, pins: &[bool], avail: &mut Avail) -> bool {
+    let mut changed = false;
+    for (ins, &pinned) in block.insts.iter_mut().zip(pins) {
+        if is_int_op(&ins.inst) {
+            let before = ins.inst.clone();
+            map_uses(&mut ins.inst, &|r| r, &|r| avail.root(r));
+            changed |= ins.inst != before;
+            if matches!(ins.inst, Inst::MovI(d, s) if d == s) {
+                continue; // copies what `d` already holds
+            }
+        }
+        // Pinned instructions are not merge candidates in either role.
+        let key = if pinned { None } else { key_of(&ins.inst) };
+        let mut merged = false;
+        if let Some(k) = &key {
+            if let Some(d) = ins.inst.def_f() {
+                if let Some(prev) = lookup(&avail.f, k) {
+                    ins.inst = Inst::MovF(d, prev);
+                    changed = true;
+                    merged = true;
+                }
+            } else if let Some(d) = ins.inst.def_i() {
+                if let Some(prev) = lookup(&avail.i, k) {
+                    ins.inst = Inst::MovI(d, prev);
+                    changed = true;
+                    if prev == d {
+                        continue; // recomputes what `d` already holds
+                    }
+                    merged = true;
+                }
+            }
+        }
+        // A store may change any element of its array.
+        if let Inst::StoreArr(arr, _, _) = ins.inst {
+            avail
+                .f
+                .retain(|(k, _)| !matches!(k, Key::FLoad(a, _) if *a == arr));
+        }
+        if let Some(d) = ins.inst.def_f() {
+            avail.kill_f(d);
+            // Record the new value, unless the instruction clobbers one
+            // of its own operands (the key no longer describes it).
+            if let (Some(k), false) = (key, merged) {
+                if !k.reads_f(d) {
+                    avail.f.push((k, d));
+                }
+            }
+        }
+        if let Some(d) = ins.inst.def_i() {
+            avail.kill_i(d);
+            if let Inst::MovI(_, s) = ins.inst {
+                if s != d {
+                    avail.copies.push((d, s));
+                }
+            } else if let Some(k) = key {
+                if !k.reads_i(d) {
+                    avail.i.push((k, d));
+                }
+            }
+        }
+    }
+    changed
+}
+
+/// A loop recovered from its back edge: contiguous blocks starting at
+/// `header`, entered only through `header`.
+struct Loop {
+    header: BlockId,
+    /// The header's single predecessor outside the loop; it ends in
+    /// `Jump(header)`.
+    pre: BlockId,
+    /// The header's in-loop successor.
+    body: Option<BlockId>,
+    /// Int registers defined anywhere in the loop.
+    defs: Vec<bool>,
+}
+
+/// Recovers the loops of a CFG from its back edges, the way
+/// `loops::loop_regions` does on bytecode: a `Jump(h)` from a block
+/// `b >= h` closes the loop `h..=b` (one loop per header, at its widest
+/// extent). Loops of any other shape — no single preheader ending in
+/// `Jump(h)`, or a side entry — are skipped. Innermost loops come
+/// first.
+fn find_loops(cfg: &Cfg, preds: &[Vec<BlockId>]) -> Vec<Loop> {
+    let mut ranges: Vec<(BlockId, BlockId)> = Vec::new();
+    for (b, block) in cfg.blocks.iter().enumerate() {
+        if let Terminator::Jump(h) = block.term {
+            if h > b {
+                continue;
+            }
+            match ranges.iter_mut().find(|r| r.0 == h) {
+                Some(r) => r.1 = r.1.max(b),
+                None => ranges.push((h, b)),
+            }
+        }
+    }
+    ranges.sort_by_key(|&(h, end)| end - h);
+    let mut loops = Vec::new();
+    for (header, end) in ranges {
+        let inside = |b: BlockId| (header..=end).contains(&b);
+        let mut outside = preds[header].iter().filter(|&&p| !inside(p));
+        let (Some(&pre), None) = (outside.next(), outside.next()) else {
+            continue;
+        };
+        let side_entry = (header + 1..=end).any(|b| preds[b].iter().any(|&p| !inside(p)));
+        if cfg.blocks[pre].term != Terminator::Jump(header) || side_entry {
+            continue;
+        }
+        let mut succs = cfg.blocks[header].term.successors().into_iter();
+        let body = succs.find(|&s| inside(s) && s != header);
+        let body = body.filter(|_| succs.all(|s| !inside(s)));
+        let mut defs = vec![false; cfg.n_iregs as usize];
+        for block in &cfg.blocks[header..=end] {
+            for d in block.insts.iter().filter_map(|i| i.inst.def_i()) {
+                defs[d as usize] = true;
+            }
+        }
+        loops.push(Loop {
+            header,
+            pre,
+            body,
+            defs,
+        });
+    }
+    loops
+}
+
+/// True when the loop's first test provably enters its body: folding the
+/// constants known at the preheader's exit (`pre`) through the header's
+/// `ConstI`/`MovI`/`AddI`/`SubI`/`MulI`/`CmpI` instructions decides the
+/// header's branch toward `body`. A header ending in `Jump(body)`
+/// (`for (;;)`) always enters.
+fn first_test_enters(pre: &Avail, header: &Block, body: BlockId) -> bool {
+    // What the header has set so far; a `None` shadows the preheader.
+    let mut known: Vec<(IReg, Option<i64>)> = Vec::new();
+    let get = |known: &[(IReg, Option<i64>)], r: IReg| match known.iter().rev().find(|e| e.0 == r) {
+        Some(e) => e.1,
+        None => pre.constant(r),
+    };
+    for ins in &header.insts {
+        let Some(d) = ins.inst.def_i() else { continue };
+        let both = |a, b| get(&known, a).zip(get(&known, b));
+        let v = match ins.inst {
+            Inst::ConstI(_, c) => Some(c),
+            Inst::MovI(_, s) => get(&known, s),
+            Inst::AddI(_, a, b) => both(a, b).and_then(|(x, y)| x.checked_add(y)),
+            Inst::SubI(_, a, b) => both(a, b).and_then(|(x, y)| x.checked_sub(y)),
+            Inst::MulI(_, a, b) => both(a, b).and_then(|(x, y)| x.checked_mul(y)),
+            Inst::CmpI(op, _, a, b) => both(a, b).map(|(x, y)| i64::from(op.eval(x, y))),
+            _ => None,
+        };
+        known.push((d, v));
+    }
+    match header.term {
+        Terminator::Jump(t) => t == body,
+        Terminator::Branch(c, t, e) => {
+            get(&known, c).is_some_and(|v| (if v != 0 { t } else { e }) == body)
+        }
+        Terminator::Ret(_) => false,
+    }
+}
+
+/// The blocks that branch or jump to each block, without duplicates.
+fn predecessors(cfg: &Cfg) -> Vec<Vec<BlockId>> {
+    let mut preds = vec![Vec::new(); cfg.blocks.len()];
+    for (b, block) in cfg.blocks.iter().enumerate() {
+        for s in block.term.successors() {
+            if !preds[s].contains(&b) {
+                preds[s].push(b);
+            }
+        }
+    }
+    preds
+}
+
+/// True for the integer instructions that may leave a loop once none of
+/// their operands is defined in it (`defs`).
+fn invariant(ins: &Inst, defs: &[bool]) -> bool {
+    match *ins {
+        Inst::ConstI(..) => true,
+        Inst::AddI(_, a, b)
+        | Inst::SubI(_, a, b)
+        | Inst::MulI(_, a, b)
+        | Inst::CmpI(_, _, a, b) => !defs[a as usize] && !defs[b as usize],
         _ => false,
     }
 }
 
-fn key_reads_i(k: &Key, r: IReg) -> bool {
-    match k {
-        Key::FCast(s) => *s == r,
-        Key::FLoad(_, idx) => *idx == r,
-        Key::I(_, a, b) | Key::ICmp(_, a, b) => *a == r || *b == r,
-        _ => false,
+/// Moves loop-invariant integer instructions to the end of each loop's
+/// preheader, innermost loop first, so code hoisted out of an inner loop
+/// can leave its parents too. An instruction moves when it is
+/// [`invariant`] and its destination has no other definition in the
+/// function (parameters count as one) and is not read between the
+/// preheader and the instruction: earlier in the header, or in the
+/// body-entry block before it. It may come from the header, which runs
+/// at least once per entry, or from the body-entry block when
+/// [`first_test_enters`] proves that the first test enters the body; so
+/// the moved code never runs more often than it did in the loop, and
+/// once it has run there the destination holds the same value either
+/// way. `exits` holds the facts at each block's exit.
+fn hoist(cfg: &mut Cfg, loops: &[Loop], exits: &[Avail]) -> bool {
+    let ni = cfg.n_iregs as usize;
+    let mut ndefs = vec![0u32; ni];
+    for (_, binding, _) in &cfg.params {
+        if let ParamBinding::Int(r) = binding {
+            ndefs[*r as usize] += 1;
+        }
     }
+    for d in cfg
+        .blocks
+        .iter()
+        .flat_map(|b| &b.insts)
+        .filter_map(|i| i.inst.def_i())
+    {
+        ndefs[d as usize] += 1;
+    }
+    let mut changed = false;
+    for l in loops {
+        let mut defs = l.defs.clone();
+        let mut read = vec![false; ni];
+        let enters = l
+            .body
+            .filter(|&e| first_test_enters(&exits[l.pre], &cfg.blocks[l.header], e));
+        let mut moved = Vec::new();
+        for src in std::iter::once(l.header).chain(enters) {
+            for ins in std::mem::take(&mut cfg.blocks[src].insts) {
+                match ins.inst.def_i() {
+                    Some(d)
+                        if invariant(&ins.inst, &defs)
+                            && ndefs[d as usize] == 1
+                            && !read[d as usize] =>
+                    {
+                        defs[d as usize] = false;
+                        moved.push(ins);
+                    }
+                    _ => {
+                        for u in ins.inst.uses_i() {
+                            read[u as usize] = true;
+                        }
+                        cfg.blocks[src].insts.push(ins);
+                    }
+                }
+            }
+            if let Terminator::Branch(c, ..) = cfg.blocks[src].term {
+                read[c as usize] = true;
+            }
+        }
+        changed |= !moved.is_empty();
+        cfg.blocks[l.pre].insts.extend(moved);
+    }
+    changed
 }
 
-/// Common-subexpression elimination (block-local value numbering).
+/// Common-subexpression elimination with loop-invariant code motion for
+/// integer code.
 ///
 /// A repeated instruction is replaced with a move from the first
 /// occurrence's destination. Sound in every domain: the merged values
@@ -463,6 +822,16 @@ fn key_reads_i(k: &Key, r: IReg) -> bool {
 /// which never widens and typically tightens downstream enclosures.
 /// Pragma-pinned instructions are neither merged away nor used as merge
 /// sources.
+///
+/// Integer instructions read their operands through the `MovI` copies
+/// in force, so products of equal constants held in different registers
+/// are one key. Integer facts also reach across blocks: a block with one
+/// predecessor starts from that predecessor's exit, and a loop header
+/// from its preheader's exit minus every fact that involves a register
+/// the loop defines; join blocks start empty. Float keys stay
+/// block-local, so the FP instruction sequence is what block-local
+/// numbering gives. Finally, loop-invariant integer code moves to the
+/// loop preheaders.
 pub struct Cse;
 
 impl Pass for Cse {
@@ -472,63 +841,22 @@ impl Pass for Cse {
 
     fn run(&self, cfg: &mut Cfg) -> bool {
         let pins = pinned_map(cfg);
+        let preds = predecessors(cfg);
+        let loops = find_loops(cfg, &preds);
+        let mut exits: Vec<Avail> = Vec::with_capacity(cfg.blocks.len());
         let mut changed = false;
-        for (bi, block) in cfg.blocks.iter_mut().enumerate() {
-            let mut ftab: HashMap<Key, FReg> = HashMap::new();
-            let mut itab: HashMap<Key, IReg> = HashMap::new();
-            for (ii, ins) in block.insts.iter_mut().enumerate() {
-                let key = if pins[bi][ii] {
-                    None // pinned: not a merge candidate in either role
-                } else {
-                    key_of(&ins.inst)
-                };
-                // Replace with a move if the value is already available.
-                if let Some(k) = &key {
-                    if let Some(df) = ins.inst.def_f() {
-                        if let Some(&prev) = ftab.get(k) {
-                            ins.inst = Inst::MovF(df, prev);
-                            changed = true;
-                        }
-                    } else if let Some(di) = ins.inst.def_i() {
-                        if let Some(&prev) = itab.get(k) {
-                            ins.inst = Inst::MovI(di, prev);
-                            changed = true;
-                        }
-                    }
-                }
-                // A store may change any element of its array.
-                if let Inst::StoreArr(arr, _, _) = ins.inst {
-                    ftab.retain(|k, _| !matches!(k, Key::FLoad(a, _) if *a == arr));
-                }
-                // The def invalidates keys mentioning the old value.
-                if let Some(d) = ins.inst.def_f() {
-                    ftab.retain(|k, v| *v != d && !key_reads_f(k, d));
-                    itab.retain(|k, _| !key_reads_f(k, d));
-                }
-                if let Some(d) = ins.inst.def_i() {
-                    itab.retain(|k, v| *v != d && !key_reads_i(k, d));
-                    ftab.retain(|k, _| !key_reads_i(k, d));
-                }
-                // Record the new value — unless the instruction clobbers
-                // one of its own operands (the key no longer describes
-                // what the destination holds).
-                if let (Some(k), false) = (key_of(&ins.inst), pins[bi][ii]) {
-                    let self_clobber = match (ins.inst.def_f(), ins.inst.def_i()) {
-                        (Some(d), _) => key_reads_f(&k, d),
-                        (_, Some(d)) => key_reads_i(&k, d),
-                        _ => false,
-                    };
-                    if !self_clobber {
-                        if let Some(d) = ins.inst.def_f() {
-                            ftab.insert(k, d);
-                        } else if let Some(d) = ins.inst.def_i() {
-                            itab.insert(k, d);
-                        }
-                    }
-                }
-            }
+        for (b, block) in cfg.blocks.iter_mut().enumerate() {
+            let mut avail = match loops.iter().find(|l| l.header == b) {
+                Some(l) => exits[l.pre].carried(|r| !l.defs[r as usize]),
+                None => match preds[b][..] {
+                    [p] if p < b => exits[p].carried(|_| true),
+                    _ => Avail::default(),
+                },
+            };
+            changed |= number_block(block, &pins[b], &mut avail);
+            exits.push(avail);
         }
-        changed
+        hoist(cfg, &loops, &exits) || changed
     }
 }
 
@@ -845,6 +1173,226 @@ mod tests {
         assert_eq!(count(&cfg, |i| matches!(i, Inst::Mul(..))), 1);
         assert_eq!(count(&cfg, |i| matches!(i, Inst::Add(..))), 1);
         assert_eq!(count(&cfg, |i| matches!(i, Inst::MovF(..))), 0);
+    }
+
+    /// Runs a CFG concretely (`f64` arithmetic, exact ints): float
+    /// parameters take `x`, int parameters `n`, arrays a fixed pattern.
+    /// Returns the result's bits, every array's bits and the number of
+    /// instructions executed (terminators excluded: no pass edits them).
+    fn execute(cfg: &Cfg, x: f64, n: i64) -> (Option<u64>, Vec<Vec<u64>>, usize) {
+        let mut f = vec![0.0f64; cfg.n_fregs as usize];
+        let mut i = vec![0i64; cfg.n_iregs as usize];
+        let mut arrs: Vec<Vec<f64>> = cfg
+            .arrays
+            .iter()
+            .map(|a| (0..a.len).map(|k| 0.5 + 0.25 * k as f64).collect())
+            .collect();
+        for (_, binding, _) in &cfg.params {
+            match *binding {
+                ParamBinding::Float(r) => f[r as usize] = x,
+                ParamBinding::Int(r) => i[r as usize] = n,
+                ParamBinding::Array(_) => {}
+            }
+        }
+        let (mut b, mut steps) = (0, 0);
+        loop {
+            for ins in &cfg.blocks[b].insts {
+                steps += 1;
+                let (fr, ir) = (|r: FReg| f[r as usize], |r: IReg| i[r as usize]);
+                match ins.inst {
+                    Inst::Add(d, a, c) => f[d as usize] = fr(a) + fr(c),
+                    Inst::Sub(d, a, c) => f[d as usize] = fr(a) - fr(c),
+                    Inst::Mul(d, a, c) => f[d as usize] = fr(a) * fr(c),
+                    Inst::Div(d, a, c) => f[d as usize] = fr(a) / fr(c),
+                    Inst::Min(d, a, c) => f[d as usize] = fr(a).min(fr(c)),
+                    Inst::Max(d, a, c) => f[d as usize] = fr(a).max(fr(c)),
+                    Inst::Sqrt(d, a) => f[d as usize] = fr(a).sqrt(),
+                    Inst::Abs(d, a) => f[d as usize] = fr(a).abs(),
+                    Inst::Neg(d, a) => f[d as usize] = -fr(a),
+                    Inst::ConstF(d, c) => f[d as usize] = c,
+                    Inst::MovF(d, a) => f[d as usize] = fr(a),
+                    Inst::CastIF(d, a) => f[d as usize] = ir(a) as f64,
+                    Inst::LoadArr(d, arr, idx) => {
+                        f[d as usize] = arrs[arr as usize][ir(idx) as usize]
+                    }
+                    Inst::StoreArr(arr, idx, s) => arrs[arr as usize][ir(idx) as usize] = fr(s),
+                    Inst::ConstI(d, c) => i[d as usize] = c,
+                    Inst::AddI(d, a, c) => i[d as usize] = ir(a) + ir(c),
+                    Inst::SubI(d, a, c) => i[d as usize] = ir(a) - ir(c),
+                    Inst::MulI(d, a, c) => i[d as usize] = ir(a) * ir(c),
+                    Inst::DivI(d, a, c) => i[d as usize] = ir(a) / ir(c),
+                    Inst::MovI(d, a) => i[d as usize] = ir(a),
+                    Inst::CastFI(d, a) => i[d as usize] = fr(a) as i64,
+                    Inst::CmpI(op, d, a, c) => i[d as usize] = i64::from(op.eval(ir(a), ir(c))),
+                    Inst::CmpF(op, d, a, c) => i[d as usize] = i64::from(op.eval(fr(a), fr(c))),
+                    Inst::Protect(_) | Inst::SetCapacity(_) => {}
+                }
+            }
+            b = match cfg.blocks[b].term {
+                Terminator::Jump(t) => t,
+                Terminator::Branch(c, t, e) => {
+                    if i[c as usize] != 0 {
+                        t
+                    } else {
+                        e
+                    }
+                }
+                Terminator::Ret(r) => {
+                    let bits = arrs.iter().map(|a| a.iter().map(|v| v.to_bits()).collect());
+                    return (r.map(|r| f[r as usize].to_bits()), bits.collect(), steps);
+                }
+            };
+        }
+    }
+
+    /// Every `.c` file of the test corpus, read from the workspace root.
+    fn corpus() -> Vec<(String, String)> {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/corpus");
+        let mut files: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|e| e == "c"))
+            .collect();
+        files.sort();
+        files
+            .into_iter()
+            .map(|p| (p.display().to_string(), std::fs::read_to_string(p).unwrap()))
+            .collect()
+    }
+
+    /// Every function of `src`, lowered.
+    fn lower_all(src: &str) -> Vec<Cfg> {
+        let unit = safegen_cfront::rename_unique(&parse(src).unwrap());
+        let sema = analyze(&unit).unwrap();
+        let (tac, sema) = crate::to_tac_with_sema(&unit, &sema);
+        tac.functions
+            .iter()
+            .map(|f| crate::lower_function(f, &sema).unwrap())
+            .collect()
+    }
+
+    /// The blocks holding an instruction `pred` accepts.
+    fn block_of(cfg: &Cfg, pred: impl Fn(&Inst) -> bool) -> Vec<BlockId> {
+        (0..cfg.blocks.len())
+            .filter(|&b| cfg.blocks[b].insts.iter().any(|i| pred(&i.inst)))
+            .collect()
+    }
+
+    fn muls_in(cfg: &Cfg, b: BlockId) -> usize {
+        let insts = &cfg.blocks[b].insts;
+        insts
+            .iter()
+            .filter(|i| matches!(i.inst, Inst::MulI(..)))
+            .count()
+    }
+
+    #[test]
+    fn cse_sees_through_constant_copies() {
+        // ROADMAP item 1: every subscript computes `i*10` from its own
+        // `const 10` temp; once the constants are one register, so are
+        // the four products.
+        let src = "void f(double G[10][10], int i, int j) {
+            G[i][j] = G[i][j - 1] + G[i][j + 1] + G[i][j]; }";
+        let lowered = lower(src);
+        assert_eq!(count(&lowered, |i| matches!(i, Inst::MulI(..))), 4);
+        let cfg = optimized(src);
+        assert_eq!(count(&cfg, |i| matches!(i, Inst::MulI(..))), 1);
+        assert_eq!(count(&cfg, |i| matches!(i, Inst::ConstI(_, 10))), 1);
+    }
+
+    #[test]
+    fn header_invariants_leave_and_body_invariants_stay_in_a_while() {
+        // `n + m*2` is the header's and may leave; the body's `m*3` may
+        // not, since nothing proves the body runs when n <= 0.
+        let src = "double f(double x, int n, int m) {
+            int t = 0;
+            while (t < n + m * 2) {
+                int u = m * 3;
+                x = x * u + 1.0;
+                t = t + 1;
+            }
+            return x; }";
+        let unopt = lower(src);
+        let cfg = optimized(src);
+        let entry_const = |c: i64| {
+            let insts = &cfg.blocks[0].insts;
+            insts
+                .iter()
+                .any(|i| matches!(i.inst, Inst::ConstI(_, k) if k == c))
+        };
+        assert!(entry_const(2), "header constant hoisted:\n{}", cfg.dump());
+        assert!(!entry_const(3), "body constant stays:\n{}", cfg.dump());
+        assert_eq!(muls_in(&cfg, 0), 1, "m*2 hoisted, m*3 not");
+        for n in [0, -2, 5] {
+            let (r0, _, steps0) = execute(&unopt, 0.75, n);
+            let (r1, _, steps1) = execute(&cfg, 0.75, n);
+            assert_eq!(r0, r1, "n = {n}");
+            assert!(
+                steps1 <= steps0,
+                "n = {n}: {steps1} > {steps0} instructions"
+            );
+        }
+    }
+
+    #[test]
+    fn constant_trip_for_hoists_its_body_entry_but_not_an_if_arm() {
+        let src = "void f(double a[40], int m, int n) {
+            for (int j = 1; j < 9; j++) {
+                a[m * 3 + 1] = a[j - 1];
+                if (j < 4) { a[n * 5] = 1.0; }
+            } }";
+        let cfg = optimized(src);
+        assert_eq!(muls_in(&cfg, 0), 1, "m*3 leaves the loop:\n{}", cfg.dump());
+        let if_arm = block_of(&cfg, |i| matches!(i, Inst::ConstF(..)));
+        assert_eq!(if_arm.len(), 1);
+        assert_eq!(muls_in(&cfg, if_arm[0]), 1, "n*5 stays in its if arm");
+        let (_, a0, steps0) = execute(&lower(src), 0.0, 2);
+        let (_, a1, steps1) = execute(&cfg, 0.0, 2);
+        assert_eq!(a0, a1);
+        assert!(steps1 < steps0);
+    }
+
+    #[test]
+    fn traps_casts_and_loads_never_move() {
+        let src = "void f(double a[8], double x, int m) {
+            for (int j = 0; j < 8; j++) {
+                int q = m / 3;
+                int c = (int) x;
+                a[j] = a[q + c] + a[2];
+            } }";
+        let cfg = optimized(src);
+        for (what, found) in [
+            ("divi", block_of(&cfg, |i| matches!(i, Inst::DivI(..)))),
+            ("ftoi", block_of(&cfg, |i| matches!(i, Inst::CastFI(..)))),
+            ("load", block_of(&cfg, |i| matches!(i, Inst::LoadArr(..)))),
+        ] {
+            assert!(
+                !found.is_empty() && !found.contains(&0),
+                "{what} moved:\n{}",
+                cfg.dump()
+            );
+        }
+    }
+
+    #[test]
+    fn cse_after_regalloc_preserves_the_corpus() {
+        // Registers with several definitions: every rule must still hold.
+        let late = PassManager::from_names(["regalloc", "cse", "copy-prop", "dce"]).unwrap();
+        for (path, src) in corpus() {
+            for unopt in lower_all(&src) {
+                for pm in [&late, &PassManager::optimizing()] {
+                    let mut cfg = unopt.clone();
+                    pm.run(&mut cfg);
+                    for n in [0, 3] {
+                        let (r0, a0, steps0) = execute(&unopt, 0.75, n);
+                        let (r1, a1, steps1) = execute(&cfg, 0.75, n);
+                        let at = format!("{path} {} {:?} n={n}", unopt.name, pm.names());
+                        assert_eq!((r0, a0), (r1, a1), "{at}");
+                        assert!(steps1 <= steps0, "{at}: {steps1} > {steps0}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

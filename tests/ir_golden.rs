@@ -73,6 +73,16 @@ fn two_funcs_ir_golden() {
     check("two_funcs");
 }
 
+#[test]
+fn stencil_index_ir_golden() {
+    check("stencil_index");
+}
+
+#[test]
+fn zero_trip_index_ir_golden() {
+    check("zero_trip_index");
+}
+
 /// The dump is deterministic across compilations — a prerequisite for
 /// golden snapshots to be meaningful.
 #[test]
