@@ -108,10 +108,10 @@ cargo test -q --workspace
 
 echo "== optimized kernel tests (the AVX2 body and the FMA region as shipped) =="
 # The direct-mapped op body runs inside a function compiled for AVX2 and
-# FMA, and the AVX2 slot body is explicit intrinsics: both only take their
-# shipped form in optimized builds, so their bit-identity tests run there
-# too.
-cargo test -q --release -p safegen-fpcore -p safegen-affine
+# FMA, the AVX2 slot body is explicit intrinsics, and the interval column
+# kernels vectorize to AVX2/FMA: all only take their shipped form in
+# optimized builds, so their bit-identity tests run there too.
+cargo test -q --release -p safegen-fpcore -p safegen-affine -p safegen-interval
 
 echo "== cargo fmt --check =="
 cargo fmt --check

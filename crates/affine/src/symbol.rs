@@ -43,12 +43,6 @@ impl Term {
     pub fn new(id: SymbolId, coeff: f64) -> Term {
         Term { id, coeff }
     }
-
-    /// True if this is an occupied (non-sentinel) term.
-    #[inline]
-    pub fn is_occupied(self) -> bool {
-        self.id != NO_SYMBOL
-    }
 }
 
 impl Default for Term {
@@ -62,9 +56,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn empty_slot_is_not_occupied() {
-        assert!(!Term::EMPTY.is_occupied());
-        assert!(Term::new(0, 1.0).is_occupied());
+    fn default_term_is_empty() {
         assert_eq!(Term::default(), Term::EMPTY);
     }
 }

@@ -8,7 +8,7 @@
 //! ```text
 //! {"func":F, "config":C, "k":K, "args":[...]}            one evaluation
 //! {"func":F, "config":C, "k":K, "inputs":[[...],[...]],
-//!  "threads":T, "lanes":L}                               a batch
+//!  "threads":T}                                          a batch
 //! ```
 //!
 //! `config` is a CLI config name (`dspv`, `ssnn`, …, `ia`, `ia-dd`,
@@ -16,15 +16,17 @@
 //! 16); `k_low`, `loop_mode` (`unroll`/`fixpoint`/`auto`) and
 //! `unroll_budget` are accepted optionally. Argument values are
 //! `{"float":x}`, `{"int":n}`, `{"array":[...]}`, or bare numbers
-//! (floats).
+//! (floats). Unknown keys are ignored.
 //!
 //! ## Response shape
 //!
 //! Single: `{"ok":true, "config":LABEL, "ret":[lo,hi], "arrays":[...],
 //! "acc_bits":B, "stats":{...}}`. Batch: `{"ok":true, "config":LABEL,
-//! "reports":[...], "threads":T, "lanes":L}`. Failures are classified
-//! [`ErrCategory`] values plus a message — the daemon renders them as
-//! `{"ok":false,"error":MSG}` lines, the C ABI as status codes.
+//! "reports":[...], "threads":T, "lanes":L}`, where `lanes` is the
+//! widest lane group the batch engine ran (`1` = every item scalar).
+//! Failures are classified [`ErrCategory`] values plus a message — the
+//! daemon renders them as `{"ok":false,"error":MSG}` lines, the C ABI as
+//! status codes.
 
 use crate::{ApiError, ArgValue, EvalRequest, Program, RunConfig, RunReport};
 use safegen_telemetry::clock::Stamp;
@@ -119,17 +121,10 @@ pub fn handle_eval(
             }
             None => 0,
         };
-        // SoA lane-group width (0 = per-domain default, 1 = scalar).
-        let lanes = match request.get("lanes") {
-            Some(v) => v
-                .as_f64()
-                .ok_or_else(|| bad("\"lanes\" must be a number"))? as usize,
-            None => 0,
-        };
         let n = decoded.len();
         let req = EvalRequest::new(func, config)
             .with_inputs(decoded)
-            .with_batch(crate::BatchOptions::with_threads(threads).with_lanes(lanes));
+            .with_batch(crate::BatchOptions::with_threads(threads));
         let decode_ns = decode_started.elapsed().as_nanos() as u64;
         let exec_started = Stamp::now();
         let result = program

@@ -724,7 +724,7 @@ pub struct EvalRequest {
     pub args: Vec<ArgValue>,
     /// Batch form: one argument list per item.
     pub inputs: Option<Vec<Vec<ArgValue>>>,
-    /// Batch engine options (thread count, lane width); irrelevant for
+    /// Batch engine options (the thread count); irrelevant for
     /// single evaluations.
     pub batch: BatchOptions,
 }
@@ -753,7 +753,7 @@ impl EvalRequest {
         self
     }
 
-    /// Sets the batch engine options (threads, lane width).
+    /// Sets the batch engine options (the thread count).
     pub fn with_batch(mut self, batch: BatchOptions) -> EvalRequest {
         self.batch = batch;
         self

@@ -1001,32 +1001,39 @@ mod tests {
     }
 
     #[test]
-    fn batch_eval_honors_lane_width() {
+    fn batch_eval_reports_lane_width_and_matches_single_evals() {
         let (socket, handle) = spawn_daemon("lanes");
-        let inputs = Json::Arr(
-            (0..6)
-                .map(|i| Json::Arr(vec![Json::Num(0.1 * i as f64), Json::Num(0.25)]))
-                .collect(),
-        );
-        let eval = |lanes: u64| {
-            request(
-                &socket,
-                &Json::obj(vec![
-                    ("op", Json::from("eval")),
-                    ("func", Json::from("f")),
-                    ("config", Json::from("ia")),
-                    ("inputs", inputs.clone()),
-                    ("lanes", Json::from(lanes)),
-                ]),
-            )
-            .unwrap()
+        let points: Vec<Json> = (0..6)
+            .map(|i| Json::Arr(vec![Json::Num(0.1 * i as f64), Json::Num(0.25)]))
+            .collect();
+        let eval = |fields: Vec<(&str, Json)>| {
+            let mut req = vec![
+                ("op", Json::from("eval")),
+                ("func", Json::from("f")),
+                ("config", Json::from("ia")),
+            ];
+            req.extend(fields);
+            request(&socket, &Json::obj(req)).unwrap()
         };
-        let scalar = eval(1);
-        let laned = eval(4);
-        assert_eq!(scalar.get("lanes"), Some(&Json::from(1u64)));
-        assert_eq!(laned.get("lanes"), Some(&Json::from(4u64)));
-        // Same enclosures either way.
-        assert_eq!(scalar.get("reports"), laned.get("reports"));
+        let batch = eval(vec![("inputs", Json::Arr(points.clone()))]);
+        // Six IGen-f64 items run as one six-wide lane group.
+        assert_eq!(batch.get("lanes"), Some(&Json::from(6u64)));
+        // A request's "lanes" is an unknown key, ignored like any other.
+        let asked_scalar = eval(vec![
+            ("inputs", Json::Arr(points.clone())),
+            ("lanes", Json::from(1u64)),
+        ]);
+        for key in ["reports", "lanes"] {
+            assert_eq!(asked_scalar.get(key), batch.get(key), "{key}");
+        }
+        let reports = batch.get("reports").and_then(Json::as_arr).unwrap();
+        assert_eq!(reports.len(), points.len());
+        for (report, point) in reports.iter().zip(&points) {
+            let single = eval(vec![("args", point.clone())]);
+            for key in ["ret", "arrays", "acc_bits", "stats"] {
+                assert_eq!(report.get(key), single.get(key), "{key} of {point}");
+            }
+        }
 
         let _ = request(&socket, &Json::obj(vec![("op", Json::from("shutdown"))])).unwrap();
         handle.join().unwrap().unwrap();

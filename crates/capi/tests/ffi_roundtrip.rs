@@ -203,7 +203,7 @@ fn batch_requests_round_trip() {
     let program = ctx
         .load_bytes(&to_bytes(ctx.compile(src, "batch.c")))
         .unwrap();
-    let request = r#"{"func":"f","config":"dspv","k":8,"inputs":[[0.5,0.25],[0.1,0.9],[0.7,0.3]],"threads":2,"lanes":4}"#;
+    let request = r#"{"func":"f","config":"dspv","k":8,"inputs":[[0.5,0.25],[0.1,0.9],[0.7,0.3]],"threads":2}"#;
     let expected = jsonreq::handle_eval(&json::parse(request).unwrap(), &reference)
         .map(|(response, _)| response.to_string())
         .expect("batch evaluates");

@@ -29,14 +29,15 @@
 //!
 //! Within one worker, items are evaluated in **lane groups** through the
 //! SoA interpreter ([`crate::lanes::exec_lanes`]): every dispatched
-//! instruction applies to [`BatchOptions::lanes`] items at once, which
+//! instruction applies to a whole group of items at once, which
 //! amortizes interpreter dispatch over the group (the dominant cost for
-//! the unsound/interval domains). The cursor hands out whole lane
-//! groups, so a group never straddles two workers. Lanes are fully
-//! independent — per-lane registers, contexts and statistics — so
+//! the unsound/interval domains). The group width is a per-domain
+//! constant ([`BatchOptions::resolve_lanes`]). The cursor hands out
+//! whole lane groups, so a group never straddles two workers. Lanes are
+//! fully independent — per-lane registers, contexts and statistics — so
 //! results are bit-identical to the scalar interpreter for every width;
-//! `lanes: 1` (or a program the fixed-width encoding cannot express)
-//! falls back to the scalar path.
+//! a one-item batch (or a program the fixed-width encoding cannot
+//! express) runs the scalar path.
 //!
 //! ## Determinism
 //!
@@ -76,7 +77,6 @@
 
 use crate::driver::{run_lanes_on, run_on, RunConfig, RunReport};
 use crate::exec::{ArgValue, RunStats};
-use crate::lanes::MAX_LANES;
 use crate::program::{encode, FixedProgram, Program};
 use safegen_telemetry as telemetry;
 use safegen_telemetry::clock::Stamp;
@@ -95,55 +95,28 @@ const _: () = {
     assert_send_sync::<RunStats>();
 };
 
-/// How a batch is distributed over threads and SIMD-style lanes.
+/// How a batch is distributed over threads.
 ///
 /// Construct with [`BatchOptions::serial`], [`BatchOptions::with_threads`],
 /// or [`Default`]; `#[non_exhaustive]` reserves room for new knobs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct BatchOptions {
-    /// Worker count. `0` means "use [`std::thread::available_parallelism`]";
-    /// `1` runs inline on the calling thread (no spawning at all).
+    /// Worker count. `0` (the default) means "use
+    /// [`std::thread::available_parallelism`]"; `1` runs inline on the
+    /// calling thread (no spawning at all).
     pub threads: usize,
-    /// Lane-group width for the SoA interpreter
-    /// ([`crate::lanes::exec_lanes`]): each dispatched instruction is
-    /// applied to this many batch items at once. `0` picks a default
-    /// per domain (wide for the cheap scalar domains, narrower for the
-    /// affine ones, whose per-lane cost dominates dispatch); `1`
-    /// disables the lane engine and runs the scalar interpreter.
-    /// Results are bit-identical for every width (clamped to
-    /// [`MAX_LANES`]).
-    pub lanes: usize,
-}
-
-impl Default for BatchOptions {
-    /// All available cores, lane width chosen per domain.
-    fn default() -> BatchOptions {
-        BatchOptions {
-            threads: 0,
-            lanes: 0,
-        }
-    }
 }
 
 impl BatchOptions {
-    /// Runs inline on the calling thread (lane width still per-domain).
+    /// Runs inline on the calling thread.
     pub fn serial() -> BatchOptions {
-        BatchOptions {
-            threads: 1,
-            lanes: 0,
-        }
+        BatchOptions { threads: 1 }
     }
 
     /// Runs on exactly `threads` workers (`0` = available parallelism).
     pub fn with_threads(threads: usize) -> BatchOptions {
-        BatchOptions { threads, lanes: 0 }
-    }
-
-    /// Sets the lane-group width (`0` = per-domain default, `1` = the
-    /// scalar interpreter).
-    pub fn with_lanes(self, lanes: usize) -> BatchOptions {
-        BatchOptions { lanes, ..self }
+        BatchOptions { threads }
     }
 
     /// The concrete worker count for a batch of `n` items.
@@ -158,21 +131,16 @@ impl BatchOptions {
         t.clamp(1, n.max(1))
     }
 
-    /// The concrete lane width for a run configuration: dispatch
-    /// overhead dominates the cheap scalar domains, so they get wide
-    /// groups; the affine domains pay O(k) per lane and get narrow
-    /// ones (matching `safegen-affine::vector`'s 4-wide blocks).
+    /// The lane-group width for a run configuration: dispatch overhead
+    /// dominates the cheap scalar domains, so they get wide groups; the
+    /// affine domains pay O(k) per lane and get narrow ones (matching
+    /// `safegen-affine::vector`'s 4-wide blocks).
     pub fn resolve_lanes(&self, config: &RunConfig) -> usize {
         use crate::domain::DomainKind;
-        let w = if self.lanes == 0 {
-            match config.kind {
-                DomainKind::Unsound | DomainKind::IntervalF64 | DomainKind::IntervalDd => 16,
-                _ => 4,
-            }
-        } else {
-            self.lanes
-        };
-        w.clamp(1, MAX_LANES)
+        match config.kind {
+            DomainKind::Unsound | DomainKind::IntervalF64 | DomainKind::IntervalDd => 16,
+            _ => 4,
+        }
     }
 }
 
@@ -205,8 +173,10 @@ pub struct BatchResult {
     /// between runs; only the *sum* of `items` is invariant (= the
     /// batch size).
     pub workers: Vec<WorkerStats>,
-    /// Lane-group width actually used (`1` = the scalar interpreter;
-    /// see [`BatchOptions::lanes`]).
+    /// Widest lane group that actually ran: `min(width, n)` for the
+    /// configuration's width ([`BatchOptions::resolve_lanes`]), and `1`
+    /// when every item ran the scalar interpreter (`n <= 1`, or a
+    /// program the fixed-width encoding cannot express).
     pub lanes: usize,
 }
 
@@ -290,12 +260,10 @@ fn run_batch_on(
     };
     // The fixed-width re-encoding the lane engine dispatches over; a
     // program the encoding cannot express (operand counts beyond its
-    // 16-bit fields) simply runs scalar.
-    let mut lanes = opts.resolve_lanes(config);
-    let fixed = if lanes > 1 { encode(prog) } else { None };
-    if fixed.is_none() {
-        lanes = 1;
-    }
+    // 16-bit fields) simply runs scalar, and so does a one-item batch.
+    let width = opts.resolve_lanes(config);
+    let fixed = if n > 1 { encode(prog) } else { None };
+    let lanes = if fixed.is_some() { width.min(n) } else { 1 };
     let mut slots: Vec<Option<Result<BatchItem, String>>> = Vec::new();
     slots.resize_with(n, || None);
 
@@ -344,7 +312,7 @@ fn run_batch_on(
 
     // The work-distribution step: whole lane groups, so a group never
     // straddles two workers.
-    let step = if lanes > 1 { lanes } else { CHUNK };
+    let step = if fixed.is_some() { width } else { CHUNK };
 
     let mut workers: Vec<WorkerStats>;
     if threads == 1 {
@@ -573,6 +541,16 @@ mod tests {
         assert_eq!(serial.workers[0].items, 5);
     }
 
+    /// Per-item scalar runs of `ins`, the reference every batch must
+    /// reproduce bit for bit.
+    fn scalar_runs(
+        prog: &Program,
+        ins: &[Vec<ArgValue>],
+        cfg: &RunConfig,
+    ) -> Vec<Result<RunReport, String>> {
+        ins.iter().map(|args| run_on(prog, args, cfg)).collect()
+    }
+
     #[test]
     fn lane_widths_match_scalar_bit_for_bit() {
         let c = Compiler::new().compile(SRC).unwrap();
@@ -582,20 +560,16 @@ mod tests {
             RunConfig::affine_f64(8),
         ] {
             let prog = c.program_for("g", &cfg);
-            let ins = inputs(23); // deliberately not a multiple of any width
-            let scalar =
-                run_batch(&prog, &ins, &cfg, &BatchOptions::serial().with_lanes(1)).unwrap();
-            assert_eq!(scalar.lanes, 1);
-            for w in [2, 4, 8, 16, 64] {
-                let laned =
-                    run_batch(&prog, &ins, &cfg, &BatchOptions::serial().with_lanes(w)).unwrap();
-                assert_eq!(laned.lanes, w);
-                assert_eq!(laned.stats, scalar.stats, "width {w} ({})", cfg.label());
-                for (s, p) in scalar.items.iter().zip(&laned.items) {
-                    assert_eq!(s.index, p.index);
-                    assert_eq!(s.report.ret, p.report.ret, "item {} width {w}", s.index);
-                    assert_eq!(s.report.stats, p.report.stats, "item {} width {w}", s.index);
-                }
+            // 37 items: groups of 16, 16 and 5 at width 16, nine groups
+            // of 4 and a tail of 1 at width 4.
+            let ins = inputs(37);
+            let laned = run_batch(&prog, &ins, &cfg, &BatchOptions::serial()).unwrap();
+            assert_eq!(laned.lanes, BatchOptions::serial().resolve_lanes(&cfg));
+            for (it, s) in laned.items.iter().zip(scalar_runs(&prog, &ins, &cfg)) {
+                let s = s.unwrap();
+                let what = format!("item {} ({})", it.index, cfg.label());
+                assert_eq!(s.ret, it.report.ret, "{what}");
+                assert_eq!(s.stats, it.report.stats, "{what}");
             }
         }
     }
@@ -608,36 +582,53 @@ mod tests {
         assert_eq!(auto.resolve_lanes(&RunConfig::interval_dd()), 16);
         assert_eq!(auto.resolve_lanes(&RunConfig::affine_f64(8)), 4);
         assert_eq!(auto.resolve_lanes(&RunConfig::ceres(8)), 4);
-        // Explicit widths clamp to the engine's mask width.
-        assert_eq!(
-            auto.with_lanes(1000).resolve_lanes(&RunConfig::unsound()),
-            crate::lanes::MAX_LANES
-        );
-        assert_eq!(auto.with_lanes(1).resolve_lanes(&RunConfig::unsound()), 1);
+    }
+
+    #[test]
+    fn reported_lanes_are_the_widest_group_that_ran() {
+        let c = Compiler::new().compile(SRC).unwrap();
+        for (cfg, n, want) in [
+            (RunConfig::affine_f64(8), 0, 1),
+            (RunConfig::affine_f64(8), 1, 1),
+            (RunConfig::interval_f64(), 1, 1),
+            (RunConfig::affine_f64(8), 3, 3),
+            (RunConfig::affine_f64(8), 9, 4),
+            (RunConfig::interval_f64(), 6, 6),
+            (RunConfig::interval_f64(), 37, 16),
+        ] {
+            let prog = c.program_for("g", &cfg);
+            for opts in [BatchOptions::serial(), BatchOptions::with_threads(2)] {
+                let r = run_batch(&prog, &inputs(n), &cfg, &opts).unwrap();
+                assert_eq!(r.lanes, want, "n = {n} ({}, {opts:?})", cfg.label());
+            }
+        }
     }
 
     #[test]
     fn lane_groups_preserve_lowest_index_error() {
-        // Items 5 and 7 index out of bounds; every lane width must
-        // surface the same lowest-index error as the scalar path.
+        // Items 5, 7 and 21 index out of bounds. The 16-wide group
+        // holding 5 and 7 must surface the same lowest-index error as
+        // per-item scalar runs.
         let c = Compiler::new()
             .compile("void f(double a[2], int i) { a[i] = 1.0; }")
             .unwrap();
         let cfg = RunConfig::unsound();
         let prog = c.program_for("f", &cfg);
-        let ins: Vec<Vec<ArgValue>> = (0..9i64)
+        let ins: Vec<Vec<ArgValue>> = (0..23i64)
             .map(|i| {
                 vec![
                     vec![0.0, 0.0].into(),
-                    (if i == 5 || i == 7 { i } else { 0 }).into(),
+                    (if matches!(i, 5 | 7 | 21) { i } else { 0 }).into(),
                 ]
             })
             .collect();
-        let scalar = run_batch(&prog, &ins, &cfg, &BatchOptions::serial().with_lanes(1));
-        let err = scalar.expect_err("item with n == 0 fails");
-        for w in [2, 4, 8] {
-            let laned = run_batch(&prog, &ins, &cfg, &BatchOptions::serial().with_lanes(w));
-            assert_eq!(laned.expect_err("same failure"), err, "width {w}");
+        let err = scalar_runs(&prog, &ins, &cfg)
+            .into_iter()
+            .find_map(Result::err)
+            .expect("item 5 fails");
+        for opts in [BatchOptions::serial(), BatchOptions::with_threads(2)] {
+            let laned = run_batch(&prog, &ins, &cfg, &opts);
+            assert_eq!(laned.expect_err("same failure"), err, "{opts:?}");
         }
     }
 

@@ -6,6 +6,7 @@ use crate::fixpoint::{exec_fixpoint, FixpointConfig, LoopMode};
 use crate::program::{compile_program_with, Program};
 use safegen_affine::baselines::{CeresAffine, YalaaAff0, YalaaAff1};
 use safegen_affine::{AaConfig, AffineDd, AffineF32, AffineF64};
+use safegen_analysis::{annotate_function, SolveMode};
 use safegen_artifact::VariantKind;
 use safegen_cfront::{ParseError, Sema, Unit};
 use safegen_interval::{IntervalDd, IntervalF64};
@@ -21,13 +22,6 @@ pub struct Compiler {
     /// `k` of the [`RunConfig`] used later; annotation happens lazily per
     /// requested `k`.
     pub prioritize: bool,
-    /// Static-analysis solver selection.
-    pub solver: safegen_analysis::SolveMode,
-    /// Apply the sound constant-folding optimization (paper Sec. IV-B).
-    pub fold_constants: bool,
-    /// Lower SIMD intrinsics in the input before parsing (paper Sec. IV-B,
-    /// the SIMD-to-C preprocessing step).
-    pub lower_simd: bool,
     /// Mid-level pass pipeline. `None` resolves `SAFEGEN_PASSES` at
     /// [`Compiler::compile`] time (the optimizing default when unset).
     pub passes: Option<PassManager>,
@@ -37,9 +31,6 @@ impl Default for Compiler {
     fn default() -> Self {
         Compiler {
             prioritize: true,
-            solver: safegen_analysis::SolveMode::Auto,
-            fold_constants: true,
-            lower_simd: true,
             passes: None,
         }
     }
@@ -63,7 +54,6 @@ pub struct Compiled {
     /// The pass pipeline every program variant is compiled with.
     pub passes: PassManager,
     prioritize: bool,
-    solver: safegen_analysis::SolveMode,
     /// Function → plain program (every function always has one).
     plain: HashMap<String, Program>,
     /// Precomputed annotated variants: (function, kind) → program.
@@ -92,8 +82,8 @@ pub struct RunConfig {
     pub capacity_low: Option<usize>,
     /// How loops with unknown or over-budget trip counts execute (full
     /// unrolling vs. the iterate-and-widen fixpoint engine; see
-    /// [`crate::fixpoint`]). Constructors default it from
-    /// `SAFEGEN_LOOP_MODE` (`unroll` when unset).
+    /// [`crate::fixpoint`]). Constructors start at
+    /// [`LoopMode::Unroll`].
     pub loop_mode: LoopMode,
     /// Back-edge budget of the concrete unroll attempt before the
     /// fixpoint solver takes over. `None` = the mode's standard budget
@@ -101,32 +91,16 @@ pub struct RunConfig {
     pub unroll_budget: Option<u64>,
 }
 
-/// The process-wide `SAFEGEN_LOOP_MODE` default, parsed once. An invalid
-/// value warns once on stderr and falls back to `unroll`.
-fn default_loop_mode() -> LoopMode {
-    static MODE: std::sync::OnceLock<LoopMode> = std::sync::OnceLock::new();
-    *MODE.get_or_init(|| match std::env::var("SAFEGEN_LOOP_MODE") {
-        Ok(v) => LoopMode::parse(&v).unwrap_or_else(|| {
-            eprintln!(
-                "warning: SAFEGEN_LOOP_MODE={v:?} is not one of \
-                 unroll/fixpoint/auto; using unroll"
-            );
-            LoopMode::Unroll
-        }),
-        Err(_) => LoopMode::Unroll,
-    })
-}
-
 impl RunConfig {
     /// The configuration every named constructor starts from: uniform
-    /// budget, loop mode from `SAFEGEN_LOOP_MODE`, standard unroll budget.
+    /// budget, full unrolling, standard unroll budget.
     fn base(kind: DomainKind, aa: AaConfig, prioritized: bool) -> RunConfig {
         RunConfig {
             kind,
             aa,
             prioritized,
             capacity_low: None,
-            loop_mode: default_loop_mode(),
+            loop_mode: LoopMode::Unroll,
             unroll_budget: None,
         }
     }
@@ -303,7 +277,9 @@ impl Compiler {
     /// Propagates lexical, syntactic and semantic diagnostics.
     pub fn compile(&self, src: &str) -> Result<Compiled, ParseError> {
         let lowered;
-        let src = if self.lower_simd && src.contains("_mm") {
+        // The SIMD-to-C preprocessing step (paper Sec. IV-B) runs on any
+        // source that names an intrinsic.
+        let src = if src.contains("_mm") {
             lowered =
                 telemetry::phase_span("compile.lower_simd", || safegen_cfront::lower_simd(src))?;
             &lowered
@@ -314,11 +290,8 @@ impl Compiler {
         // Alpha-rename so shadowed/sibling declarations become unique —
         // the strict no-shadowing rule then holds by construction.
         let unit = safegen_cfront::rename_unique(&unit);
-        let unit = if self.fold_constants {
-            telemetry::phase_span("compile.fold", || safegen_ir::fold_constants(&unit))
-        } else {
-            unit
-        };
+        // Sound constant folding (paper Sec. IV-B).
+        let unit = telemetry::phase_span("compile.fold", || safegen_ir::fold_constants(&unit));
         let sema = telemetry::phase_span("compile.sema", || safegen_cfront::analyze(&unit))?;
         // The TAC transform threads the semantic tables through (declaring
         // its fresh temporaries as it goes), so the unit is analyzed once.
@@ -346,7 +319,6 @@ impl Compiler {
             sema,
             passes,
             prioritize: self.prioritize,
-            solver: self.solver,
             plain,
             variants: HashMap::new(),
         })
@@ -418,7 +390,7 @@ impl Compiled {
             VariantKind::Plain => self.plain[func].clone(),
             VariantKind::Prioritized { k } => {
                 let annotated = telemetry::phase_span("compile.prioritize", || {
-                    safegen_analysis::annotate_function(f, &self.sema, k as usize, self.solver)
+                    annotate_function(f, &self.sema, k as usize, SolveMode::Auto)
                 });
                 compile_program_with(&annotated, &self.sema, &self.passes)
                     .expect("annotated TAC must compile")
@@ -429,7 +401,7 @@ impl Compiled {
                 prioritized,
             } => {
                 let base = if prioritized {
-                    safegen_analysis::annotate_function(f, &self.sema, k as usize, self.solver)
+                    annotate_function(f, &self.sema, k as usize, SolveMode::Auto)
                 } else {
                     f.clone()
                 };

@@ -67,8 +67,8 @@ pub enum LoopMode {
 }
 
 impl LoopMode {
-    /// Parses `unroll` / `fixpoint` / `auto` (the `SAFEGEN_LOOP_MODE`
-    /// values).
+    /// Parses `unroll` / `fixpoint` / `auto` (the CLI's `--loop-mode`
+    /// and the request's `"loop_mode"` values).
     pub fn parse(s: &str) -> Option<LoopMode> {
         match s {
             "unroll" => Some(LoopMode::Unroll),

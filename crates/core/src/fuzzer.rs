@@ -13,8 +13,9 @@
 //!    real one) and when the oracle declines (sqrt, exact division by
 //!    zero, representation growth) — skips are counted, never passed
 //!    ([`UndecidedSkips`], [`CheckReport::oracle_skip`]).
-//! 2. **Serial ≡ batch** — the batch engine must reproduce the serial
-//!    VM's range bit-for-bit on the same input.
+//! 2. **Serial ≡ batch** — the batch engine, on the input point plus
+//!    perturbed copies (one affine lane group), must reproduce every
+//!    point's serial VM report bit-for-bit, and must have run in lanes.
 //! 3. **AA-dd ⊆ AA-f64** — the higher-precision-center configuration
 //!    must not *widen*: its range stays inside the f64-center range up to
 //!    two ulps of slack per endpoint (center rounding may legitimately
@@ -148,6 +149,34 @@ impl CheckReport {
     }
 }
 
+/// Points in step 2's batch: one affine lane group.
+const BATCH_POINTS: usize = 4;
+
+/// Point `l` of step 2's batch: float arguments scaled and shifted by
+/// `l` (point 0 is the fuzz point itself); integers stay, since they
+/// bound loops.
+fn perturb(a: &ArgValue, l: usize) -> ArgValue {
+    match a {
+        ArgValue::Float(x) => ArgValue::Float(x * (1.0 + 0.013 * l as f64) + 0.001 * l as f64),
+        other => other.clone(),
+    }
+}
+
+/// Bit-for-bit equality of two reports: range, arrays, certified bits
+/// and run statistics.
+fn same_bits(a: &RunReport, b: &RunReport) -> bool {
+    let bits = |r: &RunReport| {
+        let range = |(lo, hi): (f64, f64)| (lo.to_bits(), hi.to_bits());
+        let arrays: Vec<(String, Vec<(u64, u64)>)> = r
+            .arrays
+            .iter()
+            .map(|(n, vs)| (n.clone(), vs.iter().copied().map(range).collect()))
+            .collect();
+        (r.ret.map(range), arrays, r.acc_bits.to_bits(), r.stats)
+    };
+    bits(a) == bits(b)
+}
+
 fn fmt_range(r: Option<(f64, f64)>) -> String {
     match r {
         Some((lo, hi)) => format!("[{lo:e}, {hi:e}]"),
@@ -266,32 +295,50 @@ pub fn check_source(src: &str, func: &str, inputs: &[f64], opts: &CheckOpts) -> 
         report.fail("run-error", format!("unsound: {e}"));
     }
 
-    // 2. Serial ≡ batch, bit-identical, on the AA-f64 configuration.
+    // 2. Serial ≡ batch, bit-identical, on the AA-f64 configuration:
+    // the fuzz point plus perturbed copies, enough for a lane group.
     let aa = RunConfig::affine_f64(opts.k);
-    if let Some(Some(serial)) = reports.get(2) {
-        match compiled.run_batch(
-            func,
-            std::slice::from_ref(&args),
-            &aa,
-            &BatchOptions::default(),
-        ) {
-            Ok(batch) => {
-                let b = batch.items[0].report.ret;
-                let bits = |r: Option<(f64, f64)>| r.map(|(lo, hi)| (lo.to_bits(), hi.to_bits()));
-                if bits(serial.ret) != bits(b) {
+    let points: Vec<Vec<ArgValue>> = (0..BATCH_POINTS)
+        .map(|l| args.iter().map(|a| perturb(a, l)).collect())
+        .collect();
+    let serial: Vec<Result<RunReport, String>> =
+        points.iter().map(|a| compiled.run(func, a, &aa)).collect();
+    let want_err = serial.iter().find_map(|r| r.as_ref().err());
+    match (
+        compiled.run_batch(func, &points, &aa, &BatchOptions::default()),
+        want_err,
+    ) {
+        (Ok(batch), None) => {
+            if batch.lanes < 2 {
+                report.fail(
+                    "batch-mismatch",
+                    format!("batch of {BATCH_POINTS} ran scalar under {}", aa.label()),
+                );
+            }
+            for (item, s) in batch.items.iter().zip(serial.iter().flatten()) {
+                if !same_bits(s, &item.report) {
                     report.fail(
                         "batch-mismatch",
                         format!(
-                            "serial {} != batch {} under {}",
-                            fmt_range(serial.ret),
-                            fmt_range(b),
+                            "point {}: serial {} != batch {} under {}",
+                            item.index,
+                            fmt_range(s.ret),
+                            fmt_range(item.report.ret),
                             aa.label()
                         ),
                     );
                 }
             }
-            Err(e) => report.fail("run-error", format!("batch: {e}")),
         }
+        (Err(got), Some(want)) if &got == want => {}
+        (got, want) => report.fail(
+            "batch-mismatch",
+            format!(
+                "batch {:?} != serial {want:?} under {}",
+                got.err(),
+                aa.label()
+            ),
+        ),
     }
 
     // 3. AA-dd vs AA-f64 (both paths fully decided). This fuzzer

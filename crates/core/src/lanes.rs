@@ -471,6 +471,29 @@ pub fn exec_lanes<D: Domain>(
         // The lowest parked pc: reaching it parks the current group so
         // the scheduler can re-merge (or switch to a lagging group).
         let mut watch = groups.iter().map(|h| h.pc).min().unwrap_or(usize::MAX);
+        // One instruction tick with the fuel check: the group-wide bound
+        // first, then, when it trips, each lane's exact count (post-merge
+        // lanes can have different totals). Run per dispatch and for the
+        // superinstructions' mid-op tick.
+        macro_rules! fuel_check {
+            () => {
+                g.instrs += 1;
+                if g.acc_max + g.instrs > FUEL {
+                    let mut bad = 0u64;
+                    for l in MaskIter(g.mask) {
+                        if acc_instrs[l] + g.instrs > FUEL {
+                            errs[l] = Some(err("instruction budget exhausted (infinite loop?)"));
+                            bad |= 1 << l;
+                        }
+                    }
+                    g.mask &= !bad;
+                    if g.mask == 0 {
+                        continue 'groups;
+                    }
+                    g.acc_max = MaskIter(g.mask).map(|l| acc_instrs[l]).max().unwrap_or(0);
+                }
+            };
+        }
         loop {
             if g.mask == 0 {
                 continue 'groups;
@@ -486,48 +509,10 @@ pub fn exec_lanes<D: Domain>(
                 }
                 continue 'groups;
             }
-            g.instrs += 1;
-            if g.acc_max + g.instrs > FUEL {
-                // The bound tripped: check each lane's exact count
-                // (post-merge lanes can have different totals).
-                let mut bad = 0u64;
-                for l in MaskIter(g.mask) {
-                    if acc_instrs[l] + g.instrs > FUEL {
-                        errs[l] = Some(err("instruction budget exhausted (infinite loop?)"));
-                        bad |= 1 << l;
-                    }
-                }
-                g.mask &= !bad;
-                if g.mask == 0 {
-                    continue 'groups;
-                }
-                g.acc_max = MaskIter(g.mask).map(|l| acc_instrs[l]).max().unwrap_or(0);
-            }
+            fuel_check!();
             let ins = fixed.ops[g.pc];
             let fp_before = g.fp_ops;
 
-            // The superinstructions' mid-op instruction tick, with the
-            // same bounded-then-precise fuel check as above.
-            macro_rules! fuel_check {
-                () => {
-                    g.instrs += 1;
-                    if g.acc_max + g.instrs > FUEL {
-                        let mut bad = 0u64;
-                        for l in MaskIter(g.mask) {
-                            if acc_instrs[l] + g.instrs > FUEL {
-                                errs[l] =
-                                    Some(err("instruction budget exhausted (infinite loop?)"));
-                                bad |= 1 << l;
-                            }
-                        }
-                        g.mask &= !bad;
-                        if g.mask == 0 {
-                            continue 'groups;
-                        }
-                        g.acc_max = MaskIter(g.mask).map(|l| acc_instrs[l]).max().unwrap_or(0);
-                    }
-                };
-            }
             // Consumes the pending protect set on the first FP op.
             // Protect-free full-width groups first offer the whole
             // column to the domain's SIMD kernel ([`Domain::bin_kernel`]).

@@ -82,28 +82,6 @@ pub fn sqrt_residual(a: f64, s: f64) -> f64 {
     (-s).mul_add(s, a)
 }
 
-/// TwoSum for `f32` performed exactly in `f64`.
-///
-/// The sum of two `f32` values is exactly representable in `f64`, so the
-/// round-to-nearest `f32` result and the exact error are recovered by a
-/// single widening. Returns `(s, exact_sum_f64)` with `s = RN32(a + b)`.
-#[inline]
-pub fn two_sum_f32(a: f32, b: f32) -> (f32, f64) {
-    let exact = a as f64 + b as f64; // exact: 24-bit + 24-bit fits in 53 bits
-    (exact as f32, exact)
-}
-
-/// TwoProd for `f32` performed exactly in `f64`.
-///
-/// The product of two `f32` values (24-bit significands) is exactly
-/// representable in `f64` (53 bits). Returns `(p, exact_prod_f64)` with
-/// `p = RN32(a * b)`.
-#[inline]
-pub fn two_prod_f32(a: f32, b: f32) -> (f32, f64) {
-    let exact = a as f64 * b as f64; // exact: 48-bit product fits in 53 bits
-    (exact as f32, exact)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,15 +167,5 @@ mod tests {
         let s = 2.0f64.sqrt();
         let r = sqrt_residual(2.0, s);
         assert_ne!(r, 0.0);
-    }
-
-    #[test]
-    fn f32_eft_exact() {
-        let (s, exact) = two_sum_f32(0.1f32, 0.2f32);
-        assert_eq!(s, 0.1f32 + 0.2f32);
-        assert_eq!(exact, 0.1f32 as f64 + 0.2f32 as f64);
-        let (p, exactp) = two_prod_f32(0.1f32, 0.2f32);
-        assert_eq!(p, 0.1f32 * 0.2f32);
-        assert_eq!(exactp, 0.1f32 as f64 * 0.2f32 as f64);
     }
 }

@@ -302,58 +302,6 @@ pub fn div_with_err(a: f64, b: f64) -> (f64, f64) {
     (q, 0.5 * crate::metrics::ulp(q))
 }
 
-// ---------------------------------------------------------------------------
-// f32 directed rounding (exact via f64 widening)
-// ---------------------------------------------------------------------------
-
-/// `RU32(a + b)` for single precision, computed exactly through `f64`.
-#[inline]
-pub fn add_ru_f32(a: f32, b: f32) -> f32 {
-    let exact = a as f64 + b as f64; // exact
-    let s = exact as f32;
-    if s.is_nan() {
-        return s;
-    }
-    if s == f32::NEG_INFINITY && exact > f64::NEG_INFINITY && a.is_finite() && b.is_finite() {
-        return -f32::MAX;
-    }
-    if (s as f64) < exact {
-        s.next_up()
-    } else {
-        s
-    }
-}
-
-/// `RD32(a + b)` for single precision.
-#[inline]
-pub fn add_rd_f32(a: f32, b: f32) -> f32 {
-    -add_ru_f32(-a, -b)
-}
-
-/// `RU32(a * b)` for single precision, computed exactly through `f64`.
-#[inline]
-pub fn mul_ru_f32(a: f32, b: f32) -> f32 {
-    let exact = a as f64 * b as f64; // exact: 48-bit product
-    let p = exact as f32;
-    if p.is_nan() {
-        return p;
-    }
-    if p == f32::NEG_INFINITY && exact.is_finite() {
-        return -f32::MAX;
-    }
-    if (p as f64) < exact {
-        p.next_up()
-    } else {
-        p
-    }
-}
-
-/// `RD32(a * b)` for single precision.
-#[inline]
-pub fn mul_rd_f32(a: f32, b: f32) -> f32 {
-    -mul_ru_f32(-a, b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -500,18 +448,6 @@ mod tests {
         // exact = q + r/3 with |r/3| <= e
         let r = crate::eft::div_residual(1.0, 3.0, q);
         assert!((r / 3.0).abs() <= e);
-    }
-
-    #[test]
-    fn f32_directed_rounding() {
-        let a = 0.1f32;
-        let b = 0.2f32;
-        let exact = a as f64 + b as f64;
-        assert!((add_rd_f32(a, b) as f64) <= exact);
-        assert!(exact <= add_ru_f32(a, b) as f64);
-        let exactp = a as f64 * b as f64;
-        assert!((mul_rd_f32(a, b) as f64) <= exactp);
-        assert!(exactp <= mul_ru_f32(a, b) as f64);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Double-double precision intervals (the `IGen-dd` baseline).
 
-use safegen_fpcore::metrics::{acc_bits, DD_MANTISSA_BITS};
+use safegen_fpcore::metrics::DD_MANTISSA_BITS;
 use safegen_fpcore::Dd;
 use std::fmt;
 use std::ops::{Add, Div, Mul, Neg, Sub};
@@ -162,23 +162,6 @@ impl IntervalDd {
         // Number of dd-representable steps in the range ≈ w / (mag * 2^-106).
         let steps = w.hi() / (mag * 2f64.powi(-(DD_MANTISSA_BITS as i32)));
         DD_MANTISSA_BITS as f64 - steps.max(1.0).log2()
-    }
-
-    /// Certified bits at `f64` precision, for comparing against f64
-    /// configurations on the same axis (as Fig. 9 does for IGen-dd).
-    pub fn acc_bits_f64(self) -> f64 {
-        // Round endpoints outward to f64 before counting.
-        let lo = if Dd::from(self.lo.hi()) <= self.lo {
-            self.lo.hi()
-        } else {
-            self.lo.hi().next_down()
-        };
-        let hi = if Dd::from(self.hi.hi()) >= self.hi {
-            self.hi.hi()
-        } else {
-            self.hi.hi().next_up()
-        };
-        acc_bits(lo, hi, safegen_fpcore::F64_MANTISSA_BITS)
     }
 }
 
@@ -359,7 +342,6 @@ mod tests {
     fn accuracy_metric_sane() {
         let p = IntervalDd::point(Dd::from(1.5));
         assert_eq!(p.acc_bits(), 106.0);
-        assert_eq!(p.acc_bits_f64(), 53.0);
         let wide = IntervalDd::new(Dd::from(1.0), Dd::from(2.0));
         assert!(wide.acc_bits() < 10.0);
         assert!(!IntervalDd::entire().acc_bits().is_finite());

@@ -285,18 +285,6 @@ impl Verb {
             Verb::Other => "other",
         }
     }
-
-    /// Classifies a request's `op` string.
-    pub fn from_op(op: &str) -> Verb {
-        match op {
-            "ping" => Verb::Ping,
-            "list" => Verb::List,
-            "eval" => Verb::Eval,
-            "stats" => Verb::Stats,
-            "shutdown" => Verb::Shutdown,
-            _ => Verb::Other,
-        }
-    }
 }
 
 /// Error categories for the serve daemon's error counters.
@@ -472,7 +460,7 @@ impl LaneMetrics {
 }
 
 /// Fixpoint loop-engine section: how unbounded loops were handled
-/// (`SAFEGEN_LOOP_MODE`, DESIGN.md §12). All counters are cumulative
+/// (`--loop-mode`, DESIGN.md §12). All counters are cumulative
 /// across runs.
 #[derive(Debug)]
 pub struct LoopMetrics {
@@ -1164,7 +1152,5 @@ mod tests {
         cats.sort_unstable();
         cats.dedup();
         assert_eq!(cats.len(), ErrCategory::ALL.len());
-        assert_eq!(Verb::from_op("eval"), Verb::Eval);
-        assert_eq!(Verb::from_op("nope"), Verb::Other);
     }
 }

@@ -3,7 +3,8 @@
 //! and the variable-capacity extension (the future work of Sec. VIII).
 
 use safegen_suite::fpcore::Dd;
-use safegen_suite::safegen::{Compiler, Placement, RunConfig};
+use safegen_suite::safegen::{compile_program_with, run_on, Compiler, Placement, RunConfig};
+use safegen_suite::{cfront, ir};
 
 // ---------------------------------------------------------------------------
 // SIMD input
@@ -77,19 +78,18 @@ fn constant_folding_reduces_ops_and_stays_sound() {
         double c = 2.0 * 8.0 + 1.0;
         return x * c;
     }";
-    let mut with = Compiler::new();
-    with.fold_constants = true;
-    let mut without = Compiler::new();
-    without.fold_constants = false;
-    let cw = with.compile(src).unwrap();
-    let co = without.compile(src).unwrap();
+    // The compiler always folds; the unfolded program comes from the
+    // same pipeline with the folding step left out.
+    let cw = Compiler::new().compile(src).unwrap();
+    let unit = cfront::rename_unique(&cfront::parse(src).unwrap());
+    let sema = cfront::analyze(&unit).unwrap();
+    let (tac, sema) = ir::to_tac_with_sema(&unit, &sema);
+    let unfolded = compile_program_with(&tac.functions[0], &sema, &cw.passes).unwrap();
 
     let rw = cw
         .run("f", &[0.3.into()], &RunConfig::affine_f64(8))
         .unwrap();
-    let ro = co
-        .run("f", &[0.3.into()], &RunConfig::affine_f64(8))
-        .unwrap();
+    let ro = run_on(&unfolded, &[0.3.into()], &RunConfig::affine_f64(8)).unwrap();
     assert!(
         rw.stats.fp_ops < ro.stats.fp_ops,
         "folding must remove operations ({} vs {})",
