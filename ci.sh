@@ -97,6 +97,40 @@ else
     echo "   (not x86_64: the FMA region is not built)"
 fi
 
+echo "== IGen-dd column kernels vectorize (packed ymm arithmetic in add/sub) =="
+# The double-double ladder under IntervalDd's + and - is straight-line
+# so that the lane engine's column loops vectorize inside their AVX2/FMA
+# region. An early return or a call creeping back into Dd::add or
+# Dd::err_bound turns those loops scalar again: no packed ymm add, sub,
+# mul or fma is left in them.
+audit_dd_vectorized() {
+    objdump -d --no-show-raw-insn -C "$1" | awk '
+        /^[0-9a-f]+ <.*>:$/ {
+            f = ""
+            if (index($0, "::cols::fast_bin_dd::add_cols_dd>:")) f = "add_cols_dd"
+            if (index($0, "::cols::fast_bin_dd::sub_cols_dd>:")) f = "sub_cols_dd"
+            if (f != "") n[f] += 0
+            next
+        }
+        f != "" && /\tv(add|sub|mul|fn?m(add|sub)[0-9]+)pd .*%ymm/ { n[f]++ }
+        END {
+            bad = 0
+            split("add_cols_dd sub_cols_dd", want, " ")
+            for (i in want) {
+                k = want[i]
+                if (!(k in n)) { printf "   fast_bin_dd::%s: not found\n", k; bad = 1; continue }
+                printf "   fast_bin_dd::%s: %d packed ymm arithmetic instructions%s\n", k, n[k], n[k] ? "" : "   <-- scalar loop"
+                if (n[k] == 0) bad = 1
+            }
+            exit bad
+        }'
+}
+if [ "$(uname -m)" = x86_64 ]; then
+    audit_dd_vectorized ./target/release/safegen
+else
+    echo "   (not x86_64: the AVX2 column kernels are not built)"
+fi
+
 echo "== benchmark package builds (its own workspace, against the library API) =="
 cargo build --release --offline --manifest-path crates/bench/src/bin/perf/Cargo.toml
 

@@ -893,6 +893,9 @@ mod tests {
         let _ = writeln!(w, "{}", "x".repeat(4096));
         let mut line = String::new();
         BufReader::new(stream).read_line(&mut line).unwrap();
+        // Closing the write half ends the connection now; left open, it
+        // holds shutdown for the daemon's whole read timeout.
+        drop(w);
         assert!(m.serve.errors(ErrCategory::Oversize).get() > oversize0);
 
         // Malformed JSON.
@@ -901,6 +904,7 @@ mod tests {
         writeln!(w, "this is not json").unwrap();
         let mut line = String::new();
         BufReader::new(stream).read_line(&mut line).unwrap();
+        drop(w);
         assert!(m.serve.errors(ErrCategory::BadJson).get() > bad_json0);
 
         // Unknown verb.

@@ -11,6 +11,7 @@ use safegen_affine::baselines::{BaselineCtx, CeresAffine, YalaaAff0, YalaaAff1};
 use safegen_affine::{AaConfig, AaContext, Affine, CenterValue, Protect};
 use safegen_fpcore::metrics;
 use safegen_interval::{Dd, IntervalDd, IntervalF64};
+use std::slice::{from_mut, from_ref};
 
 /// Tag describing a domain choice (for reports and plot labels).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -329,11 +330,7 @@ impl Domain for IntervalF64 {
     fn context(_: &AaConfig) {}
 
     fn from_input_into(x: f64, _: &(), out: &mut Self) {
-        let u = metrics::ulp(x);
-        *out = IntervalF64::new(
-            safegen_fpcore::round::sub_rd(x, u),
-            safegen_fpcore::round::add_ru(x, u),
-        );
+        *out = IntervalF64::constant(x);
     }
     fn constant(x: f64, _: &()) -> Self {
         if x.fract() == 0.0 && x.abs() < 2f64.powi(53) {
@@ -349,24 +346,15 @@ impl Domain for IntervalF64 {
             IntervalF64::new(lo, hi)
         })
     }
+    /// The column kernel on one lane: a single point runs the same body
+    /// inside the same FMA region as a lane group.
     #[inline]
     fn bin_into(op: FpBinOp, a: &Self, b: &Self, _: &(), _: &[u64], out: &mut Self) {
-        *out = match op {
-            FpBinOp::Add => *a + *b,
-            FpBinOp::Sub => *a - *b,
-            FpBinOp::Mul => *a * *b,
-            FpBinOp::Div => *a / *b,
-            FpBinOp::Min => IntervalF64::min(*a, *b),
-            FpBinOp::Max => IntervalF64::max(*a, *b),
-        };
+        Self::bin_kernel(op, from_ref(a), from_ref(b), from_mut(out), &[]);
     }
     #[inline]
     fn un_into(op: FpUnOp, a: &Self, _: &(), _: &[u64], out: &mut Self) {
-        *out = match op {
-            FpUnOp::Sqrt => IntervalF64::sqrt(*a),
-            FpUnOp::Abs => IntervalF64::abs(*a),
-            FpUnOp::Neg => -*a,
-        };
+        Self::un_kernel(op, from_ref(a), from_mut(out), &[]);
     }
     #[inline]
     fn range(&self) -> (f64, f64) {
@@ -405,11 +393,7 @@ impl Domain for IntervalDd {
     fn context(_: &AaConfig) {}
 
     fn from_input_into(x: f64, _: &(), out: &mut Self) {
-        let u = metrics::ulp(x);
-        *out = IntervalDd::new(
-            Dd::from(x).add_rd(Dd::from(-u)),
-            Dd::from(x).add_ru(Dd::from(u)),
-        );
+        *out = IntervalDd::constant(x);
     }
     fn constant(x: f64, _: &()) -> Self {
         if x.fract() == 0.0 && x.abs() < 2f64.powi(53) {
@@ -425,32 +409,14 @@ impl Domain for IntervalDd {
             IntervalDd::new(Dd::from(lo), Dd::from(hi))
         })
     }
+    /// The column kernel on one lane, as for [`IntervalF64`].
     #[inline]
     fn bin_into(op: FpBinOp, a: &Self, b: &Self, _: &(), _: &[u64], out: &mut Self) {
-        *out = match op {
-            FpBinOp::Add => *a + *b,
-            FpBinOp::Sub => *a - *b,
-            FpBinOp::Mul => *a * *b,
-            FpBinOp::Div => *a / *b,
-            FpBinOp::Min => {
-                let lo = if a.lo() < b.lo() { a.lo() } else { b.lo() };
-                let hi = if a.hi() < b.hi() { a.hi() } else { b.hi() };
-                IntervalDd::new(lo, hi)
-            }
-            FpBinOp::Max => {
-                let lo = if a.lo() > b.lo() { a.lo() } else { b.lo() };
-                let hi = if a.hi() > b.hi() { a.hi() } else { b.hi() };
-                IntervalDd::new(lo, hi)
-            }
-        };
+        Self::bin_kernel(op, from_ref(a), from_ref(b), from_mut(out), &[]);
     }
     #[inline]
     fn un_into(op: FpUnOp, a: &Self, _: &(), _: &[u64], out: &mut Self) {
-        *out = match op {
-            FpUnOp::Sqrt => IntervalDd::sqrt(*a),
-            FpUnOp::Abs => IntervalDd::abs(*a),
-            FpUnOp::Neg => -*a,
-        };
+        Self::un_kernel(op, from_ref(a), from_mut(out), &[]);
     }
     fn range(&self) -> (f64, f64) {
         // Outward-rounded f64 projection.
@@ -477,9 +443,8 @@ impl Domain for IntervalDd {
             FpBinOp::Sub => cols::sub_cols_dd(a, b, out),
             FpBinOp::Mul => cols::mul_cols_dd(a, b, out),
             FpBinOp::Div => cols::div_cols_dd(a, b, out),
-            // min/max of IntervalDd is hand-rolled in `bin_into`, not a
-            // column op.
-            FpBinOp::Min | FpBinOp::Max => return false,
+            FpBinOp::Min => cols::min_cols_dd(a, b, out),
+            FpBinOp::Max => cols::max_cols_dd(a, b, out),
         }
         true
     }

@@ -139,6 +139,37 @@ fn for_lanes(mask: u64, full: u64, w: usize, mut f: impl FnMut(usize)) {
     }
 }
 
+/// The lanes of `mask` whose array index is out of bounds for an array
+/// of length `len`; each gets the scalar path's error in `errs`. A full
+/// group whose indices are all in bounds — the common case — costs one
+/// pass over the index column with no early exit (a negative index wraps
+/// to a `u64` above any length), so the caller copies in a plain loop.
+#[inline(always)]
+fn bad_index_lanes(
+    mask: u64,
+    full: u64,
+    idx: &[i64],
+    len: usize,
+    name: &str,
+    errs: &mut [Option<ExecError>],
+) -> u64 {
+    if mask == full
+        && idx
+            .iter()
+            .fold(true, |ok, &i| ok & ((i as u64) < len as u64))
+    {
+        return 0;
+    }
+    let mut bad = 0u64;
+    for l in MaskIter(mask) {
+        if let Err(e) = array_index(idx[l], len, name) {
+            errs[l] = Some(e);
+            bad |= 1 << l;
+        }
+    }
+    bad
+}
+
 /// Applies a binary operation column-wise: for every lane in `mask`,
 /// `f(regs[a][l], regs[b][l], spare[l], l)` writes the lane's result into
 /// the spare column (`w` values), which then swaps places with
@@ -689,36 +720,34 @@ pub fn exec_lanes<D: Domain>(
                     });
                 }
                 OpCode::LoadArr => {
-                    let (db, ib) = (d * w, b * w);
+                    let (db, idx) = (d * w, &iregs[b * w..b * w + w]);
+                    let name = &prog.arrays[a].name;
+                    g.mask &= !bad_index_lanes(g.mask, full, idx, arr_len[a], name, &mut errs);
                     let col = &arrays[a];
-                    let (len, name) = (arr_len[a], &prog.arrays[a].name);
-                    let mut bad = 0u64;
-                    for l in MaskIter(g.mask) {
-                        match array_index(iregs[ib + l], len, name) {
-                            Ok(i) => fregs[db + l].clone_from(&col[i * w + l]),
-                            Err(e) => {
-                                errs[l] = Some(e);
-                                bad |= 1 << l;
-                            }
+                    if g.mask == full {
+                        for (l, (o, &i)) in fregs[db..db + w].iter_mut().zip(idx).enumerate() {
+                            o.clone_from(&col[i as usize * w + l]);
+                        }
+                    } else {
+                        for l in MaskIter(g.mask) {
+                            fregs[db + l].clone_from(&col[idx[l] as usize * w + l]);
                         }
                     }
-                    g.mask &= !bad;
                 }
                 OpCode::StoreArr => {
-                    let (ib, sb) = (a * w, b * w);
-                    let (len, name) = (arr_len[d], &prog.arrays[d].name);
+                    let (idx, sb) = (&iregs[a * w..a * w + w], b * w);
+                    let name = &prog.arrays[d].name;
+                    g.mask &= !bad_index_lanes(g.mask, full, idx, arr_len[d], name, &mut errs);
                     let col = &mut arrays[d];
-                    let mut bad = 0u64;
-                    for l in MaskIter(g.mask) {
-                        match array_index(iregs[ib + l], len, name) {
-                            Ok(i) => col[i * w + l].clone_from(&fregs[sb + l]),
-                            Err(e) => {
-                                errs[l] = Some(e);
-                                bad |= 1 << l;
-                            }
+                    if g.mask == full {
+                        for (l, (x, &i)) in fregs[sb..sb + w].iter().zip(idx).enumerate() {
+                            col[i as usize * w + l].clone_from(x);
+                        }
+                    } else {
+                        for l in MaskIter(g.mask) {
+                            col[idx[l] as usize * w + l].clone_from(&fregs[sb + l]);
                         }
                     }
-                    g.mask &= !bad;
                 }
                 OpCode::ConstI => {
                     let c = fixed.ipool[ins.imm as usize];
@@ -1044,6 +1073,18 @@ mod tests {
                 vec![vec![0.0, 0.0].into(), 0i64.into()],
             ],
         );
+    }
+
+    #[test]
+    fn array_loads_check_the_whole_index_column() {
+        // A full group in bounds takes the one-pass copy; a negative
+        // index (which wraps above any length in that pass) and an index
+        // equal to the length each send the group to the per-lane check.
+        let src = "double f(double a[3], int i) { return a[i] * 2.0; }";
+        let arg = |i: i64| vec![vec![1.0, 2.0, 3.0].into(), i.into()];
+        assert_lanes_match_scalar(src, &[arg(0), arg(2), arg(1), arg(2)]);
+        assert_lanes_match_scalar(src, &[arg(0), arg(-1), arg(2), arg(3)]);
+        assert_lanes_match_scalar(src, &[arg(i64::MIN), arg(1)]);
     }
 
     #[test]

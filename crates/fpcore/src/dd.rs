@@ -16,8 +16,28 @@
 //! "Tight and rigorous error bounds for basic building blocks of
 //! double-word arithmetic", with generous safety margins):
 //! add ≤ 4u², mul ≤ 8u², div ≤ 16u², sqrt ≤ 8u².
+//!
+//! ## Straight-line addition and multiplication
+//!
+//! `+`, `−`, `×` and [`Dd::err_bound`] — and so the widened
+//! `add_*`/`mul_*` built from them — have no branch: each computes its
+//! finite path on every input and then *selects* the special-case result
+//! (`{sh, 0}` on an overflowing or NaN sum, `{ph, 0}` on a product,
+//! `+∞` for the error bound of a non-finite value). These are their only
+//! bodies, and they are what lets the `IGen-dd` column kernels
+//! (`safegen_interval::cols`) vectorize. They return the same bits as
+//! the early-return ladder they replaced: the finite path is pure IEEE
+//! arithmetic with no side effect (no trap, no panic),
+//! so computing it on an input the ladder returned early for changes
+//! nothing but the discarded value, and each select picks exactly the
+//! value the early return produced. `err_bound` replaces `next_up` by a
+//! one-bit step, which agrees with it on every value the finite path can
+//! produce (argued on the function). The digests in this module's tests
+//! were recorded from the branchy ladder and pin the equivalence.
+//! Division and square root keep their rescaling branches.
 
 use crate::eft::{quick_two_sum, two_prod, two_sum};
+use crate::flat::sel;
 use std::cmp::Ordering;
 use std::fmt;
 use std::ops::{Add, Div, Mul, Neg, Sub};
@@ -186,6 +206,16 @@ impl Dd {
         Dd { hi, lo }
     }
 
+    /// `if c { t } else { f }`, word by word and branch-free (a blend in
+    /// vectorized loops; both arms are evaluated by the caller).
+    #[inline(always)]
+    pub fn select(c: bool, t: Dd, f: Dd) -> Dd {
+        Dd {
+            hi: sel(c, t.hi, f.hi),
+            lo: sel(c, t.lo, f.lo),
+        }
+    }
+
     /// Reciprocal.
     #[inline]
     pub fn recip(self) -> Dd {
@@ -194,14 +224,20 @@ impl Dd {
 
     /// A sound upper bound on the rounding error of a dd operation with
     /// relative error bound `rel`, as a single `f64` rounded upward.
+    ///
+    /// Straight-line (see the module docs). On a finite value,
+    /// `b = rel · (|hi| + |lo|)` is `+0`, positive finite or `+∞`, never
+    /// NaN or negative, so stepping its bits up by one is `next_up(b)` —
+    /// except at `+∞`, whose successor bit pattern is a NaN: `|hi| + |lo|`
+    /// rounds to `+∞` when `hi = MAX` and `lo` is half an ulp, and
+    /// `next_up(∞)` is `∞`, hence the `b < ∞` guard. A non-finite value
+    /// selects `+∞` over whatever the finite path produced.
     #[inline]
     pub fn err_bound(self, rel: f64) -> f64 {
-        if !self.is_finite() {
-            return f64::INFINITY;
-        }
-        let mag = self.hi.abs() + self.lo.abs();
-        // One extra next_up absorbs the rounding of the bound product itself.
-        (rel * mag).next_up().max(f64::MIN_POSITIVE)
+        let b = rel * (self.hi.abs() + self.lo.abs());
+        // One extra ulp absorbs the rounding of the bound product itself.
+        let up = f64::from_bits(b.to_bits() + u64::from(b < f64::INFINITY));
+        sel(self.is_finite(), up.max(f64::MIN_POSITIVE), f64::INFINITY)
     }
 
     /// Widened-upward addition: result ≥ exact `a + b`.
@@ -310,20 +346,23 @@ impl Add for Dd {
     /// the cancelled high sum, violating FastTwoSum's `|a| ≥ |b|`
     /// precondition (caught by differential testing against the exact
     /// rational oracle with subnormal operands).
+    ///
+    /// On overflow (or a NaN operand) the result is the IEEE sum of the
+    /// high words with a zero low word, selected over the finite path
+    /// whose error terms turn into NaN there (see the module docs).
     #[inline]
     fn add(self, rhs: Dd) -> Dd {
         let (sh, se) = two_sum(self.hi, rhs.hi);
-        if !sh.is_finite() {
-            // Overflow (or NaN operand): propagate the IEEE result
-            // instead of letting the error terms turn it into NaN.
-            return Dd { hi: sh, lo: 0.0 };
-        }
         let (th, te) = two_sum(self.lo, rhs.lo);
         let c = se + th;
         let (vh, ve) = two_sum(sh, c);
         let w = te + ve;
         let (hi, lo) = two_sum(vh, w);
-        Dd { hi, lo }
+        let fin = sh.is_finite();
+        Dd {
+            hi: sel(fin, hi, sh),
+            lo: sel(fin, lo, 0.0),
+        }
     }
 }
 
@@ -338,17 +377,20 @@ impl Sub for Dd {
 impl Mul for Dd {
     type Output = Dd;
     /// FMA-based double-double multiplication.
+    ///
+    /// On overflow (or a NaN operand) the result is the IEEE product of
+    /// the high words with a zero low word, as in `Add`.
     #[inline]
     fn mul(self, rhs: Dd) -> Dd {
         let (ph, pe) = two_prod(self.hi, rhs.hi);
-        if !ph.is_finite() {
-            // Overflow (or NaN operand): see `Add`.
-            return Dd { hi: ph, lo: 0.0 };
-        }
         let t = self.hi.mul_add(rhs.lo, self.lo * rhs.hi);
         let e = pe + t;
         let (hi, lo) = quick_two_sum(ph, e);
-        Dd { hi, lo }
+        let fin = ph.is_finite();
+        Dd {
+            hi: sel(fin, hi, ph),
+            lo: sel(fin, lo, 0.0),
+        }
     }
 }
 
@@ -394,6 +436,10 @@ impl Div for Dd {
     }
 }
 
+/// Lexicographic on `(hi, lo)`; a NaN word makes the pair unordered
+/// where it is compared. `<` and `>` are the same order written without
+/// branches (non-short-circuit `&`/`|`), so candidate selections such as
+/// the interval product's min/max stay straight-line.
 impl PartialOrd for Dd {
     #[inline]
     fn partial_cmp(&self, other: &Dd) -> Option<Ordering> {
@@ -401,6 +447,14 @@ impl PartialOrd for Dd {
             Some(Ordering::Equal) => self.lo.partial_cmp(&other.lo),
             ord => ord,
         }
+    }
+    #[inline(always)]
+    fn lt(&self, other: &Dd) -> bool {
+        (self.hi < other.hi) | ((self.hi == other.hi) & (self.lo < other.lo))
+    }
+    #[inline(always)]
+    fn gt(&self, other: &Dd) -> bool {
+        (self.hi > other.hi) | ((self.hi == other.hi) & (self.lo > other.lo))
     }
 }
 
@@ -465,6 +519,23 @@ mod tests {
         let a = Dd::from_two_sum(1.0, 1e-30);
         assert!(Dd::from(1.0) < a);
         assert!(a < Dd::from(1.0).add_ru(Dd::from(1e-20)));
+    }
+
+    /// The comparison operators (`<`/`>` branch-free, `<=`/`>=` derived)
+    /// agree with `partial_cmp`, NaN words included.
+    #[test]
+    fn comparisons_match_partial_cmp() {
+        use Ordering::{Equal, Greater, Less};
+        let v = pin_inputs();
+        for a in &v {
+            for b in &v {
+                let o = a.partial_cmp(b);
+                assert_eq!(a < b, o == Some(Less), "{a} < {b}");
+                assert_eq!(a <= b, matches!(o, Some(Less | Equal)), "{a} <= {b}");
+                assert_eq!(a > b, o == Some(Greater), "{a} > {b}");
+                assert_eq!(a >= b, matches!(o, Some(Greater | Equal)), "{a} >= {b}");
+            }
+        }
     }
 
     #[test]
@@ -565,5 +636,149 @@ mod tests {
         let b = a.scale_pow2(4);
         let err = (b - a * Dd::from(16.0)).abs();
         assert_eq!(err.hi(), 0.0);
+    }
+
+    /// Operands for the pinned-bits test: every case the select chains
+    /// of `add`, `mul` and `err_bound` discriminate on, plus random
+    /// normalized pairs.
+    fn pin_inputs() -> Vec<Dd> {
+        let tiny = f64::MIN_POSITIVE * f64::EPSILON;
+        // Half an ulp of MAX: `|MAX| + |lo|` rounds to +∞ while both
+        // words are finite (not a normalized dd, but a representable one).
+        let half_ulp_max = 2f64.powi(970);
+        let raw = |hi: f64, lo: f64| Dd { hi, lo };
+        let mut v = vec![
+            Dd::ZERO,
+            raw(-0.0, 0.0),
+            raw(-0.0, -0.0),
+            Dd::from(f64::INFINITY),
+            Dd::from(f64::NEG_INFINITY),
+            Dd::from(f64::NAN),
+            raw(1.0, f64::NAN),
+            Dd::from(f64::MAX),
+            Dd::from(-f64::MAX),
+            raw(f64::MAX, half_ulp_max),
+            raw(-f64::MAX, -half_ulp_max),
+            raw(f64::MAX, -half_ulp_max * 0.5),
+            Dd::from(tiny),
+            Dd::from(-tiny),
+            Dd::from(3.0 * tiny),
+            raw(f64::MIN_POSITIVE, tiny),
+            Dd::from(-f64::MIN_POSITIVE),
+            Dd::ONE,
+            Dd::from(-1.5),
+            Dd::from_two_sum(1.0, 1e-20),
+            Dd::from_two_sum(-1.0, -1e-20),
+            Dd::from_two_sum(1.0, -2f64.powi(-60)),
+            Dd::from_two_sum(-1.0, 2f64.powi(-80)),
+            Dd::ONE / Dd::from(3.0),
+            Dd::ONE / Dd::from(-7.0),
+            Dd::from(1e300),
+            Dd::from(-1e-300),
+        ];
+        // Deterministic xorshift: hi anywhere in the finite range, lo a
+        // sub-ulp tail of either sign.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        while v.len() < 60 {
+            let hi = f64::from_bits(next());
+            let r = (next() >> 11) as f64 / (1u64 << 53) as f64 - 0.5;
+            if hi.is_finite() {
+                v.push(Dd::from_two_sum(hi, hi * r * f64::EPSILON * 0.5));
+            }
+        }
+        v
+    }
+
+    /// FNV-1a over the bits of every result word. NaNs count as one
+    /// value: their sign and payload are not fixed by IEEE 754 and
+    /// differ between optimization levels (`a + (-b)` may become
+    /// `a - b`).
+    fn digest(words: impl IntoIterator<Item = f64>) -> u64 {
+        let mut h = 0xCBF2_9CE4_8422_2325u64;
+        for w in words {
+            let w = if w.is_nan() { f64::NAN } else { w };
+            for byte in w.to_bits().to_le_bytes() {
+                h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01B3);
+            }
+        }
+        h
+    }
+
+    /// The ladder's results over [`pin_inputs`], recorded from the
+    /// branchy ladder (early returns for overflow and NaN, `next_up` in
+    /// `err_bound`) before it became straight-line. Any change to a
+    /// result bit changes a digest.
+    #[test]
+    fn ladder_results_are_pinned_bitwise() {
+        let v = pin_inputs();
+        type BinOp = fn(Dd, Dd) -> Dd;
+        let bin: [(&str, BinOp, u64); 7] = [
+            ("add", |a, b| a + b, 0x87147e4aa3eda82b),
+            ("sub", |a, b| a - b, 0x366b6280d604f25c),
+            ("mul", |a, b| a * b, 0x23491fdf73793b83),
+            ("add_ru", Dd::add_ru, 0x0c82b8a93f8fa0a3),
+            ("add_rd", Dd::add_rd, 0x800a4af438935424),
+            ("mul_ru", Dd::mul_ru, 0xbfcfc54b68e2e5cc),
+            ("mul_rd", Dd::mul_rd, 0x3331bc5c26ea3bdd),
+        ];
+        for (name, op, want) in bin {
+            let got = digest(v.iter().flat_map(|&a| {
+                v.iter().flat_map(move |&b| {
+                    let r = op(a, b);
+                    [r.hi, r.lo]
+                })
+            }));
+            assert_eq!(got, want, "{name}: digest {got:#018x}");
+        }
+        for (name, rel, want) in [
+            ("add", DD_ADD_REL, 0xd1634e5a40e866c0),
+            ("mul", DD_MUL_REL, 0x766e5518e1f8a63d),
+        ] {
+            let got = digest(v.iter().map(|a| a.err_bound(rel)));
+            assert_eq!(got, want, "err_bound({name}): digest {got:#018x}");
+        }
+    }
+
+    /// On normalized finite operands the pinned ops are sound: the
+    /// directed ops bracket the exact sum or product, and `err_bound`
+    /// of a round-to-nearest result covers its distance to the exact
+    /// value.
+    #[test]
+    fn ladder_contains_the_exact_result_on_finite_cases() {
+        use safegen_rational::Rational;
+        use std::cmp::Ordering::{Greater, Less};
+        let q = |d: Dd| -> Option<Rational> {
+            Some(Rational::from_f64(d.hi)?.add(&Rational::from_f64(d.lo)?))
+        };
+        let normal = |d: Dd| d.is_finite() && d.hi + d.lo == d.hi;
+        let v: Vec<Dd> = pin_inputs().into_iter().filter(|&d| normal(d)).collect();
+        let mut checked = 0;
+        for &a in &v {
+            for &b in &v {
+                let (qa, qb) = (q(a).unwrap(), q(b).unwrap());
+                let cases = [
+                    (qa.add(&qb), a + b, a.add_rd(b), a.add_ru(b), DD_ADD_REL),
+                    (qa.sub(&qb), a - b, a.add_rd(-b), a.add_ru(-b), DD_ADD_REL),
+                    (qa.mul(&qb), a * b, a.mul_rd(b), a.mul_ru(b), DD_MUL_REL),
+                ];
+                for (exact, near, rd, ru, rel) in cases {
+                    let (Some(n), Some(lo), Some(hi)) = (q(near), q(rd), q(ru)) else {
+                        continue;
+                    };
+                    assert_ne!(lo.cmp_val(&exact), Greater, "rd above exact: {a} {b}");
+                    assert_ne!(hi.cmp_val(&exact), Less, "ru below exact: {a} {b}");
+                    let e = Rational::from_f64(near.err_bound(rel)).unwrap();
+                    assert_ne!(n.sub(&exact).abs().cmp_val(&e), Greater, "bound: {a} {b}");
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked > 5000, "only {checked} finite cases");
     }
 }

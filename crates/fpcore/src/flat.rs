@@ -12,9 +12,15 @@
 //!
 //! The equivalence is pinned by exhaustive-edge-case tests below (every
 //! function against its branchy original over specials, subnormals,
-//! guard-boundary values and random samples). Use [`crate::round`] for
-//! scalar call sites — on a single value the branchy ladder is cheaper
-//! because the specials are never taken.
+//! guard-boundary values and random samples).
+//!
+//! These are the only directed-rounding bodies of the interval baseline:
+//! `safegen_interval::IntervalF64`'s operators are built on them, and
+//! the VM runs those operators through the column kernels even for a
+//! single point, inside the kernels' FMA region, where the selects cost
+//! less than the libm `fma` calls the branchy ladder makes outside it.
+//! [`crate::round`] stays the ladder for the affine layer's scalar
+//! rounding steps.
 
 use crate::eft::{div_residual, sqrt_residual, two_prod, two_sum};
 use crate::round::EFT_GUARD;
@@ -22,7 +28,7 @@ use crate::round::EFT_GUARD;
 /// Select on `f64` written so LLVM if-converts it (`vblendvpd` in
 /// vectorized loops). Both arms are always evaluated by the caller.
 #[inline(always)]
-fn sel(c: bool, t: f64, f: f64) -> f64 {
+pub(crate) fn sel(c: bool, t: f64, f: f64) -> f64 {
     if c {
         t
     } else {

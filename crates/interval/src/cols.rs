@@ -1,37 +1,38 @@
 //! Column kernels for the lane-major (SoA) virtual machine.
 //!
 //! Each function applies one interval operation element-wise over whole
-//! register columns: `out[l] = a[l] op b[l]` for every lane `l`.
+//! register columns: `out[l] = a[l] op b[l]` for every lane `l`. The loop
+//! bodies are the [`IntervalF64`] and [`IntervalDd`] operators themselves
+//! — there is no second copy of any op here — and the scalar VM runs the
+//! same kernels on one-element slices, so every interval result in the
+//! system comes from one body compiled one way.
 //!
-//! The [`IntervalF64`] loop bodies are **branch-free**: they compose the
-//! select-based directed-rounding primitives of [`safegen_fpcore::flat`]
-//! and turn the few case splits of the interval ops themselves (divisor
-//! straddling zero, negative radicand, `abs` sign cases) into selects as
-//! well. Straight-line bodies are what LLVM needs to vectorize the lane
-//! loop; on `x86_64` with FMA/AVX2 available at runtime the loop is
-//! additionally compiled inside a `#[target_feature(enable =
+//! The bodies are **straight-line**: [`IntervalF64`] composes the
+//! select-based directed rounding of [`safegen_fpcore::flat`] and turns
+//! its own case splits (divisor straddling zero, negative radicand,
+//! `abs` sign cases) into selects; [`IntervalDd`]'s `+ − ×`, `min` and
+//! `max` rest on the branch-free double-double ladder of
+//! [`safegen_fpcore::dd`] and select their corner candidates
+//! lexicographically. Straight-line bodies are what LLVM needs to
+//! vectorize the lane loop. On `x86_64` with FMA/AVX2 available at
+//! runtime the loop is compiled inside a `#[target_feature(enable =
 //! "fma,avx2")]` region, so the error-free transformations underneath
-//! the rounding steps lower to single `vfmadd` instructions (four lanes
-//! per `vfmadd231pd`/`vblendvpd` sequence) instead of soft-fma
-//! libcalls.
+//! lower to `vfmadd` instructions (four lanes per
+//! `vfmadd231pd`/`vblendvpd` sequence) instead of soft-fma libcalls;
+//! `ci.sh` checks that the dd addition and subtraction kernels contain
+//! packed `ymm` arithmetic. Division and square root keep their
+//! branches (the dd rescaling ladder, the dd interval's straddle test)
+//! and stay scalar loops inside the same region.
 //!
 //! IEEE 754 specifies `fma` exactly (one rounding of the infinitely
-//! precise result) and [`safegen_fpcore::flat`] is pinned bit-identical
-//! to the branchy [`safegen_fpcore::round`] ladder, so every kernel
-//! returns **bit-identical** endpoints to the element-wise scalar API —
-//! this is what lets the lane engine use these kernels while staying
-//! bit-for-bit equal to the scalar interpreter (see
-//! `tests/lanes_differential.rs` in the workspace root, and the
-//! edge-case tests below). Every kernel falls back to a portable loop
-//! (same body) when the CPU features are missing.
-//!
-//! The [`IntervalDd`] kernels keep the element-wise double-double op
-//! bodies: dd arithmetic is already fma-bound, so the feature region
-//! alone captures most of the win, and the branchy case splits in the
-//! dd ladder are not worth flattening yet.
+//! precise result), so the fast path and the portable fallback loop
+//! (same body, used when the CPU features are missing) return
+//! **bit-identical** endpoints. The lane engine and the scalar
+//! interpreter therefore agree bit for bit (see
+//! `tests/lanes_differential.rs` in the workspace root, and the tests
+//! below).
 
 use crate::{IntervalDd, IntervalF64};
-use safegen_fpcore::flat;
 
 /// True when the FMA/AVX2 fast path may be taken (checked once, cached
 /// by `is_x86_feature_detected`).
@@ -39,117 +40,6 @@ use safegen_fpcore::flat;
 #[inline]
 fn fast_ok() -> bool {
     std::arch::is_x86_feature_detected!("fma") && std::arch::is_x86_feature_detected!("avx2")
-}
-
-/// Select written so LLVM if-converts it (`vblendvpd` in vectorized
-/// loops). Both arms are always evaluated by the callers below.
-#[inline(always)]
-fn sel(c: bool, t: f64, f: f64) -> f64 {
-    if c {
-        t
-    } else {
-        f
-    }
-}
-
-// ---------------------------------------------------------------------
-// Branch-free IntervalF64 op bodies. Each is the select-form of the
-// corresponding operator in `f64_interval.rs` and must stay bit-equal
-// to it (pinned by the `edge_intervals` tests below).
-// ---------------------------------------------------------------------
-
-#[inline(always)]
-fn add_iv(x: IntervalF64, y: IntervalF64) -> IntervalF64 {
-    IntervalF64 {
-        lo: flat::add_rd(x.lo, y.lo),
-        hi: flat::add_ru(x.hi, y.hi),
-    }
-}
-
-#[inline(always)]
-fn sub_iv(x: IntervalF64, y: IntervalF64) -> IntervalF64 {
-    IntervalF64 {
-        lo: flat::sub_rd(x.lo, y.hi),
-        hi: flat::sub_ru(x.hi, y.lo),
-    }
-}
-
-#[inline(always)]
-fn mul_iv(x: IntervalF64, y: IntervalF64) -> IntervalF64 {
-    let (a, b, c, d) = (x.lo, x.hi, y.lo, y.hi);
-    let lo = flat::mul_rd(a, c)
-        .min(flat::mul_rd(a, d))
-        .min(flat::mul_rd(b, c))
-        .min(flat::mul_rd(b, d));
-    let hi = flat::mul_ru(a, c)
-        .max(flat::mul_ru(a, d))
-        .max(flat::mul_ru(b, c))
-        .max(flat::mul_ru(b, d));
-    IntervalF64 { lo, hi }
-}
-
-#[inline(always)]
-fn div_iv(x: IntervalF64, y: IntervalF64) -> IntervalF64 {
-    let (a, b, c, d) = (x.lo, x.hi, y.lo, y.hi);
-    let lo = flat::div_rd(a, c)
-        .min(flat::div_rd(a, d))
-        .min(flat::div_rd(b, c))
-        .min(flat::div_rd(b, d));
-    let hi = flat::div_ru(a, c)
-        .max(flat::div_ru(a, d))
-        .max(flat::div_ru(b, c))
-        .max(flat::div_ru(b, d));
-    // Divisor straddling zero yields ENTIRE (or NaN if either operand
-    // is already NaN) — computed as a select over the normal path.
-    let straddle = c <= 0.0 && d >= 0.0;
-    let nan = x.is_nan() || y.is_nan();
-    IntervalF64 {
-        lo: sel(straddle, sel(nan, f64::NAN, f64::NEG_INFINITY), lo),
-        hi: sel(straddle, sel(nan, f64::NAN, f64::INFINITY), hi),
-    }
-}
-
-#[inline(always)]
-fn min_iv(x: IntervalF64, y: IntervalF64) -> IntervalF64 {
-    IntervalF64 {
-        lo: x.lo.min(y.lo),
-        hi: x.hi.min(y.hi),
-    }
-}
-
-#[inline(always)]
-fn max_iv(x: IntervalF64, y: IntervalF64) -> IntervalF64 {
-    IntervalF64 {
-        lo: x.lo.max(y.lo),
-        hi: x.hi.max(y.hi),
-    }
-}
-
-#[inline(always)]
-fn sqrt_iv(x: IntervalF64) -> IntervalF64 {
-    let lo = sel(x.lo <= 0.0, 0.0, flat::sqrt_rd(x.lo));
-    let hi = flat::sqrt_ru(x.hi);
-    let neg = x.hi < 0.0;
-    IntervalF64 {
-        lo: sel(neg, f64::NAN, lo),
-        hi: sel(neg, f64::NAN, hi),
-    }
-}
-
-#[inline(always)]
-fn abs_iv(x: IntervalF64) -> IntervalF64 {
-    IntervalF64 {
-        lo: sel(x.lo >= 0.0, x.lo, sel(x.hi <= 0.0, -x.hi, 0.0)),
-        hi: sel(x.lo >= 0.0, x.hi, sel(x.hi <= 0.0, -x.lo, x.hi.max(-x.lo))),
-    }
-}
-
-#[inline(always)]
-fn neg_iv(x: IntervalF64) -> IntervalF64 {
-    IntervalF64 {
-        lo: -x.hi,
-        hi: -x.lo,
-    }
 }
 
 macro_rules! bin_kernels {
@@ -226,26 +116,26 @@ macro_rules! un_kernels {
 
 bin_kernels! { fast_bin_f64:
     /// Column-wise [`IntervalF64`] addition.
-    add_cols_f64 (IntervalF64): |x, y| add_iv(*x, *y);
+    add_cols_f64 (IntervalF64): |x, y| *x + *y;
     /// Column-wise [`IntervalF64`] subtraction.
-    sub_cols_f64 (IntervalF64): |x, y| sub_iv(*x, *y);
+    sub_cols_f64 (IntervalF64): |x, y| *x - *y;
     /// Column-wise [`IntervalF64`] multiplication.
-    mul_cols_f64 (IntervalF64): |x, y| mul_iv(*x, *y);
+    mul_cols_f64 (IntervalF64): |x, y| *x * *y;
     /// Column-wise [`IntervalF64`] division.
-    div_cols_f64 (IntervalF64): |x, y| div_iv(*x, *y);
+    div_cols_f64 (IntervalF64): |x, y| *x / *y;
     /// Column-wise [`IntervalF64`] minimum.
-    min_cols_f64 (IntervalF64): |x, y| min_iv(*x, *y);
+    min_cols_f64 (IntervalF64): |x, y| x.min(*y);
     /// Column-wise [`IntervalF64`] maximum.
-    max_cols_f64 (IntervalF64): |x, y| max_iv(*x, *y);
+    max_cols_f64 (IntervalF64): |x, y| x.max(*y);
 }
 
 un_kernels! { fast_un_f64:
     /// Column-wise [`IntervalF64`] square root.
-    sqrt_cols_f64 (IntervalF64): |x| sqrt_iv(*x);
+    sqrt_cols_f64 (IntervalF64): |x| x.sqrt();
     /// Column-wise [`IntervalF64`] absolute value.
-    abs_cols_f64 (IntervalF64): |x| abs_iv(*x);
+    abs_cols_f64 (IntervalF64): |x| x.abs();
     /// Column-wise [`IntervalF64`] negation.
-    neg_cols_f64 (IntervalF64): |x| neg_iv(*x);
+    neg_cols_f64 (IntervalF64): |x| -*x;
 }
 
 bin_kernels! { fast_bin_dd:
@@ -257,6 +147,10 @@ bin_kernels! { fast_bin_dd:
     mul_cols_dd (IntervalDd): |x, y| *x * *y;
     /// Column-wise [`IntervalDd`] division.
     div_cols_dd (IntervalDd): |x, y| *x / *y;
+    /// Column-wise [`IntervalDd`] minimum.
+    min_cols_dd (IntervalDd): |x, y| x.min(*y);
+    /// Column-wise [`IntervalDd`] maximum.
+    max_cols_dd (IntervalDd): |x, y| x.max(*y);
 }
 
 un_kernels! { fast_un_dd:
@@ -430,9 +324,21 @@ mod tests {
         for ((x, y), got) in a.iter().zip(&b).zip(&out) {
             assert_eq!(bits(*x + *y), bits(*got));
         }
+        sub_cols_dd(&a, &b, &mut out);
+        for ((x, y), got) in a.iter().zip(&b).zip(&out) {
+            assert_eq!(bits(*x - *y), bits(*got));
+        }
         div_cols_dd(&a, &b, &mut out);
         for ((x, y), got) in a.iter().zip(&b).zip(&out) {
             assert_eq!(bits(*x / *y), bits(*got));
+        }
+        min_cols_dd(&a, &b, &mut out);
+        for ((x, y), got) in a.iter().zip(&b).zip(&out) {
+            assert_eq!(bits(x.min(*y)), bits(*got));
+        }
+        max_cols_dd(&a, &b, &mut out);
+        for ((x, y), got) in a.iter().zip(&b).zip(&out) {
+            assert_eq!(bits(x.max(*y)), bits(*got));
         }
     }
 }

@@ -120,6 +120,26 @@ impl IntervalDd {
         }
     }
 
+    /// Minimum of two intervals, endpoint by endpoint (`other`'s
+    /// endpoint unless `self`'s compares strictly below it).
+    #[inline(always)]
+    pub fn min(self, other: IntervalDd) -> IntervalDd {
+        IntervalDd {
+            lo: Dd::select(self.lo < other.lo, self.lo, other.lo),
+            hi: Dd::select(self.hi < other.hi, self.hi, other.hi),
+        }
+    }
+
+    /// Maximum of two intervals, endpoint by endpoint (`other`'s
+    /// endpoint unless `self`'s compares strictly above it).
+    #[inline(always)]
+    pub fn max(self, other: IntervalDd) -> IntervalDd {
+        IntervalDd {
+            lo: Dd::select(self.lo > other.lo, self.lo, other.lo),
+            hi: Dd::select(self.hi > other.hi, self.hi, other.hi),
+        }
+    }
+
     /// Absolute value.
     pub fn abs(self) -> IntervalDd {
         if self.lo >= Dd::ZERO {
@@ -213,47 +233,48 @@ impl Sub for IntervalDd {
 
 impl Mul for IntervalDd {
     type Output = IntervalDd;
+    /// Min/max over the four corner products, each computed with the
+    /// appropriate widened rounding.
     #[inline]
     fn mul(self, rhs: IntervalDd) -> IntervalDd {
         let (a, b, c, d) = (self.lo, self.hi, rhs.lo, rhs.hi);
-        let cands_lo = [a.mul_rd(c), a.mul_rd(d), b.mul_rd(c), b.mul_rd(d)];
-        let cands_hi = [a.mul_ru(c), a.mul_ru(d), b.mul_ru(c), b.mul_ru(d)];
-        let mut lo = cands_lo[0];
-        let mut hi = cands_hi[0];
-        for i in 1..4 {
-            if cands_lo[i] < lo {
-                lo = cands_lo[i];
-            }
-            if cands_hi[i] > hi {
-                hi = cands_hi[i];
-            }
-        }
-        IntervalDd { lo, hi }
+        corner_hull(
+            [a.mul_rd(c), a.mul_rd(d), b.mul_rd(c), b.mul_rd(d)],
+            [a.mul_ru(c), a.mul_ru(d), b.mul_ru(c), b.mul_ru(d)],
+        )
     }
 }
 
 impl Div for IntervalDd {
     type Output = IntervalDd;
+    /// Interval division; a divisor interval containing zero yields the
+    /// entire real line.
     #[inline]
     fn div(self, rhs: IntervalDd) -> IntervalDd {
         if rhs.lo <= Dd::ZERO && rhs.hi >= Dd::ZERO {
             return IntervalDd::entire();
         }
         let (a, b, c, d) = (self.lo, self.hi, rhs.lo, rhs.hi);
-        let cands_lo = [a.div_rd(c), a.div_rd(d), b.div_rd(c), b.div_rd(d)];
-        let cands_hi = [a.div_ru(c), a.div_ru(d), b.div_ru(c), b.div_ru(d)];
-        let mut lo = cands_lo[0];
-        let mut hi = cands_hi[0];
-        for i in 1..4 {
-            if cands_lo[i] < lo {
-                lo = cands_lo[i];
-            }
-            if cands_hi[i] > hi {
-                hi = cands_hi[i];
-            }
-        }
-        IntervalDd { lo, hi }
+        corner_hull(
+            [a.div_rd(c), a.div_rd(d), b.div_rd(c), b.div_rd(d)],
+            [a.div_ru(c), a.div_ru(d), b.div_ru(c), b.div_ru(d)],
+        )
     }
+}
+
+/// The smallest of the lower and the largest of the upper corner
+/// candidates, scanned in order with `<`/`>` as selects: a candidate
+/// replaces the running extreme only when it compares strictly beyond
+/// it, so with NaN words (unordered, every comparison false) the
+/// earlier candidate stays.
+#[inline(always)]
+fn corner_hull(lo: [Dd; 4], hi: [Dd; 4]) -> IntervalDd {
+    let (mut l, mut h) = (lo[0], hi[0]);
+    for i in 1..4 {
+        l = Dd::select(lo[i] < l, lo[i], l);
+        h = Dd::select(hi[i] > h, hi[i], h);
+    }
+    IntervalDd { lo: l, hi: h }
 }
 
 impl fmt::Display for IntervalDd {
@@ -363,5 +384,88 @@ mod tests {
         let a = IntervalDd::new(Dd::from(-3.0), Dd::from(2.0)).abs();
         assert_eq!(a.lo(), Dd::ZERO);
         assert_eq!(a.hi(), Dd::from(3.0));
+    }
+
+    /// Intervals covering the case splits of `+ − × ÷ min max`: NaN,
+    /// unbounded and near-overflow endpoints, sign-crossing, zero-width
+    /// and divisor-straddling intervals, subnormal and cancelling
+    /// double-double endpoints, and random ones.
+    fn pin_intervals() -> Vec<IntervalDd> {
+        let d = Dd::from;
+        let iv = IntervalDd::new;
+        let tiny = f64::MIN_POSITIVE * f64::EPSILON;
+        let third = Dd::ONE / d(3.0);
+        let mut v = vec![
+            IntervalDd::ZERO,
+            iv(d(-0.0), d(0.0)),
+            IntervalDd::entire(),
+            iv(d(f64::NAN), d(f64::NAN)),
+            IntervalDd::point(d(1.0)),
+            IntervalDd::point(d(-1.0)),
+            iv(d(-2.0), d(-1.0)),
+            iv(d(-1.0), d(1.0)),
+            iv(d(0.0), d(3.0)),
+            iv(d(-3.0), d(0.0)),
+            iv(d(f64::MAX), d(f64::INFINITY)),
+            iv(d(f64::NEG_INFINITY), d(-f64::MAX)),
+            iv(d(1e300), d(f64::MAX)),
+            iv(d(-tiny), d(tiny)),
+            iv(d(tiny), d(3.0 * tiny)),
+            iv(third.add_rd(-third), third.add_ru(d(1e-20))),
+            iv(
+                Dd::from_two_sum(1.0, -2f64.powi(-60)),
+                Dd::from_two_sum(1.0, 1e-20),
+            ),
+            IntervalDd::constant(0.1),
+            IntervalDd::constant(-7.25e-3),
+            IntervalDd::point(third),
+        ];
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x >> 11) as f64 / (1u64 << 53) as f64
+        };
+        while v.len() < 36 {
+            let c = (next() - 0.5) * 2f64.powi((next() * 80.0) as i32 - 40);
+            let r = next() * c.abs() * 0.3;
+            v.push(IntervalDd::constant(c) + iv(d(-r), d(r)));
+        }
+        v
+    }
+
+    /// The interval ops' results over all pairs of [`pin_intervals`],
+    /// recorded from the per-op bodies before the ladder and the
+    /// candidate selection became straight-line (for `min`/`max`: the
+    /// VM's hand-rolled comparisons). NaNs count as one value (see the
+    /// `fpcore` ladder pin).
+    #[test]
+    fn interval_ops_are_pinned_bitwise() {
+        let v = pin_intervals();
+        type BinOp = fn(IntervalDd, IntervalDd) -> IntervalDd;
+        let ops: [(&str, BinOp, u64); 6] = [
+            ("add", |a, b| a + b, 0x17fd6ddd961b245e),
+            ("sub", |a, b| a - b, 0x0d0057549855ae29),
+            ("mul", |a, b| a * b, 0x4b8fecfb59751b98),
+            ("div", |a, b| a / b, 0x602294530ea99cc5),
+            ("min", IntervalDd::min, 0xe4a4c0fe093a2d45),
+            ("max", IntervalDd::max, 0xca6b740d5e961541),
+        ];
+        for (name, op, want) in ops {
+            let mut h = 0xCBF2_9CE4_8422_2325u64;
+            for &a in &v {
+                for &b in &v {
+                    let r = op(a, b);
+                    for w in [r.lo.hi(), r.lo.lo(), r.hi.hi(), r.hi.lo()] {
+                        let w = if w.is_nan() { f64::NAN } else { w };
+                        for byte in w.to_bits().to_le_bytes() {
+                            h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01B3);
+                        }
+                    }
+                }
+            }
+            assert_eq!(h, want, "{name}: digest {h:#018x}");
+        }
     }
 }

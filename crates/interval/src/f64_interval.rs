@@ -1,9 +1,15 @@
 //! Double-precision intervals (the `IGen-f64` baseline).
+//!
+//! The operators are straight-line: directed rounding from
+//! [`safegen_fpcore::flat`], case splits (divisor straddling zero,
+//! negative radicand, `abs` signs) as selects. They are the loop bodies
+//! of the [`crate::cols`] kernels and have no second, branchy copy.
 
-use safegen_fpcore::metrics::{acc_bits, err_bits, ulp, F64_MANTISSA_BITS};
-use safegen_fpcore::round::{
+use safegen_fpcore::flat::{
     add_rd, add_ru, div_rd, div_ru, mul_rd, mul_ru, sqrt_rd, sqrt_ru, sub_rd, sub_ru,
 };
+use safegen_fpcore::metrics::{acc_bits, err_bits, ulp, F64_MANTISSA_BITS};
+use safegen_fpcore::round;
 use std::fmt;
 use std::ops::{Add, Div, Mul, Neg, Sub};
 
@@ -62,9 +68,12 @@ impl IntervalF64 {
     #[inline]
     pub fn constant(x: f64) -> IntervalF64 {
         let u = ulp(x);
+        // The branchy ladder: this runs per lane for every constant the
+        // VM materializes, outside any kernel, where the specials it
+        // skips would cost the select form a full evaluation.
         IntervalF64 {
-            lo: sub_rd(x, u),
-            hi: add_ru(x, u),
+            lo: round::sub_rd(x, u),
+            hi: round::add_ru(x, u),
         }
     }
 
@@ -89,7 +98,7 @@ impl IntervalF64 {
     /// Width `hi - lo`, rounded up.
     #[inline]
     pub fn width(self) -> f64 {
-        sub_ru(self.hi, self.lo)
+        round::sub_ru(self.hi, self.lo)
     }
 
     /// True if `x` lies inside the interval.
@@ -113,40 +122,29 @@ impl IntervalF64 {
     /// Sound square root: the lower endpoint is clamped at zero when the
     /// interval dips (by rounding) slightly below zero; a truly negative
     /// interval yields NaN endpoints.
+    #[inline(always)]
     pub fn sqrt(self) -> IntervalF64 {
-        if self.hi < 0.0 {
-            return IntervalF64 {
-                lo: f64::NAN,
-                hi: f64::NAN,
-            };
-        }
-        let lo = if self.lo <= 0.0 {
-            0.0
-        } else {
-            sqrt_rd(self.lo)
-        };
+        let lo = sel(self.lo <= 0.0, 0.0, sqrt_rd(self.lo));
+        let hi = sqrt_ru(self.hi);
+        let neg = self.hi < 0.0;
         IntervalF64 {
-            lo,
-            hi: sqrt_ru(self.hi),
+            lo: sel(neg, f64::NAN, lo),
+            hi: sel(neg, f64::NAN, hi),
         }
     }
 
     /// Absolute value.
+    #[inline(always)]
     pub fn abs(self) -> IntervalF64 {
-        if self.lo >= 0.0 {
-            self
-        } else if self.hi <= 0.0 {
-            -self
-        } else {
-            IntervalF64 {
-                lo: 0.0,
-                hi: self.hi.max(-self.lo),
-            }
+        let (lo, hi) = (self.lo, self.hi);
+        IntervalF64 {
+            lo: sel(lo >= 0.0, lo, sel(hi <= 0.0, -hi, 0.0)),
+            hi: sel(lo >= 0.0, hi, sel(hi <= 0.0, -lo, hi.max(-lo))),
         }
     }
 
     /// Minimum of two intervals (element-wise over all pairs).
-    #[inline]
+    #[inline(always)]
     pub fn min(self, other: IntervalF64) -> IntervalF64 {
         IntervalF64 {
             lo: self.lo.min(other.lo),
@@ -155,7 +153,7 @@ impl IntervalF64 {
     }
 
     /// Maximum of two intervals (element-wise over all pairs).
-    #[inline]
+    #[inline(always)]
     pub fn max(self, other: IntervalF64) -> IntervalF64 {
         IntervalF64 {
             lo: self.lo.max(other.lo),
@@ -193,7 +191,7 @@ impl Default for IntervalF64 {
 
 impl Neg for IntervalF64 {
     type Output = IntervalF64;
-    #[inline]
+    #[inline(always)]
     fn neg(self) -> IntervalF64 {
         IntervalF64 {
             lo: -self.hi,
@@ -204,7 +202,7 @@ impl Neg for IntervalF64 {
 
 impl Add for IntervalF64 {
     type Output = IntervalF64;
-    #[inline]
+    #[inline(always)]
     fn add(self, rhs: IntervalF64) -> IntervalF64 {
         IntervalF64 {
             lo: add_rd(self.lo, rhs.lo),
@@ -215,7 +213,7 @@ impl Add for IntervalF64 {
 
 impl Sub for IntervalF64 {
     type Output = IntervalF64;
-    #[inline]
+    #[inline(always)]
     fn sub(self, rhs: IntervalF64) -> IntervalF64 {
         IntervalF64 {
             lo: sub_rd(self.lo, rhs.hi),
@@ -228,7 +226,7 @@ impl Mul for IntervalF64 {
     type Output = IntervalF64;
     /// Nine-case interval multiplication collapsed to min/max over the four
     /// corner products, each computed with the appropriate rounding.
-    #[inline]
+    #[inline(always)]
     fn mul(self, rhs: IntervalF64) -> IntervalF64 {
         let (a, b, c, d) = (self.lo, self.hi, rhs.lo, rhs.hi);
         let lo = mul_rd(a, c)
@@ -246,19 +244,11 @@ impl Mul for IntervalF64 {
 impl Div for IntervalF64 {
     type Output = IntervalF64;
     /// Interval division; a divisor interval containing zero yields the
-    /// entire real line (sound, maximally pessimistic).
-    #[inline]
+    /// entire real line (sound, maximally pessimistic), or NaN endpoints
+    /// if either operand already has one. Computed as a select over the
+    /// four corner quotients.
+    #[inline(always)]
     fn div(self, rhs: IntervalF64) -> IntervalF64 {
-        if rhs.lo <= 0.0 && rhs.hi >= 0.0 {
-            return if rhs.is_nan() || self.is_nan() {
-                IntervalF64 {
-                    lo: f64::NAN,
-                    hi: f64::NAN,
-                }
-            } else {
-                IntervalF64::ENTIRE
-            };
-        }
         let (a, b, c, d) = (self.lo, self.hi, rhs.lo, rhs.hi);
         let lo = div_rd(a, c)
             .min(div_rd(a, d))
@@ -268,7 +258,23 @@ impl Div for IntervalF64 {
             .max(div_ru(a, d))
             .max(div_ru(b, c))
             .max(div_ru(b, d));
-        IntervalF64 { lo, hi }
+        let straddle = c <= 0.0 && d >= 0.0;
+        let nan = self.is_nan() || rhs.is_nan();
+        IntervalF64 {
+            lo: sel(straddle, sel(nan, f64::NAN, f64::NEG_INFINITY), lo),
+            hi: sel(straddle, sel(nan, f64::NAN, f64::INFINITY), hi),
+        }
+    }
+}
+
+/// Select written so LLVM if-converts it (`vblendvpd` in vectorized
+/// loops). Both arms are always evaluated by the callers.
+#[inline(always)]
+fn sel(c: bool, t: f64, f: f64) -> f64 {
+    if c {
+        t
+    } else {
+        f
     }
 }
 
@@ -420,6 +426,100 @@ mod tests {
             x = x * IntervalF64::constant(1.05) + IntervalF64::constant(0.1);
             assert!(x.width() >= last_width);
             last_width = x.width();
+        }
+    }
+
+    /// Intervals covering every case split of the operators: NaN,
+    /// unbounded, straddling and one-signed intervals, zero-width points,
+    /// subnormal and near-overflow endpoints, and random ones.
+    fn pin_intervals() -> Vec<IntervalF64> {
+        let nan = IntervalF64 {
+            lo: f64::NAN,
+            hi: f64::NAN,
+        };
+        let tiny = f64::MIN_POSITIVE * f64::EPSILON;
+        let mut v = vec![
+            IntervalF64::ZERO,
+            IntervalF64::new(-0.0, 0.0),
+            IntervalF64::ENTIRE,
+            nan,
+            IntervalF64::point(1.0),
+            IntervalF64::point(-1.0),
+            IntervalF64::new(-2.0, -1.0),
+            IntervalF64::new(-1.0, 1.0),
+            IntervalF64::new(1.0, 2.0),
+            IntervalF64::new(0.0, 3.0),
+            IntervalF64::new(-3.0, 0.0),
+            IntervalF64::new(-1e-300, 1e-300),
+            IntervalF64::new(tiny, 3.0 * tiny),
+            IntervalF64::new(1e300, f64::INFINITY),
+            IntervalF64::new(f64::NEG_INFINITY, -1e300),
+            IntervalF64::new(f64::MAX, f64::MAX),
+            IntervalF64::constant(0.1),
+            IntervalF64::constant(-0.1),
+        ];
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x >> 11) as f64 / (1u64 << 53) as f64
+        };
+        while v.len() < 40 {
+            let c = (next() - 0.5) * 2f64.powi((next() * 80.0) as i32 - 40);
+            let r = next() * c.abs() * 0.3;
+            v.push(IntervalF64::new(c - r, c + r));
+        }
+        v
+    }
+
+    /// FNV-1a over result endpoints; NaNs count as one value (their sign
+    /// and payload are not fixed by IEEE 754).
+    fn digest(h: &mut u64, r: IntervalF64) {
+        for w in [r.lo, r.hi] {
+            let w = if w.is_nan() { f64::NAN } else { w };
+            for byte in w.to_bits().to_le_bytes() {
+                *h = (*h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01B3);
+            }
+        }
+    }
+
+    /// The operators' results over all pairs of [`pin_intervals`],
+    /// recorded from the branchy bodies over `fpcore::round` before the
+    /// select-form bodies replaced them.
+    #[test]
+    fn ops_are_pinned_bitwise() {
+        let v = pin_intervals();
+        type BinOp = fn(IntervalF64, IntervalF64) -> IntervalF64;
+        let bin: [(&str, BinOp, u64); 6] = [
+            ("add", |a, b| a + b, 0xca441118c00136f9),
+            ("sub", |a, b| a - b, 0x0cdb30b3ed78f3a9),
+            ("mul", |a, b| a * b, 0x6dc247ce5992e7cc),
+            ("div", |a, b| a / b, 0x64f70b1b0ce12808),
+            ("min", IntervalF64::min, 0xbe621285ec50e36e),
+            ("max", IntervalF64::max, 0x35ed9b2dcfadec0a),
+        ];
+        for (name, op, want) in bin {
+            let mut h = 0xCBF2_9CE4_8422_2325u64;
+            for &a in &v {
+                for &b in &v {
+                    digest(&mut h, op(a, b));
+                }
+            }
+            assert_eq!(h, want, "{name}: digest {h:#018x}");
+        }
+        type UnOp = fn(IntervalF64) -> IntervalF64;
+        let un: [(&str, UnOp, u64); 3] = [
+            ("sqrt", IntervalF64::sqrt, 0xa57ea71de6e37872),
+            ("abs", IntervalF64::abs, 0x3b0847502387a366),
+            ("neg", |a| -a, 0xaa9f5e87345ab5e2),
+        ];
+        for (name, op, want) in un {
+            let mut h = 0xCBF2_9CE4_8422_2325u64;
+            for &a in &v {
+                digest(&mut h, op(a));
+            }
+            assert_eq!(h, want, "{name}: digest {h:#018x}");
         }
     }
 }
