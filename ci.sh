@@ -357,6 +357,15 @@ if "$SAFEGEN" run "$SMOKE_DIR/forged.sga" --fn f --config dspv \
     exit 1
 fi
 grep -qi "capability mismatch" "$SMOKE_DIR/forged.txt"
+# An artifact of the previous format version is refused by name.
+cp "$SMOKE_DIR/loop.sga" "$SMOKE_DIR/v1.sga"
+printf '\x01\x00' | dd of="$SMOKE_DIR/v1.sga" bs=1 seek=4 conv=notrunc status=none
+if "$SAFEGEN" run "$SMOKE_DIR/v1.sga" --fn f --config dspv \
+    --k 8 --arg 1.0 --int 8 > "$SMOKE_DIR/v1.txt" 2>&1; then
+    echo "version-1 artifact unexpectedly accepted"
+    exit 1
+fi
+grep -q "unsupported artifact version 1" "$SMOKE_DIR/v1.txt"
 
 echo "== loop fuzz smoke (unbounded-loop generation; must be clean) =="
 build_release

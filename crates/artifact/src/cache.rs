@@ -275,7 +275,7 @@ mod tests {
     use crate::{ArtifactMeta, ProgramVariant, VariantKind};
     use safegen_cfront::Span;
     use safegen_ir::cfg::ParamBinding;
-    use safegen_ir::{Instr, Program};
+    use safegen_ir::{FixedInstr, OpCode, Program};
 
     fn tiny_artifact() -> Artifact {
         Artifact {
@@ -285,7 +285,9 @@ mod tests {
                 kind: VariantKind::Plain,
                 program: Program {
                     name: "t".into(),
-                    code: vec![Instr::Ret(Some(0))],
+                    code: vec![FixedInstr::new(OpCode::Ret, 0, 0, 0)],
+                    fpool: vec![],
+                    ipool: vec![],
                     n_fregs: 1,
                     n_iregs: 0,
                     arrays: vec![],

@@ -20,9 +20,10 @@
 //! Artifacts may arrive over a network or a shared cache, so
 //! [`Artifact::from_bytes`] is **strict**: it validates the magic,
 //! format version, header flags, payload length, and the SHA-256
-//! content hash *before* touching the body, and then bounds-checks
-//! every register index, array id, and jump target against the declared
-//! layout before a program is handed to the VM. A corrupted, truncated,
+//! content hash *before* touching the body, and then runs
+//! [`Program::validate`] — every register index, array id, pool index
+//! and jump target against the declared layout — before a program is
+//! handed to the VM. A corrupted, truncated,
 //! or incompatible artifact is a diagnostic ([`ArtifactError`]), never
 //! an out-of-bounds execution.
 //!
@@ -30,14 +31,19 @@
 //!
 //! ```
 //! use safegen_artifact::{Artifact, ArtifactMeta, ProgramVariant, VariantKind};
-//! use safegen_ir::{Instr, Program};
+//! use safegen_ir::{FixedInstr, OpCode, Program};
 //! use safegen_ir::cfg::ParamBinding;
 //! use safegen_cfront::Span;
 //!
 //! // A tiny hand-built program: double sq(double x) { return x * x; }
 //! let prog = Program {
 //!     name: "sq".into(),
-//!     code: vec![Instr::Mul(1, 0, 0), Instr::Ret(Some(1))],
+//!     code: vec![
+//!         FixedInstr::new(OpCode::Mul, 1, 0, 0),
+//!         FixedInstr::new(OpCode::Ret, 0, 1, 0),
+//!     ],
+//!     fpool: vec![],
+//!     ipool: vec![],
 //!     n_fregs: 2,
 //!     n_iregs: 0,
 //!     arrays: vec![],
@@ -67,7 +73,7 @@ pub mod wire;
 use hash::Sha256;
 use safegen_cfront::Span;
 use safegen_ir::cfg::{ArrayDecl, ParamBinding};
-use safegen_ir::{CmpOp, Instr, Program};
+use safegen_ir::{FixedInstr, OpCode, Program};
 use safegen_telemetry::json::{self, Json};
 use std::fmt;
 use std::path::Path;
@@ -79,17 +85,17 @@ pub const MAGIC: [u8; 4] = *b"SGAF";
 /// The artifact format version this crate reads and writes.
 ///
 /// The version is bumped on **any** change to the byte layout; readers
-/// reject every version other than their own (`docs/ARTIFACT.md` §6 —
+/// reject every version other than their own (`docs/ARTIFACT.md` §2, §7 —
 /// recompiling is always possible and always sound, so there is no
 /// cross-version compatibility machinery to get wrong).
-pub const FORMAT_VERSION: u16 = 1;
+pub const FORMAT_VERSION: u16 = 2;
 
 /// Fixed header length in bytes (`docs/ARTIFACT.md` §3).
 pub const HEADER_LEN: usize = 48;
 
-/// Hard cap on a program's register-file sizes; a layout above this is
-/// rejected as malformed before the VM would allocate it.
-pub const MAX_REGS: usize = 1 << 20;
+/// Hard cap on a program's register-file sizes and array count: the
+/// instruction records' `u16` operand fields ([`Program::validate`]).
+pub use safegen_ir::MAX_REGS;
 
 /// Hard cap on one array's element count (same rationale as [`MAX_REGS`]).
 pub const MAX_ARRAY_ELEMS: usize = 1 << 24;
@@ -708,9 +714,22 @@ fn encode_program(v: &ProgramVariant) -> Vec<u8> {
             }
         }
     }
+    w.u32(p.fpool.len() as u32);
+    for c in &p.fpool {
+        w.f64(*c);
+    }
+    w.u32(p.ipool.len() as u32);
+    for c in &p.ipool {
+        w.i64(*c);
+    }
     w.u32(p.code.len() as u32);
     for i in &p.code {
-        encode_instr(&mut w, i);
+        w.u8(i.op as u8);
+        w.u8(i.aux);
+        w.u16(i.dst);
+        w.u16(i.a);
+        w.u16(i.b);
+        w.u32(i.imm);
     }
     for s in &p.spans {
         w.u64(s.start as u64);
@@ -719,193 +738,6 @@ fn encode_program(v: &ProgramVariant) -> Vec<u8> {
         w.u32(s.col);
     }
     w.into_bytes()
-}
-
-fn cmp_tag(op: CmpOp) -> u8 {
-    match op {
-        CmpOp::Lt => 0,
-        CmpOp::Le => 1,
-        CmpOp::Gt => 2,
-        CmpOp::Ge => 3,
-        CmpOp::Eq => 4,
-        CmpOp::Ne => 5,
-    }
-}
-
-fn cmp_of(tag: u8, at: usize) -> Result<CmpOp, ArtifactError> {
-    Ok(match tag {
-        0 => CmpOp::Lt,
-        1 => CmpOp::Le,
-        2 => CmpOp::Gt,
-        3 => CmpOp::Ge,
-        4 => CmpOp::Eq,
-        5 => CmpOp::Ne,
-        other => {
-            return Err(ArtifactError::Malformed(format!(
-                "unknown comparison tag {other} at byte {at}"
-            )))
-        }
-    })
-}
-
-/// Opcode bytes (`docs/ARTIFACT.md` §4.4). Stable within a format
-/// version; any renumbering requires a [`FORMAT_VERSION`] bump.
-#[rustfmt::skip]
-mod op {
-    pub const ADD: u8 = 0;      pub const SUB: u8 = 1;
-    pub const MUL: u8 = 2;      pub const DIV: u8 = 3;
-    pub const SQRT: u8 = 4;     pub const ABS: u8 = 5;
-    pub const NEG: u8 = 6;      pub const MIN: u8 = 7;
-    pub const MAX: u8 = 8;      pub const CONST_F: u8 = 9;
-    pub const MOV_F: u8 = 10;   pub const CAST_IF: u8 = 11;
-    pub const LOAD_ARR: u8 = 12; pub const STORE_ARR: u8 = 13;
-    pub const CONST_I: u8 = 14; pub const ADD_I: u8 = 15;
-    pub const SUB_I: u8 = 16;   pub const MUL_I: u8 = 17;
-    pub const DIV_I: u8 = 18;   pub const MOV_I: u8 = 19;
-    pub const CAST_FI: u8 = 20; pub const CMP_I: u8 = 21;
-    pub const CMP_F: u8 = 22;   pub const JUMP: u8 = 23;
-    pub const JUMP_IF_ZERO: u8 = 24; pub const PROTECT: u8 = 25;
-    pub const SET_CAPACITY: u8 = 26; pub const RET: u8 = 27;
-}
-
-fn encode_instr(w: &mut Writer, i: &Instr) {
-    let rrr = |w: &mut Writer, o: u8, d: u32, a: u32, b: u32| {
-        w.u8(o);
-        w.u32(d);
-        w.u32(a);
-        w.u32(b);
-    };
-    let rr = |w: &mut Writer, o: u8, d: u32, a: u32| {
-        w.u8(o);
-        w.u32(d);
-        w.u32(a);
-    };
-    match *i {
-        Instr::Add(d, a, b) => rrr(w, op::ADD, d, a, b),
-        Instr::Sub(d, a, b) => rrr(w, op::SUB, d, a, b),
-        Instr::Mul(d, a, b) => rrr(w, op::MUL, d, a, b),
-        Instr::Div(d, a, b) => rrr(w, op::DIV, d, a, b),
-        Instr::Sqrt(d, a) => rr(w, op::SQRT, d, a),
-        Instr::Abs(d, a) => rr(w, op::ABS, d, a),
-        Instr::Neg(d, a) => rr(w, op::NEG, d, a),
-        Instr::Min(d, a, b) => rrr(w, op::MIN, d, a, b),
-        Instr::Max(d, a, b) => rrr(w, op::MAX, d, a, b),
-        Instr::ConstF(d, c) => {
-            w.u8(op::CONST_F);
-            w.u32(d);
-            w.f64(c);
-        }
-        Instr::MovF(d, s) => rr(w, op::MOV_F, d, s),
-        Instr::CastIF(d, s) => rr(w, op::CAST_IF, d, s),
-        Instr::LoadArr(d, a, idx) => rrr(w, op::LOAD_ARR, d, a, idx),
-        Instr::StoreArr(a, idx, s) => rrr(w, op::STORE_ARR, a, idx, s),
-        Instr::ConstI(d, c) => {
-            w.u8(op::CONST_I);
-            w.u32(d);
-            w.i64(c);
-        }
-        Instr::AddI(d, a, b) => rrr(w, op::ADD_I, d, a, b),
-        Instr::SubI(d, a, b) => rrr(w, op::SUB_I, d, a, b),
-        Instr::MulI(d, a, b) => rrr(w, op::MUL_I, d, a, b),
-        Instr::DivI(d, a, b) => rrr(w, op::DIV_I, d, a, b),
-        Instr::MovI(d, s) => rr(w, op::MOV_I, d, s),
-        Instr::CastFI(d, s) => rr(w, op::CAST_FI, d, s),
-        Instr::CmpI(cmp, d, a, b) => {
-            w.u8(op::CMP_I);
-            w.u8(cmp_tag(cmp));
-            w.u32(d);
-            w.u32(a);
-            w.u32(b);
-        }
-        Instr::CmpF(cmp, d, a, b) => {
-            w.u8(op::CMP_F);
-            w.u8(cmp_tag(cmp));
-            w.u32(d);
-            w.u32(a);
-            w.u32(b);
-        }
-        Instr::Jump(t) => {
-            w.u8(op::JUMP);
-            w.u64(t as u64);
-        }
-        Instr::JumpIfZero(c, t) => {
-            w.u8(op::JUMP_IF_ZERO);
-            w.u32(c);
-            w.u64(t as u64);
-        }
-        Instr::Protect(r) => {
-            w.u8(op::PROTECT);
-            w.u32(r);
-        }
-        Instr::SetCapacity(k) => {
-            w.u8(op::SET_CAPACITY);
-            w.u32(k);
-        }
-        Instr::Ret(r) => {
-            w.u8(op::RET);
-            match r {
-                Some(r) => {
-                    w.u8(1);
-                    w.u32(r);
-                }
-                None => w.u8(0),
-            }
-        }
-    }
-}
-
-fn decode_instr(r: &mut Reader) -> Result<Instr, ArtifactError> {
-    let at = r.offset();
-    let opcode = r.u8()?;
-    Ok(match opcode {
-        op::ADD => Instr::Add(r.u32()?, r.u32()?, r.u32()?),
-        op::SUB => Instr::Sub(r.u32()?, r.u32()?, r.u32()?),
-        op::MUL => Instr::Mul(r.u32()?, r.u32()?, r.u32()?),
-        op::DIV => Instr::Div(r.u32()?, r.u32()?, r.u32()?),
-        op::SQRT => Instr::Sqrt(r.u32()?, r.u32()?),
-        op::ABS => Instr::Abs(r.u32()?, r.u32()?),
-        op::NEG => Instr::Neg(r.u32()?, r.u32()?),
-        op::MIN => Instr::Min(r.u32()?, r.u32()?, r.u32()?),
-        op::MAX => Instr::Max(r.u32()?, r.u32()?, r.u32()?),
-        op::CONST_F => Instr::ConstF(r.u32()?, r.f64()?),
-        op::MOV_F => Instr::MovF(r.u32()?, r.u32()?),
-        op::CAST_IF => Instr::CastIF(r.u32()?, r.u32()?),
-        op::LOAD_ARR => Instr::LoadArr(r.u32()?, r.u32()?, r.u32()?),
-        op::STORE_ARR => Instr::StoreArr(r.u32()?, r.u32()?, r.u32()?),
-        op::CONST_I => Instr::ConstI(r.u32()?, r.i64()?),
-        op::ADD_I => Instr::AddI(r.u32()?, r.u32()?, r.u32()?),
-        op::SUB_I => Instr::SubI(r.u32()?, r.u32()?, r.u32()?),
-        op::MUL_I => Instr::MulI(r.u32()?, r.u32()?, r.u32()?),
-        op::DIV_I => Instr::DivI(r.u32()?, r.u32()?, r.u32()?),
-        op::MOV_I => Instr::MovI(r.u32()?, r.u32()?),
-        op::CAST_FI => Instr::CastFI(r.u32()?, r.u32()?),
-        op::CMP_I => {
-            let tag = r.u8()?;
-            Instr::CmpI(cmp_of(tag, at)?, r.u32()?, r.u32()?, r.u32()?)
-        }
-        op::CMP_F => {
-            let tag = r.u8()?;
-            Instr::CmpF(cmp_of(tag, at)?, r.u32()?, r.u32()?, r.u32()?)
-        }
-        op::JUMP => Instr::Jump(r.u64()? as usize),
-        op::JUMP_IF_ZERO => Instr::JumpIfZero(r.u32()?, r.u64()? as usize),
-        op::PROTECT => Instr::Protect(r.u32()?),
-        op::SET_CAPACITY => Instr::SetCapacity(r.u32()?),
-        op::RET => match r.u8()? {
-            0 => Instr::Ret(None),
-            1 => Instr::Ret(Some(r.u32()?)),
-            other => {
-                return Err(ArtifactError::Malformed(format!(
-                    "bad Ret flag {other} at byte {at}"
-                )))
-            }
-        },
-        other => {
-            return Err(ArtifactError::Malformed(format!(
-                "unknown opcode {other} at byte {at}"
-            )))
-        }
-    })
 }
 
 fn decode_program(body: &[u8]) -> Result<ProgramVariant, ArtifactError> {
@@ -934,11 +766,6 @@ fn decode_program(body: &[u8]) -> Result<ProgramVariant, ArtifactError> {
     let name = r.string()?;
     let n_fregs = r.u32()? as usize;
     let n_iregs = r.u32()? as usize;
-    if n_fregs > MAX_REGS || n_iregs > MAX_REGS {
-        return Err(ArtifactError::Malformed(format!(
-            "register file too large ({n_fregs} float / {n_iregs} int, cap {MAX_REGS})"
-        )));
-    }
     let n_arrays = r.count(8, "array table")?;
     let mut arrays = Vec::with_capacity(n_arrays);
     for _ in 0..n_arrays {
@@ -991,10 +818,32 @@ fn decode_program(body: &[u8]) -> Result<ProgramVariant, ArtifactError> {
         };
         params.push((pname, binding));
     }
-    let n_code = r.count(2, "instruction stream")?;
+    let n_fpool = r.count(8, "float pool")?;
+    let mut fpool = Vec::with_capacity(n_fpool);
+    for _ in 0..n_fpool {
+        fpool.push(r.f64()?);
+    }
+    let n_ipool = r.count(8, "int pool")?;
+    let mut ipool = Vec::with_capacity(n_ipool);
+    for _ in 0..n_ipool {
+        ipool.push(r.i64()?);
+    }
+    let n_code = r.count(12, "instruction stream")?;
     let mut code = Vec::with_capacity(n_code);
     for _ in 0..n_code {
-        code.push(decode_instr(&mut r)?);
+        let at = r.offset();
+        let byte = r.u8()?;
+        let op = OpCode::from_byte(byte).ok_or_else(|| {
+            ArtifactError::Malformed(format!("unknown opcode {byte} at byte {at}"))
+        })?;
+        code.push(FixedInstr {
+            op,
+            aux: r.u8()?,
+            dst: r.u16()?,
+            a: r.u16()?,
+            b: r.u16()?,
+            imm: r.u32()?,
+        });
     }
     let mut spans = Vec::with_capacity(n_code);
     for _ in 0..n_code {
@@ -1018,13 +867,15 @@ fn decode_program(body: &[u8]) -> Result<ProgramVariant, ArtifactError> {
     let program = Program {
         name,
         code,
+        fpool,
+        ipool,
         n_fregs,
         n_iregs,
         arrays,
         params,
         spans,
     };
-    validate_program(&program)?;
+    program.validate().map_err(ArtifactError::Malformed)?;
     Ok(ProgramVariant {
         func,
         kind,
@@ -1043,54 +894,6 @@ fn decode_bool(r: &mut Reader, what: &str) -> Result<bool, ArtifactError> {
     }
 }
 
-/// Checks every register index, array id, and jump target of a decoded
-/// program against its declared layout — the guarantee that a validated
-/// artifact can never index the VM out of bounds.
-fn validate_program(p: &Program) -> Result<(), ArtifactError> {
-    let bad = |i: usize, what: &str| {
-        Err(ArtifactError::Malformed(format!(
-            "instruction {i}: {what} out of range"
-        )))
-    };
-    for (i, ins) in p.code.iter().enumerate() {
-        let f = |r: u32| (r as usize) < p.n_fregs;
-        let g = |r: u32| (r as usize) < p.n_iregs;
-        let ok = match *ins {
-            Instr::Add(d, a, b)
-            | Instr::Sub(d, a, b)
-            | Instr::Mul(d, a, b)
-            | Instr::Div(d, a, b)
-            | Instr::Min(d, a, b)
-            | Instr::Max(d, a, b) => f(d) && f(a) && f(b),
-            Instr::Sqrt(d, a) | Instr::Abs(d, a) | Instr::Neg(d, a) | Instr::MovF(d, a) => {
-                f(d) && f(a)
-            }
-            Instr::ConstF(d, _) => f(d),
-            Instr::CastIF(d, s) => f(d) && g(s),
-            Instr::LoadArr(d, a, idx) => f(d) && (a as usize) < p.arrays.len() && g(idx),
-            Instr::StoreArr(a, idx, s) => (a as usize) < p.arrays.len() && g(idx) && f(s),
-            Instr::ConstI(d, _) => g(d),
-            Instr::AddI(d, a, b)
-            | Instr::SubI(d, a, b)
-            | Instr::MulI(d, a, b)
-            | Instr::DivI(d, a, b)
-            | Instr::CmpI(_, d, a, b) => g(d) && g(a) && g(b),
-            Instr::MovI(d, s) => g(d) && g(s),
-            Instr::CastFI(d, s) => g(d) && f(s),
-            Instr::CmpF(_, d, a, b) => g(d) && f(a) && f(b),
-            Instr::Jump(t) => t <= p.code.len(),
-            Instr::JumpIfZero(c, t) => g(c) && t <= p.code.len(),
-            Instr::Protect(r) => f(r),
-            Instr::SetCapacity(_) => true,
-            Instr::Ret(r) => r.is_none_or(f),
-        };
-        if !ok {
-            return bad(i, "operand");
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1098,7 +901,12 @@ mod tests {
     fn sq_program() -> Program {
         Program {
             name: "sq".into(),
-            code: vec![Instr::Mul(1, 0, 0), Instr::Ret(Some(1))],
+            code: vec![
+                FixedInstr::new(OpCode::Mul, 1, 0, 0),
+                FixedInstr::new(OpCode::Ret, 0, 1, 0),
+            ],
+            fpool: vec![],
+            ipool: vec![],
             n_fregs: 2,
             n_iregs: 0,
             arrays: vec![],
@@ -1170,45 +978,53 @@ mod tests {
     }
 
     #[test]
-    fn every_instruction_round_trips() {
-        // One of each opcode, all operands within the declared layout.
-        let code = vec![
-            Instr::ConstF(0, 0.1),
-            Instr::ConstF(1, -0.0),
-            Instr::Add(2, 0, 1),
-            Instr::Sub(2, 2, 0),
-            Instr::Mul(2, 2, 2),
-            Instr::Div(2, 2, 1),
-            Instr::Sqrt(2, 2),
-            Instr::Abs(2, 2),
-            Instr::Neg(2, 2),
-            Instr::Min(2, 0, 1),
-            Instr::Max(2, 0, 1),
-            Instr::MovF(0, 2),
-            Instr::CastIF(0, 0),
-            Instr::LoadArr(1, 0, 1),
-            Instr::StoreArr(0, 1, 1),
-            Instr::ConstI(0, -7),
-            Instr::AddI(1, 0, 0),
-            Instr::SubI(1, 1, 0),
-            Instr::MulI(1, 1, 0),
-            Instr::DivI(1, 1, 0),
-            Instr::MovI(0, 1),
-            Instr::CastFI(1, 0),
-            Instr::CmpI(CmpOp::Le, 0, 0, 1),
-            Instr::CmpF(CmpOp::Ne, 0, 1, 2),
-            Instr::JumpIfZero(0, 27),
-            Instr::Protect(1),
-            Instr::SetCapacity(4),
-            Instr::Jump(28),
-            Instr::Ret(None),
-        ];
-        let n = code.len();
+    fn every_opcode_round_trips() {
+        use safegen_ir::{Imm, Operand};
+        // One record per stored opcode, each field at the top of its range
+        // (distinct per field, so a swapped field cannot round-trip).
+        let (n_fregs, n_iregs) = (0x1235, 0x0457);
+        let stored: Vec<OpCode> = OpCode::ALL
+            .into_iter()
+            .filter(|op| op.operands().is_some())
+            .collect();
+        assert_eq!(stored.len(), 29);
+        let n = stored.len();
+        let code: Vec<FixedInstr> = stored
+            .iter()
+            .map(|&op| {
+                let (fields, imm) = op.operands().unwrap();
+                let value = |kind: Operand, slot: u16| match kind {
+                    Operand::Unused => 0,
+                    Operand::FReg => n_fregs - 1 - slot,
+                    Operand::IReg => n_iregs - 1 - slot,
+                    Operand::Array => 0,
+                };
+                FixedInstr {
+                    op,
+                    aux: if matches!(op, OpCode::CmpI | OpCode::CmpF) {
+                        5
+                    } else {
+                        0
+                    },
+                    dst: value(fields[0], 0),
+                    a: value(fields[1], 1),
+                    b: value(fields[2], 2),
+                    imm: match imm {
+                        Imm::Unused | Imm::IPool => 0,
+                        Imm::FPool => 1,
+                        Imm::Target => n as u32,
+                        Imm::Count => 0xdead_beef,
+                    },
+                }
+            })
+            .collect();
         let program = Program {
             name: "all".into(),
             code,
-            n_fregs: 3,
-            n_iregs: 2,
+            fpool: vec![0.1, -0.0],
+            ipool: vec![-7],
+            n_fregs: usize::from(n_fregs),
+            n_iregs: usize::from(n_iregs),
             arrays: vec![ArrayDecl {
                 name: "a".into(),
                 len: 6,
@@ -1229,6 +1045,7 @@ mod tests {
                 })
                 .collect(),
         };
+        assert_eq!(program.validate(), Ok(()));
         let a = Artifact {
             meta: ArtifactMeta::new("all.c"),
             programs: vec![ProgramVariant {
@@ -1243,6 +1060,10 @@ mod tests {
         };
         let back = Artifact::from_bytes(&a.to_bytes()).unwrap();
         assert_eq!(back, a);
+        assert_eq!(
+            back.programs[0].program.fpool[1].to_bits(),
+            (-0.0f64).to_bits()
+        );
     }
 
     #[test]
@@ -1320,33 +1141,41 @@ mod tests {
             ArtifactError::Malformed(_)
         ));
 
-        // Register index out of range: the Mul destination (first
-        // instruction operand) bumped past n_fregs. Find it by scanning
-        // for the opcode-prefixed operand we know is there.
-        let a = sq_artifact();
-        let mut evil = a.clone();
-        evil.programs[0].program.code[0] = Instr::Mul(7, 0, 0);
-        // Encoding never validates (the builder is trusted); decoding must.
-        let err = Artifact::from_bytes(&evil.to_bytes()).unwrap_err();
-        assert!(
-            matches!(&err, ArtifactError::Malformed(m) if m.contains("out of range")),
-            "{err}"
+        // Encoding never validates (the builder is trusted); decoding
+        // runs `Program::validate`, whose message names the instruction.
+        let rejects = |corrupt: fn(&mut Program), want: &str| {
+            let mut evil = sq_artifact();
+            corrupt(&mut evil.programs[0].program);
+            let err = Artifact::from_bytes(&evil.to_bytes()).unwrap_err();
+            assert!(
+                matches!(&err, ArtifactError::Malformed(m) if m.contains(want)),
+                "{want}: {err}"
+            );
+        };
+        rejects(
+            |p| p.code[0].dst = 7,
+            "instruction 0 (Mul): dst = 7 out of range",
+        );
+        rejects(
+            |p| p.code[1] = FixedInstr::new(OpCode::Jump, 0, 0, 0).with_imm(99),
+            "instruction 1",
+        );
+        rejects(
+            |p| p.code[0].op = OpCode::MulThenAdd,
+            "instruction 0: superinstruction",
         );
 
-        // Jump past the end of the code.
-        let mut evil = a.clone();
-        evil.programs[0].program.code[1] = Instr::Jump(99);
-        assert!(Artifact::from_bytes(&evil.to_bytes()).is_err());
-
-        // Spans shorter than code (truncate the last span record).
+        // An opcode byte past the table. The code records sit right
+        // before the two 24-byte span records at the end of the payload.
         let bad = resign(good, |p| {
-            let n = p.len();
-            // Move the PROG section length down by one span record (24
-            // bytes) and drop those bytes: structurally a short section.
-            let _ = n;
+            let first_record = p.len() - 2 * 24 - 2 * 12;
+            p[first_record] = 200;
         });
-        // (Structural truncation is covered by PayloadLength/Wire tests.)
-        let _ = bad;
+        let err = Artifact::from_bytes(&bad).unwrap_err();
+        assert!(
+            matches!(&err, ArtifactError::Malformed(m) if m.contains("unknown opcode 200")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -147,7 +147,7 @@ fn main() {
             .unwrap_or_else(|e| panic!("{}: {e}", w.name));
         for config in &configs {
             let prog = compiled.program_for(w.func, config);
-            let fixed = encode(&prog).expect("paper workloads fit the fixed-width encoding");
+            let fixed = encode(&prog).expect("every program encodes");
             if config.label() == configs[0].label() {
                 let pairs = pair_histogram(&prog);
                 encodings.push(Json::obj(vec![

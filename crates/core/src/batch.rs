@@ -36,8 +36,7 @@
 //! whole lane groups, so a group never straddles two workers. Lanes are
 //! fully independent — per-lane registers, contexts and statistics — so
 //! results are bit-identical to the scalar interpreter for every width;
-//! a one-item batch (or a program the fixed-width encoding cannot
-//! express) runs the scalar path.
+//! a one-item batch runs the scalar path.
 //!
 //! ## Determinism
 //!
@@ -175,8 +174,7 @@ pub struct BatchResult {
     pub workers: Vec<WorkerStats>,
     /// Widest lane group that actually ran: `min(width, n)` for the
     /// configuration's width ([`BatchOptions::resolve_lanes`]), and `1`
-    /// when every item ran the scalar interpreter (`n <= 1`, or a
-    /// program the fixed-width encoding cannot express).
+    /// when the one item ran the scalar interpreter (`n <= 1`).
     pub lanes: usize,
 }
 
@@ -258,9 +256,8 @@ fn run_batch_on(
     } else {
         1
     };
-    // The fixed-width re-encoding the lane engine dispatches over; a
-    // program the encoding cannot express (operand counts beyond its
-    // 16-bit fields) simply runs scalar, and so does a one-item batch.
+    // The superinstruction stream the lane engine dispatches over; a
+    // one-item batch runs scalar.
     let width = opts.resolve_lanes(config);
     let fixed = if n > 1 { encode(prog) } else { None };
     let lanes = if fixed.is_some() { width.min(n) } else { 1 };

@@ -680,7 +680,7 @@ pub fn run_on(prog: &Program, args: &[ArgValue], config: &RunConfig) -> Result<R
 /// returns for that input alone (every lane gets a fresh domain
 /// context, exactly like a scalar run would).
 ///
-/// `fixed` must be the fixed-width encoding of `prog`
+/// `fixed` must be the superinstruction stream of `prog`
 /// (see [`crate::program::encode`]).
 ///
 /// # Errors

@@ -6,7 +6,7 @@
 //! configuration — the apples-to-apples setup of the paper's evaluation.
 
 use crate::domain::{Domain, FpBinOp, FpUnOp};
-use crate::program::{CmpOp, Instr, ParamBinding, Program};
+use crate::program::{CmpOp, OpCode, ParamBinding, Program};
 use std::fmt;
 
 /// An argument passed to [`exec`].
@@ -329,13 +329,13 @@ pub(crate) trait IntReg: Copy {
     /// `f` of registers `a` and `b`.
     fn bin(
         regs: &mut [Self],
-        a: u32,
-        b: u32,
+        a: usize,
+        b: usize,
         f: impl Fn(i64, i64) -> i64,
         undecided: &mut u64,
     ) -> Result<Self, Self::Abort>;
     /// The result of `x op y`, read from float registers `a` and `b`.
-    fn cmp_f<D: Domain>(op: CmpOp, x: &D, y: &D, a: u32, b: u32, undecided: &mut u64) -> Self;
+    fn cmp_f<D: Domain>(op: CmpOp, x: &D, y: &D, a: usize, b: usize, undecided: &mut u64) -> Self;
     /// The value, when it decides a branch; `None` leaves the split to
     /// the caller.
     fn decided(self) -> Option<i64>;
@@ -357,16 +357,16 @@ impl IntReg for i64 {
     #[inline(always)]
     fn bin(
         regs: &mut [i64],
-        a: u32,
-        b: u32,
+        a: usize,
+        b: usize,
         f: impl Fn(i64, i64) -> i64,
         _: &mut u64,
     ) -> Result<i64, ExecError> {
-        Ok(f(regs[a as usize], regs[b as usize]))
+        Ok(f(regs[a], regs[b]))
     }
 
     #[inline(always)]
-    fn cmp_f<D: Domain>(op: CmpOp, x: &D, y: &D, _: u32, _: u32, undecided: &mut u64) -> i64 {
+    fn cmp_f<D: Domain>(op: CmpOp, x: &D, y: &D, _: usize, _: usize, undecided: &mut u64) -> i64 {
         i64::from(cmp_f(op, x, y, undecided))
     }
 
@@ -385,7 +385,7 @@ pub(crate) enum Flow<D> {
     /// The function returned this value.
     Ret(Option<D>),
     /// A `JumpIfZero` whose condition register does not decide it.
-    Branch { reg: u32, target: usize },
+    Branch { reg: usize, target: usize },
 }
 
 /// The state a run mutates: registers, arrays and the pending pragmas.
@@ -462,10 +462,10 @@ impl<D: Domain, I: IntReg> Machine<D, I> {
         Ok(m)
     }
 
-    /// Executes the instruction at `pc` — the one definition of what an
-    /// [`Instr`] does. Counts it in `stats.instrs`, its domain operation
-    /// in `stats.fp_ops`, and a center-decided comparison in
-    /// `stats.undecided_branches`.
+    /// Executes the instruction at `pc` — the one definition of what a
+    /// stored [`FixedInstr`](crate::program::FixedInstr) does. Counts it
+    /// in `stats.instrs`, its domain operation in `stats.fp_ops`, and a
+    /// center-decided comparison in `stats.undecided_branches`.
     ///
     /// `in_pass` marks a fixpoint pass over a widened invariant, where
     /// casting a non-point float to an integer fails instead of
@@ -482,19 +482,21 @@ impl<D: Domain, I: IntReg> Machine<D, I> {
         stats.instrs += 1;
         let fp_ops_before = stats.fp_ops;
         let undecided = &mut stats.undecided_branches;
+        let ins = prog.code[pc];
+        let (d, a, b) = (usize::from(ins.dst), usize::from(ins.a), usize::from(ins.b));
 
         // `$op` applied through `$into` to source registers `$src` into
-        // register `$d`. With `consume`, the op takes the pending protect
+        // register `d`. With `consume`, the op takes the pending protect
         // set; without, it runs unprotected and leaves the set pending.
         macro_rules! fp_op {
-            ($into:ident, $op:expr, $d:expr, [$($src:expr),+], $consume:literal) => {{
+            ($into:ident, $op:expr, [$($src:expr),+], $consume:literal) => {{
                 let p: &[u64] = if $consume && self.pending_protect {
                     &self.protect
                 } else {
                     &[]
                 };
-                D::$into($op, $(&self.fregs[*$src as usize],)+ cx, p, &mut self.spare);
-                std::mem::swap(&mut self.fregs[*$d as usize], &mut self.spare);
+                D::$into($op, $(&self.fregs[$src],)+ cx, p, &mut self.spare);
+                std::mem::swap(&mut self.fregs[d], &mut self.spare);
                 if $consume && self.pending_protect {
                     self.pending_protect = false;
                     self.protect.clear();
@@ -502,94 +504,108 @@ impl<D: Domain, I: IntReg> Machine<D, I> {
                 stats.fp_ops += 1;
             }};
         }
+        // `i[d] = f(i[a], i[b])`.
+        macro_rules! int_op {
+            ($f:expr) => {
+                self.iregs[d] = I::bin(&mut self.iregs, a, b, $f, undecided)?
+            };
+        }
 
         let mut flow = Flow::Next;
-        match &prog.code[pc] {
-            Instr::Add(d, a, b) => fp_op!(bin_into, FpBinOp::Add, d, [a, b], true),
-            Instr::Sub(d, a, b) => fp_op!(bin_into, FpBinOp::Sub, d, [a, b], true),
-            Instr::Mul(d, a, b) => fp_op!(bin_into, FpBinOp::Mul, d, [a, b], true),
-            Instr::Div(d, a, b) => fp_op!(bin_into, FpBinOp::Div, d, [a, b], true),
-            Instr::Sqrt(d, a) => fp_op!(un_into, FpUnOp::Sqrt, d, [a], true),
-            Instr::Abs(d, a) => fp_op!(un_into, FpUnOp::Abs, d, [a], false),
-            Instr::Neg(d, a) => fp_op!(un_into, FpUnOp::Neg, d, [a], false),
-            Instr::Min(d, a, b) => fp_op!(bin_into, FpBinOp::Min, d, [a, b], false),
-            Instr::Max(d, a, b) => fp_op!(bin_into, FpBinOp::Max, d, [a, b], false),
-            Instr::ConstF(d, c) => D::constant_into(*c, cx, &mut self.fregs[*d as usize]),
-            Instr::MovF(d, s) => {
-                self.spare.clone_from(&self.fregs[*s as usize]);
-                std::mem::swap(&mut self.fregs[*d as usize], &mut self.spare);
+        match ins.op {
+            OpCode::Add => fp_op!(bin_into, FpBinOp::Add, [a, b], true),
+            OpCode::Sub => fp_op!(bin_into, FpBinOp::Sub, [a, b], true),
+            OpCode::Mul => fp_op!(bin_into, FpBinOp::Mul, [a, b], true),
+            OpCode::Div => fp_op!(bin_into, FpBinOp::Div, [a, b], true),
+            OpCode::Sqrt => fp_op!(un_into, FpUnOp::Sqrt, [a], true),
+            OpCode::Abs => fp_op!(un_into, FpUnOp::Abs, [a], false),
+            OpCode::Neg => fp_op!(un_into, FpUnOp::Neg, [a], false),
+            OpCode::Min => fp_op!(bin_into, FpBinOp::Min, [a, b], false),
+            OpCode::Max => fp_op!(bin_into, FpBinOp::Max, [a, b], false),
+            OpCode::ConstF => {
+                D::constant_into(prog.fpool[ins.imm as usize], cx, &mut self.fregs[d]);
             }
-            Instr::CastIF(d, s) => {
-                let v = self.iregs[*s as usize].read(undecided)?;
-                D::constant_into(v as f64, cx, &mut self.fregs[*d as usize]);
+            OpCode::MovF => {
+                self.spare.clone_from(&self.fregs[a]);
+                std::mem::swap(&mut self.fregs[d], &mut self.spare);
             }
-            Instr::LoadArr(d, arr, idx) => {
-                let i = self.iregs[*idx as usize].read(undecided)?;
-                let a = &self.arrays[*arr as usize];
-                let i = array_index(i, a.len(), &prog.arrays[*arr as usize].name)?;
-                self.fregs[*d as usize].clone_from(&a[i]);
+            OpCode::CastIF => {
+                let v = self.iregs[a].read(undecided)?;
+                D::constant_into(v as f64, cx, &mut self.fregs[d]);
             }
-            Instr::StoreArr(arr, idx, s) => {
-                let i = self.iregs[*idx as usize].read(undecided)?;
-                let a = &mut self.arrays[*arr as usize];
-                let i = array_index(i, a.len(), &prog.arrays[*arr as usize].name)?;
-                a[i].clone_from(&self.fregs[*s as usize]);
+            OpCode::LoadArr => {
+                let i = self.iregs[b].read(undecided)?;
+                let arr = &self.arrays[a];
+                let i = array_index(i, arr.len(), &prog.arrays[a].name)?;
+                self.fregs[d].clone_from(&arr[i]);
             }
-            Instr::ConstI(d, c) => self.iregs[*d as usize] = I::known(*c),
-            Instr::AddI(d, a, b) => {
-                self.iregs[*d as usize] = I::bin(&mut self.iregs, *a, *b, |x, y| x + y, undecided)?;
+            OpCode::StoreArr => {
+                let i = self.iregs[a].read(undecided)?;
+                let arr = &mut self.arrays[d];
+                let i = array_index(i, arr.len(), &prog.arrays[d].name)?;
+                arr[i].clone_from(&self.fregs[b]);
             }
-            Instr::SubI(d, a, b) => {
-                self.iregs[*d as usize] = I::bin(&mut self.iregs, *a, *b, |x, y| x - y, undecided)?;
-            }
-            Instr::MulI(d, a, b) => {
-                self.iregs[*d as usize] = I::bin(&mut self.iregs, *a, *b, |x, y| x * y, undecided)?;
-            }
-            Instr::DivI(d, a, b) => {
-                if self.iregs[*b as usize].read(undecided)? == 0 {
+            OpCode::ConstI => self.iregs[d] = I::known(prog.ipool[ins.imm as usize]),
+            OpCode::AddI => int_op!(i64::wrapping_add),
+            OpCode::SubI => int_op!(i64::wrapping_sub),
+            OpCode::MulI => int_op!(i64::wrapping_mul),
+            OpCode::DivI => {
+                let divisor = self.iregs[b].read(undecided)?;
+                if divisor == 0 {
                     return Err(err("integer division by zero").into());
                 }
-                self.iregs[*d as usize] = I::bin(&mut self.iregs, *a, *b, |x, y| x / y, undecided)?;
+                // Only `MIN / -1` overflows; a widened dividend stays
+                // widened.
+                if divisor == -1 && self.iregs[a].decided() == Some(i64::MIN) {
+                    return Err(err("integer division overflow").into());
+                }
+                int_op!(|x, y| x / y);
             }
-            Instr::MovI(d, s) => self.iregs[*d as usize] = self.iregs[*s as usize],
-            Instr::CastFI(d, s) => {
-                let x = &self.fregs[*s as usize];
+            OpCode::MovI => self.iregs[d] = self.iregs[a],
+            OpCode::CastFI => {
+                let x = &self.fregs[a];
                 if in_pass {
                     let (lo, hi) = x.range();
                     if !(lo == hi && lo.is_finite()) {
                         return Err(err("cast of a widened float").into());
                     }
                 }
-                self.iregs[*d as usize] = I::known(x.center() as i64);
+                self.iregs[d] = I::known(x.center() as i64);
             }
-            Instr::CmpI(op, d, a, b) => {
-                let f = |x, y| i64::from(op.eval(x, y));
-                self.iregs[*d as usize] = I::bin(&mut self.iregs, *a, *b, f, undecided)?;
+            OpCode::CmpI => {
+                let op = ins.cmp_op();
+                int_op!(|x, y| i64::from(op.eval(x, y)));
             }
-            Instr::CmpF(op, d, a, b) => {
-                let (x, y) = (&self.fregs[*a as usize], &self.fregs[*b as usize]);
-                self.iregs[*d as usize] = I::cmp_f(*op, x, y, *a, *b, undecided);
+            OpCode::CmpF => {
+                let (x, y) = (&self.fregs[a], &self.fregs[b]);
+                self.iregs[d] = I::cmp_f(ins.cmp_op(), x, y, a, b, undecided);
             }
-            Instr::Jump(t) => flow = Flow::Goto(*t),
-            Instr::JumpIfZero(c, t) => match self.iregs[*c as usize].decided() {
-                Some(0) => flow = Flow::Goto(*t),
+            OpCode::Jump => flow = Flow::Goto(ins.imm as usize),
+            OpCode::JumpIfZero => match self.iregs[a].decided() {
+                Some(0) => flow = Flow::Goto(ins.imm as usize),
                 Some(_) => {}
                 None => {
                     flow = Flow::Branch {
-                        reg: *c,
-                        target: *t,
+                        reg: a,
+                        target: ins.imm as usize,
                     }
                 }
             },
-            Instr::Protect(r) => {
-                self.fregs[*r as usize].protect_ids_into(cx, &mut self.protect);
+            OpCode::Protect => {
+                self.fregs[a].protect_ids_into(cx, &mut self.protect);
                 self.pending_protect = true;
             }
-            Instr::SetCapacity(k) => {
-                D::set_capacity(cx, *k as usize);
+            OpCode::SetCapacity => {
+                D::set_capacity(cx, ins.imm as usize);
                 self.pending_capacity = true;
             }
-            Instr::Ret(r) => flow = Flow::Ret(r.map(|r| self.fregs[r as usize].clone())),
+            OpCode::Ret => flow = Flow::Ret(Some(self.fregs[a].clone())),
+            OpCode::RetVoid => flow = Flow::Ret(None),
+            OpCode::MulThenAdd
+            | OpCode::MulThenSub
+            | OpCode::MulIThenAddI
+            | OpCode::CmpIJump
+            | OpCode::CmpFJump => unreachable!("a validated program holds no superinstruction"),
         }
         // A capacity pragma covers exactly its (single-FP-op) statement.
         if self.pending_capacity && stats.fp_ops > fp_ops_before {

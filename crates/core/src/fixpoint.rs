@@ -48,8 +48,9 @@ use crate::exec::{
     cmp_f_sound, err, exec_inner, ArgValue, ExecError, Flow, IntReg, Machine, NoTrace, RunResult,
     RunStats, FUEL,
 };
-use crate::program::{CmpOp, Instr, Program};
+use crate::program::{CmpOp, FixedInstr, OpCode, Program};
 use safegen_ir::loops::{loop_regions, LoopRegion, LoopTable};
+use safegen_ir::Operand;
 
 /// How the VM treats loops whose trip count is not statically exhausted.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -157,9 +158,9 @@ enum AbsInt {
         /// Comparison operator, for guard refinement.
         op: CmpOp,
         /// Left float register.
-        a: u32,
+        a: usize,
         /// Right float register.
-        b: u32,
+        b: usize,
     },
     /// Unknown integer (a widened loop counter).
     Top,
@@ -191,21 +192,21 @@ impl IntReg for AbsInt {
     /// `Top` if either operand is `Top`, without reading the other.
     fn bin(
         regs: &mut [AbsInt],
-        a: u32,
-        b: u32,
+        a: usize,
+        b: usize,
         f: impl Fn(i64, i64) -> i64,
         undecided: &mut u64,
     ) -> Result<AbsInt, FpAbort> {
-        if matches!(regs[a as usize], AbsInt::Top) || matches!(regs[b as usize], AbsInt::Top) {
+        if matches!(regs[a], AbsInt::Top) || matches!(regs[b], AbsInt::Top) {
             return Ok(AbsInt::Top);
         }
-        let av = regs[a as usize].read(undecided)?;
-        let bv = regs[b as usize].read(undecided)?;
+        let av = regs[a].read(undecided)?;
+        let bv = regs[b].read(undecided)?;
         Ok(AbsInt::Known(f(av, bv)))
     }
 
     /// An overlapping comparison stays pending (uncounted) until read.
-    fn cmp_f<D: Domain>(op: CmpOp, x: &D, y: &D, a: u32, b: u32, _: &mut u64) -> AbsInt {
+    fn cmp_f<D: Domain>(op: CmpOp, x: &D, y: &D, a: usize, b: usize, _: &mut u64) -> AbsInt {
         match cmp_f_sound(op, x, y) {
             Some(v) => AbsInt::Known(i64::from(v)),
             None => AbsInt::CmpPend {
@@ -284,49 +285,28 @@ struct Inv {
 
 /// The registers and arrays written anywhere in a loop region.
 struct Written {
-    fregs: Vec<u32>,
-    iregs: Vec<u32>,
-    arrays: Vec<u32>,
+    fregs: Vec<usize>,
+    iregs: Vec<usize>,
+    arrays: Vec<usize>,
 }
 
-fn written_sets(code: &[Instr], region: LoopRegion) -> Written {
-    let nf = |v: &mut Vec<u32>, r: u32| {
-        if !v.contains(&r) {
-            v.push(r);
-        }
-    };
+fn written_sets(code: &[FixedInstr], region: LoopRegion) -> Written {
     let mut w = Written {
         fregs: Vec::new(),
         iregs: Vec::new(),
         arrays: Vec::new(),
     };
-    for instr in &code[region.header..=region.back_jump] {
-        match instr {
-            Instr::Add(d, _, _)
-            | Instr::Sub(d, _, _)
-            | Instr::Mul(d, _, _)
-            | Instr::Div(d, _, _)
-            | Instr::Min(d, _, _)
-            | Instr::Max(d, _, _)
-            | Instr::Sqrt(d, _)
-            | Instr::Abs(d, _)
-            | Instr::Neg(d, _)
-            | Instr::MovF(d, _)
-            | Instr::ConstF(d, _)
-            | Instr::CastIF(d, _)
-            | Instr::LoadArr(d, _, _) => nf(&mut w.fregs, *d),
-            Instr::StoreArr(arr, _, _) => nf(&mut w.arrays, *arr),
-            Instr::ConstI(d, _)
-            | Instr::AddI(d, _, _)
-            | Instr::SubI(d, _, _)
-            | Instr::MulI(d, _, _)
-            | Instr::DivI(d, _, _)
-            | Instr::MovI(d, _)
-            | Instr::CastFI(d, _)
-            | Instr::CmpI(_, d, _, _)
-            | Instr::CmpF(_, d, _, _) => nf(&mut w.iregs, *d),
-            Instr::Jump(_) | Instr::JumpIfZero(_, _) | Instr::Protect(_) => {}
-            Instr::SetCapacity(_) | Instr::Ret(_) => {}
+    for ins in &code[region.header..=region.back_jump] {
+        // The `dst` field is the one an instruction writes.
+        let set = match ins.op.operands() {
+            Some(([Operand::FReg, ..], _)) => &mut w.fregs,
+            Some(([Operand::IReg, ..], _)) => &mut w.iregs,
+            Some(([Operand::Array, ..], _)) => &mut w.arrays,
+            _ => continue,
+        };
+        let r = usize::from(ins.dst);
+        if !set.contains(&r) {
+            set.push(r);
         }
     }
     w
@@ -518,7 +498,7 @@ impl<D: Domain> Engine<'_, D> {
                     // An undecided branch outside any loop: the plain VM's
                     // center decision, counted undecided.
                     let undecided = &mut self.stats.undecided_branches;
-                    if m.iregs[reg as usize].read(undecided)? == 0 {
+                    if m.iregs[reg].read(undecided)? == 0 {
                         pc = target;
                     } else {
                         pc += 1;
@@ -740,7 +720,7 @@ impl<D: Domain> Engine<'_, D> {
                         // Undecided branch fully inside the body: the
                         // plain VM's center decision, counted undecided.
                         let undecided = &mut self.stats.undecided_branches;
-                        if m.iregs[reg as usize].read(undecided)? == 0 {
+                        if m.iregs[reg].read(undecided)? == 0 {
                             pc = target;
                         } else {
                             pc += 1;
@@ -752,7 +732,7 @@ impl<D: Domain> Engine<'_, D> {
                     }
                     // A loop-exit guard: split both paths soundly. The
                     // exit is taken on zero iff the jump is the exit edge.
-                    let guard = m.iregs[reg as usize];
+                    let guard = m.iregs[reg];
                     let (exit_pc, exit_on_zero) = if jump_exits {
                         (target, true)
                     } else {
@@ -767,7 +747,7 @@ impl<D: Domain> Engine<'_, D> {
                             _ => true,
                         };
                         if feasible {
-                            ex.iregs[reg as usize] = if exit_on_zero {
+                            ex.iregs[reg] = if exit_on_zero {
                                 AbsInt::Known(0)
                             } else {
                                 guard_nonzero(guard)
@@ -785,7 +765,7 @@ impl<D: Domain> Engine<'_, D> {
                     if !feasible {
                         return Ok(PassOut::Exited);
                     }
-                    m.iregs[reg as usize] = if body_on_zero {
+                    m.iregs[reg] = if body_on_zero {
                         AbsInt::Known(0)
                     } else {
                         guard_nonzero(guard)
@@ -811,13 +791,13 @@ impl<D: Domain> Engine<'_, D> {
         &mut self,
         m: &mut AbsMachine<D>,
         op: CmpOp,
-        a: u32,
-        b: u32,
+        a: usize,
+        b: usize,
         truth: bool,
     ) -> Result<bool, FpAbort> {
         let eff = if truth { op } else { negate(op) };
-        let (alo, ahi) = m.fregs[a as usize].range();
-        let (blo, bhi) = m.fregs[b as usize].range();
+        let (alo, ahi) = m.fregs[a].range();
+        let (blo, bhi) = m.fregs[b].range();
         if alo.is_nan() || ahi.is_nan() || blo.is_nan() || bhi.is_nan() {
             // A poisoned operand: no refinement, but the path stays
             // feasible (NaN compares are unordered).
@@ -853,10 +833,10 @@ impl<D: Domain> Engine<'_, D> {
             return Ok(false);
         }
         if na != (alo, ahi) {
-            m.fregs[a as usize] = self.hull_value(na.0, na.1)?;
+            m.fregs[a] = self.hull_value(na.0, na.1)?;
         }
         if nb != (blo, bhi) {
-            m.fregs[b as usize] = self.hull_value(nb.0, nb.1)?;
+            m.fregs[b] = self.hull_value(nb.0, nb.1)?;
         }
         Ok(true)
     }
@@ -919,20 +899,17 @@ impl<D: Domain> Engine<'_, D> {
     /// components only).
     fn hulls_of(&self, m: &AbsMachine<D>, w: &Written) -> Inv {
         Inv {
-            f: w.fregs
-                .iter()
-                .map(|&r| hull_of(&m.fregs[r as usize]))
-                .collect(),
+            f: w.fregs.iter().map(|&r| hull_of(&m.fregs[r])).collect(),
             i: w.iregs
                 .iter()
-                .map(|&r| match m.iregs[r as usize] {
+                .map(|&r| match m.iregs[r] {
                     AbsInt::Known(v) => Some(v),
                     _ => None,
                 })
                 .collect(),
             a: w.arrays
                 .iter()
-                .map(|&ai| m.arrays[ai as usize].iter().map(hull_of).collect())
+                .map(|&ai| m.arrays[ai].iter().map(hull_of).collect())
                 .collect(),
         }
     }
@@ -952,16 +929,16 @@ impl<D: Domain> Engine<'_, D> {
         m.pending_capacity = false;
         for (k, &r) in w.fregs.iter().enumerate() {
             let (lo, hi) = inv.f[k];
-            m.fregs[r as usize] = self.hull_value(lo, hi)?;
+            m.fregs[r] = self.hull_value(lo, hi)?;
         }
         for (k, &r) in w.iregs.iter().enumerate() {
-            m.iregs[r as usize] = match inv.i[k] {
+            m.iregs[r] = match inv.i[k] {
                 Some(v) => AbsInt::Known(v),
                 None => AbsInt::Top,
             };
         }
         for (k, &ai) in w.arrays.iter().enumerate() {
-            for (j, slot) in m.arrays[ai as usize].iter_mut().enumerate() {
+            for (j, slot) in m.arrays[ai].iter_mut().enumerate() {
                 let (lo, hi) = inv.a[k][j];
                 *slot = self.hull_value(lo, hi)?;
             }
@@ -976,14 +953,13 @@ impl<D: Domain> Engine<'_, D> {
     fn static_exit_target(&self, region: LoopRegion) -> Option<usize> {
         let mut outs: Vec<usize> = Vec::new();
         for pc in region.header..=region.back_jump {
-            if let Instr::Jump(t) | Instr::JumpIfZero(_, t) = &self.prog.code[pc] {
-                let t = *t;
+            if let Some(t) = self.prog.code[pc].target() {
                 if !region.contains(t) && !outs.contains(&t) {
                     outs.push(t);
                 }
             }
         }
-        if matches!(self.prog.code[region.back_jump], Instr::JumpIfZero(_, _)) {
+        if self.prog.code[region.back_jump].op == OpCode::JumpIfZero {
             let t = region.back_jump + 1;
             if !outs.contains(&t) {
                 outs.push(t);

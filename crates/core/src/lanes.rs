@@ -321,11 +321,11 @@ fn un_kernel_cols<D: Domain>(
 /// domain `D`, one result per lane, each bit-identical to what
 /// [`crate::exec::exec`] returns for that lane's inputs and context.
 ///
-/// `fixed` must be [`crate::program::encode`]\(`prog`\) — the fixed-width
-/// re-encoding the lane dispatch runs on; `cxs` supplies one fresh
-/// domain context per lane (contexts are mutated through interior
-/// cells, so reusing one context across lanes would entangle their
-/// symbol allocations).
+/// `fixed` must be [`crate::program::encode`]\(`prog`\) — the
+/// superinstruction stream the lane dispatch runs on; `cxs` supplies
+/// one fresh domain context per lane (contexts are mutated through
+/// interior cells, so reusing one context across lanes would entangle
+/// their symbol allocations).
 ///
 /// # Panics
 ///
@@ -702,7 +702,7 @@ pub fn exec_lanes<D: Domain>(
                 OpCode::Min => fp_unprotected!(FpBinOp::Min, d, a, b),
                 OpCode::Max => fp_unprotected!(FpBinOp::Max, d, a, b),
                 OpCode::ConstF => {
-                    let c = fixed.fpool[ins.imm as usize];
+                    let c = prog.fpool[ins.imm as usize];
                     let base = d * w;
                     for_lanes(g.mask, full, w, |l| {
                         D::constant_into(c, &cxs[l], &mut fregs[base + l]);
@@ -750,25 +750,30 @@ pub fn exec_lanes<D: Domain>(
                     }
                 }
                 OpCode::ConstI => {
-                    let c = fixed.ipool[ins.imm as usize];
+                    let c = prog.ipool[ins.imm as usize];
                     let base = d * w;
                     for_lanes(g.mask, full, w, |l| {
                         iregs[base + l] = c;
                     });
                 }
-                OpCode::AddI => int_cols(&mut iregs, w, d, a, b, g.mask, full, |x, y| x + y),
-                OpCode::SubI => int_cols(&mut iregs, w, d, a, b, g.mask, full, |x, y| x - y),
-                OpCode::MulI => int_cols(&mut iregs, w, d, a, b, g.mask, full, |x, y| x * y),
+                OpCode::AddI => int_cols(&mut iregs, w, d, a, b, g.mask, full, i64::wrapping_add),
+                OpCode::SubI => int_cols(&mut iregs, w, d, a, b, g.mask, full, i64::wrapping_sub),
+                OpCode::MulI => int_cols(&mut iregs, w, d, a, b, g.mask, full, i64::wrapping_mul),
                 OpCode::DivI => {
                     let (db, ab, bb) = (d * w, a * w, b * w);
                     let mut bad = 0u64;
                     for l in MaskIter(g.mask) {
-                        let bv = iregs[bb + l];
-                        if bv == 0 {
-                            errs[l] = Some(err("integer division by zero"));
-                            bad |= 1 << l;
-                        } else {
-                            iregs[db + l] = iregs[ab + l] / bv;
+                        let (x, y) = (iregs[ab + l], iregs[bb + l]);
+                        match x.checked_div(y) {
+                            Some(q) => iregs[db + l] = q,
+                            None => {
+                                errs[l] = Some(err(if y == 0 {
+                                    "integer division by zero"
+                                } else {
+                                    "integer division overflow"
+                                }));
+                                bad |= 1 << l;
+                            }
                         }
                     }
                     g.mask &= !bad;
@@ -856,11 +861,11 @@ pub fn exec_lanes<D: Domain>(
                 }
                 OpCode::MulIThenAddI => {
                     tally.superinstr_hits += 1;
-                    int_cols(&mut iregs, w, d, a, b, g.mask, full, |x, y| x * y);
+                    int_cols(&mut iregs, w, d, a, b, g.mask, full, i64::wrapping_mul);
                     fuel_check!();
                     let (d2, c) = (ins.d2() as usize, ins.c() as usize);
                     let (x, y) = if ins.aux == 0 { (d, c) } else { (c, d) };
-                    int_cols(&mut iregs, w, d2, x, y, g.mask, full, |x, y| x + y);
+                    int_cols(&mut iregs, w, d2, x, y, g.mask, full, i64::wrapping_add);
                 }
                 OpCode::CmpIJump => {
                     tally.superinstr_hits += 1;
@@ -1164,30 +1169,34 @@ mod tests {
     /// by-value operations on fresh values.
     #[test]
     fn aliased_destinations_match_by_value_ops() {
-        use crate::program::{Instr, ParamBinding};
+        use crate::program::{FixedInstr, OpCode, ParamBinding};
         use safegen_affine::{CenterValue, Dd, Protect};
+        use OpCode::*;
+        let r = FixedInstr::new;
         let code = vec![
-            Instr::Mul(0, 0, 0),
-            Instr::Add(0, 0, 1),
-            Instr::Sub(0, 1, 0),
-            Instr::Div(0, 0, 1),
-            Instr::Div(0, 1, 0),
-            Instr::Mul(0, 0, 1),
-            Instr::Sub(0, 0, 0),
-            Instr::Add(0, 1, 0),
-            Instr::Sqrt(0, 0),
-            Instr::Neg(0, 0),
-            Instr::Max(0, 0, 1),
-            Instr::Abs(0, 0),
-            Instr::Min(0, 1, 0),
-            Instr::MovF(1, 0),
-            Instr::Mul(0, 0, 1),
-            Instr::Ret(Some(0)),
+            r(Mul, 0, 0, 0),
+            r(Add, 0, 0, 1),
+            r(Sub, 0, 1, 0),
+            r(Div, 0, 0, 1),
+            r(Div, 0, 1, 0),
+            r(Mul, 0, 0, 1),
+            r(Sub, 0, 0, 0),
+            r(Add, 0, 1, 0),
+            r(Sqrt, 0, 0, 0),
+            r(Neg, 0, 0, 0),
+            r(Max, 0, 0, 1),
+            r(Abs, 0, 0, 0),
+            r(Min, 0, 1, 0),
+            r(MovF, 1, 0, 0),
+            r(Mul, 0, 0, 1),
+            r(Ret, 0, 0, 0),
         ];
         let p = Program {
             name: "alias".into(),
             spans: vec![Default::default(); code.len()],
             code,
+            fpool: Vec::new(),
+            ipool: Vec::new(),
             n_fregs: 2,
             n_iregs: 1,
             arrays: Vec::new(),

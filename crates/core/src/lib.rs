@@ -83,7 +83,7 @@ pub use oracle::{eval_exact, EvalLimits, OracleError};
 pub use profile::{profile, ErrorSource, ProfileReport};
 pub use program::{
     compile_program, compile_program_with, emit_program, encode, pair_histogram, FixedInstr,
-    FixedProgram, Instr, OpCode, Program,
+    FixedProgram, OpCode, Program,
 };
 pub use sga::{
     build_artifact, compile_to_artifact, compile_to_artifact_cached, run_artifact, select_program,

@@ -18,7 +18,8 @@
 //!
 //! * [`Unsupported`](OracleError::Unsupported) — `sqrt` (irrational in
 //!   general), float→int truncation (needs bigint division), array state,
-//!   and non-finite inputs/constants.
+//!   integer overflow (`+ − ×` and `MIN / -1`), and non-finite
+//!   inputs/constants.
 //! * [`DivByZero`](OracleError::DivByZero) — the *exact* divisor is zero.
 //!   (A float run may divide by a tiny-but-nonzero value; the exact one
 //!   is what matters here.)
@@ -29,7 +30,7 @@
 //! * [`Fuel`](OracleError::Fuel) — instruction budget exhausted (runaway
 //!   loop guard; generated programs never get close).
 
-use crate::program::{Instr, ParamBinding, Program};
+use crate::program::{OpCode, ParamBinding, Program};
 use crate::ArgValue;
 use safegen_rational::Rational;
 
@@ -128,87 +129,70 @@ pub fn eval_exact(
         }
         fuel -= 1;
         let next = pc + 1;
-        match &prog.code[pc] {
-            Instr::Add(d, a, b) => {
-                let v = fregs[*a as usize].add(&fregs[*b as usize]);
-                fregs[*d as usize] = grow_check(&v)?;
+        let ins = prog.code[pc];
+        let (d, a, b) = (usize::from(ins.dst), usize::from(ins.a), usize::from(ins.b));
+        let int_op = |f: fn(i64, i64) -> Option<i64>| {
+            f(iregs[a], iregs[b]).ok_or(OracleError::Unsupported("int overflow"))
+        };
+        match ins.op {
+            OpCode::Add => fregs[d] = grow_check(&fregs[a].add(&fregs[b]))?,
+            OpCode::Sub => fregs[d] = grow_check(&fregs[a].sub(&fregs[b]))?,
+            OpCode::Mul => fregs[d] = grow_check(&fregs[a].mul(&fregs[b]))?,
+            OpCode::Div => {
+                let q = fregs[a].div(&fregs[b]).ok_or(OracleError::DivByZero)?;
+                fregs[d] = grow_check(&q)?;
             }
-            Instr::Sub(d, a, b) => {
-                let v = fregs[*a as usize].sub(&fregs[*b as usize]);
-                fregs[*d as usize] = grow_check(&v)?;
-            }
-            Instr::Mul(d, a, b) => {
-                let v = fregs[*a as usize].mul(&fregs[*b as usize]);
-                fregs[*d as usize] = grow_check(&v)?;
-            }
-            Instr::Div(d, a, b) => {
-                let q = fregs[*a as usize]
-                    .div(&fregs[*b as usize])
-                    .ok_or(OracleError::DivByZero)?;
-                fregs[*d as usize] = grow_check(&q)?;
-            }
-            Instr::Sqrt(..) => return Err(OracleError::Unsupported("sqrt")),
-            Instr::Abs(d, a) => fregs[*d as usize] = fregs[*a as usize].abs(),
-            Instr::Neg(d, a) => fregs[*d as usize] = fregs[*a as usize].neg(),
-            Instr::Min(d, a, b) => {
-                fregs[*d as usize] = fregs[*a as usize].min_val(&fregs[*b as usize]);
-            }
-            Instr::Max(d, a, b) => {
-                fregs[*d as usize] = fregs[*a as usize].max_val(&fregs[*b as usize]);
-            }
-            Instr::ConstF(d, c) => fregs[*d as usize] = constant(*c)?,
-            Instr::MovF(d, s) => fregs[*d as usize] = fregs[*s as usize].clone(),
-            Instr::CastIF(d, s) => fregs[*d as usize] = Rational::from_i64(iregs[*s as usize]),
-            Instr::LoadArr(..) | Instr::StoreArr(..) => {
+            OpCode::Sqrt => return Err(OracleError::Unsupported("sqrt")),
+            OpCode::Abs => fregs[d] = fregs[a].abs(),
+            OpCode::Neg => fregs[d] = fregs[a].neg(),
+            OpCode::Min => fregs[d] = fregs[a].min_val(&fregs[b]),
+            OpCode::Max => fregs[d] = fregs[a].max_val(&fregs[b]),
+            OpCode::ConstF => fregs[d] = constant(prog.fpool[ins.imm as usize])?,
+            OpCode::MovF => fregs[d] = fregs[a].clone(),
+            OpCode::CastIF => fregs[d] = Rational::from_i64(iregs[a]),
+            OpCode::LoadArr | OpCode::StoreArr => {
                 return Err(OracleError::Unsupported("array state"))
             }
-            Instr::ConstI(d, c) => iregs[*d as usize] = *c,
-            Instr::AddI(d, a, b) => {
-                iregs[*d as usize] = iregs[*a as usize]
-                    .checked_add(iregs[*b as usize])
-                    .ok_or(OracleError::Unsupported("int overflow"))?;
+            OpCode::ConstI => iregs[d] = prog.ipool[ins.imm as usize],
+            OpCode::AddI => iregs[d] = int_op(i64::checked_add)?,
+            OpCode::SubI => iregs[d] = int_op(i64::checked_sub)?,
+            OpCode::MulI => iregs[d] = int_op(i64::checked_mul)?,
+            OpCode::DivI => {
+                if iregs[b] == 0 {
+                    return Err(OracleError::DivByZero);
+                }
+                iregs[d] = int_op(i64::checked_div)?;
             }
-            Instr::SubI(d, a, b) => {
-                iregs[*d as usize] = iregs[*a as usize]
-                    .checked_sub(iregs[*b as usize])
-                    .ok_or(OracleError::Unsupported("int overflow"))?;
-            }
-            Instr::MulI(d, a, b) => {
-                iregs[*d as usize] = iregs[*a as usize]
-                    .checked_mul(iregs[*b as usize])
-                    .ok_or(OracleError::Unsupported("int overflow"))?;
-            }
-            Instr::DivI(d, a, b) => {
-                iregs[*d as usize] = iregs[*a as usize]
-                    .checked_div(iregs[*b as usize])
-                    .ok_or(OracleError::DivByZero)?;
-            }
-            Instr::MovI(d, s) => iregs[*d as usize] = iregs[*s as usize],
-            Instr::CastFI(..) => {
+            OpCode::MovI => iregs[d] = iregs[a],
+            OpCode::CastFI => {
                 // Exact truncation toward zero needs bigint division,
                 // which the kernel deliberately does not have.
                 return Err(OracleError::Unsupported("float→int truncation"));
             }
-            Instr::CmpI(op, d, a, b) => {
-                iregs[*d as usize] = op.eval(iregs[*a as usize], iregs[*b as usize]) as i64;
-            }
-            Instr::CmpF(op, d, a, b) => {
+            OpCode::CmpI => iregs[d] = i64::from(ins.cmp_op().eval(iregs[a], iregs[b])),
+            OpCode::CmpF => {
                 // Branch decisions are exact here — there is no "undecided"
                 // case for point values.
-                iregs[*d as usize] = op.eval(&fregs[*a as usize], &fregs[*b as usize]) as i64;
+                iregs[d] = i64::from(ins.cmp_op().eval(&fregs[a], &fregs[b]));
             }
-            Instr::Jump(t) => {
-                pc = *t;
+            OpCode::Jump => {
+                pc = ins.imm as usize;
                 continue;
             }
-            Instr::JumpIfZero(c, t) => {
-                if iregs[*c as usize] == 0 {
-                    pc = *t;
+            OpCode::JumpIfZero => {
+                if iregs[a] == 0 {
+                    pc = ins.imm as usize;
                     continue;
                 }
             }
-            Instr::Protect(_) | Instr::SetCapacity(_) => {}
-            Instr::Ret(r) => return Ok(r.map(|r| fregs[r as usize].clone())),
+            OpCode::Protect | OpCode::SetCapacity => {}
+            OpCode::Ret => return Ok(Some(fregs[a].clone())),
+            OpCode::RetVoid => return Ok(None),
+            OpCode::MulThenAdd
+            | OpCode::MulThenSub
+            | OpCode::MulIThenAddI
+            | OpCode::CmpIJump
+            | OpCode::CmpFJump => return Err(OracleError::Unsupported("superinstruction")),
         }
         pc = next;
     }
@@ -224,6 +208,22 @@ mod tests {
         let compiled = Compiler::new().compile(src).unwrap();
         let args: Vec<ArgValue> = inputs.iter().map(|&x| ArgValue::Float(x)).collect();
         eval_exact(compiled.program(func), &args, &EvalLimits::default())
+    }
+
+    #[test]
+    fn integer_division_overflow_is_unsupported_not_div_by_zero() {
+        let src = "double f(int a, int b) { int c = a / b; return c; }";
+        let compiled = Compiler::new().compile(src).unwrap();
+        let run = |a: i64, b: i64| {
+            let args = [ArgValue::Int(a), ArgValue::Int(b)];
+            eval_exact(compiled.program("f"), &args, &EvalLimits::default())
+        };
+        assert_eq!(
+            run(i64::MIN, -1),
+            Err(OracleError::Unsupported("int overflow"))
+        );
+        assert_eq!(run(7, 0), Err(OracleError::DivByZero));
+        assert_eq!(run(7, 2), Ok(Some(Rational::from_i64(3))));
     }
 
     #[test]

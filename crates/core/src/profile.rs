@@ -156,7 +156,7 @@ where
                 TraceSite::Param(i) => (None, format!("input `{}` (± 1 ulp)", prog.params[i].0)),
                 TraceSite::Instr(pc) => {
                     let s = prog.spans[pc];
-                    (Some((s.line, s.col)), format!("{:?}", prog.code[pc]))
+                    (Some((s.line, s.col)), prog.render(&prog.code[pc]))
                 }
             };
             ErrorSource {

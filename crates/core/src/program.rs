@@ -1,6 +1,6 @@
 //! Compilation to register bytecode.
 //!
-//! The bytecode itself — [`Instr`], [`Program`], and the CFG linearizer
+//! The bytecode itself — [`FixedInstr`], [`Program`], and the CFG linearizer
 //! [`emit_program`] — lives in [`safegen_ir::bytecode`] so that the
 //! artifact layer (`safegen-artifact`) can serialize programs without
 //! depending on the driver; this module re-exports those types and adds
@@ -16,7 +16,7 @@ use safegen_cfront::{Diagnostic, Function, ParseError, Sema};
 use safegen_ir::PassManager;
 
 pub use safegen_ir::bytecode::{
-    emit_program, encode, pair_histogram, FixedInstr, FixedProgram, Instr, OpCode, Program,
+    emit_program, encode, pair_histogram, FixedInstr, FixedProgram, OpCode, Program,
 };
 pub use safegen_ir::cfg::{ArrId, ArrayDecl, CmpOp, FReg, IReg, ParamBinding};
 
@@ -37,7 +37,8 @@ pub fn compile_program(f: &Function, sema: &Sema) -> Result<Program, ParseError>
 ///
 /// # Errors
 ///
-/// Returns a diagnostic for constructs the IR cannot express.
+/// Returns a diagnostic for constructs the IR cannot express, and for a
+/// function whose register files exceed the bytecode's limit.
 pub fn compile_program_with(
     f: &Function,
     sema: &Sema,
@@ -45,7 +46,7 @@ pub fn compile_program_with(
 ) -> Result<Program, ParseError> {
     let mut cfg = safegen_ir::lower_function(f, sema)?;
     pm.run(&mut cfg);
-    Ok(emit_program(&cfg))
+    emit_program(&cfg).map_err(|e| ParseError::from(Diagnostic::new(e, f.span)))
 }
 
 #[cfg(test)]
@@ -70,13 +71,13 @@ mod tests {
     #[test]
     fn compiles_straight_line() {
         let p = compile_src("double f(double a, double b) { return a * b + 0.1; }");
-        assert!(p.code.iter().any(|i| matches!(i, Instr::Mul(..))));
-        assert!(p.code.iter().any(|i| matches!(i, Instr::Add(..))));
+        assert!(p.code.iter().any(|i| i.op == OpCode::Mul));
+        assert!(p.code.iter().any(|i| i.op == OpCode::Add));
         assert!(p
             .code
             .iter()
-            .any(|i| matches!(i, Instr::ConstF(_, c) if *c == 0.1)));
-        assert!(matches!(p.code.last(), Some(Instr::Ret(None))));
+            .any(|i| i.op == OpCode::ConstF && p.fpool[i.imm as usize] == 0.1));
+        assert_eq!(p.code.last().map(|i| i.op), Some(OpCode::RetVoid));
         assert_eq!(p.params.len(), 2);
     }
 
@@ -88,16 +89,14 @@ mod tests {
         let jumps: Vec<usize> = p
             .code
             .iter()
-            .filter_map(|i| match i {
-                Instr::Jump(t) => Some(*t),
-                _ => None,
-            })
+            .filter(|i| i.op == OpCode::Jump)
+            .map(|i| i.imm as usize)
             .collect();
         assert!(!jumps.is_empty());
         // Back-edge target precedes the jump site.
         assert!(jumps.iter().any(|&t| t < p.code.len()));
-        assert!(p.code.iter().any(|i| matches!(i, Instr::LoadArr(..))));
-        assert!(p.code.iter().any(|i| matches!(i, Instr::StoreArr(..))));
+        assert!(p.code.iter().any(|i| i.op == OpCode::LoadArr));
+        assert!(p.code.iter().any(|i| i.op == OpCode::StoreArr));
     }
 
     #[test]
@@ -106,24 +105,24 @@ mod tests {
             "double f(double x) { if (x < 0.0) { x = -x; } else { x = x + 1.0; } return x; }",
         );
         for ins in &p.code {
-            match ins {
-                Instr::Jump(t) | Instr::JumpIfZero(_, t) => {
-                    assert!(*t <= p.code.len(), "unpatched jump {ins:?}");
-                }
-                _ => {}
+            if let Some(t) = ins.target() {
+                assert!(t <= p.code.len(), "unpatched jump {ins:?}");
             }
         }
         assert!(p
             .code
             .iter()
-            .any(|i| matches!(i, Instr::CmpF(CmpOp::Lt, ..))));
+            .any(|i| i.op == OpCode::CmpF && i.cmp_op() == CmpOp::Lt));
     }
 
     #[test]
     fn two_d_array_flat_indexing() {
         let p = compile_src("void f(double g[3][4], int i, int j) { g[i][j] = g[j][i] + 1.0; }");
         // flat = i*4 + j requires a ConstI(4).
-        assert!(p.code.iter().any(|i| matches!(i, Instr::ConstI(_, 4))));
+        assert!(p
+            .code
+            .iter()
+            .any(|i| i.op == OpCode::ConstI && p.ipool[i.imm as usize] == 4));
     }
 
     #[test]
@@ -131,16 +130,8 @@ mod tests {
         let p = compile_src(
             "void f(double x, double z) {\n#pragma safegen prioritize(z)\nx = x * z; }",
         );
-        let prot = p
-            .code
-            .iter()
-            .position(|i| matches!(i, Instr::Protect(_)))
-            .unwrap();
-        let mul = p
-            .code
-            .iter()
-            .position(|i| matches!(i, Instr::Mul(..)))
-            .unwrap();
+        let prot = p.code.iter().position(|i| i.op == OpCode::Protect).unwrap();
+        let mul = p.code.iter().position(|i| i.op == OpCode::Mul).unwrap();
         assert!(prot < mul, "Protect must precede the operation");
     }
 
@@ -149,16 +140,16 @@ mod tests {
         let p = compile_src(
             "double f(double x, double y) { return fmax(fmin(sqrt(x), fabs(y)), 0.0); }",
         );
-        assert!(p.code.iter().any(|i| matches!(i, Instr::Sqrt(..))));
-        assert!(p.code.iter().any(|i| matches!(i, Instr::Abs(..))));
-        assert!(p.code.iter().any(|i| matches!(i, Instr::Min(..))));
-        assert!(p.code.iter().any(|i| matches!(i, Instr::Max(..))));
+        assert!(p.code.iter().any(|i| i.op == OpCode::Sqrt));
+        assert!(p.code.iter().any(|i| i.op == OpCode::Abs));
+        assert!(p.code.iter().any(|i| i.op == OpCode::Min));
+        assert!(p.code.iter().any(|i| i.op == OpCode::Max));
     }
 
     #[test]
     fn int_to_float_promotion() {
         let p = compile_src("double f(int n) { return n * 0.5; }");
-        assert!(p.code.iter().any(|i| matches!(i, Instr::CastIF(..))));
+        assert!(p.code.iter().any(|i| i.op == OpCode::CastIF));
     }
 
     #[test]
@@ -166,9 +157,9 @@ mod tests {
         let p = compile_src(
             "void f(double x, int n) { while (n > 0 && x < 100.0) { x = x * 2.0; n = n - 1; } }",
         );
-        assert!(p.code.iter().any(|i| matches!(i, Instr::MulI(..))));
-        assert!(p.code.iter().any(|i| matches!(i, Instr::CmpF(..))));
-        assert!(p.code.iter().any(|i| matches!(i, Instr::CmpI(..))));
+        assert!(p.code.iter().any(|i| i.op == OpCode::MulI));
+        assert!(p.code.iter().any(|i| i.op == OpCode::CmpF));
+        assert!(p.code.iter().any(|i| i.op == OpCode::CmpI));
     }
 
     #[test]
@@ -176,7 +167,7 @@ mod tests {
         let p = compile_src("double f(double x) { return x; }");
         let s = p.to_string();
         assert!(s.contains("program f"));
-        assert!(s.contains("Ret"));
+        assert!(s.contains(": ret"));
     }
 
     #[test]
@@ -193,13 +184,7 @@ mod tests {
         assert!(opt.code.len() < unopt.code.len());
         assert!(opt.n_fregs < unopt.n_fregs);
         // Only one multiply survives CSE.
-        assert_eq!(
-            opt.code
-                .iter()
-                .filter(|i| matches!(i, Instr::Mul(..)))
-                .count(),
-            1
-        );
+        assert_eq!(opt.code.iter().filter(|i| i.op == OpCode::Mul).count(), 1);
     }
 
     #[test]
@@ -213,8 +198,8 @@ mod tests {
             }",
         );
         for ins in &p.code {
-            if let Instr::Jump(t) | Instr::JumpIfZero(_, t) = ins {
-                assert!(*t <= p.code.len(), "target out of range: {ins:?}");
+            if let Some(t) = ins.target() {
+                assert!(t <= p.code.len(), "target out of range: {ins:?}");
             }
         }
         assert_eq!(p.code.len(), p.spans.len());

@@ -440,10 +440,12 @@ impl CfgDag<'_> {
                 self.set_int(d, v);
             }
             Inst::DivI(d, a, b) => {
-                let v = match (self.int_of(a), self.int_of(b)) {
-                    (Some(x), Some(y)) if y != 0 => Some(x / y),
-                    _ => None,
-                };
+                // Division by zero and `MIN / -1` stay unfolded: they are
+                // runtime errors, not values.
+                let v = self
+                    .int_of(a)
+                    .zip(self.int_of(b))
+                    .and_then(|(x, y)| x.checked_div(y));
                 self.set_int(d, v);
             }
             Inst::MovI(d, s) => {

@@ -50,7 +50,8 @@ pub mod passes;
 pub mod tac;
 
 pub use bytecode::{
-    emit_program, encode, pair_histogram, FixedInstr, FixedProgram, Instr, OpCode, Program,
+    emit_program, encode, pair_histogram, FixedInstr, FixedProgram, Imm, OpCode, Operand, Program,
+    MAX_REGS,
 };
 pub use cfg::{
     lower_function, ArrId, ArrayDecl, Block, BlockId, Cfg, CfgInstr, CmpOp, FReg, IReg, Inst,

@@ -8,7 +8,7 @@
 //! intervals; [`loop_regions`] verifies this and reports any irreducible
 //! shape instead of guessing.
 
-use crate::bytecode::Instr;
+use crate::bytecode::FixedInstr;
 
 /// A contiguous loop region in flat bytecode: every pc in
 /// `header..=back_jump` belongs to the loop, and `code[back_jump]` is a
@@ -63,15 +63,10 @@ impl LoopTable {
 /// two regions partially overlap — the structured front end never emits
 /// such code, so an overlap means the bytecode did not come from it and
 /// the fixpoint engine must not run on it.
-pub fn loop_regions(code: &[Instr]) -> Result<LoopTable, String> {
+pub fn loop_regions(code: &[FixedInstr]) -> Result<LoopTable, String> {
     let mut regions: Vec<LoopRegion> = Vec::new();
     for (pc, instr) in code.iter().enumerate() {
-        let target = match instr {
-            Instr::Jump(t) => Some(*t),
-            Instr::JumpIfZero(_, t) => Some(*t),
-            _ => None,
-        };
-        let Some(t) = target else { continue };
+        let Some(t) = instr.target() else { continue };
         if t > pc {
             continue;
         }
@@ -123,7 +118,7 @@ mod tests {
     #[test]
     fn straight_line_has_no_loops() {
         let cfg = cfg_of("double f(double x) { return x * x; }");
-        let prog = emit_program(&cfg);
+        let prog = emit_program(&cfg).unwrap();
         let table = loop_regions(&prog.code).unwrap();
         assert!(!table.has_loops());
     }
@@ -131,7 +126,7 @@ mod tests {
     #[test]
     fn while_loop_found_in_bytecode() {
         let cfg = cfg_of(WHILE_SRC);
-        let prog = emit_program(&cfg);
+        let prog = emit_program(&cfg).unwrap();
         let table = loop_regions(&prog.code).unwrap();
         assert_eq!(table.regions.len(), 1, "regions: {:?}", table.regions);
         let r = table.regions[0];
@@ -153,7 +148,7 @@ mod tests {
                 return x;
             }",
         );
-        let prog = emit_program(&cfg);
+        let prog = emit_program(&cfg).unwrap();
         let table = loop_regions(&prog.code).unwrap();
         assert_eq!(table.regions.len(), 2, "regions: {:?}", table.regions);
         let outer = table.regions[0];

@@ -247,3 +247,59 @@ fn stats_fp_ops_match_across_domains() {
     assert_eq!(a.stats.fp_ops, b.stats.fp_ops);
     assert_eq!(a.stats.fp_ops, 7);
 }
+
+/// Integer `+ − ×` wrap and `/` reports its two failures as errors on
+/// the scalar VM, every lane of a 4-lane group, and the fixpoint
+/// engine alike; a constant `MIN / -1` also survives the compiler's
+/// folder and the analysis.
+#[test]
+fn integer_overflow_wraps_and_division_errors_on_every_path() {
+    use safegen_suite::safegen::{encode, run_lanes_on, run_on, LoopMode};
+    let src = "double f(int a, int b, int n) {
+        int c = 0;
+        for (int i = 0; i < n; i++) { c = a / b + a * b - a; }
+        return c;
+    }
+    double g(double x) { int m = -9223372036854775807 - 1; int q = m / -1; return x + q; }";
+    let compiled = Compiler::new().compile(src).unwrap();
+    let (min, max) = (i64::MIN, i64::MAX);
+    let args = |a: i64, b: i64| vec![ArgValue::Int(a), ArgValue::Int(b), ArgValue::Int(3)];
+    let wrapped = (max / 2)
+        .wrapping_add(max.wrapping_mul(2))
+        .wrapping_sub(max) as f64;
+    let cases = [
+        (args(min, -1), Err("integer division overflow")),
+        (args(max, 2), Ok(wrapped)),
+        (args(7, 0), Err("integer division by zero")),
+        (
+            args(min, 1),
+            Ok(min.wrapping_add(min).wrapping_sub(min) as f64),
+        ),
+    ];
+    let check =
+        |path: &str, i: usize, got: Result<Option<(f64, f64)>, String>| match (&cases[i].1, got) {
+            (Ok(want), Ok(Some((lo, hi)))) => {
+                assert_eq!((lo, hi), (*want, *want), "{path} case {i}")
+            }
+            (Err(want), Err(e)) => assert_eq!(&e, want, "{path} case {i}"),
+            (want, got) => panic!("{path} case {i}: want {want:?}, got {got:?}"),
+        };
+    for mode in [LoopMode::Unroll, LoopMode::Fixpoint] {
+        let config = RunConfig::unsound().with_loop_mode(mode);
+        let prog = compiled.program_for("f", &config);
+        for (i, (a, _)) in cases.iter().enumerate() {
+            check(mode.as_str(), i, run_on(&prog, a, &config).map(|r| r.ret));
+        }
+    }
+    let config = RunConfig::unsound();
+    let prog = compiled.program_for("f", &config);
+    let inputs: Vec<Vec<ArgValue>> = cases.iter().map(|(a, _)| a.clone()).collect();
+    let lanes = run_lanes_on(&prog, &encode(&prog).unwrap(), &inputs, &config);
+    for (i, got) in lanes.into_iter().enumerate() {
+        check("lanes", i, got.map(|r| r.ret));
+    }
+    let e = compiled
+        .run("g", &[ArgValue::Float(1.0)], &RunConfig::affine_f64(8))
+        .unwrap_err();
+    assert!(e.contains("integer division overflow"), "{e}");
+}

@@ -89,7 +89,7 @@ fn differential(src: &str, func: &str, base_inputs: &[f64], what: &str) {
     };
     for config in all_configs() {
         let prog = compiled.program_for(func, &config);
-        let fixed = encode(&prog).expect("paper-scale programs fit the fixed-width encoding");
+        let fixed = encode(&prog).expect("every program encodes");
         for w in [1usize, 2, 4, 8] {
             let inputs: Vec<Vec<ArgValue>> = (0..w).map(|l| lane_inputs(base_inputs, l)).collect();
             let laned = run_lanes_on(&prog, &fixed, &inputs, &config);
