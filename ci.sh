@@ -379,7 +379,7 @@ build_release
 "$JSON_CHECK" "$SMOKE_DIR/results/BENCH_fixpoint.json"
 
 echo "== bench trend gate (every results/BENCH_*.json export is valid) =="
-./target/release/trend --require 6
+./target/release/trend --require 8
 
 echo "== lane-differential gate (SoA engine bit-identical to scalar) =="
 cargo test -q --test lanes_differential

@@ -17,9 +17,7 @@
 use crate::workloads::Workload;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use safegen_api::{
-    BatchOptions, Engine, EvalRequest, PassManager, Program, RunConfig, RunStats, WorkerStats,
-};
+use safegen_api::{BatchOptions, EvalRequest, Program, RunConfig, RunStats, WorkerStats};
 use safegen_telemetry as telemetry;
 use safegen_telemetry::json::Json;
 use std::path::PathBuf;
@@ -229,30 +227,6 @@ pub fn measure(workload: &Workload, program: &Program, config: &RunConfig) -> Me
     m
 }
 
-/// Measures the mid-end pass pipeline's impact: the same workload and
-/// configuration measured twice, once compiled through the optimizing
-/// pipeline and once with passes disabled. The unoptimized row's config
-/// label carries a ` [no-opt]` suffix so both rows coexist in one
-/// `BENCH_*.json` document (compare their `instrs`/`fp_ops` ranges).
-///
-/// # Panics
-///
-/// Panics if the workload fails to compile or execute.
-pub fn measure_pass_impact(workload: &Workload, config: &RunConfig) -> (Measurement, Measurement) {
-    let optimized = Engine::new()
-        .with_passes(PassManager::optimizing())
-        .compile(&workload.source, workload.name)
-        .expect("workload compiles");
-    let unoptimized = Engine::new()
-        .with_passes(PassManager::none())
-        .compile(&workload.source, workload.name)
-        .expect("workload compiles");
-    let opt = measure(workload, &optimized, config);
-    let mut unopt = measure(workload, &unoptimized, config);
-    unopt.config.push_str(" [no-opt]");
-    (opt, unopt)
-}
-
 /// Median native (plain `f64`, compiled Rust) runtime of the workload —
 /// the unsound baseline of every slowdown figure. Runs serially (the
 /// native kernels are too fast for per-item parallel timing to help)
@@ -338,11 +312,6 @@ pub fn rows_to_json(binary: &str, rows: &[Measurement]) -> Json {
     ])
 }
 
-/// Prints the measurements as one JSON document on stdout.
-pub fn print_json(binary: &str, rows: &[Measurement]) {
-    println!("{}", rows_to_json(binary, rows));
-}
-
 /// Writes `doc` to `results/BENCH_<binary>.json` (creating `results/`
 /// when needed) and returns the path.
 ///
@@ -379,25 +348,11 @@ pub fn export_json(binary: &str, doc: &Json) {
     }
 }
 
-/// Prints measurements as an aligned ASCII table.
-pub fn print_table(title: &str, rows: &[Measurement]) {
-    println!("\n== {title} ==");
-    println!(
-        "{:<8} {:<24} {:>10} {:>12} {:>12}",
-        "bench", "config", "acc(bits)", "slowdown", "runtime"
-    );
-    for m in rows {
-        println!(
-            "{:<8} {:<24} {:>10.2} {:>11.1}x {:>11.3e}s",
-            m.bench, m.config, m.acc_bits, m.slowdown, m.runtime
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::workloads::WorkloadKind;
+    use safegen_api::Engine;
 
     /// The env-mutating tests below share process-global state; serialize
     /// them so the parallel test runner cannot interleave their settings.

@@ -2,7 +2,7 @@
 
 use crate::domain::{Domain, DomainKind, UnsoundF64};
 use crate::exec::{ArgValue, RunStats};
-use crate::fixpoint::{exec_fixpoint, FixpointConfig, LoopMode};
+use crate::fixpoint::{attempt_budget, exec_fixpoint, LoopMode};
 use crate::program::{compile_program_with, Program};
 use safegen_affine::baselines::{CeresAffine, YalaaAff0, YalaaAff1};
 use safegen_affine::{AaConfig, AffineDd, AffineF32, AffineF64};
@@ -664,10 +664,10 @@ macro_rules! with_domain {
 /// Returns the VM error message on execution failure.
 pub fn run_on(prog: &Program, args: &[ArgValue], config: &RunConfig) -> Result<RunReport, String> {
     let mode = config.loop_mode;
-    let fcfg = FixpointConfig::for_mode(mode, config.unroll_budget);
+    let budget = attempt_budget(mode, config.unroll_budget);
     telemetry::span("vm.exec", || {
         with_domain!(config.kind, D => {
-            exec_fixpoint::<D>(prog, args, &D::context(&config.aa), mode, &fcfg)
+            exec_fixpoint::<D>(prog, args, &D::context(&config.aa), mode, budget)
                 .map(to_report)
                 .map_err(|e| e.message)
         })

@@ -15,9 +15,9 @@
 //! 2. **Iterate** (phase B): keep an interval hull per loop-carried
 //!    variable, re-execute the loop body from the materialized hulls, and
 //!    join the resulting state back in until the invariant is inductive
-//!    (`F(inv) ⊑ inv`). After `widen_delay` rounds, growing endpoints are
+//!    (`F(inv) ⊑ inv`). After `WIDEN_DELAY` rounds, growing endpoints are
 //!    snapped outward to a power-of-two ladder (threshold widening), and
-//!    after `threshold_rounds` more they jump to ±∞ — so the iteration
+//!    after `THRESHOLD_ROUNDS` more they jump to ±∞ — so the iteration
 //!    terminates even for divergent loops.
 //! 3. **Narrow**: candidate refinements `entry ⊔ F(inv)` are accepted
 //!    only after re-verification (`entry ⊔ F(cand) ⊑ cand`), recovering
@@ -89,55 +89,34 @@ impl LoopMode {
     }
 }
 
-/// Tuning knobs of the fixpoint solver. [`FixpointConfig::for_mode`]
-/// derives the standard settings; every field is public for tests.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct FixpointConfig {
-    /// Back-edge traversals granted to the concrete attempt (phase A)
-    /// before aborting to the abstract solver.
-    pub attempt_budget: u64,
-    /// Join rounds before widening starts.
-    pub widen_delay: u32,
-    /// Threshold-widening rounds (power-of-two ladder) before endpoints
-    /// jump to ±∞.
-    pub threshold_rounds: u32,
-    /// Verified narrowing passes after stabilization.
-    pub narrow_passes: u32,
-    /// Hard cap on iterate rounds (defense in depth; the widening
-    /// schedule alone guarantees termination).
-    pub max_iters: u32,
-    /// Instruction cap per abstract body pass (guards against a nested
-    /// concrete loop that never terminates inside one pass).
-    pub pass_fuel: u64,
-}
+/// Back-edge traversals granted to the concrete attempt (phase A) before
+/// aborting to the abstract solver, under `LoopMode::Fixpoint`.
+const ATTEMPT_BUDGET: u64 = 16;
+/// The same under `LoopMode::Auto`, which prefers the exact unrolled
+/// result for moderately long bounded loops.
+const AUTO_ATTEMPT_BUDGET: u64 = 1024;
+/// Join rounds before widening starts.
+const WIDEN_DELAY: u32 = 3;
+/// Threshold-widening rounds (power-of-two ladder) before endpoints jump
+/// to ±∞.
+const THRESHOLD_ROUNDS: u32 = 24;
+/// Verified narrowing passes after stabilization.
+const NARROW_PASSES: u32 = 8;
+/// Hard cap on iterate rounds (defense in depth; the widening schedule
+/// alone guarantees termination).
+const MAX_ITERS: u32 = 64;
+/// Instruction cap per abstract body pass (guards against a nested
+/// concrete loop that never terminates inside one pass).
+const PASS_FUEL: u64 = 10_000_000;
 
-impl Default for FixpointConfig {
-    fn default() -> FixpointConfig {
-        FixpointConfig {
-            attempt_budget: 16,
-            widen_delay: 3,
-            threshold_rounds: 24,
-            narrow_passes: 8,
-            max_iters: 64,
-            pass_fuel: 10_000_000,
-        }
-    }
-}
-
-impl FixpointConfig {
-    /// The standard configuration for `mode`, with the attempt budget
-    /// optionally overridden (`SAFEGEN_UNROLL_BUDGET` /
-    /// `RunConfig::unroll_budget`).
-    pub fn for_mode(mode: LoopMode, unroll_budget: Option<u64>) -> FixpointConfig {
-        let mut cfg = FixpointConfig::default();
-        if matches!(mode, LoopMode::Auto) {
-            cfg.attempt_budget = 1024;
-        }
-        if let Some(b) = unroll_budget {
-            cfg.attempt_budget = b;
-        }
-        cfg
-    }
+/// The attempt budget for `mode`: the standard one, or `unroll_budget`
+/// when the run configuration sets it (`RunConfig::unroll_budget`, the
+/// CLI's `--unroll-budget`).
+pub(crate) fn attempt_budget(mode: LoopMode, unroll_budget: Option<u64>) -> u64 {
+    unroll_budget.unwrap_or(match mode {
+        LoopMode::Auto => AUTO_ATTEMPT_BUDGET,
+        _ => ATTEMPT_BUDGET,
+    })
 }
 
 /// Abstract integer: the flat lattice `Known ⊑ Top`, plus a lazily
@@ -408,7 +387,7 @@ pub(crate) fn exec_fixpoint<D: Domain>(
     args: &[ArgValue],
     cx: &D::Ctx,
     mode: LoopMode,
-    cfg: &FixpointConfig,
+    attempt_budget: u64,
 ) -> Result<RunResult<D>, ExecError> {
     if matches!(mode, LoopMode::Unroll) {
         return exec_inner(prog, args, cx, &mut NoTrace);
@@ -428,7 +407,7 @@ pub(crate) fn exec_fixpoint<D: Domain>(
         prog,
         cx,
         table: &table,
-        cfg,
+        attempt_budget,
         stats: RunStats::default(),
     };
     match engine.run_program(args) {
@@ -451,7 +430,7 @@ struct Engine<'p, D: Domain> {
     prog: &'p Program,
     cx: &'p D::Ctx,
     table: &'p LoopTable,
-    cfg: &'p FixpointConfig,
+    attempt_budget: u64,
     stats: RunStats,
 }
 
@@ -534,7 +513,7 @@ impl<D: Domain> Engine<'_, D> {
                 Ok(Flow::Goto(t)) => {
                     if t == region.header {
                         traversals += 1;
-                        if traversals > self.cfg.attempt_budget {
+                        if traversals > self.attempt_budget {
                             return Ok(AttemptOut::Abort);
                         }
                     }
@@ -579,7 +558,7 @@ impl<D: Domain> Engine<'_, D> {
         loop {
             round += 1;
             self.stats.fixpoint_iters += 1;
-            if round > self.cfg.max_iters {
+            if round > MAX_ITERS {
                 return Err(FpAbort::NeedConcrete("loop did not stabilize"));
             }
             let start = self.materialize(&snapshot, &inv, &written)?;
@@ -589,7 +568,7 @@ impl<D: Domain> Engine<'_, D> {
                     if next.contained_in(&inv) {
                         break;
                     }
-                    self.stats.widenings += inv.join_widen(&next, round, self.cfg);
+                    self.stats.widenings += inv.join_widen(&next, round);
                 }
                 PassOut::Exited | PassOut::ExitedAt { .. } => break,
             }
@@ -598,7 +577,7 @@ impl<D: Domain> Engine<'_, D> {
         // Narrowing: each candidate `entry ⊔ F(inv)` is re-verified
         // (`entry ⊔ F(cand) ⊑ cand`) before acceptance, so precision
         // recovery never assumes monotonic transfer functions.
-        for _ in 0..self.cfg.narrow_passes {
+        for _ in 0..NARROW_PASSES {
             let start = self.materialize(&snapshot, &inv, &written)?;
             let body = match self.pass(start, region, None)? {
                 PassOut::Back(s) => Some(self.hulls_of(&s, &written)),
@@ -669,7 +648,7 @@ impl<D: Domain> Engine<'_, D> {
         mut collect: Option<&mut Option<(usize, AbsMachine<D>)>>,
     ) -> Result<PassOut<D>, FpAbort> {
         let mut pc = region.header;
-        let mut fuel = self.cfg.pass_fuel;
+        let mut fuel = PASS_FUEL;
         loop {
             if !region.contains(pc) {
                 return Ok(PassOut::ExitedAt { pc, state: m });
@@ -988,21 +967,21 @@ fn guard_nonzero(g: AbsInt) -> AbsInt {
 }
 
 /// Widens one hull toward `next` on the round schedule: plain join while
-/// `round ≤ widen_delay`, power-of-two threshold ladder for the next
-/// `threshold_rounds`, then ±∞. Returns 1 when a widening (not a plain
+/// `round ≤ WIDEN_DELAY`, power-of-two threshold ladder for the next
+/// `THRESHOLD_ROUNDS`, then ±∞. Returns 1 when a widening (not a plain
 /// join) was applied.
-fn widen_hull(cur: &mut (f64, f64), next: (f64, f64), round: u32, cfg: &FixpointConfig) -> u64 {
+fn widen_hull(cur: &mut (f64, f64), next: (f64, f64), round: u32) -> u64 {
     let grew_lo = next.0 < cur.0;
     let grew_hi = next.1 > cur.1;
     if !grew_lo && !grew_hi {
         return 0;
     }
-    if round <= cfg.widen_delay {
+    if round <= WIDEN_DELAY {
         cur.0 = cur.0.min(next.0);
         cur.1 = cur.1.max(next.1);
         return 0;
     }
-    if round <= cfg.widen_delay + cfg.threshold_rounds {
+    if round <= WIDEN_DELAY + THRESHOLD_ROUNDS {
         if grew_lo {
             cur.0 = ladder_lo(next.0);
         }
@@ -1058,10 +1037,10 @@ impl Inv {
 
     /// Join-with-widening on the round schedule. Returns the number of
     /// hulls that were widened (beyond a plain join).
-    fn join_widen(&mut self, next: &Inv, round: u32, cfg: &FixpointConfig) -> u64 {
+    fn join_widen(&mut self, next: &Inv, round: u32) -> u64 {
         let mut count = 0u64;
         for (a, b) in self.f.iter_mut().zip(&next.f) {
-            count += widen_hull(a, *b, round, cfg);
+            count += widen_hull(a, *b, round);
         }
         for (a, b) in self.i.iter_mut().zip(&next.i) {
             if *a != *b {
@@ -1070,7 +1049,7 @@ impl Inv {
         }
         for (xs, ys) in self.a.iter_mut().zip(&next.a) {
             for (a, b) in xs.iter_mut().zip(ys) {
-                count += widen_hull(a, *b, round, cfg);
+                count += widen_hull(a, *b, round);
             }
         }
         count
@@ -1092,13 +1071,6 @@ mod tests {
         let tac = safegen_ir::to_tac(&unit, &sema);
         let sema2 = analyze(&tac).unwrap();
         compile_program(&tac.functions[0], &sema2).unwrap()
-    }
-
-    fn fix_cfg(budget: u64) -> FixpointConfig {
-        FixpointConfig {
-            attempt_budget: budget,
-            ..FixpointConfig::default()
-        }
     }
 
     #[test]
@@ -1143,7 +1115,6 @@ mod tests {
     #[test]
     fn widen_hull_dominates_join_across_the_edge_grid() {
         use safegen_rational::Rational;
-        let cfg = FixpointConfig::default();
         let grid = edge_grid();
         let exact: Vec<Rational> = grid
             .iter()
@@ -1156,15 +1127,15 @@ mod tests {
             .collect();
         // One round from each phase of the schedule: plain join, ladder,
         // and the jump to ±∞.
-        let join_round = cfg.widen_delay;
-        let ladder_round = cfg.widen_delay + 1;
-        let infinity_round = cfg.widen_delay + cfg.threshold_rounds + 1;
+        let join_round = WIDEN_DELAY;
+        let ladder_round = WIDEN_DELAY + 1;
+        let infinity_round = WIDEN_DELAY + THRESHOLD_ROUNDS + 1;
         for &cur in &hulls {
             for &next in &hulls {
                 let joined = (cur.0.min(next.0), cur.1.max(next.1));
                 let widen = |round| {
                     let mut w = cur;
-                    widen_hull(&mut w, next, round, &cfg);
+                    widen_hull(&mut w, next, round);
                     w
                 };
                 let (plain, laddered, infinite) = (
@@ -1192,10 +1163,9 @@ mod tests {
     #[test]
     fn widen_hull_chains_stabilize() {
         // Against sequences that grow every round, the schedule must reach
-        // a hull no next state escapes within `threshold_rounds + 2`
+        // a hull no next state escapes within `THRESHOLD_ROUNDS + 2`
         // widening rounds: each ladder round at least doubles a growing
         // magnitude, and the round after the ladder jumps to ±∞.
-        let cfg = FixpointConfig::default();
         type Hull = (f64, f64);
         let creeps: [fn(Hull) -> Hull; 2] = [
             |(lo, hi)| (lo * 1.5 - 0.1, hi * 1.5 + 0.1),
@@ -1204,11 +1174,11 @@ mod tests {
         for creep in creeps {
             let mut inv = (-0.5, 0.5);
             let mut stable_at = None;
-            for round in 1..=cfg.max_iters {
+            for round in 1..=MAX_ITERS {
                 let before = inv;
                 let next = creep(inv);
-                let widened = widen_hull(&mut inv, next, round, &cfg);
-                assert_eq!(widened == 1, round > cfg.widen_delay && inv != before);
+                let widened = widen_hull(&mut inv, next, round);
+                assert_eq!(widened == 1, round > WIDEN_DELAY && inv != before);
                 if inv == before {
                     stable_at = Some(round);
                     break;
@@ -1216,7 +1186,7 @@ mod tests {
             }
             let stable_at = stable_at.expect("widening chain never stabilized");
             assert!(
-                stable_at - cfg.widen_delay <= cfg.threshold_rounds + 2,
+                stable_at - WIDEN_DELAY <= THRESHOLD_ROUNDS + 2,
                 "stable only at round {stable_at}"
             );
             assert_eq!(inv, (f64::NEG_INFINITY, f64::INFINITY));
@@ -1234,7 +1204,7 @@ mod tests {
             }",
         );
         let args = [vec![1.0, 2.0].into(), 2i64.into()];
-        let fx = exec_fixpoint::<IntervalF64>(&p, &args, &(), LoopMode::Fixpoint, &fix_cfg(16));
+        let fx = exec_fixpoint::<IntervalF64>(&p, &args, &(), LoopMode::Fixpoint, 16);
         let plain = crate::exec::<IntervalF64>(&p, &args, &());
         let (fx, plain) = (fx.unwrap_err(), plain.unwrap_err());
         assert_eq!(fx.message, plain.message);
@@ -1252,10 +1222,10 @@ mod tests {
                 return x;
             }",
         );
-        let cfg = fix_cfg(16);
+        let budget = 16;
         let args = [8.0.into(), 5i64.into()];
         let fx: RunResult<UnsoundF64> =
-            exec_fixpoint(&p, &args, &(), LoopMode::Fixpoint, &cfg).unwrap();
+            exec_fixpoint(&p, &args, &(), LoopMode::Fixpoint, budget).unwrap();
         let plain: RunResult<UnsoundF64> = crate::exec(&p, &args, &()).unwrap();
         assert_eq!(fx.ret.unwrap().0, plain.ret.unwrap().0);
         assert_eq!(fx.stats.fixpoint_loops, 0);
@@ -1273,10 +1243,10 @@ mod tests {
                 return x;
             }",
         );
-        let cfg = fix_cfg(8);
+        let budget = 8;
         let n: i64 = 1 << 40;
         let r: RunResult<IntervalF64> =
-            exec_fixpoint(&p, &[1.0.into(), n.into()], &(), LoopMode::Fixpoint, &cfg).unwrap();
+            exec_fixpoint(&p, &[1.0.into(), n.into()], &(), LoopMode::Fixpoint, budget).unwrap();
         let iv = r.ret.unwrap();
         assert!(
             r.stats.fixpoint_loops >= 1,
@@ -1301,9 +1271,9 @@ mod tests {
                 return x;
             }",
         );
-        let cfg = fix_cfg(0); // force the abstract solver
+        let budget = 0; // force the abstract solver
         let r: RunResult<IntervalF64> =
-            exec_fixpoint(&p, &[8.0.into()], &(), LoopMode::Fixpoint, &cfg).unwrap();
+            exec_fixpoint(&p, &[8.0.into()], &(), LoopMode::Fixpoint, budget).unwrap();
         let iv = r.ret.unwrap();
         assert!(r.stats.fixpoint_loops >= 1);
         // Exact execution exits with 0.5; the exit refinement bounds the
@@ -1323,9 +1293,9 @@ mod tests {
                 return x;
             }",
         );
-        let cfg = fix_cfg(4);
+        let budget = 4;
         let r: RunResult<IntervalF64> =
-            exec_fixpoint(&p, &[1.0.into()], &(), LoopMode::Fixpoint, &cfg).unwrap();
+            exec_fixpoint(&p, &[1.0.into()], &(), LoopMode::Fixpoint, budget).unwrap();
         let iv = r.ret.unwrap();
         assert!(r.stats.fixpoint_loops >= 1);
         assert!(r.stats.widenings >= 1, "divergence must widen");
@@ -1342,10 +1312,16 @@ mod tests {
             }",
         );
         let ctx = AaContext::new(AaConfig::default());
-        let cfg = fix_cfg(8);
+        let budget = 8;
         let n: i64 = 1 << 40;
-        let r: RunResult<AffineF64> =
-            exec_fixpoint(&p, &[1.0.into(), n.into()], &ctx, LoopMode::Fixpoint, &cfg).unwrap();
+        let r: RunResult<AffineF64> = exec_fixpoint(
+            &p,
+            &[1.0.into(), n.into()],
+            &ctx,
+            LoopMode::Fixpoint,
+            budget,
+        )
+        .unwrap();
         let (lo, hi) = r.ret.unwrap().range();
         assert!(r.stats.fixpoint_loops >= 1);
         assert!(lo <= 1.0 && hi >= 10.0 - 1e-6, "got [{lo}, {hi}]");
@@ -1362,9 +1338,9 @@ mod tests {
             }",
         );
         let args = [0.0.into(), 100i64.into()];
-        let cfg = FixpointConfig::default();
+        let budget = ATTEMPT_BUDGET;
         let fx: RunResult<IntervalF64> =
-            exec_fixpoint(&p, &args, &(), LoopMode::Unroll, &cfg).unwrap();
+            exec_fixpoint(&p, &args, &(), LoopMode::Unroll, budget).unwrap();
         let plain: RunResult<IntervalF64> = crate::exec(&p, &args, &()).unwrap();
         assert_eq!(fx.ret.unwrap(), plain.ret.unwrap());
         assert_eq!(fx.stats, plain.stats);
@@ -1373,13 +1349,13 @@ mod tests {
     #[test]
     fn loop_free_program_is_unaffected_by_mode() {
         let p = compile("double f(double a, double b) { return a * b + 0.1; }");
-        let cfg = FixpointConfig::default();
+        let budget = ATTEMPT_BUDGET;
         let fx: RunResult<IntervalF64> = exec_fixpoint(
             &p,
             &[0.5.into(), 0.25.into()],
             &(),
             LoopMode::Fixpoint,
-            &cfg,
+            budget,
         )
         .unwrap();
         let plain: RunResult<IntervalF64> =
@@ -1402,10 +1378,10 @@ mod tests {
                 return x;
             }",
         );
-        let cfg = fix_cfg(4);
+        let budget = 4;
         let n: i64 = 1 << 40;
         let r: RunResult<IntervalF64> =
-            exec_fixpoint(&p, &[1.0.into(), n.into()], &(), LoopMode::Fixpoint, &cfg).unwrap();
+            exec_fixpoint(&p, &[1.0.into(), n.into()], &(), LoopMode::Fixpoint, budget).unwrap();
         let iv = r.ret.unwrap();
         // Iterates stay within [0, 2]: x -> x/8 + 1 has fixpoint 8/7.
         assert!(
@@ -1425,14 +1401,14 @@ mod tests {
                 return s;
             }",
         );
-        let cfg = fix_cfg(4);
+        let budget = 4;
         let n: i64 = 1 << 40;
         let r: RunResult<IntervalF64> = exec_fixpoint(
             &p,
             &[vec![1.0, 2.0, 3.0, 4.0].into(), n.into()],
             &(),
             LoopMode::Fixpoint,
-            &cfg,
+            budget,
         )
         .unwrap();
         let iv = r.ret.unwrap();

@@ -1081,6 +1081,12 @@ impl Lower<'_> {
                 let (arr, idx) = self.array_index(e)?;
                 self.emit_tagged(Inst::LoadArr(dst, arr, idx), *span, var);
             }
+            Expr::Bin { span, .. } if !self.sema.type_of(self.func, e).is_float() => {
+                // Integer arithmetic inside a float expression runs as
+                // integer arithmetic, as in C, and is converted once.
+                let a = self.int_expr(e)?;
+                self.emit_tagged(Inst::CastIF(dst, a), *span, var);
+            }
             Expr::Bin { op, lhs, rhs, span } if op.is_arith() => {
                 let a = self.float_operand(lhs)?;
                 let b = self.float_operand(rhs)?;

@@ -8,7 +8,9 @@
 //!
 //! Compound assignments are expanded (`a += b` becomes `t = a + b; a = t`),
 //! and calls / unary negations of floating type are flattened as well.
-//! Integer expressions (loop indices) are left untouched.
+//! Integer expressions (loop indices) are left untouched; an integer
+//! operand of a floating-point operation is spilled to an `int`
+//! temporary.
 
 use safegen_cfront::{AssignOp, BinOp, Expr, Function, Sema, Stmt, Ty, Unit, VarInfo};
 
@@ -38,11 +40,11 @@ pub fn to_tac_with_sema(unit: &Unit, sema: &Sema) -> (Unit, Sema) {
                 .functions
                 .get_mut(&f.name)
                 .expect("sema covers every function in the unit");
-            for (name, span) in cx.temps {
+            for (name, ty, span) in cx.temps {
                 info.vars.insert(
                     name,
                     VarInfo {
-                        ty: Ty::Double,
+                        ty,
                         is_param: false,
                         span,
                     },
@@ -64,10 +66,11 @@ struct TacCx<'a> {
     sema: &'a Sema,
     func: String,
     next_tmp: u32,
-    /// Every `_tN` this function's transform spilled, with the span of the
-    /// source expression it names — recorded so `to_tac_with_sema` can
-    /// extend the semantic tables without a second `analyze` pass.
-    temps: Vec<(String, safegen_cfront::Span)>,
+    /// Every `_tN` this function's transform spilled, with its type and
+    /// the span of the source expression it names — recorded so
+    /// `to_tac_with_sema` can extend the semantic tables without a second
+    /// `analyze` pass.
+    temps: Vec<(String, Ty, safegen_cfront::Span)>,
 }
 
 impl TacCx<'_> {
@@ -280,8 +283,13 @@ impl TacCx<'_> {
             | Expr::Ident { .. }
             | Expr::Index { .. } => e.clone(),
             _ => {
+                let ty = if self.is_float(e) {
+                    Ty::Double
+                } else {
+                    Ty::Int
+                };
                 let top = self.flatten_top(e, out);
-                self.spill(top, e.span(), out)
+                self.spill(top, ty, e.span(), out)
             }
         }
     }
@@ -332,12 +340,14 @@ impl TacCx<'_> {
         }
     }
 
-    /// Emits `double _tN = <e>;` and returns `_tN`.
-    fn spill(&mut self, e: Expr, span: safegen_cfront::Span, out: &mut Vec<Stmt>) -> Expr {
+    /// Emits `<ty> _tN = <e>;` and returns `_tN`. An integer
+    /// subexpression of a float expression is spilled as `int`, so it
+    /// stays integer arithmetic, as in C.
+    fn spill(&mut self, e: Expr, ty: Ty, span: safegen_cfront::Span, out: &mut Vec<Stmt>) -> Expr {
         let name = self.fresh();
-        self.temps.push((name.clone(), span));
+        self.temps.push((name.clone(), ty.clone(), span));
         out.push(Stmt::Decl {
-            ty: Ty::Double,
+            ty,
             name: name.clone(),
             init: Some(e),
             span,

@@ -303,3 +303,77 @@ fn integer_overflow_wraps_and_division_errors_on_every_path() {
         .unwrap_err();
     assert!(e.contains("integer division overflow"), "{e}");
 }
+
+/// An integer subexpression of a float expression is integer arithmetic,
+/// as in C: `a / b` truncates before the conversion to double, on the
+/// scalar VM and in a lane group, under the unsound, IGen-f64 and
+/// f64a-dspv configurations, and the TAC spills it to an `int`.
+#[test]
+fn integer_subexpressions_of_float_expressions_stay_integer() {
+    use safegen_suite::safegen::{encode, run_lanes_on, run_on};
+    let src = "double g(int a, int b) { double d = a / b; return d; }
+    double f(double x) { double d = x + 7 / 2; return d; }";
+    let compiled = Compiler::new().compile(src).unwrap();
+    let tac = safegen_suite::cfront::print_unit(&compiled.tac);
+    assert!(tac.contains("double d = a / b;"), "{tac}");
+    assert!(tac.contains("int _t1 = 7 / 2;"), "{tac}");
+    assert!(tac.contains("double d = x + _t1;"), "{tac}");
+
+    let g_cases = [
+        ((7, 2), Ok(3.0)),
+        ((-7, 2), Ok(-3.0)),
+        ((9, 4), Ok(2.0)),
+        ((1, 0), Err("integer division by zero")),
+    ];
+    let f_cases = [(0.0, 3.0), (0.5, 3.5), (-3.0, 0.0), (1.0, 4.0)];
+    let check =
+        |what: &str, got: Result<Option<(f64, f64)>, String>, want: Result<f64, &str>| match (
+            want, got,
+        ) {
+            (Ok(w), Ok(Some((lo, hi)))) => {
+                assert!(lo <= w && w <= hi, "{what}: {w} outside [{lo}, {hi}]");
+                assert!(
+                    hi - lo < 0.5,
+                    "{what}: [{lo}, {hi}] is not the integer quotient"
+                );
+            }
+            (Err(w), Err(e)) => assert_eq!(e, w, "{what}"),
+            (want, got) => panic!("{what}: want {want:?}, got {got:?}"),
+        };
+    for config in [
+        RunConfig::unsound(),
+        RunConfig::interval_f64(),
+        RunConfig::affine_f64(8),
+    ] {
+        let label = config.label();
+        let g_inputs: Vec<Vec<ArgValue>> = g_cases
+            .iter()
+            .map(|&((a, b), _)| vec![ArgValue::Int(a), ArgValue::Int(b)])
+            .collect();
+        let f_inputs: Vec<Vec<ArgValue>> = f_cases
+            .iter()
+            .map(|&(x, _)| vec![ArgValue::Float(x)])
+            .collect();
+        let g = compiled.program_for("g", &config);
+        let f = compiled.program_for("f", &config);
+        let g_lanes = run_lanes_on(&g, &encode(&g).unwrap(), &g_inputs, &config);
+        let f_lanes = run_lanes_on(&f, &encode(&f).unwrap(), &f_inputs, &config);
+        assert_eq!((g_lanes.len(), f_lanes.len()), (4, 4));
+        for (i, ((args, (_, want)), lane)) in g_inputs.iter().zip(&g_cases).zip(g_lanes).enumerate()
+        {
+            let scalar = run_on(&g, args, &config).map(|r| r.ret);
+            check(&format!("{label} g scalar {i}"), scalar, *want);
+            check(&format!("{label} g lane {i}"), lane.map(|r| r.ret), *want);
+        }
+        for (i, ((args, (_, want)), lane)) in f_inputs.iter().zip(&f_cases).zip(f_lanes).enumerate()
+        {
+            let scalar = run_on(&f, args, &config).map(|r| r.ret);
+            check(&format!("{label} f scalar {i}"), scalar, Ok(*want));
+            check(
+                &format!("{label} f lane {i}"),
+                lane.map(|r| r.ret),
+                Ok(*want),
+            );
+        }
+    }
+}
