@@ -344,19 +344,18 @@ EOF
 "$SAFEGEN" run "$SMOKE_DIR/loop.c" --fn f --config dspv --k 8 \
     --arg 1.0 --int 1099511627776 --loop-mode fixpoint --unroll-budget 4 \
     | grep -q "fixpoint: 1 loop(s) solved"
-# Artifacts advertise the capability as a header flag...
-"$SAFEGEN" compile "$SMOKE_DIR/loop.c" \
-    -o "$SMOKE_DIR/loop.sga" --k 8 --fixpoint
-test "$(od -An -j6 -N1 -tu1 "$SMOKE_DIR/loop.sga" | tr -d ' ')" = "1"
-# ...and a forged flag byte fails the capability cross-check at load.
+# Header flags are reserved: a fresh artifact writes 0...
+"$SAFEGEN" compile "$SMOKE_DIR/loop.c" -o "$SMOKE_DIR/loop.sga" --k 8
+test "$(od -An -j6 -N1 -tu1 "$SMOKE_DIR/loop.sga" | tr -d ' ')" = "0"
+# ...and a forged bit 0 is refused at load.
 cp "$SMOKE_DIR/loop.sga" "$SMOKE_DIR/forged.sga"
-printf '\x00' | dd of="$SMOKE_DIR/forged.sga" bs=1 seek=6 conv=notrunc status=none
+printf '\x01' | dd of="$SMOKE_DIR/forged.sga" bs=1 seek=6 conv=notrunc status=none
 if "$SAFEGEN" run "$SMOKE_DIR/forged.sga" --fn f --config dspv \
     --k 8 --arg 1.0 --int 8 > "$SMOKE_DIR/forged.txt" 2>&1; then
     echo "forged artifact unexpectedly accepted"
     exit 1
 fi
-grep -qi "capability mismatch" "$SMOKE_DIR/forged.txt"
+grep -q "reserved header flags set" "$SMOKE_DIR/forged.txt"
 # An artifact of the previous format version is refused by name.
 cp "$SMOKE_DIR/loop.sga" "$SMOKE_DIR/v1.sga"
 printf '\x01\x00' | dd of="$SMOKE_DIR/v1.sga" bs=1 seek=4 conv=notrunc status=none

@@ -20,7 +20,8 @@
 //! comparison in Fig. 9 is about.
 
 use safegen_fpcore::metrics::{self, acc_bits, F64_MANTISSA_BITS};
-use safegen_fpcore::round::{add_ru, add_with_err, mul_ru, mul_with_err, sub_rd};
+use safegen_fpcore::round::{add_ru, add_with_err, mul_ru, mul_with_err, sub_rd, sub_ru};
+use safegen_interval::IntervalF64;
 use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -510,6 +511,204 @@ impl CeresAffine {
             terms,
             k: self.k,
         }
+    }
+}
+
+/// Ceres needs the symbol budget alongside the allocator.
+#[derive(Clone, Debug)]
+pub struct CeresCtx {
+    /// Symbol allocator.
+    pub ctx: BaselineCtx,
+    /// Symbol budget `k`.
+    pub k: usize,
+}
+
+/// What the interval fallbacks need of a library baseline: its own
+/// arithmetic, its range, and a value for `mid ± rad`.
+///
+/// The baselines implement `+ - *` natively and nothing else. Division,
+/// `min`/`max`, `sqrt` and `abs` go through the range as intervals and
+/// come back as a fresh value ([`div`], [`min`], [`max`], [`sqrt`],
+/// [`abs`]). Yalaa supports division through its Chebyshev
+/// approximation; an interval fallback is sound and the benchmarks barely
+/// divide.
+pub trait Baseline: Clone {
+    /// What construction needs (the symbol allocator, and for Ceres the
+    /// budget).
+    type Ctx;
+
+    /// The center of the value a division or square root returns when
+    /// its divisor or radicand straddles 0; the radius is ∞.
+    const UNDEFINED_CENTER: f64;
+
+    /// `a + b`.
+    fn add(a: &Self, b: &Self, cx: &Self::Ctx) -> Self;
+    /// `a - b`.
+    fn sub(a: &Self, b: &Self, cx: &Self::Ctx) -> Self;
+    /// `a * b`.
+    fn mul(a: &Self, b: &Self, cx: &Self::Ctx) -> Self;
+    /// `-a`.
+    fn neg(a: &Self) -> Self;
+    /// Sound enclosure `[lo, hi]`.
+    fn range(a: &Self) -> (f64, f64);
+    /// `mid ± rad` under one fresh symbol (or noise term).
+    fn with_radius(mid: f64, rad: f64, cx: &Self::Ctx) -> Self;
+}
+
+/// Sound (mid, radius) decomposition of `[lo, hi]`: the radius is
+/// outward-rounded so `mid ± radius ⊇ [lo, hi]`.
+fn mid_rad(lo: f64, hi: f64) -> (f64, f64) {
+    let mid = 0.5 * (lo + hi);
+    if !mid.is_finite() {
+        return (0.0, f64::INFINITY);
+    }
+    let rad = sub_ru(hi, mid).max(sub_ru(mid, lo)).max(0.0);
+    (mid, rad)
+}
+
+/// `[lo, hi]` as a baseline value: center ± half-width under one fresh
+/// symbol. Outward rounding keeps the enclosure sound.
+pub fn hull<T: Baseline>(lo: f64, hi: f64, cx: &T::Ctx) -> T {
+    let (m, r) = mid_rad(lo, hi);
+    T::with_radius(m, r, cx)
+}
+
+fn undefined<T: Baseline>(cx: &T::Ctx) -> T {
+    T::with_radius(T::UNDEFINED_CENTER, f64::INFINITY, cx)
+}
+
+/// `a / b` through interval division of the ranges.
+pub fn div<T: Baseline>(a: &T, b: &T, cx: &T::Ctx) -> T {
+    let (lo, hi) = T::range(b);
+    if lo <= 0.0 && hi >= 0.0 {
+        return undefined(cx);
+    }
+    let (alo, ahi) = T::range(a);
+    let q = IntervalF64::new(alo, ahi) / IntervalF64::new(lo, hi);
+    hull(q.lo(), q.hi(), cx)
+}
+
+/// `min(a, b)`: the lower operand when the ranges are ordered, else the
+/// hull of the interval minimum.
+pub fn min<T: Baseline>(a: &T, b: &T, cx: &T::Ctx) -> T {
+    let (alo, ahi) = T::range(a);
+    let (blo, bhi) = T::range(b);
+    if ahi <= blo {
+        a.clone()
+    } else if bhi <= alo {
+        b.clone()
+    } else {
+        hull(alo.min(blo), ahi.min(bhi), cx)
+    }
+}
+
+/// `max(a, b)`: the upper operand when the ranges are ordered, else the
+/// hull of the interval maximum.
+pub fn max<T: Baseline>(a: &T, b: &T, cx: &T::Ctx) -> T {
+    let (alo, ahi) = T::range(a);
+    let (blo, bhi) = T::range(b);
+    if alo >= bhi {
+        a.clone()
+    } else if blo >= ahi {
+        b.clone()
+    } else {
+        hull(alo.max(blo), ahi.max(bhi), cx)
+    }
+}
+
+/// `sqrt(a)` through the interval square root of the range.
+pub fn sqrt<T: Baseline>(a: &T, cx: &T::Ctx) -> T {
+    let (lo, hi) = T::range(a);
+    if lo < 0.0 {
+        return undefined(cx);
+    }
+    let r = IntervalF64::new(lo, hi).sqrt();
+    hull(r.lo(), r.hi(), cx)
+}
+
+/// `|a|`: the operand or its negation when its sign is known, else the
+/// hull of `[0, max(|lo|, |hi|)]`.
+pub fn abs<T: Baseline>(a: &T, cx: &T::Ctx) -> T {
+    let (lo, hi) = T::range(a);
+    if lo >= 0.0 {
+        a.clone()
+    } else if hi <= 0.0 {
+        T::neg(a)
+    } else {
+        hull(0.0, hi.max(-lo), cx)
+    }
+}
+
+impl Baseline for YalaaAff0 {
+    type Ctx = BaselineCtx;
+    // `[-∞, ∞]` through the hull: a zero center.
+    const UNDEFINED_CENTER: f64 = 0.0;
+
+    fn add(a: &Self, b: &Self, cx: &BaselineCtx) -> Self {
+        a.add(b, cx)
+    }
+    fn sub(a: &Self, b: &Self, cx: &BaselineCtx) -> Self {
+        a.sub(b, cx)
+    }
+    fn mul(a: &Self, b: &Self, cx: &BaselineCtx) -> Self {
+        a.mul(b, cx)
+    }
+    fn neg(a: &Self) -> Self {
+        a.neg()
+    }
+    fn range(a: &Self) -> (f64, f64) {
+        a.range()
+    }
+    fn with_radius(mid: f64, rad: f64, cx: &BaselineCtx) -> Self {
+        YalaaAff0::with_symbol(mid, rad, cx)
+    }
+}
+
+impl Baseline for YalaaAff1 {
+    type Ctx = BaselineCtx;
+    const UNDEFINED_CENTER: f64 = f64::NAN;
+
+    fn add(a: &Self, b: &Self, _: &BaselineCtx) -> Self {
+        a.add(b)
+    }
+    fn sub(a: &Self, b: &Self, _: &BaselineCtx) -> Self {
+        a.sub(b)
+    }
+    fn mul(a: &Self, b: &Self, _: &BaselineCtx) -> Self {
+        a.mul(b)
+    }
+    fn neg(a: &Self) -> Self {
+        a.neg()
+    }
+    fn range(a: &Self) -> (f64, f64) {
+        a.range()
+    }
+    fn with_radius(mid: f64, rad: f64, cx: &BaselineCtx) -> Self {
+        YalaaAff1::with_noise(mid, rad, cx)
+    }
+}
+
+impl Baseline for CeresAffine {
+    type Ctx = CeresCtx;
+    const UNDEFINED_CENTER: f64 = f64::NAN;
+
+    fn add(a: &Self, b: &Self, cx: &CeresCtx) -> Self {
+        a.add(b, &cx.ctx)
+    }
+    fn sub(a: &Self, b: &Self, cx: &CeresCtx) -> Self {
+        a.sub(b, &cx.ctx)
+    }
+    fn mul(a: &Self, b: &Self, cx: &CeresCtx) -> Self {
+        a.mul(b, &cx.ctx)
+    }
+    fn neg(a: &Self) -> Self {
+        a.neg()
+    }
+    fn range(a: &Self) -> (f64, f64) {
+        a.range()
+    }
+    fn with_radius(mid: f64, rad: f64, cx: &CeresCtx) -> Self {
+        CeresAffine::with_symbol(mid, rad, cx.k, &cx.ctx)
     }
 }
 

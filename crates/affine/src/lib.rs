@@ -52,7 +52,6 @@
 pub mod baselines;
 mod center;
 mod config;
-pub mod cost;
 mod direct;
 mod form;
 mod fusion;

@@ -68,7 +68,7 @@ fn usage() -> ExitCode {
         "usage:
   safegen emit    <file.c> [--precision f64|dd|f32] [--k N] [--no-analysis]
   safegen compile <file.c> -o <prog.sga> [--k N,N,...] [--k-low N,N,...]
-                  [--no-analysis] [--no-cache] [--fixpoint]
+                  [--no-analysis] [--no-cache]
   safegen run     <file.c|prog.sga> --fn NAME
                   [--config dspv|ssnn|...|ia|ia-dd|unsound]
                   [--k N] [--arg X]... [--int N]... [--array \"x,y,z\"]...
@@ -117,7 +117,7 @@ const VERBS: &[VerbSpec] = &[
     VerbSpec {
         name: "compile",
         valued: &["-o", "--out", "--k", "--k-low"],
-        boolean: &["--no-analysis", "--no-cache", "--fixpoint"],
+        boolean: &["--no-analysis", "--no-cache"],
         positionals: (1, 1),
     },
     VerbSpec {
@@ -138,7 +138,7 @@ const VERBS: &[VerbSpec] = &[
     VerbSpec {
         name: "serve",
         valued: &["--socket", "--k", "--k-low"],
-        boolean: &["--no-analysis", "--no-cache", "--fixpoint"],
+        boolean: &["--no-analysis", "--no-cache"],
         positionals: (1, 1),
     },
     VerbSpec {
@@ -353,7 +353,6 @@ fn build_options(path: &str, rest: &[String]) -> Result<BuildOptions, String> {
     }
     opts.analysis = !rest.iter().any(|a| a == "--no-analysis");
     opts.use_cache = !rest.iter().any(|a| a == "--no-cache");
-    opts.fixpoint = rest.iter().any(|a| a == "--fixpoint");
     Ok(opts)
 }
 

@@ -74,9 +74,11 @@ pub mod serve;
 pub use safegen::{
     check_source, parse_corpus_header, run_fuzz, AaConfig, ArgValue, Artifact, ArtifactError,
     ArtifactMeta, BatchItem, BatchOptions, BatchResult, BuildOptions, CheckOpts, CheckReport,
-    DomainKind, EmitPrecision, ErrorSource, FuzzOpts, FuzzSummary, LoopMode, PassManager,
-    Placement, ProfileReport, RunConfig, RunReport, RunStats, VariantKind, WorkerStats,
+    DomainKind, ErrorSource, FuzzOpts, FuzzSummary, LoopMode, PassManager, Placement,
+    ProfileReport, RunConfig, RunReport, RunStats, VariantKind, WorkerStats,
 };
+
+pub use safegen_cfront::EmitPrecision;
 
 /// The telemetry layer (metrics registry, JSONL recorder, JSON values),
 /// re-exported so embedders need not depend on `safegen-telemetry`
@@ -124,8 +126,8 @@ pub enum ApiError {
     InvalidRequest(String),
     /// Evaluation failed in the VM.
     Eval(String),
-    /// The artifact bytes are invalid (truncated, corrupted, version or
-    /// capability mismatch).
+    /// The artifact bytes are invalid (truncated, corrupted, version
+    /// mismatch or reserved flags set).
     Artifact(String),
     /// An operating-system level failure (file or socket IO).
     Io(String),
@@ -254,7 +256,7 @@ impl Engine {
     /// the content-addressed compile cache. Returns the program and
     /// whether it was a cache hit.
     ///
-    /// The variant set (budgets, capacity splits, fixpoint support) is
+    /// The variant set (budgets and capacity splits) is
     /// controlled by `opts`; the engine's analysis toggle and pass
     /// pipeline do not apply here — `opts.analysis` and the
     /// `SAFEGEN_PASSES` environment (hashed into the cache key) do.
@@ -278,7 +280,7 @@ impl Engine {
     }
 
     /// Loads a program from `.sga` artifact bytes (strict validation:
-    /// magic, version, checksums, capability gates).
+    /// magic, version, reserved flags, checksums).
     ///
     /// # Errors
     ///
@@ -333,7 +335,7 @@ impl Engine {
             compiled.tac.clone()
         };
         let sema = safegen_cfront::analyze(&unit).map_err(|e| ApiError::Compile(e.to_string()))?;
-        Ok(safegen::emit_c(&unit, &sema, precision))
+        Ok(safegen_cfront::emit_c(&unit, &sema, precision))
     }
 
     /// A live snapshot of the process-global metrics registry as a JSON

@@ -100,19 +100,6 @@ pub use safegen_ir::MAX_REGS;
 /// Hard cap on one array's element count (same rationale as [`MAX_REGS`]).
 pub const MAX_ARRAY_ELEMS: usize = 1 << 24;
 
-/// Header capability flag: the artifact contains programs whose loops
-/// were compiled for the **fixpoint** evaluation mode (unbounded-loop
-/// invariants; `docs/ARTIFACT.md` §3). Readers that predate the flag
-/// reject such artifacts with [`ArtifactError::BadFlags`] — a specific
-/// diagnostic, never a silent wrong evaluation.
-pub const FLAG_FIXPOINT: u16 = 0x0001;
-
-/// The META `capabilities` entry paired with [`FLAG_FIXPOINT`].
-pub const CAP_FIXPOINT: &str = "loop.fixpoint";
-
-/// Every header flag this reader understands; any other bit is rejected.
-pub const KNOWN_FLAGS: u16 = FLAG_FIXPOINT;
-
 /// Section tag: artifact metadata (JSON), exactly one, first.
 pub const SEC_META: [u8; 4] = *b"META";
 
@@ -133,13 +120,8 @@ pub enum ArtifactError {
     BadMagic([u8; 4]),
     /// Header version ≠ [`FORMAT_VERSION`].
     UnsupportedVersion(u16),
-    /// Header flags carried a bit this reader does not understand
-    /// (version-1 readers that predate every capability treat the whole
-    /// field as reserved-zero).
+    /// Header flags are nonzero: every bit is reserved and must be 0.
     BadFlags(u16),
-    /// The header capability flags and the META `capabilities` list
-    /// disagree — one was edited without the other.
-    CapabilityMismatch(String),
     /// Header payload length disagrees with the actual input length.
     PayloadLength {
         /// Length the header declares.
@@ -177,9 +159,6 @@ impl fmt::Display for ArtifactError {
                  recompile the source to regenerate the artifact"
             ),
             ArtifactError::BadFlags(x) => write!(f, "reserved header flags set ({x:#06x})"),
-            ArtifactError::CapabilityMismatch(msg) => {
-                write!(f, "capability mismatch: {msg}")
-            }
             ArtifactError::PayloadLength { declared, actual } => write!(
                 f,
                 "payload length mismatch: header declares {declared} bytes, found {actual}"
@@ -277,19 +256,11 @@ pub struct ArtifactMeta {
     /// SHA-256 (hex) of the C source this artifact was compiled from,
     /// when known — lets a cache detect stale artifacts.
     pub source_sha256: Option<String>,
-    /// Execution capabilities the artifact's programs require, e.g.
-    /// [`CAP_FIXPOINT`]. Each known capability is mirrored into the
-    /// header flags so readers that predate it reject the artifact at
-    /// the header, before parsing anything. Empty for every artifact a
-    /// pre-capability producer would have written (and then omitted from
-    /// the META JSON, keeping those byte layouts identical).
-    pub capabilities: Vec<String>,
 }
 
 impl ArtifactMeta {
     /// Metadata with this crate's tool string, the default pipeline
-    /// fingerprint left empty, analysis marked on, no source hash, and
-    /// no capabilities.
+    /// fingerprint left empty, analysis marked on, and no source hash.
     pub fn new(name: &str) -> ArtifactMeta {
         ArtifactMeta {
             name: name.to_string(),
@@ -297,16 +268,6 @@ impl ArtifactMeta {
             passes: Vec::new(),
             prioritize: true,
             source_sha256: None,
-            capabilities: Vec::new(),
-        }
-    }
-
-    /// The header flag bits implied by the capability list.
-    pub fn header_flags(&self) -> u16 {
-        if self.capabilities.iter().any(|c| c == CAP_FIXPOINT) {
-            FLAG_FIXPOINT
-        } else {
-            0
         }
     }
 }
@@ -370,7 +331,7 @@ impl Artifact {
         let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
         out.extend_from_slice(&MAGIC);
         out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        out.extend_from_slice(&self.meta.header_flags().to_le_bytes());
+        out.extend_from_slice(&0u16.to_le_bytes()); // flags: reserved
         out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
         out.extend_from_slice(&digest);
         out.extend_from_slice(&payload);
@@ -395,7 +356,7 @@ impl Artifact {
 
     fn encode_meta(&self) -> Vec<u8> {
         let m = &self.meta;
-        let mut fields = vec![
+        Json::obj(vec![
             ("format", Json::from("safegen-artifact")),
             ("version", Json::from(FORMAT_VERSION as u64)),
             ("name", Json::from(m.name.as_str())),
@@ -412,22 +373,9 @@ impl Artifact {
                     None => Json::Null,
                 },
             ),
-        ];
-        // Omitted entirely when empty, so every capability-free artifact
-        // is byte-identical to what pre-capability producers wrote (the
-        // pinned bytes of `tests/artifact_spec.rs` stay valid).
-        if !m.capabilities.is_empty() {
-            fields.push((
-                "capabilities",
-                Json::Arr(
-                    m.capabilities
-                        .iter()
-                        .map(|c| Json::from(c.as_str()))
-                        .collect(),
-                ),
-            ));
-        }
-        Json::obj(fields).to_string().into_bytes()
+        ])
+        .to_string()
+        .into_bytes()
     }
 
     /// Strictly deserializes an artifact, validating the header, the
@@ -454,7 +402,7 @@ impl Artifact {
             return Err(ArtifactError::UnsupportedVersion(version));
         }
         let flags = u16::from_le_bytes(bytes[6..8].try_into().unwrap());
-        if flags & !KNOWN_FLAGS != 0 {
+        if flags != 0 {
             return Err(ArtifactError::BadFlags(flags));
         }
         let declared = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
@@ -529,12 +477,6 @@ impl Artifact {
             first = false;
         }
         let meta = meta.ok_or_else(|| ArtifactError::Malformed("missing META section".into()))?;
-        if meta.header_flags() != flags {
-            return Err(ArtifactError::CapabilityMismatch(format!(
-                "header flags {flags:#06x} but META capabilities imply {:#06x}",
-                meta.header_flags()
-            )));
-        }
         Ok(Artifact { meta, programs })
     }
 
@@ -624,29 +566,12 @@ fn decode_meta(body: &[u8]) -> Result<ArtifactMeta, ArtifactError> {
             ))
         }
     };
-    let capabilities = match v.get("capabilities") {
-        None | Some(Json::Null) => Vec::new(),
-        Some(Json::Arr(cs)) => cs
-            .iter()
-            .map(|c| {
-                c.as_str().map(str::to_string).ok_or_else(|| {
-                    ArtifactError::Malformed("META capabilities entries must be strings".into())
-                })
-            })
-            .collect::<Result<Vec<_>, _>>()?,
-        Some(_) => {
-            return Err(ArtifactError::Malformed(
-                "META capabilities must be an array of strings".into(),
-            ))
-        }
-    };
     Ok(ArtifactMeta {
         name: str_field("name")?,
         tool: str_field("tool")?,
         passes,
         prioritize,
         source_sha256,
-        capabilities,
     })
 }
 
@@ -923,7 +848,6 @@ mod tests {
                 passes: vec!["cse".into(), "dce".into()],
                 prioritize: true,
                 source_sha256: Some(Sha256::hex(&Sha256::digest(b"double sq..."))),
-                capabilities: Vec::new(),
             },
             programs: vec![ProgramVariant {
                 func: "sq".into(),
@@ -943,30 +867,6 @@ mod tests {
             .find("sq", &VariantKind::Prioritized { k: 8 })
             .is_some());
         assert!(back.find("sq", &VariantKind::Plain).is_none());
-    }
-
-    #[test]
-    fn fixpoint_capability_round_trips_and_sets_header_flag() {
-        let mut a = sq_artifact();
-        a.meta.capabilities.push(CAP_FIXPOINT.to_string());
-        let bytes = a.to_bytes();
-        assert_eq!(
-            u16::from_le_bytes([bytes[6], bytes[7]]),
-            FLAG_FIXPOINT,
-            "capability must be mirrored into the header flags"
-        );
-        let back = Artifact::from_bytes(&bytes).unwrap();
-        assert_eq!(back, a);
-        assert_eq!(back.meta.capabilities, vec![CAP_FIXPOINT.to_string()]);
-
-        // Clearing the flag while keeping the META capability is the
-        // mismatch direction an old writer could never produce.
-        let mut forged = bytes.clone();
-        forged[6] = 0;
-        assert!(matches!(
-            Artifact::from_bytes(&forged).unwrap_err(),
-            ArtifactError::CapabilityMismatch(_)
-        ));
     }
 
     #[test]
@@ -1096,13 +996,11 @@ mod tests {
             ArtifactError::BadFlags(2)
         ));
 
-        // A *known* flag passes the header check but must still agree
-        // with the META capabilities list.
         let mut bad = good.clone();
-        bad[6] = FLAG_FIXPOINT as u8;
+        bad[6] = 1;
         assert!(matches!(
             Artifact::from_bytes(&bad).unwrap_err(),
-            ArtifactError::CapabilityMismatch(_)
+            ArtifactError::BadFlags(1)
         ));
 
         let mut bad = good.clone();

@@ -18,7 +18,7 @@
 //! The paper's claims checked here are relative, not absolute:
 //! direct-mapped ops are much cheaper than sorted ops at equal k,
 //! vectorized direct ops beat scalar direct ops (1.2–3×), and the per-op
-//! cost grows linearly in k (`safegen_affine::cost` has the flop counts).
+//! cost grows linearly in k (EXPERIMENTS.md lists the paper's flop counts).
 //!
 //! Every row is timed with `std::time::Instant`: a calibration pass picks
 //! the iteration count so one sample lasts about a millisecond, then

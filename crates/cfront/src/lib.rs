@@ -17,6 +17,10 @@
 //! * `#pragma safegen prioritize(var)` annotations — the output of the
 //!   static-analysis preprocessing step (paper Sec. VI-C).
 //!
+//! Its printer writes the subset back as plain C ([`print_unit`]) or as
+//! sound C against the `aa_*` runtime API ([`emit_c`], paper Fig. 2), and
+//! [`reparse_emitted`] reads sound C back in.
+//!
 //! Every AST node carries its source [`Span`], which the analysis pipeline
 //! round-trips through TAC and the computation DAG so pragmas can be
 //! inserted at the right lines, exactly as the paper's pipeline does with
@@ -36,22 +40,26 @@
 
 mod alpha;
 mod ast;
+mod emit_c;
 mod error;
 mod lexer;
 mod parser;
 mod printer;
 mod reabsorb;
+mod runtime;
 mod sema;
 pub mod simd;
 mod token;
 
 pub use alpha::rename_unique;
 pub use ast::*;
+pub use emit_c::emit_c;
 pub use error::{Diagnostic, ParseError};
 pub use lexer::lex;
 pub use parser::parse;
 pub use printer::{print_expr, print_function, print_unit};
 pub use reabsorb::reparse_emitted;
+pub use runtime::EmitPrecision;
 pub use sema::{analyze, FnInfo, Sema, VarInfo};
 pub use simd::lower_simd;
 pub use token::{Span, Token, TokenKind};

@@ -1,20 +1,83 @@
-//! Pretty-printer: AST back to C source.
+//! Pretty-printer: AST back to C source, in a [`Dialect`].
 //!
-//! Used for golden tests, for the SIMD-to-C-style preprocessing round trip,
-//! and by the sound-code emitter in the `safegen` crate as the scaffold of
-//! its output.
+//! Plain C ([`print_unit`]) serves golden tests and the SIMD-to-C-style
+//! preprocessing round trip. The sound-C emitter ([`crate::emit_c`]) is
+//! the affine dialect of the same printer: the statement layout is shared,
+//! and the dialect renames the float types and renders float values,
+//! conditions and pragmas as `aa_*` runtime calls.
 
 use crate::ast::*;
 use std::fmt::Write;
 
+/// Where a value stands in a statement, so a dialect can tell float
+/// values from integer ones.
+pub(crate) enum Slot<'a> {
+    /// A declaration's initializer, of the declared type.
+    Init(&'a Ty),
+    /// An assignment's right-hand side, of the left-hand side's type.
+    Assign(&'a Expr),
+    /// A returned value, of its own type.
+    Return,
+    /// An expression statement.
+    Stmt,
+}
+
+/// What a C dialect renders differently from plain C. Every method
+/// defaults to plain C.
+pub(crate) trait Dialect {
+    /// The name of a scalar type (`void`, `int`, `float`, `double`).
+    fn scalar(&self, ty: &Ty) -> &'static str {
+        type_prefix(ty)
+    }
+
+    /// A value in `slot` of a statement in `f`.
+    fn value(&self, _f: &Function, e: &Expr, _slot: Slot<'_>) -> String {
+        print_expr(e)
+    }
+
+    /// The condition of an `if`, `while` or `for` in `f`.
+    fn cond(&self, _f: &Function, e: &Expr) -> String {
+        print_expr(e)
+    }
+
+    /// The line a `#pragma safegen` payload prints as, or `None` to drop
+    /// it. A line starting with `#` prints at column 0, like the
+    /// preprocessor wrote it; any other line is an indented statement.
+    fn pragma(&self, payload: &str) -> Option<String> {
+        Some(format!("#pragma safegen {payload}"))
+    }
+
+    /// The text before the first function.
+    fn preamble(&self) -> &'static str {
+        ""
+    }
+
+    /// The text after a function; `last` marks the final one.
+    fn separator(&self, last: bool) -> &'static str {
+        if last {
+            ""
+        } else {
+            "\n"
+        }
+    }
+}
+
+/// Plain C.
+struct Plain;
+
+impl Dialect for Plain {}
+
 /// Prints a whole translation unit.
 pub fn print_unit(unit: &Unit) -> String {
-    let mut out = String::new();
+    print_unit_in(unit, &Plain)
+}
+
+/// Prints a whole translation unit in dialect `d`.
+pub(crate) fn print_unit_in(unit: &Unit, d: &dyn Dialect) -> String {
+    let mut out = d.preamble().to_string();
     for (i, f) in unit.functions.iter().enumerate() {
-        if i > 0 {
-            out.push('\n');
-        }
-        out.push_str(&print_function(f));
+        print_function_in(&mut out, f, d);
+        out.push_str(d.separator(i + 1 == unit.functions.len()));
     }
     out
 }
@@ -22,22 +85,24 @@ pub fn print_unit(unit: &Unit) -> String {
 /// Prints one function definition.
 pub fn print_function(f: &Function) -> String {
     let mut out = String::new();
-    let _ = write!(out, "{} {}(", type_prefix(&f.ret), f.name);
+    print_function_in(&mut out, f, &Plain);
+    out
+}
+
+fn print_function_in(out: &mut String, f: &Function, d: &dyn Dialect) {
+    let _ = write!(out, "{} {}(", d.scalar(f.ret.scalar()), f.name);
     for (i, p) in f.params.iter().enumerate() {
         if i > 0 {
             out.push_str(", ");
         }
-        out.push_str(&declarator(&p.ty, &p.name));
+        out.push_str(&declarator(&p.ty, &p.name, d));
     }
     out.push_str(") {\n");
-    for s in &f.body {
-        print_stmt(&mut out, s, 1);
-    }
+    StmtPrinter { d, f }.block(out, &f.body, 1);
     out.push_str("}\n");
-    out
 }
 
-/// The base-type prefix of a declaration (`double`, `int`, …).
+/// The plain-C base-type prefix of a declaration (`double`, `int`, …).
 fn type_prefix(ty: &Ty) -> &'static str {
     match ty.scalar() {
         Ty::Void => "void",
@@ -49,21 +114,22 @@ fn type_prefix(ty: &Ty) -> &'static str {
 }
 
 /// Renders `ty name` with C declarator syntax (arrays and pointers).
-fn declarator(ty: &Ty, name: &str) -> String {
+fn declarator(ty: &Ty, name: &str, d: &dyn Dialect) -> String {
     fn suffix(ty: &Ty, out: &mut String) {
         if let Ty::Array(inner, n) = ty {
             let _ = write!(out, "[{n}]");
             suffix(inner, out);
         }
     }
+    let base = d.scalar(ty.scalar());
     match ty {
-        Ty::Ptr(inner) => format!("{} *{}", type_prefix(inner), name),
+        Ty::Ptr(_) => format!("{base} *{name}"),
         Ty::Array(..) => {
-            let mut s = format!("{} {}", type_prefix(ty), name);
+            let mut s = format!("{base} {name}");
             suffix(ty, &mut s);
             s
         }
-        _ => format!("{} {}", type_prefix(ty), name),
+        _ => format!("{base} {name}"),
     }
 }
 
@@ -73,120 +139,131 @@ fn indent(out: &mut String, level: usize) {
     }
 }
 
-fn print_stmt(out: &mut String, s: &Stmt, level: usize) {
-    match s {
-        Stmt::Decl { ty, name, init, .. } => {
-            indent(out, level);
-            out.push_str(&declarator(ty, name));
-            if let Some(e) = init {
-                out.push_str(" = ");
-                out.push_str(&print_expr(e));
-            }
-            out.push_str(";\n");
+/// The statements of one function, in one dialect.
+struct StmtPrinter<'a> {
+    d: &'a dyn Dialect,
+    f: &'a Function,
+}
+
+impl StmtPrinter<'_> {
+    fn block(&self, out: &mut String, body: &[Stmt], level: usize) {
+        for s in body {
+            self.stmt(out, s, level);
         }
-        Stmt::Assign { lhs, op, rhs, .. } => {
-            indent(out, level);
-            let opstr = match op {
-                AssignOp::Set => "=",
-                AssignOp::Add => "+=",
-                AssignOp::Sub => "-=",
-                AssignOp::Mul => "*=",
-                AssignOp::Div => "/=",
-            };
-            let _ = writeln!(out, "{} {} {};", print_expr(lhs), opstr, print_expr(rhs));
-        }
-        Stmt::If {
-            cond,
-            then_body,
-            else_body,
-            ..
-        } => {
-            indent(out, level);
-            let _ = writeln!(out, "if ({}) {{", print_expr(cond));
-            for st in then_body {
-                print_stmt(out, st, level + 1);
-            }
-            indent(out, level);
-            if else_body.is_empty() {
-                out.push_str("}\n");
-            } else {
-                out.push_str("} else {\n");
-                for st in else_body {
-                    print_stmt(out, st, level + 1);
+    }
+
+    fn inline(&self, s: &Stmt) -> String {
+        let mut out = String::new();
+        self.stmt(&mut out, s, 0);
+        out.trim_end_matches(";\n").to_string()
+    }
+
+    fn stmt(&self, out: &mut String, s: &Stmt, level: usize) {
+        let (d, f) = (self.d, self.f);
+        match s {
+            Stmt::Decl { ty, name, init, .. } => {
+                indent(out, level);
+                out.push_str(&declarator(ty, name, d));
+                if let Some(e) = init {
+                    out.push_str(" = ");
+                    out.push_str(&d.value(f, e, Slot::Init(ty)));
                 }
+                out.push_str(";\n");
+            }
+            Stmt::Assign { lhs, op, rhs, .. } => {
+                indent(out, level);
+                let opstr = match op {
+                    AssignOp::Set => "=",
+                    AssignOp::Add => "+=",
+                    AssignOp::Sub => "-=",
+                    AssignOp::Mul => "*=",
+                    AssignOp::Div => "/=",
+                };
+                let rhs = d.value(f, rhs, Slot::Assign(lhs));
+                let _ = writeln!(out, "{} {opstr} {rhs};", print_expr(lhs));
+            }
+            Stmt::If {
+                cond,
+                then_body,
+                else_body,
+                ..
+            } => {
+                indent(out, level);
+                let _ = writeln!(out, "if ({}) {{", d.cond(f, cond));
+                self.block(out, then_body, level + 1);
+                indent(out, level);
+                if else_body.is_empty() {
+                    out.push_str("}\n");
+                } else {
+                    out.push_str("} else {\n");
+                    self.block(out, else_body, level + 1);
+                    indent(out, level);
+                    out.push_str("}\n");
+                }
+            }
+            Stmt::For {
+                init,
+                cond,
+                step,
+                body,
+                ..
+            } => {
+                indent(out, level);
+                out.push_str("for (");
+                if let Some(i) = init {
+                    out.push_str(&self.inline(i));
+                }
+                out.push_str("; ");
+                if let Some(c) = cond {
+                    out.push_str(&d.cond(f, c));
+                }
+                out.push_str("; ");
+                if let Some(st) = step {
+                    out.push_str(&self.inline(st));
+                }
+                out.push_str(") {\n");
+                self.block(out, body, level + 1);
+                indent(out, level);
+                out.push_str("}\n");
+            }
+            Stmt::While { cond, body, .. } => {
+                indent(out, level);
+                let _ = writeln!(out, "while ({}) {{", d.cond(f, cond));
+                self.block(out, body, level + 1);
+                indent(out, level);
+                out.push_str("}\n");
+            }
+            Stmt::Return { value, .. } => {
+                indent(out, level);
+                match value {
+                    Some(e) => {
+                        let _ = writeln!(out, "return {};", d.value(f, e, Slot::Return));
+                    }
+                    None => out.push_str("return;\n"),
+                }
+            }
+            Stmt::ExprStmt { expr, .. } => {
+                indent(out, level);
+                let _ = writeln!(out, "{};", d.value(f, expr, Slot::Stmt));
+            }
+            Stmt::Pragma { payload, .. } => {
+                if let Some(line) = d.pragma(payload) {
+                    if !line.starts_with('#') {
+                        indent(out, level);
+                    }
+                    out.push_str(&line);
+                    out.push('\n');
+                }
+            }
+            Stmt::Block { body, .. } => {
+                indent(out, level);
+                out.push_str("{\n");
+                self.block(out, body, level + 1);
                 indent(out, level);
                 out.push_str("}\n");
             }
         }
-        Stmt::For {
-            init,
-            cond,
-            step,
-            body,
-            ..
-        } => {
-            indent(out, level);
-            out.push_str("for (");
-            if let Some(i) = init {
-                out.push_str(print_inline_stmt(i).trim_end_matches(";\n"));
-            }
-            out.push_str("; ");
-            if let Some(c) = cond {
-                out.push_str(&print_expr(c));
-            }
-            out.push_str("; ");
-            if let Some(st) = step {
-                out.push_str(print_inline_stmt(st).trim_end_matches(";\n"));
-            }
-            out.push_str(") {\n");
-            for st in body {
-                print_stmt(out, st, level + 1);
-            }
-            indent(out, level);
-            out.push_str("}\n");
-        }
-        Stmt::While { cond, body, .. } => {
-            indent(out, level);
-            let _ = writeln!(out, "while ({}) {{", print_expr(cond));
-            for st in body {
-                print_stmt(out, st, level + 1);
-            }
-            indent(out, level);
-            out.push_str("}\n");
-        }
-        Stmt::Return { value, .. } => {
-            indent(out, level);
-            match value {
-                Some(e) => {
-                    let _ = writeln!(out, "return {};", print_expr(e));
-                }
-                None => out.push_str("return;\n"),
-            }
-        }
-        Stmt::ExprStmt { expr, .. } => {
-            indent(out, level);
-            let _ = writeln!(out, "{};", print_expr(expr));
-        }
-        Stmt::Pragma { payload, .. } => {
-            // Pragmas print at column 0, like the preprocessor wrote them.
-            let _ = writeln!(out, "#pragma safegen {payload}");
-        }
-        Stmt::Block { body, .. } => {
-            indent(out, level);
-            out.push_str("{\n");
-            for st in body {
-                print_stmt(out, st, level + 1);
-            }
-            indent(out, level);
-            out.push_str("}\n");
-        }
     }
-}
-
-fn print_inline_stmt(s: &Stmt) -> String {
-    let mut out = String::new();
-    print_stmt(&mut out, s, 0);
-    out
 }
 
 /// Prints an expression with minimal (structural) parenthesization.

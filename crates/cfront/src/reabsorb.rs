@@ -1,9 +1,10 @@
 //! Re-absorbing emitted sound C: the inverse of the `aa_*` lowering.
 //!
-//! The backend (`safegen::emit_c`) prints the transformed program against
-//! the affine runtime API — `f64a`/`dda`/`f32a` declarations and
-//! `aa_add_f64(a, b)`-style calls. [`reparse_emitted`] maps that artifact
-//! back into the ordinary C subset this front end accepts:
+//! The backend ([`crate::emit_c`]) prints the transformed program against
+//! the affine runtime API — affine value-type declarations and
+//! `aa_<op>_<suffix>(a, b)` calls. [`reparse_emitted`] maps that artifact
+//! back into the ordinary C subset this front end accepts, reading the
+//! table in [`crate::runtime`] backward:
 //!
 //! * `#include` lines are dropped (the lexer rejects non-pragma
 //!   directives by design);
@@ -20,13 +21,14 @@
 //! ranges). Anything the rewriter does not recognize is a hard error —
 //! a silently-skipped call would let the round-trip check pass vacuously.
 
-use crate::ast::{BinOp, Expr, Stmt, Ty, UnOp, Unit};
+use crate::ast::{Expr, Stmt, Ty, UnOp, Unit};
+use crate::runtime::{lookup, Construct, EmitPrecision, PREFIX};
 use crate::{parse, Diagnostic, ParseError};
 
 /// Parses the output of the sound-C emitter back into the plain C subset.
 ///
-/// Accepts any emission precision (`f64`, `dd`, `f32` suffixes); all
-/// affine value types come back as `double`.
+/// Accepts any emission precision; all affine value types come back as
+/// `double`.
 ///
 /// # Errors
 ///
@@ -59,7 +61,7 @@ fn replace_affine_types(src: &str) -> String {
     let mut out = String::with_capacity(src.len());
     let mut i = 0;
     'outer: while i < bytes.len() {
-        for name in ["f64a", "f32a", "dda"] {
+        for name in EmitPrecision::ALL.map(EmitPrecision::value_type) {
             let n = name.len();
             if bytes[i..].starts_with(name.as_bytes())
                 && (i == 0 || !is_word(bytes[i - 1]))
@@ -76,14 +78,6 @@ fn replace_affine_types(src: &str) -> String {
         i += step;
     }
     out
-}
-
-/// The runtime operation an `aa_<op>_<suffix>` name encodes.
-fn aa_op(callee: &str) -> Option<&str> {
-    let rest = callee.strip_prefix("aa_")?;
-    ["_f64", "_dd", "_f32"]
-        .iter()
-        .find_map(|s| rest.strip_suffix(s))
 }
 
 fn arity_err(callee: &str, span: crate::Span) -> ParseError {
@@ -150,7 +144,7 @@ fn rewrite_stmt(s: Stmt) -> Result<Stmt, ParseError> {
             // `aa_prioritize_f64(v);` statements were lowered from the
             // prioritization pragma — raise them back.
             if let Expr::Call { callee, args, .. } = &expr {
-                if aa_op(callee) == Some("prioritize") {
+                if lookup(callee).is_some_and(|c| c.construct == Construct::Prioritize) {
                     let [Expr::Ident { name, .. }] = args.as_slice() else {
                         return Err(arity_err(callee, expr.span()));
                     };
@@ -198,81 +192,58 @@ fn rewrite_expr(e: Expr) -> Result<Expr, ParseError> {
             span,
         },
         Expr::Call { callee, args, span } => {
-            let Some(op) = aa_op(&callee) else {
-                // An ordinary builtin call (shouldn't occur in emitted
-                // code, but harmless): rewrite the arguments only.
-                let args = args
-                    .into_iter()
-                    .map(rewrite_expr)
-                    .collect::<Result<Vec<_>, _>>()?;
-                return Ok(Expr::Call { callee, args, span });
-            };
             let args = args
                 .into_iter()
                 .map(rewrite_expr)
                 .collect::<Result<Vec<_>, _>>()?;
-            let bin = |op: BinOp, mut args: Vec<Expr>, span| -> Result<Expr, ParseError> {
-                if args.len() != 2 {
-                    return Err(arity_err("aa binary op", span));
+            let Some(entry) = lookup(&callee) else {
+                if callee.starts_with(PREFIX) {
+                    return Err(
+                        Diagnostic::new(format!("unknown runtime call `{callee}`"), span).into(),
+                    );
                 }
-                let rhs = Box::new(args.pop().expect("len checked"));
-                let lhs = Box::new(args.pop().expect("len checked"));
-                Ok(Expr::Bin { op, lhs, rhs, span })
+                // An ordinary builtin call (shouldn't occur in emitted
+                // code, but harmless): keep it, arguments rewritten.
+                return Ok(Expr::Call { callee, args, span });
             };
-            let unary = |mut args: Vec<Expr>, callee: &str, span| -> Result<Expr, ParseError> {
-                if args.len() != 1 {
-                    return Err(arity_err(callee, span));
-                }
-                Ok(args.pop().expect("len checked"))
-            };
-            match op {
-                "add" => bin(BinOp::Add, args, span)?,
-                "sub" => bin(BinOp::Sub, args, span)?,
-                "mul" => bin(BinOp::Mul, args, span)?,
-                "div" => bin(BinOp::Div, args, span)?,
-                "cmp_lt" => bin(BinOp::Lt, args, span)?,
-                "cmp_le" => bin(BinOp::Le, args, span)?,
-                "cmp_gt" => bin(BinOp::Gt, args, span)?,
-                "cmp_ge" => bin(BinOp::Ge, args, span)?,
-                "cmp_eq" => bin(BinOp::Eq, args, span)?,
-                "cmp_ne" => bin(BinOp::Ne, args, span)?,
-                "neg" => Expr::Un {
+            if args.len() != entry.arity {
+                return Err(arity_err(&callee, span));
+            }
+            let mut args = args.into_iter();
+            let mut arg = || Box::new(args.next().expect("arity checked"));
+            match entry.construct {
+                Construct::Bin(op) => Expr::Bin {
+                    op,
+                    lhs: arg(),
+                    rhs: arg(),
+                    span,
+                },
+                Construct::Neg => Expr::Un {
                     op: UnOp::Neg,
-                    operand: Box::new(unary(args, &callee, span)?),
+                    operand: arg(),
                     span,
                 },
                 // The sound constant wrapper: the literal inside *is* the
                 // original constant.
-                "const" => unary(args, &callee, span)?,
-                "sqrt" | "abs" | "min" | "max" => {
-                    let (name, arity) = match op {
-                        "sqrt" => ("sqrt", 1),
-                        "abs" => ("fabs", 1),
-                        "min" => ("fmin", 2),
-                        _ => ("fmax", 2),
-                    };
-                    if args.len() != arity {
-                        return Err(arity_err(&callee, span));
-                    }
-                    Expr::Call {
-                        callee: name.to_string(),
-                        args,
-                        span,
-                    }
-                }
-                "from_int" => Expr::Cast {
+                Construct::Const => *arg(),
+                Construct::Builtin(name) => Expr::Call {
+                    callee: name.to_string(),
+                    args: args.collect(),
+                    span,
+                },
+                Construct::FromInt => Expr::Cast {
                     ty: Ty::Double,
-                    operand: Box::new(unary(args, &callee, span)?),
+                    operand: arg(),
                     span,
                 },
-                "to_int" => Expr::Cast {
+                Construct::ToInt => Expr::Cast {
                     ty: Ty::Int,
-                    operand: Box::new(unary(args, &callee, span)?),
+                    operand: arg(),
                     span,
                 },
-                other => {
+                Construct::Prioritize => {
                     return Err(Diagnostic::new(
-                        format!("unknown runtime call `aa_{other}_*`"),
+                        format!("runtime call `{callee}` is a statement, not a value"),
                         span,
                     )
                     .into())

@@ -7,7 +7,8 @@
 //! the domain, so every accuracy/performance comparison in the evaluation
 //! runs the *same* compiled program.
 
-use safegen_affine::baselines::{BaselineCtx, CeresAffine, YalaaAff0, YalaaAff1};
+pub use safegen_affine::baselines::CeresCtx;
+use safegen_affine::baselines::{self, Baseline, BaselineCtx, CeresAffine, YalaaAff0, YalaaAff1};
 use safegen_affine::{AaConfig, AaContext, Affine, CenterValue, Protect};
 use safegen_fpcore::metrics;
 use safegen_interval::{Dd, IntervalDd, IntervalF64};
@@ -563,114 +564,53 @@ fn prot(ids: &[u64]) -> Protect<'_> {
 // Library baselines (Fig. 9)
 // ---------------------------------------------------------------------------
 
+/// The `Domain` methods every library baseline shares: `+ - *` natively,
+/// the rest through the interval fallbacks of [`safegen_affine::baselines`].
+macro_rules! baseline_ops {
+    () => {
+        fn from_range(lo: f64, hi: f64, cx: &Self::Ctx) -> Option<Self> {
+            Some(baselines::hull(lo, hi, cx))
+        }
+        fn bin_into(op: FpBinOp, a: &Self, b: &Self, cx: &Self::Ctx, _: &[u64], out: &mut Self) {
+            *out = match op {
+                FpBinOp::Add => Baseline::add(a, b, cx),
+                FpBinOp::Sub => Baseline::sub(a, b, cx),
+                FpBinOp::Mul => Baseline::mul(a, b, cx),
+                FpBinOp::Div => baselines::div(a, b, cx),
+                FpBinOp::Min => baselines::min(a, b, cx),
+                FpBinOp::Max => baselines::max(a, b, cx),
+            };
+        }
+        fn un_into(op: FpUnOp, a: &Self, cx: &Self::Ctx, _: &[u64], out: &mut Self) {
+            *out = match op {
+                FpUnOp::Sqrt => baselines::sqrt(a, cx),
+                FpUnOp::Neg => Baseline::neg(a),
+                FpUnOp::Abs => baselines::abs(a, cx),
+            };
+        }
+        fn range(&self) -> (f64, f64) {
+            Baseline::range(self)
+        }
+        fn center(&self) -> f64 {
+            let (lo, hi) = Baseline::range(self);
+            0.5 * (lo + hi)
+        }
+    };
+}
+
 impl Domain for YalaaAff0 {
     type Ctx = BaselineCtx;
 
     fn context(_: &AaConfig) -> BaselineCtx {
         BaselineCtx::new()
     }
-
     fn constant(x: f64, cx: &BaselineCtx) -> Self {
         YalaaAff0::constant(x, cx)
     }
     fn from_input_into(x: f64, cx: &BaselineCtx, out: &mut Self) {
         *out = YalaaAff0::from_input(x, cx);
     }
-    fn from_range(lo: f64, hi: f64, cx: &BaselineCtx) -> Option<Self> {
-        Some(interval_to_aff0(lo, hi, cx))
-    }
-    fn bin_into(op: FpBinOp, a: &Self, b: &Self, cx: &BaselineCtx, _: &[u64], out: &mut Self) {
-        *out = match op {
-            FpBinOp::Add => YalaaAff0::add(a, b, cx),
-            FpBinOp::Sub => YalaaAff0::sub(a, b, cx),
-            FpBinOp::Mul => YalaaAff0::mul(a, b, cx),
-            FpBinOp::Div => {
-                // Interval-based reciprocal (Yalaa supports division
-                // through its ChebyshevFP approximation; an interval
-                // fallback is sound and the benchmarks barely divide).
-                let (lo, hi) = YalaaAff0::range(b);
-                if lo <= 0.0 && hi >= 0.0 {
-                    interval_to_aff0(f64::NEG_INFINITY, f64::INFINITY, cx)
-                } else {
-                    let q = IntervalF64::new(a.range().0, a.range().1) / IntervalF64::new(lo, hi);
-                    interval_to_aff0(q.lo(), q.hi(), cx)
-                }
-            }
-            FpBinOp::Min => {
-                let (alo, ahi) = YalaaAff0::range(a);
-                let (blo, bhi) = YalaaAff0::range(b);
-                if ahi <= blo {
-                    a.clone()
-                } else if bhi <= alo {
-                    b.clone()
-                } else {
-                    interval_to_aff0(alo.min(blo), ahi.min(bhi), cx)
-                }
-            }
-            FpBinOp::Max => {
-                let (alo, ahi) = YalaaAff0::range(a);
-                let (blo, bhi) = YalaaAff0::range(b);
-                if alo >= bhi {
-                    a.clone()
-                } else if blo >= ahi {
-                    b.clone()
-                } else {
-                    interval_to_aff0(alo.max(blo), ahi.max(bhi), cx)
-                }
-            }
-        };
-    }
-    fn un_into(op: FpUnOp, a: &Self, cx: &BaselineCtx, _: &[u64], out: &mut Self) {
-        *out = match op {
-            FpUnOp::Sqrt => {
-                let (lo, hi) = YalaaAff0::range(a);
-                if lo < 0.0 {
-                    interval_to_aff0(f64::NEG_INFINITY, f64::INFINITY, cx)
-                } else {
-                    let r = IntervalF64::new(lo, hi).sqrt();
-                    interval_to_aff0(r.lo(), r.hi(), cx)
-                }
-            }
-            FpUnOp::Neg => YalaaAff0::neg(a),
-            FpUnOp::Abs => {
-                let (lo, hi) = YalaaAff0::range(a);
-                if lo >= 0.0 {
-                    a.clone()
-                } else if hi <= 0.0 {
-                    YalaaAff0::neg(a)
-                } else {
-                    interval_to_aff0(0.0, hi.max(-lo), cx)
-                }
-            }
-        };
-    }
-    fn range(&self) -> (f64, f64) {
-        YalaaAff0::range(self)
-    }
-    fn center(&self) -> f64 {
-        let (lo, hi) = YalaaAff0::range(self);
-        0.5 * (lo + hi)
-    }
-}
-
-/// Sound (mid, radius) decomposition of `[lo, hi]`: the radius is
-/// outward-rounded so `mid ± radius ⊇ [lo, hi]`.
-fn mid_rad(lo: f64, hi: f64) -> (f64, f64) {
-    let mid = 0.5 * (lo + hi);
-    if !mid.is_finite() {
-        return (0.0, f64::INFINITY);
-    }
-    let rad = safegen_fpcore::round::sub_ru(hi, mid)
-        .max(safegen_fpcore::round::sub_ru(mid, lo))
-        .max(0.0);
-    (mid, rad)
-}
-
-/// `[lo, hi]` as a Yalaa value: center ± half-width under one fresh
-/// symbol. Outward rounding keeps the enclosure sound.
-fn interval_to_aff0(lo: f64, hi: f64, cx: &BaselineCtx) -> YalaaAff0 {
-    let (m, r) = mid_rad(lo, hi);
-    YalaaAff0::with_symbol(m, r, cx)
+    baseline_ops!();
 }
 
 impl Domain for YalaaAff1 {
@@ -679,100 +619,13 @@ impl Domain for YalaaAff1 {
     fn context(_: &AaConfig) -> BaselineCtx {
         BaselineCtx::new()
     }
-
     fn constant(x: f64, cx: &BaselineCtx) -> Self {
         YalaaAff1::constant(x, cx)
     }
     fn from_input_into(x: f64, cx: &BaselineCtx, out: &mut Self) {
         *out = YalaaAff1::from_input(x, cx);
     }
-    fn from_range(lo: f64, hi: f64, cx: &BaselineCtx) -> Option<Self> {
-        let (m, r) = mid_rad(lo, hi);
-        Some(YalaaAff1::with_noise(m, r, cx))
-    }
-    fn bin_into(op: FpBinOp, a: &Self, b: &Self, cx: &BaselineCtx, _: &[u64], out: &mut Self) {
-        *out = match op {
-            FpBinOp::Add => YalaaAff1::add(a, b),
-            FpBinOp::Sub => YalaaAff1::sub(a, b),
-            FpBinOp::Mul => YalaaAff1::mul(a, b),
-            FpBinOp::Div => {
-                let (lo, hi) = YalaaAff1::range(b);
-                if lo <= 0.0 && hi >= 0.0 {
-                    YalaaAff1::with_noise(f64::NAN, f64::INFINITY, cx)
-                } else {
-                    let q = IntervalF64::new(a.range().0, a.range().1) / IntervalF64::new(lo, hi);
-                    let (m, r) = mid_rad(q.lo(), q.hi());
-                    YalaaAff1::with_noise(m, r, cx)
-                }
-            }
-            FpBinOp::Min => {
-                let (alo, ahi) = YalaaAff1::range(a);
-                let (blo, bhi) = YalaaAff1::range(b);
-                if ahi <= blo {
-                    a.clone()
-                } else if bhi <= alo {
-                    b.clone()
-                } else {
-                    let (m, r) = mid_rad(alo.min(blo), ahi.min(bhi));
-                    YalaaAff1::with_noise(m, r, cx)
-                }
-            }
-            FpBinOp::Max => {
-                let (alo, ahi) = YalaaAff1::range(a);
-                let (blo, bhi) = YalaaAff1::range(b);
-                if alo >= bhi {
-                    a.clone()
-                } else if blo >= ahi {
-                    b.clone()
-                } else {
-                    let (m, r) = mid_rad(alo.max(blo), ahi.max(bhi));
-                    YalaaAff1::with_noise(m, r, cx)
-                }
-            }
-        };
-    }
-    fn un_into(op: FpUnOp, a: &Self, cx: &BaselineCtx, _: &[u64], out: &mut Self) {
-        *out = match op {
-            FpUnOp::Sqrt => {
-                let (lo, hi) = YalaaAff1::range(a);
-                if lo < 0.0 {
-                    YalaaAff1::with_noise(f64::NAN, f64::INFINITY, cx)
-                } else {
-                    let rr = IntervalF64::new(lo, hi).sqrt();
-                    let (m, r) = mid_rad(rr.lo(), rr.hi());
-                    YalaaAff1::with_noise(m, r, cx)
-                }
-            }
-            FpUnOp::Neg => YalaaAff1::neg(a),
-            FpUnOp::Abs => {
-                let (lo, hi) = YalaaAff1::range(a);
-                if lo >= 0.0 {
-                    a.clone()
-                } else if hi <= 0.0 {
-                    YalaaAff1::neg(a)
-                } else {
-                    let (m, r) = mid_rad(0.0, hi.max(-lo));
-                    YalaaAff1::with_noise(m, r, cx)
-                }
-            }
-        };
-    }
-    fn range(&self) -> (f64, f64) {
-        YalaaAff1::range(self)
-    }
-    fn center(&self) -> f64 {
-        let (lo, hi) = YalaaAff1::range(self);
-        0.5 * (lo + hi)
-    }
-}
-
-/// Ceres needs the symbol budget alongside the allocator.
-#[derive(Clone, Debug)]
-pub struct CeresCtx {
-    /// Symbol allocator.
-    pub ctx: BaselineCtx,
-    /// Symbol budget `k`.
-    pub k: usize,
+    baseline_ops!();
 }
 
 impl Domain for CeresAffine {
@@ -784,91 +637,13 @@ impl Domain for CeresAffine {
             k: aa.k,
         }
     }
-
     fn constant(x: f64, cx: &CeresCtx) -> Self {
         CeresAffine::constant(x, cx.k, &cx.ctx)
     }
     fn from_input_into(x: f64, cx: &CeresCtx, out: &mut Self) {
         *out = CeresAffine::from_input(x, cx.k, &cx.ctx);
     }
-    fn from_range(lo: f64, hi: f64, cx: &CeresCtx) -> Option<Self> {
-        let (m, r) = mid_rad(lo, hi);
-        Some(CeresAffine::with_symbol(m, r, cx.k, &cx.ctx))
-    }
-    fn bin_into(op: FpBinOp, a: &Self, b: &Self, cx: &CeresCtx, _: &[u64], out: &mut Self) {
-        *out = match op {
-            FpBinOp::Add => CeresAffine::add(a, b, &cx.ctx),
-            FpBinOp::Sub => CeresAffine::sub(a, b, &cx.ctx),
-            FpBinOp::Mul => CeresAffine::mul(a, b, &cx.ctx),
-            FpBinOp::Div => {
-                let (lo, hi) = CeresAffine::range(b);
-                if lo <= 0.0 && hi >= 0.0 {
-                    CeresAffine::with_symbol(f64::NAN, f64::INFINITY, cx.k, &cx.ctx)
-                } else {
-                    let q = IntervalF64::new(a.range().0, a.range().1) / IntervalF64::new(lo, hi);
-                    let (m, r) = mid_rad(q.lo(), q.hi());
-                    CeresAffine::with_symbol(m, r, cx.k, &cx.ctx)
-                }
-            }
-            FpBinOp::Min => {
-                let (alo, ahi) = CeresAffine::range(a);
-                let (blo, bhi) = CeresAffine::range(b);
-                if ahi <= blo {
-                    a.clone()
-                } else if bhi <= alo {
-                    b.clone()
-                } else {
-                    let (m, r) = mid_rad(alo.min(blo), ahi.min(bhi));
-                    CeresAffine::with_symbol(m, r, cx.k, &cx.ctx)
-                }
-            }
-            FpBinOp::Max => {
-                let (alo, ahi) = CeresAffine::range(a);
-                let (blo, bhi) = CeresAffine::range(b);
-                if alo >= bhi {
-                    a.clone()
-                } else if blo >= ahi {
-                    b.clone()
-                } else {
-                    let (m, r) = mid_rad(alo.max(blo), ahi.max(bhi));
-                    CeresAffine::with_symbol(m, r, cx.k, &cx.ctx)
-                }
-            }
-        };
-    }
-    fn un_into(op: FpUnOp, a: &Self, cx: &CeresCtx, _: &[u64], out: &mut Self) {
-        *out = match op {
-            FpUnOp::Sqrt => {
-                let (lo, hi) = CeresAffine::range(a);
-                if lo < 0.0 {
-                    CeresAffine::with_symbol(f64::NAN, f64::INFINITY, cx.k, &cx.ctx)
-                } else {
-                    let rr = IntervalF64::new(lo, hi).sqrt();
-                    let (m, r) = mid_rad(rr.lo(), rr.hi());
-                    CeresAffine::with_symbol(m, r, cx.k, &cx.ctx)
-                }
-            }
-            FpUnOp::Neg => CeresAffine::neg(a),
-            FpUnOp::Abs => {
-                let (lo, hi) = CeresAffine::range(a);
-                if lo >= 0.0 {
-                    a.clone()
-                } else if hi <= 0.0 {
-                    CeresAffine::neg(a)
-                } else {
-                    let (m, r) = mid_rad(0.0, hi.max(-lo));
-                    CeresAffine::with_symbol(m, r, cx.k, &cx.ctx)
-                }
-            }
-        };
-    }
-    fn range(&self) -> (f64, f64) {
-        CeresAffine::range(self)
-    }
-    fn center(&self) -> f64 {
-        let (lo, hi) = CeresAffine::range(self);
-        0.5 * (lo + hi)
-    }
+    baseline_ops!();
 }
 
 #[cfg(test)]
@@ -958,6 +733,27 @@ mod tests {
         let (lo, hi) = Domain::range(&s);
         assert!(lo <= 0.0 && 0.0 <= hi);
         assert!(hi - lo < 1e-15);
+    }
+
+    /// A divisor or radicand straddling 0 gives aff0 `0 ± ∞` and
+    /// aff1/Ceres `NaN ± ∞`.
+    #[test]
+    fn baselines_keep_their_undefined_results() {
+        fn undefined<D: Domain>(cx: &D::Ctx) -> [(f64, f64); 2] {
+            let a: D = input(1.0, cx);
+            let z = D::from_range(-1.0, 1.0, cx).unwrap();
+            let mut r = a.clone();
+            D::un_into(FpUnOp::Sqrt, &z, cx, &[], &mut r);
+            let q = bin(FpBinOp::Div, &a, &z, cx, &[]);
+            [q, r].map(|v| Domain::range(&v))
+        }
+        let cx = BaselineCtx::new();
+        let inf = (f64::NEG_INFINITY, f64::INFINITY);
+        assert_eq!(undefined::<YalaaAff0>(&cx), [inf, inf]);
+        let nan = |rs: [(f64, f64); 2]| rs.iter().all(|(lo, hi)| lo.is_nan() && hi.is_nan());
+        assert!(nan(undefined::<YalaaAff1>(&cx)));
+        let ccx = CeresCtx { ctx: cx, k: 8 };
+        assert!(nan(undefined::<CeresAffine>(&ccx)));
     }
 
     #[test]

@@ -44,9 +44,9 @@
 use crate::oracle::{eval_exact, EvalLimits};
 use crate::program::ParamBinding;
 use crate::{
-    emit_c, run_on, ArgValue, BatchOptions, Compiler, EmitPrecision, LoopMode, PassManager,
-    RunConfig, RunReport,
+    run_on, ArgValue, BatchOptions, Compiler, LoopMode, PassManager, RunConfig, RunReport,
 };
+use safegen_cfront::EmitPrecision;
 use safegen_fuzz::{generate_seeded, render, shrink, FuzzProgram, GenLimits};
 use safegen_telemetry::json::Json;
 use safegen_telemetry::{self as telemetry};
@@ -541,7 +541,7 @@ fn roundtrip_check(
 ) {
     // The driver threads the semantic tables through the TAC transform,
     // so the emitter reuses them instead of re-analyzing.
-    let emitted = emit_c(&compiled.tac, &compiled.sema, EmitPrecision::F64);
+    let emitted = safegen_cfront::emit_c(&compiled.tac, &compiled.sema, EmitPrecision::F64);
     let unit = match safegen_cfront::reparse_emitted(&emitted) {
         Ok(u) => u,
         Err(e) => {

@@ -7,10 +7,11 @@
 //! instruction overhead (decode, branch, bookkeeping) over the whole
 //! lane group — the win is for the cheap domains (unsound `f64`, the
 //! IGen intervals), where dispatch dominates the actual arithmetic. The
-//! affine domains have no column kernel and gain little: each lane's
-//! O(k) kernel dwarfs the dispatch it saves (`results/BENCH_dispatch.json`
-//! has f64a-dspv k=8 at 0.84–1.12× of scalar at width 4 and at most
-//! 1.27× at any width).
+//! affine domains have no column kernel, and each lane's O(k) kernel
+//! dwarfs the dispatch it saves; they still run faster here than one
+//! lane at a time, since only this engine runs superinstructions.
+//! Forcing their width to 1 made paper-k8 `slowdown` 6% worse
+//! (EXPERIMENTS.md, "Affine lane width").
 //!
 //! ## Bit-identical to the scalar interpreter
 //!

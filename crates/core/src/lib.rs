@@ -18,8 +18,6 @@
 //!   pass pipeline (CSE, copy propagation, dead-code elimination,
 //!   register allocation; configurable via `SAFEGEN_PASSES` or
 //!   [`Compiler::with_passes`]) → artifacts.
-//! * [`mod@emit_c`] — the paper's actual artifact shape: sound C source
-//!   against the `aa_*` runtime API (Fig. 2).
 //! * [`program`]/[`mod@exec`] — a register bytecode and a virtual machine
 //!   that runs the compiled program under any numeric [`Domain`]:
 //!   the unsound original, interval arithmetic in `f64`/double-double
@@ -56,7 +54,6 @@
 pub mod batch;
 pub mod domain;
 pub mod driver;
-pub mod emit_c;
 pub mod exec;
 pub mod fixpoint;
 pub mod fuzzer;
@@ -71,7 +68,6 @@ pub use domain::{Domain, DomainKind, UnsoundF64};
 pub use driver::{
     run_lanes_on, run_on, variant_kind_with, Compiled, Compiler, RunConfig, RunReport,
 };
-pub use emit_c::{emit_c, EmitPrecision};
 pub use exec::{exec, ArgValue, RunResult, RunStats, TraceSite};
 pub use fixpoint::LoopMode;
 pub use fuzzer::{

@@ -38,11 +38,6 @@ pub struct BuildOptions {
     pub analysis: bool,
     /// Consult/populate the on-disk compile cache.
     pub use_cache: bool,
-    /// Mark the artifact as requiring the fixpoint loop engine: sets the
-    /// `loop.fixpoint` capability (and the matching header flag) so that
-    /// readers predating the capability reject the artifact with a
-    /// specific diagnostic instead of running its loops unsoundly.
-    pub fixpoint: bool,
 }
 
 impl BuildOptions {
@@ -55,7 +50,6 @@ impl BuildOptions {
             k_lows: Vec::new(),
             analysis: true,
             use_cache: true,
-            fixpoint: false,
         }
     }
 
@@ -85,7 +79,6 @@ impl BuildOptions {
     fn cache_options(&self, passes: &[String]) -> Vec<String> {
         let mut opts = vec![
             format!("analysis={}", self.analysis),
-            format!("fixpoint={}", self.fixpoint),
             format!("ks={:?}", self.ks),
             format!("k_lows={:?}", self.k_lows),
             format!("name={}", self.name),
@@ -108,14 +101,7 @@ pub fn compile_to_artifact(src: &str, opts: &BuildOptions) -> Result<Artifact, S
     };
     let mut compiled = compiler.compile(src).map_err(|e| e.to_string())?;
     compiled.precompile(&opts.kinds());
-    let mut artifact = build_artifact(&compiled, &opts.name, Some(src));
-    if opts.fixpoint {
-        artifact
-            .meta
-            .capabilities
-            .push(safegen_artifact::CAP_FIXPOINT.to_string());
-    }
-    Ok(artifact)
+    Ok(build_artifact(&compiled, &opts.name, Some(src)))
 }
 
 /// Like [`compile_to_artifact`], but consults the content-addressed
@@ -158,7 +144,6 @@ pub fn build_artifact(compiled: &Compiled, name: &str, source: Option<&str>) -> 
         passes: compiled.passes.names().to_vec(),
         prioritize: compiled.prioritize(),
         source_sha256: source.map(|s| Sha256::hex(&Sha256::digest(s.as_bytes()))),
-        capabilities: Vec::new(),
     };
     let programs = compiled
         .all_variants()

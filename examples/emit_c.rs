@@ -4,9 +4,8 @@
 //!
 //! Run with: `cargo run --release --example emit_c`
 
-use safegen_suite::cfront;
+use safegen_suite::cfront::{self, emit_c, EmitPrecision};
 use safegen_suite::ir;
-use safegen_suite::safegen::{emit_c, EmitPrecision};
 
 fn main() {
     let src = r#"

@@ -10,13 +10,13 @@
 //! * **Divergent loops terminate with a sound ±∞** — the engine must
 //!   never trade termination for a lie; the enclosure goes infinite, the
 //!   analysis still finishes, and every finite-trip result is inside.
-//! * **The `.sga` capability flag gates fixpoint artifacts** — a reader
-//!   that does not know `loop.fixpoint` sees a nonzero header flag and
-//!   rejects with a specific diagnostic instead of misrunning the loops.
+//! * **Fixpoint runs need nothing from the artifact** — the loop mode is
+//!   a run setting, so an artifact is the same bytes whichever mode runs
+//!   it, with header flags 0; a forged flag is refused at load.
 
 use safegen_suite::safegen::{
-    build_artifact, compile_to_artifact, ArgValue, ArtifactError, BuildOptions, Compiled, Compiler,
-    LoopMode, RunConfig,
+    compile_to_artifact, run_artifact, ArgValue, Artifact, ArtifactError, BuildOptions, Compiled,
+    Compiler, LoopMode, RunConfig,
 };
 
 fn compile(src: &str) -> Compiled {
@@ -194,33 +194,31 @@ fn unroll_mode_still_bit_matches_on_bounded_trip_counts() {
 }
 
 #[test]
-fn fixpoint_artifact_carries_capability_flag_and_rejects_when_forged() {
+fn fixpoint_runs_from_a_plain_artifact_and_forged_flags_are_refused() {
     let mut opts = BuildOptions::new("decay.c");
-    opts.fixpoint = true;
     opts.use_cache = false;
     let artifact = compile_to_artifact(DECAY, &opts).unwrap();
-    assert_eq!(
-        artifact.meta.capabilities,
-        vec!["loop.fixpoint".to_string()]
-    );
     let bytes = artifact.to_bytes();
-    assert_eq!(
-        u16::from_le_bytes([bytes[6], bytes[7]]),
-        0x0001,
-        "capability must surface in the header flags old readers check"
-    );
-    // A reader that predates the capability treats any nonzero flag as
-    // reserved — simulated here by clearing the known bit and watching
-    // the mismatch diagnostic fire (the inverse forgery).
-    let mut forged = bytes.clone();
-    forged[6] = 0;
-    let err = safegen_suite::safegen::Artifact::from_bytes(&forged).unwrap_err();
-    assert!(matches!(err, ArtifactError::CapabilityMismatch(_)), "{err}");
-    assert!(err.to_string().contains("capability mismatch"), "{err}");
+    assert_eq!(u16::from_le_bytes([bytes[6], bytes[7]]), 0);
 
-    // Plain builds stay byte-compatible: no capability, flags zero.
-    let compiled = compile(DECAY);
-    let plain = build_artifact(&compiled, "decay.c", Some(DECAY));
-    let plain_bytes = plain.to_bytes();
-    assert_eq!(u16::from_le_bytes([plain_bytes[6], plain_bytes[7]]), 0);
+    // The loop mode is a run setting: the artifact solves the loop the
+    // way the compiled program does.
+    let cfg = fix(RunConfig::affine_f64(8));
+    let args = [ArgValue::Float(1.0), ArgValue::Int(1 << 40)];
+    let loaded = Artifact::from_bytes(&bytes).unwrap();
+    let from_artifact = run_artifact(&loaded, "f", &args, &cfg).unwrap();
+    let direct = compile(DECAY).run("f", &args, &cfg).unwrap();
+    assert_eq!(from_artifact.stats.fixpoint_loops, 1);
+    let bits = |r: Option<(f64, f64)>| r.map(|(lo, hi)| (lo.to_bits(), hi.to_bits()));
+    assert_eq!(bits(from_artifact.ret), bits(direct.ret));
+
+    // Every header flag is reserved: a forged bit 0 is refused at load.
+    let mut forged = bytes.clone();
+    forged[6] = 1;
+    let err = Artifact::from_bytes(&forged).unwrap_err();
+    assert_eq!(err, ArtifactError::BadFlags(1));
+    assert!(
+        err.to_string().contains("reserved header flags set"),
+        "{err}"
+    );
 }
