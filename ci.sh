@@ -262,6 +262,13 @@ else
     exit 1
 fi
 
+echo "== emitted-C syntax gate (safegen emit output vs runtime prototypes) =="
+# The test renders prototypes from the runtime table and runs
+# `cc -fsyntax-only` on every corpus program and kernel, at every
+# precision, with and without the analysis; it says so if it skips.
+command -v cc > /dev/null || { echo "no C compiler found; the syntax gate requires cc"; exit 1; }
+cargo test -q --test emit_syntax
+
 echo "== artifact round-trip gate (.sga spec + bit-identical replay) =="
 build_release
 cargo test -q --test artifact_spec --test artifact_roundtrip
@@ -356,15 +363,16 @@ if "$SAFEGEN" run "$SMOKE_DIR/forged.sga" --fn f --config dspv \
     exit 1
 fi
 grep -q "reserved header flags set" "$SMOKE_DIR/forged.txt"
-# An artifact of the previous format version is refused by name.
-cp "$SMOKE_DIR/loop.sga" "$SMOKE_DIR/v1.sga"
-printf '\x01\x00' | dd of="$SMOKE_DIR/v1.sga" bs=1 seek=4 conv=notrunc status=none
-if "$SAFEGEN" run "$SMOKE_DIR/v1.sga" --fn f --config dspv \
-    --k 8 --arg 1.0 --int 8 > "$SMOKE_DIR/v1.txt" 2>&1; then
-    echo "version-1 artifact unexpectedly accepted"
+# An artifact of the previous format version (2, whose pragmas were
+# instructions of their own) is refused by name.
+cp "$SMOKE_DIR/loop.sga" "$SMOKE_DIR/v2.sga"
+printf '\x02\x00' | dd of="$SMOKE_DIR/v2.sga" bs=1 seek=4 conv=notrunc status=none
+if "$SAFEGEN" run "$SMOKE_DIR/v2.sga" --fn f --config dspv \
+    --k 8 --arg 1.0 --int 8 > "$SMOKE_DIR/v2.txt" 2>&1; then
+    echo "version-2 artifact unexpectedly accepted"
     exit 1
 fi
-grep -q "unsupported artifact version 1" "$SMOKE_DIR/v1.txt"
+grep -q "unsupported artifact version 2" "$SMOKE_DIR/v2.txt"
 
 echo "== loop fuzz smoke (unbounded-loop generation; must be clean) =="
 build_release

@@ -33,16 +33,6 @@ pub enum Fusion {
     MeanThreshold,
 }
 
-/// What happens to the round-off of each operation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum NoisePolicy {
-    /// A fresh error symbol per operation (standard AA; the paper's model).
-    Fresh,
-    /// No fresh symbols: round-off accumulates in one dedicated,
-    /// uncorrelated noise term per variable (Yalaa's `aff1` mode).
-    Dedicated,
-}
-
 /// Full configuration of the affine runtime.
 ///
 /// The notation of the paper's plots maps as follows: `f64a-dspv` is
@@ -58,8 +48,6 @@ pub struct AaConfig {
     pub placement: Placement,
     /// Symbol fusion policy.
     pub fusion: Fusion,
-    /// Round-off handling.
-    pub noise: NoisePolicy,
     /// Use the AVX2 merge body when the CPU has AVX2 and FMA
     /// (direct-mapped placement only; results are bit-identical to the
     /// scalar body).
@@ -74,7 +62,6 @@ impl AaConfig {
             k,
             placement: Placement::DirectMapped,
             fusion: Fusion::Smallest,
-            noise: NoisePolicy::Fresh,
             vectorized: true,
         }
     }
@@ -86,7 +73,6 @@ impl AaConfig {
             k: usize::MAX,
             placement: Placement::Sorted,
             fusion: Fusion::Oldest, // never triggered
-            noise: NoisePolicy::Fresh,
             vectorized: false,
         }
     }
@@ -100,12 +86,6 @@ impl AaConfig {
     /// Sets the fusion policy.
     pub fn with_fusion(mut self, f: Fusion) -> AaConfig {
         self.fusion = f;
-        self
-    }
-
-    /// Sets the noise policy.
-    pub fn with_noise(mut self, n: NoisePolicy) -> AaConfig {
-        self.noise = n;
         self
     }
 
@@ -156,7 +136,6 @@ impl AaConfig {
                 k,
                 placement,
                 fusion,
-                noise: NoisePolicy::Fresh,
                 vectorized,
             },
             prioritized,

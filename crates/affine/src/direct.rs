@@ -23,9 +23,9 @@
 //! lane partial `s mod 4` with round-to-nearest adds ([`RoundOff`]). A
 //! multiplication sums the operand magnitudes `|aₛ|`, `|bₛ|` the same way
 //! in the same pass, so the radii of its quadratic term need no pass of
-//! their own, and takes their product to nearest ([`quadratic`]). Under
-//! [`NoisePolicy::Fresh`] the occupant of the slot the operation's fresh
-//! symbol claims joins the round-off partials too ([`occupant`]): the
+//! their own, and takes their product to nearest ([`quadratic`]). The
+//! occupant of the slot the operation's fresh symbol claims joins the
+//! round-off partials too ([`occupant`]): the
 //! fresh symbol absorbs it (paper eq. 6). The operation then takes one
 //! sound upper bound of the whole sum ([`sum_bound`]), whose term count
 //! covers every round-to-nearest step on the way (DESIGN.md §4
@@ -39,7 +39,7 @@
 //! aliasing discipline that mode needs.
 
 use crate::center::{CenterValue, ErrAcc};
-use crate::config::{AaContext, Fusion, NoisePolicy, Protect};
+use crate::config::{AaContext, Fusion, Protect};
 use crate::symbol::{slot_of, SymbolId, NO_SYMBOL};
 use crate::vector::{self, Avx2, LANES};
 use safegen_fpcore::round::{add_with_err, mul_with_err, sum_bound};
@@ -338,15 +338,11 @@ pub(crate) fn merge_mul<C: CenterValue>(
 }
 
 /// The magnitude `|c|` of the occupant of the result slot that the
-/// operation's fresh symbol claims, under [`NoisePolicy::Fresh`], with
-/// that slot; `None` when the policy makes no fresh symbol or the slot is
-/// empty. The fresh symbol absorbs the occupant (paper eq. 6), so its
+/// operation's fresh symbol claims, with that slot; `None` when the slot
+/// is empty. The fresh symbol absorbs the occupant (paper eq. 6), so its
 /// magnitude joins the operation's noise before the bound.
 #[inline(always)]
 pub(crate) fn occupant(ids: &[SymbolId], coeffs: &[f64], ctx: &AaContext) -> Option<(usize, f64)> {
-    if ctx.config().noise != NoisePolicy::Fresh {
-        return None;
-    }
     let s = slot_of(ctx.symbols_allocated(), ids.len());
     (ids[s] != NO_SYMBOL).then(|| (s, coeffs[s].abs()))
 }
@@ -910,12 +906,11 @@ mod tests {
     }
 
     /// `|c|` of the slot the next fresh symbol claims, which the noise
-    /// must cover when the fresh symbol will take it (noise > 0 under
-    /// the fresh-symbol policy); zero otherwise.
+    /// must cover when the fresh symbol will take it (noise > 0); zero
+    /// otherwise.
     fn absorbed(out: &State, noise: f64, ctx: &AaContext) -> Rational {
         let s = slot_of(ctx.symbols_allocated(), out.0.len());
-        let fresh = ctx.config().noise == NoisePolicy::Fresh && noise > 0.0;
-        if fresh && out.0[s] != NO_SYMBOL {
+        if noise > 0.0 && out.0[s] != NO_SYMBOL {
             rat(out.1[s]).abs()
         } else {
             Rational::zero()
@@ -950,15 +945,9 @@ mod tests {
         for case in 0..900 {
             let k = [1, 3, 4, 8, 9, 40][case % 6];
             let fusion = [Fusion::Smallest, Fusion::Oldest][case % 2];
-            let noise_policy = if case % 7 == 0 {
-                NoisePolicy::Dedicated
-            } else {
-                NoisePolicy::Fresh
-            };
             let c = AaContext::new(
                 AaConfig::new(k)
                     .with_fusion(fusion)
-                    .with_noise(noise_policy)
                     .with_vectorized(case % 3 != 0),
             );
             // The next fresh symbol's slot, and so the occupant, varies.

@@ -28,10 +28,9 @@ use std::fmt;
 pub struct Affine<C> {
     pub(crate) center: C,
     pub(crate) repr: Repr,
-    /// Dedicated uncorrelated noise term (radius contribution with no
-    /// symbol identity). Zero under [`crate::NoisePolicy::Fresh`]; carries
-    /// all round-off under [`crate::NoisePolicy::Dedicated`] and the
-    /// "infinite radius" poison value on overflow/division-by-zero.
+    /// Uncorrelated radius with no symbol identity: zero, except the
+    /// "infinite radius" poison value on overflow/division-by-zero (every
+    /// operation's round-off goes to a fresh symbol).
     pub(crate) acc_noise: f64,
 }
 
@@ -343,8 +342,7 @@ impl<C: CenterValue> Affine<C> {
         self.center.to_f64()
     }
 
-    /// The dedicated uncorrelated noise magnitude (zero unless running
-    /// under [`crate::NoisePolicy::Dedicated`] or poisoned).
+    /// The uncorrelated noise magnitude (zero unless poisoned).
     #[inline]
     pub fn acc_noise(&self) -> f64 {
         self.acc_noise

@@ -61,7 +61,7 @@ mod symbol;
 pub mod vector;
 
 pub use center::CenterValue;
-pub use config::{AaConfig, AaContext, AaCounters, Fusion, NoisePolicy, Placement, Protect};
+pub use config::{AaConfig, AaContext, AaCounters, Fusion, Placement, Protect};
 pub use form::{Affine, AffineDd, AffineF32, AffineF64};
 pub use symbol::{SymbolId, Term, NO_SYMBOL};
 

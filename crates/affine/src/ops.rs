@@ -14,8 +14,7 @@
 //!    `r(â)·r(b̂)` of multiplication, the `δ` of the min-range
 //!    approximations);
 //! 4. *finalize*: fuse down to the symbol budget per the fusion policy and
-//!    materialize the noise as a fresh error symbol (or fold it into the
-//!    dedicated noise term under [`NoisePolicy::Dedicated`]).
+//!    materialize the noise as a fresh error symbol.
 //!
 //! A direct-mapped `+`, `−`, `·` and `÷` does steps 2 to 4 in one pass
 //! and one directed-rounding step: the kernel reads both operands, writes
@@ -36,7 +35,7 @@
 //! `*_into` form on a fresh form.
 
 use crate::center::{CenterValue, ErrAcc};
-use crate::config::{AaContext, NoisePolicy, Protect};
+use crate::config::{AaContext, Protect};
 use crate::direct::{self, place_fresh, scale_direct, Slots};
 use crate::form::{Affine, Repr};
 use crate::fusion::select_victims;
@@ -444,18 +443,8 @@ impl<C: CenterValue> Affine<C> {
     ) {
         self.center = center;
         let k = ctx.k();
-        match (&mut self.repr, ctx.config().noise) {
-            (Repr::Sorted(terms), NoisePolicy::Dedicated) => {
-                // No fresh symbols: noise joins the dedicated term; the
-                // budget still applies to the inherited symbols.
-                let mut acc = add_ru(acc_noise, noise);
-                if terms.len() > k {
-                    let excess = terms.len() - k;
-                    acc = fuse_selected(terms, excess, acc, ctx, protect);
-                }
-                self.acc_noise = acc;
-            }
-            (Repr::Sorted(terms), NoisePolicy::Fresh) => {
+        match &mut self.repr {
+            Repr::Sorted(terms) => {
                 let mut noise = noise;
                 if terms.len() + usize::from(noise > 0.0) > k {
                     // Keep k−1, fuse the rest into the fresh symbol.
@@ -470,22 +459,17 @@ impl<C: CenterValue> Affine<C> {
                 }
                 self.acc_noise = acc_noise;
             }
-            (Repr::Direct { .. }, _) => self.finalize_direct(center, noise, acc_noise, ctx),
+            Repr::Direct { .. } => self.finalize_direct(center, noise, acc_noise, ctx),
         }
     }
 
     /// [`Affine::finalize`] of a direct-mapped form: the fresh symbol
     /// claims its slot with magnitude `noise`, which must already cover
-    /// the slot's occupant ([`direct::occupant`]), or under
-    /// [`NoisePolicy::Dedicated`] the noise joins the dedicated term.
-    /// NaN noise makes no symbol.
+    /// the slot's occupant ([`direct::occupant`]). NaN noise makes no
+    /// symbol.
     #[inline(always)]
     fn finalize_direct(&mut self, center: C, noise: f64, acc_noise: f64, ctx: &AaContext) {
         self.center = center;
-        if ctx.config().noise == NoisePolicy::Dedicated {
-            self.acc_noise = add_ru(acc_noise, noise);
-            return;
-        }
         self.acc_noise = acc_noise;
         if noise > 0.0 {
             let (ids, coeffs) = self.repr.slots_mut();
@@ -648,11 +632,10 @@ mod tests {
     /// `1 + 2⁻⁶⁰` with k = 2 slots: `x` (symbol 0, `ulp(1) = 2⁻⁵²`) sits
     /// in slot 0, which the operation's fresh symbol 2 claims; symbol 1
     /// only moves the id counter on. Returns the result and the context.
-    fn add_onto_occupied_slot(noise: NoisePolicy, vectorized: bool) -> (AffineF64, AaContext) {
+    fn add_onto_occupied_slot(vectorized: bool) -> (AffineF64, AaContext) {
         let c = AaContext::new(
             AaConfig::new(2)
                 .with_placement(Placement::DirectMapped)
-                .with_noise(noise)
                 .with_vectorized(vectorized),
         );
         let x = AffineF64::from_input(1.0, &c);
@@ -664,7 +647,7 @@ mod tests {
     #[test]
     fn fresh_symbol_absorbs_its_slot_occupant_in_the_one_bound() {
         for vectorized in [false, true] {
-            let (z, c) = add_onto_occupied_slot(NoisePolicy::Fresh, vectorized);
+            let (z, c) = add_onto_occupied_slot(vectorized);
             let (ids, coeffs) = z.repr.slots();
             assert_eq!(ids[0], 2, "the fresh symbol takes slot 0");
             // One bound over the center error 2⁻⁶⁰ and the occupant 2⁻⁵².
@@ -672,22 +655,6 @@ mod tests {
             assert_eq!(coeffs[0], want);
             assert_eq!(z.acc_noise, 0.0);
             assert_eq!(c.counters().condensations, 1);
-        }
-    }
-
-    #[test]
-    fn dedicated_noise_absorbs_nothing() {
-        for vectorized in [false, true] {
-            let (z, c) = add_onto_occupied_slot(NoisePolicy::Dedicated, vectorized);
-            let (ids, coeffs) = z.repr.slots();
-            assert_eq!((ids[0], coeffs[0]), (0, 2f64.powi(-52)), "occupant kept");
-            assert_eq!(
-                z.acc_noise,
-                2f64.powi(-60),
-                "noise joins the dedicated term"
-            );
-            assert_eq!(c.symbols_allocated(), 2, "no fresh symbol");
-            assert_eq!(c.counters().condensations, 0);
         }
     }
 
@@ -887,22 +854,6 @@ mod tests {
         let r = a.abs(&c);
         let (lo, hi) = r.range();
         assert!(lo <= 0.0 + 1e-12 && hi >= 2.0);
-    }
-
-    #[test]
-    fn dedicated_noise_mode_creates_no_symbols() {
-        let cfg = AaConfig::new(8)
-            .with_placement(Placement::Sorted)
-            .with_noise(NoisePolicy::Dedicated)
-            .with_vectorized(false);
-        let c = AaContext::new(cfg);
-        let a = Affine::<f64>::from_input(0.1, &c);
-        let b = Affine::<f64>::from_input(0.2, &c);
-        let s = a.mul(&b, &c, Protect::None);
-        // Only the two input symbols exist; round-off went to acc_noise.
-        assert!(s.n_symbols() <= 2);
-        assert!(s.acc_noise() > 0.0);
-        assert!(s.contains_dd(Dd::from_two_prod(0.1, 0.2)));
     }
 
     #[test]

@@ -4,9 +4,7 @@
 //! the result must be bit-identical to the by-value operation's, and the
 //! context must allocate the same symbols and count the same events.
 
-use safegen_affine::{
-    AaConfig, AaContext, Affine, CenterValue, Dd, NoisePolicy, Placement, Protect,
-};
+use safegen_affine::{AaConfig, AaContext, Affine, CenterValue, Dd, Placement, Protect};
 
 /// A form's bits: center (`Debug` renders every part exactly), dedicated
 /// noise, and `(id, coefficient)` terms.
@@ -152,24 +150,19 @@ fn lock_step<C: CenterValue>(config: AaConfig, seed: u64) {
     }
 }
 
-/// ss, ds and dsv placement under both noise policies.
+/// ss, ds and dsv placement.
 fn configs(k: usize) -> Vec<AaConfig> {
-    let mut out = Vec::new();
-    for noise in [NoisePolicy::Fresh, NoisePolicy::Dedicated] {
-        for (placement, vectorized) in [
-            (Placement::Sorted, false),
-            (Placement::DirectMapped, false),
-            (Placement::DirectMapped, true),
-        ] {
-            out.push(
-                AaConfig::new(k)
-                    .with_placement(placement)
-                    .with_vectorized(vectorized)
-                    .with_noise(noise),
-            );
-        }
-    }
-    out
+    [
+        (Placement::Sorted, false),
+        (Placement::DirectMapped, false),
+        (Placement::DirectMapped, true),
+    ]
+    .map(|(placement, vectorized)| {
+        AaConfig::new(k)
+            .with_placement(placement)
+            .with_vectorized(vectorized)
+    })
+    .to_vec()
 }
 
 #[test]

@@ -68,77 +68,52 @@ fn pragma_plan(dag: &Dag, pa: &PriorityAssignment) -> BTreeMap<(usize, usize), S
 /// Inserts pragma statements before the statements whose spans contain an
 /// annotated operation.
 fn insert_pragmas(f: &Function, plan: &BTreeMap<(usize, usize), String>) -> Function {
-    fn rewrite(body: &[Stmt], plan: &BTreeMap<(usize, usize), String>) -> Vec<Stmt> {
-        let mut out = Vec::with_capacity(body.len());
-        for s in body {
-            match s {
+    // An operation span annotates its enclosing statement: containment
+    // check on byte offsets. The plan is an ordered map so that when a
+    // statement encloses several annotated operations the earliest span
+    // wins deterministically (a hash map here made the chosen pragma —
+    // and therefore the compiled variant — vary run to run).
+    insert_before(f, &mut |stmt| {
+        plan.iter()
+            .find(|((start, end), _)| *start >= stmt.start && *end <= stmt.end)
+            .map(|(_, v)| format!("prioritize({v})"))
+    })
+}
+
+/// `f` with `#pragma safegen <payload>` before every simple statement
+/// (declaration, assignment, `return`) whose span `payload` maps to one.
+pub(crate) fn insert_before(
+    f: &Function,
+    payload: &mut dyn FnMut(Span) -> Option<String>,
+) -> Function {
+    fn go(body: &mut Vec<Stmt>, payload: &mut dyn FnMut(Span) -> Option<String>) {
+        for mut s in std::mem::take(body) {
+            let span = s.span();
+            match &mut s {
                 Stmt::Decl { .. } | Stmt::Assign { .. } | Stmt::Return { .. } => {
-                    let span = s.span();
-                    if let Some(var) = lookup(plan, span) {
-                        out.push(Stmt::Pragma {
-                            payload: format!("prioritize({var})"),
-                            span,
-                        });
+                    if let Some(payload) = payload(span) {
+                        body.push(Stmt::Pragma { payload, span });
                     }
-                    out.push(s.clone());
                 }
                 Stmt::If {
-                    cond,
                     then_body,
                     else_body,
-                    span,
-                } => out.push(Stmt::If {
-                    cond: cond.clone(),
-                    then_body: rewrite(then_body, plan),
-                    else_body: rewrite(else_body, plan),
-                    span: *span,
-                }),
-                Stmt::For {
-                    init,
-                    cond,
-                    step,
-                    body,
-                    span,
-                } => out.push(Stmt::For {
-                    init: init.clone(),
-                    cond: cond.clone(),
-                    step: step.clone(),
-                    body: rewrite(body, plan),
-                    span: *span,
-                }),
-                Stmt::While { cond, body, span } => out.push(Stmt::While {
-                    cond: cond.clone(),
-                    body: rewrite(body, plan),
-                    span: *span,
-                }),
-                Stmt::Block { body, span } => out.push(Stmt::Block {
-                    body: rewrite(body, plan),
-                    span: *span,
-                }),
-                other => out.push(other.clone()),
+                    ..
+                } => {
+                    go(then_body, payload);
+                    go(else_body, payload);
+                }
+                Stmt::For { body: inner, .. }
+                | Stmt::While { body: inner, .. }
+                | Stmt::Block { body: inner, .. } => go(inner, payload),
+                _ => {}
             }
+            body.push(s);
         }
-        out
     }
-
-    fn lookup(plan: &BTreeMap<(usize, usize), String>, stmt_span: Span) -> Option<String> {
-        // An operation span annotates its enclosing statement: containment
-        // check on byte offsets. The plan is an ordered map so that when a
-        // statement encloses several annotated operations the earliest span
-        // wins deterministically (a hash map here made the chosen pragma —
-        // and therefore the compiled variant — vary run to run).
-        plan.iter()
-            .find(|((start, end), _)| *start >= stmt_span.start && *end <= stmt_span.end)
-            .map(|(_, v)| v.clone())
-    }
-
-    Function {
-        ret: f.ret.clone(),
-        name: f.name.clone(),
-        params: f.params.clone(),
-        body: rewrite(&f.body, plan),
-        span: f.span,
-    }
+    let mut f = f.clone();
+    go(&mut f.body, payload);
+    f
 }
 
 #[cfg(test)]

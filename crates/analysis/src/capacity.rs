@@ -10,8 +10,9 @@
 //! one — keep the full budget. The decision is emitted as
 //! `#pragma safegen capacity(N)` annotations consumed by the backend.
 
+use crate::annotate::insert_before;
 use crate::reuse::find_reuses;
-use safegen_cfront::{Function, Sema, Span, Stmt};
+use safegen_cfront::{Function, Sema};
 use safegen_ir::{build_dag, NodeId};
 use std::collections::{BTreeMap, HashSet};
 
@@ -62,79 +63,17 @@ pub fn capacity_plan(f: &Function, sema: &Sema, k_low: usize) -> BTreeMap<(usize
 pub fn annotate_capacities(f: &Function, plan: &BTreeMap<(usize, usize), usize>) -> Function {
     // Each plan entry annotates exactly one statement (TAC statements can
     // share source regions through their spans): consume entries as they
-    // match.
+    // match. Ordered map: when several entries fall inside one statement
+    // the earliest span is consumed, deterministically (see the matching
+    // note in annotate.rs).
     let mut plan = plan.clone();
-
-    fn rewrite(body: &[Stmt], plan: &mut BTreeMap<(usize, usize), usize>) -> Vec<Stmt> {
-        let mut out = Vec::with_capacity(body.len());
-        for s in body {
-            match s {
-                Stmt::Decl { .. } | Stmt::Assign { .. } | Stmt::Return { .. } => {
-                    if let Some(k) = lookup(plan, s.span()) {
-                        out.push(Stmt::Pragma {
-                            payload: format!("capacity({k})"),
-                            span: s.span(),
-                        });
-                    }
-                    out.push(s.clone());
-                }
-                Stmt::If {
-                    cond,
-                    then_body,
-                    else_body,
-                    span,
-                } => out.push(Stmt::If {
-                    cond: cond.clone(),
-                    then_body: rewrite(then_body, plan),
-                    else_body: rewrite(else_body, plan),
-                    span: *span,
-                }),
-                Stmt::For {
-                    init,
-                    cond,
-                    step,
-                    body,
-                    span,
-                } => out.push(Stmt::For {
-                    init: init.clone(),
-                    cond: cond.clone(),
-                    step: step.clone(),
-                    body: rewrite(body, plan),
-                    span: *span,
-                }),
-                Stmt::While { cond, body, span } => out.push(Stmt::While {
-                    cond: cond.clone(),
-                    body: rewrite(body, plan),
-                    span: *span,
-                }),
-                Stmt::Block { body, span } => out.push(Stmt::Block {
-                    body: rewrite(body, plan),
-                    span: *span,
-                }),
-                other => out.push(other.clone()),
-            }
-        }
-        out
-    }
-
-    fn lookup(plan: &mut BTreeMap<(usize, usize), usize>, stmt: Span) -> Option<usize> {
-        // Ordered map: when several entries fall inside one statement the
-        // earliest span is consumed, deterministically (see the matching
-        // note in annotate.rs).
+    insert_before(f, &mut |stmt| {
         let key = plan
-            .iter()
-            .find(|((start, end), _)| *start >= stmt.start && *end <= stmt.end)
-            .map(|(&key, _)| key)?;
-        plan.remove(&key)
-    }
-
-    Function {
-        ret: f.ret.clone(),
-        name: f.name.clone(),
-        params: f.params.clone(),
-        body: rewrite(&f.body, &mut plan),
-        span: f.span,
-    }
+            .keys()
+            .find(|(start, end)| *start >= stmt.start && *end <= stmt.end)
+            .copied()?;
+        plan.remove(&key).map(|k| format!("capacity({k})"))
+    })
 }
 
 #[cfg(test)]

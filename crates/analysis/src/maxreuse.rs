@@ -52,17 +52,6 @@ impl PriorityAssignment {
         out.sort_unstable();
         out
     }
-
-    /// Checks the capacity constraint `|P_v| ≤ k − 1` for all nodes.
-    pub fn respects_capacity(&self, k: usize) -> bool {
-        let mut load: HashMap<NodeId, usize> = HashMap::new();
-        for nodes in self.pi.values() {
-            for &v in nodes {
-                *load.entry(v).or_insert(0) += 1;
-            }
-        }
-        load.values().all(|&c| c <= k.saturating_sub(1))
-    }
 }
 
 /// Above this variable count, [`SolveMode::Auto`] switches to greedy.
@@ -232,6 +221,19 @@ mod tests {
     use crate::reuse::find_reuses;
     use safegen_cfront::{analyze, parse};
     use safegen_ir::{build_dag, to_tac, Dag, NodeKind};
+
+    impl PriorityAssignment {
+        /// Checks the capacity constraint `|P_v| ≤ k − 1` for all nodes.
+        fn respects_capacity(&self, k: usize) -> bool {
+            let mut load: HashMap<NodeId, usize> = HashMap::new();
+            for nodes in self.pi.values() {
+                for &v in nodes {
+                    *load.entry(v).or_insert(0) += 1;
+                }
+            }
+            load.values().all(|&c| c <= k.saturating_sub(1))
+        }
+    }
 
     fn dag_of(src: &str) -> Dag {
         let unit = parse(src).unwrap();

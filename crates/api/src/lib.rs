@@ -59,7 +59,7 @@ use std::sync::Arc;
 use safegen::program::{ParamBinding, Program as BytecodeProgram};
 use safegen::{
     build_artifact, compile_to_artifact_cached, run_batch, run_batch_with, run_on, select_program,
-    variant_kind_with, Compiled, Compiler,
+    Compiled, Compiler,
 };
 use safegen_telemetry::clock::Stamp;
 
@@ -441,15 +441,6 @@ impl Program {
                 })
                 .collect(),
         }
-    }
-
-    /// The variant kind `config` selects on this program.
-    pub fn variant_kind(&self, config: &RunConfig) -> VariantKind {
-        let prioritize = match &*self.inner {
-            Backing::Artifact(a) => a.meta.prioritize,
-            Backing::Compiled { compiled, .. } => compiled.prioritize(),
-        };
-        variant_kind_with(config, prioritize)
     }
 
     /// Evaluates one request: selects the variant, runs the VM (the

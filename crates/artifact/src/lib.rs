@@ -88,7 +88,7 @@ pub const MAGIC: [u8; 4] = *b"SGAF";
 /// reject every version other than their own (`docs/ARTIFACT.md` §2, §7 —
 /// recompiling is always possible and always sound, so there is no
 /// cross-version compatibility machinery to get wrong).
-pub const FORMAT_VERSION: u16 = 2;
+pub const FORMAT_VERSION: u16 = 3;
 
 /// Fixed header length in bytes (`docs/ARTIFACT.md` §3).
 pub const HEADER_LEN: usize = 48;
@@ -887,7 +887,7 @@ mod tests {
             .into_iter()
             .filter(|op| op.operands().is_some())
             .collect();
-        assert_eq!(stored.len(), 29);
+        assert_eq!(stored.len(), 27);
         let n = stored.len();
         let code: Vec<FixedInstr> = stored
             .iter()
@@ -899,7 +899,7 @@ mod tests {
                     Operand::IReg => n_iregs - 1 - slot,
                     Operand::Array => 0,
                 };
-                FixedInstr {
+                let rec = FixedInstr {
                     op,
                     aux: if matches!(op, OpCode::CmpI | OpCode::CmpF) {
                         5
@@ -910,12 +910,22 @@ mod tests {
                     a: value(fields[1], 1),
                     b: value(fields[2], 2),
                     imm: match imm {
-                        Imm::Unused | Imm::IPool => 0,
+                        Imm::Unused | Imm::IPool | Imm::Pragma => 0,
                         Imm::FPool => 1,
                         Imm::Target => n as u32,
-                        Imm::Count => 0xdead_beef,
                     },
+                };
+                if imm != Imm::Pragma {
+                    return rec;
                 }
+                let protect = matches!(
+                    op,
+                    OpCode::Add | OpCode::Sub | OpCode::Mul | OpCode::Div | OpCode::Sqrt
+                );
+                rec.with_pragma(safegen_ir::OpPragma {
+                    protect: protect.then_some(u32::from(n_fregs) - 4),
+                    capacity: Some(0xbeef),
+                })
             })
             .collect();
         let program = Program {

@@ -11,6 +11,7 @@
 //! visible at the pragma's position.
 
 use crate::ast::{Expr, Function, Stmt, Unit};
+use crate::pragma::Pragma;
 use std::collections::{HashMap, HashSet};
 
 /// Renames all functions of the unit. Idempotent on already-unique input.
@@ -160,12 +161,11 @@ impl Renamer {
             },
             Stmt::Pragma { payload, span } => {
                 // Rewrite prioritize(v) with the visible binding of v.
-                let payload = payload
-                    .strip_prefix("prioritize(")
-                    .and_then(|r| r.strip_suffix(')'))
-                    .and_then(|v| self.lookup(v.trim()))
-                    .map(|fresh| format!("prioritize({fresh})"))
-                    .unwrap_or_else(|| payload.clone());
+                let fresh = match Pragma::parse(payload) {
+                    Some(Pragma::Prioritize(v)) => self.lookup(v),
+                    _ => None,
+                };
+                let payload = fresh.map_or_else(|| payload.clone(), |v| format!("prioritize({v})"));
                 Stmt::Pragma {
                     payload,
                     span: *span,

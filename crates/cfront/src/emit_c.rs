@@ -4,18 +4,26 @@
 //! It is the affine dialect of the printer. Declarations swap
 //! `double`/`float` for the affine value type (`f64a`, `f32a`, or `dda`),
 //! and every floating-point operation becomes a runtime call named by
-//! [`crate::runtime`]. `#pragma safegen prioritize(v)` lines lower to
+//! [`crate::runtime`]. An `int` operand of a float operation goes through
+//! `aa_from_int`, and a float value in integer code (a cast to `int`)
+//! through `aa_to_int`. `#pragma safegen prioritize(v)` lines lower to
 //! `aa_prioritize(v)` calls, exactly as the paper describes the pragma
-//! replacement.
+//! replacement, before the statements [`crate::resolve_pragmas`] keeps
+//! them on: the statements where the compiled program applies them.
 
-use crate::ast::{BinOp, Expr, Function, Ty, UnOp, Unit};
-use crate::printer::{print_expr, print_unit_in, Dialect, Slot};
+use crate::ast::{Expr, Function, Ty, UnOp, Unit};
+use crate::pragma::{resolve_pragmas, Pragma};
+use crate::printer::{print_expr_with, print_unit_in, Dialect, Slot};
 use crate::runtime::{Construct, EmitPrecision};
 use crate::sema::Sema;
 
 /// Emits sound C for a whole (TAC-form) unit.
 pub fn emit_c(unit: &Unit, sema: &Sema, precision: EmitPrecision) -> String {
-    print_unit_in(unit, &Affine { sema, p: precision })
+    let mut unit = unit.clone();
+    for f in &mut unit.functions {
+        resolve_pragmas(f, sema);
+    }
+    print_unit_in(&unit, &Affine { sema, p: precision })
 }
 
 struct Affine<'a> {
@@ -37,34 +45,47 @@ impl Affine<'_> {
         match e {
             Expr::FloatLit { value, .. } => self.call(Construct::Const, &[format!("{value:?}")]),
             Expr::IntLit { value, .. } => self.call(Construct::Const, &[format!("{value}.0")]),
-            Expr::Ident { .. } | Expr::Index { .. } => print_expr(e),
-            Expr::Bin { op, lhs, rhs, .. } if op.is_arith() => {
-                self.call(Construct::Bin(*op), &[self.expr(f, lhs), self.expr(f, rhs)])
-            }
-            Expr::Bin { .. } => self.cond(f, e),
             Expr::Un {
                 op: UnOp::Neg,
                 operand,
                 ..
             } => self.call(Construct::Neg, &[self.expr(f, operand)]),
-            Expr::Un {
-                op: UnOp::Not,
-                operand,
-                ..
-            } => format!("!({})", self.expr(f, operand)),
+            _ if !self.is_float(f, e) => self.call(Construct::FromInt, &[self.int(f, e)]),
+            Expr::Ident { name, .. } => name.clone(),
+            Expr::Index { base, index, .. } => {
+                format!("{}[{}]", self.expr(f, base), self.int(f, index))
+            }
+            Expr::Bin { op, lhs, rhs, .. } => {
+                self.call(Construct::Bin(*op), &[self.expr(f, lhs), self.expr(f, rhs)])
+            }
             Expr::Call { callee, args, .. } => {
                 let args: Vec<String> = args.iter().map(|a| self.expr(f, a)).collect();
                 self.call(Construct::Builtin(callee), &args)
             }
-            Expr::Cast { ty, operand, .. } if ty.is_float() => {
-                if self.is_float(f, operand) {
-                    self.expr(f, operand)
-                } else {
-                    self.call(Construct::FromInt, &[print_expr(operand)])
-                }
-            }
-            Expr::Cast { operand, .. } => self.call(Construct::ToInt, &[self.expr(f, operand)]),
+            // A float-typed cast (`!` is `int`-typed, handled above).
+            Expr::Cast { operand, .. } | Expr::Un { operand, .. } => self.expr(f, operand),
         }
+    }
+
+    /// An integer expression: plain C, with every float value in it (a
+    /// float comparison, or a float converted to `int`) a runtime call.
+    fn int(&self, f: &Function, e: &Expr) -> String {
+        print_expr_with(e, &|sub| match sub {
+            Expr::Bin { op, lhs, rhs, .. }
+                if op.is_cmp() && (self.is_float(f, lhs) || self.is_float(f, rhs)) =>
+            {
+                Some(self.call(Construct::Bin(*op), &[self.expr(f, lhs), self.expr(f, rhs)]))
+            }
+            Expr::Cast {
+                ty: Ty::Int,
+                operand,
+                ..
+            } if self.is_float(f, operand) => {
+                Some(self.call(Construct::ToInt, &[self.expr(f, operand)]))
+            }
+            _ if self.is_float(f, sub) => Some(self.call(Construct::ToInt, &[self.expr(f, sub)])),
+            _ => None,
+        })
     }
 }
 
@@ -81,44 +102,26 @@ impl Dialect for Affine<'_> {
         let float = match slot {
             Slot::Init(ty) => ty.is_float(),
             Slot::Assign(lhs) => self.is_float(f, lhs),
-            Slot::Return => self.is_float(f, e),
-            Slot::Stmt => true,
+            Slot::Return => f.ret.is_float(),
+            Slot::Stmt => self.is_float(f, e),
+            Slot::Cond => false,
         };
         if float {
             self.expr(f, e)
         } else {
-            print_expr(e)
-        }
-    }
-
-    fn cond(&self, f: &Function, e: &Expr) -> String {
-        match e {
-            Expr::Bin { op, lhs, rhs, .. }
-                if op.is_cmp() && (self.is_float(f, lhs) || self.is_float(f, rhs)) =>
-            {
-                self.call(Construct::Bin(*op), &[self.expr(f, lhs), self.expr(f, rhs)])
-            }
-            Expr::Bin {
-                op: op @ (BinOp::And | BinOp::Or),
-                lhs,
-                rhs,
-                ..
-            } => format!(
-                "({}) {} ({})",
-                self.cond(f, lhs),
-                op.text(),
-                self.cond(f, rhs)
-            ),
-            other => print_expr(other),
+            self.int(f, e)
         }
     }
 
     fn pragma(&self, payload: &str) -> Option<String> {
-        // The pragma lowers to the runtime prioritization call.
-        let var = payload.strip_prefix("prioritize(")?.strip_suffix(')')?;
+        // The pragma lowers to the runtime prioritization call; the
+        // runtime has no capacity call.
+        let Some(Pragma::Prioritize(var)) = Pragma::parse(payload) else {
+            return None;
+        };
         Some(format!(
             "{};",
-            self.call(Construct::Prioritize, &[var.trim().to_string()])
+            self.call(Construct::Prioritize, &[var.to_string()])
         ))
     }
 

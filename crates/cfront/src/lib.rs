@@ -44,6 +44,7 @@ mod emit_c;
 mod error;
 mod lexer;
 mod parser;
+mod pragma;
 mod printer;
 mod reabsorb;
 mod runtime;
@@ -57,9 +58,10 @@ pub use emit_c::emit_c;
 pub use error::{Diagnostic, ParseError};
 pub use lexer::lex;
 pub use parser::parse;
-pub use printer::{print_expr, print_function, print_unit};
+pub use pragma::{resolve_pragmas, Pragma};
+pub use printer::{print_expr, print_unit};
 pub use reabsorb::reparse_emitted;
-pub use runtime::EmitPrecision;
+pub use runtime::{Construct, EmitPrecision, RuntimeCall, RUNTIME};
 pub use sema::{analyze, FnInfo, Sema, VarInfo};
 pub use simd::lower_simd;
 pub use token::{Span, Token, TokenKind};

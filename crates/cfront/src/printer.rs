@@ -20,6 +20,8 @@ pub(crate) enum Slot<'a> {
     Return,
     /// An expression statement.
     Stmt,
+    /// The condition of an `if`, `while` or `for`.
+    Cond,
 }
 
 /// What a C dialect renders differently from plain C. Every method
@@ -32,11 +34,6 @@ pub(crate) trait Dialect {
 
     /// A value in `slot` of a statement in `f`.
     fn value(&self, _f: &Function, e: &Expr, _slot: Slot<'_>) -> String {
-        print_expr(e)
-    }
-
-    /// The condition of an `if`, `while` or `for` in `f`.
-    fn cond(&self, _f: &Function, e: &Expr) -> String {
         print_expr(e)
     }
 
@@ -79,13 +76,6 @@ pub(crate) fn print_unit_in(unit: &Unit, d: &dyn Dialect) -> String {
         print_function_in(&mut out, f, d);
         out.push_str(d.separator(i + 1 == unit.functions.len()));
     }
-    out
-}
-
-/// Prints one function definition.
-pub fn print_function(f: &Function) -> String {
-    let mut out = String::new();
-    print_function_in(&mut out, f, &Plain);
     out
 }
 
@@ -189,7 +179,7 @@ impl StmtPrinter<'_> {
                 ..
             } => {
                 indent(out, level);
-                let _ = writeln!(out, "if ({}) {{", d.cond(f, cond));
+                let _ = writeln!(out, "if ({}) {{", d.value(f, cond, Slot::Cond));
                 self.block(out, then_body, level + 1);
                 indent(out, level);
                 if else_body.is_empty() {
@@ -215,7 +205,7 @@ impl StmtPrinter<'_> {
                 }
                 out.push_str("; ");
                 if let Some(c) = cond {
-                    out.push_str(&d.cond(f, c));
+                    out.push_str(&d.value(f, c, Slot::Cond));
                 }
                 out.push_str("; ");
                 if let Some(st) = step {
@@ -228,7 +218,7 @@ impl StmtPrinter<'_> {
             }
             Stmt::While { cond, body, .. } => {
                 indent(out, level);
-                let _ = writeln!(out, "while ({}) {{", d.cond(f, cond));
+                let _ = writeln!(out, "while ({}) {{", d.value(f, cond, Slot::Cond));
                 self.block(out, body, level + 1);
                 indent(out, level);
                 out.push_str("}\n");
@@ -268,7 +258,18 @@ impl StmtPrinter<'_> {
 
 /// Prints an expression with minimal (structural) parenthesization.
 pub fn print_expr(e: &Expr) -> String {
-    fn go(e: &Expr, parent_prec: u8, out: &mut String) {
+    print_expr_with(e, &|_| None)
+}
+
+/// [`print_expr`], except that a subexpression for which `atom` returns
+/// text prints as that text (which must parse as a primary expression,
+/// such as a call).
+pub(crate) fn print_expr_with(e: &Expr, atom: &dyn Fn(&Expr) -> Option<String>) -> String {
+    fn go(e: &Expr, parent_prec: u8, out: &mut String, atom: &dyn Fn(&Expr) -> Option<String>) {
+        if let Some(text) = atom(e) {
+            out.push_str(&text);
+            return;
+        }
         match e {
             Expr::IntLit { value, .. } => {
                 let _ = write!(out, "{value}");
@@ -287,9 +288,9 @@ pub fn print_expr(e: &Expr) -> String {
             }
             Expr::Ident { name, .. } => out.push_str(name),
             Expr::Index { base, index, .. } => {
-                go(base, 100, out);
+                go(base, 100, out, atom);
                 out.push('[');
-                go(index, 0, out);
+                go(index, 0, out, atom);
                 out.push(']');
             }
             Expr::Bin { op, lhs, rhs, .. } => {
@@ -298,9 +299,9 @@ pub fn print_expr(e: &Expr) -> String {
                 if need {
                     out.push('(');
                 }
-                go(lhs, prec, out);
+                go(lhs, prec, out, atom);
                 let _ = write!(out, " {} ", op.text());
-                go(rhs, prec + 1, out);
+                go(rhs, prec + 1, out, atom);
                 if need {
                     out.push(')');
                 }
@@ -313,7 +314,7 @@ pub fn print_expr(e: &Expr) -> String {
                 // `--x` would lex as a decrement: parenthesize an operand
                 // that itself renders with a leading sign.
                 let mut inner = String::new();
-                go(operand, 99, &mut inner);
+                go(operand, 99, &mut inner, atom);
                 if inner.starts_with('-') || inner.starts_with('!') {
                     out.push('(');
                     out.push_str(&inner);
@@ -329,18 +330,18 @@ pub fn print_expr(e: &Expr) -> String {
                     if i > 0 {
                         out.push_str(", ");
                     }
-                    go(a, 0, out);
+                    go(a, 0, out, atom);
                 }
                 out.push(')');
             }
             Expr::Cast { ty, operand, .. } => {
                 let _ = write!(out, "({}) ", type_prefix(ty));
-                go(operand, 99, out);
+                go(operand, 99, out, atom);
             }
         }
     }
     let mut out = String::new();
-    go(e, 0, &mut out);
+    go(e, 0, &mut out, atom);
     out
 }
 
@@ -382,14 +383,14 @@ mod tests {
     #[test]
     fn parenthesization_preserves_shape() {
         let u = parse("double f(double a, double b, double c) { return (a + b) * c; }").unwrap();
-        let s = print_function(&u.functions[0]);
+        let s = print_unit(&u);
         assert!(s.contains("(a + b) * c"), "{s}");
     }
 
     #[test]
     fn no_spurious_parens() {
         let u = parse("double f(double a, double b, double c) { return a + b * c; }").unwrap();
-        let s = print_function(&u.functions[0]);
+        let s = print_unit(&u);
         assert!(s.contains("a + b * c"), "{s}");
     }
 

@@ -12,7 +12,9 @@
 //! * every `aa_*` runtime call is rewritten to the construct it was
 //!   lowered from — operators, comparisons, `sqrt`/`fabs`/`fmin`/`fmax`,
 //!   casts, constants, and `aa_prioritize(v)` back to
-//!   `#pragma safegen prioritize(v)`.
+//!   `#pragma safegen prioritize(v)`. An `aa_from_int` operand reads back
+//!   as C's implicit promotion of an `int`, which lowers to the same
+//!   conversion as the explicit cast.
 //!
 //! The result is a parse tree of plain C that can be re-run through the
 //! whole pipeline. Differential tests use this to close the loop: source
@@ -39,8 +41,7 @@ pub fn reparse_emitted(emitted: &str) -> Result<Unit, ParseError> {
     let plain = replace_affine_types(&stripped);
     let mut unit = parse(&plain)?;
     for f in &mut unit.functions {
-        let body = std::mem::take(&mut f.body);
-        f.body = rewrite_block(body)?;
+        rewrite_block(&mut f.body)?;
     }
     Ok(unit)
 }
@@ -84,87 +85,95 @@ fn arity_err(callee: &str, span: crate::Span) -> ParseError {
     Diagnostic::new(format!("runtime call `{callee}` has the wrong arity"), span).into()
 }
 
-fn rewrite_block(body: Vec<Stmt>) -> Result<Vec<Stmt>, ParseError> {
-    body.into_iter().map(rewrite_stmt).collect()
+fn rewrite_block(body: &mut [Stmt]) -> Result<(), ParseError> {
+    body.iter_mut().try_for_each(rewrite_stmt)
 }
 
-fn rewrite_stmt(s: Stmt) -> Result<Stmt, ParseError> {
-    Ok(match s {
-        Stmt::Decl {
-            ty,
-            name,
-            init,
-            span,
-        } => Stmt::Decl {
-            ty,
-            name,
-            init: init.map(rewrite_expr).transpose()?,
-            span,
-        },
-        Stmt::Assign { lhs, op, rhs, span } => Stmt::Assign {
-            lhs: rewrite_expr(lhs)?,
-            op,
-            rhs: rewrite_expr(rhs)?,
-            span,
-        },
+/// Replaces `e` with `f(e)`.
+fn map_expr(
+    e: &mut Expr,
+    f: impl FnOnce(Expr) -> Result<Expr, ParseError>,
+) -> Result<(), ParseError> {
+    let placeholder = Expr::IntLit {
+        value: 0,
+        span: e.span(),
+    };
+    *e = f(std::mem::replace(e, placeholder))?;
+    Ok(())
+}
+
+fn rewrite(e: &mut Expr) -> Result<(), ParseError> {
+    map_expr(e, rewrite_expr)
+}
+
+fn rewrite_stmt(s: &mut Stmt) -> Result<(), ParseError> {
+    match s {
+        Stmt::Decl { init, .. } => init.iter_mut().try_for_each(rewrite),
+        Stmt::Assign { lhs, rhs, .. } => rewrite(lhs).and_then(|()| rewrite(rhs)),
         Stmt::If {
             cond,
             then_body,
             else_body,
-            span,
-        } => Stmt::If {
-            cond: rewrite_expr(cond)?,
-            then_body: rewrite_block(then_body)?,
-            else_body: rewrite_block(else_body)?,
-            span,
-        },
+            ..
+        } => {
+            rewrite(cond)?;
+            rewrite_block(then_body)?;
+            rewrite_block(else_body)
+        }
         Stmt::For {
             init,
             cond,
             step,
             body,
-            span,
-        } => Stmt::For {
-            init: init.map(|s| rewrite_stmt(*s).map(Box::new)).transpose()?,
-            cond: cond.map(rewrite_expr).transpose()?,
-            step: step.map(|s| rewrite_stmt(*s).map(Box::new)).transpose()?,
-            body: rewrite_block(body)?,
-            span,
-        },
-        Stmt::While { cond, body, span } => Stmt::While {
-            cond: rewrite_expr(cond)?,
-            body: rewrite_block(body)?,
-            span,
-        },
-        Stmt::Return { value, span } => Stmt::Return {
-            value: value.map(rewrite_expr).transpose()?,
-            span,
-        },
+            ..
+        } => {
+            init.iter_mut()
+                .chain(step.iter_mut())
+                .try_for_each(|s| rewrite_stmt(s))?;
+            cond.iter_mut().try_for_each(rewrite)?;
+            rewrite_block(body)
+        }
+        Stmt::While { cond, body, .. } => rewrite(cond).and_then(|()| rewrite_block(body)),
+        Stmt::Return { value, .. } => value
+            .iter_mut()
+            .try_for_each(|e| map_expr(e, |e| rewrite_expr(e).map(implicit))),
         Stmt::ExprStmt { expr, span } => {
             // `aa_prioritize_f64(v);` statements were lowered from the
             // prioritization pragma — raise them back.
-            if let Expr::Call { callee, args, .. } = &expr {
+            if let Expr::Call {
+                callee,
+                args,
+                span: at,
+            } = expr
+            {
                 if lookup(callee).is_some_and(|c| c.construct == Construct::Prioritize) {
                     let [Expr::Ident { name, .. }] = args.as_slice() else {
-                        return Err(arity_err(callee, expr.span()));
+                        return Err(arity_err(callee, *at));
                     };
-                    return Ok(Stmt::Pragma {
-                        payload: format!("prioritize({name})"),
-                        span,
-                    });
+                    let payload = format!("prioritize({name})");
+                    let span = *span;
+                    *s = Stmt::Pragma { payload, span };
+                    return Ok(());
                 }
             }
-            Stmt::ExprStmt {
-                expr: rewrite_expr(expr)?,
-                span,
-            }
+            rewrite(expr)
         }
-        Stmt::Pragma { .. } => s,
-        Stmt::Block { body, span } => Stmt::Block {
-            body: rewrite_block(body)?,
-            span,
-        },
-    })
+        Stmt::Pragma { .. } => Ok(()),
+        Stmt::Block { body, .. } => rewrite_block(body),
+    }
+}
+
+/// `e` without the `aa_from_int` around it: C promotes an `int` operand
+/// of a float operation, or a returned `int`, implicitly.
+fn implicit(e: Expr) -> Expr {
+    match e {
+        Expr::Cast {
+            ty: Ty::Double,
+            operand,
+            ..
+        } => *operand,
+        other => other,
+    }
 }
 
 fn rewrite_expr(e: Expr) -> Result<Expr, ParseError> {
@@ -212,15 +221,25 @@ fn rewrite_expr(e: Expr) -> Result<Expr, ParseError> {
             let mut args = args.into_iter();
             let mut arg = || Box::new(args.next().expect("arity checked"));
             match entry.construct {
-                Construct::Bin(op) => Expr::Bin {
-                    op,
-                    lhs: arg(),
-                    rhs: arg(),
-                    span,
-                },
+                Construct::Bin(op) => {
+                    let (lhs, rhs) = (arg(), arg());
+                    // Of two promoted operands the left keeps its cast,
+                    // so the operation stays floating-point.
+                    let lhs = if matches!(*rhs, Expr::Cast { ty: Ty::Double, .. }) {
+                        lhs
+                    } else {
+                        Box::new(implicit(*lhs))
+                    };
+                    Expr::Bin {
+                        op,
+                        lhs,
+                        rhs: Box::new(implicit(*rhs)),
+                        span,
+                    }
+                }
                 Construct::Neg => Expr::Un {
                     op: UnOp::Neg,
-                    operand: arg(),
+                    operand: Box::new(implicit(*arg())),
                     span,
                 },
                 // The sound constant wrapper: the literal inside *is* the
@@ -228,7 +247,7 @@ fn rewrite_expr(e: Expr) -> Result<Expr, ParseError> {
                 Construct::Const => *arg(),
                 Construct::Builtin(name) => Expr::Call {
                     callee: name.to_string(),
-                    args: args.collect(),
+                    args: args.map(implicit).collect(),
                     span,
                 },
                 Construct::FromInt => Expr::Cast {
@@ -314,16 +333,13 @@ mod tests {
     fn casts_restored_both_ways() {
         let src = "f64a f(f64a x) {\n\
                    int n = aa_to_int_f64(x);\n\
-                   return aa_from_int_f64(n);\n}\n";
+                   f64a y = aa_div_f64(aa_from_int_f64(n), aa_from_int_f64(n));\n\
+                   return aa_add_f64(y, aa_from_int_f64(n));\n}\n";
         let printed = print_unit(&reparse_emitted(src).unwrap());
-        assert!(
-            printed.contains("(int) x") || printed.contains("(int)x"),
-            "{printed}"
-        );
-        assert!(
-            printed.contains("(double) n") || printed.contains("(double)n"),
-            "{printed}"
-        );
+        assert!(printed.contains("int n = (int) x;"), "{printed}");
+        // Promotions read back implicit, except the left of two.
+        assert!(printed.contains("double y = (double) n / n;"), "{printed}");
+        assert!(printed.contains("return y + n;"), "{printed}");
     }
 
     #[test]

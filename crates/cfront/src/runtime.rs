@@ -5,7 +5,9 @@
 //! [`EmitPrecision`] gives each precision's value type and suffix. The
 //! emitter ([`crate::emit_c`]) reads the table forward, construct to name;
 //! [`crate::reparse_emitted`] reads it backward, name to construct. A
-//! runtime header that compiles the emitted C has this table to match.
+//! runtime header that compiles the emitted C has this table to match;
+//! `tests/emit_syntax.rs` renders its prototypes and compiles the emitted
+//! C against them.
 
 use crate::ast::BinOp;
 
@@ -26,11 +28,10 @@ pub enum EmitPrecision {
 
 impl EmitPrecision {
     /// Every precision, in declaration order.
-    pub(crate) const ALL: [EmitPrecision; 3] =
-        [EmitPrecision::F64, EmitPrecision::Dd, EmitPrecision::F32];
+    pub const ALL: [EmitPrecision; 3] = [EmitPrecision::F64, EmitPrecision::Dd, EmitPrecision::F32];
 
     /// The C type of an affine value at this precision.
-    pub(crate) fn value_type(self) -> &'static str {
+    pub fn value_type(self) -> &'static str {
         match self {
             EmitPrecision::F64 => "f64a",
             EmitPrecision::Dd => "dda",
@@ -39,7 +40,7 @@ impl EmitPrecision {
     }
 
     /// The suffix every runtime call carries at this precision.
-    pub(crate) fn suffix(self) -> &'static str {
+    pub fn suffix(self) -> &'static str {
         match self {
             EmitPrecision::F64 => "f64",
             EmitPrecision::Dd => "dd",
@@ -50,7 +51,7 @@ impl EmitPrecision {
 
 /// The plain-C construct a runtime call was lowered from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Construct<'a> {
+pub enum Construct<'a> {
     /// An arithmetic operator or a comparison.
     Bin(BinOp),
     /// Unary minus.
@@ -69,10 +70,20 @@ pub(crate) enum Construct<'a> {
 
 /// One runtime call: `aa_<op>_<suffix>` with `arity` arguments.
 #[derive(Debug)]
-pub(crate) struct RuntimeCall {
+pub struct RuntimeCall {
+    /// The `<op>` of the name.
     pub op: &'static str,
+    /// What the call computes.
     pub construct: Construct<'static>,
+    /// Its argument count.
     pub arity: usize,
+}
+
+impl RuntimeCall {
+    /// The call's name at precision `p`, `aa_<op>_<suffix>`.
+    pub fn name(&self, p: EmitPrecision) -> String {
+        format!("{PREFIX}{}_{}", self.op, p.suffix())
+    }
 }
 
 const fn call(op: &'static str, construct: Construct<'static>, arity: usize) -> RuntimeCall {
@@ -84,7 +95,7 @@ const fn call(op: &'static str, construct: Construct<'static>, arity: usize) -> 
 }
 
 /// Every runtime call the emitter writes.
-pub(crate) const RUNTIME: &[RuntimeCall] = &[
+pub const RUNTIME: &[RuntimeCall] = &[
     call("add", Construct::Bin(BinOp::Add), 2),
     call("sub", Construct::Bin(BinOp::Sub), 2),
     call("mul", Construct::Bin(BinOp::Mul), 2),
@@ -114,11 +125,11 @@ impl Construct<'_> {
     /// Panics if the table has no entry for the construct; semantic
     /// analysis admits only the builtins the table lists.
     pub(crate) fn call_name(self, p: EmitPrecision) -> String {
-        let entry = RUNTIME
+        RUNTIME
             .iter()
             .find(|c| c.construct == self)
-            .unwrap_or_else(|| panic!("no runtime call lowers {self:?}"));
-        format!("{PREFIX}{}_{}", entry.op, p.suffix())
+            .unwrap_or_else(|| panic!("no runtime call lowers {self:?}"))
+            .name(p)
     }
 }
 
@@ -144,9 +155,9 @@ mod tests {
             Construct::Const => "0.5;".to_string(),
             Construct::Builtin(name) if arity == 1 => format!("{name}(a);"),
             Construct::Builtin(name) => format!("{name}(a, b);"),
-            Construct::FromInt => "(double) n;".to_string(),
+            Construct::FromInt => "a + n;".to_string(),
             Construct::ToInt => "(int) a;".to_string(),
-            Construct::Prioritize => "\n#pragma safegen prioritize(a)\n".to_string(),
+            Construct::Prioritize => "\n#pragma safegen prioritize(a)\na = a * b;".to_string(),
         };
         format!("void f(double a, double b, int n) {{ {stmt} }}")
     }
@@ -161,7 +172,7 @@ mod tests {
                 let unit = parse(&src).unwrap();
                 let sema = analyze(&unit).unwrap();
                 let emitted = emit_c(&unit, &sema, p);
-                let name = format!("aa_{}_{}(", entry.op, p.suffix());
+                let name = format!("{}(", entry.name(p));
                 assert!(emitted.contains(&name), "{name} missing:\n{emitted}");
                 let back = reparse_emitted(&emitted)
                     .unwrap_or_else(|e| panic!("{name}: does not reparse: {e}\n{emitted}"));

@@ -7,6 +7,7 @@
 
 use crate::ast::*;
 use crate::error::{Diagnostic, ParseError};
+use crate::pragma::Pragma;
 use crate::token::Span;
 use std::collections::HashMap;
 
@@ -281,18 +282,7 @@ fn check_stmt(s: &Stmt, info: &mut FnInfo, ret: &Ty, diags: &mut Vec<Diagnostic>
             check_expr(expr, info, diags);
         }
         Stmt::Pragma { payload, span } => {
-            // prioritize(<ident>) and capacity(<positive int>) are
-            // understood.
-            let prioritize_ok = payload
-                .strip_prefix("prioritize(")
-                .and_then(|r| r.strip_suffix(')'))
-                .is_some_and(|v| !v.trim().is_empty());
-            let capacity_ok = payload
-                .strip_prefix("capacity(")
-                .and_then(|r| r.strip_suffix(')'))
-                .and_then(|v| v.trim().parse::<usize>().ok())
-                .is_some_and(|k| k >= 1);
-            if !prioritize_ok && !capacity_ok {
+            if Pragma::parse(payload).is_none() {
                 diags.push(Diagnostic::new(
                     format!("unsupported safegen pragma `{payload}`"),
                     *span,

@@ -189,9 +189,9 @@ pub trait Domain: Sized + Clone {
     /// through hardware-FMA/SIMD code paths whose results IEEE 754 pins
     /// down exactly (`safegen_interval::cols`).
     ///
-    /// Only called on protect-free operations (a pending
-    /// `#pragma safegen prioritize` forces the per-lane path), so
-    /// kernels never see a protect set.
+    /// Only called on operations without a pragma (an operation that
+    /// carries one takes the per-lane path), so kernels never see a
+    /// protect set or a capacity.
     fn bin_kernel(
         _op: FpBinOp,
         _a: &[Self],

@@ -474,32 +474,6 @@ impl Compiled {
         out
     }
 
-    /// The bytecode program for `func` with `#pragma safegen prioritize`
-    /// protection compiled in for budget `k`.
-    pub fn prioritized_program(&self, func: &str, k: usize) -> Program {
-        self.variant(func, VariantKind::Prioritized { k: k as u32 })
-    }
-
-    /// The bytecode program with `#pragma safegen capacity` annotations
-    /// compiled in (variable-capacity extension): operations off every
-    /// reuse connection run at `k_low` symbols instead of `k`.
-    pub fn capacity_program(
-        &self,
-        func: &str,
-        k: usize,
-        k_low: usize,
-        prioritized: bool,
-    ) -> Program {
-        self.variant(
-            func,
-            VariantKind::Capacity {
-                k: k as u32,
-                k_low: k_low as u32,
-                prioritized,
-            },
-        )
-    }
-
     /// Which [`VariantKind`] `config` selects, honouring this unit's
     /// `prioritize` compiler option — the single source of truth shared
     /// by [`Compiled::program_for`], the artifact builder, and the serve
@@ -793,10 +767,11 @@ mod tests {
         let src = "double f(double x, double y, double z) { return x*z - y*z; }";
         let c = Compiler::new().compile(src).unwrap();
         let plain = c.program("f").clone();
-        let prio = c.prioritized_program("f", 4);
+        let prio = c.variant("f", VariantKind::Prioritized { k: 4 });
+        assert!(plain.code.iter().all(|i| i.protect().is_none()));
         assert!(
-            prio.code.len() > plain.code.len(),
-            "expected Protect instructions"
+            prio.code.iter().any(|i| i.protect().is_some()),
+            "expected a protecting operation"
         );
     }
 
@@ -840,8 +815,15 @@ mod tests {
     fn precompiled_variants_match_fresh_compiles() {
         let src = "double f(double x, double y, double z) { return x*z - y*z; }";
         let mut c = Compiler::new().compile(src).unwrap();
-        let fresh_prio = c.prioritized_program("f", 4);
-        let fresh_cap = c.capacity_program("f", 4, 2, true);
+        let fresh_prio = c.variant("f", VariantKind::Prioritized { k: 4 });
+        let fresh_cap = c.variant(
+            "f",
+            VariantKind::Capacity {
+                k: 4,
+                k_low: 2,
+                prioritized: true,
+            },
+        );
         c.precompile(&[
             VariantKind::Prioritized { k: 4 },
             VariantKind::Capacity {
@@ -851,14 +833,30 @@ mod tests {
             },
         ]);
         // Precomputed lookups return the same programs the pure compiles do.
-        assert_eq!(c.prioritized_program("f", 4), fresh_prio);
-        assert_eq!(c.capacity_program("f", 4, 2, true), fresh_cap);
+        assert_eq!(
+            c.variant("f", VariantKind::Prioritized { k: 4 }),
+            fresh_prio
+        );
+        assert_eq!(
+            c.variant(
+                "f",
+                VariantKind::Capacity {
+                    k: 4,
+                    k_low: 2,
+                    prioritized: true,
+                },
+            ),
+            fresh_cap
+        );
         // all_variants lists plain first, then the two precomputed kinds.
         let vs = c.all_variants();
         assert_eq!(vs.len(), 3);
         assert_eq!(vs[0].1, VariantKind::Plain);
         // A kind that was not precomputed still works (fresh compile).
-        assert!(!c.prioritized_program("f", 9).code.is_empty());
+        assert!(!c
+            .variant("f", VariantKind::Prioritized { k: 9 })
+            .code
+            .is_empty());
         assert_eq!(c.all_variants().len(), 3, "fallback must not mutate");
     }
 
@@ -877,9 +875,16 @@ mod tests {
                 s.spawn(move || {
                     for i in 0..8 {
                         let k = 2 + (t + i) % 4;
-                        let p = c.prioritized_program("f", k);
+                        let p = c.variant("f", VariantKind::Prioritized { k: k as u32 });
                         assert!(!p.code.is_empty());
-                        let q = c.capacity_program("f", k, 1, t % 2 == 0);
+                        let q = c.variant(
+                            "f",
+                            VariantKind::Capacity {
+                                k: k as u32,
+                                k_low: 1,
+                                prioritized: t % 2 == 0,
+                            },
+                        );
                         assert!(!q.code.is_empty());
                         let cfg = RunConfig::affine_f64(k);
                         let _ = c.program_for("f", &cfg);
@@ -888,8 +893,8 @@ mod tests {
             }
         });
         // Same k from two threads must have produced identical programs.
-        let a = c.prioritized_program("f", 3);
-        let b = c.prioritized_program("f", 3);
+        let a = c.variant("f", VariantKind::Prioritized { k: 3 });
+        let b = c.variant("f", VariantKind::Prioritized { k: 3 });
         assert_eq!(a.code, b.code);
     }
 }

@@ -6,7 +6,8 @@
 //! configuration — the apples-to-apples setup of the paper's evaluation.
 
 use crate::domain::{Domain, FpBinOp, FpUnOp};
-use crate::program::{CmpOp, OpCode, ParamBinding, Program};
+use crate::program::{CmpOp, FixedInstr, OpCode, ParamBinding, Program};
+use safegen_ir::PRAGMA_CAPACITY;
 use std::fmt;
 
 /// An argument passed to [`exec`].
@@ -388,7 +389,7 @@ pub(crate) enum Flow<D> {
     Branch { reg: usize, target: usize },
 }
 
-/// The state a run mutates: registers, arrays and the pending pragmas.
+/// The state a run mutates: registers and arrays.
 /// The scalar VM and the fixpoint engine share it and its [`Machine::step`];
 /// they differ only in the integer-register type `I`.
 #[derive(Clone)]
@@ -396,10 +397,8 @@ pub(crate) struct Machine<D, I> {
     pub fregs: Vec<D>,
     pub iregs: Vec<I>,
     pub arrays: Vec<Vec<D>>,
-    /// The ids the next consuming FP op protects, while `pending_protect`.
-    pub protect: Vec<u64>,
-    pub pending_protect: bool,
-    pub pending_capacity: bool,
+    /// Scratch for the ids an operation carrying `prioritize` protects.
+    protect: Vec<u64>,
     /// Every FP result is computed into `spare` and swapped into its
     /// destination register, so the destination may alias an operand and
     /// the old value's storage becomes the next result's.
@@ -430,8 +429,6 @@ impl<D: Domain, I: IntReg> Machine<D, I> {
                 .map(|a| vec![D::constant(0.0, cx); a.len])
                 .collect(),
             protect: Vec::new(),
-            pending_protect: false,
-            pending_capacity: false,
             counters_at_entry: D::fusion_counters(cx),
         };
         for (index, ((_, param), arg)) in prog.params.iter().zip(args).enumerate() {
@@ -480,27 +477,25 @@ impl<D: Domain, I: IntReg> Machine<D, I> {
         in_pass: bool,
     ) -> Result<Flow<D>, I::Abort> {
         stats.instrs += 1;
-        let fp_ops_before = stats.fp_ops;
         let undecided = &mut stats.undecided_branches;
         let ins = prog.code[pc];
         let (d, a, b) = (usize::from(ins.dst), usize::from(ins.a), usize::from(ins.b));
 
         // `$op` applied through `$into` to source registers `$src` into
-        // register `d`. With `consume`, the op takes the pending protect
-        // set; without, it runs unprotected and leaves the set pending.
+        // register `d`, under the pragma the record carries.
         macro_rules! fp_op {
-            ($into:ident, $op:expr, [$($src:expr),+], $consume:literal) => {{
-                let p: &[u64] = if $consume && self.pending_protect {
-                    &self.protect
-                } else {
+            ($into:ident, $op:expr, [$($src:expr),+]) => {{
+                let p: &[u64] = if ins.aux == 0 {
                     &[]
+                } else {
+                    self.pragma_on(&ins, cx);
+                    &self.protect
                 };
                 D::$into($op, $(&self.fregs[$src],)+ cx, p, &mut self.spare);
-                std::mem::swap(&mut self.fregs[d], &mut self.spare);
-                if $consume && self.pending_protect {
-                    self.pending_protect = false;
-                    self.protect.clear();
+                if ins.aux & PRAGMA_CAPACITY != 0 {
+                    D::reset_capacity(cx);
                 }
+                std::mem::swap(&mut self.fregs[d], &mut self.spare);
                 stats.fp_ops += 1;
             }};
         }
@@ -513,15 +508,15 @@ impl<D: Domain, I: IntReg> Machine<D, I> {
 
         let mut flow = Flow::Next;
         match ins.op {
-            OpCode::Add => fp_op!(bin_into, FpBinOp::Add, [a, b], true),
-            OpCode::Sub => fp_op!(bin_into, FpBinOp::Sub, [a, b], true),
-            OpCode::Mul => fp_op!(bin_into, FpBinOp::Mul, [a, b], true),
-            OpCode::Div => fp_op!(bin_into, FpBinOp::Div, [a, b], true),
-            OpCode::Sqrt => fp_op!(un_into, FpUnOp::Sqrt, [a], true),
-            OpCode::Abs => fp_op!(un_into, FpUnOp::Abs, [a], false),
-            OpCode::Neg => fp_op!(un_into, FpUnOp::Neg, [a], false),
-            OpCode::Min => fp_op!(bin_into, FpBinOp::Min, [a, b], false),
-            OpCode::Max => fp_op!(bin_into, FpBinOp::Max, [a, b], false),
+            OpCode::Add => fp_op!(bin_into, FpBinOp::Add, [a, b]),
+            OpCode::Sub => fp_op!(bin_into, FpBinOp::Sub, [a, b]),
+            OpCode::Mul => fp_op!(bin_into, FpBinOp::Mul, [a, b]),
+            OpCode::Div => fp_op!(bin_into, FpBinOp::Div, [a, b]),
+            OpCode::Sqrt => fp_op!(un_into, FpUnOp::Sqrt, [a]),
+            OpCode::Abs => fp_op!(un_into, FpUnOp::Abs, [a]),
+            OpCode::Neg => fp_op!(un_into, FpUnOp::Neg, [a]),
+            OpCode::Min => fp_op!(bin_into, FpBinOp::Min, [a, b]),
+            OpCode::Max => fp_op!(bin_into, FpBinOp::Max, [a, b]),
             OpCode::ConstF => {
                 D::constant_into(prog.fpool[ins.imm as usize], cx, &mut self.fregs[d]);
             }
@@ -591,14 +586,6 @@ impl<D: Domain, I: IntReg> Machine<D, I> {
                     }
                 }
             },
-            OpCode::Protect => {
-                self.fregs[a].protect_ids_into(cx, &mut self.protect);
-                self.pending_protect = true;
-            }
-            OpCode::SetCapacity => {
-                D::set_capacity(cx, ins.imm as usize);
-                self.pending_capacity = true;
-            }
             OpCode::Ret => flow = Flow::Ret(Some(self.fregs[a].clone())),
             OpCode::RetVoid => flow = Flow::Ret(None),
             OpCode::MulThenAdd
@@ -607,12 +594,19 @@ impl<D: Domain, I: IntReg> Machine<D, I> {
             | OpCode::CmpIJump
             | OpCode::CmpFJump => unreachable!("a validated program holds no superinstruction"),
         }
-        // A capacity pragma covers exactly its (single-FP-op) statement.
-        if self.pending_capacity && stats.fp_ops > fp_ops_before {
-            D::reset_capacity(cx);
-            self.pending_capacity = false;
-        }
         Ok(flow)
+    }
+
+    /// Sets up the pragma FP operation `ins` carries: the ids it protects
+    /// into `protect` (none without `prioritize`) and its capacity.
+    fn pragma_on(&mut self, ins: &FixedInstr, cx: &D::Ctx) {
+        match ins.protect() {
+            Some(r) => self.fregs[r].protect_ids_into(cx, &mut self.protect),
+            None => self.protect.clear(),
+        }
+        if let Some(k) = ins.capacity() {
+            D::set_capacity(cx, k);
+        }
     }
 
     /// The result of a run that ended with `ret`; `stats` gains the
@@ -772,13 +766,23 @@ mod tests {
     }
 
     #[test]
-    fn protect_instruction_consumed_by_next_op() {
+    fn protect_pragma_runs_with_its_op() {
         let src = "void f(double x, double z) {\n#pragma safegen prioritize(z)\nx = x * z; }";
         let p = compile(src);
         let ctx = AaContext::new(AaConfig::new(2));
         let r: RunResult<AffineF64> = exec(&p, &[1.0.into(), 2.0.into()], &ctx).unwrap();
         assert!(r.ret.is_none());
         assert_eq!(r.stats.fp_ops, 1);
+    }
+
+    #[test]
+    fn int_cast_truncates_in_float_code() {
+        let p = compile("double f(double x) { double y = (int) x; return y + (int) -x; }");
+        let r: RunResult<UnsoundF64> = exec(&p, &[2.7.into()], &()).unwrap();
+        assert_eq!(r.ret.unwrap().0, 0.0, "(int) 2.7 + (int) -2.7");
+        let p = compile("double f(double x) { double y = (int) x; return y * 0.5; }");
+        let r: RunResult<UnsoundF64> = exec(&p, &[2.7.into()], &()).unwrap();
+        assert_eq!(r.ret.unwrap().0, 1.0, "(int) 2.7 / 2");
     }
 
     #[test]

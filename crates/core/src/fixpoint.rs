@@ -868,9 +868,6 @@ impl<D: Domain> Engine<'_, D> {
                 *slot = self.hull_value(alo.min(blo), ahi.max(bhi))?;
             }
         }
-        out.protect = Vec::new();
-        out.pending_protect = false;
-        out.pending_capacity = false;
         Ok(out)
     }
 
@@ -903,9 +900,6 @@ impl<D: Domain> Engine<'_, D> {
         w: &Written,
     ) -> Result<AbsMachine<D>, FpAbort> {
         let mut m = snapshot.clone();
-        m.protect = Vec::new();
-        m.pending_protect = false;
-        m.pending_capacity = false;
         for (k, &r) in w.fregs.iter().enumerate() {
             let (lo, hi) = inv.f[k];
             m.fregs[r] = self.hull_value(lo, hi)?;

@@ -7,11 +7,11 @@
 //! instruction overhead (decode, branch, bookkeeping) over the whole
 //! lane group — the win is for the cheap domains (unsound `f64`, the
 //! IGen intervals), where dispatch dominates the actual arithmetic. The
-//! affine domains have no column kernel, and each lane's O(k) kernel
-//! dwarfs the dispatch it saves; they still run faster here than one
-//! lane at a time, since only this engine runs superinstructions.
-//! Forcing their width to 1 made paper-k8 `slowdown` 6% worse
-//! (EXPERIMENTS.md, "Affine lane width").
+//! affine domains have no column kernel, yet they still run faster here
+//! than one lane at a time: forcing their width to 1 made paper-k8
+//! `slowdown` 6% worse, while the superinstructions only this engine
+//! runs are worth about 3% (EXPERIMENTS.md, "Affine lane width"), so
+//! most of the gain is the amortized dispatch.
 //!
 //! ## Bit-identical to the scalar interpreter
 //!
@@ -45,7 +45,7 @@ use crate::exec::{
     array_index, array_outs, bind, cmp_f, err, exec_inner, validate_args, ArgValue, Bind,
     ExecError, NoTrace, RunResult, RunStats, FUEL,
 };
-use crate::program::{FixedProgram, OpCode, Program};
+use crate::program::{FixedInstr, FixedProgram, OpCode, Program};
 use safegen_telemetry::metrics::metrics;
 
 /// Per-dispatch metric tallies. The interpreter accumulates these in
@@ -96,10 +96,10 @@ impl Iterator for MaskIter {
     }
 }
 
-/// One contiguous execution front: a set of lanes at the same `pc` with
-/// the same pending pragma state. Lanes in a group need *not* share
-/// their full execution history — divergent subgroups re-merge when
-/// they meet at the same `pc` again (see the scheduler below) — so the
+/// One contiguous execution front: a set of lanes at the same `pc`.
+/// Lanes in a group need *not* share their full execution history —
+/// divergent subgroups re-merge when they meet at the same `pc` again
+/// (see the scheduler below) — so the
 /// `instrs`/`fp_ops` counters are *deltas since the group was formed*;
 /// each lane's totals live in the per-lane accumulators and are flushed
 /// on merge and retire.
@@ -114,8 +114,64 @@ struct Group {
     /// `acc_max + instrs` bounds every member's instruction count, so
     /// the per-instruction fuel check stays one comparison.
     acc_max: u64,
-    pending_protect: bool,
-    pending_capacity: bool,
+}
+
+/// Runs FP operation `ins`, which carries a pragma, on the lanes in
+/// `mask` as the scalar path runs it: each lane protects the symbols its
+/// own protect register holds, and runs under the capacity. Out of line,
+/// so the dispatch loop keeps only the pragma-free paths.
+#[cold]
+#[inline(never)]
+#[allow(clippy::too_many_arguments)]
+fn pragma_op<D: Domain>(
+    ins: &FixedInstr,
+    fregs: &mut [D],
+    spare: &mut [D],
+    w: usize,
+    mask: u64,
+    full: u64,
+    cxs: &[D::Ctx],
+    protect: &mut [Vec<u64>],
+) {
+    for l in MaskIter(mask) {
+        if let Some(r) = ins.protect() {
+            fregs[r * w + l].protect_ids_into(&cxs[l], &mut protect[l]);
+        }
+        if let Some(k) = ins.capacity() {
+            D::set_capacity(&cxs[l], k);
+        }
+    }
+    let (d, a, b) = (usize::from(ins.dst), usize::from(ins.a), usize::from(ins.b));
+    let p = &*protect;
+    let bin = match ins.op {
+        OpCode::Add => Some(FpBinOp::Add),
+        OpCode::Sub => Some(FpBinOp::Sub),
+        OpCode::Mul => Some(FpBinOp::Mul),
+        OpCode::Div => Some(FpBinOp::Div),
+        OpCode::Min => Some(FpBinOp::Min),
+        OpCode::Max => Some(FpBinOp::Max),
+        _ => None,
+    };
+    if let Some(op) = bin {
+        bin_cols(fregs, spare, w, d, a, b, mask, full, |x, y, o, l| {
+            D::bin_into(op, x, y, &cxs[l], &p[l], o)
+        });
+    } else {
+        let op = match ins.op {
+            OpCode::Sqrt => FpUnOp::Sqrt,
+            OpCode::Abs => FpUnOp::Abs,
+            _ => FpUnOp::Neg,
+        };
+        un_cols(fregs, spare, w, d, a, mask, full, |x, o, l| {
+            D::un_into(op, x, &cxs[l], &p[l], o)
+        });
+    }
+    for l in MaskIter(mask) {
+        protect[l].clear();
+        if ins.capacity().is_some() {
+            D::reset_capacity(&cxs[l]);
+        }
+    }
 }
 
 /// A retired lane: returned value plus its final counter totals.
@@ -435,8 +491,7 @@ pub fn exec_lanes<D: Domain>(
     // the current group whenever its `pc` reaches the lowest parked
     // `pc` (`watch`). Parked groups thereby act as reconvergence
     // points: when the lagging group catches up to a parked group at
-    // the same `pc` with the same pending pragma state, the two merge
-    // back into one front. Without this, each divergent branch over
+    // the same `pc`, the two merge back into one front. Without this, each divergent branch over
     // independent inputs would permanently shatter the group into
     // singletons (LU factorization's data-dependent pivoting is the
     // worst case) and the dispatch amortization would be lost. Lanes
@@ -460,8 +515,6 @@ pub fn exec_lanes<D: Domain>(
             instrs: 0,
             fp_ops: 0,
             acc_max: 0,
-            pending_protect: false,
-            pending_capacity: false,
         });
     }
 
@@ -475,13 +528,10 @@ pub fn exec_lanes<D: Domain>(
         }
         let mut g = groups.swap_remove(idx);
         // ... and absorb every parked group waiting at the same pc
-        // with the same pending state (reconvergence).
+        // (reconvergence).
         let mut i = 0;
         while i < groups.len() {
-            if groups[i].pc == g.pc
-                && groups[i].pending_protect == g.pending_protect
-                && groups[i].pending_capacity == g.pending_capacity
-            {
+            if groups[i].pc == g.pc {
                 let h = groups.swap_remove(i);
                 tally.remerges += 1;
                 for l in MaskIter(g.mask) {
@@ -543,39 +593,11 @@ pub fn exec_lanes<D: Domain>(
             }
             fuel_check!();
             let ins = fixed.ops[g.pc];
-            let fp_before = g.fp_ops;
 
-            // Consumes the pending protect set on the first FP op.
-            // Protect-free full-width groups first offer the whole
-            // column to the domain's SIMD kernel ([`Domain::bin_kernel`]).
+            // A binary FP op without a pragma. Full-width groups first
+            // offer the whole column to the domain's SIMD kernel
+            // ([`Domain::bin_kernel`]).
             macro_rules! fp_bin {
-                ($op:expr, $d:expr, $a:expr, $b:expr) => {{
-                    if g.pending_protect {
-                        g.pending_protect = false;
-                        tally.scalar_dispatches += 1;
-                        bin_cols(
-                            &mut fregs,
-                            &mut fspare,
-                            w,
-                            $d,
-                            $a,
-                            $b,
-                            g.mask,
-                            full,
-                            |x, y, o, l| {
-                                D::bin_into($op, x, y, &cxs[l], &protect[l], o);
-                                protect[l].clear();
-                            },
-                        );
-                        g.fp_ops += 1;
-                    } else {
-                        fp_unprotected!($op, $d, $a, $b);
-                    }
-                }};
-            }
-            // The same without consuming a pending protect set (min/max
-            // never take one).
-            macro_rules! fp_unprotected {
                 ($op:expr, $d:expr, $a:expr, $b:expr) => {{
                     if g.mask == full
                         && bin_kernel_cols(&mut fregs, &mut fspare, w, $op, $d, $a, $b, cxs)
@@ -598,8 +620,8 @@ pub fn exec_lanes<D: Domain>(
                     g.fp_ops += 1;
                 }};
             }
-            // Unary counterpart for the kernel-eligible ops.
-            macro_rules! fp_un_kernel {
+            // The unary counterpart.
+            macro_rules! fp_un {
                 ($op:expr, $d:expr, $a:expr) => {{
                     if g.mask == full
                         && un_kernel_cols(&mut fregs, &mut fspare, w, $op, $d, $a, cxs)
@@ -620,17 +642,6 @@ pub fn exec_lanes<D: Domain>(
                     }
                     g.fp_ops += 1;
                 }};
-            }
-            // A capacity pragma covers exactly one FP operation.
-            macro_rules! cap_check {
-                ($before:expr) => {
-                    if g.pending_capacity && g.fp_ops > $before {
-                        for l in MaskIter(g.mask) {
-                            D::reset_capacity(&cxs[l]);
-                        }
-                        g.pending_capacity = false;
-                    }
-                };
             }
             // The branch half of JumpIfZero and the fused compares:
             // split the group when lanes disagree.
@@ -662,8 +673,6 @@ pub fn exec_lanes<D: Domain>(
                             // Conservative for the subset (only ever
                             // trips the precise fuel path early).
                             acc_max: g.acc_max,
-                            pending_protect: g.pending_protect,
-                            pending_capacity: g.pending_capacity,
                         });
                         watch = watch.min($target);
                         g.mask &= !taken;
@@ -682,26 +691,23 @@ pub fn exec_lanes<D: Domain>(
 
             let (d, a, b) = (ins.dst as usize, ins.a as usize, ins.b as usize);
             match ins.op {
+                // An FP operation (through `Max`) whose `aux` is set
+                // carries a pragma.
+                op if ins.aux != 0 && op as u8 <= OpCode::Max as u8 => {
+                    tally.scalar_dispatches += 1;
+                    let (mask, fp) = (g.mask, &mut protect);
+                    pragma_op(&ins, &mut fregs, &mut fspare, w, mask, full, cxs, fp);
+                    g.fp_ops += 1;
+                }
                 OpCode::Add => fp_bin!(FpBinOp::Add, d, a, b),
                 OpCode::Sub => fp_bin!(FpBinOp::Sub, d, a, b),
                 OpCode::Mul => fp_bin!(FpBinOp::Mul, d, a, b),
                 OpCode::Div => fp_bin!(FpBinOp::Div, d, a, b),
-                OpCode::Sqrt => {
-                    if g.pending_protect {
-                        g.pending_protect = false;
-                        un_cols(&mut fregs, &mut fspare, w, d, a, g.mask, full, |x, o, l| {
-                            D::un_into(FpUnOp::Sqrt, x, &cxs[l], &protect[l], o);
-                            protect[l].clear();
-                        });
-                        g.fp_ops += 1;
-                    } else {
-                        fp_un_kernel!(FpUnOp::Sqrt, d, a);
-                    }
-                }
-                OpCode::Abs => fp_un_kernel!(FpUnOp::Abs, d, a),
-                OpCode::Neg => fp_un_kernel!(FpUnOp::Neg, d, a),
-                OpCode::Min => fp_unprotected!(FpBinOp::Min, d, a, b),
-                OpCode::Max => fp_unprotected!(FpBinOp::Max, d, a, b),
+                OpCode::Sqrt => fp_un!(FpUnOp::Sqrt, d, a),
+                OpCode::Abs => fp_un!(FpUnOp::Abs, d, a),
+                OpCode::Neg => fp_un!(FpUnOp::Neg, d, a),
+                OpCode::Min => fp_bin!(FpBinOp::Min, d, a, b),
+                OpCode::Max => fp_bin!(FpBinOp::Max, d, a, b),
                 OpCode::ConstF => {
                     let c = prog.fpool[ins.imm as usize];
                     let base = d * w;
@@ -807,19 +813,6 @@ pub fn exec_lanes<D: Domain>(
                 OpCode::JumpIfZero => {
                     branch_if_zero!(a * w, ins.imm as usize);
                 }
-                OpCode::Protect => {
-                    let base = a * w;
-                    for l in MaskIter(g.mask) {
-                        fregs[base + l].protect_ids_into(&cxs[l], &mut protect[l]);
-                    }
-                    g.pending_protect = true;
-                }
-                OpCode::SetCapacity => {
-                    for l in MaskIter(g.mask) {
-                        D::set_capacity(&cxs[l], ins.imm as usize);
-                    }
-                    g.pending_capacity = true;
-                }
                 OpCode::Ret => {
                     let base = a * w;
                     for l in MaskIter(g.mask) {
@@ -843,14 +836,12 @@ pub fn exec_lanes<D: Domain>(
                 }
                 // Superinstructions: the two source instructions execute
                 // back to back with the scalar path's exact per-
-                // instruction bookkeeping (second `instrs` tick, fuel
-                // and capacity checks between the halves).
+                // instruction bookkeeping (second `instrs` tick and fuel
+                // check between the halves).
                 OpCode::MulThenAdd | OpCode::MulThenSub => {
                     tally.superinstr_hits += 1;
                     fp_bin!(FpBinOp::Mul, d, a, b);
-                    cap_check!(fp_before);
                     fuel_check!();
-                    let before2 = g.fp_ops;
                     let (d2, c) = (ins.d2() as usize, ins.c() as usize);
                     let (x, y) = if ins.aux == 0 { (d, c) } else { (c, d) };
                     if ins.op == OpCode::MulThenAdd {
@@ -858,7 +849,6 @@ pub fn exec_lanes<D: Domain>(
                     } else {
                         fp_bin!(FpBinOp::Sub, d2, x, y);
                     }
-                    cap_check!(before2);
                 }
                 OpCode::MulIThenAddI => {
                     tally.superinstr_hits += 1;
@@ -884,7 +874,6 @@ pub fn exec_lanes<D: Domain>(
                     branch_if_zero!(d * w, ins.imm as usize);
                 }
             }
-            cap_check!(fp_before);
             g.pc += 1;
             if g.pc >= watch {
                 tally.parks += 1;

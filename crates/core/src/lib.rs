@@ -86,6 +86,6 @@ pub use sga::{
     BuildOptions,
 };
 
-pub use safegen_affine::{AaConfig, AaContext, Fusion, NoisePolicy, Placement};
+pub use safegen_affine::{AaConfig, AaContext, Fusion, Placement};
 pub use safegen_artifact::{Artifact, ArtifactError, ArtifactMeta, ProgramVariant, VariantKind};
 pub use safegen_ir::{lower_function, pass_by_name, Cfg, Pass, PassManager};

@@ -134,6 +134,8 @@ pub fn eval_exact(
         let int_op = |f: fn(i64, i64) -> Option<i64>| {
             f(iregs[a], iregs[b]).ok_or(OracleError::Unsupported("int overflow"))
         };
+        // A pragma steers the symbols of affine forms; exact values
+        // ignore it.
         match ins.op {
             OpCode::Add => fregs[d] = grow_check(&fregs[a].add(&fregs[b]))?,
             OpCode::Sub => fregs[d] = grow_check(&fregs[a].sub(&fregs[b]))?,
@@ -185,7 +187,6 @@ pub fn eval_exact(
                     continue;
                 }
             }
-            OpCode::Protect | OpCode::SetCapacity => {}
             OpCode::Ret => return Ok(Some(fregs[a].clone())),
             OpCode::RetVoid => return Ok(None),
             OpCode::MulThenAdd

@@ -126,13 +126,17 @@ mod tests {
     }
 
     #[test]
-    fn pragma_emits_protect() {
+    fn pragma_rides_on_its_operation() {
         let p = compile_src(
             "void f(double x, double z) {\n#pragma safegen prioritize(z)\nx = x * z; }",
         );
-        let prot = p.code.iter().position(|i| i.op == OpCode::Protect).unwrap();
-        let mul = p.code.iter().position(|i| i.op == OpCode::Mul).unwrap();
-        assert!(prot < mul, "Protect must precede the operation");
+        let mul = p.code.iter().find(|i| i.op == OpCode::Mul).unwrap();
+        assert_eq!(mul.protect(), Some(usize::from(mul.b)), "z protected");
+        let carriers = p
+            .code
+            .iter()
+            .filter(|i| i.protect().is_some() || i.capacity().is_some());
+        assert_eq!(carriers.count(), 1);
     }
 
     #[test]

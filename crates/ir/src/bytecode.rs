@@ -11,7 +11,9 @@
 //! same records are what the emitter writes, the artifact stores, and
 //! every interpreter (scalar VM, fixpoint engine, exact oracle, lane
 //! engine) runs. Constants live in the program's interned pools, and jump
-//! immediates are instruction indices.
+//! immediates are instruction indices. A `#pragma safegen` is an operand
+//! of the FP operation it governs: flag bits in `aux`, with the protect
+//! register and the capacity packed into `imm`.
 //!
 //! The bytecode is the **stable artifact surface** of the compiler: a
 //! [`Program`] is plain data (`Send + Sync`, no interior mutability), so
@@ -28,7 +30,7 @@
 //! jumps to the next block — into the flat instruction stream the VM
 //! dispatches over.
 
-use crate::cfg::{ArrayDecl, Cfg, CmpOp, Inst, ParamBinding, Terminator};
+use crate::cfg::{render_pragma, ArrayDecl, Cfg, CmpOp, Inst, OpPragma, ParamBinding, Terminator};
 use safegen_cfront::Span;
 use std::collections::HashMap;
 use std::fmt;
@@ -36,6 +38,13 @@ use std::fmt;
 /// Most entries a register file or the array table may hold: the
 /// records' operand fields are `u16`.
 pub const MAX_REGS: usize = 1 << 16;
+
+/// `aux` bit of an FP operation that protects the symbols of
+/// `f[imm & 0xffff]` while it runs (`#pragma safegen prioritize`).
+pub const PRAGMA_PROTECT: u8 = 1;
+/// `aux` bit of an FP operation that runs with symbol budget
+/// `imm >> 16` (`#pragma safegen capacity`).
+pub const PRAGMA_CAPACITY: u8 = 2;
 
 /// Operation selector of a [`FixedInstr`].
 ///
@@ -102,12 +111,6 @@ pub enum OpCode {
     Jump,
     /// Jump to instruction `imm` when `i[a] == 0`.
     JumpIfZero,
-    /// Protect the error symbols of `f[a]` during the next FP operation
-    /// (compiled from `#pragma safegen prioritize`).
-    Protect,
-    /// Lower the symbol budget to `imm` for the next FP operation
-    /// (compiled from `#pragma safegen capacity`).
-    SetCapacity,
     /// Return `f[a]`.
     Ret,
     /// Return nothing.
@@ -154,13 +157,15 @@ pub enum Imm {
     /// A jump target, `≤ code.len()` (the length itself falls off the
     /// end, a void return).
     Target,
-    /// A plain count (the capacity of `SetCapacity`).
-    Count,
+    /// The pragma of an FP operation: the protect register in the low
+    /// half, the capacity in the high half, each 0 unless its `aux` bit
+    /// is set.
+    Pragma,
 }
 
 impl OpCode {
     /// Every opcode in byte order: `ALL[op as usize] == op`.
-    pub const ALL: [OpCode; 34] = {
+    pub const ALL: [OpCode; 32] = {
         use OpCode::*;
         [
             Add,
@@ -188,8 +193,6 @@ impl OpCode {
             CmpF,
             Jump,
             JumpIfZero,
-            Protect,
-            SetCapacity,
             Ret,
             RetVoid,
             MulThenAdd,
@@ -211,8 +214,9 @@ impl OpCode {
         use OpCode::*;
         use Operand::{Array as A, FReg as F, IReg as I, Unused as U};
         Some(match self {
-            Add | Sub | Mul | Div | Min | Max => ([F, F, F], Imm::Unused),
-            Sqrt | Abs | Neg | MovF => ([F, F, U], Imm::Unused),
+            Add | Sub | Mul | Div | Min | Max => ([F, F, F], Imm::Pragma),
+            Sqrt | Abs | Neg => ([F, F, U], Imm::Pragma),
+            MovF => ([F, F, U], Imm::Unused),
             ConstF => ([F, U, U], Imm::FPool),
             CastIF => ([F, I, U], Imm::Unused),
             LoadArr => ([F, A, I], Imm::Unused),
@@ -224,8 +228,7 @@ impl OpCode {
             CmpF => ([I, F, F], Imm::Unused),
             Jump => ([U, U, U], Imm::Target),
             JumpIfZero => ([U, I, U], Imm::Target),
-            Protect | Ret => ([U, F, U], Imm::Unused),
-            SetCapacity => ([U, U, U], Imm::Count),
+            Ret => ([U, F, U], Imm::Unused),
             RetVoid => ([U, U, U], Imm::Unused),
             MulThenAdd | MulThenSub | MulIThenAddI | CmpIJump | CmpFJump => return None,
         })
@@ -259,8 +262,6 @@ impl OpCode {
             OpCode::CmpF => "cmpf",
             OpCode::Jump => "jump",
             OpCode::JumpIfZero => "jumpifzero",
-            OpCode::Protect => "protect",
-            OpCode::SetCapacity => "setcapacity",
             OpCode::Ret | OpCode::RetVoid => "ret",
             OpCode::MulThenAdd => "mul+add",
             OpCode::MulThenSub => "mul+sub",
@@ -271,9 +272,10 @@ impl OpCode {
     }
 }
 
-/// One fixed-width instruction: opcode + comparison selector + three
-/// `u16` register/array operands + a 32-bit immediate (pool index, jump
-/// target, capacity, or packed second destination of a superinstruction).
+/// One fixed-width instruction: opcode + selector + three `u16`
+/// register/array operands + a 32-bit immediate (pool index, jump
+/// target, a pragma's operands, or packed second destination of a
+/// superinstruction).
 ///
 /// Twelve bytes, `Copy`, no interior `enum` payloads to destructure —
 /// an interpreter decodes an instruction with plain field reads instead
@@ -282,8 +284,9 @@ impl OpCode {
 pub struct FixedInstr {
     /// Operation selector.
     pub op: OpCode,
-    /// Comparison code for `CmpI`/`CmpF`(+`Jump`), left/right flag for
-    /// the arithmetic superinstructions; 0 otherwise.
+    /// Comparison code for `CmpI`/`CmpF`(+`Jump`), pragma bits
+    /// ([`PRAGMA_PROTECT`], [`PRAGMA_CAPACITY`]) for the FP operations,
+    /// left/right flag for the arithmetic superinstructions; 0 otherwise.
     pub aux: u8,
     /// Destination register (or array id for `StoreArr`).
     pub dst: u16,
@@ -292,7 +295,7 @@ pub struct FixedInstr {
     /// Second source operand.
     pub b: u16,
     /// Immediate: constant-pool index, jump target, packed `d2`/`c` of a
-    /// superinstruction, or a capacity value.
+    /// superinstruction, or a pragma's protect register and capacity.
     pub imm: u32,
 }
 
@@ -321,6 +324,36 @@ impl FixedInstr {
     /// This record with immediate `imm`.
     pub const fn with_imm(self, imm: u32) -> FixedInstr {
         FixedInstr { imm, ..self }
+    }
+
+    /// This FP-operation record carrying pragma `p`.
+    pub fn with_pragma(self, p: OpPragma) -> FixedInstr {
+        let mut out = self;
+        if let Some(r) = p.protect {
+            out.aux |= PRAGMA_PROTECT;
+            out.imm |= r;
+        }
+        if let Some(k) = p.capacity {
+            out.aux |= PRAGMA_CAPACITY;
+            out.imm |= u32::from(k) << 16;
+        }
+        out
+    }
+
+    /// The register whose symbols this operation protects (a
+    /// `prioritize` on a `+ − × ÷ √`).
+    #[inline(always)]
+    pub fn protect(&self) -> Option<usize> {
+        let on = self.op as u8 <= OpCode::Sqrt as u8 && self.aux & PRAGMA_PROTECT != 0;
+        on.then_some((self.imm & 0xffff) as usize)
+    }
+
+    /// The symbol budget this operation runs with (a `capacity` on an FP
+    /// operation).
+    #[inline(always)]
+    pub fn capacity(&self) -> Option<usize> {
+        let on = self.op as u8 <= OpCode::Max as u8 && self.aux & PRAGMA_CAPACITY != 0;
+        on.then_some((self.imm >> 16) as usize)
     }
 
     /// Second destination register of a fused arithmetic pair.
@@ -388,8 +421,10 @@ impl Program {
     /// within [`MAX_REGS`], and per record the
     /// operand fields inside their register file or the array table, the
     /// immediate inside its pool or the code (jump targets may equal
-    /// `code.len()`), a comparison selector of 0–5, zero in every unused
-    /// field, and no superinstruction.
+    /// `code.len()`), a comparison selector of 0–5, pragma bits only where
+    /// the opcode can carry them with a protect register inside the float
+    /// file and a capacity of at least 1, zero in every unused field, and
+    /// no superinstruction.
     ///
     /// # Errors
     ///
@@ -432,11 +467,15 @@ impl Program {
                 }
             }
             let limit = match imm {
+                // The pragma bits take the place of the selector.
+                Imm::Pragma => {
+                    self.validate_pragma(pc, ins)?;
+                    continue;
+                }
                 Imm::Unused => 1,
                 Imm::FPool => self.fpool.len(),
                 Imm::IPool => self.ipool.len(),
                 Imm::Target => self.code.len() + 1,
-                Imm::Count => usize::MAX,
             };
             if ins.imm as usize >= limit {
                 return Err(format!(
@@ -459,6 +498,28 @@ impl Program {
         Ok(())
     }
 
+    /// The pragma operands of FP operation `ins` at `pc`.
+    fn validate_pragma(&self, pc: usize, ins: &FixedInstr) -> Result<(), String> {
+        let protects = ins.op as u8 <= OpCode::Sqrt as u8;
+        let allowed = PRAGMA_CAPACITY | if protects { PRAGMA_PROTECT } else { 0 };
+        let (r, k) = (ins.imm & 0xffff, ins.imm >> 16);
+        let what = if ins.aux & !allowed != 0 {
+            format!("pragma bits {:#04x} not allowed", ins.aux)
+        } else if ins.protect().is_some_and(|r| r >= self.n_fregs) {
+            format!(
+                "protect register f{r} out of range (limit {})",
+                self.n_fregs
+            )
+        } else if ins.capacity() == Some(0) {
+            "capacity 0".to_string()
+        } else if (ins.protect().is_none() && r != 0) || (ins.capacity().is_none() && k != 0) {
+            format!("imm = {} sets a field no pragma bit uses", ins.imm)
+        } else {
+            return Ok(());
+        };
+        Err(format!("instruction {pc} ({:?}): {what}", ins.op))
+    }
+
     /// `ins` in the CFG dump's syntax (`f1 = mul f2, f1`, `jz i1 -> 12`),
     /// with pool constants read from this program's pools.
     pub fn render(&self, ins: &FixedInstr) -> String {
@@ -470,7 +531,7 @@ impl Program {
         } else {
             (ins.c(), d)
         };
-        match ins.op {
+        let body = match ins.op {
             OpCode::Add => format!("f{d} = add f{a}, f{b}"),
             OpCode::Sub => format!("f{d} = sub f{a}, f{b}"),
             OpCode::Mul => format!("f{d} = mul f{a}, f{b}"),
@@ -502,8 +563,6 @@ impl Program {
             OpCode::CmpF => format!("i{d} = cmpf.{cmp} f{a}, f{b}"),
             OpCode::Jump => format!("jump -> {imm}"),
             OpCode::JumpIfZero => format!("jz i{a} -> {imm}"),
-            OpCode::Protect => format!("protect f{a}"),
-            OpCode::SetCapacity => format!("capacity {imm}"),
             OpCode::Ret => format!("ret f{a}"),
             OpCode::RetVoid => "ret".to_string(),
             OpCode::MulThenAdd => format!("f{d} = mul f{a}, f{b}; f{} = add f{x}, f{y}", ins.d2()),
@@ -513,7 +572,12 @@ impl Program {
             }
             OpCode::CmpIJump => format!("i{d} = cmpi.{cmp} i{a}, i{b}; jz i{d} -> {imm}"),
             OpCode::CmpFJump => format!("i{d} = cmpf.{cmp} f{a}, f{b}; jz i{d} -> {imm}"),
-        }
+        };
+        let pragma = OpPragma {
+            protect: ins.protect().map(|r| r as u32),
+            capacity: ins.capacity().map(|k| k as u16),
+        };
+        body + &render_pragma(&pragma)
     }
 }
 
@@ -594,7 +658,7 @@ pub fn emit_program(cfg: &Cfg) -> Result<Program, String> {
     let mut spans = Vec::new();
     for (b, block) in cfg.blocks.iter().enumerate() {
         for ins in &block.insts {
-            code.push(match ins.inst {
+            let rec = match ins.inst {
                 Inst::Add(d, a, b) => r(OpCode::Add, d, a, b),
                 Inst::Sub(d, a, b) => r(OpCode::Sub, d, a, b),
                 Inst::Mul(d, a, b) => r(OpCode::Mul, d, a, b),
@@ -618,9 +682,8 @@ pub fn emit_program(cfg: &Cfg) -> Result<Program, String> {
                 Inst::CastFI(d, s) => r(OpCode::CastFI, d, s, 0),
                 Inst::CmpI(op, d, a, b) => r(OpCode::CmpI, d, a, b).with_cmp(op),
                 Inst::CmpF(op, d, a, b) => r(OpCode::CmpF, d, a, b).with_cmp(op),
-                Inst::Protect(s) => r(OpCode::Protect, 0, s, 0),
-                Inst::SetCapacity(k) => r(OpCode::SetCapacity, 0, 0, 0).with_imm(k),
-            });
+            };
+            code.push(rec.with_pragma(ins.pragma));
             spans.push(ins.span);
         }
         let jump = |t: usize| r(OpCode::Jump, 0, 0, 0).with_imm(offsets[t]);
@@ -693,7 +756,8 @@ pub struct FixedProgram {
 /// first's operands with the second's packed into `imm`. `aux` = 0 when
 /// the first instruction's result feeds the *left* operand of the
 /// second, 1 for the right. Pairs where the second instruction does not
-/// read the first's destination never fuse.
+/// read the first's destination never fuse, nor does an operation that
+/// carries a pragma.
 fn fuse(first: &FixedInstr, second: &FixedInstr) -> Option<FixedInstr> {
     let d = first.dst;
     let side = || {
@@ -706,9 +770,10 @@ fn fuse(first: &FixedInstr, second: &FixedInstr) -> Option<FixedInstr> {
         }
     };
     let pack = |(aux, c): (u8, u16)| (aux, (u32::from(second.dst) << 16) | u32::from(c));
+    let plain = first.aux == 0 && second.aux == 0;
     let (op, (aux, imm)) = match (first.op, second.op) {
-        (OpCode::Mul, OpCode::Add) => (OpCode::MulThenAdd, pack(side()?)),
-        (OpCode::Mul, OpCode::Sub) => (OpCode::MulThenSub, pack(side()?)),
+        (OpCode::Mul, OpCode::Add) if plain => (OpCode::MulThenAdd, pack(side()?)),
+        (OpCode::Mul, OpCode::Sub) if plain => (OpCode::MulThenSub, pack(side()?)),
         (OpCode::MulI, OpCode::AddI) => (OpCode::MulIThenAddI, pack(side()?)),
         (OpCode::CmpI, OpCode::JumpIfZero) if second.a == d => {
             (OpCode::CmpIJump, (first.aux, second.imm))
@@ -1015,6 +1080,73 @@ mod tests {
         let mut p = ok();
         p.code[4].imm = 6;
         assert_eq!(p.validate(), Ok(()));
+    }
+
+    /// Pragma operands: the bits only where the opcode can carry them, a
+    /// protect register inside the float file, a capacity of at least 1.
+    #[test]
+    fn validator_checks_pragma_operands() {
+        let run = |ins: FixedInstr| {
+            let mut p = prog(vec![rec(ConstF, 0, 0, 0), ins, rec(Ret, 0, 1, 0)], 2, 0);
+            p.fpool = vec![0.5];
+            p.validate()
+        };
+        let pragma = |protect, capacity| OpPragma { protect, capacity };
+        let mul = rec(Mul, 1, 0, 0);
+        assert_eq!(run(mul.with_pragma(pragma(Some(1), Some(3)))), Ok(()));
+        assert_eq!(
+            run(rec(Abs, 1, 0, 0).with_pragma(pragma(None, Some(3)))),
+            Ok(())
+        );
+        let cases = [
+            (
+                rec(Abs, 1, 0, 0).with_pragma(pragma(Some(0), None)),
+                "pragma bits",
+            ),
+            (
+                rec(MovF, 1, 0, 0).with_pragma(pragma(None, Some(2))),
+                "out of range",
+            ),
+            (FixedInstr { aux: 4, ..mul }, "pragma bits"),
+            (
+                mul.with_pragma(pragma(Some(2), None)),
+                "protect register f2",
+            ),
+            (
+                FixedInstr {
+                    aux: PRAGMA_CAPACITY,
+                    ..mul
+                },
+                "capacity 0",
+            ),
+            (mul.with_imm(1), "no pragma bit"),
+            (mul.with_imm(1 << 16), "no pragma bit"),
+        ];
+        for (ins, what) in cases {
+            let e = run(ins).unwrap_err();
+            assert!(
+                e.starts_with("instruction 1") && e.contains(what),
+                "{what}: {e}"
+            );
+        }
+    }
+
+    #[test]
+    fn pragma_ops_do_not_fuse() {
+        let p = prog(
+            vec![
+                rec(Mul, 2, 0, 1).with_pragma(OpPragma {
+                    protect: Some(0),
+                    capacity: None,
+                }),
+                rec(Add, 3, 2, 0),
+                rec(Ret, 0, 3, 0),
+            ],
+            4,
+            0,
+        );
+        assert_eq!(encode(&p).unwrap().fused, 0);
+        assert_eq!(p.render(&p.code[0]), "f2 = mul f0, f1 [protect f0]");
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //! the provenance the pragma planner and the error profiler rely on.
 
 use safegen_cfront::{
-    AssignOp, BinOp, Diagnostic, Expr, Function, ParseError, Sema, Span, Stmt, Ty, UnOp,
+    resolve_pragmas, AssignOp, BinOp, Diagnostic, Expr, Function, ParseError, Pragma, Sema, Span,
+    Stmt, Ty, UnOp,
 };
 use std::collections::HashMap;
 use std::fmt;
@@ -136,10 +137,6 @@ pub enum Inst {
     CmpI(CmpOp, IReg, IReg, IReg),
     /// `i[dst] = f[a] cmp f[b]` as 0/1
     CmpF(CmpOp, IReg, FReg, FReg),
-    /// Protect the error symbols of `f[src]` during the next FP operation.
-    Protect(FReg),
-    /// Lower the symbol budget for the next FP operation.
-    SetCapacity(u32),
 }
 
 impl Inst {
@@ -160,8 +157,8 @@ impl Inst {
         )
     }
 
-    /// True for the ops that consume a pending `Protect` in the VM.
-    pub fn consumes_protect(&self) -> bool {
+    /// True for the ops a `prioritize` pragma can govern (`+ − × ÷ √`).
+    pub fn takes_protect(&self) -> bool {
         matches!(
             self,
             Inst::Add(..) | Inst::Sub(..) | Inst::Mul(..) | Inst::Div(..) | Inst::Sqrt(..)
@@ -217,7 +214,6 @@ impl Inst {
             Inst::StoreArr(_, _, s) => vec![*s],
             Inst::CastFI(_, s) => vec![*s],
             Inst::CmpF(_, _, a, b) => vec![*a, *b],
-            Inst::Protect(r) => vec![*r],
             _ => vec![],
         }
     }
@@ -260,11 +256,32 @@ impl Terminator {
     }
 }
 
+/// The `#pragma safegen` an FP operation carries: lowering hangs each
+/// pragma on the operation it governs (see `safegen_cfront::resolve_pragmas`).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct OpPragma {
+    /// `prioritize`: the operation protects the error symbols this
+    /// register holds when it runs (on a `+ − × ÷ √` only).
+    pub protect: Option<FReg>,
+    /// `capacity`: the operation's symbol budget (on an FP op only).
+    pub capacity: Option<u16>,
+}
+
+impl OpPragma {
+    /// True when the operation carries no pragma.
+    pub fn is_none(&self) -> bool {
+        *self == OpPragma::default()
+    }
+}
+
 /// One IR instruction with its provenance.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CfgInstr {
     /// The operation.
     pub inst: Inst,
+    /// The pragma the operation carries. Passes never merge, remove or
+    /// fuse an operation that carries one.
+    pub pragma: OpPragma,
     /// The source expression this instruction was lowered from.
     pub span: Span,
     /// The variable the originating TAC line assigns to (`_t3`, `x`, …),
@@ -344,15 +361,6 @@ impl Cfg {
         self.blocks.iter().map(|b| b.insts.len()).sum()
     }
 
-    /// Per-instruction pin mask for one block: true for FP operations
-    /// that execute while a `Protect`/`SetCapacity` is pending and must
-    /// therefore not be merged, moved or removed by any pass. Assumes no
-    /// pragma is pending at block entry; passes use [`pinned_seeded`]
-    /// with entry states from a whole-CFG dataflow pass instead.
-    pub fn pinned(block: &Block) -> Vec<bool> {
-        pinned_seeded(block, false, false).0
-    }
-
     /// Deterministic textual dump of the IR (the `--dump-ir` format).
     pub fn dump(&self) -> String {
         let mut out = String::new();
@@ -383,7 +391,7 @@ impl Cfg {
         for (id, b) in self.blocks.iter().enumerate() {
             let _ = writeln!(out, "bb{id}:");
             for ins in &b.insts {
-                let body = render_inst(&ins.inst);
+                let body = render_inst(&ins.inst) + &render_pragma(&ins.pragma);
                 let mut note = String::new();
                 if let Some(v) = &ins.var {
                     note.push_str(&format!(" ; {v}"));
@@ -405,41 +413,17 @@ impl Cfg {
     }
 }
 
-/// [`Cfg::pinned`] with explicit pending-pragma state at block entry.
-///
-/// Walks the block mirroring the VM's pragma semantics exactly: a
-/// `Protect` stays pending until consumed by an add/sub/mul/div/sqrt, a
-/// `SetCapacity` until the next FP op of any kind. Returns the per-
-/// instruction pin mask plus the pending states at block exit, so a
-/// whole-CFG dataflow pass can propagate pendings across block edges
-/// (a pragma written directly before an `if` or loop ends up pending at
-/// the entry of a later block).
-pub fn pinned_seeded(
-    block: &Block,
-    mut pending_protect: bool,
-    mut pending_capacity: bool,
-) -> (Vec<bool>, bool, bool) {
-    let mut pinned = vec![false; block.insts.len()];
-    for (i, ins) in block.insts.iter().enumerate() {
-        match &ins.inst {
-            Inst::Protect(_) => pending_protect = true,
-            Inst::SetCapacity(_) => pending_capacity = true,
-            inst if inst.is_fp_op() => {
-                if pending_protect || pending_capacity {
-                    pinned[i] = true;
-                }
-                // Any FP op consumes a pending capacity; only
-                // add/sub/mul/div/sqrt consume a pending protect —
-                // mirror the VM exactly.
-                pending_capacity = false;
-                if inst.consumes_protect() {
-                    pending_protect = false;
-                }
-            }
-            _ => {}
-        }
+/// The ` [protect fR] [capacity N]` suffix of an operation carrying a
+/// pragma, in the IR dump and the bytecode listing.
+pub(crate) fn render_pragma(p: &OpPragma) -> String {
+    let mut out = String::new();
+    if let Some(r) = p.protect {
+        out.push_str(&format!(" [protect f{r}]"));
     }
-    (pinned, pending_protect, pending_capacity)
+    if let Some(k) = p.capacity {
+        out.push_str(&format!(" [capacity {k}]"));
+    }
+    out
 }
 
 fn render_inst(i: &Inst) -> String {
@@ -467,8 +451,6 @@ fn render_inst(i: &Inst) -> String {
         Inst::CastFI(d, s) => format!("i{d} = ftoi f{s}"),
         Inst::CmpI(op, d, a, b) => format!("i{d} = cmpi.{} i{a}, i{b}", op.mnemonic()),
         Inst::CmpF(op, d, a, b) => format!("i{d} = cmpf.{} f{a}, f{b}", op.mnemonic()),
-        Inst::Protect(r) => format!("protect f{r}"),
-        Inst::SetCapacity(k) => format!("capacity {k}"),
     }
 }
 
@@ -512,6 +494,9 @@ struct BlockInProgress {
 /// Returns a diagnostic for constructs the IR cannot express (same set
 /// as the old bytecode compiler: rank->2 arrays, unsupported calls, …).
 pub fn lower_function(f: &Function, sema: &Sema) -> Result<Cfg, ParseError> {
+    let mut f = f.clone();
+    resolve_pragmas(&mut f, sema);
+    let f = &f;
     let mut cx = Lower {
         sema,
         func: &f.name,
@@ -606,6 +591,7 @@ impl Lower<'_> {
         let cond = self.in_cond;
         self.blocks[self.cur].insts.push(CfgInstr {
             inst,
+            pragma: OpPragma::default(),
             span,
             var: var.map(str::to_string),
             cond,
@@ -668,35 +654,36 @@ impl Lower<'_> {
         Ok(id)
     }
 
+    /// Lowers a block whose pragmas [`resolve_pragmas`] has placed: each
+    /// one precedes the simple statement it governs, and lands on that
+    /// statement's first operation it applies to.
     fn block(&mut self, body: &[Stmt]) -> Result<(), ParseError> {
-        let mut pending_pragma: Option<(String, Span)> = None;
-        let mut pending_capacity: Option<(u32, Span)> = None;
+        let mut pending = OpPragma::default();
         for s in body {
-            if let Stmt::Pragma { payload, span } = s {
-                if let Some(var) = payload
-                    .strip_prefix("prioritize(")
-                    .and_then(|r| r.strip_suffix(')'))
-                {
-                    pending_pragma = Some((var.trim().to_string(), *span));
-                } else if let Some(k) = payload
-                    .strip_prefix("capacity(")
-                    .and_then(|r| r.strip_suffix(')'))
-                    .and_then(|v| v.trim().parse::<u32>().ok())
-                {
-                    pending_capacity = Some((k, *span));
+            if let Stmt::Pragma { payload, .. } = s {
+                match Pragma::parse(payload) {
+                    Some(Pragma::Prioritize(v)) => {
+                        if let Some(Binding::F(r)) = self.names.get(v) {
+                            pending.protect = Some(*r);
+                        }
+                    }
+                    Some(Pragma::Capacity(k)) => pending.capacity = Some(k),
+                    None => {}
                 }
                 continue;
             }
-            if let Some((k, span)) = pending_capacity.take() {
-                self.emit(Inst::SetCapacity(k), span);
-            }
-            if let Some((var, span)) = pending_pragma.take() {
-                if let Some(Binding::F(r)) = self.names.get(&var).copied() {
-                    self.emit(Inst::Protect(r), span);
-                }
-                // Pragmas naming arrays or unknowns are ignored (advisory).
-            }
+            let (at, start) = (self.cur, self.blocks[self.cur].insts.len());
             self.stmt(s)?;
+            if !pending.is_none() {
+                let p = std::mem::take(&mut pending);
+                let ops = &mut self.blocks[at].insts[start..];
+                if let Some(ins) = ops.iter_mut().find(|i| i.inst.takes_protect()) {
+                    ins.pragma.protect = p.protect;
+                }
+                if let Some(ins) = ops.iter_mut().find(|i| i.inst.is_fp_op()) {
+                    ins.pragma.capacity = p.capacity;
+                }
+            }
         }
         Ok(())
     }
@@ -1132,15 +1119,15 @@ impl Lower<'_> {
                     )
                 }
             },
-            Expr::Cast { operand, span, .. } => {
-                let ot = self.sema.type_of(self.func, operand);
-                if ot.is_float() {
+            Expr::Cast { ty, operand, span } => {
+                if ty.is_float() && self.sema.type_of(self.func, operand).is_float() {
                     let a = self.float_operand(operand)?;
                     if a != dst {
                         self.emit_tagged(Inst::MovF(dst, a), *span, var);
                     }
                 } else {
-                    let a = self.int_expr(operand)?;
+                    // An `int` value; a cast to `int` truncates first.
+                    let a = self.int_expr(if ty.is_float() { operand } else { e })?;
                     self.emit_tagged(Inst::CastIF(dst, a), *span, var);
                 }
             }
@@ -1256,22 +1243,20 @@ mod tests {
     }
 
     #[test]
-    fn pinned_marks_protected_op() {
+    fn pragma_rides_on_the_operation_it_governs() {
         let cfg =
             lower_src("void f(double x, double z) {\n#pragma safegen prioritize(z)\nx = x * z; }");
-        let pinned = Cfg::pinned(&cfg.blocks[0]);
         let mul = cfg.blocks[0]
             .insts
             .iter()
-            .position(|i| matches!(i.inst, Inst::Mul(..)))
+            .find(|i| matches!(i.inst, Inst::Mul(..)))
             .unwrap();
-        assert!(pinned[mul], "protected multiply must be pinned");
-        let prot = cfg.blocks[0]
-            .insts
-            .iter()
-            .position(|i| matches!(i.inst, Inst::Protect(_)))
-            .unwrap();
-        assert!(prot < mul);
+        assert_eq!(mul.pragma.protect, Some(1), "z is f1");
+        assert!(
+            cfg.dump().contains("mul f0, f1 [protect f1]"),
+            "{}",
+            cfg.dump()
+        );
     }
 
     #[test]

@@ -455,7 +455,6 @@ impl CfgDag<'_> {
             Inst::CastFI(d, _) | Inst::CmpI(_, d, ..) | Inst::CmpF(_, d, ..) => {
                 self.set_int(d, None);
             }
-            Inst::Protect(_) | Inst::SetCapacity(_) => {}
         }
     }
 }

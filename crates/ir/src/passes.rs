@@ -23,16 +23,17 @@
 //!   Removed FP ops would have allocated noise symbols, but symbols of a
 //!   dead value never flow into a live one, so enclosures of observed
 //!   values are unchanged. Ops that can trap (`DivI`, array accesses)
-//!   and the pragma instructions are never removed.
+//!   are never removed.
 //! * **Register allocation** renumbers registers by liveness-derived
 //!   interference; renaming storage cannot change any computed value.
 //!
-//! Instructions pinned by a pending `#pragma safegen` (see
-//! [`crate::cfg::pinned_seeded`]) are never merged or removed, so the
-//! pragma applies to the same operation before and after optimization.
+//! An operation that carries a `#pragma safegen` ([`crate::OpPragma`])
+//! is never merged or removed, so the pragma applies to the same
+//! operation before and after optimization; its protect register counts
+//! as one of its operands.
 
 use crate::cfg::{
-    pinned_seeded, ArrId, Block, BlockId, Cfg, CmpOp, FReg, IReg, Inst, ParamBinding, Terminator,
+    ArrId, Block, BlockId, Cfg, CfgInstr, CmpOp, FReg, IReg, Inst, ParamBinding, Terminator,
 };
 use std::collections::{HashMap, HashSet};
 
@@ -164,37 +165,6 @@ impl PassManager {
     }
 }
 
-/// Per-instruction pin masks for every block, with pending pragma state
-/// propagated across block edges (forward may-analysis: a block entry is
-/// pending if any predecessor exits pending).
-fn pinned_map(cfg: &Cfg) -> Vec<Vec<bool>> {
-    let n = cfg.blocks.len();
-    let mut in_prot = vec![false; n];
-    let mut in_cap = vec![false; n];
-    loop {
-        let mut changed = false;
-        for b in 0..n {
-            let (_, out_prot, out_cap) = pinned_seeded(&cfg.blocks[b], in_prot[b], in_cap[b]);
-            for s in cfg.blocks[b].term.successors() {
-                if out_prot && !in_prot[s] {
-                    in_prot[s] = true;
-                    changed = true;
-                }
-                if out_cap && !in_cap[s] {
-                    in_cap[s] = true;
-                    changed = true;
-                }
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    (0..n)
-        .map(|b| pinned_seeded(&cfg.blocks[b], in_prot[b], in_cap[b]).0)
-        .collect()
-}
-
 /// A set of live registers, split by register file.
 #[derive(Clone, PartialEq, Eq)]
 struct LiveSet {
@@ -253,15 +223,17 @@ fn term_uses(term: &Terminator, live: &mut LiveSet) {
     }
 }
 
-/// Backward transfer for one instruction: kill the def, gen the uses.
-fn step_backward(ins: &Inst, live: &mut LiveSet) {
+/// Backward transfer for one instruction: kill the def, gen the uses
+/// (a protect register included).
+fn step_backward(ins: &CfgInstr, live: &mut LiveSet) {
+    let (pragma, ins) = (ins.pragma, &ins.inst);
     if let Some(d) = ins.def_f() {
         live.f[d as usize] = false;
     }
     if let Some(d) = ins.def_i() {
         live.i[d as usize] = false;
     }
-    for u in ins.uses_f() {
+    for u in ins.uses_f().into_iter().chain(pragma.protect) {
         live.f[u as usize] = true;
     }
     for u in ins.uses_i() {
@@ -280,24 +252,26 @@ fn def_is_dead(ins: &Inst, live: &LiveSet) -> bool {
 
 /// True for instructions DCE may delete when dead: anything without a
 /// side effect the VM observes. `DivI` and array accesses can trap,
-/// `StoreArr` writes memory, and the pragma instructions steer the
-/// domain, so they all stay.
-fn removable(ins: &Inst) -> bool {
-    !matches!(
-        ins,
-        Inst::DivI(..)
-            | Inst::LoadArr(..)
-            | Inst::StoreArr(..)
-            | Inst::Protect(..)
-            | Inst::SetCapacity(..)
-    )
+/// `StoreArr` writes memory, and an operation carrying a pragma keeps
+/// the pragma's place, so they all stay.
+fn removable(ins: &CfgInstr) -> bool {
+    ins.pragma.is_none()
+        && !matches!(
+            ins.inst,
+            Inst::DivI(..) | Inst::LoadArr(..) | Inst::StoreArr(..)
+        )
+}
+
+/// True for an instruction DCE deletes: removable, its result unobserved.
+fn dead(ins: &CfgInstr, live: &LiveSet) -> bool {
+    removable(ins) && def_is_dead(&ins.inst, live)
 }
 
 /// Backward liveness fixpoint. Returns per-block live-in / live-out
-/// sets. With `dce_pins` set, uses of instructions that are themselves
-/// dead and removable (per the given pin masks) do not count — the
-/// precise variant DCE needs to delete whole dead chains in one sweep.
-fn liveness(cfg: &Cfg, dce_pins: Option<&[Vec<bool>]>) -> (Vec<LiveSet>, Vec<LiveSet>) {
+/// sets. With `for_dce`, uses of instructions that are themselves dead
+/// do not count — the precise variant DCE needs to delete whole dead
+/// chains in one sweep.
+fn liveness(cfg: &Cfg, for_dce: bool) -> (Vec<LiveSet>, Vec<LiveSet>) {
     let n = cfg.blocks.len();
     let nf = cfg.n_fregs as usize;
     let ni = cfg.n_iregs as usize;
@@ -312,13 +286,11 @@ fn liveness(cfg: &Cfg, dce_pins: Option<&[Vec<bool>]>) -> (Vec<LiveSet>, Vec<Liv
             }
             let mut inn = out.clone();
             term_uses(&cfg.blocks[b].term, &mut inn);
-            for (ii, ins) in cfg.blocks[b].insts.iter().enumerate().rev() {
-                if let Some(pins) = dce_pins {
-                    if def_is_dead(&ins.inst, &inn) && removable(&ins.inst) && !pins[b][ii] {
-                        continue; // will be deleted; its uses are not real
-                    }
+            for ins in cfg.blocks[b].insts.iter().rev() {
+                if for_dce && dead(ins, &inn) {
+                    continue; // will be deleted; its uses are not real
                 }
-                step_backward(&ins.inst, &mut inn);
+                step_backward(ins, &mut inn);
             }
             if out != live_out[b] {
                 live_out[b] = out;
@@ -336,9 +308,13 @@ fn liveness(cfg: &Cfg, dce_pins: Option<&[Vec<bool>]>) -> (Vec<LiveSet>, Vec<Liv
     (live_in, live_out)
 }
 
-/// Rewrites every register the instruction reads.
-fn map_uses(ins: &mut Inst, mf: &impl Fn(FReg) -> FReg, mi: &impl Fn(IReg) -> IReg) {
-    match ins {
+/// Rewrites every register the instruction reads (a protect register
+/// included).
+fn map_uses(ins: &mut CfgInstr, mf: &impl Fn(FReg) -> FReg, mi: &impl Fn(IReg) -> IReg) {
+    if let Some(r) = &mut ins.pragma.protect {
+        *r = mf(*r);
+    }
+    match &mut ins.inst {
         Inst::Add(_, a, b)
         | Inst::Sub(_, a, b)
         | Inst::Mul(_, a, b)
@@ -354,7 +330,7 @@ fn map_uses(ins: &mut Inst, mf: &impl Fn(FReg) -> FReg, mi: &impl Fn(IReg) -> IR
             *idx = mi(*idx);
             *s = mf(*s);
         }
-        Inst::CastFI(_, s) | Inst::Protect(s) => *s = mf(*s),
+        Inst::CastFI(_, s) => *s = mf(*s),
         Inst::AddI(_, a, b)
         | Inst::SubI(_, a, b)
         | Inst::MulI(_, a, b)
@@ -365,7 +341,7 @@ fn map_uses(ins: &mut Inst, mf: &impl Fn(FReg) -> FReg, mi: &impl Fn(IReg) -> IR
         }
         Inst::MovI(_, s) | Inst::CastIF(_, s) => *s = mi(*s),
         Inst::LoadArr(_, _, idx) => *idx = mi(*idx),
-        Inst::ConstF(..) | Inst::ConstI(..) | Inst::SetCapacity(..) => {}
+        Inst::ConstF(..) | Inst::ConstI(..) => {}
     }
 }
 
@@ -394,7 +370,7 @@ fn map_defs(ins: &mut Inst, mf: &impl Fn(FReg) -> FReg, mi: &impl Fn(IReg) -> IR
         | Inst::CastFI(d, ..)
         | Inst::CmpI(_, d, ..)
         | Inst::CmpF(_, d, ..) => *d = mi(*d),
-        Inst::StoreArr(..) | Inst::Protect(..) | Inst::SetCapacity(..) => {}
+        Inst::StoreArr(..) => {}
     }
 }
 
@@ -559,19 +535,24 @@ fn lookup(tab: &[(Key, u32)], k: &Key) -> Option<u32> {
 /// Value-numbers one block from the facts `avail` holds at its entry,
 /// leaving in `avail` the facts at its exit. Returns true if anything
 /// was rewritten.
-fn number_block(block: &mut Block, pins: &[bool], avail: &mut Avail) -> bool {
+fn number_block(block: &mut Block, avail: &mut Avail) -> bool {
     let mut changed = false;
-    for (ins, &pinned) in block.insts.iter_mut().zip(pins) {
+    for ins in &mut block.insts {
         if is_int_op(&ins.inst) {
             let before = ins.inst.clone();
-            map_uses(&mut ins.inst, &|r| r, &|r| avail.root(r));
+            map_uses(ins, &|r| r, &|r| avail.root(r));
             changed |= ins.inst != before;
             if matches!(ins.inst, Inst::MovI(d, s) if d == s) {
                 continue; // copies what `d` already holds
             }
         }
-        // Pinned instructions are not merge candidates in either role.
-        let key = if pinned { None } else { key_of(&ins.inst) };
+        // An operation carrying a pragma is no merge candidate in either
+        // role.
+        let key = if ins.pragma.is_none() {
+            key_of(&ins.inst)
+        } else {
+            None
+        };
         let mut merged = false;
         if let Some(k) = &key {
             if let Some(d) = ins.inst.def_f() {
@@ -820,8 +801,8 @@ fn hoist(cfg: &mut Cfg, loops: &[Loop], exits: &[Avail]) -> bool {
 /// are bit-identical concretely, and under affine domains sharing one
 /// affine form correlates the noise symbols of the two occurrences,
 /// which never widens and typically tightens downstream enclosures.
-/// Pragma-pinned instructions are neither merged away nor used as merge
-/// sources.
+/// Operations carrying a pragma are neither merged away nor used as
+/// merge sources.
 ///
 /// Integer instructions read their operands through the `MovI` copies
 /// in force, so products of equal constants held in different registers
@@ -840,7 +821,6 @@ impl Pass for Cse {
     }
 
     fn run(&self, cfg: &mut Cfg) -> bool {
-        let pins = pinned_map(cfg);
         let preds = predecessors(cfg);
         let loops = find_loops(cfg, &preds);
         let mut exits: Vec<Avail> = Vec::with_capacity(cfg.blocks.len());
@@ -853,7 +833,7 @@ impl Pass for Cse {
                     _ => Avail::default(),
                 },
             };
-            changed |= number_block(block, &pins[b], &mut avail);
+            changed |= number_block(block, &mut avail);
             exits.push(avail);
         }
         hoist(cfg, &loops, &exits) || changed
@@ -879,11 +859,11 @@ impl Pass for CopyProp {
             let mut ci: HashMap<IReg, IReg> = HashMap::new();
             let old = std::mem::take(&mut block.insts);
             for mut ins in old {
-                let before = ins.inst.clone();
-                map_uses(&mut ins.inst, &|r| cf.get(&r).copied().unwrap_or(r), &|r| {
+                let before = (ins.inst.clone(), ins.pragma);
+                map_uses(&mut ins, &|r| cf.get(&r).copied().unwrap_or(r), &|r| {
                     ci.get(&r).copied().unwrap_or(r)
                 });
-                if ins.inst != before {
+                if (ins.inst.clone(), ins.pragma) != before {
                     changed = true;
                 }
                 match ins.inst {
@@ -940,8 +920,8 @@ impl Pass for CopyProp {
 ///
 /// Deletes instructions whose destination register is dead, using the
 /// precise liveness variant so whole dead chains disappear in one run.
-/// Never touches instructions that can trap, stores, pragmas, or
-/// pragma-pinned FP ops.
+/// Never touches instructions that can trap, stores, or operations
+/// carrying a pragma.
 pub struct Dce;
 
 impl Pass for Dce {
@@ -952,20 +932,19 @@ impl Pass for Dce {
     fn run(&self, cfg: &mut Cfg) -> bool {
         let mut any = false;
         loop {
-            let pins = pinned_map(cfg);
-            let (_, live_out) = liveness(cfg, Some(&pins));
+            let (_, live_out) = liveness(cfg, true);
             let mut changed = false;
             for (b, block) in cfg.blocks.iter_mut().enumerate() {
                 let mut live = live_out[b].clone();
                 term_uses(&block.term, &mut live);
                 let mut keep = vec![true; block.insts.len()];
                 for (ii, ins) in block.insts.iter().enumerate().rev() {
-                    if def_is_dead(&ins.inst, &live) && removable(&ins.inst) && !pins[b][ii] {
+                    if dead(ins, &live) {
                         keep[ii] = false;
                         changed = true;
                         continue;
                     }
-                    step_backward(&ins.inst, &mut live);
+                    step_backward(ins, &mut live);
                 }
                 if keep.iter().any(|k| !k) {
                     let mut it = keep.iter();
@@ -1002,7 +981,7 @@ impl Pass for RegAlloc {
         if nf == 0 && ni == 0 {
             return false;
         }
-        let (live_in, live_out) = liveness(cfg, None);
+        let (live_in, live_out) = liveness(cfg, false);
         let mut adj_f: Vec<HashSet<u32>> = vec![HashSet::new(); nf];
         let mut adj_i: Vec<HashSet<u32>> = vec![HashSet::new(); ni];
         let edge = |adj: &mut Vec<HashSet<u32>>, a: u32, b: u32| {
@@ -1059,7 +1038,7 @@ impl Pass for RegAlloc {
                         edge(&mut adj_i, d, l);
                     }
                 }
-                step_backward(&ins.inst, &mut live);
+                step_backward(ins, &mut live);
             }
         }
         let color_f = color(nf, &adj_f, &fparams);
@@ -1070,7 +1049,7 @@ impl Pass for RegAlloc {
             && color_i.iter().enumerate().all(|(i, &c)| c == i as u32);
         for block in &mut cfg.blocks {
             for ins in &mut block.insts {
-                map_uses(&mut ins.inst, &mf, &mi);
+                map_uses(ins, &mf, &mi);
                 map_defs(&mut ins.inst, &mf, &mi);
             }
             match &mut block.term {
@@ -1225,7 +1204,6 @@ mod tests {
                     Inst::CastFI(d, a) => i[d as usize] = fr(a) as i64,
                     Inst::CmpI(op, d, a, c) => i[d as usize] = i64::from(op.eval(ir(a), ir(c))),
                     Inst::CmpF(op, d, a, c) => i[d as usize] = i64::from(op.eval(fr(a), fr(c))),
-                    Inst::Protect(_) | Inst::SetCapacity(_) => {}
                 }
             }
             b = match cfg.blocks[b].term {
@@ -1442,51 +1420,23 @@ mod tests {
     }
 
     #[test]
-    fn pinned_ops_survive_cse_and_dce() {
+    fn pragma_ops_survive_cse_and_dce() {
         let cfg = optimized(
             "void f(double x, double z) { double a = x * z;\n#pragma safegen prioritize(z)\nx = x * z; }",
         );
         // The unprotected duplicate is dead and removable; the protected
-        // one must survive with its pragma.
-        assert_eq!(count(&cfg, |i| matches!(i, Inst::Mul(..))), 1);
-        assert_eq!(count(&cfg, |i| matches!(i, Inst::Protect(..))), 1);
-        let b0 = &cfg.blocks[0];
-        let prot = b0
+        // one must survive with its pragma, its protect register renamed
+        // with the rest.
+        let muls: Vec<&CfgInstr> = cfg.blocks[0]
             .insts
             .iter()
-            .position(|i| matches!(i.inst, Inst::Protect(_)))
-            .unwrap();
-        let mul = b0
-            .insts
-            .iter()
-            .position(|i| matches!(i.inst, Inst::Mul(..)))
-            .unwrap();
-        assert!(prot < mul, "protect still precedes its operation");
-    }
-
-    #[test]
-    fn pending_pragma_crosses_block_edges() {
-        // The pragma precedes the `if`; the protected multiply sits in
-        // the then-block, so the pin must flow across the branch edge.
-        let cfg = lower(
-            "void f(double x, double z, int n) {
-                #pragma safegen prioritize(z)
-                if (n < 1) { x = x * z; }
-            }",
-        );
-        let pins = pinned_map(&cfg);
-        let (b, i) = cfg
-            .blocks
-            .iter()
-            .enumerate()
-            .find_map(|(b, blk)| {
-                blk.insts
-                    .iter()
-                    .position(|i| matches!(i.inst, Inst::Mul(..)))
-                    .map(|i| (b, i))
-            })
-            .unwrap();
-        assert!(pins[b][i], "multiply in branch target must stay pinned");
+            .filter(|i| matches!(i.inst, Inst::Mul(..)))
+            .collect();
+        assert_eq!(muls.len(), 1);
+        let Inst::Mul(_, _, z) = muls[0].inst else {
+            unreachable!()
+        };
+        assert_eq!(muls[0].pragma.protect, Some(z));
     }
 
     #[test]

@@ -540,7 +540,8 @@ impl CompileMetrics {
         )
     }
 
-    /// Observation count for one phase (tests, assertions).
+    /// Observation count for one phase.
+    #[cfg(test)]
     pub fn phase_count(&self, name: &str) -> u64 {
         let slots = self.phases.lock().unwrap();
         slots

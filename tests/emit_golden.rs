@@ -4,7 +4,7 @@
 use safegen_suite::cfront::{self, emit_c, EmitPrecision};
 use safegen_suite::fuzz::{generate_seeded, render, GenLimits};
 use safegen_suite::ir;
-use safegen_suite::safegen::Compiler;
+use safegen_suite::safegen::{Compiler, VariantKind};
 
 fn emit(src: &str, precision: EmitPrecision) -> String {
     let unit = cfront::parse(src).unwrap();
@@ -115,4 +115,131 @@ fn integer_constants_stay_exact() {
     assert!(got.contains("int n"), "{got}");
     assert!(got.contains("n = n + 1;"), "{got}");
     assert!(got.contains("aa_add_f64(s, x)"), "{got}");
+}
+
+/// An `int` declared from a float cast, and an `int` operand of a float
+/// operation: both go through the runtime (`aa_to_int`, `aa_from_int`),
+/// at every precision, and the emitted C reads back as the program.
+#[test]
+fn integer_casts_and_operands_golden() {
+    let src = "int f(double x, double y) {
+    int n = (int) x;
+    double z = y;
+    z = z + n;
+    return n;
+}
+";
+    for (p, t, s) in [
+        (EmitPrecision::F64, "f64a", "f64"),
+        (EmitPrecision::Dd, "dda", "dd"),
+        (EmitPrecision::F32, "f32a", "f32"),
+    ] {
+        let got = emit(src, p);
+        let expected = format!(
+            "/* Generated by SafeGen-rs: sound affine-arithmetic version. */
+#include \"safegen_aa.h\"
+
+int f({t} x, {t} y) {{
+    int n = aa_to_int_{s}(x);
+    {t} z = y;
+    z = aa_add_{s}(z, aa_from_int_{s}(n));
+    return n;
+}}
+
+"
+        );
+        assert_eq!(got, expected, "{s}:\n{got}");
+        let back = cfront::reparse_emitted(&got).unwrap();
+        assert_eq!(cfront::print_unit(&back), src, "{s}: reparse");
+    }
+}
+
+/// The `aa_prioritize` calls `emit_c` prints stand exactly before the
+/// statements whose operation carries the pragma in the compiled
+/// program: for the corpus and the benchmark kernels, the prioritized
+/// statements (by span) and the protecting records (by span) pair up
+/// one to one, each record inside its statement.
+#[test]
+fn emitted_prioritize_matches_the_records_that_carry_it() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    for dir in ["tests/corpus", "crates/bench/src/bin/perf/c"] {
+        for entry in std::fs::read_dir(root.join(dir)).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().is_some_and(|e| e == "c") {
+                files.push(path);
+            }
+        }
+    }
+    let mut total = 0;
+    for path in files {
+        let src = std::fs::read_to_string(&path).unwrap();
+        let compiled = Compiler::new().compile(&src).unwrap();
+        let annotated = safegen_suite::analysis::annotate_unit(&compiled.tac, 8).unwrap();
+        let sema = cfront::analyze(&annotated).unwrap();
+        let emitted = emit_c(&annotated, &sema, EmitPrecision::F64);
+        let mut n_emitted = 0;
+        for f in &annotated.functions {
+            let mut stmts = Vec::new();
+            let mut f = f.clone();
+            cfront::resolve_pragmas(&mut f, &sema);
+            prioritized_stmts(&f.body, &mut stmts);
+            let prog = compiled.variant(&f.name, VariantKind::Prioritized { k: 8 });
+            let records: Vec<cfront::Span> = prog
+                .code
+                .iter()
+                .zip(&prog.spans)
+                .filter(|(i, _)| i.protect().is_some())
+                .map(|(_, s)| *s)
+                .collect();
+            let what = format!("{} fn {}", path.display(), f.name);
+            assert_eq!(
+                stmts.len(),
+                records.len(),
+                "{what}: {stmts:?} vs {records:?}"
+            );
+            for (s, r) in stmts.iter().zip(&records) {
+                assert!(
+                    s.start <= r.start && r.end <= s.end,
+                    "{what}: {r:?} not in {s:?}"
+                );
+            }
+            n_emitted += stmts.len();
+        }
+        assert_eq!(
+            emitted.matches("aa_prioritize_f64(").count(),
+            n_emitted,
+            "{}",
+            path.display()
+        );
+        total += n_emitted;
+    }
+    // henon's four, and the corpus programs' own.
+    assert!(total >= 4, "{total}");
+}
+
+/// Spans of the statements a `prioritize` pragma precedes, in order.
+fn prioritized_stmts(body: &[cfront::Stmt], out: &mut Vec<cfront::Span>) {
+    use cfront::Stmt;
+    let mut next = false;
+    for s in body {
+        match s {
+            Stmt::Pragma { payload, .. } => next |= payload.starts_with("prioritize"),
+            Stmt::If {
+                then_body,
+                else_body,
+                ..
+            } => {
+                prioritized_stmts(then_body, out);
+                prioritized_stmts(else_body, out);
+            }
+            Stmt::For { body, .. } | Stmt::While { body, .. } | Stmt::Block { body, .. } => {
+                prioritized_stmts(body, out)
+            }
+            _ => {}
+        }
+        if !matches!(s, Stmt::Pragma { .. }) && std::mem::take(&mut next) {
+            out.push(s.span());
+        }
+    }
 }

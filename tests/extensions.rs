@@ -3,7 +3,9 @@
 //! and the variable-capacity extension (the future work of Sec. VIII).
 
 use safegen_suite::fpcore::Dd;
-use safegen_suite::safegen::{compile_program_with, run_on, Compiler, Placement, RunConfig};
+use safegen_suite::safegen::{
+    compile_program_with, run_on, Compiler, Placement, RunConfig, VariantKind,
+};
 use safegen_suite::{cfront, ir};
 
 // ---------------------------------------------------------------------------
@@ -176,10 +178,19 @@ fn variable_capacity_shrinks_symbol_work_without_killing_reuse() {
 fn variable_capacity_program_contains_capacity_pragmas() {
     let compiled = Compiler::new().compile(MIXED).unwrap();
     let plain = compiled.program("f").clone();
-    let vc = compiled.capacity_program("f", 16, 2, false);
+    let vc = compiled.variant(
+        "f",
+        VariantKind::Capacity {
+            k: 16,
+            k_low: 2,
+            prioritized: false,
+        },
+    );
+    let capacities = |p: &ir::Program| p.code.iter().filter(|i| i.capacity().is_some()).count();
+    assert_eq!(capacities(&plain), 0);
     assert!(
-        vc.code.len() > plain.code.len(),
-        "expected SetCapacity instructions in the variable-capacity program"
+        capacities(&vc) > 0,
+        "expected operations carrying a capacity in the variable-capacity program"
     );
 }
 

@@ -6,7 +6,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use safegen_bench::{Workload, WorkloadKind};
-use safegen_suite::safegen::{Compiler, RunConfig};
+use safegen_suite::safegen::{Compiler, RunConfig, VariantKind};
 
 fn acc(w: &Workload, cfg: &RunConfig, seed: u64) -> f64 {
     let compiled = Compiler::new().compile(&w.source).unwrap();
@@ -182,7 +182,7 @@ fn compilation_is_fast() {
     let t0 = std::time::Instant::now();
     for w in Workload::paper_suite() {
         let compiled = Compiler::new().compile(&w.source).unwrap();
-        let _ = compiled.prioritized_program(w.func, 16);
+        let _ = compiled.variant(w.func, VariantKind::Prioritized { k: 16 });
     }
     let dt = t0.elapsed();
     assert!(dt.as_secs_f64() < 5.0, "compilation too slow: {dt:?}");
