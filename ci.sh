@@ -200,9 +200,11 @@ check_rejects "misspelled flag" "$SAFEGEN" profile "$SMOKE_DIR/kernel.c" poly --
 
 echo "== differential fuzz smoke (incl. pass-differential; must be clean) =="
 build_release
+# The summary line goes into the log, with its per-reason skip counts.
 SAFEGEN_METRICS_OUT="$SMOKE_DIR/fuzz" \
     "$SAFEGEN" fuzz --iters 2000 --seed 0xC60 --out "$SMOKE_DIR/fuzzout" \
-    | grep -q " 0 counterexamples"
+    | tee "$SMOKE_DIR/fuzz.txt"
+grep -q " 0 counterexamples" "$SMOKE_DIR/fuzz.txt"
 "$JSON_CHECK" "$SMOKE_DIR/fuzz.jsonl" "$SMOKE_DIR/fuzz.summary.json"
 
 echo "== pass pipeline smoke (optimized and unoptimized agree) =="
@@ -363,21 +365,22 @@ if "$SAFEGEN" run "$SMOKE_DIR/forged.sga" --fn f --config dspv \
     exit 1
 fi
 grep -q "reserved header flags set" "$SMOKE_DIR/forged.txt"
-# An artifact of the previous format version (2, whose pragmas were
-# instructions of their own) is refused by name.
-cp "$SMOKE_DIR/loop.sga" "$SMOKE_DIR/v2.sga"
-printf '\x02\x00' | dd of="$SMOKE_DIR/v2.sga" bs=1 seek=4 conv=notrunc status=none
-if "$SAFEGEN" run "$SMOKE_DIR/v2.sga" --fn f --config dspv \
-    --k 8 --arg 1.0 --int 8 > "$SMOKE_DIR/v2.txt" 2>&1; then
-    echo "version-2 artifact unexpectedly accepted"
+# An artifact of the previous format version (3, whose operations could
+# carry a symbol budget of their own) is refused by name.
+cp "$SMOKE_DIR/loop.sga" "$SMOKE_DIR/v3.sga"
+printf '\x03\x00' | dd of="$SMOKE_DIR/v3.sga" bs=1 seek=4 conv=notrunc status=none
+if "$SAFEGEN" run "$SMOKE_DIR/v3.sga" --fn f --config dspv \
+    --k 8 --arg 1.0 --int 8 > "$SMOKE_DIR/v3.txt" 2>&1; then
+    echo "version-3 artifact unexpectedly accepted"
     exit 1
 fi
-grep -q "unsupported artifact version 2" "$SMOKE_DIR/v2.txt"
+grep -q "unsupported artifact version 3" "$SMOKE_DIR/v3.txt"
 
 echo "== loop fuzz smoke (unbounded-loop generation; must be clean) =="
 build_release
 "$SAFEGEN" fuzz --iters 2000 --seed 0xC60 --loops \
-    --out "$SMOKE_DIR/loopfuzz" | grep -q " 0 counterexamples"
+    --out "$SMOKE_DIR/loopfuzz" | tee "$SMOKE_DIR/loopfuzz.txt"
+grep -q " 0 counterexamples" "$SMOKE_DIR/loopfuzz.txt"
 
 echo "== fixpoint bench smoke (loop solve vs. unroll + results JSON) =="
 build_release

@@ -174,8 +174,6 @@ pub struct AaContext {
     config: AaConfig,
     next_id: Cell<SymbolId>,
     rng: Cell<u64>,
-    /// Per-operation capacity override (see [`AaContext::set_op_capacity`]).
-    op_k: Cell<usize>,
     /// Event counters (see [`AaCounters`]); bumped only on the fusion
     /// paths, never per operation, so they cost nothing on the fast path.
     counters: Cell<AaCounters>,
@@ -218,7 +216,6 @@ impl AaContext {
             config,
             next_id: Cell::new(0),
             rng: Cell::new(0x9E37_79B9_7F4A_7C15),
-            op_k: Cell::new(config.k),
             counters: Cell::new(AaCounters::default()),
             avx2: if config.vectorized && config.fusion != Fusion::Random {
                 Avx2::detect()
@@ -234,35 +231,10 @@ impl AaContext {
         &self.config
     }
 
-    /// The symbol budget of the *next* operation.
-    ///
-    /// This is the configured `k` unless a per-variable capacity override
-    /// is active, and never exceeds the configured `k`. Direct-mapped
-    /// placement has its slot count baked into every value, so overrides
-    /// only take effect under [`Placement::Sorted`].
+    /// The symbol budget of every operation: the configured `k`.
     #[inline]
     pub fn k(&self) -> usize {
-        match self.config.placement {
-            Placement::Sorted => self.op_k.get().min(self.config.k),
-            Placement::DirectMapped => self.config.k,
-        }
-    }
-
-    /// Lowers the symbol budget for subsequent operations (the
-    /// variable-capacity extension the paper names as future work,
-    /// Sec. VIII): parts of a computation with little symbol reuse can run
-    /// with a small budget — approaching IA cost — while reuse-heavy parts
-    /// keep the full `k`. Clamped to `[1, config.k]`; only effective under
-    /// sorted placement.
-    #[inline]
-    pub fn set_op_capacity(&self, k: usize) {
-        self.op_k.set(k.clamp(1, self.config.k));
-    }
-
-    /// Restores the configured budget.
-    #[inline]
-    pub fn reset_op_capacity(&self) {
-        self.op_k.set(self.config.k);
+        self.config.k
     }
 
     /// Allocates a fresh error-symbol identifier (monotonically increasing).
@@ -433,27 +405,5 @@ mod tests {
         let cfg = AaConfig::full();
         assert_eq!(cfg.placement, Placement::Sorted);
         assert_eq!(cfg.k, usize::MAX);
-    }
-
-    #[test]
-    fn op_capacity_override_clamped_and_resettable() {
-        let ctx = AaContext::new(AaConfig::new(16).with_placement(Placement::Sorted));
-        assert_eq!(ctx.k(), 16);
-        ctx.set_op_capacity(4);
-        assert_eq!(ctx.k(), 4);
-        ctx.set_op_capacity(0); // clamps up to 1
-        assert_eq!(ctx.k(), 1);
-        ctx.set_op_capacity(100); // clamps down to config.k
-        assert_eq!(ctx.k(), 16);
-        ctx.set_op_capacity(2);
-        ctx.reset_op_capacity();
-        assert_eq!(ctx.k(), 16);
-    }
-
-    #[test]
-    fn op_capacity_ignored_under_direct_mapping() {
-        let ctx = AaContext::new(AaConfig::new(8)); // direct-mapped
-        ctx.set_op_capacity(2);
-        assert_eq!(ctx.k(), 8, "slot count is baked into the values");
     }
 }

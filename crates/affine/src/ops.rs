@@ -969,29 +969,6 @@ mod tests {
     }
 
     #[test]
-    fn op_capacity_override_throttles_sorted_ops() {
-        let c = ctx(16, Placement::Sorted);
-        let a = Affine::<f64>::from_input(0.3, &c);
-        let b = Affine::<f64>::from_input(0.7, &c);
-        // Build values with many symbols at full budget.
-        let mut x = a.mul(&b, &c, Protect::None);
-        for _ in 0..10 {
-            x = x.mul(&b, &c, Protect::None).add(&a, &c, Protect::None);
-        }
-        assert!(x.n_symbols() > 4);
-        // Throttle: the next op must respect the lowered budget…
-        c.set_op_capacity(3);
-        let y = x.add(&a, &c, Protect::None);
-        assert!(y.n_symbols() <= 3, "{} symbols", y.n_symbols());
-        // …and stay sound.
-        assert!(y.contains_f64(x.center_f64() + 0.3));
-        // Reset restores the full budget for later ops.
-        c.reset_op_capacity();
-        let z = x.add(&a, &c, Protect::None);
-        assert!(z.n_symbols() > 3);
-    }
-
-    #[test]
     fn protect_ids_caps_at_largest_magnitudes() {
         let c = ctx(16, Placement::Sorted);
         let big = Affine::<f64>::from_interval(0.0, 2.0, &c); // large symbol

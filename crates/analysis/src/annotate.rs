@@ -10,7 +10,7 @@
 
 use crate::maxreuse::{solve_max_reuse, PriorityAssignment, SolveMode};
 use crate::reuse::find_reuses;
-use safegen_cfront::{Function, ParseError, Sema, Span, Stmt, Unit};
+use safegen_cfront::{Function, ParseError, Sema, Stmt, Unit};
 use safegen_ir::{build_dag, Dag, NodeId};
 use std::collections::BTreeMap;
 
@@ -65,7 +65,8 @@ fn pragma_plan(dag: &Dag, pa: &PriorityAssignment) -> BTreeMap<(usize, usize), S
     plan
 }
 
-/// Inserts pragma statements before the statements whose spans contain an
+/// Inserts a `#pragma safegen prioritize(v)` before every simple
+/// statement (declaration, assignment, `return`) whose span contains an
 /// annotated operation.
 fn insert_pragmas(f: &Function, plan: &BTreeMap<(usize, usize), String>) -> Function {
     // An operation span annotates its enclosing statement: containment
@@ -73,25 +74,16 @@ fn insert_pragmas(f: &Function, plan: &BTreeMap<(usize, usize), String>) -> Func
     // statement encloses several annotated operations the earliest span
     // wins deterministically (a hash map here made the chosen pragma —
     // and therefore the compiled variant — vary run to run).
-    insert_before(f, &mut |stmt| {
-        plan.iter()
-            .find(|((start, end), _)| *start >= stmt.start && *end <= stmt.end)
-            .map(|(_, v)| format!("prioritize({v})"))
-    })
-}
-
-/// `f` with `#pragma safegen <payload>` before every simple statement
-/// (declaration, assignment, `return`) whose span `payload` maps to one.
-pub(crate) fn insert_before(
-    f: &Function,
-    payload: &mut dyn FnMut(Span) -> Option<String>,
-) -> Function {
-    fn go(body: &mut Vec<Stmt>, payload: &mut dyn FnMut(Span) -> Option<String>) {
+    fn go(body: &mut Vec<Stmt>, plan: &BTreeMap<(usize, usize), String>) {
         for mut s in std::mem::take(body) {
             let span = s.span();
             match &mut s {
                 Stmt::Decl { .. } | Stmt::Assign { .. } | Stmt::Return { .. } => {
-                    if let Some(payload) = payload(span) {
+                    let var = plan
+                        .iter()
+                        .find(|((start, end), _)| *start >= span.start && *end <= span.end);
+                    if let Some((_, v)) = var {
+                        let payload = format!("prioritize({v})");
                         body.push(Stmt::Pragma { payload, span });
                     }
                 }
@@ -100,19 +92,19 @@ pub(crate) fn insert_before(
                     else_body,
                     ..
                 } => {
-                    go(then_body, payload);
-                    go(else_body, payload);
+                    go(then_body, plan);
+                    go(else_body, plan);
                 }
                 Stmt::For { body: inner, .. }
                 | Stmt::While { body: inner, .. }
-                | Stmt::Block { body: inner, .. } => go(inner, payload),
+                | Stmt::Block { body: inner, .. } => go(inner, plan),
                 _ => {}
             }
             body.push(s);
         }
     }
     let mut f = f.clone();
-    go(&mut f.body, payload);
+    go(&mut f.body, plan);
     f
 }
 

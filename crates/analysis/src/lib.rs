@@ -32,11 +32,9 @@
 //! ```
 
 pub mod annotate;
-pub mod capacity;
 pub mod maxreuse;
 pub mod reuse;
 
 pub use annotate::{annotate_function, annotate_unit};
-pub use capacity::{annotate_capacities, capacity_plan};
 pub use maxreuse::{solve_max_reuse, PriorityAssignment, SolveMode};
 pub use reuse::{find_reuses, Reuse};

@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! safegen emit    <file.c> [--precision f64|dd|f32] [--k N] [--no-analysis]
-//! safegen compile <file.c> -o <prog.sga> [--k N,N,...] [--k-low N,N,...]
-//!                 [--no-analysis] [--no-cache]
+//! safegen compile <file.c> -o <prog.sga> [--k N,N,...] [--no-analysis]
+//!                 [--no-cache]
 //! safegen run     <file.c|prog.sga> --fn NAME
 //!                 [--config MNEMONIC|ia|ia-dd|unsound]
 //!                 [--k N] [--arg X]... [--array "x,y,z"]...
@@ -67,8 +67,8 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage:
   safegen emit    <file.c> [--precision f64|dd|f32] [--k N] [--no-analysis]
-  safegen compile <file.c> -o <prog.sga> [--k N,N,...] [--k-low N,N,...]
-                  [--no-analysis] [--no-cache]
+  safegen compile <file.c> -o <prog.sga> [--k N,N,...] [--no-analysis]
+                  [--no-cache]
   safegen run     <file.c|prog.sga> --fn NAME
                   [--config dspv|ssnn|...|ia|ia-dd|unsound]
                   [--k N] [--arg X]... [--int N]... [--array \"x,y,z\"]...
@@ -116,7 +116,7 @@ const VERBS: &[VerbSpec] = &[
     },
     VerbSpec {
         name: "compile",
-        valued: &["-o", "--out", "--k", "--k-low"],
+        valued: &["-o", "--out", "--k"],
         boolean: &["--no-analysis", "--no-cache"],
         positionals: (1, 1),
     },
@@ -137,7 +137,7 @@ const VERBS: &[VerbSpec] = &[
     },
     VerbSpec {
         name: "serve",
-        valued: &["--socket", "--k", "--k-low"],
+        valued: &["--socket", "--k"],
         boolean: &["--no-analysis", "--no-cache"],
         positionals: (1, 1),
     },
@@ -347,9 +347,6 @@ fn build_options(path: &str, rest: &[String]) -> Result<BuildOptions, String> {
     let mut opts = BuildOptions::new(path);
     if let Some(ks) = parse_list(rest, "--k")? {
         opts.ks = ks;
-    }
-    if let Some(k_lows) = parse_list(rest, "--k-low")? {
-        opts.k_lows = k_lows;
     }
     opts.analysis = !rest.iter().any(|a| a == "--no-analysis");
     opts.use_cache = !rest.iter().any(|a| a == "--no-cache");

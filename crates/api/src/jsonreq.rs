@@ -13,8 +13,8 @@
 //!
 //! `config` is a CLI config name (`dspv`, `ssnn`, …, `ia`, `ia-dd`,
 //! `unsound`; default `dspv`), `k` the noise-symbol budget (default
-//! 16); `k_low`, `loop_mode` (`unroll`/`fixpoint`/`auto`) and
-//! `unroll_budget` are accepted optionally. Argument values are
+//! 16); `loop_mode` (`unroll`/`fixpoint`/`auto`) and `unroll_budget`
+//! are accepted optionally. Argument values are
 //! `{"float":x}`, `{"int":n}`, `{"array":[...]}`, or bare numbers
 //! (floats). Unknown keys are ignored.
 //!
@@ -77,12 +77,6 @@ pub fn handle_eval(
         k,
     )
     .map_err(|e| (ErrCategory::BadRequest, e))?;
-    if let Some(v) = request.get("k_low") {
-        config.capacity_low = Some(
-            v.as_f64()
-                .ok_or_else(|| bad("\"k_low\" must be a number"))? as usize,
-        );
-    }
     if let Some(v) = request.get("loop_mode") {
         let s = v
             .as_str()

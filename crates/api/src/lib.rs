@@ -256,10 +256,10 @@ impl Engine {
     /// the content-addressed compile cache. Returns the program and
     /// whether it was a cache hit.
     ///
-    /// The variant set (budgets and capacity splits) is
-    /// controlled by `opts`; the engine's analysis toggle and pass
-    /// pipeline do not apply here — `opts.analysis` and the
-    /// `SAFEGEN_PASSES` environment (hashed into the cache key) do.
+    /// The variant set (the budgets) is controlled by `opts`; the
+    /// engine's analysis toggle and pass pipeline do not apply here —
+    /// `opts.analysis` and the `SAFEGEN_PASSES` environment (hashed into
+    /// the cache key) do.
     ///
     /// # Errors
     ///
@@ -379,7 +379,7 @@ pub struct Program {
 pub struct VariantInfo {
     /// Function name.
     pub func: String,
-    /// The variant kind (plain / prioritized / capacity-split).
+    /// The variant kind (plain / prioritized).
     pub kind: VariantKind,
     /// Instruction count of the compiled bytecode.
     pub instrs: usize,

@@ -602,6 +602,8 @@ mod tests {
                 ("func", Json::from("f")),
                 ("config", Json::from("dspv")),
                 ("k", Json::from(8u64)),
+                // Unknown keys are ignored; `k_low` sets nothing.
+                ("k_low", Json::from(2u64)),
                 (
                     "args",
                     Json::Arr(vec![

@@ -88,7 +88,7 @@ pub const MAGIC: [u8; 4] = *b"SGAF";
 /// reject every version other than their own (`docs/ARTIFACT.md` §2, §7 —
 /// recompiling is always possible and always sound, so there is no
 /// cross-version compatibility machinery to get wrong).
-pub const FORMAT_VERSION: u16 = 3;
+pub const FORMAT_VERSION: u16 = 4;
 
 /// Fixed header length in bytes (`docs/ARTIFACT.md` §3).
 pub const HEADER_LEN: usize = 48;
@@ -185,11 +185,10 @@ impl From<WireError> for ArtifactError {
 
 /// Which compilation variant of a function a serialized program is.
 ///
-/// The driver compiles each function into up to three shapes (paper
-/// Sec. VI): the plain program, the priority-annotated program for a
-/// symbol budget `k`, and the variable-capacity program. The artifact
-/// stores each precompiled shape under its key so the serving path
-/// never recompiles.
+/// The driver compiles each function into two shapes (paper Sec. VI):
+/// the plain program and the priority-annotated program for a symbol
+/// budget `k`. The artifact stores each precompiled shape under its key
+/// so the serving path never recompiles.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum VariantKind {
     /// No analysis annotations; valid for every numeric domain.
@@ -199,16 +198,6 @@ pub enum VariantKind {
         /// The noise-symbol budget the max-reuse analysis targeted.
         k: u32,
     },
-    /// Variable-capacity annotations: operations off every reuse
-    /// connection run at `k_low` symbols instead of `k`.
-    Capacity {
-        /// The full symbol budget.
-        k: u32,
-        /// The reduced budget off reuse connections.
-        k_low: u32,
-        /// Whether priorities were also compiled in.
-        prioritized: bool,
-    },
 }
 
 impl fmt::Display for VariantKind {
@@ -216,15 +205,6 @@ impl fmt::Display for VariantKind {
         match self {
             VariantKind::Plain => write!(f, "plain"),
             VariantKind::Prioritized { k } => write!(f, "prioritized(k={k})"),
-            VariantKind::Capacity {
-                k,
-                k_low,
-                prioritized,
-            } => write!(
-                f,
-                "capacity(k={k},k_low={k_low}{})",
-                if *prioritized { ",prioritized" } else { "" }
-            ),
         }
     }
 }
@@ -578,36 +558,17 @@ fn decode_meta(body: &[u8]) -> Result<ArtifactMeta, ArtifactError> {
 /// Variant-kind wire tags (`docs/ARTIFACT.md` §4.1).
 const VK_PLAIN: u8 = 0;
 const VK_PRIORITIZED: u8 = 1;
-const VK_CAPACITY: u8 = 2;
 
 fn encode_program(v: &ProgramVariant) -> Vec<u8> {
     let p = &v.program;
     let mut w = Writer::new();
     w.string(&v.func);
-    match v.kind {
-        VariantKind::Plain => {
-            w.u8(VK_PLAIN);
-            w.u32(0);
-            w.u32(0);
-            w.u8(0);
-        }
-        VariantKind::Prioritized { k } => {
-            w.u8(VK_PRIORITIZED);
-            w.u32(k);
-            w.u32(0);
-            w.u8(0);
-        }
-        VariantKind::Capacity {
-            k,
-            k_low,
-            prioritized,
-        } => {
-            w.u8(VK_CAPACITY);
-            w.u32(k);
-            w.u32(k_low);
-            w.u8(u8::from(prioritized));
-        }
-    }
+    let (tag, k) = match v.kind {
+        VariantKind::Plain => (VK_PLAIN, 0),
+        VariantKind::Prioritized { k } => (VK_PRIORITIZED, k),
+    };
+    w.u8(tag);
+    w.u32(k);
     w.string(&p.name);
     w.u32(p.n_fregs as u32);
     w.u32(p.n_iregs as u32);
@@ -671,20 +632,13 @@ fn decode_program(body: &[u8]) -> Result<ProgramVariant, ArtifactError> {
     let kind_at = r.offset();
     let kind_tag = r.u8()?;
     let k = r.u32()?;
-    let k_low = r.u32()?;
-    let prio = r.u8()?;
-    let kind = match (kind_tag, k, k_low, prio) {
-        (VK_PLAIN, 0, 0, 0) => VariantKind::Plain,
-        (VK_PRIORITIZED, k, 0, 0) => VariantKind::Prioritized { k },
-        (VK_CAPACITY, k, k_low, p @ (0 | 1)) => VariantKind::Capacity {
-            k,
-            k_low,
-            prioritized: p == 1,
-        },
+    let kind = match (kind_tag, k) {
+        (VK_PLAIN, 0) => VariantKind::Plain,
+        (VK_PRIORITIZED, k) => VariantKind::Prioritized { k },
         _ => {
             return Err(ArtifactError::Malformed(format!(
-                "bad variant descriptor at byte {kind_at} (tag {kind_tag}, unused fields must \
-                 be zero)"
+                "bad variant descriptor at byte {kind_at} (tag {kind_tag}, k = {k}; a plain \
+                 variant has k = 0)"
             )))
         }
     };
@@ -910,22 +864,15 @@ mod tests {
                     a: value(fields[1], 1),
                     b: value(fields[2], 2),
                     imm: match imm {
-                        Imm::Unused | Imm::IPool | Imm::Pragma => 0,
+                        Imm::Unused | Imm::IPool | Imm::Protect => 0,
                         Imm::FPool => 1,
                         Imm::Target => n as u32,
                     },
                 };
-                if imm != Imm::Pragma {
-                    return rec;
+                match imm {
+                    Imm::Protect => rec.with_protect(Some(u32::from(n_fregs) - 4)),
+                    _ => rec,
                 }
-                let protect = matches!(
-                    op,
-                    OpCode::Add | OpCode::Sub | OpCode::Mul | OpCode::Div | OpCode::Sqrt
-                );
-                rec.with_pragma(safegen_ir::OpPragma {
-                    protect: protect.then_some(u32::from(n_fregs) - 4),
-                    capacity: Some(0xbeef),
-                })
             })
             .collect();
         let program = Program {
@@ -960,11 +907,7 @@ mod tests {
             meta: ArtifactMeta::new("all.c"),
             programs: vec![ProgramVariant {
                 func: "all".into(),
-                kind: VariantKind::Capacity {
-                    k: 16,
-                    k_low: 2,
-                    prioritized: true,
-                },
+                kind: VariantKind::Prioritized { k: 16 },
                 program,
             }],
         };

@@ -5,7 +5,7 @@
 //! Usage:
 //! `cargo run --release -p safegen-bench --bin sweep [henon|fgm|prio]`
 
-use safegen_api::{Engine, Placement, Program, RunConfig};
+use safegen_api::{Engine, Program, RunConfig};
 use safegen_bench::{harness, Measurement, Workload, WorkloadKind};
 
 /// Measures and tags the configuration label with the sweep variable so
@@ -96,40 +96,6 @@ fn prio_sweep(rows: &mut Vec<Measurement>) {
     }
 }
 
-fn capacity_sweep(rows: &mut Vec<Measurement>) {
-    println!("variable-capacity extension (paper Sec. VIII future work):");
-    println!("sorted placement, k = 24; reuse-free ops throttled to k_low");
-    println!(
-        "{:<10} {:>10} {:>12} {:>12}",
-        "k_low", "acc(bits)", "runtime", "vs uniform"
-    );
-    for w in Workload::paper_suite() {
-        let c = Engine::new().compile(&w.source, w.name).unwrap();
-        let mut uniform = RunConfig::mnemonic(24, "sspn").unwrap();
-        uniform.aa.placement = Placement::Sorted;
-        let base = point(&w, &c, &uniform, "(uniform)");
-        println!(
-            "{}: uniform acc {:.1} bits, runtime {:.3e}s",
-            w.name, base.acc_bits, base.runtime
-        );
-        let base_runtime = base.runtime;
-        rows.push(base);
-        for k_low in [2usize, 4, 8] {
-            let mut cfg = uniform.clone();
-            cfg.capacity_low = Some(k_low);
-            let m = point(&w, &c, &cfg, &format!("(k_low={k_low})"));
-            println!(
-                "{:<10} {:>10.1} {:>11.3e}s {:>11.2}x",
-                k_low,
-                m.acc_bits,
-                m.runtime,
-                base_runtime / m.runtime
-            );
-            rows.push(m);
-        }
-    }
-}
-
 fn main() {
     harness::announce("sweep");
     let which = std::env::args().nth(1).unwrap_or_else(|| "henon".into());
@@ -138,9 +104,8 @@ fn main() {
         "henon" => henon_sweep(&mut rows),
         "fgm" => fgm_sweep(&mut rows),
         "prio" => prio_sweep(&mut rows),
-        "capacity" => capacity_sweep(&mut rows),
         other => {
-            eprintln!("unknown sweep `{other}`; expected henon|fgm|prio|capacity");
+            eprintln!("unknown sweep `{other}`; expected henon|fgm|prio");
             std::process::exit(1);
         }
     }

@@ -11,7 +11,7 @@
 //! | `cargo run --release -p safegen-bench --bin fig8`   | Fig. 8 (accuracy-vs-slowdown Pareto per benchmark) | `results/fig8.txt` |
 //! | `cargo run --release -p safegen-bench --bin fig9`   | Fig. 9 (comparison with Yalaa, Ceres, IGen) | `results/fig9.txt` |
 //! | `cargo run --release -p safegen-bench --bin fig10`  | Fig. 10 (accuracy vs matrix size for sor/luf) | `results/fig10.txt` |
-//! | `cargo run --release -p safegen-bench --bin sweep`  | ablation sweeps (iterations, symbol budget, prioritization) | `results/prio.txt`, `results/capacity.txt` |
+//! | `cargo run --release -p safegen-bench --bin sweep`  | ablation sweeps (iterations, symbol budget, prioritization) | `results/prio.txt` |
 //! | `cargo run --release -p safegen-bench --bin ops`    | Sec. V arithmetic cost (ns per affine op, baselines, max-reuse solvers) | `results/BENCH_ops.json` |
 //! | `cargo run --release -p safegen-bench --bin dispatch` | lane-major engine vs scalar dispatch (DESIGN.md §10) | `results/BENCH_dispatch.json` |
 //! | `cargo run --release -p safegen-bench --bin fixpoint` | iterate-and-widen vs unrolling (DESIGN.md §12) | `results/BENCH_fixpoint.json` |

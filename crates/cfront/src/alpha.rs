@@ -11,7 +11,7 @@
 //! visible at the pragma's position.
 
 use crate::ast::{Expr, Function, Stmt, Unit};
-use crate::pragma::Pragma;
+use crate::pragma::prioritized;
 use std::collections::{HashMap, HashSet};
 
 /// Renames all functions of the unit. Idempotent on already-unique input.
@@ -161,10 +161,7 @@ impl Renamer {
             },
             Stmt::Pragma { payload, span } => {
                 // Rewrite prioritize(v) with the visible binding of v.
-                let fresh = match Pragma::parse(payload) {
-                    Some(Pragma::Prioritize(v)) => self.lookup(v),
-                    _ => None,
-                };
+                let fresh = prioritized(payload).and_then(|v| self.lookup(v));
                 let payload = fresh.map_or_else(|| payload.clone(), |v| format!("prioritize({v})"));
                 Stmt::Pragma {
                     payload,

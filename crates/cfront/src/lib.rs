@@ -58,7 +58,7 @@ pub use emit_c::emit_c;
 pub use error::{Diagnostic, ParseError};
 pub use lexer::lex;
 pub use parser::parse;
-pub use pragma::{resolve_pragmas, Pragma};
+pub use pragma::{prioritized, resolve_pragmas};
 pub use printer::{print_expr, print_unit};
 pub use reabsorb::reparse_emitted;
 pub use runtime::{Construct, EmitPrecision, RuntimeCall, RUNTIME};

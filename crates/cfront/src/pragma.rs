@@ -4,47 +4,39 @@
 //! `return`) it directly precedes. `prioritize(v)` applies to that
 //! statement's first `+ − × ÷ √`, and only when `v` is a float scalar in
 //! scope there (a parameter or a declaration of an enclosing block, as in
-//! C); `capacity(n)` applies to its first FP operation of any kind. Of two
-//! pragmas of one kind before a statement the last wins, and every other
+//! C). Of two pragmas before a statement the last wins, and every other
 //! pragma is advisory and dropped. CFG lowering hangs each pragma
 //! [`resolve_pragmas`] keeps on the operation it governs, and the sound-C
-//! emitter prints exactly the `prioritize` pragmas it keeps.
+//! emitter prints exactly the pragmas it keeps.
 
-use crate::ast::{AssignOp, Expr, Function, Stmt, Ty, UnOp};
+use crate::ast::{AssignOp, Expr, Function, Stmt, Ty};
 use crate::sema::Sema;
 
-/// A `#pragma safegen` payload the compiler understands.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Pragma<'a> {
-    /// `prioritize(v)`: protect the symbols `v` holds during the governed
-    /// operation.
-    Prioritize(&'a str),
-    /// `capacity(n)`, `1 ≤ n < 2¹⁶`: the governed operation's symbol
-    /// budget.
-    Capacity(u16),
+/// The variable a `prioritize(v)` payload (the text after `#pragma
+/// safegen`) names: protect the symbols `v` holds during the governed
+/// operation. `None` for any other payload.
+pub fn prioritized(payload: &str) -> Option<&str> {
+    let v = payload
+        .strip_prefix("prioritize(")?
+        .strip_suffix(')')?
+        .trim();
+    (!v.is_empty()).then_some(v)
 }
 
-impl<'a> Pragma<'a> {
-    /// Parses a payload (the text after `#pragma safegen`); `None` for
-    /// anything else.
-    pub fn parse(payload: &'a str) -> Option<Pragma<'a>> {
-        let arg = |name: &str| {
-            payload
-                .strip_prefix(name)?
-                .strip_prefix('(')?
-                .strip_suffix(')')
-                .map(str::trim)
-        };
-        if let Some(v) = arg("prioritize") {
-            return (!v.is_empty()).then_some(Pragma::Prioritize(v));
-        }
-        let n = arg("capacity")?.parse::<u16>().ok()?;
-        (n >= 1).then_some(Pragma::Capacity(n))
-    }
+/// True for a payload sema accepts: `prioritize(v)`, or `capacity(n)`, a
+/// per-operation symbol budget the compiler accepts and drops, so sources
+/// written with it still compile (every operation runs at its context's
+/// `k`).
+pub fn accepted(payload: &str) -> bool {
+    let capacity = payload
+        .strip_prefix("capacity(")
+        .and_then(|n| n.strip_suffix(')'))
+        .is_some_and(|n| n.trim().parse::<u16>().is_ok_and(|n| n >= 1));
+    capacity || prioritized(payload).is_some()
 }
 
 /// Removes from `f` every pragma the rule drops, so each one left directly
-/// precedes the statement it governs, with at most one of each kind.
+/// precedes the statement it governs, with at most one per statement.
 pub fn resolve_pragmas(f: &mut Function, sema: &Sema) {
     let scope = f.params.iter().filter(|p| float_scalar(&p.ty));
     let scope = scope.map(|p| p.name.clone()).collect();
@@ -72,24 +64,18 @@ impl Resolver<'_> {
     fn block(&mut self, body: &mut Vec<Stmt>) {
         let mark = self.scope.len();
         let mut keep = vec![true; body.len()];
-        // The last pragma of each kind since the previous statement.
-        let (mut prioritize, mut capacity) = (None, None);
+        // The last `prioritize` since the previous statement.
+        let mut prioritize = None;
         for (i, s) in body.iter_mut().enumerate() {
             if let Stmt::Pragma { payload, .. } = s {
                 keep[i] = false;
-                match Pragma::parse(payload) {
-                    Some(Pragma::Prioritize(v)) => prioritize = Some((i, v.to_string())),
-                    Some(Pragma::Capacity(_)) => capacity = Some(i),
-                    None => {}
+                if let Some(v) = prioritized(payload) {
+                    prioritize = Some((i, v.to_string()));
                 }
                 continue;
             }
-            let op = self.op(s);
-            if let (Some(i), Some(_)) = (capacity.take(), op) {
-                keep[i] = true;
-            }
             if let Some((i, v)) = prioritize.take() {
-                keep[i] = op == Some(true) && self.scope.contains(&v);
+                keep[i] = self.takes_protect(s) && self.scope.contains(&v);
             }
             self.nested(s);
         }
@@ -125,27 +111,24 @@ impl Resolver<'_> {
         }
     }
 
-    /// The FP operation simple statement `s` lowers to, as whether it is
-    /// a `+ − × ÷ √`; `None` without one. In TAC form a statement has at
-    /// most one, at the top of its float value.
-    fn op(&self, s: &Stmt) -> Option<bool> {
+    /// True when simple statement `s` lowers to a `+ − × ÷ √`. In TAC
+    /// form a statement has at most one FP operation, at the top of its
+    /// float value.
+    fn takes_protect(&self, s: &Stmt) -> bool {
         let float = |e: &Expr| self.sema.type_of(self.func, e).is_float();
         let value = match s {
             Stmt::Decl {
                 ty, init: Some(e), ..
             } if float_scalar(ty) => e,
-            Stmt::Assign { lhs, op, .. } if *op != AssignOp::Set && float(lhs) => {
-                return Some(true)
-            }
+            Stmt::Assign { lhs, op, .. } if *op != AssignOp::Set && float(lhs) => return true,
             Stmt::Assign { lhs, rhs, .. } if float(lhs) => rhs,
             Stmt::Return { value: Some(e), .. } => e,
-            _ => return None,
+            _ => return false,
         };
         match value {
-            Expr::Bin { op, .. } if op.is_arith() && float(value) => Some(true),
-            Expr::Call { callee, .. } => Some(callee == "sqrt"),
-            Expr::Un { op: UnOp::Neg, .. } => Some(false),
-            _ => None,
+            Expr::Bin { op, .. } => op.is_arith() && float(value),
+            Expr::Call { callee, .. } => callee == "sqrt",
+            _ => false,
         }
     }
 }
@@ -166,19 +149,13 @@ mod tests {
 
     #[test]
     fn payloads_parse() {
-        assert_eq!(
-            Pragma::parse("prioritize( z )"),
-            Some(Pragma::Prioritize("z"))
-        );
-        assert_eq!(Pragma::parse("capacity(3)"), Some(Pragma::Capacity(3)));
-        for bad in [
-            "capacity(0)",
-            "prioritize()",
-            "capacity(x)",
-            "frobnicate",
-            "prioritize z",
-        ] {
-            assert_eq!(Pragma::parse(bad), None, "{bad}");
+        assert_eq!(prioritized("prioritize( z )"), Some("z"));
+        assert!(accepted("prioritize( z )") && accepted("capacity(3)"));
+        for bad in ["capacity(3)", "prioritize()", "frobnicate", "prioritize z"] {
+            assert_eq!(prioritized(bad), None, "{bad}");
+        }
+        for bad in ["capacity(0)", "capacity(x)", "prioritize()", "frobnicate"] {
+            assert!(!accepted(bad), "{bad}");
         }
     }
 
@@ -203,13 +180,12 @@ mod tests {
              y = y / 2.0;\n\
              return y; }",
         );
-        assert_eq!(out.matches("prioritize").count(), 1, "{out}");
+        assert_eq!(out.matches("#pragma").count(), 1, "{out}");
         assert!(out.contains("prioritize(x)\n    double y"), "{out}");
-        assert!(out.contains("capacity(2)\n    y = fabs(y)"), "{out}");
     }
 
     #[test]
-    fn last_of_a_kind_wins_and_scope_is_lexical() {
+    fn last_wins_and_scope_is_lexical() {
         let out = resolved(
             "double f(double x, double z) {\n\
              for (int i = 0; i < 2; i++) {\n\
@@ -223,10 +199,7 @@ mod tests {
              x = x * z;\n\
              return x; }",
         );
-        assert_eq!(out.matches("#pragma").count(), 2, "{out}");
-        assert!(
-            out.contains("prioritize(w)\n#pragma safegen capacity(2)\n"),
-            "{out}"
-        );
+        assert_eq!(out.matches("#pragma").count(), 1, "{out}");
+        assert!(out.contains("prioritize(w)\n        x = x * w"), "{out}");
     }
 }

@@ -7,7 +7,7 @@
 
 use crate::ast::*;
 use crate::error::{Diagnostic, ParseError};
-use crate::pragma::Pragma;
+use crate::pragma;
 use crate::token::Span;
 use std::collections::HashMap;
 
@@ -282,7 +282,7 @@ fn check_stmt(s: &Stmt, info: &mut FnInfo, ret: &Ty, diags: &mut Vec<Diagnostic>
             check_expr(expr, info, diags);
         }
         Stmt::Pragma { payload, span } => {
-            if Pragma::parse(payload).is_none() {
+            if !pragma::accepted(payload) {
                 diags.push(Diagnostic::new(
                     format!("unsupported safegen pragma `{payload}`"),
                     *span,
@@ -398,6 +398,10 @@ mod tests {
         );
         assert!(
             analyze_src("void f(double x) {\n#pragma safegen frobnicate\nx = x + 1.0; }").is_err()
+        );
+        // Accepted and dropped: every operation runs at its context's k.
+        assert!(
+            analyze_src("void f(double x) {\n#pragma safegen capacity(2)\nx = x + 1.0; }").is_ok()
         );
     }
 

@@ -144,13 +144,6 @@ pub trait Domain: Sized + Clone {
         out.clear();
     }
 
-    /// Lowers the symbol budget for the next operation (variable-capacity
-    /// extension); a no-op for domains without bounded symbol sets.
-    fn set_capacity(_cx: &Self::Ctx, _k: usize) {}
-
-    /// Restores the configured symbol budget.
-    fn reset_capacity(_cx: &Self::Ctx) {}
-
     /// Error symbols the context has allocated so far; `0` for domains
     /// without a symbol allocator. Allocation is monotone, so the VM's
     /// tracer maps symbol-id *ranges* back to the instruction that
@@ -516,14 +509,6 @@ impl<C: CenterValue> Domain for Affine<C> {
     #[inline]
     fn protect_ids_into(&self, cx: &AaContext, out: &mut Vec<u64>) {
         Affine::protect_ids_into(self, protect_limit(cx), out);
-    }
-    #[inline]
-    fn set_capacity(cx: &AaContext, k: usize) {
-        cx.set_op_capacity(k);
-    }
-    #[inline]
-    fn reset_capacity(cx: &AaContext) {
-        cx.reset_op_capacity();
     }
     #[inline]
     fn symbols_allocated(cx: &AaContext) -> u64 {

@@ -75,11 +75,6 @@ pub struct RunConfig {
     pub aa: AaConfig,
     /// Use the statically-derived priorities (the `..p?` configurations).
     pub prioritized: bool,
-    /// Variable-capacity extension: run operations outside every reuse
-    /// connection at this reduced budget (sorted placement only; see
-    /// `safegen_analysis::capacity`). `None` = uniform `k` (the paper's
-    /// published system).
-    pub capacity_low: Option<usize>,
     /// How loops with unknown or over-budget trip counts execute (full
     /// unrolling vs. the iterate-and-widen fixpoint engine; see
     /// [`crate::fixpoint`]). Constructors start at
@@ -99,7 +94,6 @@ impl RunConfig {
             kind,
             aa,
             prioritized,
-            capacity_low: None,
             loop_mode: LoopMode::Unroll,
             unroll_budget: None,
         }
@@ -395,23 +389,6 @@ impl Compiled {
                 compile_program_with(&annotated, &self.sema, &self.passes)
                     .expect("annotated TAC must compile")
             }
-            VariantKind::Capacity {
-                k,
-                k_low,
-                prioritized,
-            } => {
-                let base = if prioritized {
-                    annotate_function(f, &self.sema, k as usize, SolveMode::Auto)
-                } else {
-                    f.clone()
-                };
-                let annotated = telemetry::phase_span("compile.capacity", || {
-                    let plan = safegen_analysis::capacity_plan(&base, &self.sema, k_low as usize);
-                    safegen_analysis::annotate_capacities(&base, &plan)
-                });
-                compile_program_with(&annotated, &self.sema, &self.passes)
-                    .expect("capacity-annotated TAC must compile")
-            }
         }
     }
 
@@ -482,10 +459,8 @@ impl Compiled {
         variant_kind_with(config, self.prioritize)
     }
 
-    /// The program variant `config` selects for `func`: the
-    /// capacity-annotated program when `capacity_low` is set, the
-    /// prioritized program when priorities apply, the plain program
-    /// otherwise.
+    /// The program variant `config` selects for `func`: the prioritized
+    /// program when priorities apply, the plain program otherwise.
     ///
     /// The returned [`Program`] is plain data (`Send + Sync`), detached
     /// from this `Compiled`. `Compiled` itself is `Sync` with no
@@ -541,14 +516,7 @@ pub fn variant_kind_with(config: &RunConfig, prioritize: bool) -> VariantKind {
         config.kind,
         DomainKind::AffineF64 | DomainKind::AffineDd | DomainKind::AffineF32
     );
-    let use_priorities = config.prioritized && prioritize && is_affine;
-    if let (Some(k_low), true) = (config.capacity_low, is_affine) {
-        VariantKind::Capacity {
-            k: config.aa.k as u32,
-            k_low: k_low as u32,
-            prioritized: use_priorities,
-        }
-    } else if use_priorities {
+    if config.prioritized && prioritize && is_affine {
         VariantKind::Prioritized {
             k: config.aa.k as u32,
         }
@@ -815,39 +783,11 @@ mod tests {
     fn precompiled_variants_match_fresh_compiles() {
         let src = "double f(double x, double y, double z) { return x*z - y*z; }";
         let mut c = Compiler::new().compile(src).unwrap();
-        let fresh_prio = c.variant("f", VariantKind::Prioritized { k: 4 });
-        let fresh_cap = c.variant(
-            "f",
-            VariantKind::Capacity {
-                k: 4,
-                k_low: 2,
-                prioritized: true,
-            },
-        );
-        c.precompile(&[
-            VariantKind::Prioritized { k: 4 },
-            VariantKind::Capacity {
-                k: 4,
-                k_low: 2,
-                prioritized: true,
-            },
-        ]);
+        let kinds = [2, 4].map(|k| VariantKind::Prioritized { k });
+        let fresh = kinds.map(|kind| c.variant("f", kind));
+        c.precompile(&kinds);
         // Precomputed lookups return the same programs the pure compiles do.
-        assert_eq!(
-            c.variant("f", VariantKind::Prioritized { k: 4 }),
-            fresh_prio
-        );
-        assert_eq!(
-            c.variant(
-                "f",
-                VariantKind::Capacity {
-                    k: 4,
-                    k_low: 2,
-                    prioritized: true,
-                },
-            ),
-            fresh_cap
-        );
+        assert_eq!(kinds.map(|kind| c.variant("f", kind)), fresh);
         // all_variants lists plain first, then the two precomputed kinds.
         let vs = c.all_variants();
         assert_eq!(vs.len(), 3);
@@ -877,15 +817,6 @@ mod tests {
                         let k = 2 + (t + i) % 4;
                         let p = c.variant("f", VariantKind::Prioritized { k: k as u32 });
                         assert!(!p.code.is_empty());
-                        let q = c.variant(
-                            "f",
-                            VariantKind::Capacity {
-                                k: k as u32,
-                                k_low: 1,
-                                prioritized: t % 2 == 0,
-                            },
-                        );
-                        assert!(!q.code.is_empty());
                         let cfg = RunConfig::affine_f64(k);
                         let _ = c.program_for("f", &cfg);
                     }

@@ -7,7 +7,6 @@
 
 use crate::domain::{Domain, FpBinOp, FpUnOp};
 use crate::program::{CmpOp, FixedInstr, OpCode, ParamBinding, Program};
-use safegen_ir::PRAGMA_CAPACITY;
 use std::fmt;
 
 /// An argument passed to [`exec`].
@@ -488,13 +487,10 @@ impl<D: Domain, I: IntReg> Machine<D, I> {
                 let p: &[u64] = if ins.aux == 0 {
                     &[]
                 } else {
-                    self.pragma_on(&ins, cx);
+                    self.protect_on(&ins, cx);
                     &self.protect
                 };
                 D::$into($op, $(&self.fregs[$src],)+ cx, p, &mut self.spare);
-                if ins.aux & PRAGMA_CAPACITY != 0 {
-                    D::reset_capacity(cx);
-                }
                 std::mem::swap(&mut self.fregs[d], &mut self.spare);
                 stats.fp_ops += 1;
             }};
@@ -597,15 +593,12 @@ impl<D: Domain, I: IntReg> Machine<D, I> {
         Ok(flow)
     }
 
-    /// Sets up the pragma FP operation `ins` carries: the ids it protects
-    /// into `protect` (none without `prioritize`) and its capacity.
-    fn pragma_on(&mut self, ins: &FixedInstr, cx: &D::Ctx) {
+    /// Writes the ids FP operation `ins` protects into `protect` (none
+    /// without a `prioritize`).
+    fn protect_on(&mut self, ins: &FixedInstr, cx: &D::Ctx) {
         match ins.protect() {
             Some(r) => self.fregs[r].protect_ids_into(cx, &mut self.protect),
             None => self.protect.clear(),
-        }
-        if let Some(k) = ins.capacity() {
-            D::set_capacity(cx, k);
         }
     }
 

@@ -41,7 +41,7 @@
 //! shrinker and writes a minimized, replayable `.c` counterexample (with
 //! its inputs in the header comment) under the output directory.
 
-use crate::oracle::{eval_exact, EvalLimits};
+use crate::oracle::{eval_exact, EvalLimits, OracleError};
 use crate::program::ParamBinding;
 use crate::{
     run_on, ArgValue, BatchOptions, Compiler, LoopMode, PassManager, RunConfig, RunReport,
@@ -50,6 +50,7 @@ use safegen_cfront::EmitPrecision;
 use safegen_fuzz::{generate_seeded, render, shrink, FuzzProgram, GenLimits};
 use safegen_telemetry::json::Json;
 use safegen_telemetry::{self as telemetry};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 /// Knobs for a single differential check.
@@ -93,7 +94,7 @@ pub struct CheckReport {
     /// that had a decided path and a finite range).
     pub exact_checks: u64,
     /// Why the rational oracle declined, if it did.
-    pub oracle_skip: Option<String>,
+    pub oracle_skip: Option<OracleError>,
     /// Exact-oracle checks dropped because their run took an undecided
     /// branch.
     pub undecided_skips: UndecidedSkips,
@@ -242,7 +243,7 @@ pub fn check_source(src: &str, func: &str, inputs: &[f64], opts: &CheckOpts) -> 
     let exact = match eval_exact(compiled.program(func), &args, &opts.oracle_limits) {
         Ok(v) => v,
         Err(e) => {
-            report.oracle_skip = Some(e.to_string());
+            report.oracle_skip = Some(e);
             None
         }
     };
@@ -668,8 +669,9 @@ pub struct FuzzSummary {
     pub functions_checked: u64,
     /// Exact-enclosure comparisons performed.
     pub exact_checks: u64,
-    /// Function points where the rational oracle declined.
-    pub oracle_skips: u64,
+    /// Function points where the rational oracle declined, by reason
+    /// ([`OracleError::reason`]).
+    pub oracle_skips: BTreeMap<&'static str, u64>,
     /// Exact-oracle checks dropped for an undecided branch, by check.
     pub undecided_skips: UndecidedSkips,
     /// Soft anomalies (NaN endpoints etc.).
@@ -685,14 +687,20 @@ impl FuzzSummary {
             .undecided_skips
             .by_check()
             .map(|(check, n)| format!("{check} {n}"));
+        let by_reason: Vec<String> = self
+            .oracle_skips
+            .iter()
+            .map(|(reason, n)| format!("{reason} {n}"))
+            .collect();
         format!(
             "fuzz: {} iters, {} function points, {} exact checks, \
-             {} oracle skips, {} undecided skips ({}), {} anomalies, \
+             {} oracle skips ({}), {} undecided skips ({}), {} anomalies, \
              {} counterexamples",
             self.iters,
             self.functions_checked,
             self.exact_checks,
-            self.oracle_skips,
+            self.oracle_skips.values().sum::<u64>(),
+            by_reason.join(", "),
             self.undecided_skips.total(),
             by_check.join(", "),
             self.anomalies,
@@ -738,8 +746,8 @@ pub fn run_fuzz(opts: &FuzzOpts) -> Result<FuzzSummary, String> {
             summary.functions_checked += 1;
             summary.exact_checks += report.exact_checks;
             summary.anomalies += report.anomalies.len() as u64;
-            if report.oracle_skip.is_some() {
-                summary.oracle_skips += 1;
+            if let Some(e) = &report.oracle_skip {
+                *summary.oracle_skips.entry(e.reason()).or_default() += 1;
             }
             summary.undecided_skips.add(&report.undecided_skips);
             if report.passed() {
@@ -780,7 +788,16 @@ pub fn run_fuzz(opts: &FuzzOpts) -> Result<FuzzSummary, String> {
                     Json::from(summary.functions_checked as usize),
                 ),
                 ("exact_checks", Json::from(summary.exact_checks as usize)),
-                ("oracle_skips", Json::from(summary.oracle_skips as usize)),
+                (
+                    "oracle_skips",
+                    Json::obj(
+                        summary
+                            .oracle_skips
+                            .iter()
+                            .map(|(&reason, &n)| (reason, Json::from(n)))
+                            .collect(),
+                    ),
+                ),
                 (
                     "undecided_skips",
                     Json::obj(Vec::from(
@@ -903,7 +920,7 @@ mod tests {
         let report = check_source(src, "f", &[1.0], &CheckOpts::default());
         assert!(report.passed(), "{:?}", report.failures);
         assert_eq!(report.exact_checks, 0);
-        assert!(report.oracle_skip.as_deref().unwrap().contains("sqrt"));
+        assert_eq!(report.oracle_skip, Some(OracleError::Unsupported("sqrt")));
     }
 
     #[test]

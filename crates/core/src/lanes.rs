@@ -116,10 +116,10 @@ struct Group {
     acc_max: u64,
 }
 
-/// Runs FP operation `ins`, which carries a pragma, on the lanes in
+/// Runs `+ − × ÷ √` `ins`, which carries a pragma, on the lanes in
 /// `mask` as the scalar path runs it: each lane protects the symbols its
-/// own protect register holds, and runs under the capacity. Out of line,
-/// so the dispatch loop keeps only the pragma-free paths.
+/// own protect register holds. Out of line, so the dispatch loop keeps
+/// only the pragma-free paths.
 #[cold]
 #[inline(never)]
 #[allow(clippy::too_many_arguments)]
@@ -133,44 +133,30 @@ fn pragma_op<D: Domain>(
     cxs: &[D::Ctx],
     protect: &mut [Vec<u64>],
 ) {
-    for l in MaskIter(mask) {
-        if let Some(r) = ins.protect() {
+    if let Some(r) = ins.protect() {
+        for l in MaskIter(mask) {
             fregs[r * w + l].protect_ids_into(&cxs[l], &mut protect[l]);
-        }
-        if let Some(k) = ins.capacity() {
-            D::set_capacity(&cxs[l], k);
         }
     }
     let (d, a, b) = (usize::from(ins.dst), usize::from(ins.a), usize::from(ins.b));
     let p = &*protect;
-    let bin = match ins.op {
-        OpCode::Add => Some(FpBinOp::Add),
-        OpCode::Sub => Some(FpBinOp::Sub),
-        OpCode::Mul => Some(FpBinOp::Mul),
-        OpCode::Div => Some(FpBinOp::Div),
-        OpCode::Min => Some(FpBinOp::Min),
-        OpCode::Max => Some(FpBinOp::Max),
-        _ => None,
-    };
-    if let Some(op) = bin {
-        bin_cols(fregs, spare, w, d, a, b, mask, full, |x, y, o, l| {
-            D::bin_into(op, x, y, &cxs[l], &p[l], o)
+    if ins.op == OpCode::Sqrt {
+        un_cols(fregs, spare, w, d, a, mask, full, |x, o, l| {
+            D::un_into(FpUnOp::Sqrt, x, &cxs[l], &p[l], o)
         });
     } else {
         let op = match ins.op {
-            OpCode::Sqrt => FpUnOp::Sqrt,
-            OpCode::Abs => FpUnOp::Abs,
-            _ => FpUnOp::Neg,
+            OpCode::Add => FpBinOp::Add,
+            OpCode::Sub => FpBinOp::Sub,
+            OpCode::Mul => FpBinOp::Mul,
+            _ => FpBinOp::Div,
         };
-        un_cols(fregs, spare, w, d, a, mask, full, |x, o, l| {
-            D::un_into(op, x, &cxs[l], &p[l], o)
+        bin_cols(fregs, spare, w, d, a, b, mask, full, |x, y, o, l| {
+            D::bin_into(op, x, y, &cxs[l], &p[l], o)
         });
     }
     for l in MaskIter(mask) {
         protect[l].clear();
-        if ins.capacity().is_some() {
-            D::reset_capacity(&cxs[l]);
-        }
     }
 }
 
@@ -691,9 +677,8 @@ pub fn exec_lanes<D: Domain>(
 
             let (d, a, b) = (ins.dst as usize, ins.a as usize, ins.b as usize);
             match ins.op {
-                // An FP operation (through `Max`) whose `aux` is set
-                // carries a pragma.
-                op if ins.aux != 0 && op as u8 <= OpCode::Max as u8 => {
+                // A `+ − × ÷ √` whose `aux` is set carries a pragma.
+                op if ins.aux != 0 && op as u8 <= OpCode::Sqrt as u8 => {
                     tally.scalar_dispatches += 1;
                     let (mask, fp) = (g.mask, &mut protect);
                     pragma_op(&ins, &mut fregs, &mut fspare, w, mask, full, cxs, fp);

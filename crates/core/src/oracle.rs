@@ -48,6 +48,20 @@ pub enum OracleError {
     Fuel,
 }
 
+impl OracleError {
+    /// A short name of the reason, the key `safegen fuzz` counts skips
+    /// under: the unsupported construct, `division by zero`, `size cap`
+    /// or `fuel`.
+    pub fn reason(&self) -> &'static str {
+        match self {
+            OracleError::Unsupported(what) => what,
+            OracleError::DivByZero => "division by zero",
+            OracleError::TooBig => "size cap",
+            OracleError::Fuel => "fuel",
+        }
+    }
+}
+
 impl std::fmt::Display for OracleError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

@@ -132,11 +132,7 @@ mod tests {
         );
         let mul = p.code.iter().find(|i| i.op == OpCode::Mul).unwrap();
         assert_eq!(mul.protect(), Some(usize::from(mul.b)), "z protected");
-        let carriers = p
-            .code
-            .iter()
-            .filter(|i| i.protect().is_some() || i.capacity().is_some());
-        assert_eq!(carriers.count(), 1);
+        assert_eq!(p.code.iter().filter(|i| i.aux != 0).count(), 1);
     }
 
     #[test]

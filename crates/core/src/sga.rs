@@ -8,10 +8,10 @@
 //! compilation whose inputs have not changed.
 //!
 //! Variant selection is **strict**: if a configuration asks for a
-//! prioritized or capacity variant the artifact does not carry, the
-//! lookup fails with a diagnostic listing what *is* available — it never
-//! silently substitutes the plain program, because that would quietly
-//! change the accuracy of the results (the whole point of the variants).
+//! prioritized variant the artifact does not carry, the lookup fails
+//! with a diagnostic listing what *is* available — it never silently
+//! substitutes the plain program, because that would quietly change the
+//! accuracy of the results (the whole point of the variants).
 
 use crate::driver::{variant_kind_with, Compiled, Compiler, RunConfig, RunReport};
 use crate::exec::ArgValue;
@@ -31,9 +31,6 @@ pub struct BuildOptions {
     pub name: String,
     /// Symbol budgets to precompile prioritized variants for.
     pub ks: Vec<usize>,
-    /// Reduced budgets: a capacity variant is precompiled for every
-    /// `(k, k_low)` pair with `k_low < k`.
-    pub k_lows: Vec<usize>,
     /// Run the max-reuse static analysis (`false` = plain variants only).
     pub analysis: bool,
     /// Consult/populate the on-disk compile cache.
@@ -41,13 +38,12 @@ pub struct BuildOptions {
 }
 
 impl BuildOptions {
-    /// Defaults: budgets 8 and 16 (the paper's most-used settings), no
-    /// capacity variants, analysis on, cache on.
+    /// Defaults: budgets 8 and 16 (the paper's most-used settings),
+    /// analysis on, cache on.
     pub fn new(name: &str) -> BuildOptions {
         BuildOptions {
             name: name.to_string(),
             ks: vec![8, 16],
-            k_lows: Vec::new(),
             analysis: true,
             use_cache: true,
         }
@@ -55,23 +51,11 @@ impl BuildOptions {
 
     /// The variant kinds these options precompile (beyond plain).
     fn kinds(&self) -> Vec<VariantKind> {
-        let mut kinds = Vec::new();
         if !self.analysis {
-            return kinds;
+            return Vec::new();
         }
-        for &k in &self.ks {
-            kinds.push(VariantKind::Prioritized { k: k as u32 });
-            for &k_low in &self.k_lows {
-                if k_low < k {
-                    kinds.push(VariantKind::Capacity {
-                        k: k as u32,
-                        k_low: k_low as u32,
-                        prioritized: true,
-                    });
-                }
-            }
-        }
-        kinds
+        let prioritized = |&k: &usize| VariantKind::Prioritized { k: k as u32 };
+        self.ks.iter().map(prioritized).collect()
     }
 
     /// The cache-key option strings: everything besides the source text
@@ -80,7 +64,6 @@ impl BuildOptions {
         let mut opts = vec![
             format!("analysis={}", self.analysis),
             format!("ks={:?}", self.ks),
-            format!("k_lows={:?}", self.k_lows),
             format!("name={}", self.name),
         ];
         opts.push(format!("passes={}", passes.join(",")));

@@ -30,7 +30,7 @@
 //! jumps to the next block — into the flat instruction stream the VM
 //! dispatches over.
 
-use crate::cfg::{render_pragma, ArrayDecl, Cfg, CmpOp, Inst, OpPragma, ParamBinding, Terminator};
+use crate::cfg::{render_protect, ArrayDecl, Cfg, CmpOp, FReg, Inst, ParamBinding, Terminator};
 use safegen_cfront::Span;
 use std::collections::HashMap;
 use std::fmt;
@@ -39,12 +39,9 @@ use std::fmt;
 /// records' operand fields are `u16`.
 pub const MAX_REGS: usize = 1 << 16;
 
-/// `aux` bit of an FP operation that protects the symbols of
-/// `f[imm & 0xffff]` while it runs (`#pragma safegen prioritize`).
+/// `aux` bit of a `+ − × ÷ √` that protects the symbols of `f[imm]`
+/// while it runs (`#pragma safegen prioritize`).
 pub const PRAGMA_PROTECT: u8 = 1;
-/// `aux` bit of an FP operation that runs with symbol budget
-/// `imm >> 16` (`#pragma safegen capacity`).
-pub const PRAGMA_CAPACITY: u8 = 2;
 
 /// Operation selector of a [`FixedInstr`].
 ///
@@ -157,10 +154,9 @@ pub enum Imm {
     /// A jump target, `≤ code.len()` (the length itself falls off the
     /// end, a void return).
     Target,
-    /// The pragma of an FP operation: the protect register in the low
-    /// half, the capacity in the high half, each 0 unless its `aux` bit
-    /// is set.
-    Pragma,
+    /// The protect register of a `+ − × ÷ √`: 0 unless `aux` is
+    /// [`PRAGMA_PROTECT`].
+    Protect,
 }
 
 impl OpCode {
@@ -214,8 +210,10 @@ impl OpCode {
         use OpCode::*;
         use Operand::{Array as A, FReg as F, IReg as I, Unused as U};
         Some(match self {
-            Add | Sub | Mul | Div | Min | Max => ([F, F, F], Imm::Pragma),
-            Sqrt | Abs | Neg => ([F, F, U], Imm::Pragma),
+            Add | Sub | Mul | Div => ([F, F, F], Imm::Protect),
+            Sqrt => ([F, F, U], Imm::Protect),
+            Min | Max => ([F, F, F], Imm::Unused),
+            Abs | Neg => ([F, F, U], Imm::Unused),
             MovF => ([F, F, U], Imm::Unused),
             ConstF => ([F, U, U], Imm::FPool),
             CastIF => ([F, I, U], Imm::Unused),
@@ -274,7 +272,7 @@ impl OpCode {
 
 /// One fixed-width instruction: opcode + selector + three `u16`
 /// register/array operands + a 32-bit immediate (pool index, jump
-/// target, a pragma's operands, or packed second destination of a
+/// target, protect register, or packed second destination of a
 /// superinstruction).
 ///
 /// Twelve bytes, `Copy`, no interior `enum` payloads to destructure —
@@ -284,9 +282,9 @@ impl OpCode {
 pub struct FixedInstr {
     /// Operation selector.
     pub op: OpCode,
-    /// Comparison code for `CmpI`/`CmpF`(+`Jump`), pragma bits
-    /// ([`PRAGMA_PROTECT`], [`PRAGMA_CAPACITY`]) for the FP operations,
-    /// left/right flag for the arithmetic superinstructions; 0 otherwise.
+    /// Comparison code for `CmpI`/`CmpF`(+`Jump`), [`PRAGMA_PROTECT`]
+    /// for a `+ − × ÷ √`, left/right flag for the arithmetic
+    /// superinstructions; 0 otherwise.
     pub aux: u8,
     /// Destination register (or array id for `StoreArr`).
     pub dst: u16,
@@ -295,7 +293,7 @@ pub struct FixedInstr {
     /// Second source operand.
     pub b: u16,
     /// Immediate: constant-pool index, jump target, packed `d2`/`c` of a
-    /// superinstruction, or a pragma's protect register and capacity.
+    /// superinstruction, or a pragma's protect register.
     pub imm: u32,
 }
 
@@ -326,18 +324,17 @@ impl FixedInstr {
         FixedInstr { imm, ..self }
     }
 
-    /// This FP-operation record carrying pragma `p`.
-    pub fn with_pragma(self, p: OpPragma) -> FixedInstr {
-        let mut out = self;
-        if let Some(r) = p.protect {
-            out.aux |= PRAGMA_PROTECT;
-            out.imm |= r;
+    /// This `+ − × ÷ √` record protecting the symbols of `f[r]`, or
+    /// itself for `None`.
+    pub fn with_protect(self, r: Option<FReg>) -> FixedInstr {
+        match r {
+            Some(r) => FixedInstr {
+                aux: PRAGMA_PROTECT,
+                imm: r,
+                ..self
+            },
+            None => self,
         }
-        if let Some(k) = p.capacity {
-            out.aux |= PRAGMA_CAPACITY;
-            out.imm |= u32::from(k) << 16;
-        }
-        out
     }
 
     /// The register whose symbols this operation protects (a
@@ -345,15 +342,7 @@ impl FixedInstr {
     #[inline(always)]
     pub fn protect(&self) -> Option<usize> {
         let on = self.op as u8 <= OpCode::Sqrt as u8 && self.aux & PRAGMA_PROTECT != 0;
-        on.then_some((self.imm & 0xffff) as usize)
-    }
-
-    /// The symbol budget this operation runs with (a `capacity` on an FP
-    /// operation).
-    #[inline(always)]
-    pub fn capacity(&self) -> Option<usize> {
-        let on = self.op as u8 <= OpCode::Max as u8 && self.aux & PRAGMA_CAPACITY != 0;
-        on.then_some((self.imm >> 16) as usize)
+        on.then_some(self.imm as usize)
     }
 
     /// Second destination register of a fused arithmetic pair.
@@ -467,9 +456,9 @@ impl Program {
                 }
             }
             let limit = match imm {
-                // The pragma bits take the place of the selector.
-                Imm::Pragma => {
-                    self.validate_pragma(pc, ins)?;
+                // The pragma bit takes the place of the selector.
+                Imm::Protect => {
+                    self.validate_protect(pc, ins)?;
                     continue;
                 }
                 Imm::Unused => 1,
@@ -498,22 +487,17 @@ impl Program {
         Ok(())
     }
 
-    /// The pragma operands of FP operation `ins` at `pc`.
-    fn validate_pragma(&self, pc: usize, ins: &FixedInstr) -> Result<(), String> {
-        let protects = ins.op as u8 <= OpCode::Sqrt as u8;
-        let allowed = PRAGMA_CAPACITY | if protects { PRAGMA_PROTECT } else { 0 };
-        let (r, k) = (ins.imm & 0xffff, ins.imm >> 16);
-        let what = if ins.aux & !allowed != 0 {
+    /// The pragma operand of `+ − × ÷ √` `ins` at `pc`.
+    fn validate_protect(&self, pc: usize, ins: &FixedInstr) -> Result<(), String> {
+        let what = if ins.aux & !PRAGMA_PROTECT != 0 {
             format!("pragma bits {:#04x} not allowed", ins.aux)
         } else if ins.protect().is_some_and(|r| r >= self.n_fregs) {
             format!(
-                "protect register f{r} out of range (limit {})",
-                self.n_fregs
+                "protect register f{} out of range (limit {})",
+                ins.imm, self.n_fregs
             )
-        } else if ins.capacity() == Some(0) {
-            "capacity 0".to_string()
-        } else if (ins.protect().is_none() && r != 0) || (ins.capacity().is_none() && k != 0) {
-            format!("imm = {} sets a field no pragma bit uses", ins.imm)
+        } else if ins.protect().is_none() && ins.imm != 0 {
+            format!("imm = {} set without a pragma bit", ins.imm)
         } else {
             return Ok(());
         };
@@ -573,11 +557,7 @@ impl Program {
             OpCode::CmpIJump => format!("i{d} = cmpi.{cmp} i{a}, i{b}; jz i{d} -> {imm}"),
             OpCode::CmpFJump => format!("i{d} = cmpf.{cmp} f{a}, f{b}; jz i{d} -> {imm}"),
         };
-        let pragma = OpPragma {
-            protect: ins.protect().map(|r| r as u32),
-            capacity: ins.capacity().map(|k| k as u16),
-        };
-        body + &render_pragma(&pragma)
+        body + &render_protect(ins.protect().map(|r| r as FReg))
     }
 }
 
@@ -683,7 +663,7 @@ pub fn emit_program(cfg: &Cfg) -> Result<Program, String> {
                 Inst::CmpI(op, d, a, b) => r(OpCode::CmpI, d, a, b).with_cmp(op),
                 Inst::CmpF(op, d, a, b) => r(OpCode::CmpF, d, a, b).with_cmp(op),
             };
-            code.push(rec.with_pragma(ins.pragma));
+            code.push(rec.with_protect(ins.protect));
             spans.push(ins.span);
         }
         let jump = |t: usize| r(OpCode::Jump, 0, 0, 0).with_imm(offsets[t]);
@@ -1082,8 +1062,9 @@ mod tests {
         assert_eq!(p.validate(), Ok(()));
     }
 
-    /// Pragma operands: the bits only where the opcode can carry them, a
-    /// protect register inside the float file, a capacity of at least 1.
+    /// Pragma operands: the protect bit only on a `+ − × ÷ √`, and a
+    /// protect register inside the float file. Bit 2 (a per-operation
+    /// symbol budget in format version 3) is refused like any other.
     #[test]
     fn validator_checks_pragma_operands() {
         let run = |ins: FixedInstr| {
@@ -1091,36 +1072,21 @@ mod tests {
             p.fpool = vec![0.5];
             p.validate()
         };
-        let pragma = |protect, capacity| OpPragma { protect, capacity };
         let mul = rec(Mul, 1, 0, 0);
-        assert_eq!(run(mul.with_pragma(pragma(Some(1), Some(3)))), Ok(()));
-        assert_eq!(
-            run(rec(Abs, 1, 0, 0).with_pragma(pragma(None, Some(3)))),
-            Ok(())
-        );
+        assert_eq!(run(mul.with_protect(Some(1))), Ok(()));
+        assert_eq!(run(rec(Sqrt, 1, 0, 0).with_protect(Some(0))), Ok(()));
         let cases = [
+            (FixedInstr { aux: 2, ..mul }, "pragma bits 0x02 not allowed"),
+            (FixedInstr { aux: 4, ..mul }, "pragma bits 0x04"),
             (
-                rec(Abs, 1, 0, 0).with_pragma(pragma(Some(0), None)),
-                "pragma bits",
+                rec(Abs, 1, 0, 0).with_protect(Some(0)),
+                "selector 1 out of range",
             ),
-            (
-                rec(MovF, 1, 0, 0).with_pragma(pragma(None, Some(2))),
-                "out of range",
-            ),
-            (FixedInstr { aux: 4, ..mul }, "pragma bits"),
-            (
-                mul.with_pragma(pragma(Some(2), None)),
-                "protect register f2",
-            ),
-            (
-                FixedInstr {
-                    aux: PRAGMA_CAPACITY,
-                    ..mul
-                },
-                "capacity 0",
-            ),
-            (mul.with_imm(1), "no pragma bit"),
-            (mul.with_imm(1 << 16), "no pragma bit"),
+            (rec(Max, 1, 0, 0).with_imm(1), "imm = 1 out of range"),
+            (mul.with_protect(Some(2)), "protect register f2"),
+            (mul.with_protect(Some(1 << 16)), "protect register f65536"),
+            (mul.with_imm(1), "without a pragma bit"),
+            (mul.with_imm(1 << 16), "without a pragma bit"),
         ];
         for (ins, what) in cases {
             let e = run(ins).unwrap_err();
@@ -1135,10 +1101,7 @@ mod tests {
     fn pragma_ops_do_not_fuse() {
         let p = prog(
             vec![
-                rec(Mul, 2, 0, 1).with_pragma(OpPragma {
-                    protect: Some(0),
-                    capacity: None,
-                }),
+                rec(Mul, 2, 0, 1).with_protect(Some(0)),
                 rec(Add, 3, 2, 0),
                 rec(Ret, 0, 3, 0),
             ],

@@ -14,8 +14,8 @@
 //! the provenance the pragma planner and the error profiler rely on.
 
 use safegen_cfront::{
-    resolve_pragmas, AssignOp, BinOp, Diagnostic, Expr, Function, ParseError, Pragma, Sema, Span,
-    Stmt, Ty, UnOp,
+    prioritized, resolve_pragmas, AssignOp, BinOp, Diagnostic, Expr, Function, ParseError, Sema,
+    Span, Stmt, Ty, UnOp,
 };
 use std::collections::HashMap;
 use std::fmt;
@@ -140,23 +140,6 @@ pub enum Inst {
 }
 
 impl Inst {
-    /// True for the floating-point operations that count toward
-    /// `RunStats::fp_ops` in the VM.
-    pub fn is_fp_op(&self) -> bool {
-        matches!(
-            self,
-            Inst::Add(..)
-                | Inst::Sub(..)
-                | Inst::Mul(..)
-                | Inst::Div(..)
-                | Inst::Sqrt(..)
-                | Inst::Abs(..)
-                | Inst::Neg(..)
-                | Inst::Min(..)
-                | Inst::Max(..)
-        )
-    }
-
     /// True for the ops a `prioritize` pragma can govern (`+ − × ÷ √`).
     pub fn takes_protect(&self) -> bool {
         matches!(
@@ -256,32 +239,16 @@ impl Terminator {
     }
 }
 
-/// The `#pragma safegen` an FP operation carries: lowering hangs each
-/// pragma on the operation it governs (see `safegen_cfront::resolve_pragmas`).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct OpPragma {
-    /// `prioritize`: the operation protects the error symbols this
-    /// register holds when it runs (on a `+ − × ÷ √` only).
-    pub protect: Option<FReg>,
-    /// `capacity`: the operation's symbol budget (on an FP op only).
-    pub capacity: Option<u16>,
-}
-
-impl OpPragma {
-    /// True when the operation carries no pragma.
-    pub fn is_none(&self) -> bool {
-        *self == OpPragma::default()
-    }
-}
-
 /// One IR instruction with its provenance.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CfgInstr {
     /// The operation.
     pub inst: Inst,
-    /// The pragma the operation carries. Passes never merge, remove or
-    /// fuse an operation that carries one.
-    pub pragma: OpPragma,
+    /// The register whose error symbols a `+ − × ÷ √` protects when it
+    /// runs: lowering hangs each `#pragma safegen prioritize` on the
+    /// operation it governs (see `safegen_cfront::resolve_pragmas`).
+    /// Passes never merge, remove or fuse an operation that carries one.
+    pub protect: Option<FReg>,
     /// The source expression this instruction was lowered from.
     pub span: Span,
     /// The variable the originating TAC line assigns to (`_t3`, `x`, …),
@@ -391,7 +358,7 @@ impl Cfg {
         for (id, b) in self.blocks.iter().enumerate() {
             let _ = writeln!(out, "bb{id}:");
             for ins in &b.insts {
-                let body = render_inst(&ins.inst) + &render_pragma(&ins.pragma);
+                let body = render_inst(&ins.inst) + &render_protect(ins.protect);
                 let mut note = String::new();
                 if let Some(v) = &ins.var {
                     note.push_str(&format!(" ; {v}"));
@@ -413,17 +380,10 @@ impl Cfg {
     }
 }
 
-/// The ` [protect fR] [capacity N]` suffix of an operation carrying a
-/// pragma, in the IR dump and the bytecode listing.
-pub(crate) fn render_pragma(p: &OpPragma) -> String {
-    let mut out = String::new();
-    if let Some(r) = p.protect {
-        out.push_str(&format!(" [protect f{r}]"));
-    }
-    if let Some(k) = p.capacity {
-        out.push_str(&format!(" [capacity {k}]"));
-    }
-    out
+/// The ` [protect fR]` suffix of an operation carrying a pragma, in the
+/// IR dump and the bytecode listing.
+pub(crate) fn render_protect(protect: Option<FReg>) -> String {
+    protect.map_or_else(String::new, |r| format!(" [protect f{r}]"))
 }
 
 fn render_inst(i: &Inst) -> String {
@@ -591,7 +551,7 @@ impl Lower<'_> {
         let cond = self.in_cond;
         self.blocks[self.cur].insts.push(CfgInstr {
             inst,
-            pragma: OpPragma::default(),
+            protect: None,
             span,
             var: var.map(str::to_string),
             cond,
@@ -658,30 +618,20 @@ impl Lower<'_> {
     /// one precedes the simple statement it governs, and lands on that
     /// statement's first operation it applies to.
     fn block(&mut self, body: &[Stmt]) -> Result<(), ParseError> {
-        let mut pending = OpPragma::default();
+        let mut pending = None;
         for s in body {
             if let Stmt::Pragma { payload, .. } = s {
-                match Pragma::parse(payload) {
-                    Some(Pragma::Prioritize(v)) => {
-                        if let Some(Binding::F(r)) = self.names.get(v) {
-                            pending.protect = Some(*r);
-                        }
-                    }
-                    Some(Pragma::Capacity(k)) => pending.capacity = Some(k),
-                    None => {}
+                if let Some(Binding::F(r)) = prioritized(payload).and_then(|v| self.names.get(v)) {
+                    pending = Some(*r);
                 }
                 continue;
             }
             let (at, start) = (self.cur, self.blocks[self.cur].insts.len());
             self.stmt(s)?;
-            if !pending.is_none() {
-                let p = std::mem::take(&mut pending);
+            if let Some(r) = pending.take() {
                 let ops = &mut self.blocks[at].insts[start..];
                 if let Some(ins) = ops.iter_mut().find(|i| i.inst.takes_protect()) {
-                    ins.pragma.protect = p.protect;
-                }
-                if let Some(ins) = ops.iter_mut().find(|i| i.inst.is_fp_op()) {
-                    ins.pragma.capacity = p.capacity;
+                    ins.protect = Some(r);
                 }
             }
         }
@@ -1251,7 +1201,7 @@ mod tests {
             .iter()
             .find(|i| matches!(i.inst, Inst::Mul(..)))
             .unwrap();
-        assert_eq!(mul.pragma.protect, Some(1), "z is f1");
+        assert_eq!(mul.protect, Some(1), "z is f1");
         assert!(
             cfg.dump().contains("mul f0, f1 [protect f1]"),
             "{}",

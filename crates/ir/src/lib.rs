@@ -51,11 +51,11 @@ pub mod tac;
 
 pub use bytecode::{
     emit_program, encode, pair_histogram, FixedInstr, FixedProgram, Imm, OpCode, Operand, Program,
-    MAX_REGS, PRAGMA_CAPACITY, PRAGMA_PROTECT,
+    MAX_REGS, PRAGMA_PROTECT,
 };
 pub use cfg::{
     lower_function, ArrId, ArrayDecl, Block, BlockId, Cfg, CfgInstr, CmpOp, FReg, IReg, Inst,
-    OpPragma, ParamBinding, Terminator,
+    ParamBinding, Terminator,
 };
 pub use dag::{build_dag, build_dag_from_cfg, Dag, Node, NodeId, NodeKind};
 pub use fold::fold_constants;

@@ -27,10 +27,10 @@
 //! * **Register allocation** renumbers registers by liveness-derived
 //!   interference; renaming storage cannot change any computed value.
 //!
-//! An operation that carries a `#pragma safegen` ([`crate::OpPragma`])
-//! is never merged or removed, so the pragma applies to the same
-//! operation before and after optimization; its protect register counts
-//! as one of its operands.
+//! An operation that carries a `#pragma safegen prioritize`
+//! ([`CfgInstr::protect`]) is never merged or removed, so the pragma
+//! applies to the same operation before and after optimization; its
+//! protect register counts as one of its operands.
 
 use crate::cfg::{
     ArrId, Block, BlockId, Cfg, CfgInstr, CmpOp, FReg, IReg, Inst, ParamBinding, Terminator,
@@ -226,14 +226,14 @@ fn term_uses(term: &Terminator, live: &mut LiveSet) {
 /// Backward transfer for one instruction: kill the def, gen the uses
 /// (a protect register included).
 fn step_backward(ins: &CfgInstr, live: &mut LiveSet) {
-    let (pragma, ins) = (ins.pragma, &ins.inst);
+    let (protect, ins) = (ins.protect, &ins.inst);
     if let Some(d) = ins.def_f() {
         live.f[d as usize] = false;
     }
     if let Some(d) = ins.def_i() {
         live.i[d as usize] = false;
     }
-    for u in ins.uses_f().into_iter().chain(pragma.protect) {
+    for u in ins.uses_f().into_iter().chain(protect) {
         live.f[u as usize] = true;
     }
     for u in ins.uses_i() {
@@ -255,7 +255,7 @@ fn def_is_dead(ins: &Inst, live: &LiveSet) -> bool {
 /// `StoreArr` writes memory, and an operation carrying a pragma keeps
 /// the pragma's place, so they all stay.
 fn removable(ins: &CfgInstr) -> bool {
-    ins.pragma.is_none()
+    ins.protect.is_none()
         && !matches!(
             ins.inst,
             Inst::DivI(..) | Inst::LoadArr(..) | Inst::StoreArr(..)
@@ -311,7 +311,7 @@ fn liveness(cfg: &Cfg, for_dce: bool) -> (Vec<LiveSet>, Vec<LiveSet>) {
 /// Rewrites every register the instruction reads (a protect register
 /// included).
 fn map_uses(ins: &mut CfgInstr, mf: &impl Fn(FReg) -> FReg, mi: &impl Fn(IReg) -> IReg) {
-    if let Some(r) = &mut ins.pragma.protect {
+    if let Some(r) = &mut ins.protect {
         *r = mf(*r);
     }
     match &mut ins.inst {
@@ -548,7 +548,7 @@ fn number_block(block: &mut Block, avail: &mut Avail) -> bool {
         }
         // An operation carrying a pragma is no merge candidate in either
         // role.
-        let key = if ins.pragma.is_none() {
+        let key = if ins.protect.is_none() {
             key_of(&ins.inst)
         } else {
             None
@@ -859,11 +859,11 @@ impl Pass for CopyProp {
             let mut ci: HashMap<IReg, IReg> = HashMap::new();
             let old = std::mem::take(&mut block.insts);
             for mut ins in old {
-                let before = (ins.inst.clone(), ins.pragma);
+                let before = (ins.inst.clone(), ins.protect);
                 map_uses(&mut ins, &|r| cf.get(&r).copied().unwrap_or(r), &|r| {
                     ci.get(&r).copied().unwrap_or(r)
                 });
-                if (ins.inst.clone(), ins.pragma) != before {
+                if (ins.inst.clone(), ins.protect) != before {
                     changed = true;
                 }
                 match ins.inst {
@@ -1436,7 +1436,7 @@ mod tests {
         let Inst::Mul(_, _, z) = muls[0].inst else {
             unreachable!()
         };
-        assert_eq!(muls[0].pragma.protect, Some(z));
+        assert_eq!(muls[0].protect, Some(z));
     }
 
     #[test]

@@ -83,12 +83,54 @@ impl TacCx<'_> {
         self.sema.type_of(&self.func, e).is_float()
     }
 
+    /// Flattens `body`. A `#pragma safegen` governs the `+ − × ÷ √` of
+    /// the simple statement it precedes (`safegen_cfront::resolve_pragmas`),
+    /// so it moves to the line that holds that statement's first one when
+    /// the statement splits; otherwise it stays before the statement's
+    /// own line, where the rule reads it as it reads the source.
     fn block(&mut self, body: &[Stmt]) -> Vec<Stmt> {
         let mut out = Vec::new();
+        let mut pragmas = Vec::new();
         for s in body {
+            if let Stmt::Pragma { .. } = s {
+                pragmas.push(s.clone());
+                continue;
+            }
+            let start = out.len();
             self.stmt(s, &mut out);
+            if pragmas.is_empty() {
+                continue;
+            }
+            let simple = matches!(
+                s,
+                Stmt::Decl { .. } | Stmt::Assign { .. } | Stmt::Return { .. }
+            );
+            let op = out[start..].iter().position(|line| self.holds_op(line));
+            let at = match op {
+                Some(i) if simple => start + i,
+                _ => out.len() - 1,
+            };
+            out.splice(at..at, pragmas.drain(..));
         }
+        out.append(&mut pragmas);
         out
+    }
+
+    /// True when TAC line `line` computes a float `+ − × ÷ √` (at the top
+    /// of its value, the only place a TAC line holds an operation).
+    fn holds_op(&self, line: &Stmt) -> bool {
+        let value = match line {
+            Stmt::Decl {
+                ty, init: Some(e), ..
+            } if ty.is_float() => e,
+            Stmt::Assign { lhs, rhs, .. } if self.is_float(lhs) => rhs,
+            _ => return false,
+        };
+        match value {
+            Expr::Bin { op, .. } => op.is_arith(),
+            Expr::Call { callee, .. } => callee == "sqrt",
+            _ => false,
+        }
     }
 
     fn stmt(&mut self, s: &Stmt, out: &mut Vec<Stmt>) {

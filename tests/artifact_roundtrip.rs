@@ -155,6 +155,20 @@ fn wrong_magic_version_flags_and_hash_are_rejected() {
     ));
 }
 
+/// Version 3, whose operations could carry a symbol budget of their own,
+/// is refused by name: recompiling the source is the upgrade.
+#[test]
+fn version_3_artifacts_are_refused_by_name() {
+    let mut bytes = build("double g(double x) { return x * x + 1.0; }").to_bytes();
+    bytes[4..6].copy_from_slice(&3u16.to_le_bytes());
+    let err = Artifact::from_bytes(&bytes).unwrap_err();
+    assert_eq!(err, ArtifactError::UnsupportedVersion(3));
+    assert!(
+        err.to_string().contains("unsupported artifact version 3"),
+        "{err}"
+    );
+}
+
 #[test]
 fn artifact_files_round_trip_on_disk() {
     let artifact = build("double g(double x, double y) { return x / (y + 2.0); }");

@@ -1,11 +1,9 @@
 //! Integration tests for the features beyond the paper's core evaluation:
-//! SIMD-intrinsics input (Sec. IV-B), sound constant folding (Sec. IV-B),
-//! and the variable-capacity extension (the future work of Sec. VIII).
+//! SIMD-intrinsics input (Sec. IV-B) and sound constant folding
+//! (Sec. IV-B).
 
 use safegen_suite::fpcore::Dd;
-use safegen_suite::safegen::{
-    compile_program_with, run_on, Compiler, Placement, RunConfig, VariantKind,
-};
+use safegen_suite::safegen::{compile_program_with, run_on, Compiler, RunConfig};
 use safegen_suite::{cfront, ir};
 
 // ---------------------------------------------------------------------------
@@ -116,95 +114,4 @@ fn folding_never_applies_to_inexact_decimals() {
         .run("f", &[1.0.into()], &RunConfig::unsound())
         .unwrap();
     assert_eq!(r.stats.fp_ops, 2);
-}
-
-// ---------------------------------------------------------------------------
-// Variable capacity (future-work extension)
-// ---------------------------------------------------------------------------
-
-/// A program with a reuse-heavy head and a long reuse-free tail.
-const MIXED: &str = "double f(double x, double z, double a) {
-    double d = x * z - x * z;
-    double t = a;
-    for (int i = 0; i < 30; i++) {
-        t = t * 1.01 + 0.5;
-    }
-    return d + t;
-}";
-
-fn sorted_cfg(k: usize, k_low: Option<usize>) -> RunConfig {
-    let mut cfg = RunConfig::mnemonic(k, "sspn").unwrap();
-    cfg.aa.placement = Placement::Sorted;
-    cfg.capacity_low = k_low;
-    cfg
-}
-
-#[test]
-fn variable_capacity_is_sound() {
-    let compiled = Compiler::new().compile(MIXED).unwrap();
-    let args = [0.9.into(), 1.1.into(), 0.4.into()];
-    let unsound = compiled.run("f", &args, &RunConfig::unsound()).unwrap();
-    let (v, _) = unsound.ret.unwrap();
-    for k_low in [1usize, 2, 4] {
-        let r = compiled
-            .run("f", &args, &sorted_cfg(16, Some(k_low)))
-            .unwrap();
-        let (lo, hi) = r.ret.unwrap();
-        assert!(
-            lo <= v && v <= hi,
-            "k_low={k_low}: {v} outside [{lo}, {hi}]"
-        );
-    }
-}
-
-#[test]
-fn variable_capacity_shrinks_symbol_work_without_killing_reuse() {
-    let compiled = Compiler::new().compile(MIXED).unwrap();
-    let args = [0.9.into(), 1.1.into(), 0.4.into()];
-    let uniform = compiled.run("f", &args, &sorted_cfg(24, None)).unwrap();
-    let mixed = compiled.run("f", &args, &sorted_cfg(24, Some(2))).unwrap();
-    // The reuse-free tail dominates the op count; throttling it must not
-    // hurt the certified accuracy materially (the cancellation of the
-    // head survives at full budget).
-    assert!(
-        mixed.acc_bits >= uniform.acc_bits - 2.0,
-        "mixed {} vs uniform {}",
-        mixed.acc_bits,
-        uniform.acc_bits
-    );
-}
-
-#[test]
-fn variable_capacity_program_contains_capacity_pragmas() {
-    let compiled = Compiler::new().compile(MIXED).unwrap();
-    let plain = compiled.program("f").clone();
-    let vc = compiled.variant(
-        "f",
-        VariantKind::Capacity {
-            k: 16,
-            k_low: 2,
-            prioritized: false,
-        },
-    );
-    let capacities = |p: &ir::Program| p.code.iter().filter(|i| i.capacity().is_some()).count();
-    assert_eq!(capacities(&plain), 0);
-    assert!(
-        capacities(&vc) > 0,
-        "expected operations carrying a capacity in the variable-capacity program"
-    );
-}
-
-#[test]
-fn variable_capacity_noop_under_direct_mapping() {
-    // Direct-mapped values have their slot count baked in; the override
-    // must be ignored, not corrupt anything.
-    let compiled = Compiler::new().compile(MIXED).unwrap();
-    let args = [0.9.into(), 1.1.into(), 0.4.into()];
-    let mut cfg = RunConfig::affine_f64(16);
-    cfg.capacity_low = Some(2);
-    let with = compiled.run("f", &args, &cfg).unwrap();
-    let mut cfg2 = RunConfig::affine_f64(16);
-    cfg2.capacity_low = None;
-    let without = compiled.run("f", &args, &cfg2).unwrap();
-    assert_eq!(with.ret, without.ret);
 }

@@ -6,11 +6,12 @@
 //! The rule (`safegen_cfront::resolve_pragmas`): a pragma governs the
 //! simple statement it directly precedes; `prioritize(v)` applies to that
 //! statement's first `+ − × ÷ √` when `v` is a float scalar in scope
-//! there, `capacity(n)` to its first FP operation; the last of a kind
-//! wins, and every other pragma is dropped.
+//! there; the last one wins, and every other pragma is dropped. The TAC
+//! transform keeps a pragma on the line that holds that operation when
+//! it splits the statement.
 
 use safegen_suite::safegen::{
-    encode, run_lanes_on, run_on, ArgValue, Compiler, LoopMode, RunConfig, RunReport,
+    encode, run_lanes_on, run_on, ArgValue, Compiler, LoopMode, OpCode, RunConfig, RunReport,
 };
 
 /// The function every case's body is wrapped in: `x` and `z` are float
@@ -52,24 +53,14 @@ const CASES: &[(&str, &str, &[&str])] = &[
         &[],
     ),
     (
-        "capacity before abs",
-        "#pragma safegen capacity(2)\nx = fabs(z);",
-        &["f0 = abs f1 [capacity 2]"],
+        "prioritize on a split statement rides on its ×",
+        "#pragma safegen prioritize(z)\nx = fabs(x) * z;",
+        &["f0 = mul f0, f1 [protect f1]"],
     ),
     (
-        "capacity before neg",
-        "#pragma safegen capacity(2)\nx = -z;",
-        &["f0 = neg f1 [capacity 2]"],
-    ),
-    (
-        "capacity before min",
-        "#pragma safegen capacity(2)\nx = fmin(x, z);",
-        &["f0 = min f0, f1 [capacity 2]"],
-    ),
-    (
-        "capacity before max",
-        "#pragma safegen capacity(2)\nx = fmax(x, z);",
-        &["f0 = max f0, f1 [capacity 2]"],
+        "capacity is advisory and dropped",
+        "#pragma safegen capacity(2)\nx = x * z;",
+        &[],
     ),
     (
         "prioritize before if is dropped",
@@ -77,8 +68,8 @@ const CASES: &[(&str, &str, &[&str])] = &[
         &[],
     ),
     (
-        "capacity before for is dropped",
-        "#pragma safegen capacity(2)\nfor (int i = 0; i < 2; i++) { x = x * z; }",
+        "prioritize before for is dropped",
+        "#pragma safegen prioritize(z)\nfor (int i = 0; i < 2; i++) { x = x * z; }",
         &[],
     ),
     (
@@ -102,10 +93,9 @@ const CASES: &[(&str, &str, &[&str])] = &[
         &[],
     ),
     (
-        "two of a kind: the last wins",
-        "#pragma safegen prioritize(x)\n#pragma safegen capacity(3)\n\
-         #pragma safegen prioritize(z)\n#pragma safegen capacity(2)\nx = x * z;",
-        &["f0 = mul f0, f1 [protect f1] [capacity 2]"],
+        "two pragmas: the last wins",
+        "#pragma safegen prioritize(x)\n#pragma safegen prioritize(z)\nx = x * z;",
+        &["f0 = mul f0, f1 [protect f1]"],
     ),
     (
         "a local in scope, inside a loop",
@@ -141,7 +131,7 @@ fn each_pragma_rides_on_the_record_the_rule_names() {
         let got: Vec<String> = prog
             .code
             .iter()
-            .filter(|i| i.protect().is_some() || i.capacity().is_some())
+            .filter(|i| i.op as u8 <= OpCode::Max as u8 && i.aux != 0)
             .map(|i| prog.render(i))
             .collect();
         assert_eq!(got, want, "{case}:\n{prog}");
